@@ -218,7 +218,7 @@ func BenchmarkSimKernelEvents(b *testing.B) {
 func legacyHotPath() bool { return os.Getenv("RPCC_LEGACY_HOTPATH") == "1" }
 
 // benchPoints draws the Table 1 geometry: 50 nodes uniform on 1.5×1.5 km.
-func benchPoints(b *testing.B, n int) []geo.Point {
+func benchPoints(b testing.TB, n int) []geo.Point {
 	b.Helper()
 	terrain, err := geo.NewTerrain(1500, 1500)
 	if err != nil {
@@ -274,7 +274,7 @@ func BenchmarkRadioBFS(b *testing.B) {
 
 // benchNetwork wires a 50-node network over a frozen random layout for
 // the message-level hot-path benchmarks.
-func benchNetwork(b *testing.B) (*sim.Kernel, *netsim.Network) {
+func benchNetwork(b testing.TB) (*sim.Kernel, *netsim.Network) {
 	b.Helper()
 	pts := benchPoints(b, 50)
 	k := sim.NewKernel(sim.WithSeed(1))
@@ -528,5 +528,182 @@ func BenchmarkAblationSerializedRadio(b *testing.B) {
 	for _, s := range strategies {
 		b.ReportMetric(float64(results[s].ideal.MeanLatency.Milliseconds()), fmt.Sprintf("%s_ideal_ms", s))
 		b.ReportMetric(float64(results[s].serial.MeanLatency.Milliseconds()), fmt.Sprintf("%s_mac_ms", s))
+	}
+}
+
+// TestDeliveryDoesNotAllocate pins the message-delivery hot path on the
+// 50-node layout above with no tracer and no collector installed: once
+// the pools, the kernel heap and the route tables are warm, a flood with
+// every reception drained and a unicast with every hop drained allocate
+// nothing.
+func TestDeliveryDoesNotAllocate(t *testing.T) {
+	k, net := benchNetwork(t)
+	var heard, arrived, hops int
+	for node := 0; node < net.Len(); node++ {
+		if err := net.SetReceiver(node, func(_ *sim.Kernel, _ int, _ protocol.Message, meta netsim.Meta) {
+			if meta.Flood {
+				heard++
+			} else {
+				arrived++
+				hops += meta.Hops
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	flood := func() {
+		msg := protocol.Message{Kind: protocol.KindInvalidation, Item: 1, Version: 1, Origin: i % 50}
+		if err := net.Flood(i%50, 8, msg); err != nil {
+			t.Fatal(err)
+		}
+		k.Run()
+		i++
+	}
+	unicast := func() {
+		msg := protocol.Message{Kind: protocol.KindPoll, Item: 1, Version: 1, Origin: i % 50}
+		if err := net.Unicast(i%50, (i+25)%50, msg); err != nil {
+			t.Fatal(err)
+		}
+		k.Run()
+		i++
+	}
+	for warm := 0; warm < 100; warm++ {
+		flood()
+		unicast()
+	}
+	heard, arrived, hops = 0, 0, 0
+	if avg := testing.AllocsPerRun(200, flood); avg != 0 {
+		t.Errorf("steady-state Flood allocates %.2f objects per call, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(200, unicast); avg != 0 {
+		t.Errorf("steady-state Unicast allocates %.2f objects per call, want 0", avg)
+	}
+	// The layout is sparse, so not every pair is connected; enough must be,
+	// and over several hops, for the pins to have measured the path.
+	if heard < 1000 || arrived < 50 || hops < 2*arrived {
+		t.Fatalf("%d flood receptions, %d unicasts delivered over %d hops in 201 sends of each; the pins measured too little", heard, arrived, hops)
+	}
+}
+
+// TestReentrantDeliveryKeepsRecordsApart drives the pooled delivery
+// records the hard way: receivers re-flood and answer by unicast from
+// inside delivery, so records are drawn while the one being delivered has
+// only just been released. Every send carries a unique Seq, and every
+// delivery must show exactly the payload, origin and hop budget of its
+// own send — a record reused while its fields were still live would
+// surface another send's. Steady state still allocates nothing.
+func TestReentrantDeliveryKeepsRecordsApart(t *testing.T) {
+	const (
+		wideTTL = 8
+		echoTTL = 2
+		sends   = 256 // ring of sends the ledger below remembers
+	)
+	k, net := benchNetwork(t)
+	n := net.Len()
+	type send struct {
+		kind    protocol.Kind
+		origin  int
+		dst     int // unicast destination, -1 for a flood
+		ttl     int
+		floodID uint64
+		heard   []bool // per node: this send already delivered there
+		count   int
+	}
+	ledger := make([]send, sends)
+	for s := range ledger {
+		ledger[s].heard = make([]bool, n)
+	}
+	var next uint64 // Seq of the latest send; ledger slot = Seq % sends
+	var floods uint64
+	open := func(kind protocol.Kind, origin, dst, ttl int) protocol.Message {
+		next++
+		s := &ledger[next%sends]
+		clear(s.heard)
+		*s = send{kind: kind, origin: origin, dst: dst, ttl: ttl, heard: s.heard}
+		if dst < 0 {
+			floods++
+			s.floodID = floods
+		}
+		return protocol.Message{Kind: kind, Item: 7, Version: 1, Origin: origin, Seq: next}
+	}
+	var fail string
+	check := func(node int, msg protocol.Message, meta netsim.Meta) *send {
+		s := &ledger[msg.Seq%sends]
+		switch {
+		case msg.Kind != s.kind || msg.Origin != s.origin || msg.Item != 7:
+			fail = fmt.Sprintf("node %d got %+v, sent as kind %v from %d", node, msg, s.kind, s.origin)
+		case meta.Flood != (s.dst < 0) || meta.FloodID != s.floodID:
+			fail = fmt.Sprintf("node %d: meta %+v on a send with dst %d, flood id %d", node, meta, s.dst, s.floodID)
+		case s.dst >= 0 && node != s.dst:
+			fail = fmt.Sprintf("unicast for %d delivered to %d", s.dst, node)
+		case s.dst < 0 && (meta.Hops < 1 || meta.Hops > s.ttl):
+			fail = fmt.Sprintf("flood with TTL %d delivered at %d hops", s.ttl, meta.Hops)
+		case s.heard[node]:
+			fail = fmt.Sprintf("send %d delivered to node %d twice", msg.Seq, node)
+		}
+		s.heard[node] = true
+		s.count++
+		return s
+	}
+	for node := 0; node < n; node++ {
+		if err := net.SetReceiver(node, func(_ *sim.Kernel, node int, msg protocol.Message, meta netsim.Meta) {
+			s := check(node, msg, meta)
+			if s.kind != protocol.KindInvalidation {
+				return
+			}
+			// Inside the wide flood's delivery: answer its origin, and on
+			// every fifth node start a flood of our own.
+			if err := net.Unicast(node, s.origin, open(protocol.KindPollAckA, node, s.origin, 0)); err != nil {
+				fail = err.Error()
+			}
+			if node%5 == 0 {
+				if err := net.Flood(node, echoTTL, open(protocol.KindIR, node, -1, echoTTL)); err != nil {
+					fail = err.Error()
+				}
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	i := 0
+	var wide, acks int
+	round := func() {
+		origin := i % n
+		i++
+		first := next + 1
+		if err := net.Flood(origin, wideTTL, open(protocol.KindInvalidation, origin, -1, wideTTL)); err != nil {
+			t.Fatal(err)
+		}
+		k.Run()
+		if next-first >= sends {
+			fail = fmt.Sprintf("round made %d sends, ledger holds %d", next-first+1, sends)
+		}
+		wide = ledger[first%sends].count
+		acks = 0
+		for v := first + 1; v <= next; v++ {
+			if s := &ledger[v%sends]; s.kind == protocol.KindPollAckA {
+				acks += s.count
+			}
+		}
+	}
+	for warm := 0; warm < 2*n; warm++ {
+		round()
+		if fail != "" {
+			t.Fatal(fail)
+		}
+		// The layout is static and lossless: the wide flood reaches its
+		// whole TTL ball and every receiver's answer comes back.
+		origin := (i - 1) % n
+		if want := len(net.Graph().WithinTTL(origin, wideTTL)); wide != want || acks != want {
+			t.Fatalf("flood from %d: %d receptions, %d answers, want %d of each", origin, wide, acks, want)
+		}
+	}
+	if avg := testing.AllocsPerRun(100, round); avg != 0 {
+		t.Errorf("steady-state re-entrant delivery allocates %.2f objects per round, want 0", avg)
+	}
+	if fail != "" {
+		t.Fatal(fail)
 	}
 }

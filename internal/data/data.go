@@ -10,6 +10,7 @@ package data
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 )
 
@@ -38,15 +39,31 @@ type Copy struct {
 // Deriving the payload from (id, version) lets tests and the auditor check
 // that a served copy was never torn or fabricated.
 func ValueFor(id ItemID, v Version) string {
-	return fmt.Sprintf("item-%d-v%d", int(id), uint64(v))
+	var buf [maxValueLen]byte
+	return string(appendValue(buf[:0], id, v))
+}
+
+// maxValueLen bounds the canonical payload: the fixed text plus the
+// longest decimal int64 and uint64.
+const maxValueLen = len("item-") + 20 + len("-v") + 20
+
+// appendValue appends the canonical payload "item-<id>-v<version>" to b.
+func appendValue(b []byte, id ItemID, v Version) []byte {
+	b = append(b, "item-"...)
+	b = strconv.AppendInt(b, int64(id), 10)
+	b = append(b, "-v"...)
+	return strconv.AppendUint(b, uint64(v), 10)
 }
 
 // Consistent reports whether the copy's payload matches its claimed
 // (ID, Version) pair — i.e. the copy is some committed value, never a torn
 // or invented one. This is the mechanical core of the paper's
-// weak-consistency guarantee (Eq 3.2.3).
+// weak-consistency guarantee (Eq 3.2.3). Every audited answer and every
+// content-bearing message runs it, so the canonical payload is rendered
+// into a stack buffer and compared in place rather than built as a string.
 func (c Copy) Consistent() bool {
-	return c.Value == ValueFor(c.ID, c.Version)
+	var buf [maxValueLen]byte
+	return c.Value == string(appendValue(buf[:0], c.ID, c.Version))
 }
 
 // Master is a source host's authoritative copy plus its update history

@@ -417,7 +417,7 @@ func publishTopologyStats(hub *telemetry.Hub, s netsim.TopologyStats) {
 
 	routes := func(outcome string) *telemetry.Counter {
 		return hub.Counter("rpcc_topology_route_maintenance_total",
-			"Route-table outcomes at topology samples.", telemetry.Label{Key: "outcome", Value: outcome})
+			"Route-table outcomes: stale tables repaired or abandoned on demand when next read, and wholesale resets.", telemetry.Label{Key: "outcome", Value: outcome})
 	}
 	routes("repaired").Add(s.RoutesRepaired)
 	routes("dropped").Add(s.RoutesDropped)

@@ -61,9 +61,12 @@ type TopologyStats struct {
 	CertChecks uint64
 	// Rebins counts Verlet anchor re-bins (candidate rediscovery scans).
 	Rebins uint64
-	// RoutesRepaired / RoutesDropped count per-destination route tables
-	// incrementally repaired vs dropped (affected region too large) at
-	// samples; RouteFullResets counts wholesale route-cache resets (every
+	// RoutesRepaired / RoutesDropped count the catch-ups of stale
+	// per-destination route tables when routing next reads them: repaired
+	// in place against the edge changes logged since the last read, vs
+	// abandoned (lagging past the log, or affected region too large) and
+	// recomputed by BFS. A table nobody reads costs neither.
+	// RouteFullResets counts wholesale route-cache resets (every
 	// serial-mode rebuild does one).
 	RoutesRepaired, RoutesDropped, RouteFullResets uint64
 }

@@ -112,7 +112,7 @@ func TestKineticMatchesFullRebuild(t *testing.T) {
 		t.Error("no Verlet rebins recorded")
 	}
 	if st.RoutesRepaired == 0 {
-		t.Error("no route tables repaired in place — repair path never exercised")
+		t.Error("no stale route table was caught up by in-place repair when read — on-demand repair path never exercised")
 	}
 	if st.RouteFullResets != 0 {
 		t.Errorf("kinetic mode performed %d wholesale route resets", st.RouteFullResets)

@@ -263,7 +263,11 @@ type Network struct {
 
 	// floodPool recycles per-flood duplicate-suppression state. A flood's
 	// state returns to the pool once its last in-flight reception fires.
+	// rxPool and hopPool recycle the delivery events themselves (see
+	// floodRx and hopTx), so steady-state delivery allocates nothing.
 	floodPool []*floodState
+	rxPool    []*floodRx
+	hopPool   []*hopTx
 
 	// rebuilds counts topology snapshot rebuilds (cache misses).
 	rebuilds uint64
@@ -432,14 +436,22 @@ func (n *Network) Rebuilds() uint64 { return n.rebuilds }
 // TopologyStats returns the topology-maintenance counters: full rebuilds
 // vs kinetic incremental samples, link make/break events, certificate
 // checks, Verlet rebins, and route tables repaired vs dropped vs reset.
-func (n *Network) TopologyStats() TopologyStats { return n.topo }
+// The repaired/dropped pair is read off the snapshot, which counts the
+// on-demand catch-ups as routing reads stale tables.
+func (n *Network) TopologyStats() TopologyStats {
+	s := n.topo
+	if n.cached != nil {
+		s.RoutesRepaired, s.RoutesDropped = n.cached.RouteRepairs()
+	}
+	return s
+}
 
 // kineticSample produces the snapshot for a sample time via the kinetic
 // plane: drain every due certificate with the exact sampled positions,
 // convert the window's link flips plus the down-mask delta into CSR edge
-// diffs, repack the CSR from the maintained adjacency rows, and repair
-// the surviving route tables against exactly those diffs. The first call
-// performs the one full build the plane ever does.
+// diffs, repack the CSR from the maintained adjacency rows, and log the
+// diffs on the snapshot so each route table is repaired when it is next
+// read. The first call performs the one full build the plane ever does.
 func (n *Network) kineticSample(now time.Duration, down []bool, stamp uint64) (*radio.Graph, error) {
 	kn := n.kin
 	row := func(i int) []int32 { return kn.linkedAdj[i] }
@@ -456,9 +468,7 @@ func (n *Network) kineticSample(now time.Duration, down []bool, stamp uint64) (*
 	if err != nil {
 		return nil, err
 	}
-	repaired, dropped := g.PatchRoutes(n.diffBuf)
-	n.topo.RoutesRepaired += uint64(repaired)
-	n.topo.RoutesDropped += uint64(dropped)
+	g.PatchRoutes(n.diffBuf)
 	n.topo.KineticSamples++
 	kn.scheduleDriver(n.k)
 	return g, nil
@@ -676,23 +686,58 @@ func (n *Network) forward(cur, dst int, msg protocol.Message, hops int, sentAt t
 	}
 	n.traffic.RecordTx(msg.Kind, msg.Size())
 	n.spendTx(cur)
-	n.k.After(n.txDelay(cur, msg.Size()), "netsim.hop", func(*sim.Kernel) {
-		switch {
-		case !n.Up(next):
-			// Receiver flipped down while the frame was in the air.
-			n.traffic.RecordDropped(msg.Kind, stats.DropDisconnected)
-		case n.cut(cur, next):
-			n.traffic.RecordDropped(msg.Kind, stats.DropPartition)
-		case n.lost():
-			n.traffic.RecordDropped(msg.Kind, stats.DropLoss)
-		case next == dst:
-			n.spendRx(next)
-			n.deliverUnicast(dst, msg, hops+1, sentAt)
-		default:
-			n.spendRx(next)
-			n.forward(next, dst, msg, hops+1, sentAt)
-		}
-	})
+	h := n.acquireHop()
+	h.cur, h.next, h.dst, h.hops, h.sentAt, h.msg = cur, next, dst, hops, sentAt, msg
+	n.k.After(n.txDelay(cur, msg.Size()), "netsim.hop", h.fire)
+}
+
+// hopTx is one unicast frame in the air: a pooled record carrying what the
+// arrival needs, scheduled through fire — the record's own bound land
+// method, created once when the record is first allocated — so putting a
+// hop on the kernel allocates nothing.
+type hopTx struct {
+	n                    *Network
+	fire                 sim.Handler
+	cur, next, dst, hops int
+	sentAt               time.Duration
+	msg                  protocol.Message
+}
+
+// acquireHop pops a hop record from the pool (or allocates).
+func (n *Network) acquireHop() *hopTx {
+	if last := len(n.hopPool) - 1; last >= 0 {
+		h := n.hopPool[last]
+		n.hopPool[last] = nil
+		n.hopPool = n.hopPool[:last]
+		return h
+	}
+	h := &hopTx{n: n}
+	h.fire = h.land
+	return h
+}
+
+// land completes the hop. The record copies its fields out and returns to
+// the pool before anything else runs: the receiver re-enters Unicast and
+// Flood, which may hand this very record out again.
+func (h *hopTx) land(*sim.Kernel) {
+	n, cur, next, dst, hops, sentAt, msg := h.n, h.cur, h.next, h.dst, h.hops, h.sentAt, h.msg
+	h.msg = protocol.Message{} // a parked record must not pin the payload
+	n.hopPool = append(n.hopPool, h)
+	switch {
+	case !n.Up(next):
+		// Receiver flipped down while the frame was in the air.
+		n.traffic.RecordDropped(msg.Kind, stats.DropDisconnected)
+	case n.cut(cur, next):
+		n.traffic.RecordDropped(msg.Kind, stats.DropPartition)
+	case n.lost():
+		n.traffic.RecordDropped(msg.Kind, stats.DropLoss)
+	case next == dst:
+		n.spendRx(next)
+		n.deliverUnicast(dst, msg, hops+1, sentAt)
+	default:
+		n.spendRx(next)
+		n.forward(next, dst, msg, hops+1, sentAt)
+	}
 }
 
 // deliverUnicast completes a unicast's final hop, applying the delivery
@@ -716,6 +761,9 @@ func (n *Network) deliverUnicast(dst int, msg protocol.Message, hops int, sentAt
 			n.deliver(dst, msg, Meta{Hops: hops, At: n.k.Now(), SentAt: sentAt})
 			continue
 		}
+		// The closure gets a copy of its own: capturing the parameter
+		// would move it to the heap on entry, fault-free calls included.
+		msg := msg
 		n.k.After(extra, "netsim.fault.delay", func(*sim.Kernel) {
 			if !n.Up(dst) {
 				n.traffic.RecordDropped(msg.Kind, stats.DropDisconnected)
@@ -726,11 +774,13 @@ func (n *Network) deliverUnicast(dst int, msg protocol.Message, hops int, sentAt
 	}
 }
 
-// floodState is the per-flood bookkeeping: the duplicate-suppression
-// bitmap, the flood id, and a count of in-flight receptions. When the
-// last scheduled reception fires the state returns to the network's pool,
-// so steady-state flooding reallocates nothing.
+// floodState is the per-flood bookkeeping: the message (held once for all
+// of the flood's receptions), the duplicate-suppression bitmap, the flood
+// id, and a count of in-flight receptions. When the last scheduled
+// reception fires the state returns to the network's pool, so steady-state
+// flooding reallocates nothing.
 type floodState struct {
+	msg     protocol.Message
 	visited []bool
 	id      uint64
 	pending int
@@ -754,6 +804,7 @@ func (n *Network) acquireFlood() *floodState {
 func (n *Network) releaseFlood(st *floodState) {
 	clear(st.visited)
 	st.pending = 0
+	st.msg = protocol.Message{} // a parked state must not pin the payload
 	n.floodPool = append(n.floodPool, st)
 }
 
@@ -780,10 +831,11 @@ func (n *Network) Flood(origin, ttl int, msg protocol.Message) error {
 	}
 	n.nextFlood++
 	st := n.acquireFlood()
+	st.msg = msg
 	st.id = n.nextFlood
 	st.sentAt = n.k.Now()
 	st.visited[origin] = true
-	n.transmitFlood(origin, ttl, msg, st, 0)
+	n.transmitFlood(origin, ttl, st, 0)
 	if st.pending == 0 {
 		// No neighbour heard the broadcast; the flood is already over.
 		n.releaseFlood(st)
@@ -792,39 +844,76 @@ func (n *Network) Flood(origin, ttl int, msg protocol.Message) error {
 }
 
 // transmitFlood performs one node's (re)broadcast of a flood.
-func (n *Network) transmitFlood(node, ttlLeft int, msg protocol.Message, st *floodState, hops int) {
+func (n *Network) transmitFlood(node, ttlLeft int, st *floodState, hops int) {
 	if !n.Up(node) {
 		return
 	}
 	g := n.Graph()
-	n.traffic.RecordTx(msg.Kind, msg.Size())
+	size := st.msg.Size()
+	n.traffic.RecordTx(st.msg.Kind, size)
 	n.spendTx(node)
-	delay := n.txDelay(node, msg.Size())
+	delay := n.txDelay(node, size)
 	for _, v := range g.Neighbors(node) {
 		if st.visited[v] {
 			continue
 		}
 		st.visited[v] = true
 		st.pending++
-		v := v
-		n.k.After(delay, "netsim.flood", func(*sim.Kernel) {
-			switch {
-			case !n.Up(v):
-				n.traffic.RecordDropped(msg.Kind, stats.DropDisconnected)
-			case n.cut(node, v):
-				n.traffic.RecordDropped(msg.Kind, stats.DropPartition)
-			case n.lost():
-				n.traffic.RecordDropped(msg.Kind, stats.DropLoss)
-			default:
-				n.spendRx(v)
-				n.deliver(v, msg, Meta{Hops: hops + 1, At: n.k.Now(), SentAt: st.sentAt, Flood: true, FloodID: st.id})
-				if ttlLeft > 1 {
-					n.transmitFlood(v, ttlLeft-1, msg, st, hops+1)
-				}
-			}
-			if st.pending--; st.pending == 0 {
-				n.releaseFlood(st)
-			}
-		})
+		r := n.acquireRx()
+		r.st, r.from, r.to, r.hops, r.ttlLeft = st, node, v, hops, ttlLeft
+		n.k.After(delay, "netsim.flood", r.fire)
+	}
+}
+
+// floodRx is one scheduled reception of a flood's broadcast: a pooled
+// record naming the flood, the link and the hop budget, scheduled through
+// fire — the record's own bound land method, created once when the record
+// is first allocated — so a reception costs no allocation. The message
+// stays on the floodState.
+type floodRx struct {
+	n                       *Network
+	fire                    sim.Handler
+	st                      *floodState
+	from, to, hops, ttlLeft int
+}
+
+// acquireRx pops a reception record from the pool (or allocates).
+func (n *Network) acquireRx() *floodRx {
+	if last := len(n.rxPool) - 1; last >= 0 {
+		r := n.rxPool[last]
+		n.rxPool[last] = nil
+		n.rxPool = n.rxPool[:last]
+		return r
+	}
+	r := &floodRx{n: n}
+	r.fire = r.land
+	return r
+}
+
+// land completes the reception. The record copies its fields out and
+// returns to the pool before anything else runs: the receiver re-enters
+// Flood and Unicast, and the rebroadcast below draws records too, any of
+// which may be this one. The floodState stays live until its pending
+// count drains, which this reception's own count guarantees.
+func (r *floodRx) land(*sim.Kernel) {
+	n, st, from, to, hops, ttlLeft := r.n, r.st, r.from, r.to, r.hops, r.ttlLeft
+	r.st = nil
+	n.rxPool = append(n.rxPool, r)
+	switch {
+	case !n.Up(to):
+		n.traffic.RecordDropped(st.msg.Kind, stats.DropDisconnected)
+	case n.cut(from, to):
+		n.traffic.RecordDropped(st.msg.Kind, stats.DropPartition)
+	case n.lost():
+		n.traffic.RecordDropped(st.msg.Kind, stats.DropLoss)
+	default:
+		n.spendRx(to)
+		n.deliver(to, st.msg, Meta{Hops: hops + 1, At: n.k.Now(), SentAt: st.sentAt, Flood: true, FloodID: st.id})
+		if ttlLeft > 1 {
+			n.transmitFlood(to, ttlLeft-1, st, hops+1)
+		}
+	}
+	if st.pending--; st.pending == 0 {
+		n.releaseFlood(st)
 	}
 }

@@ -174,10 +174,7 @@ func (b *GraphBuilder) prepare(pos []geo.Point, down []bool, commRange float64, 
 	g := &b.g
 	n := len(pos)
 	if g.n != n {
-		// Distance tables are length-bound to n; drop them on resize.
-		g.dist = nil
-		g.built = g.built[:0]
-		g.distPool = nil
+		g.dropRoutes()
 	} else {
 		g.resetRoutes()
 	}

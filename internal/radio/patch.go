@@ -5,9 +5,11 @@ import "fmt"
 // This file is the incremental half of the radio layer: the kinetic
 // topology plane (internal/netsim) maintains geometric adjacency rows
 // between snapshots and asks the builder to repack the CSR from them
-// without discarding the route cache, then repairs each memoized
-// distance table against the exact set of CSR edge changes instead of
-// rebuilding it from scratch.
+// without discarding the route cache, then logs the sample's CSR edge
+// changes. A memoized distance table is repaired against the changes
+// logged since it was last read — when it is next read, not at every
+// sample — instead of being rebuilt from scratch. Maintaining only the
+// routes in use is the on-demand principle of DSR itself.
 //
 // The repair is the textbook two-phase dynamic-BFS update for unit
 // weights:
@@ -28,6 +30,16 @@ import "fmt"
 // which reads only distances plus the current adjacency — answers
 // exactly as if the table had been rebuilt. The property tests in
 // patch_test.go pin that equality on random mobile histories.
+//
+// Both phases walk the *current* adjacency and use the diffs only as
+// seeds, so they need a superset of the endpoints of the edges that
+// differ between the table's graph and the current one, not the exact
+// net change. A removed-edge seed whose vertex still has a witness is
+// left alone; an added-edge seed relaxes only across edges that exist
+// now. The concatenation of several samples' diffs is such a superset
+// — an edge added and removed inside the window contributes one seed of
+// each kind and changes nothing — which is what makes a lagging table
+// repairable in one pass over its pending window.
 
 // EdgeDiff is one undirected CSR edge change between two snapshots.
 type EdgeDiff struct {
@@ -39,9 +51,9 @@ type EdgeDiff struct {
 // neighbour rows (sorted ascending, including rows for down nodes),
 // filtering out edges with a down endpoint exactly as the full builds
 // do — and, unlike Build, it keeps the memoized route tables alive so
-// the caller can repair them with PatchRoutes. The first call (or a
-// call with a different node count) behaves like a full build with an
-// empty cache.
+// the caller can log the edge changes with PatchRoutes and have them
+// repaired on demand. The first call (or a call with a different node
+// count) behaves like a full build with an empty cache.
 func (b *GraphBuilder) RebuildFromRows(n int, row func(i int) []int32, down []bool, commRange float64, stamp uint64) (*Graph, error) {
 	if commRange <= 0 {
 		return nil, fmt.Errorf("radio: non-positive range %g", commRange)
@@ -51,9 +63,7 @@ func (b *GraphBuilder) RebuildFromRows(n int, row func(i int) []int32, down []bo
 	}
 	g := &b.g
 	if g.n != n {
-		g.dist = nil
-		g.built = g.built[:0]
-		g.distPool = nil
+		g.dropRoutes()
 		g.n = n
 		g.cacheOn = true
 	}
@@ -89,40 +99,66 @@ func (b *GraphBuilder) RebuildFromRows(n int, row func(i int) []int32, down []bo
 	return g, nil
 }
 
-// repairLimit caps how much of a table phase 1 may invalidate before the
-// repair is abandoned and the table dropped for lazy rebuild: past a
-// quarter of the graph a fresh BFS is cheaper than the two-phase update.
-func (g *Graph) repairLimit() int { return g.n/4 + 8 }
-
-// PatchRoutes repairs every memoized distance table against the CSR edge
-// changes applied by the latest RebuildFromRows. It must be called after
-// the repack (both phases walk the new adjacency). Tables whose affected
-// region exceeds the repair limit are dropped and rebuilt lazily on next
-// use. Returns how many tables were repaired in place and how many were
-// dropped.
-func (g *Graph) PatchRoutes(diffs []EdgeDiff) (repaired, dropped int) {
-	if len(diffs) == 0 || len(g.built) == 0 {
-		return 0, 0
-	}
-	kept := g.built[:0]
-	for _, dst := range g.built {
-		d := g.dist[dst]
-		if g.repairTable(d, diffs) {
-			kept = append(kept, dst)
-			repaired++
-		} else {
-			g.distPool = append(g.distPool, d)
-			g.dist[dst] = nil
-			dropped++
-		}
-	}
-	g.built = kept
-	return repaired, dropped
+// dropRoutes discards the route cache outright — tables, pool and repair
+// log — because distance tables are length-bound to the node count.
+func (g *Graph) dropRoutes() {
+	g.dist = nil
+	g.synced = nil
+	g.built = g.built[:0]
+	g.distPool = nil
+	g.diffLog = g.diffLog[:0]
 }
 
-// repairTable applies the two-phase update to one distance table.
-// Returns false when the affected region exceeded the repair limit (the
-// table's contents are then unspecified and it must be dropped).
+// repairLimit is the size past which repairing a table costs more than a
+// fresh BFS, about a quarter of the graph. It caps how much of a table
+// phase 1 may invalidate, how long a pending diff window catchUp will
+// repair against, and therefore how much of the log is worth keeping.
+func (g *Graph) repairLimit() int { return g.n/4 + 8 }
+
+// PatchRoutes logs the CSR edge changes applied by the latest
+// RebuildFromRows; it must be called after every repack that changed an
+// edge. No table is touched here: routeTo repairs a table against its
+// pending window of the log when the table is next read. The log keeps
+// at least the newest repairLimit() diffs — a table that lags further is
+// rebuilt, not repaired — and at most twice that, so trimming is
+// amortised O(1) per diff.
+func (g *Graph) PatchRoutes(diffs []EdgeDiff) {
+	g.diffLog = append(g.diffLog, diffs...)
+	g.logEnd += len(diffs)
+	if limit := g.repairLimit(); len(g.diffLog) > 2*limit {
+		n := copy(g.diffLog, g.diffLog[len(g.diffLog)-limit:])
+		g.diffLog = g.diffLog[:n]
+	}
+}
+
+// catchUp brings dst's table d up to date with the current adjacency: one
+// repairTable pass over the diffs logged since the table was last current
+// or, when that window is longer than repairLimit() or invalidates too
+// much of the table, a BFS over d in place. A window within the limit is
+// always still in the log: trimming keeps the newest repairLimit() diffs,
+// and whatever clears the log drops every table with it.
+func (g *Graph) catchUp(dst int, d []int32) {
+	pending := g.logEnd - g.synced[dst]
+	if pending <= g.repairLimit() && g.repairTable(d, g.diffLog[len(g.diffLog)-pending:]) {
+		g.repaired++
+	} else {
+		g.bfsTable(d, dst)
+		g.dropped++
+	}
+	g.synced[dst] = g.logEnd
+}
+
+// RouteRepairs returns how many stale tables were repaired in place when
+// next read, and how many were abandoned — lagging past the log or
+// damaged past the repair limit — and recomputed by BFS instead.
+func (g *Graph) RouteRepairs() (repaired, dropped uint64) { return g.repaired, g.dropped }
+
+// repairTable applies the two-phase update to one distance table. diffs
+// may be any superset of the changes since the table was current (see the
+// file comment). Returns false when the affected region exceeded the
+// repair limit (the table's contents are then unspecified). Steady state
+// allocates nothing: the work stack, the invalidated list and the level
+// buckets are all retained on the graph.
 func (g *Graph) repairTable(d []int32, diffs []EdgeDiff) bool {
 	limit := g.repairLimit()
 	invalidated := 0
@@ -136,7 +172,7 @@ func (g *Graph) repairTable(d []int32, diffs []EdgeDiff) bool {
 			stack = append(stack, diff.U, diff.V)
 		}
 	}
-	var invalid []int32
+	invalid := g.repairInvalid[:0]
 	for len(stack) > 0 {
 		x := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -157,7 +193,7 @@ func (g *Graph) repairTable(d []int32, diffs []EdgeDiff) bool {
 		d[x] = Unreachable
 		invalid = append(invalid, x)
 		if invalidated++; invalidated > limit {
-			g.queue = stack[:0]
+			g.queue, g.repairInvalid = stack[:0], invalid[:0]
 			return false
 		}
 		for _, y := range g.tgt[g.off[x]:g.off[x+1]] {
@@ -166,17 +202,20 @@ func (g *Graph) repairTable(d []int32, diffs []EdgeDiff) bool {
 			}
 		}
 	}
-	g.queue = stack[:0]
+	g.queue, g.repairInvalid = stack[:0], invalid[:0]
 
 	// Phase 2: level-ordered relaxation from added-edge endpoints and
 	// from the surviving frontier around the invalidated region.
-	if cap(g.repairBuckets) == 0 {
-		g.repairBuckets = make([][]int32, 0, 16)
-	}
 	buckets := g.repairBuckets[:0]
 	push := func(x int32, level int32) {
 		for int(level) >= len(buckets) {
-			buckets = append(buckets, nil)
+			if len(buckets) < cap(buckets) {
+				// Re-slice rather than append: the slot still holds the
+				// (emptied) bucket a previous repair grew.
+				buckets = buckets[:len(buckets)+1]
+			} else {
+				buckets = append(buckets, nil)
+			}
 		}
 		buckets[level] = append(buckets[level], x)
 	}
@@ -224,5 +263,5 @@ func (g *Graph) repairTable(d []int32, diffs []EdgeDiff) bool {
 func (g *Graph) SetRouteTableCap(cap int) { g.tableCap = cap }
 
 // RouteTables returns how many memoized distance tables are currently
-// built — the population PatchRoutes repairs each snapshot.
+// built — the population kept repairable on demand.
 func (g *Graph) RouteTables() int { return len(g.built) }

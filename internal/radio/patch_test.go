@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -48,14 +49,41 @@ func csrEdges(rows [][]int32, down []bool) map[uint64]bool {
 	return set
 }
 
+// edgeDiffs returns the CSR edge changes from prev to next.
+func edgeDiffs(prev, next map[uint64]bool) []EdgeDiff {
+	var diffs []EdgeDiff
+	for k := range next {
+		if !prev[k] {
+			diffs = append(diffs, EdgeDiff{U: int32(k >> 32), V: int32(uint32(k)), Add: true})
+		}
+	}
+	for k := range prev {
+		if !next[k] {
+			diffs = append(diffs, EdgeDiff{U: int32(k >> 32), V: int32(uint32(k)), Add: false})
+		}
+	}
+	return diffs
+}
+
 // TestPatchRoutesMatchesFreshBFS drives a random mobile + churn history
-// through RebuildFromRows + PatchRoutes and checks, at every step, that
-// every repaired distance table answers Hops and NextHop exactly like a
-// freshly built reference snapshot.
+// through RebuildFromRows + PatchRoutes and checks that every distance
+// table, however long it went unread, answers Hops and NextHop exactly
+// like a freshly built reference snapshot. Between reads a table sits out
+// one to six samples — from a one-sample window to one the bounded log has
+// already trimmed — while links flap (a visitor node is parked next to a
+// stranger for a single sample, so its edges are added and removed inside
+// the window), nodes flip down and up, and, in the capped variant, FIFO
+// eviction recycles tables underneath the repair.
 func TestPatchRoutesMatchesFreshBFS(t *testing.T) {
+	for _, tableCap := range []int{0, 12} {
+		t.Run(fmt.Sprintf("cap=%d", tableCap), func(t *testing.T) { testPatchRoutes(t, tableCap) })
+	}
+}
+
+func testPatchRoutes(t *testing.T, tableCap int) {
 	const (
 		n         = 60
-		steps     = 40
+		rounds    = 60
 		commRange = 180.0
 		world     = 1000.0
 	)
@@ -70,74 +98,159 @@ func TestPatchRoutesMatchesFreshBFS(t *testing.T) {
 	ref := NewGraphBuilder()
 
 	rows := geoRows(pos, commRange)
+	row := func(i int) []int32 { return rows[i] }
 	prev := csrEdges(rows, down)
-	g, err := inc.RebuildFromRows(n, func(i int) []int32 { return rows[i] }, down, commRange, 0)
+	g, err := inc.RebuildFromRows(n, row, down, commRange, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.SetRouteTableCap(12) // exercise FIFO eviction alongside repair
-
-	warm := func(g *Graph) {
-		for k := 0; k < 6; k++ {
-			g.Hops(rng.Intn(n), rng.Intn(n))
-		}
+	g.SetRouteTableCap(tableCap)
+	for dst := 0; dst < n; dst++ {
+		g.Hops((dst+1)%n, dst)
 	}
-	warm(g)
 
-	for step := 1; step <= steps; step++ {
-		// Drift positions, flip a little churn.
-		for i := range pos {
-			pos[i].X += (rng.Float64() - 0.5) * 60
-			pos[i].Y += (rng.Float64() - 0.5) * 60
-		}
-		if step%3 == 0 {
-			down[rng.Intn(n)] = !down[rng.Intn(n)]
-		}
+	// Coverage the history must actually produce, or the test proves less
+	// than it says.
+	var flapped, inWindow, pastLog int
+	stamp := uint64(0)
+	sample := func() []EdgeDiff {
 		rows = geoRows(pos, commRange)
 		next := csrEdges(rows, down)
-
-		var diffs []EdgeDiff
-		for k := range next {
-			if !prev[k] {
-				diffs = append(diffs, EdgeDiff{U: int32(k >> 32), V: int32(uint32(k)), Add: true})
-			}
-		}
-		for k := range prev {
-			if !next[k] {
-				diffs = append(diffs, EdgeDiff{U: int32(k >> 32), V: int32(uint32(k)), Add: false})
-			}
-		}
+		diffs := edgeDiffs(prev, next)
 		prev = next
-
-		g, err = inc.RebuildFromRows(n, func(i int) []int32 { return rows[i] }, down, commRange, uint64(step))
-		if err != nil {
+		stamp++
+		if g, err = inc.RebuildFromRows(n, row, down, commRange, stamp); err != nil {
 			t.Fatal(err)
 		}
 		g.PatchRoutes(diffs)
-		warm(g)
+		return diffs
+	}
 
-		refG, err := ref.BuildPairwise(pos, down, commRange, uint64(step))
+	for round := 1; round <= rounds; round++ {
+		// Samples nobody reads: drift, churn, and one flapping visitor.
+		added := make(map[uint64]bool)
+		for k := 1 + rng.Intn(6); k > 0; k-- {
+			for i := range pos {
+				pos[i].X += (rng.Float64() - 0.5) * 40
+				pos[i].Y += (rng.Float64() - 0.5) * 40
+			}
+			if rng.Intn(2) == 0 {
+				i := rng.Intn(n)
+				down[i] = !down[i]
+			}
+			visitor, host := rng.Intn(n), rng.Intn(n)
+			home := pos[visitor]
+			pos[visitor] = geo.Point{X: pos[host].X + 1, Y: pos[host].Y + 1}
+			for _, d := range sample() {
+				if d.Add {
+					added[edgeKey(d.U, d.V)] = true
+				}
+			}
+			pos[visitor] = home
+			for _, d := range sample() {
+				if !d.Add && added[edgeKey(d.U, d.V)] {
+					flapped++
+				}
+			}
+		}
+
+		refG, err := ref.BuildPairwise(pos, down, commRange, stamp)
 		if err != nil {
 			t.Fatal(err)
 		}
-
-		// CSR must match the reference build exactly.
 		for i := 0; i < n; i++ {
 			if !slices.Equal(g.Neighbors(i), refG.Neighbors(i)) {
-				t.Fatalf("step %d: node %d neighbours %v != ref %v", step, i, g.Neighbors(i), refG.Neighbors(i))
+				t.Fatalf("round %d: node %d neighbours %v != ref %v", round, i, g.Neighbors(i), refG.Neighbors(i))
 			}
 		}
-		// Every query the cache can answer must match a fresh BFS.
-		for src := 0; src < n; src++ {
-			for dst := 0; dst < n; dst++ {
+
+		// Read a third of the destinations (all of them every eighth
+		// round); the rest lag on into the next round.
+		for dst := 0; dst < n; dst++ {
+			if round%8 != 0 && rng.Intn(3) != 0 {
+				continue
+			}
+			if g.dist[dst] != nil {
+				switch pending := g.logEnd - g.synced[dst]; {
+				case pending > len(g.diffLog):
+					pastLog++
+				case pending > 0:
+					inWindow++
+				}
+			}
+			for src := 0; src < n; src++ {
 				if got, want := g.Hops(src, dst), refG.Hops(src, dst); got != want {
-					t.Fatalf("step %d: Hops(%d,%d) = %d, fresh = %d", step, src, dst, got, want)
+					t.Fatalf("round %d: Hops(%d,%d) = %d, fresh = %d", round, src, dst, got, want)
 				}
 				if got, want := g.NextHop(src, dst), refG.NextHop(src, dst); got != want {
-					t.Fatalf("step %d: NextHop(%d,%d) = %d, fresh = %d", step, src, dst, got, want)
+					t.Fatalf("round %d: NextHop(%d,%d) = %d, fresh = %d", round, src, dst, got, want)
 				}
 			}
+			if tableCap > 0 && g.RouteTables() > tableCap {
+				t.Fatalf("round %d: %d live tables, cap %d", round, g.RouteTables(), tableCap)
+			}
 		}
+		if limit := g.repairLimit(); len(g.diffLog) > 2*limit {
+			t.Fatalf("round %d: log holds %d diffs, bound %d", round, len(g.diffLog), 2*limit)
+		}
+	}
+
+	repaired, dropped := g.RouteRepairs()
+	if flapped == 0 || inWindow == 0 || pastLog == 0 || repaired == 0 || dropped == 0 {
+		t.Fatalf("history too tame: %d edges flapped inside a window, %d tables read inside the log, %d past it, %d repaired, %d dropped",
+			flapped, inWindow, pastLog, repaired, dropped)
+	}
+}
+
+// TestRepairSteadyStateDoesNotAllocate pins repairTable's scratch reuse:
+// once the work stack, the invalidated list, the level buckets and the
+// diff log have grown to the workload, logging a sample and catching
+// every table up allocates nothing.
+func TestRepairSteadyStateDoesNotAllocate(t *testing.T) {
+	const (
+		n         = 80
+		commRange = 180.0
+	)
+	rng := rand.New(rand.NewSource(5))
+	pos := make([]geo.Point, n)
+	for i := range pos {
+		pos[i] = geo.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}
+	}
+	down := make([]bool, n)
+	// Two topologies one relocated node apart, and the diffs between them.
+	var rows [2][][]int32
+	rows[0] = geoRows(pos, commRange)
+	pos[rng.Intn(n)] = geo.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}
+	rows[1] = geoRows(pos, commRange)
+	edges := [2]map[uint64]bool{csrEdges(rows[0], down), csrEdges(rows[1], down)}
+	diffs := [2][]EdgeDiff{edgeDiffs(edges[1], edges[0]), edgeDiffs(edges[0], edges[1])}
+	if len(diffs[0]) == 0 {
+		t.Fatal("the two topologies do not differ")
+	}
+
+	b := NewGraphBuilder()
+	cur := 0
+	row := func(i int) []int32 { return rows[cur][i] }
+	step := func() {
+		cur = 1 - cur
+		g, err := b.RebuildFromRows(n, row, down, commRange, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.PatchRoutes(diffs[cur])
+		for dst := 0; dst < n; dst++ {
+			g.Hops((dst+1)%n, dst)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		step() // warm up: build the tables, grow the scratch and the log
+	}
+	before, _ := b.g.RouteRepairs()
+	if avg := testing.AllocsPerRun(100, step); avg != 0 {
+		t.Errorf("steady-state route repair allocates %.2f/op, want 0", avg)
+	}
+	if after, _ := b.g.RouteRepairs(); after == before {
+		t.Fatal("no table was repaired in place; the pin measured nothing")
 	}
 }
 

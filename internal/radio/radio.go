@@ -43,9 +43,22 @@ type Graph struct {
 	queue    []int32   // shared BFS scratch queue
 	tableCap int       // max live tables (0 = unlimited), FIFO eviction
 
-	// repairBuckets is the level-ordered relaxation queue reused by
-	// PatchRoutes (see patch.go).
+	// On-demand route repair (see patch.go). diffLog holds the CSR edge
+	// changes of the most recent kinetic samples and logEnd counts every
+	// diff ever logged, so diffLog covers positions [logEnd-len(diffLog),
+	// logEnd). synced[dst] is the position dst's table is current to; a
+	// table is caught up when it is next read. repaired and dropped count
+	// those catch-ups by outcome.
+	diffLog  []EdgeDiff
+	logEnd   int
+	synced   []int
+	repaired uint64
+	dropped  uint64
+
+	// repairBuckets (the level-ordered relaxation queue) and repairInvalid
+	// (the vertices phase 1 invalidated) are repairTable's scratch.
 	repairBuckets [][]int32
+	repairInvalid []int32
 }
 
 // NewGraph builds a standalone snapshot from positions via a throwaway
@@ -128,12 +141,17 @@ func (g *Graph) HopsFrom(src int) []int {
 }
 
 // routeTo returns the memoized hop-distance table toward dst, building it
-// with one BFS on first use this snapshot.
+// with one BFS on first use and bringing it up to date with the edge
+// changes logged since it was last read (catchUp, patch.go).
 func (g *Graph) routeTo(dst int) []int32 {
 	if g.dist == nil {
 		g.dist = make([][]int32, g.n)
+		g.synced = make([]int, g.n)
 	}
 	if d := g.dist[dst]; d != nil {
+		if g.synced[dst] != g.logEnd {
+			g.catchUp(dst, d)
+		}
 		return d
 	}
 	if g.tableCap > 0 && len(g.built) >= g.tableCap {
@@ -152,10 +170,19 @@ func (g *Graph) routeTo(dst int) []int32 {
 	} else {
 		d = make([]int32, g.n)
 	}
+	g.bfsTable(d, dst)
+	g.dist[dst] = d
+	g.synced[dst] = g.logEnd
+	g.built = append(g.built, int32(dst))
+	return d
+}
+
+// bfsTable overwrites d with the hop distance from every node to dst on
+// the current adjacency, reusing the shared scratch queue.
+func (g *Graph) bfsTable(d []int32, dst int) {
 	for i := range d {
 		d[i] = Unreachable
 	}
-	// BFS from dst over the CSR rows, reusing the shared scratch queue.
 	d[dst] = 0
 	q := g.queue[:0]
 	q = append(q, int32(dst))
@@ -170,19 +197,18 @@ func (g *Graph) routeTo(dst int) []int32 {
 		}
 	}
 	g.queue = q
-	g.dist[dst] = d
-	g.built = append(g.built, int32(dst))
-	return d
 }
 
 // resetRoutes returns every distance table built for this snapshot to the
-// pool; the builder calls it before reusing the graph for a new topology.
+// pool and forgets the repair log; the builder calls it before reusing the
+// graph for a new topology.
 func (g *Graph) resetRoutes() {
 	for _, dst := range g.built {
 		g.distPool = append(g.distPool, g.dist[dst])
 		g.dist[dst] = nil
 	}
 	g.built = g.built[:0]
+	g.diffLog = g.diffLog[:0]
 }
 
 // Hops returns the BFS hop distance from src to dst, or Unreachable. With

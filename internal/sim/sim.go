@@ -14,7 +14,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -36,10 +35,8 @@ type Handler func(k *Kernel)
 // handles across fire time is unsupported.
 type Event struct {
 	when   time.Duration
-	seq    uint64
 	fn     Handler
 	label  string
-	index  int // heap index, -1 once popped or cancelled
 	fired  bool
 	cancel bool
 }
@@ -56,38 +53,77 @@ func (e *Event) Cancelled() bool { return e.cancel }
 // Fired reports whether the event's handler has run.
 func (e *Event) Fired() bool { return e.fired }
 
-// eventQueue implements heap.Interface ordered by (when, seq).
-type eventQueue []*Event
+// heapSlot is one entry of the event heap. It carries the (when, seq)
+// ordering key by value, so sifting compares slots without dereferencing
+// the events they point at.
+type heapSlot struct {
+	when time.Duration
+	seq  uint64
+	ev   *Event
+}
 
-func (q eventQueue) Len() int { return len(q) }
+// before reports whether a orders strictly ahead of b. seq is unique per
+// kernel, so (when, seq) is a total order: pop order is independent of the
+// heap's shape, and any correct heap fires events in the same sequence.
+func (a heapSlot) before(b heapSlot) bool {
+	return a.when < b.when || (a.when == b.when && a.seq < b.seq)
+}
 
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].when != q[j].when {
-		return q[i].when < q[j].when
+// eventHeap is a 4-ary min-heap of slots ordered by (when, seq): node i's
+// children are 4i+1 … 4i+4. The wider fan-out halves the depth of the
+// binary layout, and the four children share a cache line pair.
+type eventHeap []heapSlot
+
+// push inserts s, sifting it up from the tail.
+func (h *eventHeap) push(s heapSlot) {
+	q := append(*h, s)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !s.before(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
 	}
-	return q[i].seq < q[j].seq
+	q[i] = s
+	*h = q
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
+// pop removes and returns the earliest event. The heap must be non-empty.
+func (h *eventHeap) pop() *Event {
+	q := *h
+	top := q[0].ev
+	n := len(q) - 1
+	last := q[n]
+	q[n] = heapSlot{} // drop the event pointer from the vacated tail
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return top
+	}
+	// Sift the former tail down from the root, moving the smallest child
+	// up into the hole until last fits.
+	i := 0
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j, end := c+1, min(c+4, n); j < end; j++ {
+			if q[j].before(q[m]) {
+				m = j
+			}
+		}
+		if !q[m].before(last) {
+			break
+		}
+		q[i] = q[m]
+		i = m
+	}
+	q[i] = last
+	return top
 }
 
 // Kernel is a single-threaded discrete-event simulator. It is not safe for
@@ -97,7 +133,7 @@ func (q *eventQueue) Pop() any {
 // way).
 type Kernel struct {
 	now     time.Duration
-	queue   eventQueue
+	queue   eventHeap
 	seq     uint64
 	root    int64
 	streams map[string]*rand.Rand
@@ -176,9 +212,9 @@ func (k *Kernel) At(t time.Duration, label string, fn Handler) (*Event, error) {
 		return nil, fmt.Errorf("sim: nil handler for event %q", label)
 	}
 	e := k.acquire()
-	e.when, e.seq, e.fn, e.label = t, k.seq, fn, label
+	e.when, e.fn, e.label = t, fn, label
+	k.queue.push(heapSlot{when: t, seq: k.seq, ev: e})
 	k.seq++
-	heap.Push(&k.queue, e)
 	return e, nil
 }
 
@@ -190,10 +226,10 @@ func (k *Kernel) acquire() *Event {
 		e := k.free[n-1]
 		k.free[n-1] = nil
 		k.free = k.free[:n-1]
-		*e = Event{index: -1}
+		*e = Event{}
 		return e
 	}
-	return &Event{index: -1}
+	return &Event{}
 }
 
 // recycle returns a popped event to the freelist. The handler reference
@@ -260,7 +296,7 @@ func (k *Kernel) Stop() { k.stopped = true }
 func (k *Kernel) Run() time.Duration {
 	k.stopped = false
 	for len(k.queue) > 0 && !k.stopped {
-		e := heap.Pop(&k.queue).(*Event)
+		e := k.queue.pop()
 		if e.cancel {
 			k.recycle(e)
 			continue
@@ -290,11 +326,10 @@ func (k *Kernel) Run() time.Duration {
 // simulated time.
 func (k *Kernel) RunUntil(t time.Duration) {
 	for len(k.queue) > 0 && !k.stopped {
-		e := k.queue[0]
-		if e.when > t {
+		if k.queue[0].when > t {
 			break
 		}
-		heap.Pop(&k.queue)
+		e := k.queue.pop()
 		if e.cancel {
 			k.recycle(e)
 			continue

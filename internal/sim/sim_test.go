@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -305,6 +307,97 @@ func TestEventQueueOrderingProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFireOrderIsStableSortByWhenSeqProperty drives the heap with a seeded
+// random mix — bursts at equal timestamps, handlers that schedule (also at
+// exactly Now) and cancel, RunUntil stops landing exactly on due times, and
+// a horizon that cuts the tail off — and requires the fire order to be the
+// scheduling order stably sorted by due time, i.e. sorted by (when, seq).
+func TestFireOrderIsStableSortByWhenSeqProperty(t *testing.T) {
+	type sched struct {
+		when      time.Duration
+		h         *Event
+		fired     bool
+		cancelled bool
+	}
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		horizon := time.Duration(20+rng.Intn(60)) * time.Millisecond
+		k := NewKernel(WithHorizon(horizon))
+		var all []*sched // index = scheduling order = kernel seq
+		var order []int  // ids in fire order
+		budget := 3000
+
+		var add func(d time.Duration)
+		add = func(d time.Duration) {
+			id := len(all)
+			s := &sched{when: k.Now() + d}
+			all = append(all, s)
+			s.h = k.After(d, "p", func(kk *Kernel) {
+				if kk.Now() != s.when {
+					t.Fatalf("seed %d: event %d due %v fired at %v", seed, id, s.when, kk.Now())
+				}
+				s.fired = true
+				order = append(order, id)
+				for c := rng.Intn(4); c > 0 && budget > 0; c-- {
+					budget--
+					// Coarse delays make equal timestamps the common case;
+					// zero lands on the instant being drained.
+					add(time.Duration(rng.Intn(6)) * time.Millisecond)
+				}
+				if rng.Intn(3) == 0 {
+					// Cancel only a still-queued event: a handle is not
+					// valid past its fire or collection.
+					if v := all[rng.Intn(len(all))]; !v.fired && !v.cancelled {
+						v.cancelled = kk.Cancel(v.h)
+					}
+				}
+			})
+		}
+		for i := 0; i < 50; i++ {
+			add(time.Duration(rng.Intn(30)) * time.Millisecond)
+		}
+
+		// Step to exact due times, checking the boundary is inclusive.
+		for step := 0; step < 5; step++ {
+			stop := all[rng.Intn(len(all))].when
+			if stop < k.Now() || stop > horizon {
+				continue
+			}
+			k.RunUntil(stop)
+			if k.Now() != stop {
+				t.Fatalf("seed %d: RunUntil(%v) left the clock at %v", seed, stop, k.Now())
+			}
+			for id, s := range all {
+				if due := s.when <= stop && !s.cancelled; s.fired != due {
+					t.Fatalf("seed %d: after RunUntil(%v) event %d (due %v) fired=%v", seed, stop, id, s.when, s.fired)
+				}
+			}
+			if next, ok := k.NextEventAt(); ok && next <= stop {
+				t.Fatalf("seed %d: RunUntil(%v) left an event due at %v", seed, stop, next)
+			}
+		}
+		if end := k.Run(); end != horizon {
+			t.Fatalf("seed %d: Run ended at %v, horizon %v", seed, end, horizon)
+		}
+
+		var want []int
+		for id, s := range all {
+			if !s.cancelled && s.when <= horizon {
+				want = append(want, id)
+			}
+		}
+		slices.SortStableFunc(want, func(a, b int) int {
+			return int(all[a].when - all[b].when)
+		})
+		if !slices.Equal(order, want) {
+			t.Fatalf("seed %d: fire order diverges from the stable sort by (when, seq) (%d fired, %d expected)", seed, len(order), len(want))
+		}
+		if len(order) < 100 {
+			t.Fatalf("seed %d: only %d events fired; the mix is too thin to mean anything", seed, len(order))
+		}
 	}
 }
 
