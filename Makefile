@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet check bench bench-hotpath bench-compare bench-wire bench-scale figures telemetry-smoke chaos-smoke conform-smoke policy-smoke wire-smoke wire-chaos-smoke scale-smoke trace-smoke bench-smoke clean
+.PHONY: all build test race vet check bench bench-wire bench-scale figures telemetry-smoke chaos-smoke conform-smoke policy-smoke wire-smoke wire-chaos-smoke scale-smoke trace-smoke bench-smoke clean
 
 all: check
 
@@ -17,10 +17,10 @@ test:
 # Race-detector pass over the packages that exercise concurrency or
 # carry the hot-path buffer reuse: the fleet orchestrator (real
 # simulations on parallel workers), the kernel with its event freelist,
-# the pooled network layer, the reused radio snapshot builder, and the
-# stats merge.
+# the pooled network layer, the reused radio snapshot builder, the stats
+# merge, and the protocol engine those runs share.
 race:
-	$(GO) test -race ./internal/fleet/ ./internal/sim/ ./internal/stats/ ./internal/experiment/ ./internal/netsim/ ./internal/radio/ ./internal/wire/ ./internal/wire/cluster/ ./internal/oracle/
+	$(GO) test -race ./internal/fleet/ ./internal/sim/ ./internal/stats/ ./internal/experiment/ ./internal/netsim/ ./internal/radio/ ./internal/wire/ ./internal/wire/cluster/ ./internal/oracle/ ./internal/core/
 
 vet:
 	$(GO) vet ./...
@@ -39,28 +39,6 @@ check: build vet test race bench-smoke
 # the full 9-figure suite at 5 simulated minutes per run, all cores.
 bench:
 	$(GO) run ./cmd/figures -simtime 5m -format csv -bench BENCH_fleet.json > /dev/null
-
-# Hot-path micro-benchmarks: topology rebuild, route queries, and
-# message-level unicast/flood cost, with allocation counts.
-HOTPATH_BENCH = BenchmarkRadioGraphBuild|BenchmarkRadioBFS|BenchmarkUnicastRouting|BenchmarkFloodStorm
-bench-hotpath:
-	$(GO) test -run '^$$' -bench '$(HOTPATH_BENCH)|BenchmarkSimKernelEvents' -benchtime 1s -count 5 .
-
-# Compare the optimised hot paths against the legacy ones
-# (RPCC_LEGACY_HOTPATH=1 selects per-call BFS, no route cache, and fresh
-# O(n^2) pairwise rebuilds) under identical benchmark names. Uses
-# benchstat when installed, the bundled cmd/benchdiff otherwise, and
-# refreshes the BENCH_hotpath.json artefact (including the fleet sweep's
-# runs_per_sec against the PR-1 baseline).
-bench-compare:
-	RPCC_LEGACY_HOTPATH=1 $(GO) test -run '^$$' -bench '$(HOTPATH_BENCH)' -benchtime 1s -count 5 . > /tmp/bench_legacy.txt
-	$(GO) test -run '^$$' -bench '$(HOTPATH_BENCH)' -benchtime 1s -count 5 . > /tmp/bench_new.txt
-	@if command -v benchstat >/dev/null 2>&1; then \
-		benchstat /tmp/bench_legacy.txt /tmp/bench_new.txt; \
-	else \
-		$(GO) run ./cmd/benchdiff /tmp/bench_legacy.txt /tmp/bench_new.txt; \
-	fi
-	$(GO) run ./cmd/benchdiff -json BENCH_hotpath.json -fleet BENCH_fleet.json -fleet-baseline 59.105 /tmp/bench_legacy.txt /tmp/bench_new.txt > /dev/null
 
 # End-to-end telemetry check: a 1-simulated-minute seeded run exports
 # Prometheus text and span JSONL, and telemetrylint proves both parse

@@ -22,7 +22,6 @@ package rpcc
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"testing"
 	"time"
 
@@ -211,12 +210,6 @@ func BenchmarkSimKernelEvents(b *testing.B) {
 	k.Run()
 }
 
-// legacyHotPath selects the pre-optimisation code paths (per-call BFS, no
-// route cache, O(n²) pairwise rebuilds without buffer reuse) so the same
-// benchmark names can be compared across modes with benchstat — see
-// `make bench-compare`.
-func legacyHotPath() bool { return os.Getenv("RPCC_LEGACY_HOTPATH") == "1" }
-
 // benchPoints draws the Table 1 geometry: 50 nodes uniform on 1.5×1.5 km.
 func benchPoints(b testing.TB, n int) []geo.Point {
 	b.Helper()
@@ -233,31 +226,22 @@ func benchPoints(b testing.TB, n int) []geo.Point {
 }
 
 // BenchmarkRadioGraphBuild measures the unit-disk snapshot rebuild that
-// runs every topology-refresh interval (50 nodes, Table 1 geometry):
-// spatial-grid build into a reused builder, or — under
-// RPCC_LEGACY_HOTPATH=1 — the original fresh O(n²) pairwise build.
+// runs every topology-refresh interval (50 nodes, Table 1 geometry): a
+// spatial-grid build into a reused builder.
 func BenchmarkRadioGraphBuild(b *testing.B) {
 	b.ReportAllocs()
 	pts := benchPoints(b, 50)
-	legacy := legacyHotPath()
 	builder := radio.NewGraphBuilder()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var err error
-		if legacy {
-			_, err = radio.NewGraphBuilder().BuildPairwise(pts, nil, 250, uint64(i))
-		} else {
-			_, err = builder.Build(pts, nil, 250, uint64(i))
-		}
-		if err != nil {
+		if _, err := builder.Build(pts, nil, 250, uint64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkRadioBFS measures the shortest-path query used per unicast
-// hop: memoized route-table lookups, or per-call BFS under
-// RPCC_LEGACY_HOTPATH=1.
+// hop: memoized route-table lookups.
 func BenchmarkRadioBFS(b *testing.B) {
 	b.ReportAllocs()
 	pts := benchPoints(b, 50)
@@ -265,7 +249,6 @@ func BenchmarkRadioBFS(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g.SetRouteCache(!legacyHotPath())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.NextHop(i%50, (i+25)%50)
@@ -278,9 +261,7 @@ func benchNetwork(b testing.TB) (*sim.Kernel, *netsim.Network) {
 	b.Helper()
 	pts := benchPoints(b, 50)
 	k := sim.NewKernel(sim.WithSeed(1))
-	cfg := netsim.DefaultConfig()
-	cfg.DisableRouteCache = legacyHotPath()
-	net, err := netsim.New(cfg, k, staticField(pts), nil, nil, stats.NewTraffic())
+	net, err := netsim.New(netsim.DefaultConfig(), k, staticField(pts), nil, nil, stats.NewTraffic())
 	if err != nil {
 		b.Fatal(err)
 	}

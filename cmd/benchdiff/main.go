@@ -1,14 +1,14 @@
 // Command benchdiff compares two `go test -bench` output files by
-// benchmark name and renders a benchstat-style delta table. It exists so
-// `make bench-compare` works in environments without the benchstat tool;
-// with -json it additionally exports the comparison (plus the fleet
-// sweep's runs_per_sec) as a machine-readable artefact (BENCH_hotpath.json).
+// benchmark name and renders a benchstat-style delta table, so the
+// `make bench-wire` / `make bench-scale` targets work in environments
+// without the benchstat tool; with -json it additionally exports the
+// comparison as a machine-readable artefact (BENCH_wire.json,
+// BENCH_scale.json).
 //
 // Usage:
 //
 //	benchdiff old.txt new.txt
-//	benchdiff -json BENCH_hotpath.json -fleet BENCH_fleet.json \
-//	          -fleet-baseline 59.105 old.txt new.txt
+//	benchdiff -json BENCH_scale.json -name scale old.txt new.txt
 //
 // Repeated runs of the same benchmark (go test -count=N) are averaged.
 package main
@@ -41,43 +41,27 @@ type comparison struct {
 	AllocDx float64  `json:"alloc_ratio,omitempty"` // old allocs / new allocs
 }
 
-// fleetBench mirrors the fields of internal/fleet's bench export that the
-// hot-path artefact repeats.
-type fleetBench struct {
-	Jobs        int     `json:"jobs"`
-	Workers     int     `json:"workers"`
-	WallSeconds float64 `json:"wall_seconds"`
-	RunsPerSec  float64 `json:"runs_per_sec"`
-}
-
-// artefact is the BENCH_hotpath.json schema.
+// artefact is the schema of the JSON export.
 type artefact struct {
 	Name       string       `json:"name"`
 	Benchmarks []comparison `json:"benchmarks"`
-	Fleet      *struct {
-		fleetBench
-		BaselineRunsPerSec float64 `json:"baseline_runs_per_sec"`
-		SpeedupVsBaseline  float64 `json:"speedup_vs_baseline"`
-	} `json:"fleet,omitempty"`
 }
 
 func main() {
 	jsonOut := flag.String("json", "", "also write the comparison as JSON to this file")
-	name := flag.String("name", "hotpath", "artefact name recorded in the JSON export")
-	fleetFile := flag.String("fleet", "", "fleet bench export (BENCH_fleet.json) to embed in the JSON artefact")
-	fleetBase := flag.Float64("fleet-baseline", 0, "baseline runs_per_sec to compare the fleet export against")
+	name := flag.String("name", "benchdiff", "artefact name recorded in the JSON export")
 	flag.Parse()
 	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff [-json out.json] [-fleet BENCH_fleet.json] old.txt new.txt")
+		fmt.Fprintln(os.Stderr, "usage: benchdiff [-json out.json] [-name artefact] old.txt new.txt")
 		os.Exit(2)
 	}
-	if err := run(flag.Arg(0), flag.Arg(1), *jsonOut, *name, *fleetFile, *fleetBase); err != nil {
+	if err := run(flag.Arg(0), flag.Arg(1), *jsonOut, *name); err != nil {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		os.Exit(1)
 	}
 }
 
-func run(oldPath, newPath, jsonOut, name, fleetFile string, fleetBase float64) error {
+func run(oldPath, newPath, jsonOut, name string) error {
 	oldM, err := parseFile(oldPath)
 	if err != nil {
 		return err
@@ -95,20 +79,6 @@ func run(oldPath, newPath, jsonOut, name, fleetFile string, fleetBase float64) e
 		return nil
 	}
 	art := artefact{Name: name, Benchmarks: comps}
-	if fleetFile != "" {
-		fb, err := readFleet(fleetFile)
-		if err != nil {
-			return err
-		}
-		art.Fleet = &struct {
-			fleetBench
-			BaselineRunsPerSec float64 `json:"baseline_runs_per_sec"`
-			SpeedupVsBaseline  float64 `json:"speedup_vs_baseline"`
-		}{fleetBench: fb, BaselineRunsPerSec: fleetBase}
-		if fleetBase > 0 {
-			art.Fleet.SpeedupVsBaseline = fb.RunsPerSec / fleetBase
-		}
-	}
 	buf, err := json.MarshalIndent(art, "", "  ")
 	if err != nil {
 		return err
@@ -204,16 +174,4 @@ func printTable(comps []comparison) {
 		fmt.Printf("%-28s %14.1f %14.1f %9s %14.1f %14.1f\n",
 			c.Name, c.Old.NsPerOp, c.New.NsPerOp, delta, c.Old.AllocsPerOp, c.New.AllocsPerOp)
 	}
-}
-
-func readFleet(path string) (fleetBench, error) {
-	var fb fleetBench
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return fb, err
-	}
-	if err := json.Unmarshal(buf, &fb); err != nil {
-		return fb, fmt.Errorf("%s: %w", path, err)
-	}
-	return fb, nil
 }

@@ -94,8 +94,9 @@ type peerState struct {
 	// ttnInterval is the current broadcast interval; it equals cfg.TTN
 	// unless AdaptiveTTN has stretched it during a quiet spell.
 	ttnInterval time.Duration
-	// Cache-node side: state per cached item.
-	items map[data.ItemID]*itemState
+	// Cache-node side: state per cached item (see items.go; touched only
+	// through the engine's getItem/putItem/delItem/resetItems).
+	items itemTable
 }
 
 // pollRound is one cache node's in-flight validation round.
@@ -112,10 +113,13 @@ type pollRound struct {
 // Engine runs RPCC over a chassis. Construct with New, wire with Start,
 // then feed OnQuery/OnUpdate from the workload generator.
 type Engine struct {
-	cfg      Config
-	ch       *node.Chassis
-	tel      Telemetry
-	peers    []*peerState
+	cfg   Config
+	ch    *node.Chassis
+	tel   Telemetry
+	peers []*peerState
+	// sigs holds one signature word per node over the item ids in
+	// peers[nd].items; written only by putItem, delItem and resetItems.
+	sigs     []uint64
 	trackers []*CoeffTracker
 	// deliveries counts protocol messages handled per node; together with
 	// cache accesses it forms N_a, the accessibility evidence of Eq 4.2.1.
@@ -164,15 +168,13 @@ func New(cfg Config, ch *node.Chassis, tel Telemetry) (*Engine, error) {
 		ch:         ch,
 		tel:        tel,
 		peers:      make([]*peerState, n),
+		sigs:       make([]uint64, n),
 		trackers:   make([]*CoeffTracker, n),
 		deliveries: make([]uint64, n),
 		polls:      make(map[uint64]*pollRound),
 	}
 	for i := 0; i < n; i++ {
-		e.peers[i] = &peerState{
-			relays: make(map[int]struct{}),
-			items:  make(map[data.ItemID]*itemState),
-		}
+		e.peers[i] = &peerState{relays: make(map[int]struct{})}
 		tr, err := NewCoeffTracker(cfg.Omega, cfg.CoeffPeriod)
 		if err != nil {
 			return nil, err
@@ -196,11 +198,12 @@ func (e *Engine) Start(k *sim.Kernel) error {
 	}
 	e.started = true
 	stagger := k.Stream("core.stagger")
+	// One receiver value for every node: a closure per node is 10 000 cold
+	// objects for the delivery path's indirect call to miss on.
+	recv := netsim.Receiver(e.dispatch)
 	for nd := 0; nd < e.ch.Net.Len(); nd++ {
 		nd := nd
-		if err := e.ch.Net.SetReceiver(nd, func(kk *sim.Kernel, n int, msg protocol.Message, meta netsim.Meta) {
-			e.dispatch(kk, n, msg, meta)
-		}); err != nil {
+		if err := e.ch.Net.SetReceiver(nd, recv); err != nil {
 			return err
 		}
 		k.After(time.Duration(stagger.Int63n(int64(e.cfg.TTN))), "rpcc.ttn", func(kk *sim.Kernel) {
@@ -311,30 +314,29 @@ func (e *Engine) putCopy(k *sim.Kernel, host int, c data.Copy) {
 	if has {
 		e.dropItemState(k, host, evicted)
 	}
-	if _, ok := e.peers[host].items[c.ID]; !ok {
-		e.peers[host].items[c.ID] = &itemState{role: RoleCache, knownRelay: -1}
-	}
+	e.itemState(host, c.ID)
 }
 
 // dropItemState removes per-item protocol state after an eviction,
-// cancelling the relay role with the source host if needed.
+// cancelling the relay role with the source host if needed and closing a
+// repair round the relay had in flight. It is the only caller of delItem.
 func (e *Engine) dropItemState(k *sim.Kernel, host int, item data.ItemID) {
-	st, ok := e.peers[host].items[item]
+	st, ok := e.delItem(host, item)
 	if !ok {
 		return
 	}
 	if st.role == RoleRelay {
 		e.sendCancel(k, host, item)
 	}
-	delete(e.peers[host].items, item)
+	e.resetGetNew(k, st)
 }
 
 // itemState returns (creating if absent) host's state for item.
 func (e *Engine) itemState(host int, item data.ItemID) *itemState {
-	st, ok := e.peers[host].items[item]
+	st, ok := e.getItem(host, item)
 	if !ok {
 		st = &itemState{role: RoleCache, knownRelay: -1}
-		e.peers[host].items[item] = st
+		e.putItem(host, item, st)
 	}
 	return st
 }
@@ -549,8 +551,15 @@ func (e *Engine) coeffTick(k *sim.Kernel, nd int) {
 	e.ch.Hub.Coeff(tr.CAR(), tr.CS(), tr.CE())
 	eligible := tr.Eligible(e.cfg.MuCAR, e.cfg.MuCS, e.cfg.MuCE)
 
-	for _, item := range sortedItems(e.peers[nd].items) {
-		st := e.peers[nd].items[item]
+	// The table is already in the order this walk needs. Walk a snapshot of
+	// the ids, looking each state up when reached: the body sends CANCELs,
+	// and whatever that re-enters may add to or remove from the table.
+	var buf [16]data.ItemID
+	for _, item := range append(buf[:0], e.peers[nd].items.ids...) {
+		st, ok := e.getItem(nd, item)
+		if !ok {
+			continue
+		}
 		// A relay that has not heard the source's INVALIDATION flood for
 		// several TTN intervals has drifted beyond the invalidation TTL:
 		// it is no longer part of the push scope and resigns (the relay
@@ -650,7 +659,7 @@ func (e *Engine) SeedRelay(k *sim.Kernel, host int, item data.ItemID) error {
 
 // Role returns nd's current role for item (RoleNone when not cached).
 func (e *Engine) Role(nd int, item data.ItemID) Role {
-	st, ok := e.peers[nd].items[item]
+	st, ok := e.getItem(nd, item)
 	if !ok {
 		return RoleNone
 	}
@@ -672,7 +681,7 @@ func (e *Engine) RelayCount() int {
 // item-states across the network — the Fig 5 state distribution.
 func (e *Engine) RoleCounts() (cacheN, candidateN, relayN int) {
 	for _, ps := range e.peers {
-		for _, st := range ps.items {
+		for _, st := range ps.items.sts {
 			switch st.role {
 			case RoleCandidate:
 				candidateN++
@@ -721,7 +730,7 @@ func (e *Engine) RepairStats() (getNewSends, getNewGiveUps, applySends, applyGiv
 // bounded-retry invariant asserts it never exceeds MaxRepairAttempts.
 func (e *Engine) RepairScan() (maxGetNew, maxApply int) {
 	for _, ps := range e.peers {
-		for _, st := range ps.items {
+		for _, st := range ps.items.sts {
 			if st.getNewAttempts > maxGetNew {
 				maxGetNew = st.getNewAttempts
 			}
@@ -763,7 +772,7 @@ type RepairDebt struct {
 func (e *Engine) RepairDebts(item data.ItemID) []RepairDebt {
 	var out []RepairDebt
 	for nd := range e.peers {
-		st, ok := e.peers[nd].items[item]
+		st, ok := e.getItem(nd, item)
 		if !ok || st.role != RoleRelay || !st.invHeard || !st.debtOpen {
 			continue
 		}
@@ -810,11 +819,13 @@ func (e *Engine) Crash(k *sim.Kernel, nd int) error {
 			e.ch.Fail(r.q, "crash")
 		}
 	}
-	e.ch.Stores[nd].Clear()
-	e.peers[nd] = &peerState{
-		relays: make(map[int]struct{}),
-		items:  make(map[data.ItemID]*itemState),
+	// A relay that crashes mid-repair takes its GET_NEW round down with it.
+	for _, st := range e.peers[nd].items.sts {
+		e.resetGetNew(k, st)
 	}
+	e.ch.Stores[nd].Clear()
+	e.peers[nd] = &peerState{relays: make(map[int]struct{})}
+	e.resetItems(nd)
 	tr, err := NewCoeffTracker(e.cfg.Omega, e.cfg.CoeffPeriod)
 	if err != nil {
 		return err
@@ -837,16 +848,5 @@ func sortedRelays(relays map[int]struct{}) []int {
 		out = append(out, r)
 	}
 	sort.Ints(out)
-	return out
-}
-
-// sortedItems returns the item ids of a per-peer state map in ascending
-// order, for the same determinism reason as sortedRelays.
-func sortedItems(items map[data.ItemID]*itemState) []data.ItemID {
-	out := make([]data.ItemID, 0, len(items))
-	for id := range items {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

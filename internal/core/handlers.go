@@ -48,7 +48,7 @@ func (e *Engine) dispatch(k *sim.Kernel, nd int, msg protocol.Message, meta nets
 // and the candidate APPLY trigger of §4.3: hearing an INVALIDATION proves
 // the node is within TTL hops of the source host.
 func (e *Engine) onInvalidation(k *sim.Kernel, nd int, msg protocol.Message) {
-	st, ok := e.peers[nd].items[msg.Item]
+	st, ok := e.getItem(nd, msg.Item)
 	if !ok {
 		return // not caching this item
 	}
@@ -200,7 +200,7 @@ func (e *Engine) sendGetNew(k *sim.Kernel, nd int, item data.ItemID, st *itemSta
 // 27–37 for candidates (missed APPLY_ACK) and demoted cache nodes (owner
 // missed our CANCEL).
 func (e *Engine) onUpdate(k *sim.Kernel, nd int, msg protocol.Message) {
-	st, ok := e.peers[nd].items[msg.Item]
+	st, ok := e.getItem(nd, msg.Item)
 	if !ok {
 		// The copy was evicted; the owner evidently still lists us as a
 		// relay — repeat the CANCEL it missed.
@@ -334,7 +334,7 @@ func (e *Engine) onGetNew(k *sim.Kernel, nd int, msg protocol.Message) {
 
 // onSendNew completes the relay's repair (Fig 6c lines 19–22).
 func (e *Engine) onSendNew(k *sim.Kernel, nd int, msg protocol.Message) {
-	st, ok := e.peers[nd].items[msg.Item]
+	st, ok := e.getItem(nd, msg.Item)
 	if !ok {
 		return
 	}
@@ -383,7 +383,7 @@ func (e *Engine) onApply(k *sim.Kernel, nd int, msg protocol.Message) {
 // already confirmed current by the INVALIDATION that triggered the APPLY,
 // the new relay is immediately authoritative; otherwise it repairs first.
 func (e *Engine) onApplyAck(k *sim.Kernel, nd int, msg protocol.Message) {
-	st, ok := e.peers[nd].items[msg.Item]
+	st, ok := e.getItem(nd, msg.Item)
 	if !ok || st.role != RoleCandidate {
 		return
 	}
@@ -425,7 +425,7 @@ func (e *Engine) onPoll(k *sim.Kernel, nd int, msg protocol.Message) {
 		e.answerPoll(k, nd, msg, m.Current())
 		return
 	}
-	st, ok := e.peers[nd].items[msg.Item]
+	st, ok := e.getItem(nd, msg.Item)
 	if !ok || st.role != RoleRelay {
 		return
 	}

@@ -106,10 +106,10 @@ func (a *Adaptive) Start(k *sim.Kernel) error {
 	a.started = true
 	a.hits = strategyEvent(a.ch.Hub, "adaptive-pull", "window-hit")
 	a.polls = strategyEvent(a.ch.Hub, "adaptive-pull", "poll-unicast")
+	// One receiver value shared by every node, not a closure per node.
+	recv := func(kk *sim.Kernel, n int, msg protocol.Message, _ netsim.Meta) { a.dispatch(kk, n, msg) }
 	for nd := 0; nd < a.ch.Net.Len(); nd++ {
-		if err := a.ch.Net.SetReceiver(nd, func(kk *sim.Kernel, n int, msg protocol.Message, meta netsim.Meta) {
-			a.dispatch(kk, n, msg)
-		}); err != nil {
+		if err := a.ch.Net.SetReceiver(nd, recv); err != nil {
 			return err
 		}
 	}

@@ -141,10 +141,10 @@ func (g *GPSCE) Start(k *sim.Kernel) error {
 	g.started = true
 	g.invs = strategyEvent(g.ch.Hub, "gpsce", "geo-inv")
 	g.refetches = strategyEvent(g.ch.Hub, "gpsce", "geo-refetch")
+	// One receiver value shared by every node, not a closure per node.
+	recv := func(kk *sim.Kernel, n int, msg protocol.Message, _ netsim.Meta) { g.dispatch(kk, n, msg) }
 	for nd := 0; nd < g.ch.Net.Len(); nd++ {
-		if err := g.ch.Net.SetReceiver(nd, func(kk *sim.Kernel, n int, msg protocol.Message, meta netsim.Meta) {
-			g.dispatch(kk, n, msg)
-		}); err != nil {
+		if err := g.ch.Net.SetReceiver(nd, recv); err != nil {
 			return err
 		}
 	}

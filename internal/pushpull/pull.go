@@ -85,10 +85,10 @@ func (p *Pull) Start(k *sim.Kernel) error {
 	}
 	p.started = true
 	p.polls = strategyEvent(p.ch.Hub, "pull", "poll-flood")
+	// One receiver value shared by every node, not a closure per node.
+	recv := func(kk *sim.Kernel, n int, msg protocol.Message, _ netsim.Meta) { p.dispatch(kk, n, msg) }
 	for nd := 0; nd < p.ch.Net.Len(); nd++ {
-		if err := p.ch.Net.SetReceiver(nd, func(kk *sim.Kernel, n int, msg protocol.Message, meta netsim.Meta) {
-			p.dispatch(kk, n, msg)
-		}); err != nil {
+		if err := p.ch.Net.SetReceiver(nd, recv); err != nil {
 			return err
 		}
 	}

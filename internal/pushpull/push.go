@@ -103,11 +103,11 @@ func (p *Push) Start(k *sim.Kernel) error {
 	p.irs = strategyEvent(p.ch.Hub, "push", "ir-flood")
 	p.parks = strategyEvent(p.ch.Hub, "push", "query-parked")
 	stagger := k.Stream("push.stagger")
+	// One receiver value shared by every node, not a closure per node.
+	recv := func(kk *sim.Kernel, n int, msg protocol.Message, _ netsim.Meta) { p.dispatch(kk, n, msg) }
 	for nd := 0; nd < p.ch.Net.Len(); nd++ {
 		nd := nd
-		if err := p.ch.Net.SetReceiver(nd, func(kk *sim.Kernel, n int, msg protocol.Message, meta netsim.Meta) {
-			p.dispatch(kk, n, msg)
-		}); err != nil {
+		if err := p.ch.Net.SetReceiver(nd, recv); err != nil {
 			return err
 		}
 		k.After(time.Duration(stagger.Int63n(int64(p.cfg.TTN))), "push.ir", func(kk *sim.Kernel) {

@@ -158,7 +158,7 @@ func (b *GraphBuilder) Build(pos []geo.Point, down []bool, commRange float64, st
 
 // BuildPairwise constructs the identical snapshot with the original O(n²)
 // all-pairs scan. It is the reference implementation the equivalence tests
-// and the bench-compare baseline run against.
+// run against.
 func (b *GraphBuilder) BuildPairwise(pos []geo.Point, down []bool, commRange float64, stamp uint64) (*Graph, error) {
 	if err := validate(pos, down, commRange); err != nil {
 		return nil, err

@@ -107,12 +107,18 @@ type Hub struct {
 	failed       [nLevels]*Counter
 	queryLatency [nLevels]*Histogram
 	staleness    [nLevels]*Histogram
+	// failReasons memoises the per-reason failure counters, registered on
+	// first use (registry lookups build a label signature per call).
+	failReasons map[string]*Counter
 
 	// RPCC protocol decisions.
 	pollStage  map[string]*Counter
 	forgets    *Counter
 	membership map[string]*Counter
 	coeff      [3]*Histogram // CAR, CS, CE
+	// roleMoves memoises the per-(from, to, reason) transition counters,
+	// registered on first use like failReasons.
+	roleMoves map[roleMove]*Counter
 
 	// §4.5 repair retries and fault-plane events.
 	repairAttempts map[string]*Counter
@@ -129,6 +135,9 @@ type Hub struct {
 	traceRec *trace.Recorder
 }
 
+// roleMove keys one labelled rpcc_role_transitions_total series.
+type roleMove struct{ from, to, reason string }
+
 // NewHub builds a hub at the given level (nil for LevelOff: callers can
 // treat "off" as "no hub at all").
 func NewHub(level Level) *Hub {
@@ -138,6 +147,8 @@ func NewHub(level Level) *Hub {
 	h := &Hub{
 		level:          level,
 		reg:            NewRegistry(),
+		failReasons:    make(map[string]*Counter),
+		roleMoves:      make(map[roleMove]*Counter),
 		pollStage:      make(map[string]*Counter, 3),
 		membership:     make(map[string]*Counter, 5),
 		repairAttempts: make(map[string]*Counter, 2),
@@ -286,8 +297,13 @@ func (h *Hub) QueryFailed(level consistency.Level, reason string) {
 		return
 	}
 	h.failed[level].Inc()
-	h.reg.Counter("rpcc_query_failures_total", "Failed queries by reason.",
-		Label{"reason", reason}).Inc()
+	c, ok := h.failReasons[reason]
+	if !ok {
+		c = h.reg.Counter("rpcc_query_failures_total", "Failed queries by reason.",
+			Label{"reason", reason})
+		h.failReasons[reason] = c
+	}
+	c.Inc()
 }
 
 // QuerySpanRecord retains one query's lifecycle record (LevelSpans only).
@@ -305,8 +321,14 @@ func (h *Hub) RoleTransition(at time.Duration, node, item int, from, to, reason 
 	if h == nil {
 		return
 	}
-	h.reg.Counter("rpcc_role_transitions_total", "Fig 5 role transitions.",
-		Label{"from", from}, Label{"to", to}, Label{"reason", reason}).Inc()
+	key := roleMove{from, to, reason}
+	c, ok := h.roleMoves[key]
+	if !ok {
+		c = h.reg.Counter("rpcc_role_transitions_total", "Fig 5 role transitions.",
+			Label{"from", from}, Label{"to", to}, Label{"reason", reason})
+		h.roleMoves[key] = c
+	}
+	c.Inc()
 	if h.spans != nil {
 		h.spans.AddRole(RoleSpan{
 			AtNs: int64(at), Node: node, Item: item,

@@ -200,6 +200,35 @@ func TestNilHubIsInert(t *testing.T) {
 	}
 }
 
+// TestLabelledHubCountersAreMemoised: RoleTransition and QueryFailed count
+// into the same registry series as before, but look the handle up on the
+// hub — the steady-state call must not rebuild the label signature.
+func TestLabelledHubCountersAreMemoised(t *testing.T) {
+	h := NewHub(LevelMetrics)
+	h.RoleTransition(0, 1, 2, "cache", "candidate", "eligible", 0, 0, 0)
+	h.QueryFailed(consistency.LevelStrong, "poll-timeout")
+	if avg := testing.AllocsPerRun(100, func() {
+		h.RoleTransition(0, 1, 2, "cache", "candidate", "eligible", 0, 0, 0)
+		h.QueryFailed(consistency.LevelStrong, "poll-timeout")
+	}); avg != 0 {
+		t.Errorf("steady-state RoleTransition+QueryFailed allocate %v per call, want 0", avg)
+	}
+	h.RoleTransition(0, 1, 2, "candidate", "cache", "demoted", 0, 0, 0)
+	h.QueryFailed(consistency.LevelWeak, "crash")
+	role := h.reg.Counter("rpcc_role_transitions_total", "Fig 5 role transitions.",
+		Label{"from", "cache"}, Label{"to", "candidate"}, Label{"reason", "eligible"})
+	fail := h.reg.Counter("rpcc_query_failures_total", "Failed queries by reason.",
+		Label{"reason", "poll-timeout"})
+	if role.Value() != 102 || fail.Value() != 102 {
+		t.Errorf("registry series read %d transitions, %d failures; want 102 each", role.Value(), fail.Value())
+	}
+	demoted := h.reg.Counter("rpcc_role_transitions_total", "Fig 5 role transitions.",
+		Label{"from", "candidate"}, Label{"to", "cache"}, Label{"reason", "demoted"})
+	if demoted.Value() != 1 {
+		t.Errorf("second label set read %d, want 1", demoted.Value())
+	}
+}
+
 func TestSpanLogCapAndDrop(t *testing.T) {
 	l := NewSpanLog(2)
 	l.AddQuery(QuerySpan{Seq: 1})
