@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet check bench bench-wire bench-scale figures telemetry-smoke chaos-smoke conform-smoke policy-smoke wire-smoke wire-chaos-smoke scale-smoke trace-smoke bench-smoke clean
+.PHONY: all build test race vet check figures telemetry-smoke chaos-smoke conform-smoke policy-smoke wire-smoke wire-chaos-smoke scale-smoke trace-smoke bench-smoke clean
 
 all: check
 
@@ -34,11 +34,6 @@ bench-smoke:
 	$(GO) test -C bench ./...
 
 check: build vet test race bench-smoke
-
-# Regenerate the committed orchestrator benchmark (BENCH_fleet.json):
-# the full 9-figure suite at 5 simulated minutes per run, all cores.
-bench:
-	$(GO) run ./cmd/figures -simtime 5m -format csv -bench BENCH_fleet.json > /dev/null
 
 # End-to-end telemetry check: a 1-simulated-minute seeded run exports
 # Prometheus text and span JSONL, and telemetrylint proves both parse
@@ -152,16 +147,6 @@ wire-chaos-smoke: build
 	fi
 	@cat $(WIRE_CHAOS_TMP)/verdict-a.txt $(WIRE_CHAOS_TMP)/verdict-wc.txt
 
-# Regenerate the committed wire benchmark artefact (BENCH_wire.json):
-# frame codec encode/decode ns/op plus the end-to-end loopback SC query
-# RTT over real UDP. benchdiff's delta table needs two inputs; feeding
-# the same run twice makes the JSON a plain export of the measurements.
-WIRE_BENCH_TMP ?= /tmp/rpcc-bench-wire.txt
-bench-wire:
-	$(GO) test -run '^$$' -bench 'BenchmarkFrameMarshal|BenchmarkFrameUnmarshal' -benchtime 1s -count 3 ./internal/protocol/ > $(WIRE_BENCH_TMP)
-	$(GO) test -run '^$$' -bench BenchmarkLoopbackQueryRTT -benchtime 2s ./internal/wire/cluster/ >> $(WIRE_BENCH_TMP)
-	$(GO) run ./cmd/benchdiff -json BENCH_wire.json -name wire $(WIRE_BENCH_TMP) $(WIRE_BENCH_TMP) > /dev/null
-
 # Scale gate: a 10k-node kinetic+sharded run (auto region count) runs
 # twice with the same seed; both runs must pass cmd/scale's invariant
 # gate (answers exist, no torn/future answers, no watermark regressions
@@ -191,34 +176,10 @@ trace-smoke:
 	$(GO) run ./cmd/telemetrylint -trace $(TRACE_TMP)/a.jsonl
 	@head -12 $(TRACE_TMP)/a.txt
 
-# Regenerate the committed scale benchmark artefact (BENCH_scale.json):
-# kinetic+sharded runs at 1k/10k/100k against the pre-scale-work
-# baseline (serial kernel, full rebuilds, per-flip churn resampling,
-# unbounded route tables) at 1k/10k. The baseline is intractable at
-# 100k, so that row feeds the kinetic measurement to both sides
-# (delta 1.0, bench-wire style) and stands as a plain absolute export.
-# Gated on the trace-disabled allocation contract: the kernel scheduling
-# hot path stays allocation-free and a disabled trace hook adds nothing
-# to delivery, so the committed numbers never absorb tracing overhead.
-SCALE_BENCH_NEW ?= /tmp/rpcc-bench-scale-new.txt
-SCALE_BENCH_BASE ?= /tmp/rpcc-bench-scale-base.txt
-bench-scale:
-	$(GO) test -run 'TestSteadyStateSchedulingDoesNotAllocate' ./internal/sim/
-	$(GO) test -run 'TestTraceDisabledDeliveryAllocFree' ./internal/netsim/
-	$(GO) build -o /tmp/rpcc-scale-bin ./cmd/scale
-	rm -f $(SCALE_BENCH_NEW) $(SCALE_BENCH_BASE)
-	/tmp/rpcc-scale-bin -nodes 1000 -simtime 60s -seed 1 -bench $(SCALE_BENCH_NEW) > /dev/null
-	/tmp/rpcc-scale-bin -nodes 10000 -simtime 60s -seed 1 -bench $(SCALE_BENCH_NEW) > /dev/null
-	/tmp/rpcc-scale-bin -nodes 100000 -simtime 30s -seed 1 -bench $(SCALE_BENCH_NEW) > /dev/null
-	/tmp/rpcc-scale-bin -nodes 1000 -simtime 60s -seed 1 -baseline -bench $(SCALE_BENCH_BASE) > /dev/null
-	/tmp/rpcc-scale-bin -nodes 10000 -simtime 60s -seed 1 -baseline -bench $(SCALE_BENCH_BASE) > /dev/null
-	grep 'nodes=100000' $(SCALE_BENCH_NEW) >> $(SCALE_BENCH_BASE)
-	$(GO) run ./cmd/benchdiff -json BENCH_scale.json -name scale $(SCALE_BENCH_BASE) $(SCALE_BENCH_NEW)
-
 # Full paper reproduction (5 simulated hours per run), journaled so an
 # interrupted sweep resumes with `make figures` again.
 figures:
-	$(GO) run ./cmd/figures -simtime 5h -journal runs.jsonl -resume -bench BENCH_fleet.json
+	$(GO) run ./cmd/figures -simtime 5h -journal runs.jsonl -resume
 
 clean:
 	rm -f runs.jsonl

@@ -55,7 +55,6 @@ func run() error {
 		journal    = flag.String("journal", "", "append-only JSONL run journal (one record per completed/failed run)")
 		resume     = flag.Bool("resume", false, "reuse successful runs already in -journal; retry failures")
 		timeout    = flag.Duration("timeout", 0, "per-run wall-clock timeout (0 = none)")
-		bench      = flag.String("bench", "", "write a machine-readable wall-time/throughput record (e.g. BENCH_fleet.json)")
 		metricsOut = flag.String("metrics-out", "", "write Prometheus text metrics merged across every run to this file")
 		telemDir   = flag.String("telemetry", "", "write one span-level JSONL file per executed run into this directory")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
@@ -157,11 +156,6 @@ func run() error {
 
 	rep, runErr := fleet.Run(ctx, jobs, opts)
 
-	if *bench != "" {
-		if err := fleet.WriteBench(*bench, rep.Bench()); err != nil {
-			return err
-		}
-	}
 	if *metricsOut != "" {
 		if err := writeMergedMetrics(*metricsOut, rep.Records); err != nil {
 			return err

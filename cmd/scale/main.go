@@ -2,15 +2,13 @@
 // kinetic stack and reports, deterministically, what the fleet did.
 //
 //	scale -nodes 10000 -simtime 60s
-//	scale -nodes 100000 -simtime 30s -bench /tmp/scale_new.txt
-//	scale -nodes 10000 -simtime 60s -kinetic=false -shards 1   # baseline leg
+//	scale -nodes 100000 -simtime 30s
 //
 // The stdout report is a pure function of the flags (sim-derived metrics
 // only), so `make scale-smoke` byte-compares two runs for determinism.
 // Wall-clock throughput (nodes simulated per wall-second) and peak RSS go
-// to stderr, and -bench appends a `go test -bench`-format line so
-// cmd/benchdiff can diff a kinetic+sharded run against the full-rebuild
-// baseline into BENCH_scale.json.
+// to stderr; the measured record is the scale10k workloads of the
+// repository benchmark (bench/).
 //
 // Above -scale-threshold nodes the per-host workload intervals stretch
 // proportionally, holding the fleet-wide query/update rate at the Table 1
@@ -49,11 +47,8 @@ func run() error {
 		simtime  = flag.Duration("simtime", time.Minute, "simulated horizon")
 		shards   = flag.Int("shards", 0, "region count (0 = auto)")
 		parallel = flag.Bool("parallel", false, "one goroutine per region window")
-		kinetic  = flag.Bool("kinetic", true, "kinetic topology maintenance (false = full rebuilds)")
 		seed     = flag.Int64("seed", 1, "root RNG seed")
 		strategy = flag.String("strategy", "rpcc-sc", "consistency strategy")
-		benchOut = flag.String("bench", "", "append a go-bench-format wall-time line to this file")
-		baseline = flag.Bool("baseline", false, "pre-scale-work configuration: serial, full rebuilds, per-flip churn resampling, unbounded route tables")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		traceOut = flag.String("trace-out", "", "write the merged causal trace (span JSONL) to this file")
 	)
@@ -79,24 +74,12 @@ func run() error {
 	}
 	cfg.NPeers = *nodes
 	cfg.SimTime = *simtime
-	cfg.DisableKinetic = !*kinetic
 	// Scale-run resource bounds: per-destination route tables capped, and
 	// churn folded into topology at epoch granularity (forwarding still
 	// checks liveness per hop) — at 100k nodes per-flip resampling would
 	// dwarf the simulation itself.
 	cfg.RouteTableCap = 256
 	cfg.LazyChurnRefresh = true
-	if *baseline {
-		// What every run looked like before the scale work: one serial
-		// kernel, a full topology rebuild whenever the epoch rolls or any
-		// node's churn state flips, a wholesale route reset at each
-		// rebuild, and unbounded route tables.
-		cfg.Shards = 1
-		cfg.DisableKinetic = true
-		cfg.RouteTableCap = 0
-		cfg.LazyChurnRefresh = false
-		*kinetic = false
-	}
 	// Hold terrain density at the Table 1 scenario's by growing the area
 	// with the population (the per-region split keeps it; the total must
 	// too).
@@ -117,8 +100,8 @@ func run() error {
 	wall := time.Since(start)
 
 	// Deterministic report: everything here derives from the seed.
-	fmt.Printf("nodes=%d shards=%d simtime=%v strategy=%s kinetic=%v baseline=%v seed=%d\n",
-		*nodes, res.Shards, *simtime, *strategy, *kinetic, *baseline, *seed)
+	fmt.Printf("nodes=%d shards=%d simtime=%v strategy=%s seed=%d\n",
+		*nodes, res.Shards, *simtime, *strategy, *seed)
 	fmt.Printf("queries: issued=%d answered=%d failed=%d\n", res.Issued, res.Answered, res.Failed)
 	fmt.Printf("traffic: tx=%d bytes=%d\n", res.TotalTx, res.TotalBytes)
 	fmt.Printf("consistency: violations=%d torn=%d future=%d\n",
@@ -149,17 +132,6 @@ func run() error {
 	for _, sh := range ks.Shards {
 		fmt.Fprintf(os.Stderr, "  shard=%d busy=%v stall=%v stall_hist=%s\n",
 			sh.Shard, time.Duration(sh.BusyNs), time.Duration(sh.StallNs), histString(sh.StallHist))
-	}
-
-	if *benchOut != "" {
-		f, err := os.OpenFile(*benchOut, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(f, "BenchmarkScaleRun/nodes=%d \t1\t%d ns/op\n", *nodes, wall.Nanoseconds())
-		if err := f.Close(); err != nil {
-			return err
-		}
 	}
 
 	if *traceOut != "" {

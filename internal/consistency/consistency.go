@@ -53,10 +53,8 @@ func (l Level) Valid() bool {
 
 // Answer is one served query, as reported by a strategy to the auditor.
 type Answer struct {
-	Host       int
 	Item       data.ItemID
 	Level      Level
-	IssuedAt   time.Duration
 	AnsweredAt time.Duration
 	Served     data.Copy
 }
@@ -96,7 +94,12 @@ func (v Violation) String() string {
 	}
 }
 
-// Auditor cross-checks answers against the master registry.
+// numViolations sizes the per-class counters.
+const numViolations = int(ViolationDelta) + 1
+
+// Auditor counts Judge's verdicts over a run's answers. It supplies the
+// simulator's side of the judge: the registry's masters as histories and
+// the horizon at − bound − slack.
 type Auditor struct {
 	mu       sync.Mutex
 	registry *data.Registry
@@ -109,106 +112,62 @@ type Auditor struct {
 	slack time.Duration
 
 	answers    uint64
-	violations map[Violation]uint64
-	staleness  []time.Duration
-	worst      []Answer // first few violating answers, for diagnostics
+	violations [numViolations]uint64
+	// Staleness of the answers that had one (committed, dated by a
+	// ledger): enough to report the mean and the maximum.
+	staleSum, staleMax time.Duration
+	staleN             uint64
 }
 
 // NewAuditor builds an auditor. delta is the Δ bound for DC queries; slack
-// is the in-flight forgiveness applied to SC/DC checks.
+// is the in-flight forgiveness applied to SC/DC checks. A nil registry
+// builds a judge without a ledger — a wire daemon, whose own registry
+// never hears another owner's commits: it counts torn copies only and
+// reports every staleness as Unknown.
 func NewAuditor(registry *data.Registry, delta, slack time.Duration) (*Auditor, error) {
-	if registry == nil {
-		return nil, fmt.Errorf("consistency: nil registry")
-	}
 	if delta < 0 || slack < 0 {
 		return nil, fmt.Errorf("consistency: negative delta %v or slack %v", delta, slack)
 	}
-	return &Auditor{
-		registry:   registry,
-		delta:      delta,
-		slack:      slack,
-		violations: make(map[Violation]uint64),
-	}, nil
+	return &Auditor{registry: registry, delta: delta, slack: slack}, nil
 }
 
-// Staleness computes how long the served version had been superseded at
-// answer time: zero when it was still current.
-func (a *Auditor) Staleness(ans Answer) (time.Duration, error) {
-	m, err := a.registry.Master(ans.Item)
-	if err != nil {
-		return 0, err
-	}
-	cur := m.VersionAt(ans.AnsweredAt)
-	if ans.Served.Version >= cur {
-		return 0, nil
-	}
-	// The served version stopped being current when its successor
-	// committed.
-	succ, ok := m.CommitTime(ans.Served.Version + 1)
-	if !ok {
-		return 0, fmt.Errorf("consistency: missing commit time for v%d of %v", ans.Served.Version+1, ans.Item)
-	}
-	return ans.AnsweredAt - succ, nil
-}
-
-// Check audits one answer and records the outcome. It returns the
-// violation class (ViolationNone when the answer satisfied its level).
-func (a *Auditor) Check(ans Answer) (Violation, error) {
-	v, _, err := a.CheckStale(ans)
-	return v, err
-}
-
-// CheckStale audits one answer like Check and also returns the served
-// copy's staleness at delivery — the quantity the telemetry layer exports
-// per consistency level. Staleness is zero for torn/future answers (the
-// notion does not apply to values that were never committed).
+// CheckStale audits one answer and records the outcome. It returns the
+// violation class (ViolationNone when the answer satisfied its level)
+// and the served copy's staleness at delivery — the quantity the
+// telemetry layer exports per consistency level (see Verdict.Stale).
 func (a *Auditor) CheckStale(ans Answer) (Violation, time.Duration, error) {
 	if !ans.Level.Valid() {
 		return ViolationNone, 0, fmt.Errorf("consistency: invalid level %v", ans.Level)
 	}
-	m, err := a.registry.Master(ans.Item)
-	if err != nil {
-		return ViolationNone, 0, err
-	}
-
-	v := ViolationNone
-	var stale time.Duration
-	switch {
-	case !ans.Served.Consistent() || ans.Served.ID != ans.Item:
-		v = ViolationTorn
-	case ans.Served.Version > m.VersionAt(ans.AnsweredAt):
-		v = ViolationFuture
-	default:
-		var serr error
-		stale, serr = a.Staleness(ans)
-		if serr != nil {
-			return ViolationNone, 0, serr
+	var h History
+	if a.registry != nil {
+		m, err := a.registry.Master(ans.Item)
+		if err != nil {
+			return ViolationNone, 0, err
 		}
-		a.mu.Lock()
-		a.staleness = append(a.staleness, stale)
-		a.mu.Unlock()
-		switch ans.Level {
-		case LevelStrong:
-			if stale > a.slack {
-				v = ViolationStrong
-			}
-		case LevelDelta:
-			if stale > a.delta+a.slack {
-				v = ViolationDelta
-			}
-		}
+		h = m
 	}
+	var horizon time.Duration
+	switch ans.Level {
+	case LevelStrong:
+		horizon = ans.AnsweredAt - a.slack
+	case LevelDelta:
+		horizon = ans.AnsweredAt - a.delta - a.slack
+	}
+	v := Judge(h, ans.Item, ans.Level, ans.Served, ans.AnsweredAt, horizon, 0)
 
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.answers++
-	if v != ViolationNone {
-		a.violations[v]++
-		if len(a.worst) < 16 {
-			a.worst = append(a.worst, ans)
+	a.violations[v.Kind]++
+	if h != nil && v.Kind != ViolationTorn && v.Kind != ViolationFuture {
+		a.staleN++
+		a.staleSum += v.Stale
+		if v.Stale > a.staleMax {
+			a.staleMax = v.Stale
 		}
 	}
-	return v, stale, nil
+	return v.Kind, v.Stale, nil
 }
 
 // Answers returns the number of audited answers.
@@ -230,7 +189,7 @@ func (a *Auditor) TotalViolations() uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	var sum uint64
-	for _, n := range a.violations {
+	for _, n := range a.violations[ViolationNone+1:] {
 		sum += n
 	}
 	return sum
@@ -240,56 +199,15 @@ func (a *Auditor) TotalViolations() uint64 {
 func (a *Auditor) MeanStaleness() time.Duration {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if len(a.staleness) == 0 {
+	if a.staleN == 0 {
 		return 0
 	}
-	var sum time.Duration
-	for _, s := range a.staleness {
-		sum += s
-	}
-	return sum / time.Duration(len(a.staleness))
+	return a.staleSum / time.Duration(a.staleN)
 }
 
 // MaxStaleness returns the worst staleness across audited answers.
 func (a *Auditor) MaxStaleness() time.Duration {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	var m time.Duration
-	for _, s := range a.staleness {
-		if s > m {
-			m = s
-		}
-	}
-	return m
-}
-
-// Worst returns up to the first 16 violating answers for diagnostics.
-func (a *Auditor) Worst() []Answer {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]Answer, len(a.worst))
-	copy(out, a.worst)
-	return out
-}
-
-// String summarises the audit.
-func (a *Auditor) String() string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	var viol uint64
-	for _, n := range a.violations {
-		viol += n
-	}
-	return fmt.Sprintf("answers=%d violations=%d meanStale=%v", a.answers, viol, a.meanStalenessLocked())
-}
-
-func (a *Auditor) meanStalenessLocked() time.Duration {
-	if len(a.staleness) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, s := range a.staleness {
-		sum += s
-	}
-	return sum / time.Duration(len(a.staleness))
+	return a.staleMax
 }

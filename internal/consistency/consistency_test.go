@@ -21,6 +21,12 @@ func newAuditorT(t *testing.T) (*Auditor, *data.Registry) {
 	return a, reg
 }
 
+// check audits ans and returns the violation class alone.
+func check(a *Auditor, ans Answer) (Violation, error) {
+	v, _, err := a.CheckStale(ans)
+	return v, err
+}
+
 func committed(t *testing.T, reg *data.Registry, id data.ItemID, v data.Version) data.Copy {
 	t.Helper()
 	return data.Copy{ID: id, Version: v, Value: data.ValueFor(id, v)}
@@ -40,9 +46,6 @@ func TestLevelString(t *testing.T) {
 
 func TestNewAuditorValidation(t *testing.T) {
 	reg, _ := data.NewRegistry(1)
-	if _, err := NewAuditor(nil, time.Minute, 0); err == nil {
-		t.Error("nil registry accepted")
-	}
 	if _, err := NewAuditor(reg, -time.Minute, 0); err == nil {
 		t.Error("negative delta accepted")
 	}
@@ -54,11 +57,11 @@ func TestNewAuditorValidation(t *testing.T) {
 func TestFreshAnswerPasses(t *testing.T) {
 	a, reg := newAuditorT(t)
 	ans := Answer{
-		Host: 1, Item: 2, Level: LevelStrong,
-		IssuedAt: time.Minute, AnsweredAt: time.Minute + time.Second,
-		Served: committed(t, reg, 2, 0),
+		Item: 2, Level: LevelStrong,
+		AnsweredAt: time.Minute + time.Second,
+		Served:     committed(t, reg, 2, 0),
 	}
-	v, err := a.Check(ans)
+	v, err := check(a, ans)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +80,11 @@ func TestStrongViolationOnStaleAnswer(t *testing.T) {
 		t.Fatal(err)
 	}
 	ans := Answer{
-		Host: 1, Item: 2, Level: LevelStrong,
-		IssuedAt: 9 * time.Minute, AnsweredAt: 10 * time.Minute,
-		Served: committed(t, reg, 2, 0), // v0: superseded 9 minutes ago
+		Item: 2, Level: LevelStrong,
+		AnsweredAt: 10 * time.Minute,
+		Served:     committed(t, reg, 2, 0), // v0: superseded 9 minutes ago
 	}
-	v, err := a.Check(ans)
+	v, err := check(a, ans)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,11 +101,11 @@ func TestStrongSlackForgivesInFlight(t *testing.T) {
 	m, _ := reg.Master(2)
 	m.Update(10 * time.Minute) // v1 commits just before the answer lands
 	ans := Answer{
-		Host: 1, Item: 2, Level: LevelStrong,
+		Item: 2, Level: LevelStrong,
 		AnsweredAt: 10*time.Minute + 500*time.Millisecond,
 		Served:     committed(t, reg, 2, 0), // superseded 0.5s ago < 1s slack
 	}
-	v, err := a.Check(ans)
+	v, err := check(a, ans)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +124,7 @@ func TestDeltaBound(t *testing.T) {
 		AnsweredAt: 4 * time.Minute, // v0 stale by 3m < Δ=4m
 		Served:     committed(t, reg, 1, 0),
 	}
-	if v, _ := a.Check(within); v != ViolationNone {
+	if v, _ := check(a, within); v != ViolationNone {
 		t.Errorf("staleness 3m with Δ=4m flagged: %v", v)
 	}
 
@@ -130,7 +133,7 @@ func TestDeltaBound(t *testing.T) {
 		AnsweredAt: 10 * time.Minute, // v0 stale by 9m > Δ=4m
 		Served:     committed(t, reg, 1, 0),
 	}
-	if v, _ := a.Check(beyond); v != ViolationDelta {
+	if v, _ := check(a, beyond); v != ViolationDelta {
 		t.Errorf("staleness 9m with Δ=4m not flagged: %v", v)
 	}
 }
@@ -145,7 +148,7 @@ func TestWeakAcceptsAnyCommittedVersion(t *testing.T) {
 		AnsweredAt: time.Hour,
 		Served:     committed(t, reg, 1, 0), // ancient but committed
 	}
-	if v, _ := a.Check(ans); v != ViolationNone {
+	if v, _ := check(a, ans); v != ViolationNone {
 		t.Errorf("weak answer flagged: %v", v)
 	}
 }
@@ -156,14 +159,14 @@ func TestTornValueAlwaysViolates(t *testing.T) {
 		Item: 1, Level: LevelWeak,
 		Served: data.Copy{ID: 1, Version: 0, Value: "fabricated"},
 	}
-	if v, _ := a.Check(ans); v != ViolationTorn {
+	if v, _ := check(a, ans); v != ViolationTorn {
 		t.Errorf("torn value = %v, want torn", v)
 	}
 	wrongItem := Answer{
 		Item: 1, Level: LevelWeak,
 		Served: data.Copy{ID: 2, Version: 0, Value: data.ValueFor(2, 0)},
 	}
-	if v, _ := a.Check(wrongItem); v != ViolationTorn {
+	if v, _ := check(a, wrongItem); v != ViolationTorn {
 		t.Errorf("cross-item value = %v, want torn", v)
 	}
 }
@@ -177,7 +180,7 @@ func TestFutureVersionViolates(t *testing.T) {
 	}
 	// Note: a future version's payload matches ValueFor, so it passes the
 	// torn check but must be caught by the version bound.
-	if v, _ := a.Check(ans); v != ViolationFuture {
+	if v, _ := check(a, ans); v != ViolationFuture {
 		t.Errorf("future version = %v, want future", v)
 	}
 }
@@ -185,7 +188,7 @@ func TestFutureVersionViolates(t *testing.T) {
 func TestInvalidLevelRejected(t *testing.T) {
 	a, reg := newAuditorT(t)
 	ans := Answer{Item: 1, Served: committed(t, reg, 1, 0)}
-	if _, err := a.Check(ans); err == nil {
+	if _, err := check(a, ans); err == nil {
 		t.Fatal("zero level accepted")
 	}
 }
@@ -193,7 +196,7 @@ func TestInvalidLevelRejected(t *testing.T) {
 func TestUnknownItemRejected(t *testing.T) {
 	a, _ := newAuditorT(t)
 	ans := Answer{Item: 99, Level: LevelWeak}
-	if _, err := a.Check(ans); err == nil {
+	if _, err := check(a, ans); err == nil {
 		t.Fatal("unknown item accepted")
 	}
 }
@@ -209,13 +212,13 @@ func TestStalenessComputation(t *testing.T) {
 		ans  Answer
 		want time.Duration
 	}{
-		{"current version", Answer{Item: 3, AnsweredAt: 6 * time.Minute, Served: committed(t, reg, 3, 2)}, 0},
-		{"one behind", Answer{Item: 3, AnsweredAt: 6 * time.Minute, Served: committed(t, reg, 3, 1)}, time.Minute},
-		{"two behind", Answer{Item: 3, AnsweredAt: 6 * time.Minute, Served: committed(t, reg, 3, 0)}, 4 * time.Minute},
+		{"current version", Answer{Item: 3, Level: LevelWeak, AnsweredAt: 6 * time.Minute, Served: committed(t, reg, 3, 2)}, 0},
+		{"one behind", Answer{Item: 3, Level: LevelWeak, AnsweredAt: 6 * time.Minute, Served: committed(t, reg, 3, 1)}, time.Minute},
+		{"two behind", Answer{Item: 3, Level: LevelWeak, AnsweredAt: 6 * time.Minute, Served: committed(t, reg, 3, 0)}, 4 * time.Minute},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got, err := a.Staleness(tt.ans)
+			_, got, err := a.CheckStale(tt.ans)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -230,8 +233,8 @@ func TestMeanAndMaxStaleness(t *testing.T) {
 	a, reg := newAuditorT(t)
 	m, _ := reg.Master(1)
 	m.Update(time.Minute)
-	a.Check(Answer{Item: 1, Level: LevelWeak, AnsweredAt: time.Minute, Served: committed(t, reg, 1, 1)})     // 0 stale
-	a.Check(Answer{Item: 1, Level: LevelWeak, AnsweredAt: 3 * time.Minute, Served: committed(t, reg, 1, 0)}) // 2m stale
+	check(a, Answer{Item: 1, Level: LevelWeak, AnsweredAt: time.Minute, Served: committed(t, reg, 1, 1)})     // 0 stale
+	check(a, Answer{Item: 1, Level: LevelWeak, AnsweredAt: 3 * time.Minute, Served: committed(t, reg, 1, 0)}) // 2m stale
 	if got := a.MaxStaleness(); got != 2*time.Minute {
 		t.Errorf("MaxStaleness = %v", got)
 	}
@@ -240,16 +243,25 @@ func TestMeanAndMaxStaleness(t *testing.T) {
 	}
 }
 
-func TestWorstKeepsViolations(t *testing.T) {
-	a, _ := newAuditorT(t)
-	for i := 0; i < 20; i++ {
-		a.Check(Answer{Item: 1, Level: LevelWeak, Served: data.Copy{ID: 1, Value: "bad"}})
+// A judge without a ledger (nil registry: a wire daemon's chassis)
+// decides the torn rule only and never invents a staleness sample.
+func TestLedgerlessAuditorAbstains(t *testing.T) {
+	a, err := NewAuditor(nil, time.Minute, time.Second)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := len(a.Worst()); got != 16 {
-		t.Errorf("Worst kept %d, want capped 16", got)
+	// v7 of an item no ledger vouches for: future-version to a judge with
+	// a ledger, undecidable without one.
+	v, stale, err := a.CheckStale(Answer{Item: 1, Level: LevelStrong, AnsweredAt: time.Minute,
+		Served: data.Copy{ID: 1, Version: 7, Value: data.ValueFor(1, 7)}})
+	if err != nil || v != ViolationNone || stale != Unknown {
+		t.Errorf("ledger-less verdict = %v stale %v err %v, want none / Unknown", v, stale, err)
 	}
-	if !strings.Contains(a.String(), "violations=20") {
-		t.Errorf("String = %q", a.String())
+	if v, _ := check(a, Answer{Item: 1, Level: LevelWeak, Served: data.Copy{ID: 1, Value: "fabricated"}}); v != ViolationTorn {
+		t.Errorf("ledger-less judge missed a torn copy: %v", v)
+	}
+	if a.Answers() != 2 || a.TotalViolations() != 1 || a.MeanStaleness() != 0 || a.MaxStaleness() != 0 {
+		t.Errorf("answers=%d violations=%d mean=%v max=%v", a.Answers(), a.TotalViolations(), a.MeanStaleness(), a.MaxStaleness())
 	}
 }
 

@@ -215,7 +215,7 @@ func TestStrongQueryPollsAndSourceAnswers(t *testing.T) {
 		t.Fatalf("strong query unanswered; reasons=%v", e.ch.FailReasons())
 	}
 	if e.ch.AuditViolations() != 0 {
-		t.Errorf("strong answer stale; worst=%v", e.ch.Auditor.Worst())
+		t.Errorf("strong answer stale: %d audit violations", e.ch.AuditViolations())
 	}
 	if e.net.Traffic().Delivered(protocol.KindPollAckA) == 0 {
 		t.Error("expected POLL_ACK_A from source for an up-to-date copy")

@@ -125,12 +125,6 @@ type Config struct {
 	// SerializeTx gives each node a single radio with MAC-style queueing
 	// instead of the idealised parallel radio (the A10 ablation).
 	SerializeTx bool
-	// DisableKinetic reverts topology maintenance to per-snapshot full
-	// rebuilds. Kinetic maintenance (the default) is byte-identical in
-	// behaviour — netsim's equivalence gates pin that — so this switch
-	// exists for A/B cost measurement and as the baseline leg of the
-	// scale benchmark, not for correctness.
-	DisableKinetic bool
 	// RouteTableCap bounds the live per-destination route tables kept by
 	// each topology snapshot (0 = unlimited). Scale runs set a cap so
 	// persistent route state stays linear in the cap rather than

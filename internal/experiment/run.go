@@ -240,7 +240,7 @@ func assembleScenario(cfg Config, hub *telemetry.Hub, k *sim.Kernel, tracer *ctr
 	}
 	netCfg.LossRate = cfg.LossRate
 	netCfg.SerializeTx = cfg.SerializeTx
-	netCfg.Kinetic = !cfg.DisableKinetic
+	netCfg.Kinetic = true
 	netCfg.RouteTableCap = cfg.RouteTableCap
 	netCfg.LazyChurnRefresh = cfg.LazyChurnRefresh
 	traffic := stats.NewTraffic()

@@ -66,16 +66,16 @@ func (c AuditorConfig) Validate() error {
 // soak:
 //
 //  1. The stale-SC answer rate stays within StrongStaleBudget, and no
-//     answer is ever torn or from the future — read from the consistency
-//     auditor at Finish. (RPCC's strong level is TTR-window approximate
-//     even fault-free, hence a budget rather than strictly zero.)
-//  2. The versions any node observes for an item are monotone within a
-//     cache residency — swept periodically against per-node watermarks
-//     keyed to the copy's admission time. Replacement churn legitimately
-//     breaks cross-residency monotonicity (a node that evicted v1 may
-//     re-learn v0 from a stale peer), so a changed StoredAt resets the
-//     baseline, exactly like the crash reset (cold restart may re-learn
-//     an older copy before catching up). A regression with an unchanged
+//     answer is ever torn or from the future — the consistency auditor's
+//     verdict counts, read at Finish. (RPCC's strong level is TTR-window
+//     approximate even fault-free, hence a budget rather than strictly
+//     zero.)
+//  2. The versions any node holds for an item are monotone within a
+//     cache residency — swept periodically through consistency.Watermarks
+//     with the copy's admission time as the epoch. Replacement churn and
+//     crashes (which clear the store) legitimately break cross-residency
+//     monotonicity: a node that evicted v1 may re-learn v0 from a stale
+//     peer, and that is a new StoredAt. A regression with an unchanged
 //     StoredAt can only be an in-place overwrite — a store bug.
 //  3. Every partition heal is followed by relay-state convergence within
 //     RepairWindow: at the deadline, no relay sits on unserviced repair
@@ -93,19 +93,15 @@ type Auditor struct {
 	engine *core.Engine
 	cons   *consistency.Auditor
 
-	watermarks []map[data.ItemID]watermark
+	watermarks consistency.Watermarks
 	rep        Report
 }
 
-// watermark is one node's last swept observation of an item. storedAt
-// identifies the residency epoch: the store advances it only on
-// admission and on strict version advance, never on a same-version
-// refresh, so an unchanged storedAt pins the comparison to one
-// continuously-held copy.
-type watermark struct {
-	version  data.Version
-	storedAt time.Duration
-}
+// watermark is one node's last swept observation of an item. Its epoch
+// is the copy's StoredAt: the store advances it only on admission and on
+// strict version advance, never on a same-version refresh, so an
+// unchanged StoredAt pins the comparison to one continuously-held copy.
+type watermark = consistency.Mark
 
 // NewAuditor wires the invariant checks. cons may be nil (invariant 1
 // then reports zero); engine may be nil (invariants 3 and 4 are skipped,
@@ -120,39 +116,24 @@ func NewAuditor(cfg AuditorConfig, reg *data.Registry, stores []*cache.Store, ch
 	if cfg.RepairGrace <= 0 {
 		cfg.RepairGrace = 2*cfg.TTN + 30*time.Second
 	}
-	wm := make([]map[data.ItemID]watermark, len(stores))
-	for i := range wm {
-		wm[i] = make(map[data.ItemID]watermark)
-	}
 	return &Auditor{
 		cfg: cfg, reg: reg, stores: stores, chn: chn,
-		engine: engine, cons: cons, watermarks: wm,
+		engine: engine, cons: cons,
 	}, nil
 }
 
 // Install schedules the periodic sweep and subscribes to the plane's
-// heal and crash events. Call before the kernel runs.
+// heal events. Call before the kernel runs.
 func (a *Auditor) Install(k *sim.Kernel, p *Plane) error {
 	if _, err := k.Every(a.cfg.SweepEvery, "faults.audit.sweep", func(kk *sim.Kernel) {
 		a.sweep(kk)
 	}); err != nil {
 		return err
 	}
-	if p != nil {
-		p.OnCrash(a.resetNode)
-		if a.cfg.RepairWindow > 0 && a.engine != nil {
-			p.OnHeal(a.scheduleHealCheck)
-		}
+	if p != nil && a.cfg.RepairWindow > 0 && a.engine != nil {
+		p.OnHeal(a.scheduleHealCheck)
 	}
 	return nil
-}
-
-// resetNode clears a crashed node's watermarks: its post-restart cold
-// rediscovery may legitimately observe older versions than it held.
-func (a *Auditor) resetNode(node int) {
-	if node >= 0 && node < len(a.watermarks) {
-		a.watermarks[node] = make(map[data.ItemID]watermark)
-	}
 }
 
 // sweep runs invariants 2 and 4 over the current state.
@@ -165,14 +146,11 @@ func (a *Auditor) sweep(k *sim.Kernel) {
 				continue
 			}
 			storedAt, _ := s.StoredAt(item)
-			if prev, seen := a.watermarks[nd][item]; seen &&
-				cp.Version < prev.version && storedAt == prev.storedAt {
+			if floor, regressed := a.watermarks.Observe(nd, item, cp.Version, int64(storedAt)); regressed {
 				a.rep.MonotoneViolations++
 				a.detail("monotone: node %d item %v regressed %d -> %d in place at %v",
-					nd, item, prev.version, cp.Version, k.Now())
-				continue
+					nd, item, floor, cp.Version, k.Now())
 			}
-			a.watermarks[nd][item] = watermark{version: cp.Version, storedAt: storedAt}
 		}
 	}
 	if a.engine != nil && a.cfg.MaxRepairAttempts > 0 {

@@ -36,7 +36,6 @@ type Plane struct {
 	active  bool
 	crashed []bool
 	onHeal  []func(k *sim.Kernel, p Partition)
-	onCrash []func(node int)
 }
 
 // NewPlane validates the campaign against the environment.
@@ -68,14 +67,6 @@ func NewPlane(cfg Config, env Env) (*Plane, error) {
 func (p *Plane) OnHeal(f func(k *sim.Kernel, part Partition)) {
 	if f != nil {
 		p.onHeal = append(p.onHeal, f)
-	}
-}
-
-// OnCrash registers a callback fired at every crash (the auditor resets
-// its per-node version watermarks there). Call before Install.
-func (p *Plane) OnCrash(f func(node int)) {
-	if f != nil {
-		p.onCrash = append(p.onCrash, f)
 	}
 }
 
@@ -190,9 +181,6 @@ func (p *Plane) crash(k *sim.Kernel, node int, restartAfter time.Duration) {
 		}
 	} else if len(p.env.Stores) > 0 {
 		p.env.Stores[node].Clear()
-	}
-	for _, f := range p.onCrash {
-		f(node)
 	}
 	p.env.Hub.FaultEvent(k.Now(), telemetry.FaultCrash, []int{node}, -1, "")
 	if restartAfter > 0 {

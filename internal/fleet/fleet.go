@@ -41,8 +41,7 @@
 // (one self-contained Record per line) that supports resuming an
 // interrupted sweep: journaled successes are reused, journaled failures
 // are retried. Progress (done/failed counts, runs/sec, ETA) ticks on an
-// optional writer, and a Report exports wall-time and throughput as a
-// BENCH_fleet.json for the perf trajectory.
+// optional writer.
 package fleet
 
 import (
@@ -53,7 +52,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/manetlab/rpcc/internal/experiment"
@@ -136,12 +134,6 @@ type Report struct {
 	// jobs satisfied from the journal; Failed counts failed records
 	// (including timeouts); Cancelled counts jobs the context cut off.
 	Executed, Resumed, Failed, Cancelled int
-	// ExecBusy is the summed per-worker time spent inside simulations and
-	// JournalTime the summed time spent appending records — together they
-	// locate the orchestration overhead: Workers×Wall − ExecBusy −
-	// JournalTime is idle/dispatch time.
-	ExecBusy    time.Duration
-	JournalTime time.Duration
 
 	results map[string]experiment.Result
 }
@@ -221,7 +213,6 @@ func Run(ctx context.Context, jobs []Job, opts Options) (Report, error) {
 
 	idxCh := make(chan int)
 	var wg sync.WaitGroup
-	var busyNS, journalNS atomic.Int64
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -234,9 +225,7 @@ func Run(ctx context.Context, jobs []Job, opts Options) (Report, error) {
 						Strategy: string(j.Config.Strategy), Seed: j.Config.Seed,
 						Error: ctx.Err().Error()}
 				} else {
-					t0 := time.Now()
 					rec = runOne(ctx, j, execute, opts.Timeout)
-					busyNS.Add(int64(time.Since(t0)))
 				}
 				rep.Records[i] = rec
 				switch rec.Status {
@@ -249,10 +238,7 @@ func Run(ctx context.Context, jobs []Job, opts Options) (Report, error) {
 					prog.done(true)
 				}
 				if opts.Journal != nil && rec.Status != StatusCancelled {
-					t0 := time.Now()
-					err := opts.Journal.Append(rec)
-					journalNS.Add(int64(time.Since(t0)))
-					if err != nil {
+					if err := opts.Journal.Append(rec); err != nil {
 						// Journal trouble must not kill the sweep; surface it
 						// on the progress writer if there is one.
 						if opts.Progress != nil {
@@ -285,8 +271,6 @@ dispatch:
 	wg.Wait()
 
 	rep.Wall = time.Since(start)
-	rep.ExecBusy = time.Duration(busyNS.Load())
-	rep.JournalTime = time.Duration(journalNS.Load())
 	terminal := 0
 	for _, rec := range rep.Records {
 		switch rec.Status {

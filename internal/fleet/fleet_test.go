@@ -357,38 +357,6 @@ func TestFleetDeduplicatesSharedKeys(t *testing.T) {
 	}
 }
 
-// TestFleetBenchExport: the report's bench record reflects the run and
-// round-trips through WriteBench as JSON.
-func TestFleetBenchExport(t *testing.T) {
-	jobs := testJobs(4)
-	rep, err := Run(context.Background(), jobs, Options{Parallel: 2, Execute: fakeExecute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := rep.Bench()
-	if b.Name != "fleet" || b.Jobs != 4 || b.Executed != 4 || b.Workers != 2 {
-		t.Fatalf("bench = %+v", b)
-	}
-	if b.SimHours == 0 {
-		t.Fatal("bench lost the simulated-time total")
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_fleet.json")
-	if err := WriteBench(path, b); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Bench
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back != b {
-		t.Fatalf("bench round-trip drifted: %+v != %+v", back, b)
-	}
-}
-
 // TestFleetProgressTicker: the progress line lands on the writer with
 // the final counts.
 func TestFleetProgressTicker(t *testing.T) {

@@ -674,3 +674,32 @@ func TestSerializeTxPreservesDelivery(t *testing.T) {
 		t.Fatalf("serialized radio delivered %d of 20", got)
 	}
 }
+
+// TestTracerSeesUnicastAndFloodDeliveries pins the delivery observer
+// hook (the telemetry hub and the conformance oracle hang off it): it
+// sees a routed unicast with its hop count and every flood reception.
+func TestTracerSeesUnicastAndFloodDeliveries(t *testing.T) {
+	h := newHarness(t, 3, false)
+	var sawUnicast, sawFlood bool
+	h.net.SetTracer(func(_ time.Duration, node int, msg protocol.Message, meta Meta) {
+		if msg.Kind == protocol.KindApply && !meta.Flood && node == 2 && meta.Hops == 2 {
+			sawUnicast = true
+		}
+		if msg.Kind == protocol.KindIR && meta.Flood {
+			sawFlood = true
+		}
+	})
+	if err := h.net.Unicast(0, 2, testMsg(protocol.KindApply)); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.net.Flood(0, 2, testMsg(protocol.KindIR)); err != nil {
+		t.Fatal(err)
+	}
+	h.k.Run()
+	if !sawUnicast {
+		t.Error("unicast delivery not observed with hop count")
+	}
+	if !sawFlood {
+		t.Error("flood delivery not observed")
+	}
+}

@@ -31,10 +31,8 @@ func measureUnicastAllocs(t *testing.T, msg protocol.Message) float64 {
 // of the tracing contract on the delivery hot path: with no collector
 // installed, a message carrying a trace context costs exactly as many
 // allocations as an untraced one (the hook is a single nil check), and
-// every nil-collector trace call is itself allocation-free. `make
-// bench-scale` runs this test before refreshing the scale artefact so
-// the committed numbers are never polluted by an accidentally
-// allocating hook.
+// every nil-collector trace call is itself allocation-free, so measured
+// numbers are never polluted by an accidentally allocating hook.
 func TestTraceDisabledDeliveryAllocFree(t *testing.T) {
 	plain := testMsg(protocol.KindPoll)
 	traced := plain

@@ -200,10 +200,8 @@ func (c *Chassis) Answer(k *sim.Kernel, q *Query, served data.Copy) {
 	c.Latency.Record(k.Now() - q.IssuedAt)
 	c.Tracer.FinishAs(q.TC, k.Now().Nanoseconds(), q.Route)
 	v, stale, err := c.Auditor.CheckStale(consistency.Answer{
-		Host:       q.Host,
 		Item:       q.Item,
 		Level:      q.Level,
-		IssuedAt:   q.IssuedAt,
 		AnsweredAt: k.Now(),
 		Served:     served,
 	})

@@ -18,19 +18,14 @@ import (
 // commit at an item's owner and every answer served anywhere — and
 // JudgeLive replays the Model's rules over them afterwards.
 //
-// The rules are the sim oracle's, restated over wall time:
-//
-//  1. Torn: a served copy's value must equal the canonical content for
-//     its (item, version).
-//  2. Uncommitted: a served version must exist in its item's commit
-//     history, committed no later than the answer (plus slack for clock
-//     and ledger-ordering skew).
-//  3. Staleness envelope: an SC/DC answer must be no older than the
-//     version current at (answer time − envelope − slack − inflate).
-//     Inflate widens every envelope for real-network soundness: UDP
-//     delivery, scheduler jitter and timer coalescing add latencies the
-//     protocol's virtual-time analysis never sees.
-//  4. Monotone reads: per (node, item), served versions never regress.
+// The rules are consistency.Judge's and consistency.Watermarks', the same
+// call the sim oracle makes; what wall time changes is what the judge is
+// handed: the recorded ledger as history, Slack as the commit-ordering
+// skew, a horizon of answer time − envelope − slack − inflate walked
+// back over the adversity windows (Inflate widens every envelope for
+// real-network soundness: UDP delivery, scheduler jitter and timer
+// coalescing add latencies the protocol's virtual-time analysis never
+// sees), and the node's latest restart as its epoch.
 //
 // Reachability rules (overreach/underreach) need the topology oracle and
 // do not apply on a single loopback segment.
@@ -171,6 +166,9 @@ func (s LiveSpec) Validate() error {
 // adversity windows, paying the lookback only out of the gaps.
 func (s LiveSpec) horizonFor(node int, at time.Duration, env time.Duration) time.Duration {
 	need := env + s.Slack + s.Inflate
+	if len(s.Windows) == 0 {
+		return at - need
+	}
 	wins := make([]LiveWindow, 0, len(s.Windows))
 	for _, w := range s.Windows {
 		if (w.Node == -1 || w.Node == node) && w.Start < at && w.End > w.Start {
@@ -209,42 +207,102 @@ func (s LiveSpec) epochFor(node int, at time.Duration) time.Duration {
 	return epoch
 }
 
-// restartedBetween reports whether node completed a restart in (lo, hi].
-func (s LiveSpec) restartedBetween(node int, lo, hi time.Duration) bool {
-	for _, r := range s.Restarts {
-		if r.Node == node && r.At > lo && r.At <= hi {
-			return true
+// judge runs the one answer judge over a — consistency.Judge for the
+// torn / uncommitted / stale rules, wm for monotone reads — and appends
+// a Divergence per broken rule. What the substrate supplies: h, the
+// item's commit history; since, the start of the node's knowledge epoch
+// (staleness is judged only once the horizon clears it: before, old
+// versions are the warm-up's doing, and 0 is the initial-warm
+// forgiveness); commitSlack, the ledger-ordering skew; epoch, the node's
+// monotone-reads epoch at the answer. A torn or uncommitted answer is
+// no observation of a version, so it leaves the watermark alone.
+func (s LiveSpec) judge(divs []Divergence, wm *consistency.Watermarks, h consistency.History, a LiveAnswer,
+	since, commitSlack time.Duration, epoch int64) []Divergence {
+	var horizon time.Duration
+	env, bounded := s.Envelopes[a.Level]
+	if bounded {
+		if horizon = s.horizonFor(a.Node, a.At, env); horizon <= since {
+			horizon = 0
 		}
 	}
-	return false
+	d := Divergence{At: a.At, Node: a.Node, Item: a.Item, Level: a.Level.String(), Served: a.Served.Version}
+	v := consistency.Judge(h, a.Item, a.Level, a.Served, a.At, horizon, commitSlack)
+	switch v.Kind {
+	case consistency.ViolationTorn:
+		d.Kind = DivTorn
+		d.Detail = fmt.Sprintf("served item %d value %q", a.Served.ID, a.Served.Value)
+		return append(divs, d)
+	case consistency.ViolationFuture:
+		ct, committed := h.CommitTime(a.Served.Version)
+		d.Kind = DivUncommitted
+		d.Detail = fmt.Sprintf("committed=%v commitTime=%v", committed, ct)
+		return append(divs, d)
+	case consistency.ViolationStrong, consistency.ViolationDelta:
+		stale := d
+		stale.Kind, stale.MinOK = DivStale, v.MinOK
+		stale.Detail = fmt.Sprintf("envelope=%v slack=%v inflate=%v", env, s.Slack, s.Inflate)
+		divs = append(divs, stale)
+	}
+	if floor, regressed := wm.Observe(a.Node, a.Item, a.Served.Version, epoch); regressed {
+		d.Kind, d.MinOK, d.Detail = DivMonotone, floor, "answer regressed below watermark"
+		divs = append(divs, d)
+	}
+	return divs
 }
 
-// timeline is one item's commit history, sorted by version.
-type timeline struct {
-	versions []data.Version
-	times    []time.Duration
-}
+// ledger is one item's recorded commits in version order: the wire's
+// consistency.History. Version 0 (the pre-seeded placement copy) is
+// committed at the epoch and is never in the ledger.
+type ledger []LiveCommit
 
-// commitTime returns when v was committed; version 0 (the pre-seeded
-// placement copy) is committed at the epoch.
-func (tl *timeline) commitTime(v data.Version) (time.Duration, bool) {
+// noCommits is the history of an item nobody ever wrote.
+var noCommits consistency.History = ledger(nil)
+
+// CommitTime returns when v was committed.
+func (l ledger) CommitTime(v data.Version) (time.Duration, bool) {
 	if v == 0 {
 		return 0, true
 	}
-	i := sort.Search(len(tl.versions), func(i int) bool { return tl.versions[i] >= v })
-	if i < len(tl.versions) && tl.versions[i] == v {
-		return tl.times[i], true
+	i := sort.Search(len(l), func(i int) bool { return l[i].Version >= v })
+	if i < len(l) && l[i].Version == v {
+		return l[i].At, true
 	}
 	return 0, false
 }
 
-// versionAt returns the newest version committed at or before t.
-func (tl *timeline) versionAt(t time.Duration) data.Version {
-	i := sort.Search(len(tl.times), func(i int) bool { return tl.times[i] > t })
+// VersionAt returns the newest version committed at or before t.
+func (l ledger) VersionAt(t time.Duration) data.Version {
+	i := sort.Search(len(l), func(i int) bool { return l[i].At > t })
 	if i == 0 {
 		return 0
 	}
-	return tl.versions[i-1]
+	return l[i-1].Version
+}
+
+// ledgers splits a commit ledger into per-item histories. Commits come
+// from one writer per item, so an item's versions and times both rise;
+// sort defensively anyway (ledger append order is cross-item).
+func ledgers(commits []LiveCommit) (map[data.ItemID]consistency.History, error) {
+	sorted := append([]LiveCommit(nil), commits...)
+	sort.SliceStable(sorted, func(a, b int) bool {
+		if sorted[a].Item != sorted[b].Item {
+			return sorted[a].Item < sorted[b].Item
+		}
+		return sorted[a].Version < sorted[b].Version
+	})
+	lines := make(map[data.ItemID]consistency.History)
+	for lo := 0; lo < len(sorted); {
+		hi := lo + 1
+		for ; hi < len(sorted) && sorted[hi].Item == sorted[lo].Item; hi++ {
+			if prev, c := sorted[hi-1], sorted[hi]; c.At < prev.At {
+				return nil, fmt.Errorf("oracle: item %d commit times regress (v%d at %v after v%d at %v)",
+					c.Item, c.Version, c.At, prev.Version, prev.At)
+			}
+		}
+		lines[sorted[lo].Item] = ledger(sorted[lo:hi])
+		lo = hi
+	}
+	return lines, nil
 }
 
 // JudgeLive replays the oracle rules over a live run's ledgers and
@@ -253,119 +311,27 @@ func JudgeLive(commits []LiveCommit, answers []LiveAnswer, spec LiveSpec) ([]Div
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-
-	// Build per-item commit timelines. Commits arrive from one writer per
-	// item, so versions are already increasing per item; sort defensively
-	// anyway (ledger append order is cross-item).
-	lines := make(map[data.ItemID]*timeline)
-	for _, c := range commits {
-		tl := lines[c.Item]
-		if tl == nil {
-			tl = &timeline{}
-			lines[c.Item] = tl
-		}
-		tl.versions = append(tl.versions, c.Version)
-		tl.times = append(tl.times, c.At)
-	}
-	for item, tl := range lines {
-		idx := make([]int, len(tl.versions))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.Slice(idx, func(a, b int) bool { return tl.versions[idx[a]] < tl.versions[idx[b]] })
-		vs := make([]data.Version, len(idx))
-		ts := make([]time.Duration, len(idx))
-		for i, j := range idx {
-			vs[i], ts[i] = tl.versions[j], tl.times[j]
-		}
-		for i := 1; i < len(ts); i++ {
-			if ts[i] < ts[i-1] {
-				return nil, fmt.Errorf("oracle: item %d commit times regress (v%d at %v after v%d at %v)",
-					item, vs[i], ts[i], vs[i-1], ts[i-1])
-			}
-		}
-		tl.versions, tl.times = vs, ts
-	}
-	emptyLine := &timeline{}
-	lineFor := func(item data.ItemID) *timeline {
-		if tl := lines[item]; tl != nil {
-			return tl
-		}
-		return emptyLine
+	lines, err := ledgers(commits)
+	if err != nil {
+		return nil, err
 	}
 
 	// Judge answers in time order so the monotone watermark is causal.
 	ordered := append([]LiveAnswer(nil), answers...)
 	sort.SliceStable(ordered, func(a, b int) bool { return ordered[a].At < ordered[b].At })
 
-	type hostItem struct {
-		node int
-		item data.ItemID
-	}
-	type mark struct {
-		v  data.Version
-		at time.Duration
-	}
-	watermark := make(map[hostItem]mark)
-
+	// A cold restart ends the read session — the incarnation that made
+	// the old promise is gone — so the restart instant is the watermark
+	// epoch as well as the knowledge epoch.
+	var wm consistency.Watermarks
 	var divs []Divergence
 	for _, a := range ordered {
-		d := Divergence{At: a.At, Node: a.Node, Item: a.Item, Level: a.Level.String(), Served: a.Served.Version}
-		tl := lineFor(a.Item)
-
-		switch {
-		case a.Served.ID != a.Item || !a.Served.Consistent():
-			d.Kind = DivTorn
-			d.Detail = fmt.Sprintf("served copy of item %d value %q", a.Served.ID, a.Served.Value)
-			divs = append(divs, d)
-		default:
-			committedAt, known := tl.commitTime(a.Served.Version)
-			switch {
-			case !known:
-				d.Kind = DivUncommitted
-				d.Detail = "version absent from the owner's commit ledger"
-				divs = append(divs, d)
-			case committedAt > a.At+spec.Slack:
-				d.Kind = DivUncommitted
-				d.Detail = fmt.Sprintf("committed at %v, after the answer", committedAt)
-				divs = append(divs, d)
-			default:
-				if env, audited := spec.Envelopes[a.Level]; audited {
-					horizon := spec.horizonFor(a.Node, a.At, env)
-					// Only judge staleness once the horizon clears the
-					// node's knowledge epoch: before it, the node is still
-					// within its post-start (or post-restart) warm-up, where
-					// old versions are the schedule's doing. epoch 0 is the
-					// original initial-warm forgiveness.
-					if horizon > spec.epochFor(a.Node, a.At) {
-						minOK := tl.versionAt(horizon)
-						if a.Served.Version < minOK {
-							d.Kind = DivStale
-							d.MinOK = minOK
-							divs = append(divs, d)
-						}
-					}
-				}
-			}
+		h, written := lines[a.Item]
+		if !written {
+			h = noCommits
 		}
-
-		key := hostItem{a.Node, a.Item}
-		prev, ok := watermark[key]
-		if ok && spec.restartedBetween(a.Node, prev.at, a.At) {
-			// A cold restart ends the read session: the incarnation that
-			// made the old promise is gone, so the watermark resets.
-			ok = false
-			delete(watermark, key)
-		}
-		if ok && a.Served.Version < prev.v {
-			divs = append(divs, Divergence{
-				At: a.At, Node: a.Node, Item: a.Item, Kind: DivMonotone,
-				Level: a.Level.String(), Served: a.Served.Version, MinOK: prev.v,
-			})
-		}
-		if cur := watermark[key]; a.Served.Version >= cur.v {
-			watermark[key] = mark{v: a.Served.Version, at: a.At}
-		}
+		since := spec.epochFor(a.Node, a.At)
+		divs = spec.judge(divs, &wm, h, a, since, spec.Slack, int64(since))
 	}
 	return divs, nil
 }

@@ -86,21 +86,23 @@ type Spec struct {
 	ExpectReach []int
 }
 
-type wmKey struct {
-	host int
-	item data.ItemID
-}
-
 // Model is the omniscient reference. It sees every answered query (via
 // the chassis answer observer) and every message delivery (via the
 // netsim tracer) with zero latency, and checks each against Spec.
 type Model struct {
-	reg      *data.Registry
-	spec     Spec
-	wm       map[wmKey]data.Version
+	reg  *data.Registry
+	spec Spec
+	// bounds is spec's staleness contract in the shape the shared judge
+	// takes. The simulator's faults are not scheduled adversity, so it
+	// has no windows and no restart records.
+	bounds LiveSpec
+	wm     consistency.Watermarks
+	// crashes counts each node's crashes: its monotone-reads epoch (a
+	// crashed node loses its cache and may legitimately re-observe older
+	// committed versions).
+	crashes  map[int]int64
 	invHeard map[int]bool
 	divs     []Divergence
-	answers  uint64
 }
 
 // NewModel builds a reference model over the registry's masters.
@@ -114,88 +116,24 @@ func NewModel(reg *data.Registry, spec Spec) (*Model, error) {
 	return &Model{
 		reg:      reg,
 		spec:     spec,
-		wm:       make(map[wmKey]data.Version),
+		bounds:   LiveSpec{Envelopes: spec.Envelopes, Slack: spec.Slack, Inflate: spec.Inflate},
+		crashes:  make(map[int]int64),
 		invHeard: make(map[int]bool),
 	}, nil
 }
 
-// Answers returns how many answered queries the model has observed.
-func (m *Model) Answers() uint64 { return m.answers }
-
 func (m *Model) diverge(d Divergence) { m.divs = append(m.divs, d) }
 
-// debugAnswerHook, when set by a test, sees every observed answer.
-var debugAnswerHook func(at time.Duration, q *node.Query, served data.Copy)
-
-// ObserveAnswer checks one answered query. Wire it with
-// Chassis.SetAnswerObserver.
+// ObserveAnswer checks one answered query against the registry's master
+// (an item the registry does not know has no commits beyond version 0).
+// Wire it with Chassis.SetAnswerObserver.
 func (m *Model) ObserveAnswer(k *sim.Kernel, q *node.Query, served data.Copy) {
-	m.answers++
-	if debugAnswerHook != nil {
-		debugAnswerHook(k.Now(), q, served)
+	h := noCommits
+	if master, err := m.reg.Master(q.Item); err == nil {
+		h = master
 	}
-	now := k.Now()
-	base := Divergence{At: now, Node: q.Host, Item: q.Item, Level: q.Level.String(), Served: served.Version}
-
-	// Universal rule 1: the copy must be internally consistent and for
-	// the queried item.
-	if served.ID != q.Item || !served.Consistent() {
-		d := base
-		d.Kind = DivTorn
-		d.Detail = fmt.Sprintf("served item %d value %q", served.ID, served.Value)
-		m.diverge(d)
-		return
-	}
-
-	master, err := m.reg.Master(q.Item)
-	if err != nil {
-		d := base
-		d.Kind = DivUncommitted
-		d.Detail = "unknown item"
-		m.diverge(d)
-		return
-	}
-
-	// Universal rule 2: only committed values, committed no later than
-	// the answer time, may be served.
-	ct, committed := master.CommitTime(served.Version)
-	if !committed || ct > now {
-		d := base
-		d.Kind = DivUncommitted
-		d.Detail = fmt.Sprintf("committed=%v commitTime=%v", committed, ct)
-		m.diverge(d)
-		return
-	}
-
-	// Per-level staleness envelope.
-	if env, bounded := m.spec.Envelopes[q.Level]; bounded {
-		horizon := now - env - m.spec.Slack - m.spec.Inflate
-		if horizon > 0 {
-			minOK := master.VersionAt(horizon)
-			if served.Version < minOK {
-				d := base
-				d.Kind = DivStale
-				d.MinOK = minOK
-				d.Detail = fmt.Sprintf("envelope=%v slack=%v inflate=%v", env, m.spec.Slack, m.spec.Inflate)
-				m.diverge(d)
-			}
-		}
-	}
-
-	// Per-(host, item) monotone reads: once a node has seen version v it
-	// must never be answered an older one (crash resets the watermark).
-	key := wmKey{host: q.Host, item: q.Item}
-	if prev, seen := m.wm[key]; seen && served.Version < prev {
-		d := base
-		d.Kind = DivMonotone
-		d.MinOK = prev
-		d.Detail = "answer regressed below watermark"
-		m.diverge(d)
-		return
-	}
-	if served.Version > m.wm[key] {
-		m.wm[key] = served.Version
-	}
+	a := LiveAnswer{Node: q.Host, Item: q.Item, Level: q.Level, Served: served, At: k.Now()}
+	m.divs = m.bounds.judge(m.divs, &m.wm, h, a, 0, 0, m.crashes[q.Host])
 }
 
 // ObserveDelivery checks one message delivery. Wire it with
@@ -217,15 +155,8 @@ func (m *Model) ObserveDelivery(at time.Duration, nd int, msg protocol.Message, 
 	}
 }
 
-// OnCrash resets node nd's monotone watermarks: a crashed node loses its
-// cache and may legitimately re-observe older committed versions.
-func (m *Model) OnCrash(nd int) {
-	for key := range m.wm {
-		if key.host == nd {
-			delete(m.wm, key)
-		}
-	}
-}
+// OnCrash starts node nd's next monotone-reads epoch.
+func (m *Model) OnCrash(nd int) { m.crashes[nd]++ }
 
 // Finish runs end-of-horizon checks (flood underreach) and returns every
 // divergence observed, in observation order.

@@ -351,7 +351,9 @@ func Run(sc Scenario) (*Report, error) {
 			return nil, err
 		}
 	}
-	aud, err := consistency.NewAuditor(reg, ccfg.TTP, 2*time.Second)
+	// The model below is this run's judge; the chassis gets the
+	// ledger-less auditor so no answer is judged twice.
+	aud, err := consistency.NewAuditor(nil, 0, 0)
 	if err != nil {
 		return nil, err
 	}

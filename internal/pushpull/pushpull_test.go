@@ -168,7 +168,7 @@ func TestPushStaleCopyRefetchedOnIR(t *testing.T) {
 		t.Errorf("copy after IR-triggered refetch = v%d, want v1", cp.Version)
 	}
 	if e.ch.AuditViolations() != 0 {
-		t.Errorf("push strong answer stale: %v", e.ch.Auditor.Worst())
+		t.Errorf("push strong answer stale: %d audit violations", e.ch.AuditViolations())
 	}
 }
 

@@ -24,7 +24,6 @@ import (
 	"github.com/manetlab/rpcc/internal/netsim"
 	"github.com/manetlab/rpcc/internal/protocol"
 	"github.com/manetlab/rpcc/internal/stats"
-	"github.com/manetlab/rpcc/internal/trace"
 )
 
 // Level selects how much the hub records.
@@ -130,9 +129,8 @@ type Hub struct {
 	spans *SpanLog
 	waves map[uint64]*WaveSpan
 
-	// Sources folded into the snapshot at Finish.
-	traffic  *stats.Traffic
-	traceRec *trace.Recorder
+	// traffic is folded into the snapshot at Finish.
+	traffic *stats.Traffic
 }
 
 // roleMove keys one labelled rpcc_role_transitions_total series.
@@ -277,14 +275,17 @@ func (h *Hub) QueryIssued(level consistency.Level) {
 }
 
 // QueryAnswered records an answered query's latency, the served copy's
-// staleness at delivery, and the audit outcome.
+// staleness at delivery (no sample when it is consistency.Unknown), and
+// the audit outcome.
 func (h *Hub) QueryAnswered(level consistency.Level, latency, stale time.Duration, violation string) {
 	if h == nil || !level.Valid() {
 		return
 	}
 	h.answered[level].Inc()
 	h.queryLatency[level].ObserveDuration(latency)
-	h.staleness[level].ObserveDuration(stale)
+	if stale != consistency.Unknown {
+		h.staleness[level].ObserveDuration(stale)
+	}
 	if violation != "" && violation != "none" {
 		h.reg.Counter("rpcc_audit_violations_total", "Answers violating their consistency level.",
 			Label{"class", violation}).Inc()
@@ -423,16 +424,8 @@ func (h *Hub) AttachTraffic(t *stats.Traffic) {
 	}
 }
 
-// AttachTrace registers a trace recorder whose Summary is folded into the
-// snapshot at Finish.
-func (h *Hub) AttachTrace(r *trace.Recorder) {
-	if h != nil {
-		h.traceRec = r
-	}
-}
-
 // Finish stamps the simulated end time and folds the attached traffic
-// ledger, trace summary, wave aggregates and span-drop accounting into
+// ledger, wave aggregates and span-drop accounting into
 // the registry. Call once, after the kernel stops.
 func (h *Hub) Finish(at time.Duration) {
 	if h == nil {
@@ -473,19 +466,6 @@ func (h *Hub) Finish(at time.Duration) {
 		// accounting bug upstream), never silently folded into a real kind.
 		h.reg.Counter("rpcc_invalid_kind_total",
 			"Traffic records carrying an out-of-range protocol kind.").Add(h.traffic.Invalid())
-	}
-	if h.traceRec != nil {
-		sum := h.traceRec.Summary()
-		for k := 1; k < protocol.NumKinds; k++ {
-			if v := sum.PerKind[k]; v > 0 {
-				h.reg.Counter("rpcc_trace_events_total", "Trace events recorded per kind.",
-					Label{"kind", protocol.Kind(k).String()}).Add(v)
-			}
-		}
-		h.reg.Counter("rpcc_trace_overwritten_total",
-			"Trace events lost to ring overwrite.").Add(sum.Overwritten)
-		h.reg.Counter("rpcc_trace_filtered_total",
-			"Trace events rejected by the filter.").Add(sum.Filtered)
 	}
 	for _, w := range h.sortedWaves() {
 		h.reg.Counter("rpcc_waves_total", "Flood waves observed, per kind.",

@@ -19,7 +19,8 @@ type QuerySpan struct {
 	Reason  string `json:"reason,omitempty"`
 	// Served is the delivered copy's version (answered spans).
 	Served uint64 `json:"served,omitempty"`
-	// StaleNs is the served copy's staleness at delivery.
+	// StaleNs is the served copy's staleness at delivery; -1 when the
+	// judging node had no commit ledger to date it (a wire daemon).
 	StaleNs    int64  `json:"stale_ns"`
 	Violation  string `json:"violation,omitempty"`
 	IssuedNs   int64  `json:"issued_ns"`

@@ -10,7 +10,6 @@ import (
 	"github.com/manetlab/rpcc/internal/netsim"
 	"github.com/manetlab/rpcc/internal/protocol"
 	"github.com/manetlab/rpcc/internal/stats"
-	"github.com/manetlab/rpcc/internal/trace"
 )
 
 func TestRegistryDedupAndLabelOrder(t *testing.T) {
@@ -186,7 +185,6 @@ func TestNilHubIsInert(t *testing.T) {
 	h.RelayForget()
 	h.Coeff(0.1, 0.2, 0.3)
 	h.AttachTraffic(nil)
-	h.AttachTrace(nil)
 	h.Finish(time.Hour)
 	h.Counter("x_total", "h").Inc() // nil handle, nil-safe Inc
 	if h.Snapshot() != nil {
@@ -282,14 +280,6 @@ func TestFinishExportsAttachedSources(t *testing.T) {
 	tf.RecordTx(protocol.KindInvalid, 8) // out-of-range kind stays visible
 	h.AttachTraffic(tf)
 
-	rec, err := trace.NewRecorder(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec.Record(trace.Event{Kind: protocol.KindPoll})
-	rec.Record(trace.Event{Kind: protocol.KindPoll}) // overwrites the first
-	h.AttachTrace(rec)
-
 	h.Finish(time.Minute)
 	snap := h.Snapshot()
 	if got := snap.CounterValue("rpcc_tx_total", Label{"kind", "POLL"}); got != 1 {
@@ -297,9 +287,6 @@ func TestFinishExportsAttachedSources(t *testing.T) {
 	}
 	if got := snap.CounterValue("rpcc_invalid_kind_total"); got != 1 {
 		t.Errorf("rpcc_invalid_kind_total = %g, want 1", got)
-	}
-	if got := snap.CounterValue("rpcc_trace_overwritten_total"); got != 1 {
-		t.Errorf("rpcc_trace_overwritten_total = %g, want 1", got)
 	}
 	if got := snap.CounterValue("rpcc_sim_seconds"); got != 60 {
 		t.Errorf("rpcc_sim_seconds = %g, want 60", got)

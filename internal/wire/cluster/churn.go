@@ -24,6 +24,7 @@ type member struct {
 	// Accumulated from stopped incarnations; the live node's own
 	// counters are added at collection time.
 	issued, answered, failed uint64
+	auditViolations          uint64
 	decodeErrs, readErrs     uint64
 	traffic                  *stats.Traffic
 	lat                      *stats.Latency
@@ -46,6 +47,7 @@ func (m *member) absorb() {
 	m.issued += ch.Issued()
 	m.answered += ch.Answered()
 	m.failed += ch.Failed()
+	m.auditViolations += ch.AuditViolations()
 	m.decodeErrs += m.nd.Transport().DecodeErrors()
 	m.readErrs += m.nd.Transport().ReadErrors()
 	m.traffic.Merge(m.nd.Traffic())

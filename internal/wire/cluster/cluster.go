@@ -176,6 +176,9 @@ type Report struct {
 	Failed   uint64
 	Commits  int
 	Judged   int
+	// AuditViolations sums the daemons' in-chassis audit counters. A
+	// daemon has no commit ledger, so these are torn copies only.
+	AuditViolations uint64
 
 	TotalTx    uint64
 	TotalBytes uint64
@@ -349,6 +352,7 @@ func Run(cfg Config) (Report, error) {
 		rep.Issued += m.issued
 		rep.Answered += m.answered
 		rep.Failed += m.failed
+		rep.AuditViolations += m.auditViolations
 		rep.TotalTx += m.traffic.TotalTx()
 		rep.TotalBytes += m.traffic.TotalBytes()
 		rep.DecodeErrors += m.decodeErrs

@@ -175,7 +175,11 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			return nil, err
 		}
 	}
-	aud, err := consistency.NewAuditor(reg, cfg.Core.TTP, 5*time.Second)
+	// reg is this daemon's private registry: it never hears another
+	// owner's commits, so it is no ledger to judge answers against. The
+	// chassis audits torn copies only; the ledger rules belong to the
+	// post-hoc oracle.JudgeLive over the cluster's recorded commits.
+	aud, err := consistency.NewAuditor(nil, 0, 0)
 	if err != nil {
 		tr.Close()
 		return nil, err
