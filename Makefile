@@ -148,14 +148,17 @@ wire-chaos-smoke: build
 	@cat $(WIRE_CHAOS_TMP)/verdict-a.txt $(WIRE_CHAOS_TMP)/verdict-wc.txt
 
 # Scale gate: a 10k-node kinetic+sharded run (auto region count) runs
-# twice with the same seed; both runs must pass cmd/scale's invariant
-# gate (answers exist, no torn/future answers, no watermark regressions
-# — non-zero exit otherwise) and produce byte-identical stdout.
+# once with GOMAXPROCS=1 — the caller runs every region, the serial
+# reference — and once with GOMAXPROCS=4 — three region workers,
+# whatever the box's core count; both runs must pass cmd/scale's
+# invariant gate (answers exist, no torn/future answers, no watermark
+# regressions — non-zero exit otherwise) and produce byte-identical
+# stdout: how many workers ran the regions is unobservable.
 SCALE_TMP ?= /tmp/rpcc-scale-smoke
 scale-smoke:
 	mkdir -p $(SCALE_TMP)
-	$(GO) run ./cmd/scale -nodes 10000 -simtime 60s -seed 1 > $(SCALE_TMP)/a.txt
-	$(GO) run ./cmd/scale -nodes 10000 -simtime 60s -seed 1 > $(SCALE_TMP)/b.txt
+	GOMAXPROCS=1 $(GO) run ./cmd/scale -nodes 10000 -simtime 60s -seed 1 > $(SCALE_TMP)/a.txt
+	GOMAXPROCS=4 $(GO) run ./cmd/scale -nodes 10000 -simtime 60s -seed 1 > $(SCALE_TMP)/b.txt
 	cmp $(SCALE_TMP)/a.txt $(SCALE_TMP)/b.txt
 	@cat $(SCALE_TMP)/a.txt
 

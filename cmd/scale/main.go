@@ -4,9 +4,11 @@
 //	scale -nodes 10000 -simtime 60s
 //	scale -nodes 100000 -simtime 30s
 //
-// The stdout report is a pure function of the flags (sim-derived metrics
-// only), so `make scale-smoke` byte-compares two runs for determinism.
-// Wall-clock throughput (nodes simulated per wall-second) and peak RSS go
+// Regions run on GOMAXPROCS-1 goroutines (with one or two cores: the
+// caller's alone, the serial reference). The stdout report is a pure
+// function of the flags (sim-derived metrics only), so `make scale-smoke`
+// byte-compares a GOMAXPROCS=1 run against a GOMAXPROCS=4 one. Wall-clock
+// throughput (nodes simulated per wall-second) and peak RSS go
 // to stderr; the measured record is the scale10k workloads of the
 // repository benchmark (bench/).
 //
@@ -46,7 +48,6 @@ func run() error {
 		nodes    = flag.Int("nodes", 10_000, "total peer population")
 		simtime  = flag.Duration("simtime", time.Minute, "simulated horizon")
 		shards   = flag.Int("shards", 0, "region count (0 = auto)")
-		parallel = flag.Bool("parallel", false, "one goroutine per region window")
 		seed     = flag.Int64("seed", 1, "root RNG seed")
 		strategy = flag.String("strategy", "rpcc-sc", "consistency strategy")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -67,10 +68,9 @@ func run() error {
 	}
 
 	cfg := experiment.ScaleConfig{
-		Config:   experiment.DefaultConfig(experiment.StrategyKind(*strategy), *seed),
-		Shards:   *shards,
-		Parallel: *parallel,
-		Trace:    *traceOut != "",
+		Config: experiment.DefaultConfig(experiment.StrategyKind(*strategy), *seed),
+		Shards: *shards,
+		Trace:  *traceOut != "",
 	}
 	cfg.NPeers = *nodes
 	cfg.SimTime = *simtime

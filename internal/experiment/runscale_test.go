@@ -1,9 +1,14 @@
 package experiment
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
+
+	"github.com/manetlab/rpcc/internal/workload"
 )
 
 // scaleTestConfig is a short Table-1-shaped scenario sized for unit
@@ -49,24 +54,27 @@ func TestRunScaleSerialMatchesRun(t *testing.T) {
 	}
 }
 
-// TestRunScaleSharded runs three regions in lockstep (serial and
-// parallel workers), checks the run is deterministic across worker
-// modes, and that the consistency invariants and watermark monotonicity
-// hold in every region.
+// TestRunScaleSharded runs four traced regions in lockstep with
+// GOMAXPROCS 1 (the caller runs every region itself: the serial
+// reference) and 4 (three workers share them), checks results and
+// merged spans are identical, and that the
+// consistency invariants and watermark monotonicity hold in every
+// region.
 func TestRunScaleSharded(t *testing.T) {
-	cfg := ScaleConfig{Config: scaleTestConfig(90, 11), Shards: 3}
+	cfg := ScaleConfig{Config: scaleTestConfig(96, 11), Shards: 4, Trace: true}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	serial, err := RunScale(cfg)
 	if err != nil {
-		t.Fatalf("RunScale(serial): %v", err)
+		t.Fatalf("RunScale(GOMAXPROCS=1): %v", err)
 	}
-	cfg.Parallel = true
+	runtime.GOMAXPROCS(4)
 	parallel, err := RunScale(cfg)
 	if err != nil {
-		t.Fatalf("RunScale(parallel): %v", err)
+		t.Fatalf("RunScale(GOMAXPROCS=4): %v", err)
 	}
 
-	if serial.Shards != 3 || len(serial.PerShard) != 3 {
-		t.Fatalf("expected 3 shards, got %d (%d results)", serial.Shards, len(serial.PerShard))
+	if serial.Shards != 4 || len(serial.PerShard) != 4 {
+		t.Fatalf("expected 4 shards, got %d (%d results)", serial.Shards, len(serial.PerShard))
 	}
 	if serial.Answered == 0 {
 		t.Fatal("no queries answered across the fleet")
@@ -82,22 +90,56 @@ func TestRunScaleSharded(t *testing.T) {
 	if serial.GossipViolations != 0 {
 		t.Fatalf("watermark regressions: %d", serial.GossipViolations)
 	}
-	if serial.MailDelivered == 0 {
-		t.Fatal("no cross-region mail delivered; gossip is not running")
-	}
-	if serial.Barriers == 0 {
-		t.Fatal("no lockstep barriers executed")
+	// One window per gossip round, one mail per region per round.
+	if want := uint64(cfg.SimTime / scaleGossipInterval); serial.Barriers != want || serial.MailDelivered != 4*want {
+		t.Fatalf("barriers=%d mail=%d, want %d and %d", serial.Barriers, serial.MailDelivered, want, 4*want)
 	}
 	if serial.Topology.KineticSamples == 0 {
 		t.Fatal("kinetic plane produced no incremental samples")
 	}
+	if len(serial.Spans) == 0 {
+		t.Fatal("traced run produced no spans")
+	}
 
+	for i := range serial.PerShard {
+		if got, want := stripVolatile(parallel.PerShard[i]), stripVolatile(serial.PerShard[i]); !reflect.DeepEqual(got, want) {
+			t.Fatalf("region %d diverges between core counts:\n got %+v\nwant %+v", i, got, want)
+		}
+	}
 	if got, want := stripVolatile(parallel.Result), stripVolatile(serial.Result); !reflect.DeepEqual(got, want) {
-		t.Fatalf("parallel workers diverge from serial:\n got %+v\nwant %+v", got, want)
+		t.Fatalf("four cores diverge from one:\n got %+v\nwant %+v", got, want)
+	}
+	if !reflect.DeepEqual(parallel.Spans, serial.Spans) {
+		t.Fatal("merged spans diverge between core counts")
 	}
 	if parallel.GossipViolations != serial.GossipViolations ||
-		parallel.MailDelivered != serial.MailDelivered {
-		t.Fatal("synchronization counters diverge between worker modes")
+		parallel.MailDelivered != serial.MailDelivered || parallel.Barriers != serial.Barriers ||
+		parallel.Topology != serial.Topology {
+		t.Fatal("synchronization or topology counters diverge between core counts")
+	}
+}
+
+// TestRunScaleSetupErrorNotLost: regions assemble on the kernel's
+// workers, and a region that cannot be assembled fails the run; every
+// region's error comes back, joined in region order however the workers
+// finished.
+func TestRunScaleSetupErrorNotLost(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	cfg := ScaleConfig{Config: scaleTestConfig(96, 11), Shards: 4}
+	cfg.Popularity = workload.PopularityCached // needs WarmCaches, which only assembly checks
+	cfg.WarmCaches = false
+	_, err := RunScale(cfg)
+	if err == nil {
+		t.Fatal("RunScale assembled regions it cannot")
+	}
+	lines := strings.Split(err.Error(), "\n")
+	if len(lines) != 4 {
+		t.Fatalf("RunScale = %v, want one error per region", err)
+	}
+	for i, l := range lines {
+		if !strings.HasPrefix(l, fmt.Sprintf("experiment: shard %d assemble", i)) {
+			t.Fatalf("error %d = %q, want shard %d's assemble error", i, l, i)
+		}
 	}
 }
 

@@ -1,9 +1,13 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
+	"github.com/manetlab/rpcc/internal/consistency"
+	"github.com/manetlab/rpcc/internal/data"
 	"github.com/manetlab/rpcc/internal/netsim"
 	"github.com/manetlab/rpcc/internal/sim"
 	"github.com/manetlab/rpcc/internal/telemetry"
@@ -14,7 +18,9 @@ import (
 // serial: one region, one kernel — exactly the path every figure runs.
 const scaleAutoShardFloor = 2000
 
-// scaleGossipInterval paces the cross-region watermark gossip.
+// scaleGossipInterval paces the cross-region watermark gossip and delays
+// its mail. Regions exchange nothing else, so it is also the sharded
+// kernel's lookahead: one lockstep window per gossip round.
 const scaleGossipInterval = time.Second
 
 // ScaleConfig parameterises one large-scale run: the base scenario
@@ -26,12 +32,9 @@ type ScaleConfig struct {
 	// peers, then one region per ~2500 peers, at most 16). Each region is
 	// an independent protocol stack on its own sub-kernel — peers query
 	// within their region, and regions exchange progress watermarks
-	// through the sharded kernel's bounded-lookahead mail.
+	// through the sharded kernel's bounded-lookahead mail. How many
+	// goroutines run the regions (EachShard) does not change the result.
 	Shards int
-	// Parallel runs each region's window on its own goroutine. The
-	// result is identical either way (the sharded-kernel equivalence
-	// tests pin it); on a single-core host this is pure overhead.
-	Parallel bool
 	// Trace enables causal tracing: each region gets its own collector
 	// (region id = shard index, so span ids never collide) and the merged
 	// span set lands in ScaleResult.Spans in canonical order.
@@ -85,14 +88,13 @@ func autoShards(n int) int {
 
 // RunScale executes one scenario at scale: the peers split into S
 // equal-density regions, each assembled as an independent stack on a
-// sub-kernel of a ShardedKernel (lookahead = the per-hop forwarding
-// delay, the minimum time anything could cross a region boundary), run
-// in lockstep, and merged into one report. Regions gossip monotone
-// answered-query watermarks through the barrier mail; any regression is
-// reported as a GossipViolation. S = 1 is the degenerate case — one
-// region on one sub-kernel, which the sharded-kernel tests prove
-// event-identical to a plain serial kernel — so small runs behave
-// exactly like Run.
+// sub-kernel of a ShardedKernel (lookahead = scaleGossipInterval, the
+// delay of the only mail regions send each other), run in lockstep, and
+// merged into one report. Regions gossip monotone answered-query
+// watermarks through the barrier mail; any regression is reported as a
+// GossipViolation. S = 1 is the degenerate case — one region on one
+// sub-kernel, which the sharded-kernel tests prove event-identical to a
+// plain serial kernel — so small runs behave exactly like Run.
 func RunScale(cfg ScaleConfig) (ScaleResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return ScaleResult{}, err
@@ -107,19 +109,19 @@ func RunScale(cfg ScaleConfig) (ScaleResult, error) {
 	if cfg.NPeers/s < 2 {
 		return ScaleResult{}, fmt.Errorf("experiment: %d peers across %d shards leaves <2 per region", cfg.NPeers, s)
 	}
-	lookahead := netsim.DefaultConfig().HopBase
-	sk, err := sim.NewShardedKernel(s, lookahead, cfg.SimTime, cfg.Seed)
+	sk, err := sim.NewShardedKernel(s, scaleGossipInterval, cfg.SimTime, cfg.Seed)
 	if err != nil {
 		return ScaleResult{}, err
 	}
-	sk.SetParallel(cfg.Parallel)
 
 	// Split peers evenly (remainder to the low regions) and scale each
 	// region's area by its peer share so node density matches the base
-	// scenario.
+	// scenario. A region's stack touches only its own sub-kernel, hub and
+	// collector, so the regions assemble on the kernel's workers.
 	stacks := make([]*assembled, s)
+	errs := make([]error, s)
 	base, rem := cfg.NPeers/s, cfg.NPeers%s
-	for i := 0; i < s; i++ {
+	sk.EachShard(func(i int) {
 		sub := cfg.Config
 		sub.NPeers = base
 		if i < rem {
@@ -133,7 +135,8 @@ func RunScale(cfg ScaleConfig) (ScaleResult, error) {
 		sub.AreaHeight = cfg.AreaHeight * share
 		sub.Seed = cfg.Seed // sub-kernel seeds already differ per shard
 		if err := sub.Validate(); err != nil {
-			return ScaleResult{}, fmt.Errorf("experiment: shard %d config: %w", i, err)
+			errs[i] = fmt.Errorf("experiment: shard %d config: %w", i, err)
+			return
 		}
 		hub := telemetry.NewHub(telemetry.LevelMetrics)
 		var tracer *ctrace.Collector
@@ -142,30 +145,29 @@ func RunScale(cfg ScaleConfig) (ScaleResult, error) {
 		}
 		a, err := assembleScenario(sub, hub, sk.Shard(i), tracer)
 		if err != nil {
-			return ScaleResult{}, fmt.Errorf("experiment: shard %d assemble: %w", i, err)
+			errs[i] = fmt.Errorf("experiment: shard %d assemble: %w", i, err)
+			return
 		}
 		stacks[i] = a
+	})
+	if err := errors.Join(errs...); err != nil {
+		return ScaleResult{}, err
 	}
 
 	// Watermark gossip: every region periodically mails its answered
 	// counter to the next region; receivers assert per-sender
-	// monotonicity. lastSeen[j] and gossipViol[j] are touched only by
-	// shard j's handlers, so parallel windows need no locking.
-	lastSeen := make([][]uint64, s)
-	gossipViol := make([]uint64, s)
-	for i := range lastSeen {
-		lastSeen[i] = make([]uint64, s)
-	}
+	// monotonicity (receiver region = node, sender region = item, one
+	// epoch). Row j is touched only by shard j's handlers and the table
+	// is sized up front, so concurrent windows need no locking.
+	seen := make(consistency.Watermarks, s)
+	var gossipViol atomic.Uint64
 	for i := 0; s > 1 && i < s; i++ {
-		i := i
 		next := (i + 1) % s
 		if _, err := sk.Shard(i).Every(scaleGossipInterval, "scale.gossip", func(k *sim.Kernel) {
-			w := stacks[i].chassis.Answered()
-			if err := sk.Send(i, next, lookahead, "scale.watermark", func(*sim.Kernel) {
-				if w < lastSeen[next][i] {
-					gossipViol[next]++
-				} else {
-					lastSeen[next][i] = w
+			w := data.Version(stacks[i].chassis.Answered())
+			if err := sk.Send(i, next, scaleGossipInterval, "scale.watermark", func(*sim.Kernel) {
+				if _, regressed := seen.Observe(next, data.ItemID(i), w, 0); regressed {
+					gossipViol.Add(1)
 				}
 			}); err != nil {
 				panic(fmt.Sprintf("experiment: watermark send %d->%d: %v", i, next, err))
@@ -178,25 +180,25 @@ func RunScale(cfg ScaleConfig) (ScaleResult, error) {
 	sk.Run()
 
 	out := ScaleResult{
-		Shards:        s,
-		PerShard:      make([]Result, s),
-		Barriers:      sk.Barriers(),
-		MailDelivered: sk.Delivered(),
-		KernelStats:   sk.Stats(),
+		Shards:           s,
+		PerShard:         make([]Result, s),
+		Barriers:         sk.Barriers(),
+		MailDelivered:    sk.Delivered(),
+		GossipViolations: gossipViol.Load(),
+		KernelStats:      sk.Stats(),
 	}
-	sets := make([][]ctrace.Span, 0, s)
-	for i, a := range stacks {
-		out.PerShard[i] = a.finalize()
-		out.Topology.Add(a.net.TopologyStats())
-		if a.tracer != nil {
-			sets = append(sets, a.tracer.Export())
+	sets := make([][]ctrace.Span, s)
+	sk.EachShard(func(i int) {
+		out.PerShard[i] = stacks[i].finalize()
+		if cfg.Trace {
+			sets[i] = stacks[i].tracer.Export()
 		}
+	})
+	for _, a := range stacks {
+		out.Topology.Add(a.net.TopologyStats())
 	}
-	if len(sets) > 0 {
+	if cfg.Trace {
 		out.Spans = ctrace.Merge(sets...)
-	}
-	for _, v := range gossipViol {
-		out.GossipViolations += v
 	}
 	out.Result = mergeResults(cfg.Config, out.PerShard)
 	return out, nil

@@ -1,30 +1,34 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // ShardedKernel runs S independent sub-kernels in conservative
 // lookahead-bounded lockstep — the classic conservative parallel
 // discrete-event scheme: virtual time advances in windows [T, T+L) where
-// L is the lookahead (the minimum cross-shard propagation delay; for the
-// MANET stack that is the per-hop forwarding base, since no message can
-// cross a region boundary in less than one hop). Within a window each
-// shard processes its own events with no synchronization at all; at the
-// window barrier, cross-shard messages posted during the window are
+// L is the lookahead, the minimum delay of any cross-shard message the
+// caller will ever Send (the caller states it; Send enforces it). Within
+// a window each shard processes its own events, on whichever of
+// EachShard's workers picks it up, with no synchronization at all; at
+// the window barrier, cross-shard messages posted during the window are
 // merged in the deterministic order (arrival time, sender shard, sender
 // sequence) and scheduled onto their target kernels. Because every
 // cross-shard send must carry at least the lookahead of delay, no
 // message can arrive inside the window that produced it, so each shard's
 // intra-window execution is causally closed — the merged execution is
-// identical whether shards run serially or on parallel workers, and
-// identical to a single serial kernel processing the union of events in
-// timestamp order (given distinct timestamps; ties within one shard keep
-// that shard's deterministic seq order).
+// independent of how many workers there are and how they are scheduled
+// (GOMAXPROCS=1 is the serial reference), independent of the window
+// length, and identical to a single serial kernel processing the union
+// of events in timestamp order (given distinct timestamps; ties within
+// one shard keep that shard's deterministic seq order).
 //
 // Mailbox entries are pooled per sender shard, extending the kernel's
 // event freelist discipline: a steady cross-shard message flow reaches a
@@ -35,14 +39,14 @@ type ShardedKernel struct {
 	horizon   time.Duration
 
 	// outbox[s] is written only by shard s (inside its window, on its
-	// worker goroutine under parallel execution); the barrier drains all
-	// outboxes serially.
+	// worker goroutine); the barrier drains all outboxes serially into
+	// mail, its reused merge scratch.
 	outbox [][]*shardMsg
 	pool   [][]*shardMsg
 	seq    []uint64
+	mail   []*shardMsg
 
 	onBarrier []func(t time.Duration)
-	parallel  bool
 
 	delivered uint64
 	barriers  uint64
@@ -113,11 +117,6 @@ func (sk *ShardedKernel) Shard(i int) *Kernel { return sk.shards[i] }
 // Lookahead returns the window length L.
 func (sk *ShardedKernel) Lookahead() time.Duration { return sk.lookahead }
 
-// SetParallel switches window execution onto one goroutine per shard.
-// The merged execution is identical either way (the equivalence tests
-// pin it); parallel mode exists for multi-core hosts.
-func (sk *ShardedKernel) SetParallel(on bool) { sk.parallel = on }
-
 // OnBarrier registers a hook called serially at every window barrier,
 // after mail delivery, with the barrier time. Hooks run on the caller's
 // goroutine in registration order.
@@ -134,8 +133,8 @@ func (sk *ShardedKernel) Delivered() uint64 { return sk.delivered }
 // Send posts a cross-shard message from shard `from`'s current time plus
 // delay. The delay must be at least the lookahead — that is the
 // conservative-synchronization contract that makes windows causally
-// closed. Safe to call from shard `from`'s event handlers under parallel
-// execution (each sender owns its outbox and pool).
+// closed. Safe to call from shard `from`'s event handlers while the
+// other shards' windows run (each sender owns its outbox and pool).
 func (sk *ShardedKernel) Send(from, to int, delay time.Duration, label string, fn Handler) error {
 	if from < 0 || from >= len(sk.shards) || to < 0 || to >= len(sk.shards) {
 		return fmt.Errorf("sim: shard send %d->%d out of range", from, to)
@@ -184,43 +183,51 @@ func (sk *ShardedKernel) Run() time.Duration {
 	return sk.horizon
 }
 
-// step advances every shard to the window end and runs the barrier.
-func (sk *ShardedKernel) step(end time.Duration) {
-	if sk.parallel && len(sk.shards) > 1 {
-		var wg sync.WaitGroup
-		for i, k := range sk.shards {
-			wg.Add(1)
-			go func(i int, k *Kernel) {
-				defer wg.Done()
-				t0 := time.Now()
-				k.RunUntil(end)
-				sk.winDur[i] = time.Since(t0)
-			}(i, k)
-		}
-		wg.Wait()
-	} else {
-		for i, k := range sk.shards {
-			t0 := time.Now()
-			k.RunUntil(end)
-			sk.winDur[i] = time.Since(t0)
+// EachShard calls fn(i) once per shard index and returns when all calls
+// have, sharing them among GOMAXPROCS-1 goroutines (at least one, at
+// most one per shard, the caller's among them), each taking the next
+// index as it finishes one. One core is left to the collector and the
+// host: a lockstep run that keeps every core busy is as fast as its most
+// disturbed core, and on two cores its rates repeat half as well as a
+// serial run's (EXPERIMENTS.md). fn(i) must touch only shard i's state.
+func (sk *ShardedKernel) EachShard(fn func(i int)) {
+	n := len(sk.shards)
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			fn(i)
 		}
 	}
+	var wg sync.WaitGroup
+	for range min(n, runtime.GOMAXPROCS(0)-1) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+}
+
+// step advances every shard to the window end and runs the barrier. A
+// run has few windows, so EachShard's workers need not outlive one.
+func (sk *ShardedKernel) step(end time.Duration) {
+	sk.EachShard(func(i int) {
+		t0 := time.Now()
+		sk.shards[i].RunUntil(end)
+		sk.winDur[i] = time.Since(t0)
+	})
 	sk.recordWindow()
 	sk.barrier(end)
 }
 
 // recordWindow folds one window's wall measurements into the per-shard
 // accounting. A shard's stall is its gap to the window's slowest shard —
-// the time it spends (under parallel execution: actually spends) waiting
-// at the lockstep barrier. Under serial execution the same gap reads as
-// the load imbalance the window would expose to parallel workers.
+// the time its worker would wait at the lockstep barrier had every
+// shard a worker of its own.
 func (sk *ShardedKernel) recordWindow() {
-	var slowest time.Duration
-	for _, d := range sk.winDur {
-		if d > slowest {
-			slowest = d
-		}
-	}
+	slowest := slices.Max(sk.winDur)
 	for i, d := range sk.winDur {
 		sk.busy[i] += int64(d)
 		st := int64(slowest - d)
@@ -244,41 +251,41 @@ func stallBucket(ns int64) int {
 // (arrival time, sender shard, sender sequence), schedules it onto the
 // target kernels, recycles the entries, and fires the barrier hooks.
 func (sk *ShardedKernel) barrier(end time.Duration) {
-	var mail []*shardMsg
+	mail := sk.mail[:0]
 	for s := range sk.outbox {
 		mail = append(mail, sk.outbox[s]...)
 		sk.outbox[s] = sk.outbox[s][:0]
 	}
-	if len(mail) > 0 {
-		sort.Slice(mail, func(i, j int) bool {
-			a, b := mail[i], mail[j]
-			if a.when != b.when {
-				return a.when < b.when
-			}
-			if a.senderShard != b.senderShard {
-				return a.senderShard < b.senderShard
-			}
-			return a.senderSeq < b.senderSeq
-		})
-		for _, m := range mail {
-			// Arrival is at or after the barrier (delay >= lookahead), so
-			// the target has not passed it. At assigns the target kernel's
-			// next seq in merge order, which is what makes the handoff
-			// deterministic under any worker scheduling.
-			if _, err := sk.shards[m.to].At(m.when, m.label, m.fn); err != nil {
-				panic(fmt.Sprintf("sim: barrier delivery at %v to shard %d: %v", m.when, m.to, err))
-			}
-			sk.delivered++
-			sk.mailRecv[m.to]++
-			sender := m.senderShard
-			*m = shardMsg{}
-			sk.pool[sender] = append(sk.pool[sender], m)
+	slices.SortFunc(mail, mailOrder)
+	for _, m := range mail {
+		// Arrival is at or after the barrier (delay >= lookahead), so the
+		// target has not passed it. At assigns the target kernel's next seq
+		// in merge order, which is what makes the handoff deterministic
+		// under any worker scheduling.
+		if _, err := sk.shards[m.to].At(m.when, m.label, m.fn); err != nil {
+			panic(fmt.Sprintf("sim: barrier delivery at %v to shard %d: %v", m.when, m.to, err))
 		}
+		sk.delivered++
+		sk.mailRecv[m.to]++
+		sender := m.senderShard
+		*m = shardMsg{}
+		sk.pool[sender] = append(sk.pool[sender], m)
 	}
+	sk.mail = mail
 	sk.barriers++
 	for _, fn := range sk.onBarrier {
 		fn(end)
 	}
+}
+
+// mailOrder is the barrier's merge order: (arrival time, sender shard,
+// sender sequence) — total, since a sender's sequence never repeats.
+func mailOrder(a, b *shardMsg) int {
+	return cmp.Or(
+		cmp.Compare(a.when, b.when),
+		cmp.Compare(a.senderShard, b.senderShard),
+		cmp.Compare(a.senderSeq, b.senderSeq),
+	)
 }
 
 // idle reports whether every shard's queue is empty and no mail is
@@ -329,7 +336,7 @@ type ShardedStats struct {
 }
 
 // Stats snapshots the kernel's run introspection. Call it after Run
-// returns (or between windows); it must not race a parallel window.
+// returns (or from a barrier hook); it must not race a window.
 func (sk *ShardedKernel) Stats() ShardedStats {
 	st := ShardedStats{
 		Shards:    make([]ShardStats, len(sk.shards)),

@@ -3,7 +3,9 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 )
@@ -19,7 +21,7 @@ type shardTraceEntry struct {
 // offsets and periods, every third tick mailing the next shard, and each
 // mail arrival mailing one hop further (bounded depth). All effects are
 // logged per logical shard; traces[i] is only ever appended from shard
-// i's handlers, so parallel window execution needs no locking.
+// i's handlers, so the parallel windows need no locking.
 const (
 	shardWlShards    = 4
 	shardWlLookahead = 2 * time.Millisecond
@@ -36,13 +38,12 @@ func shardWlMailDelay(i, n int) time.Duration {
 
 // runShardedTrace runs the workload on a ShardedKernel and returns the
 // per-shard traces plus the kernel (for counter assertions).
-func runShardedTrace(t *testing.T, parallel bool) ([][]shardTraceEntry, *ShardedKernel) {
+func runShardedTrace(t *testing.T) ([][]shardTraceEntry, *ShardedKernel) {
 	t.Helper()
 	sk, err := NewShardedKernel(shardWlShards, shardWlLookahead, shardWlHorizon, 42)
 	if err != nil {
 		t.Fatalf("NewShardedKernel: %v", err)
 	}
-	sk.SetParallel(parallel)
 	traces := make([][]shardTraceEntry, shardWlShards)
 
 	var mailFn func(at, depth int, tag string) Handler
@@ -144,12 +145,10 @@ func mergeShardTraces(traces [][]shardTraceEntry) []shardTraceEntry {
 }
 
 // TestShardedMatchesSerialKernel is the sharded-kernel correctness gate:
-// the merged execution trace of the sharded kernel (serial workers and
-// parallel workers) is identical to a single serial kernel running the
-// union of events.
+// the merged execution trace of the sharded kernel is identical to a
+// single serial kernel running the union of events.
 func TestShardedMatchesSerialKernel(t *testing.T) {
-	serialTr, sk := runShardedTrace(t, false)
-	parallelTr, _ := runShardedTrace(t, true)
+	shardedTr, sk := runShardedTrace(t)
 	singleTr := runSingleTrace(t)
 
 	if sk.Delivered() == 0 {
@@ -169,21 +168,60 @@ func TestShardedMatchesSerialKernel(t *testing.T) {
 				ref[i].When, ref[i-1].Label, ref[i].Label)
 		}
 	}
-	if got := mergeShardTraces(serialTr); !reflect.DeepEqual(got, ref) {
-		t.Fatalf("sharded(serial) trace diverges from single kernel: %d vs %d entries", len(got), len(ref))
-	}
-	if got := mergeShardTraces(parallelTr); !reflect.DeepEqual(got, ref) {
-		t.Fatalf("sharded(parallel) trace diverges from single kernel: %d vs %d entries", len(got), len(ref))
+	if got := mergeShardTraces(shardedTr); !reflect.DeepEqual(got, ref) {
+		t.Fatalf("sharded trace diverges from single kernel: %d vs %d entries", len(got), len(ref))
 	}
 }
 
 // TestShardedRunTwiceIdentical pins run-to-run determinism including
-// per-shard event order (not just the merged view).
+// per-shard event order (not just the merged view): GOMAXPROCS 1, where
+// the caller runs the shards one after another, against 4, where three
+// workers share them.
 func TestShardedRunTwiceIdentical(t *testing.T) {
-	a, _ := runShardedTrace(t, false)
-	b, _ := runShardedTrace(t, true)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	a, _ := runShardedTrace(t)
+	runtime.GOMAXPROCS(4)
+	b, _ := runShardedTrace(t)
 	if !reflect.DeepEqual(a, b) {
-		t.Fatal("per-shard traces differ between serial and parallel runs")
+		t.Fatal("per-shard traces differ between GOMAXPROCS=1 and GOMAXPROCS=4")
+	}
+}
+
+// TestEachShard: every index is called exactly once whatever the worker
+// count, in index order when the caller is the only worker, and never on
+// more than GOMAXPROCS-1 goroutines at a time.
+func TestEachShard(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	sk, err := NewShardedKernel(5, time.Second, time.Second, 1)
+	if err != nil {
+		t.Fatalf("NewShardedKernel: %v", err)
+	}
+	for _, procs := range []int{1, 2, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		var order []int
+		var mu sync.Mutex
+		var running, peak int
+		sk.EachShard(func(i int) {
+			mu.Lock()
+			order = append(order, i)
+			running++
+			peak = max(peak, running)
+			mu.Unlock()
+			time.Sleep(time.Millisecond) // let the other workers overlap
+			mu.Lock()
+			running--
+			mu.Unlock()
+		})
+		if procs <= 2 && !reflect.DeepEqual(order, []int{0, 1, 2, 3, 4}) {
+			t.Errorf("GOMAXPROCS=%d: call order %v, want index order", procs, order)
+		}
+		sort.Ints(order)
+		if !reflect.DeepEqual(order, []int{0, 1, 2, 3, 4}) {
+			t.Errorf("GOMAXPROCS=%d: called %v, want each of 5 shards once", procs, order)
+		}
+		if want := min(5, max(1, procs-1)); peak > want {
+			t.Errorf("GOMAXPROCS=%d: %d calls ran at once, want at most %d", procs, peak, want)
+		}
 	}
 }
 
@@ -222,7 +260,7 @@ func TestShardedSendValidation(t *testing.T) {
 // pool holds entries after a run, and their count matches deliveries
 // minus what is still checked out (nothing, post-run).
 func TestShardedMailboxPooling(t *testing.T) {
-	traces, sk := runShardedTrace(t, false)
+	traces, sk := runShardedTrace(t)
 	if len(traces) == 0 {
 		t.Fatal("no traces")
 	}
