@@ -35,42 +35,44 @@ bench-smoke:
 
 check: build vet test race bench-smoke
 
-# End-to-end telemetry check: a 1-simulated-minute seeded run exports
-# Prometheus text and span JSONL, and telemetrylint proves both parse
-# and satisfy the histogram invariants plus family presence.
+# End-to-end metrics check: a 1-simulated-minute seeded run exports
+# Prometheus text, and telemetrylint proves it parses and satisfies the
+# histogram invariants plus family presence. (The per-event record is
+# the causal trace: trace-smoke and chaos-smoke lint it.)
 TELEMETRY_TMP ?= /tmp/rpcc-telemetry-smoke
 telemetry-smoke:
 	mkdir -p $(TELEMETRY_TMP)
 	$(GO) run ./cmd/rpccsim -strategy rpcc-sc -simtime 1m -seed 1 \
-		-telemetry $(TELEMETRY_TMP)/spans.jsonl \
 		-metrics-out $(TELEMETRY_TMP)/metrics.prom > /dev/null
 	$(GO) run ./cmd/telemetrylint \
 		-prom $(TELEMETRY_TMP)/metrics.prom \
-		-jsonl $(TELEMETRY_TMP)/spans.jsonl \
 		-require rpcc_delivery_latency_seconds,rpcc_delivery_hops,rpcc_queries_issued_total,rpcc_staleness_seconds,rpcc_tx_total,rpcc_topology_snapshots_total
 
 # Chaos soak gate: the seeded demonstration campaign (partition + bursty
 # loss + crash + relay assassination over 25 simulated minutes, sub-second
 # wall) runs twice with the same seed; the runs must pass every
 # consistency invariant (non-zero exit otherwise), produce byte-identical
-# stdout/metrics/span logs, and the exports must lint — including the
-# fault-event envelopes and the cause-labelled drop accounting.
+# stdout/metrics/causal traces, and the exports must lint — the
+# cause-labelled drop accounting in the metrics, the phase vocabulary and
+# the role/fault roots in the trace, which must hold at least one fault
+# root (the injected faults are what this trace is for).
 CHAOS_TMP ?= /tmp/rpcc-chaos-smoke
 chaos-smoke:
 	mkdir -p $(CHAOS_TMP)
 	$(GO) run ./cmd/chaos -seed 11 \
-		-telemetry $(CHAOS_TMP)/a.jsonl -metrics-out $(CHAOS_TMP)/a.prom \
+		-trace-out $(CHAOS_TMP)/a.jsonl -metrics-out $(CHAOS_TMP)/a.prom \
 		> $(CHAOS_TMP)/a.txt
 	$(GO) run ./cmd/chaos -seed 11 \
-		-telemetry $(CHAOS_TMP)/b.jsonl -metrics-out $(CHAOS_TMP)/b.prom \
+		-trace-out $(CHAOS_TMP)/b.jsonl -metrics-out $(CHAOS_TMP)/b.prom \
 		> $(CHAOS_TMP)/b.txt
 	cmp $(CHAOS_TMP)/a.txt $(CHAOS_TMP)/b.txt
 	cmp $(CHAOS_TMP)/a.prom $(CHAOS_TMP)/b.prom
 	cmp $(CHAOS_TMP)/a.jsonl $(CHAOS_TMP)/b.jsonl
 	$(GO) run ./cmd/telemetrylint \
 		-prom $(CHAOS_TMP)/a.prom \
-		-jsonl $(CHAOS_TMP)/a.jsonl \
+		-trace $(CHAOS_TMP)/a.jsonl \
 		-require rpcc_fault_events_total,rpcc_dropped_total,rpcc_repair_attempts_total
+	grep -q '"parent":0,.*"phase":"fault"' $(CHAOS_TMP)/a.jsonl
 	@cat $(CHAOS_TMP)/a.txt
 
 # Conformance gate: the oracle's unit/replay tests, then the conform CLI
@@ -165,8 +167,9 @@ scale-smoke:
 # Causal-trace gate: a seeded 30-peer run exports its span JSONL twice;
 # the trace files, and the traceview reports rendered from them, must be
 # byte-identical — the tracing determinism contract. telemetrylint then
-# proves the trace is structurally sound (parents resolve, DAG acyclic,
-# intervals nested, canonical order).
+# proves the trace is structurally sound (closed phase vocabulary,
+# parents resolve, DAG acyclic, intervals nested, canonical order,
+# annotations only where they belong).
 TRACE_TMP ?= /tmp/rpcc-trace-smoke
 trace-smoke:
 	mkdir -p $(TRACE_TMP)

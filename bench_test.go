@@ -18,7 +18,10 @@ package rpcc
 //	                   single-hot-item topology (paper Fig 9)
 //	BenchmarkRelayCountVsTTL — the §5.3 relay-population series
 //	BenchmarkAblation*       — design-choice ablations (DESIGN.md A1–A4)
-//	BenchmarkSim*            — substrate micro-benchmarks
+//
+// Substrate micro-benchmarks (kernel events, graph build, route lookup,
+// unicast, flood) live in bench/probes.go; the two delivery hot-path
+// pins at the end of this file share their 50-node layout.
 import (
 	"fmt"
 	"math/rand"
@@ -29,7 +32,6 @@ import (
 	"github.com/manetlab/rpcc/internal/geo"
 	"github.com/manetlab/rpcc/internal/netsim"
 	"github.com/manetlab/rpcc/internal/protocol"
-	"github.com/manetlab/rpcc/internal/radio"
 	"github.com/manetlab/rpcc/internal/sim"
 	"github.com/manetlab/rpcc/internal/stats"
 )
@@ -193,23 +195,6 @@ func BenchmarkAblationEagerRefresh(b *testing.B) {
 	b.ReportMetric(float64(faithful.MeanLatency.Milliseconds()), "fig6c_ms")
 }
 
-// BenchmarkSimKernelEvents measures raw discrete-event throughput.
-func BenchmarkSimKernelEvents(b *testing.B) {
-	b.ReportAllocs()
-	k := sim.NewKernel()
-	var tick func(*sim.Kernel)
-	n := 0
-	tick = func(kk *sim.Kernel) {
-		n++
-		if n < b.N {
-			kk.After(time.Millisecond, "tick", tick)
-		}
-	}
-	b.ResetTimer()
-	k.After(time.Millisecond, "tick", tick)
-	k.Run()
-}
-
 // benchPoints draws the Table 1 geometry: 50 nodes uniform on 1.5×1.5 km.
 func benchPoints(b testing.TB, n int) []geo.Point {
 	b.Helper()
@@ -225,38 +210,8 @@ func benchPoints(b testing.TB, n int) []geo.Point {
 	return pts
 }
 
-// BenchmarkRadioGraphBuild measures the unit-disk snapshot rebuild that
-// runs every topology-refresh interval (50 nodes, Table 1 geometry): a
-// spatial-grid build into a reused builder.
-func BenchmarkRadioGraphBuild(b *testing.B) {
-	b.ReportAllocs()
-	pts := benchPoints(b, 50)
-	builder := radio.NewGraphBuilder()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := builder.Build(pts, nil, 250, uint64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRadioBFS measures the shortest-path query used per unicast
-// hop: memoized route-table lookups.
-func BenchmarkRadioBFS(b *testing.B) {
-	b.ReportAllocs()
-	pts := benchPoints(b, 50)
-	g, err := radio.NewGraph(pts, nil, 250, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.NextHop(i%50, (i+25)%50)
-	}
-}
-
 // benchNetwork wires a 50-node network over a frozen random layout for
-// the message-level hot-path benchmarks.
+// the delivery hot-path pins.
 func benchNetwork(b testing.TB) (*sim.Kernel, *netsim.Network) {
 	b.Helper()
 	pts := benchPoints(b, 50)
@@ -280,40 +235,6 @@ func (f staticField) PositionsAt(_ time.Duration, dst []geo.Point) []geo.Point {
 	dst = dst[:len(f)]
 	copy(dst, f)
 	return dst
-}
-
-// BenchmarkUnicastRouting measures one end-to-end unicast — route lookups
-// at every hop plus the kernel events carrying it — per iteration.
-func BenchmarkUnicastRouting(b *testing.B) {
-	b.ReportAllocs()
-	k, net := benchNetwork(b)
-	msg := protocol.Message{Kind: protocol.KindPoll, Item: 1, Version: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		msg.Origin = i % 50
-		if err := net.Unicast(i%50, (i+25)%50, msg); err != nil {
-			b.Fatal(err)
-		}
-		k.Run()
-	}
-}
-
-// BenchmarkFloodStorm measures one TTL-8 network-wide flood per
-// iteration: the duplicate-suppression state, the per-neighbour
-// retransmissions, and the kernel events behind them.
-func BenchmarkFloodStorm(b *testing.B) {
-	b.ReportAllocs()
-	k, net := benchNetwork(b)
-	msg := protocol.Message{Kind: protocol.KindInvalidation, Item: 1, Version: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		origin := i % 50
-		msg.Origin = origin
-		if err := net.Flood(origin, 8, msg); err != nil {
-			b.Fatal(err)
-		}
-		k.Run()
-	}
 }
 
 // BenchmarkFullScenarioRPCC measures end-to-end simulation speed: one

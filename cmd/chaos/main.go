@@ -4,8 +4,8 @@
 // consistency invariants are audited throughout (see internal/faults).
 //
 // Everything is a pure function of the seed: two runs with identical
-// flags produce byte-identical stdout, metrics and span logs, which is
-// what `make chaos-smoke` asserts. The exit status is non-zero when any
+// flags produce byte-identical stdout, metrics and causal traces, which
+// is what `make chaos-smoke` asserts. The exit status is non-zero when any
 // invariant is violated, so the command doubles as a CI soak gate.
 //
 // Examples:
@@ -36,6 +36,7 @@ import (
 	"github.com/manetlab/rpcc/internal/faults"
 	"github.com/manetlab/rpcc/internal/fleet"
 	"github.com/manetlab/rpcc/internal/telemetry"
+	ctrace "github.com/manetlab/rpcc/internal/telemetry/trace"
 	"github.com/manetlab/rpcc/internal/workload"
 )
 
@@ -77,7 +78,7 @@ func run() error {
 		parallel   = flag.Int("parallel", 0, "concurrent sweep runs (0 = all cores)")
 		detail     = flag.Bool("detail", false, "print the per-kind traffic breakdown")
 		metricsOut = flag.String("metrics-out", "", "write Prometheus text metrics to this file (merged across a sweep)")
-		telemOut   = flag.String("telemetry", "", "write span-level telemetry JSONL to this file (requires -sweep 1)")
+		traceOut   = flag.String("trace-out", "", "write the causal trace (span JSONL, injected faults included) to this file (requires -sweep 1)")
 	)
 	flag.Parse()
 
@@ -116,17 +117,17 @@ func run() error {
 	}
 
 	if *sweep > 1 {
-		if *telemOut != "" {
-			return fmt.Errorf("-telemetry records one run's span log; use -sweep 1")
+		if *traceOut != "" {
+			return fmt.Errorf("-trace-out records one run's causal trace; use -sweep 1")
 		}
 		return runSweep(cfg, campaign, *sweep, *parallel, *metricsOut)
 	}
 
-	level := telemetry.LevelMetrics
-	if *telemOut != "" {
-		level = telemetry.LevelSpans
+	hub := telemetry.NewHub(telemetry.LevelMetrics)
+	var tracer *ctrace.Collector
+	if *traceOut != "" {
+		tracer = ctrace.NewCollector(0)
 	}
-	hub := telemetry.NewHub(level)
 
 	// A deterministic simulation cannot stop midway, so the first
 	// interrupt defers: the run finishes and every sink flushes. A second
@@ -136,13 +137,13 @@ func run() error {
 	defer signal.Stop(sigc)
 	go func() {
 		if _, ok := <-sigc; ok {
-			fmt.Fprintln(os.Stderr, "chaos: interrupt — finishing the run so metrics/telemetry flush (interrupt again to abort)")
+			fmt.Fprintln(os.Stderr, "chaos: interrupt — finishing the run so metrics and trace flush (interrupt again to abort)")
 			signal.Stop(sigc)
 		}
 	}()
 
 	start := time.Now()
-	res, rep, err := experiment.RunChaos(cfg, hub, campaign)
+	res, rep, err := experiment.RunChaos(cfg, hub, tracer, campaign)
 	if err != nil {
 		return err
 	}
@@ -158,20 +159,12 @@ func run() error {
 	fmt.Println(rep)
 
 	if *metricsOut != "" {
-		if err := writeMetricsFile(*metricsOut, res.Telemetry); err != nil {
+		if err := telemetry.WritePrometheusFile(*metricsOut, res.Telemetry); err != nil {
 			return err
 		}
 	}
-	if *telemOut != "" {
-		f, err := os.Create(*telemOut)
-		if err != nil {
-			return err
-		}
-		if err := hub.WriteJSONL(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+	if tracer != nil {
+		if err := ctrace.WriteFile(*traceOut, tracer.Export()); err != nil {
 			return err
 		}
 	}
@@ -197,7 +190,7 @@ func runSweep(base experiment.Config, campaign faults.Config, sweep, parallel in
 	var mu sync.Mutex
 	reports := make(map[int64]faults.Report, sweep)
 	execute := func(cfg experiment.Config) (experiment.Result, error) {
-		res, rep, err := experiment.RunChaos(cfg, telemetry.NewHub(telemetry.LevelMetrics), campaign)
+		res, rep, err := experiment.RunChaos(cfg, telemetry.NewHub(telemetry.LevelMetrics), nil, campaign)
 		if err != nil {
 			return res, err
 		}
@@ -237,7 +230,7 @@ func runSweep(base experiment.Config, campaign faults.Config, sweep, parallel in
 	// Flush the merged metrics of every completed run even when the sweep
 	// was interrupted — partial telemetry beats none.
 	if metricsOut != "" && merged != nil {
-		if err := writeMetricsFile(metricsOut, merged); err != nil {
+		if err := telemetry.WritePrometheusFile(metricsOut, merged); err != nil {
 			return err
 		}
 	}
@@ -392,17 +385,4 @@ func parseDiurnal(s string) (time.Duration, float64, error) {
 		return 0, 0, fmt.Errorf("-diurnal: %v", err)
 	}
 	return period, min, nil
-}
-
-// writeMetricsFile renders a snapshot in Prometheus text format at path.
-func writeMetricsFile(path string, s *telemetry.Snapshot) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := telemetry.WritePrometheus(f, s); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -56,7 +55,6 @@ func run() error {
 		resume     = flag.Bool("resume", false, "reuse successful runs already in -journal; retry failures")
 		timeout    = flag.Duration("timeout", 0, "per-run wall-clock timeout (0 = none)")
 		metricsOut = flag.String("metrics-out", "", "write Prometheus text metrics merged across every run to this file")
-		telemDir   = flag.String("telemetry", "", "write one span-level JSONL file per executed run into this directory")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	)
 	flag.Parse()
@@ -115,30 +113,6 @@ func run() error {
 		Parallel: *parallel,
 		Timeout:  *timeout,
 		Progress: os.Stderr,
-	}
-	if *telemDir != "" {
-		if err := os.MkdirAll(*telemDir, 0o755); err != nil {
-			return err
-		}
-		// Span-level runs: each worker records its run's full span log
-		// and drops it next to the others, one file per scenario key.
-		opts.Execute = func(cfg experiment.Config) (experiment.Result, error) {
-			hub := telemetry.NewHub(telemetry.LevelSpans)
-			res, err := experiment.RunWithTelemetry(cfg, hub)
-			if err != nil {
-				return res, err
-			}
-			path := filepath.Join(*telemDir, sanitizeKey(cfg.Key())+".jsonl")
-			f, ferr := os.Create(path)
-			if ferr != nil {
-				return res, ferr
-			}
-			if werr := hub.WriteJSONL(f); werr != nil {
-				f.Close()
-				return res, werr
-			}
-			return res, f.Close()
-		}
 	}
 	if *journal != "" {
 		jl, err := fleet.OpenJournal(*journal, *resume)
@@ -211,28 +185,7 @@ func writeMergedMetrics(path string, records []fleet.Record) error {
 	if merged == nil {
 		return fmt.Errorf("no successful runs carried telemetry; nothing to write to %s", path)
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := telemetry.WritePrometheus(f, merged); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// sanitizeKey maps a scenario key to a safe file stem.
-func sanitizeKey(key string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '.', r == '-', r == '_':
-			return r
-		default:
-			return '_'
-		}
-	}, key)
+	return telemetry.WritePrometheusFile(path, merged)
 }
 
 // renderCSV emits one figure as CSV: figure,x,strategy,y — the layout

@@ -35,6 +35,11 @@ import (
 	"github.com/manetlab/rpcc/internal/wire"
 )
 
+// traceSpanCap bounds the causal trace of a daemon, which unlike a
+// simulation has no horizon: past it new spans are refused and counted
+// in rpcc_spans_dropped_total (-metrics-out) rather than held in memory.
+const traceSpanCap = 1 << 18
+
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "rpccd:", err)
@@ -68,7 +73,6 @@ func run() error {
 		crashAfter = flag.Duration("crash-after", 0, "abruptly exit(3) after this long — no drain, no flush (chaos harnesses)")
 
 		metricsOut = flag.String("metrics-out", "", "write Prometheus text metrics to this file at shutdown")
-		teleOut    = flag.String("telemetry", "", "write JSONL telemetry events to this file at shutdown")
 		traceOut   = flag.String("trace-out", "", "write this daemon's causal-trace span JSONL to this file at shutdown")
 		traceTo    = flag.String("trace-to", "", "ship the span stream to a tracecol aggregator (host:port) at shutdown")
 		pprofAddr  = flag.String("pprof", "", "serve pprof and runtime stats on this address (e.g. 127.0.0.1:6060)")
@@ -132,16 +136,9 @@ func run() error {
 		cc.CoeffPeriod = *coeff
 	}
 
-	level := telemetry.LevelOff
-	if *metricsOut != "" {
-		level = telemetry.LevelMetrics
-	}
-	if *teleOut != "" {
-		level = telemetry.LevelSpans
-	}
 	var hub *telemetry.Hub
-	if level != telemetry.LevelOff {
-		hub = telemetry.NewHub(level)
+	if *metricsOut != "" {
+		hub = telemetry.NewHub(telemetry.LevelMetrics)
 	}
 	if *pprofAddr != "" {
 		got, err := telemetry.ServePprof(*pprofAddr)
@@ -154,7 +151,7 @@ func run() error {
 
 	var tracer *ctrace.Collector
 	if *traceOut != "" || *traceTo != "" {
-		tracer = ctrace.NewCollector(*id)
+		tracer = ctrace.NewBoundedCollector(*id, traceSpanCap)
 	}
 	var script *wire.Script
 	if *faults != "" {
@@ -214,19 +211,17 @@ func run() error {
 
 	// Flush sinks even on an unclean drain — partial telemetry beats none.
 	if *metricsOut != "" {
-		if err := writeMetrics(*metricsOut, hub.Snapshot()); err != nil {
-			return err
-		}
-	}
-	if *teleOut != "" {
-		if err := writeJSONL(*teleOut, hub); err != nil {
+		// Zero (and so absent from the export) without a tracer or under the bound.
+		hub.Counter("rpcc_spans_dropped_total",
+			"Spans refused after the trace collector reached its bound.").Add(tracer.Refused())
+		if err := telemetry.WritePrometheusFile(*metricsOut, hub.Snapshot()); err != nil {
 			return err
 		}
 	}
 	if tracer != nil {
 		spans := nd.TraceSpans()
 		if *traceOut != "" {
-			if err := writeTrace(*traceOut, spans); err != nil {
+			if err := ctrace.WriteFile(*traceOut, spans); err != nil {
 				return err
 			}
 		}
@@ -239,19 +234,6 @@ func run() error {
 	}
 	fmt.Println(nd.Summary())
 	return stopErr
-}
-
-// writeTrace writes the daemon's span set as JSONL at path.
-func writeTrace(path string, spans []ctrace.Span) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := ctrace.WriteJSONL(f, spans); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // shipTrace streams the span set to a tracecol aggregator over TCP: one
@@ -363,28 +345,4 @@ func emitCompose(cfg wire.ComposeConfig, dir string) error {
 	}
 	fmt.Printf("wrote %s and %s (%d-node %s cluster)\n", ymlPath, churnPath, cfg.N, cfg.Strategy)
 	return nil
-}
-
-func writeMetrics(path string, s *telemetry.Snapshot) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := telemetry.WritePrometheus(f, s); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func writeJSONL(path string, hub *telemetry.Hub) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := hub.WriteJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

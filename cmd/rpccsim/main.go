@@ -63,7 +63,6 @@ func run() error {
 		replicas   = flag.Int("replicas", 1, "independent seeds (seed..seed+N-1), run concurrently and aggregated")
 		parallel   = flag.Int("parallel", 0, "concurrent replica runs (0 = all cores)")
 		metricsOut = flag.String("metrics-out", "", "write Prometheus text metrics to this file (merged across replicas)")
-		telemOut   = flag.String("telemetry", "", "write span-level telemetry JSONL to this file (requires -replicas 1)")
 		traceOut   = flag.String("trace-out", "", "write the causal trace (span JSONL) to this file (requires -replicas 1)")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	)
@@ -99,20 +98,13 @@ func run() error {
 	cfg.AdaptiveTTN = *adaptTTN
 
 	if *replicas > 1 {
-		if *telemOut != "" {
-			return fmt.Errorf("-telemetry records one run's span log; use -replicas 1")
-		}
 		if *traceOut != "" {
 			return fmt.Errorf("-trace-out records one run's causal trace; use -replicas 1")
 		}
 		return runReplicated(cfg, *replicas, *parallel, *metricsOut)
 	}
 
-	level := telemetry.LevelMetrics
-	if *telemOut != "" {
-		level = telemetry.LevelSpans
-	}
-	hub := telemetry.NewHub(level)
+	hub := telemetry.NewHub(telemetry.LevelMetrics)
 
 	start := time.Now()
 	var res experiment.Result
@@ -123,7 +115,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		if werr := writeTraceFile(*traceOut, spans); werr != nil {
+		if werr := ctrace.WriteFile(*traceOut, spans); werr != nil {
 			return werr
 		}
 		fmt.Fprintf(os.Stderr, "rpccsim: %d spans -> %s\n", len(spans), *traceOut)
@@ -140,50 +132,11 @@ func run() error {
 		fmt.Println(res)
 	}
 	if *metricsOut != "" {
-		if err := writeMetricsFile(*metricsOut, res.Telemetry); err != nil {
-			return err
-		}
-	}
-	if *telemOut != "" {
-		f, err := os.Create(*telemOut)
-		if err != nil {
-			return err
-		}
-		if err := hub.WriteJSONL(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := telemetry.WritePrometheusFile(*metricsOut, res.Telemetry); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// writeTraceFile writes the causal trace as span JSONL at path.
-func writeTraceFile(path string, spans []ctrace.Span) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := ctrace.WriteJSONL(f, spans); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeMetricsFile renders a snapshot in Prometheus text format at path.
-func writeMetricsFile(path string, s *telemetry.Snapshot) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := telemetry.WritePrometheus(f, s); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // runReplicated runs the scenario once per seed on the fleet and prints
@@ -227,7 +180,7 @@ func runReplicated(base experiment.Config, replicas, parallel int, metricsOut st
 		return fmt.Errorf("all %d replicas failed", replicas)
 	}
 	if metricsOut != "" {
-		if err := writeMetricsFile(metricsOut, merged); err != nil {
+		if err := telemetry.WritePrometheusFile(metricsOut, merged); err != nil {
 			return err
 		}
 	}

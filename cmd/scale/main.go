@@ -135,15 +135,7 @@ func run() error {
 	}
 
 	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			return err
-		}
-		if err := ctrace.WriteJSONL(f, res.Spans); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := ctrace.WriteFile(*traceOut, res.Spans); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "trace: %d spans -> %s\n", len(res.Spans), *traceOut)

@@ -1,17 +1,17 @@
 // Command telemetrylint validates telemetry exports without any
 // third-party scrape stack: a Prometheus text file (-prom) is checked
-// for exposition-format discipline and histogram invariants, and a span
-// JSONL file (-jsonl) is checked line by line for well-formed envelopes.
-// It is the assertion half of `make telemetry-smoke` — a seeded run
-// produces the files, this command proves they parse.
+// for exposition-format discipline and histogram invariants, and a
+// causal trace (-trace) for structure and vocabulary. It is the
+// assertion half of the smoke targets — a seeded run produces the
+// files, this command proves they parse.
 //
 //	telemetrylint -prom metrics.prom -require rpcc_delivery_latency_seconds,rpcc_queries_total
-//	telemetrylint -jsonl spans.jsonl
 //	telemetrylint -trace trace.jsonl -skew 5ms
 //
-// -trace validates a causal trace (rpccsim -trace-out / tracecol output):
-// parent resolution, acyclicity, causal interval nesting within the -skew
-// allowance, and canonical span order.
+// -trace validates a causal trace (-trace-out of rpccsim, scale, chaos,
+// rpccd, wiretest; tracecol output): the closed phase vocabulary, parent
+// resolution, acyclicity, causal interval nesting within the -skew
+// allowance, canonical span order, and where annotations may sit.
 //
 // Exit status is non-zero on the first violated invariant, with a
 // message naming the metric/line at fault.
@@ -19,7 +19,6 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
@@ -39,14 +38,13 @@ func main() {
 func run() error {
 	var (
 		promPath  = flag.String("prom", "", "Prometheus text file to validate")
-		jsonlPath = flag.String("jsonl", "", "span JSONL file to validate")
 		tracePath = flag.String("trace", "", "causal-trace span JSONL file to validate")
 		skew      = flag.Duration("skew", 0, "clock-skew allowance for -trace parent/child nesting")
 		require   = flag.String("require", "", "comma-separated metric families that must be present in -prom")
 	)
 	flag.Parse()
-	if *promPath == "" && *jsonlPath == "" && *tracePath == "" {
-		return fmt.Errorf("nothing to do: pass -prom, -jsonl and/or -trace")
+	if *promPath == "" && *tracePath == "" {
+		return fmt.Errorf("nothing to do: pass -prom and/or -trace")
 	}
 
 	if *promPath != "" {
@@ -60,22 +58,6 @@ func run() error {
 			}
 		}
 		fmt.Printf("%s: ok (%d families, %d samples)\n", *promPath, len(families), samples)
-	}
-	if *jsonlPath != "" {
-		lines, counts, err := lintJSONL(*jsonlPath)
-		if err != nil {
-			return err
-		}
-		keys := make([]string, 0, len(counts))
-		for k := range counts {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		parts := make([]string, 0, len(keys))
-		for _, k := range keys {
-			parts = append(parts, fmt.Sprintf("%s=%d", k, counts[k]))
-		}
-		fmt.Printf("%s: ok (%d lines: %s)\n", *jsonlPath, lines, strings.Join(parts, " "))
 	}
 	if *tracePath != "" {
 		spans, traces, roots, err := lintTrace(*tracePath, *skew)
@@ -324,69 +306,4 @@ func splitLabels(s string) []string {
 		out = append(out, p)
 	}
 	return out
-}
-
-// lintJSONL checks every line of path is a JSON object whose "type" is
-// one of the telemetry envelope kinds and whose payload field matches.
-// Returns the line total and a per-type tally.
-func lintJSONL(path string) (int, map[string]int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer f.Close()
-
-	counts := map[string]int{}
-	lines := 0
-	lastFaultAt := int64(-1)
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
-	for sc.Scan() {
-		lines++
-		var env map[string]json.RawMessage
-		if err := json.Unmarshal(sc.Bytes(), &env); err != nil {
-			return 0, nil, fmt.Errorf("%s:%d: %v", path, lines, err)
-		}
-		var typ string
-		if err := json.Unmarshal(env["type"], &typ); err != nil {
-			return 0, nil, fmt.Errorf("%s:%d: bad or missing type: %v", path, lines, err)
-		}
-		switch typ {
-		case "query", "role", "wave", "fault", "snapshot":
-		default:
-			return 0, nil, fmt.Errorf("%s:%d: unknown envelope type %q", path, lines, typ)
-		}
-		if _, ok := env[typ]; !ok {
-			return 0, nil, fmt.Errorf("%s:%d: type %q without matching payload field", path, lines, typ)
-		}
-		if typ == "fault" {
-			// Fault spans export in injection order, so their timestamps
-			// must be non-decreasing and their kind named.
-			var fs struct {
-				AtNs int64  `json:"at_ns"`
-				Kind string `json:"kind"`
-			}
-			if err := json.Unmarshal(env["fault"], &fs); err != nil {
-				return 0, nil, fmt.Errorf("%s:%d: bad fault payload: %v", path, lines, err)
-			}
-			if fs.Kind == "" {
-				return 0, nil, fmt.Errorf("%s:%d: fault span without kind", path, lines)
-			}
-			if fs.AtNs < lastFaultAt {
-				return 0, nil, fmt.Errorf("%s:%d: fault spans out of order (at_ns %d after %d)", path, lines, fs.AtNs, lastFaultAt)
-			}
-			lastFaultAt = fs.AtNs
-		}
-		counts[typ]++
-	}
-	if err := sc.Err(); err != nil {
-		return 0, nil, err
-	}
-	if lines == 0 {
-		return 0, nil, fmt.Errorf("%s: empty JSONL file", path)
-	}
-	if counts["snapshot"] != 1 {
-		return 0, nil, fmt.Errorf("%s: want exactly one snapshot line, got %d", path, counts["snapshot"])
-	}
-	return lines, counts, nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
 	ctrace "github.com/manetlab/rpcc/internal/telemetry/trace"
@@ -11,8 +12,13 @@ import (
 // lintTrace validates a causal-trace span JSONL file (rpccsim
 // -trace-out, tracecol output):
 //
-//   - every line parses as a span with a non-zero trace and span id, and
-//     a unique span id
+//   - every line parses as a span with a non-zero trace and span id, a
+//     unique span id, and a phase from the closed vocabulary
+//     (ctrace.Phases)
+//   - role and fault roots are instantaneous; a role span is always a
+//     root; an annotation sits only on a root of phase query, role or
+//     fault, and the query fields (level, served, staleness, verdict)
+//     only on phase query, the election coefficients only on phase role
 //   - every non-root ParentSpanID resolves to a span in the same trace
 //   - parent chains are acyclic and terminate at a root
 //   - intervals are well-formed (end >= start) and causally nested on
@@ -52,6 +58,12 @@ func lintTrace(path string, skew time.Duration) (spans, traces, roots int, err e
 		traceSet[s.Trace] = true
 		if s.EndNs < s.StartNs {
 			return 0, 0, 0, fmt.Errorf("%s: span %x ends before it starts [%d..%d]", path, s.ID, s.StartNs, s.EndNs)
+		}
+		if !slices.Contains(ctrace.Phases, s.Phase) {
+			return 0, 0, 0, fmt.Errorf("%s: span %x has unknown phase %q", path, s.ID, s.Phase)
+		}
+		if err := lintAnnot(s); err != nil {
+			return 0, 0, 0, fmt.Errorf("%s: span %x: %v", path, s.ID, err)
 		}
 		if s.Parent == 0 {
 			roots++
@@ -100,4 +112,32 @@ func lintTrace(path string, skew time.Duration) (spans, traces, roots int, err e
 		}
 	}
 	return len(all), len(traceSet), roots, nil
+}
+
+// lintAnnot checks the two event phases and where annotations sit.
+func lintAnnot(s ctrace.Span) error {
+	event := s.Phase == ctrace.PhaseRole || s.Phase == ctrace.PhaseFault
+	if event && s.EndNs != s.StartNs {
+		return fmt.Errorf("%s span is not instantaneous [%d..%d]", s.Phase, s.StartNs, s.EndNs)
+	}
+	if s.Phase == ctrace.PhaseRole && s.Parent != 0 {
+		return fmt.Errorf("role span has a parent %x", s.Parent)
+	}
+	if event && s.Parent == 0 && s.Annot == nil {
+		return fmt.Errorf("%s root without annotation", s.Phase)
+	}
+	a := s.Annot
+	if a == nil {
+		return nil
+	}
+	if s.Parent != 0 || !(event || s.Phase == ctrace.PhaseQuery) {
+		return fmt.Errorf("annotation on a %s span with parent %x", s.Phase, s.Parent)
+	}
+	if s.Phase != ctrace.PhaseQuery && (a.Level != "" || a.Served != 0 || a.StaleNs != 0 || a.Verdict != "") {
+		return fmt.Errorf("query annotation on a %s root", s.Phase)
+	}
+	if s.Phase != ctrace.PhaseRole && (a.CAR != 0 || a.CS != 0 || a.CE != 0) {
+		return fmt.Errorf("election coefficients on a %s root", s.Phase)
+	}
+	return nil
 }

@@ -76,15 +76,7 @@ func run() error {
 	}
 
 	merged := ctrace.Merge(sets...)
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	if err := ctrace.WriteJSONL(f, merged); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := ctrace.WriteFile(*out, merged); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "tracecol: %d spans from %d streams -> %s\n", len(merged), len(sets), *out)

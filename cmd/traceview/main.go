@@ -1,8 +1,12 @@
 // Command traceview renders a causal trace (span JSONL, as written by
 // rpccsim -trace-out, cmd/scale -trace-out, or cmd/tracecol) as a
-// deterministic text report: the top-k critical paths with per-segment
-// self-time attribution, the per-phase latency decomposition across all
-// completed queries, and per-region span accounting.
+// deterministic text report: per-region span accounting, the per-phase
+// latency decomposition across all completed operations, the top-k
+// critical paths with per-segment self-time attribution, then one line
+// per flood wave (each invalidate/update root's deliveries and first and
+// last arrival, from its transit spans) and one line per query root
+// (item, level, outcome, latency and, once answered, the version served,
+// its staleness and the audit verdict).
 //
 //	traceview -in trace.jsonl
 //	traceview -in trace.jsonl -topk 10 -paths=false
@@ -16,6 +20,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
 	ctrace "github.com/manetlab/rpcc/internal/telemetry/trace"
@@ -57,6 +62,8 @@ func run() error {
 	if *showPaths {
 		pathReport(ctrace.TopK(paths, *topk))
 	}
+	waveReport(spans)
+	queryReport(spans)
 	return nil
 }
 
@@ -125,6 +132,91 @@ func pathReport(top []ctrace.CriticalPath) {
 				seg.Span.Phase, seg.Span.Name, dur(seg.SelfNs), seg.Span.Node,
 				seg.Span.StartNs, seg.Span.EndNs)
 		}
+	}
+}
+
+// waveReport prints one line per flood wave. A wave is an invalidate or
+// update root; its deliveries are the transit spans of its trace, which
+// start when the flood was sent (so follow the root in canonical order)
+// and end on arrival.
+func waveReport(spans []ctrace.Span) {
+	type wave struct {
+		root        ctrace.Span
+		deliveries  int
+		first, last int64
+	}
+	var waves []wave
+	idx := map[uint64]int{}
+	for _, s := range spans {
+		if s.Parent == 0 && (s.Phase == ctrace.PhaseInvalidate || s.Phase == ctrace.PhaseUpdate) {
+			idx[s.ID] = len(waves)
+			waves = append(waves, wave{root: s})
+		} else if i, ok := idx[s.Trace]; ok && s.Phase == ctrace.PhaseTransit {
+			w := &waves[i]
+			if w.deliveries == 0 || s.EndNs < w.first {
+				w.first = s.EndNs
+			}
+			w.last = max(w.last, s.EndNs)
+			w.deliveries++
+		}
+	}
+	fmt.Printf("\nflood waves (%d):\n", len(waves))
+	fmt.Printf("  %-18s %-12s %6s %10s %14s %14s\n", "sent", "kind", "origin", "deliveries", "first-arrival", "last-arrival")
+	for _, w := range waves {
+		first, last := "-", "-"
+		if w.deliveries > 0 {
+			first, last = dur(w.first-w.root.StartNs), dur(w.last-w.root.StartNs)
+		}
+		fmt.Printf("  %-18s %-12s %6d %10d %14s %14s\n",
+			dur(w.root.StartNs), w.root.Name, w.root.Node, w.deliveries, first, last)
+	}
+}
+
+// queryReport prints the outcome tally and one line per query root. An
+// answered root carries the judge's verdict; a failed root is named
+// failed:<reason>; a root still named "query" was open at the horizon.
+func queryReport(spans []ctrace.Span) {
+	var roots []ctrace.Span
+	var answered, failed int
+	byVerdict := map[string]int{}
+	for _, s := range spans {
+		if s.Parent != 0 || s.Phase != ctrace.PhaseQuery {
+			continue
+		}
+		roots = append(roots, s)
+		if s.Annot != nil && s.Annot.Verdict != "" {
+			answered++
+			byVerdict[s.Annot.Verdict]++
+		} else if strings.HasPrefix(s.Name, "failed:") {
+			failed++
+		}
+	}
+	fmt.Printf("\nqueries: %d issued, %d answered, %d failed, %d open\n",
+		len(roots), answered, failed, len(roots)-answered-failed)
+	verdicts := make([]string, 0, len(byVerdict))
+	for v := range byVerdict {
+		verdicts = append(verdicts, v)
+	}
+	sort.Strings(verdicts)
+	for _, v := range verdicts {
+		fmt.Printf("  verdict %-22s %6d  %5.1f%% of answered\n", v, byVerdict[v], 100*float64(byVerdict[v])/float64(answered))
+	}
+	fmt.Printf("  %-18s %5s %5s %-5s %-22s %12s %7s %12s %s\n",
+		"issued", "node", "item", "level", "outcome", "latency", "served", "stale", "verdict")
+	for _, s := range roots {
+		item, level, served, stale, verdict := "-", "-", "-", "-", "-"
+		if a := s.Annot; a != nil {
+			item, level = fmt.Sprint(a.Item), a.Level
+			if a.Verdict != "" {
+				served, verdict = fmt.Sprint(a.Served), a.Verdict
+				stale = "unknown"
+				if a.StaleNs >= 0 {
+					stale = dur(a.StaleNs)
+				}
+			}
+		}
+		fmt.Printf("  %-18s %5d %5s %-5s %-22s %12s %7s %12s %s\n",
+			dur(s.StartNs), s.Node, item, level, s.Name, dur(s.Duration()), served, stale, verdict)
 	}
 }
 

@@ -147,15 +147,7 @@ func run() error {
 		fmt.Printf("verdict: %s restarts=%d\n", verdict, rep.Restarts)
 	}
 	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			return err
-		}
-		if err := ctrace.WriteJSONL(f, rep.TraceSpans); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := ctrace.WriteFile(*traceOut, rep.TraceSpans); err != nil {
 			return err
 		}
 		fmt.Printf("trace: %d spans -> %s\n", len(rep.TraceSpans), *traceOut)

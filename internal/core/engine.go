@@ -606,14 +606,17 @@ func (e *Engine) coeffTick(k *sim.Kernel, nd int) {
 	}
 }
 
-// roleChanged reports a Fig 5 role transition to the telemetry hub,
-// attaching the node's current election-coefficient inputs (Eq 4.2).
+// roleChanged counts a Fig 5 role transition and, on a traced run,
+// records it with the node's current election-coefficient inputs
+// (Eq 4.2).
 func (e *Engine) roleChanged(k *sim.Kernel, nd int, item data.ItemID, from, to Role, reason string) {
-	if e.ch.Hub == nil {
-		return
+	e.ch.Hub.RoleTransition(from.String(), to.String(), reason)
+	if e.ch.Tracer != nil {
+		tr := e.trackers[nd]
+		e.ch.Tracer.Event(k.Now().Nanoseconds(), nd, ctrace.PhaseRole,
+			from.String()+">"+to.String()+":"+reason,
+			ctrace.Annot{Item: int(item), CAR: tr.CAR(), CS: tr.CS(), CE: tr.CE()})
 	}
-	tr := e.trackers[nd]
-	e.ch.Hub.RoleTransition(k.Now(), nd, int(item), from.String(), to.String(), reason, tr.CAR(), tr.CS(), tr.CE())
 }
 
 func (e *Engine) sendCancel(k *sim.Kernel, nd int, item data.ItemID) {

@@ -8,6 +8,7 @@ import (
 	"github.com/manetlab/rpcc/internal/cache"
 	"github.com/manetlab/rpcc/internal/data"
 	"github.com/manetlab/rpcc/internal/protocol"
+	"github.com/manetlab/rpcc/internal/telemetry"
 	ctrace "github.com/manetlab/rpcc/internal/telemetry/trace"
 )
 
@@ -212,5 +213,40 @@ func TestRepairSpanClosedWhenRelayStateGoes(t *testing.T) {
 				t.Fatalf("%d repair spans recorded, want 1", repairs)
 			}
 		})
+	}
+}
+
+// TestRoleChangeUntracedAllocFreeTracedRecorded: with a hub but no
+// collector a role transition is a memoised counter bump and nothing
+// else; with a collector it is one instantaneous role root at the node,
+// named from>to:reason, carrying the item and the election coefficients.
+func TestRoleChangeUntracedAllocFreeTracedRecorded(t *testing.T) {
+	e := newEnv(t, 3, DefaultConfig())
+	e.ch.Hub = telemetry.NewHub(telemetry.LevelMetrics)
+	e.eng.roleChanged(e.k, 1, 2, RoleCache, RoleCandidate, "eligible")
+	if avg := testing.AllocsPerRun(100, func() {
+		e.eng.roleChanged(e.k, 1, 2, RoleCache, RoleCandidate, "eligible")
+	}); avg != 0 {
+		t.Errorf("untraced role transition allocates %v per call, want 0", avg)
+	}
+
+	e.ch.Tracer = ctrace.NewCollector(0)
+	e.eng.roleChanged(e.k, 1, 2, RoleCandidate, RoleRelay, "apply-ack")
+	spans := e.ch.Tracer.Export()
+	if len(spans) != 1 {
+		t.Fatalf("%d spans, want the one role root", len(spans))
+	}
+	s, tr := spans[0], e.eng.trackers[1]
+	if s.Parent != 0 || s.Phase != ctrace.PhaseRole || s.Name != "candidate>relay:apply-ack" ||
+		s.Node != 1 || s.StartNs != s.EndNs || s.StartNs != e.k.Now().Nanoseconds() {
+		t.Errorf("role root = %+v", s)
+	}
+	if want := (ctrace.Annot{Item: 2, CAR: tr.CAR(), CS: tr.CS(), CE: tr.CE()}); s.Annot == nil || *s.Annot != want {
+		t.Errorf("role root annotation = %+v, want %+v", s.Annot, want)
+	}
+	if got := e.ch.Hub.Snapshot().CounterValue("rpcc_role_transitions_total",
+		telemetry.Label{Key: "from", Value: "candidate"}, telemetry.Label{Key: "to", Value: "relay"},
+		telemetry.Label{Key: "reason", Value: "apply-ack"}); got != 1 {
+		t.Errorf("traced transition counted %g times, want 1", got)
 	}
 }

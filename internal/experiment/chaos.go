@@ -7,6 +7,7 @@ import (
 	"github.com/manetlab/rpcc/internal/core"
 	"github.com/manetlab/rpcc/internal/faults"
 	"github.com/manetlab/rpcc/internal/telemetry"
+	ctrace "github.com/manetlab/rpcc/internal/telemetry/trace"
 )
 
 // chaosSweepEvery is the invariant-audit period during chaos campaigns:
@@ -23,7 +24,11 @@ const chaosSweepEvery = 5 * time.Second
 // Only RPCC strategies are supported — the crash wipe, relay
 // assassination and heal-convergence checks all reach into the engine's
 // relay table.
-func RunChaos(cfg Config, hub *telemetry.Hub, fc faults.Config) (Result, *faults.Report, error) {
+//
+// A non-nil tracer records the run's causal trace, the injected faults
+// among it as fault roots; the caller exports it. Like RunWithTrace it
+// observes without touching: Result and Report equal the untraced run's.
+func RunChaos(cfg Config, hub *telemetry.Hub, tracer *ctrace.Collector, fc faults.Config) (Result, *faults.Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, nil, err
 	}
@@ -35,14 +40,14 @@ func RunChaos(cfg Config, hub *telemetry.Hub, fc faults.Config) (Result, *faults
 	coreCfg := coreConfigFrom(cfg)
 
 	var auditor *faults.Auditor
-	res, err := runScenario(cfg, hub, func(env runEnv) error {
+	res, err := runScenario(cfg, hub, tracer, func(env runEnv) error {
 		engine, ok := env.strat.(*core.Engine)
 		if !ok {
 			return fmt.Errorf("experiment: chaos strategy %q did not build a core engine", cfg.Strategy)
 		}
 		plane, err := faults.NewPlane(fc, faults.Env{
 			Net: env.net, Churn: env.churn, Stores: env.stores,
-			Engine: engine, Hub: hub,
+			Engine: engine, Hub: hub, Tracer: tracer,
 		})
 		if err != nil {
 			return err

@@ -10,6 +10,7 @@ import (
 	"github.com/manetlab/rpcc/internal/core"
 	"github.com/manetlab/rpcc/internal/faults"
 	"github.com/manetlab/rpcc/internal/telemetry"
+	ctrace "github.com/manetlab/rpcc/internal/telemetry/trace"
 	"github.com/manetlab/rpcc/internal/workload"
 )
 
@@ -53,7 +54,7 @@ func chaosCampaign() faults.Config {
 func TestRunChaosRequiresRPCC(t *testing.T) {
 	cfg := chaosConfig()
 	cfg.Strategy = StrategyPull
-	if _, _, err := RunChaos(cfg, nil, faults.Config{}); err == nil {
+	if _, _, err := RunChaos(cfg, nil, nil, faults.Config{}); err == nil {
 		t.Fatal("non-RPCC strategy accepted")
 	}
 }
@@ -67,7 +68,7 @@ func TestRunChaosZeroCampaignMatchesPlainRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chaos, rep, err := RunChaos(cfg, telemetry.NewHub(telemetry.LevelMetrics), faults.Config{})
+	chaos, rep, err := RunChaos(cfg, telemetry.NewHub(telemetry.LevelMetrics), nil, faults.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,11 +86,11 @@ func TestRunChaosZeroCampaignMatchesPlainRun(t *testing.T) {
 func TestRunChaosSameSeedDeterminism(t *testing.T) {
 	cfg := chaosConfig()
 	camp := chaosCampaign()
-	r1, rep1, err := RunChaos(cfg, telemetry.NewHub(telemetry.LevelMetrics), camp)
+	r1, rep1, err := RunChaos(cfg, telemetry.NewHub(telemetry.LevelMetrics), nil, camp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, rep2, err := RunChaos(cfg, telemetry.NewHub(telemetry.LevelMetrics), camp)
+	r2, rep2, err := RunChaos(cfg, telemetry.NewHub(telemetry.LevelMetrics), nil, camp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestRunChaosSameSeedDeterminism(t *testing.T) {
 // The demonstration campaign — partition, assassination, crash, bursty
 // loss, duplication, reordering — must leave every invariant standing.
 func TestChaosDemonstrationCampaignPassesInvariants(t *testing.T) {
-	res, rep, err := RunChaos(chaosConfig(), telemetry.NewHub(telemetry.LevelMetrics), chaosCampaign())
+	res, rep, err := RunChaos(chaosConfig(), telemetry.NewHub(telemetry.LevelMetrics), nil, chaosCampaign())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,13 +140,69 @@ func TestChaosDemonstrationCampaignPassesInvariants(t *testing.T) {
 	}
 }
 
+// TestTracedChaosRecordsEveryFaultAndRoleInvisibly: the causal trace is
+// the event record of a campaign — one fault root per counted fault
+// event of each kind, one role root per counted role transition — and
+// recording it moves nothing: Result (metrics snapshot included) and
+// Report equal the untraced run's.
+func TestTracedChaosRecordsEveryFaultAndRoleInvisibly(t *testing.T) {
+	plain, plainRep, err := RunChaos(chaosConfig(), telemetry.NewHub(telemetry.LevelMetrics), nil, chaosCampaign())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracer := ctrace.NewCollector(0)
+	res, rep, err := RunChaos(chaosConfig(), telemetry.NewHub(telemetry.LevelMetrics), tracer, chaosCampaign())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, plain) {
+		t.Errorf("tracing perturbed the campaign:\n got %s\nwant %s", res, plain)
+	}
+	if !reflect.DeepEqual(rep, plainRep) {
+		t.Errorf("tracing perturbed the audit:\n got %s\nwant %s", rep, plainRep)
+	}
+
+	faultRoots := map[string]float64{}
+	var roleRoots, islanders float64
+	for _, s := range tracer.Export() {
+		switch {
+		case s.Phase == ctrace.PhaseFault && s.Parent == 0:
+			faultRoots[s.Name]++
+		case s.Phase == ctrace.PhaseFault && s.Name == "partition-split":
+			islanders++
+		case s.Phase == ctrace.PhaseRole:
+			roleRoots++
+		}
+	}
+	fam, _ := res.Telemetry.Family("rpcc_fault_events_total")
+	if len(fam.Metrics) != 5 || len(faultRoots) != 5 {
+		t.Errorf("%d fault kinds counted, %d traced; want 5 and 5", len(fam.Metrics), len(faultRoots))
+	}
+	for _, m := range fam.Metrics {
+		if kind := m.Labels[0].Value; faultRoots[kind] != m.Value {
+			t.Errorf("fault kind %q: %g roots in the trace, %g counted", kind, faultRoots[kind], m.Value)
+		}
+	}
+	if islanders != 25 {
+		t.Errorf("partition split names %g nodes, want the island's 25", islanders)
+	}
+	var transitions float64
+	fam, _ = res.Telemetry.Family("rpcc_role_transitions_total")
+	for _, m := range fam.Metrics {
+		transitions += m.Value
+	}
+	if transitions == 0 || roleRoots != transitions {
+		t.Errorf("%g role roots in the trace, %g role transitions counted", roleRoots, transitions)
+	}
+}
+
 // Deliberately breaking §4.5 — a relay that never issues GET_NEW after
 // hearing newer version evidence — must be caught by the heal-convergence
 // invariant.
 func TestChaosBrokenRepairCaught(t *testing.T) {
 	testCoreMutator = func(c *core.Config) { c.DisableRepair = true }
 	defer func() { testCoreMutator = nil }()
-	_, rep, err := RunChaos(chaosConfig(), telemetry.NewHub(telemetry.LevelMetrics), chaosCampaign())
+	_, rep, err := RunChaos(chaosConfig(), telemetry.NewHub(telemetry.LevelMetrics), nil, chaosCampaign())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +240,7 @@ func TestChaosFlashCrowdUnderFaultsPerPolicy(t *testing.T) {
 	for _, kind := range cache.AllPolicyKinds() {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
-			res, rep, err := RunChaos(flashCrowdChaosConfig(kind), telemetry.NewHub(telemetry.LevelMetrics), camp)
+			res, rep, err := RunChaos(flashCrowdChaosConfig(kind), telemetry.NewHub(telemetry.LevelMetrics), nil, camp)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -87,9 +87,8 @@ type Result struct {
 }
 
 // Run executes one scenario to completion and returns its metrics. It
-// records aggregate telemetry (LevelMetrics) internally; use
-// RunWithTelemetry to control the level or to keep the hub for span/JSONL
-// export.
+// records aggregate telemetry internally; use RunWithTelemetry to run
+// with a hub of the caller's, or none.
 func Run(cfg Config) (Result, error) {
 	return RunWithTelemetry(cfg, telemetry.NewHub(telemetry.LevelMetrics))
 }
@@ -100,7 +99,7 @@ func Run(cfg Config) (Result, error) {
 // sim-clock folded in) before the function returns, so the caller may
 // export it immediately.
 func RunWithTelemetry(cfg Config, hub *telemetry.Hub) (Result, error) {
-	return runScenario(cfg, hub, nil)
+	return runScenario(cfg, hub, nil, nil)
 }
 
 // RunWithTrace executes one scenario with causal tracing enabled and
@@ -110,17 +109,12 @@ func RunWithTelemetry(cfg Config, hub *telemetry.Hub) (Result, error) {
 // it: the result is byte-identical to an untraced same-seed run, and the
 // span set itself is deterministic for a given config.
 func RunWithTrace(cfg Config, hub *telemetry.Hub) (Result, []ctrace.Span, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, nil, err
-	}
-	k := sim.NewKernel(sim.WithSeed(cfg.Seed), sim.WithHorizon(cfg.SimTime))
 	tracer := ctrace.NewCollector(0)
-	a, err := assembleScenario(cfg, hub, k, tracer)
+	res, err := runScenario(cfg, hub, tracer, nil)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	k.Run()
-	return a.finalize(), tracer.Export(), nil
+	return res, tracer.Export(), nil
 }
 
 // runEnv exposes the assembled simulation to a pre-run hook (the chaos
@@ -161,16 +155,16 @@ type assembled struct {
 	timeline  []uint64
 }
 
-// runScenario builds and runs one scenario. preRun, if non-nil, fires
-// after the stack is assembled and started but before the kernel runs —
-// anything it schedules lands on the same event queue. A nil preRun is
-// exactly the plain run.
-func runScenario(cfg Config, hub *telemetry.Hub, preRun func(env runEnv) error) (Result, error) {
+// runScenario builds and runs one scenario, traced when tracer is
+// non-nil. preRun, if non-nil, fires after the stack is assembled and
+// started but before the kernel runs — anything it schedules lands on
+// the same event queue. A nil preRun is exactly the plain run.
+func runScenario(cfg Config, hub *telemetry.Hub, tracer *ctrace.Collector, preRun func(env runEnv) error) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
 	k := sim.NewKernel(sim.WithSeed(cfg.Seed), sim.WithHorizon(cfg.SimTime))
-	a, err := assembleScenario(cfg, hub, k, nil)
+	a, err := assembleScenario(cfg, hub, k, tracer)
 	if err != nil {
 		return Result{}, err
 	}

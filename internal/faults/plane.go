@@ -11,17 +11,20 @@ import (
 	"github.com/manetlab/rpcc/internal/netsim"
 	"github.com/manetlab/rpcc/internal/sim"
 	"github.com/manetlab/rpcc/internal/telemetry"
+	ctrace "github.com/manetlab/rpcc/internal/telemetry/trace"
 )
 
 // Env is the running simulation the plane injects into. Engine may be
 // nil for non-RPCC strategies; crash then wipes only the cache store,
-// and assassinations (which need the relay table) are rejected.
+// and assassinations (which need the relay table) are rejected. Hub
+// counts the injected faults and Tracer records them; both may be nil.
 type Env struct {
 	Net    *netsim.Network
 	Churn  *churn.Process
 	Stores []*cache.Store
 	Engine *core.Engine
 	Hub    *telemetry.Hub
+	Tracer *ctrace.Collector
 }
 
 // Plane schedules and enforces one fault campaign. Build with NewPlane,
@@ -128,24 +131,50 @@ func (p *Plane) linkCut(from, to int) bool {
 	return p.active && p.island[from] != p.island[to]
 }
 
+// report counts one injected fault and, on a traced run, records it: an
+// instantaneous fault root named after the kind, on the node when there
+// is exactly one, otherwise on node -1 with one child per node in the
+// order given. item is -1 unless the fault targets one item's relay tier.
+func (p *Plane) report(k *sim.Kernel, kind string, nodes []int, item int) {
+	p.env.Hub.FaultEvent(kind)
+	if p.env.Tracer == nil {
+		return
+	}
+	now := k.Now().Nanoseconds()
+	if len(nodes) == 1 {
+		p.env.Tracer.Event(now, nodes[0], ctrace.PhaseFault, kind, ctrace.Annot{Item: item})
+		return
+	}
+	root := p.env.Tracer.Event(now, -1, ctrace.PhaseFault, kind, ctrace.Annot{Item: item})
+	for _, nd := range nodes {
+		p.env.Tracer.Emit(root, nd, ctrace.PhaseFault, kind, now, now)
+	}
+}
+
+// partitioned lists every node the partition names, in ascending order.
+func partitioned(part Partition) []int {
+	var nodes []int
+	for _, group := range part.Islands {
+		nodes = append(nodes, group...)
+	}
+	sort.Ints(nodes)
+	return nodes
+}
+
 func (p *Plane) split(k *sim.Kernel, part Partition) {
 	for i := range p.island {
 		p.island[i] = 0
 	}
-	var affected []int
 	for gi, group := range part.Islands {
 		for _, nd := range group {
 			// Island ids start at 1: id 0 is the mainland (every node not
 			// named in any group), so a single listed island really is cut
 			// off from the rest.
 			p.island[nd] = int32(gi + 1)
-			affected = append(affected, nd)
 		}
 	}
 	p.active = true
-	sort.Ints(affected)
-	p.env.Hub.FaultEvent(k.Now(), telemetry.FaultPartitionSplit, affected, -1,
-		fmt.Sprintf("islands=%d", len(part.Islands)))
+	p.report(k, telemetry.FaultPartitionSplit, partitioned(part), -1)
 }
 
 func (p *Plane) heal(k *sim.Kernel, part Partition) {
@@ -153,12 +182,7 @@ func (p *Plane) heal(k *sim.Kernel, part Partition) {
 		p.island[i] = 0
 	}
 	p.active = false
-	var affected []int
-	for _, group := range part.Islands {
-		affected = append(affected, group...)
-	}
-	sort.Ints(affected)
-	p.env.Hub.FaultEvent(k.Now(), telemetry.FaultPartitionHeal, affected, -1, "")
+	p.report(k, telemetry.FaultPartitionHeal, partitioned(part), -1)
 	for _, f := range p.onHeal {
 		f(k, part)
 	}
@@ -182,7 +206,7 @@ func (p *Plane) crash(k *sim.Kernel, node int, restartAfter time.Duration) {
 	} else if len(p.env.Stores) > 0 {
 		p.env.Stores[node].Clear()
 	}
-	p.env.Hub.FaultEvent(k.Now(), telemetry.FaultCrash, []int{node}, -1, "")
+	p.report(k, telemetry.FaultCrash, []int{node}, -1)
 	if restartAfter > 0 {
 		k.After(restartAfter, "faults.restart", func(kk *sim.Kernel) {
 			p.restart(kk, node)
@@ -197,7 +221,7 @@ func (p *Plane) restart(k *sim.Kernel, node int) {
 	p.crashed[node] = false
 	_ = p.env.Churn.SetFrozen(node, false)
 	_ = p.env.Churn.ForceState(k, node, churn.StateConnected)
-	p.env.Hub.FaultEvent(k.Now(), telemetry.FaultRestart, []int{node}, -1, "")
+	p.report(k, telemetry.FaultRestart, []int{node}, -1)
 }
 
 // assassinate kills the item's currently registered relay peers — the
@@ -207,8 +231,7 @@ func (p *Plane) assassinate(k *sim.Kernel, a Assassination) {
 	if a.Count > 0 && len(targets) > a.Count {
 		targets = targets[:a.Count]
 	}
-	p.env.Hub.FaultEvent(k.Now(), telemetry.FaultAssassination, targets, int(a.Item),
-		fmt.Sprintf("relays=%d", len(targets)))
+	p.report(k, telemetry.FaultAssassination, targets, int(a.Item))
 	for _, nd := range targets {
 		p.crash(k, nd, a.RestartAfter)
 	}

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -10,6 +11,8 @@ import (
 	"github.com/manetlab/rpcc/internal/protocol"
 	"github.com/manetlab/rpcc/internal/sim"
 	"github.com/manetlab/rpcc/internal/stats"
+	"github.com/manetlab/rpcc/internal/telemetry"
+	ctrace "github.com/manetlab/rpcc/internal/telemetry/trace"
 )
 
 type staticSource struct{ pts []geo.Point }
@@ -103,5 +106,45 @@ func TestPartitionSeversIslandsFromEachOther(t *testing.T) {
 	k.RunUntil(5 * time.Second)
 	if got := net.Traffic().DroppedByCause(protocol.KindPoll, stats.DropPartition); got != 1 {
 		t.Errorf("partition drops = %d, want 1", got)
+	}
+}
+
+// An untraced campaign pays nothing for the event record: with no
+// collector (and no hub) a single-node fault report allocates nothing.
+// Traced, the same plane records a crash on its node and a partition as
+// a root on node -1 with one child per node.
+func TestFaultReportUntracedAllocFreeTracedShape(t *testing.T) {
+	k, _, p := planeNet(t, Config{})
+	if avg := testing.AllocsPerRun(100, func() {
+		p.report(k, telemetry.FaultCrash, []int{2}, -1)
+	}); avg != 0 {
+		t.Errorf("untraced fault report allocates %v per call, want 0", avg)
+	}
+
+	p.env.Tracer = ctrace.NewCollector(0)
+	p.crash(k, 2, 0)
+	p.split(k, Partition{Islands: [][]int{{3}, {1, 0}}})
+	type row struct {
+		parent uint64
+		node   int
+		name   string
+	}
+	var got []row
+	for _, s := range p.env.Tracer.Export() {
+		if s.Phase != ctrace.PhaseFault || s.StartNs != s.EndNs {
+			t.Errorf("span %+v is not an instantaneous fault span", s)
+		}
+		if (s.Annot != nil) != (s.Parent == 0) || (s.Annot != nil && s.Annot.Item != -1) {
+			t.Errorf("span %+v: want item -1 annotated on roots only, got %+v", s, s.Annot)
+		}
+		got = append(got, row{s.Parent, s.Node, s.Name})
+	}
+	want := []row{
+		{0, 2, telemetry.FaultCrash},
+		{0, -1, telemetry.FaultPartitionSplit},
+		{2, 0, telemetry.FaultPartitionSplit}, {2, 1, telemetry.FaultPartitionSplit}, {2, 3, telemetry.FaultPartitionSplit},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("fault spans = %+v\nwant %+v", got, want)
 	}
 }

@@ -29,8 +29,8 @@ type Query struct {
 	Level    consistency.Level
 	IssuedAt time.Duration
 	// Route records how the strategy resolved the query ("local",
-	// "relay", "poll", "fetch", ...) — purely observational, surfaced in
-	// telemetry query spans.
+	// "relay", "poll", "fetch", ...) — purely observational, the name of
+	// the query's root span once answered.
 	Route string
 	// Source is the node whose authority backed the answer: the host
 	// itself for local/owner reads, the peer that supplied or validated
@@ -198,7 +198,6 @@ func (c *Chassis) Answer(k *sim.Kernel, q *Query, served data.Copy) {
 	q.resolved = true
 	c.answered++
 	c.Latency.Record(k.Now() - q.IssuedAt)
-	c.Tracer.FinishAs(q.TC, k.Now().Nanoseconds(), q.Route)
 	v, stale, err := c.Auditor.CheckStale(consistency.Answer{
 		Item:       q.Item,
 		Level:      q.Level,
@@ -208,28 +207,21 @@ func (c *Chassis) Answer(k *sim.Kernel, q *Query, served data.Copy) {
 	if err != nil {
 		// Audit errors indicate simulation bugs (unknown item, bad
 		// level); surface them in the failure ledger loudly.
+		c.Tracer.FinishAs(q.TC, k.Now().Nanoseconds(), q.Route)
 		c.failReasons["audit-error:"+err.Error()]++
 		return
 	}
+	c.Tracer.FinishNoted(q.TC, k.Now().Nanoseconds(), q.Route, ctrace.Annot{
+		Item:    int(q.Item),
+		Level:   q.Level.String(),
+		Served:  uint64(served.Version),
+		StaleNs: stale.Nanoseconds(),
+		Verdict: v.String(),
+	})
 	if v != consistency.ViolationNone {
 		c.violations++
 	}
 	c.Hub.QueryAnswered(q.Level, k.Now()-q.IssuedAt, stale, v.String())
-	if c.Hub.Level() >= telemetry.LevelSpans {
-		c.Hub.QuerySpanRecord(telemetry.QuerySpan{
-			Seq:        q.Seq,
-			Host:       q.Host,
-			Item:       int(q.Item),
-			Level:      q.Level.String(),
-			Route:      q.Route,
-			Outcome:    "answered",
-			Served:     uint64(served.Version),
-			StaleNs:    stale.Nanoseconds(),
-			Violation:  v.String(),
-			IssuedNs:   q.IssuedAt.Nanoseconds(),
-			ResolvedNs: k.Now().Nanoseconds(),
-		})
-	}
 	if c.answerObserver != nil {
 		c.answerObserver(k, q, served)
 	}
@@ -246,23 +238,10 @@ func (c *Chassis) Fail(q *Query, reason string) {
 	c.failed++
 	c.failReasons[reason]++
 	if c.Tracer != nil && q.TC.TraceID != 0 {
-		c.Tracer.FinishAs(q.TC, c.Net.Kernel().Now().Nanoseconds(), "failed:"+reason)
+		c.Tracer.FinishNoted(q.TC, c.Net.Kernel().Now().Nanoseconds(), "failed:"+reason,
+			ctrace.Annot{Item: int(q.Item), Level: q.Level.String()})
 	}
 	c.Hub.QueryFailed(q.Level, reason)
-	if c.Hub.Level() >= telemetry.LevelSpans {
-		now := c.Net.Kernel().Now()
-		c.Hub.QuerySpanRecord(telemetry.QuerySpan{
-			Seq:        q.Seq,
-			Host:       q.Host,
-			Item:       int(q.Item),
-			Level:      q.Level.String(),
-			Route:      q.Route,
-			Outcome:    "failed",
-			Reason:     reason,
-			IssuedNs:   q.IssuedAt.Nanoseconds(),
-			ResolvedNs: now.Nanoseconds(),
-		})
-	}
 }
 
 // Issued returns the number of queries begun.

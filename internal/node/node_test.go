@@ -1,6 +1,7 @@
 package node
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"github.com/manetlab/rpcc/internal/protocol"
 	"github.com/manetlab/rpcc/internal/sim"
 	"github.com/manetlab/rpcc/internal/stats"
+	ctrace "github.com/manetlab/rpcc/internal/telemetry/trace"
 )
 
 // staticSource pins nodes on a 200m-spaced chain (radio range 250m).
@@ -172,6 +174,51 @@ func TestAnswerAuditsViolation(t *testing.T) {
 	e.ch.Answer(e.k, q, old) // stale by 10 minutes: SC violation
 	if e.ch.AuditViolations() != 1 {
 		t.Errorf("violations = %d, want 1", e.ch.AuditViolations())
+	}
+}
+
+// TestTracedQueryRootCarriesTheRecord: the query root is the per-query
+// record — an answered query closes it under its route with item, level,
+// served version, staleness and the judge's verdict; a failed one closes
+// it as failed:<reason> with item and level only.
+func TestTracedQueryRootCarriesTheRecord(t *testing.T) {
+	e := newEnv(t, 3)
+	e.ch.Tracer = ctrace.NewCollector(0)
+	m, _ := e.reg.Master(2)
+	old := m.Current()
+	e.k.RunUntil(10 * time.Minute)
+	if _, err := m.Update(e.k.Now()); err != nil {
+		t.Fatal(err)
+	}
+	e.k.RunUntil(20 * time.Minute)
+
+	answered := e.ch.Begin(e.k, 1, 2, consistency.LevelStrong)
+	answered.Route = "poll-direct"
+	failed := e.ch.Begin(e.k, 0, 1, consistency.LevelDelta)
+	e.k.RunUntil(20*time.Minute + time.Second)
+	e.ch.Answer(e.k, answered, old) // stale by 10 minutes: SC violation
+	e.ch.Fail(failed, "poll-timeout")
+
+	spans := e.ch.Tracer.Export()
+	if len(spans) != 2 {
+		t.Fatalf("%d spans, want the two query roots", len(spans))
+	}
+	got, want := spans[0], ctrace.Span{
+		Trace: 1, ID: 1, Node: 1, Phase: ctrace.PhaseQuery, Name: "poll-direct",
+		StartNs: (20 * time.Minute).Nanoseconds(), EndNs: (20*time.Minute + time.Second).Nanoseconds(), Seq: 1,
+		Annot: &ctrace.Annot{Item: 2, Level: "SC", Served: uint64(old.Version),
+			StaleNs: (10*time.Minute + time.Second).Nanoseconds(), Verdict: "strong-stale"},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("answered root = %+v annot %+v\nwant %+v annot %+v", got, got.Annot, want, want.Annot)
+	}
+	got, want = spans[1], ctrace.Span{
+		Trace: 2, ID: 2, Node: 0, Phase: ctrace.PhaseQuery, Name: "failed:poll-timeout",
+		StartNs: (20 * time.Minute).Nanoseconds(), EndNs: (20*time.Minute + time.Second).Nanoseconds(), Seq: 2,
+		Annot: &ctrace.Annot{Item: 1, Level: "DC"},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("failed root = %+v annot %+v\nwant %+v annot %+v", got, got.Annot, want, want.Annot)
 	}
 }
 

@@ -8,7 +8,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -449,75 +448,4 @@ func (l *Latency) Quantile(q float64) time.Duration {
 func (l *Latency) String() string {
 	return fmt.Sprintf("n=%d mean=%v p50<=%v p99<=%v max=%v",
 		l.Count(), l.Mean(), l.Quantile(0.5), l.Quantile(0.99), l.Max())
-}
-
-// Staleness records, for every answered query, how stale the served copy
-// was (zero for up-to-date answers), grouped for the consistency auditor.
-type Staleness struct {
-	mu       sync.Mutex
-	samples  []time.Duration // staleness per answer; kept for exact quantiles
-	nonFresh uint64
-}
-
-// NewStaleness returns an empty recorder.
-func NewStaleness() *Staleness { return &Staleness{} }
-
-// Record adds one answer's staleness (0 = served the current version).
-func (s *Staleness) Record(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.samples = append(s.samples, d)
-	if d > 0 {
-		s.nonFresh++
-	}
-}
-
-// Count returns the number of answers recorded.
-func (s *Staleness) Count() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return uint64(len(s.samples))
-}
-
-// NonFresh returns how many answers served a stale (but committed) value.
-func (s *Staleness) NonFresh() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.nonFresh
-}
-
-// Max returns the worst staleness served.
-func (s *Staleness) Max() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var m time.Duration
-	for _, d := range s.samples {
-		if d > m {
-			m = d
-		}
-	}
-	return m
-}
-
-// Quantile returns the exact q-quantile of staleness.
-func (s *Staleness) Quantile(q float64) time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.samples) == 0 || q <= 0 {
-		return 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	sorted := make([]time.Duration, len(s.samples))
-	copy(sorted, s.samples)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	i := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	return sorted[i]
 }

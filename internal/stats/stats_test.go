@@ -340,41 +340,6 @@ func TestBucketForMonotone(t *testing.T) {
 	}
 }
 
-func TestStaleness(t *testing.T) {
-	s := NewStaleness()
-	s.Record(0)
-	s.Record(3 * time.Second)
-	s.Record(time.Second)
-	s.Record(-time.Second) // clamped
-	if got := s.Count(); got != 4 {
-		t.Errorf("Count = %d", got)
-	}
-	if got := s.NonFresh(); got != 2 {
-		t.Errorf("NonFresh = %d, want 2", got)
-	}
-	if got := s.Max(); got != 3*time.Second {
-		t.Errorf("Max = %v", got)
-	}
-	// Sorted samples: [0, 0, 1s, 3s]; the q-th sample is at index
-	// ceil(q·n)−1, so the median lands on the second zero.
-	if got := s.Quantile(0.5); got != 0 {
-		t.Errorf("median = %v, want 0", got)
-	}
-	if got := s.Quantile(0.75); got != time.Second {
-		t.Errorf("p75 = %v, want 1s", got)
-	}
-	if got := s.Quantile(1); got != 3*time.Second {
-		t.Errorf("p100 = %v", got)
-	}
-}
-
-func TestStalenessEmpty(t *testing.T) {
-	s := NewStaleness()
-	if s.Count() != 0 || s.Max() != 0 || s.Quantile(0.9) != 0 {
-		t.Error("empty staleness returned non-zero")
-	}
-}
-
 func TestLatencyString(t *testing.T) {
 	l := NewLatency()
 	l.Record(time.Second)

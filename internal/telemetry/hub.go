@@ -1,20 +1,17 @@
-// Package telemetry is the observability plane of the simulator: a
-// zero-dependency, simulated-time-aware metrics registry (counters,
-// gauges, fixed-bucket histograms) plus an opt-in span model for query
-// lifecycles, relay-membership transitions, and invalidation waves.
+// Package telemetry is the metrics half of the observability plane: a
+// zero-dependency, simulated-time-aware registry (counters, gauges,
+// fixed-bucket histograms) behind a Hub of pre-built handles. Per-event
+// records — query lifecycles, role transitions, faults, flood waves —
+// live on the causal trace (internal/telemetry/trace), not here.
 //
-// Two levels exist. LevelMetrics (the default in experiment runs) keeps
-// only aggregate instruments — the hot-path recording methods are
-// allocation-free, every handle is pre-registered in NewHub, and nothing
-// observable about a simulation changes (no RNG draws, no events), so
-// seeded runs stay byte-identical with telemetry on. LevelSpans
-// additionally retains per-query, per-transition and per-flood-wave
-// records for the JSONL export.
+// The hot-path recording methods are allocation-free, every fixed handle
+// is pre-registered in NewHub, and nothing observable about a simulation
+// changes (no RNG draws, no events), so seeded runs stay byte-identical
+// with telemetry on.
 //
 // Determinism invariants: exported values contain simulated time only
-// (never wall-clock), every iteration over registered metrics is sorted,
-// and spans are appended in simulation event order — so two runs with
-// the same seed export identical bytes.
+// (never wall-clock) and every iteration over registered metrics is
+// sorted — so two runs with the same seed export identical bytes.
 package telemetry
 
 import (
@@ -26,31 +23,15 @@ import (
 	"github.com/manetlab/rpcc/internal/stats"
 )
 
-// Level selects how much the hub records.
+// Level selects whether NewHub builds a hub at all.
 type Level int
 
 const (
-	// LevelOff records nothing; every hub method is a no-op.
+	// LevelOff records nothing: NewHub returns the nil hub.
 	LevelOff Level = iota
-	// LevelMetrics (the default) keeps aggregate counters/histograms only.
+	// LevelMetrics keeps the aggregate counters and histograms.
 	LevelMetrics
-	// LevelSpans additionally retains per-query/-transition/-wave records.
-	LevelSpans
 )
-
-// String names the level for flags and reports.
-func (l Level) String() string {
-	switch l {
-	case LevelOff:
-		return "off"
-	case LevelMetrics:
-		return "metrics"
-	case LevelSpans:
-		return "spans"
-	default:
-		return "Level(?)"
-	}
-}
 
 // Relay-membership events, as seen by the source host's relay table.
 const (
@@ -93,8 +74,7 @@ const nLevels = int(consistency.LevelWeak) + 1
 // *Hub is valid and inert — every method no-ops — so call sites do not
 // branch on whether telemetry is wired.
 type Hub struct {
-	level Level
-	reg   *Registry
+	reg *Registry
 
 	// Delivery plane (fed by the netsim Tracer hook).
 	delivLatency [protocol.NumKinds]*Histogram
@@ -106,9 +86,11 @@ type Hub struct {
 	failed       [nLevels]*Counter
 	queryLatency [nLevels]*Histogram
 	staleness    [nLevels]*Histogram
-	// failReasons memoises the per-reason failure counters, registered on
-	// first use (registry lookups build a label signature per call).
+	// failReasons and violations memoise the per-reason failure and
+	// per-class audit-violation counters, registered on first use
+	// (registry lookups build a label signature per call).
 	failReasons map[string]*Counter
+	violations  map[string]*Counter
 
 	// RPCC protocol decisions.
 	pollStage  map[string]*Counter
@@ -125,10 +107,6 @@ type Hub struct {
 
 	simSeconds *Gauge
 
-	// Span plane (LevelSpans only).
-	spans *SpanLog
-	waves map[uint64]*WaveSpan
-
 	// traffic is folded into the snapshot at Finish.
 	traffic *stats.Traffic
 }
@@ -143,9 +121,9 @@ func NewHub(level Level) *Hub {
 		return nil
 	}
 	h := &Hub{
-		level:          level,
 		reg:            NewRegistry(),
 		failReasons:    make(map[string]*Counter),
+		violations:     make(map[string]*Counter),
 		roleMoves:      make(map[roleMove]*Counter),
 		pollStage:      make(map[string]*Counter, 3),
 		membership:     make(map[string]*Counter, 5),
@@ -193,30 +171,7 @@ func NewHub(level Level) *Hub {
 			Label{"coeff", c})
 	}
 	h.simSeconds = h.reg.Gauge("rpcc_sim_seconds", "Simulated time covered by this snapshot.")
-	if level >= LevelSpans {
-		h.spans = NewSpanLog(defaultSpanCap)
-		h.waves = make(map[uint64]*WaveSpan)
-	}
 	return h
-}
-
-// Level returns the hub's recording level (LevelOff on nil).
-func (h *Hub) Level() Level {
-	if h == nil {
-		return LevelOff
-	}
-	return h.level
-}
-
-// Registry exposes the underlying registry so strategies can register
-// their own instruments (cache the returned handles; registration is not
-// hot-path-free). Nil on a nil hub — Counter/Gauge/Histogram handles from
-// a nil registry cannot be obtained, so callers guard with Level().
-func (h *Hub) Registry() *Registry {
-	if h == nil {
-		return nil
-	}
-	return h.reg
 }
 
 // Counter returns a nil-safe counter handle: on a nil hub it returns nil,
@@ -230,9 +185,8 @@ func (h *Hub) Counter(name, help string, labels ...Label) *Counter {
 }
 
 // Tracer adapts the hub to the network layer's delivery hook, recording
-// per-kind delivery latency and hop histograms (and, at LevelSpans,
-// folding flood deliveries into per-FloodID wave spans). Returns nil on a
-// nil hub so netsim keeps its zero-cost no-tracer path.
+// per-kind delivery latency and hop histograms. Returns nil on a nil hub
+// so netsim keeps its zero-cost no-tracer path.
 func (h *Hub) Tracer() netsim.Tracer {
 	if h == nil {
 		return nil
@@ -244,25 +198,6 @@ func (h *Hub) Tracer() netsim.Tracer {
 		}
 		h.delivLatency[k].ObserveDuration(meta.At - meta.SentAt)
 		h.delivHops[k].Observe(float64(meta.Hops))
-		if h.waves != nil && meta.Flood && meta.FloodID != 0 {
-			w, ok := h.waves[meta.FloodID]
-			if !ok {
-				w = &WaveSpan{
-					FloodID: meta.FloodID,
-					Kind:    k.String(),
-					Item:    int(msg.Item),
-					Origin:  msg.Origin,
-					Version: uint64(msg.Version),
-					FirstNs: int64(at),
-				}
-				h.waves[meta.FloodID] = w
-			}
-			w.LastNs = int64(at)
-			w.Deliveries++
-			if meta.Hops > w.MaxHops {
-				w.MaxHops = meta.Hops
-			}
-		}
 	}
 }
 
@@ -287,8 +222,13 @@ func (h *Hub) QueryAnswered(level consistency.Level, latency, stale time.Duratio
 		h.staleness[level].ObserveDuration(stale)
 	}
 	if violation != "" && violation != "none" {
-		h.reg.Counter("rpcc_audit_violations_total", "Answers violating their consistency level.",
-			Label{"class", violation}).Inc()
+		c, ok := h.violations[violation]
+		if !ok {
+			c = h.reg.Counter("rpcc_audit_violations_total", "Answers violating their consistency level.",
+				Label{"class", violation})
+			h.violations[violation] = c
+		}
+		c.Inc()
 	}
 }
 
@@ -307,18 +247,8 @@ func (h *Hub) QueryFailed(level consistency.Level, reason string) {
 	c.Inc()
 }
 
-// QuerySpanRecord retains one query's lifecycle record (LevelSpans only).
-func (h *Hub) QuerySpanRecord(s QuerySpan) {
-	if h == nil || h.spans == nil {
-		return
-	}
-	h.spans.AddQuery(s)
-}
-
-// RoleTransition counts one Fig 5 role transition and, at LevelSpans,
-// retains the transition with the election coefficient inputs that drove
-// it.
-func (h *Hub) RoleTransition(at time.Duration, node, item int, from, to, reason string, car, cs, ce float64) {
+// RoleTransition counts one Fig 5 role transition.
+func (h *Hub) RoleTransition(from, to, reason string) {
 	if h == nil {
 		return
 	}
@@ -330,13 +260,6 @@ func (h *Hub) RoleTransition(at time.Duration, node, item int, from, to, reason 
 		h.roleMoves[key] = c
 	}
 	c.Inc()
-	if h.spans != nil {
-		h.spans.AddRole(RoleSpan{
-			AtNs: int64(at), Node: node, Item: item,
-			From: from, To: to, Reason: reason,
-			CAR: car, CS: cs, CE: ce,
-		})
-	}
 }
 
 // RelayMembership counts one relay-table event at a source host.
@@ -389,21 +312,14 @@ func (h *Hub) RepairGiveUp(kind string) {
 	}
 }
 
-// FaultEvent counts one injected fault and, at LevelSpans, retains it as
-// a fault span. nodes is retained as given (callers pass sorted slices);
-// item is -1 when the fault is not item-scoped.
-func (h *Hub) FaultEvent(at time.Duration, kind string, nodes []int, item int, note string) {
+// FaultEvent counts one injected fault (a handful per campaign, so the
+// registry lookup per call is not worth memoising).
+func (h *Hub) FaultEvent(kind string) {
 	if h == nil {
 		return
 	}
 	h.reg.Counter("rpcc_fault_events_total", "Injected fault-plane events.",
 		Label{"kind", kind}).Inc()
-	if h.spans != nil {
-		h.spans.AddFault(FaultSpan{
-			AtNs: int64(at), Kind: kind, Nodes: append([]int(nil), nodes...),
-			Item: item, Note: note,
-		})
-	}
 }
 
 // Coeff observes one node's election coefficients at a coefficient tick.
@@ -425,8 +341,7 @@ func (h *Hub) AttachTraffic(t *stats.Traffic) {
 }
 
 // Finish stamps the simulated end time and folds the attached traffic
-// ledger, wave aggregates and span-drop accounting into
-// the registry. Call once, after the kernel stops.
+// ledger into the registry. Call once, after the kernel stops.
 func (h *Hub) Finish(at time.Duration) {
 	if h == nil {
 		return
@@ -466,13 +381,5 @@ func (h *Hub) Finish(at time.Duration) {
 		// accounting bug upstream), never silently folded into a real kind.
 		h.reg.Counter("rpcc_invalid_kind_total",
 			"Traffic records carrying an out-of-range protocol kind.").Add(h.traffic.Invalid())
-	}
-	for _, w := range h.sortedWaves() {
-		h.reg.Counter("rpcc_waves_total", "Flood waves observed, per kind.",
-			Label{"kind", w.Kind}).Inc()
-	}
-	if h.spans != nil {
-		h.reg.Counter("rpcc_spans_dropped_total",
-			"Spans discarded after the span log filled.").Add(h.spans.Dropped())
 	}
 }

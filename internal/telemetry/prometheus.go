@@ -3,9 +3,24 @@ package telemetry
 import (
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 )
+
+// WritePrometheusFile is WritePrometheus into a new file at path — what
+// every -metrics-out flag does.
+func WritePrometheusFile(path string, s *Snapshot) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := WritePrometheus(f, s); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
 
 // WritePrometheus renders the snapshot in the Prometheus text exposition
 // format (version 0.0.4): # HELP / # TYPE headers, cumulative le buckets

@@ -8,7 +8,7 @@ import (
 // Snapshot is the serializable end-of-run state of a registry: every
 // family sorted by name, every metric sorted by label signature, zero
 // metrics skipped. Snapshots are what fleet journals embed and what the
-// Prometheus/JSONL writers render; Merge folds snapshots from independent
+// Prometheus writer renders; Merge folds snapshots from independent
 // runs (replica seeds, sweep points) into one aggregate.
 type Snapshot struct {
 	// SimSeconds is the simulated time covered (summed across merges).

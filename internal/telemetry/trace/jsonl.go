@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 )
 
 // WriteJSONL writes one span per line in canonical field order. Spans are
@@ -26,6 +27,20 @@ func WriteJSONL(w io.Writer, spans []Span) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// WriteFile is WriteJSONL into a new file at path — what every
+// -trace-out flag does.
+func WriteFile(path string, spans []Span) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := WriteJSONL(f, spans); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // ReadJSONL parses a span-per-line trace file, in file order. Blank lines

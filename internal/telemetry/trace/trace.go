@@ -54,7 +54,20 @@ const (
 	PhaseInvalidate = "invalidate"
 	// PhaseUpdate is an eager UPDATE push rooted at the source host.
 	PhaseUpdate = "update"
+	// PhaseRole is one Fig 5 role transition: an instantaneous parentless
+	// span at the node that moved, named "from>to:reason".
+	PhaseRole = "role"
+	// PhaseFault is one injected fault-plane event: an instantaneous
+	// parentless span named after the fault kind, with one instantaneous
+	// child per node when the fault names several.
+	PhaseFault = "fault"
 )
+
+// Phases is the closed phase vocabulary, in declaration order.
+var Phases = []string{
+	PhaseQuery, PhaseTransit, PhasePoll, PhaseRelayQueue, PhaseServe,
+	PhaseFetch, PhaseRepair, PhaseInvalidate, PhaseUpdate, PhaseRole, PhaseFault,
+}
 
 // regionShift positions the region id in the high bits of every span id,
 // keeping ids from different regions (sim shards, live daemons) disjoint
@@ -76,6 +89,28 @@ type Span struct {
 	StartNs int64  `json:"start_ns"`
 	EndNs   int64  `json:"end_ns"`
 	Seq     uint64 `json:"seq"`
+	// Annot is set on resolved query roots and on role and fault roots
+	// only; every other span leaves it nil and off the JSON line.
+	Annot *Annot `json:"annot,omitempty"`
+}
+
+// Annot is what a root says beyond its interval. On a query root: the
+// item asked for and at which level and, once answered, the version
+// served, its staleness at delivery (-1 when the judging node has no
+// commit ledger to date it — a wire daemon) and the audit verdict
+// ("none" for a conforming answer; empty on a failed root). On a role
+// root: the item and the election coefficients that drove the
+// transition. On a fault root: the item whose relay tier was targeted,
+// -1 when the fault is not item-scoped.
+type Annot struct {
+	Item    int     `json:"item"`
+	Level   string  `json:"level,omitempty"`
+	Served  uint64  `json:"served,omitempty"`
+	StaleNs int64   `json:"stale_ns,omitempty"`
+	Verdict string  `json:"verdict,omitempty"`
+	CAR     float64 `json:"car,omitempty"`
+	CS      float64 `json:"cs,omitempty"`
+	CE      float64 `json:"ce,omitempty"`
 }
 
 // Duration is the span's interval length in nanoseconds.
@@ -89,24 +124,41 @@ type Collector struct {
 	next   uint64
 	spans  []Span
 	open   map[uint64]int // span id -> index of spans still missing EndNs
+	// limit, when positive, is the most spans the collector holds; past
+	// it every new span is refused (and counted) instead of recorded.
+	limit   int
+	refused uint64
 }
 
 // NewCollector returns a collector whose span ids carry the given region
 // id in their high bits. Region ids must be unique across the collectors
 // whose spans will be merged.
-func NewCollector(region int) *Collector {
-	return &Collector{region: region, open: make(map[uint64]int)}
+func NewCollector(region int) *Collector { return NewBoundedCollector(region, 0) }
+
+// NewBoundedCollector is NewCollector for a producer with no natural end
+// (a daemon): once limit spans are held, every recording call returns the
+// zero context — the operation, or the rest of it, runs untraced, so no
+// recorded span ever names a parent that was refused — and Refused counts
+// them. Simulator collectors need no bound: a run ends at its horizon.
+func NewBoundedCollector(region, limit int) *Collector {
+	return &Collector{region: region, open: make(map[uint64]int), limit: limit}
 }
 
-// Enabled reports whether the collector records anything.
-func (c *Collector) Enabled() bool { return c != nil }
-
-// Region returns the collector's region id (0 for nil).
-func (c *Collector) Region() int {
+// Refused returns how many spans the bound turned away (0 for nil).
+func (c *Collector) Refused() uint64 {
 	if c == nil {
 		return 0
 	}
-	return c.region
+	return c.refused
+}
+
+// full reports (and counts) a span refused by the bound.
+func (c *Collector) full() bool {
+	if c.limit <= 0 || len(c.spans) < c.limit {
+		return false
+	}
+	c.refused++
+	return true
 }
 
 func (c *Collector) newID() uint64 {
@@ -124,7 +176,7 @@ func (c *Collector) push(s Span) int {
 // id doubles as the trace id. Returns the context to thread into child
 // spans and outbound messages. Nil collector: zero context.
 func (c *Collector) StartTrace(now int64, node int, phase, name string) protocol.TraceContext {
-	if c == nil {
+	if c == nil || c.full() {
 		return protocol.TraceContext{}
 	}
 	id := c.newID()
@@ -139,7 +191,7 @@ func (c *Collector) StartTrace(now int64, node int, phase, name string) protocol
 // operation is untraced) or nil collector returns a zero context, so an
 // untraced operation stays untraced all the way down.
 func (c *Collector) StartChild(now int64, parent protocol.TraceContext, node int, phase, name string) protocol.TraceContext {
-	if c == nil || parent.TraceID == 0 {
+	if c == nil || parent.TraceID == 0 || c.full() {
 		return protocol.TraceContext{}
 	}
 	id := c.newID()
@@ -159,25 +211,57 @@ func (c *Collector) Finish(ctx protocol.TraceContext, now int64) {
 // FinishAs closes the span and, when name is non-empty, renames it — the
 // query root span learns its answer route only at Answer time.
 func (c *Collector) FinishAs(ctx protocol.TraceContext, now int64, name string) {
+	c.finish(ctx, now, name)
+}
+
+// FinishNoted is FinishAs for a root that resolves with an annotation:
+// the query root learns item, level and the judge's verdict at Answer or
+// Fail time. The annotation is copied only when the span is recorded, so
+// the call costs nothing on a nil collector or an untraced query.
+func (c *Collector) FinishNoted(ctx protocol.TraceContext, now int64, name string, a Annot) {
+	if s := c.finish(ctx, now, name); s != nil {
+		note := a // taking &a would move the parameter to the heap on every call
+		s.Annot = &note
+	}
+}
+
+func (c *Collector) finish(ctx protocol.TraceContext, now int64, name string) *Span {
 	if c == nil || ctx.SpanID == 0 {
-		return
+		return nil
 	}
 	i, ok := c.open[ctx.SpanID]
 	if !ok {
-		return
+		return nil
 	}
 	delete(c.open, ctx.SpanID)
 	c.spans[i].EndNs = now
 	if name != "" {
 		c.spans[i].Name = name
 	}
+	return &c.spans[i]
+}
+
+// Event records an instantaneous, parentless, annotated span — a role
+// transition or a fault — and returns its context so the caller can hang
+// per-node children on it with Emit. Nil collector: zero context.
+func (c *Collector) Event(now int64, node int, phase, name string, a Annot) protocol.TraceContext {
+	if c == nil || c.full() {
+		return protocol.TraceContext{}
+	}
+	id := c.newID()
+	note := a // as in FinishNoted
+	c.push(Span{
+		Trace: id, ID: id, Region: c.region, Node: node,
+		Phase: phase, Name: name, StartNs: now, EndNs: now, Annot: &note,
+	})
+	return protocol.TraceContext{TraceID: id, SpanID: id}
 }
 
 // Emit records a complete span under parent in one call — for intervals
 // whose start and end are both known at the recording site, like a
 // network delivery [sent, delivered] or a relay-queue wait.
 func (c *Collector) Emit(parent protocol.TraceContext, node int, phase, name string, startNs, endNs int64) protocol.TraceContext {
-	if c == nil || parent.TraceID == 0 {
+	if c == nil || parent.TraceID == 0 || c.full() {
 		return protocol.TraceContext{}
 	}
 	id := c.newID()

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"github.com/manetlab/rpcc/internal/protocol"
@@ -12,7 +13,7 @@ import (
 // need no feature flag beyond the pointer itself.
 func TestNilCollectorNoOps(t *testing.T) {
 	var c *Collector
-	if c.Enabled() || c.Len() != 0 || c.Region() != 0 || c.Export() != nil {
+	if c.Len() != 0 || c.Export() != nil {
 		t.Fatal("nil collector not inert")
 	}
 	ctx := c.StartTrace(5, 1, PhaseQuery, "query")
@@ -25,6 +26,67 @@ func TestNilCollectorNoOps(t *testing.T) {
 	c.Finish(protocol.TraceContext{TraceID: 9, SpanID: 9}, 7) // must not panic
 	if e := c.Emit(protocol.TraceContext{TraceID: 9, SpanID: 9}, 1, PhaseTransit, "t", 1, 2); !e.Zero() {
 		t.Fatalf("nil Emit returned %+v", e)
+	}
+	if ev := c.Event(5, 1, PhaseRole, "cache>candidate:eligible", Annot{Item: 3}); !ev.Zero() {
+		t.Fatalf("nil Event returned %+v", ev)
+	}
+	if c.Refused() != 0 {
+		t.Fatal("nil collector refused spans")
+	}
+	// The two annotating calls sit on paths that run untraced by default
+	// (every role transition, fault and resolved query): they must cost
+	// nothing there — in particular the Annot argument must not be moved
+	// to the heap on entry.
+	if avg := testing.AllocsPerRun(100, func() {
+		c.Event(5, 1, PhaseFault, "crash", Annot{Item: -1})
+		c.FinishNoted(protocol.TraceContext{TraceID: 9, SpanID: 9}, 7, "local", Annot{Item: 3, Level: "SC", Verdict: "none"})
+	}); avg != 0 {
+		t.Fatalf("Event+FinishNoted on a nil collector allocate %v per call, want 0", avg)
+	}
+}
+
+// TestBoundedCollectorRefusesPastLimit: a collector at its bound records
+// nothing new and counts what it turned away; because a refused span
+// hands out the zero context, whatever would have hung under it is never
+// attempted, so every exported span's parent still resolves.
+func TestBoundedCollectorRefusesPastLimit(t *testing.T) {
+	c := NewBoundedCollector(1, 4)
+	root := buildQueryTrace(c) // 5 spans asked for, the 5th (a transit) refused
+	if c.Len() != 4 || c.Refused() != 1 {
+		t.Fatalf("held %d spans, refused %d; want 4 and 1", c.Len(), c.Refused())
+	}
+	for i := 0; i < 3; i++ {
+		r := c.StartTrace(200, 2, PhaseQuery, "query")
+		if !r.Zero() {
+			t.Fatalf("root %d past the bound got context %+v", i, r)
+		}
+		// The untraced operation's children and resolution are no-ops.
+		if ch := c.StartChild(201, r, 2, PhasePoll, "poll-direct"); !ch.Zero() {
+			t.Fatalf("child of a refused root got context %+v", ch)
+		}
+		c.FinishNoted(r, 210, "local", Annot{Item: 1})
+	}
+	if ev := c.Event(300, 2, PhaseRole, "cache>candidate:eligible", Annot{Item: 1}); !ev.Zero() {
+		t.Fatalf("event past the bound got context %+v", ev)
+	}
+	if ch := c.StartChild(301, root, 1, PhasePoll, "poll-ring"); !ch.Zero() {
+		t.Fatalf("child of a held root past the bound got context %+v", ch)
+	}
+	if c.Len() != 4 || c.Refused() != 6 {
+		t.Fatalf("held %d spans, refused %d; want 4 and 6 (1 transit, 3 roots, 1 event, 1 child)", c.Len(), c.Refused())
+	}
+	spans := c.Export()
+	ids := map[uint64]bool{}
+	for _, s := range spans {
+		ids[s.ID] = true
+	}
+	for _, s := range spans {
+		if s.Parent != 0 && !ids[s.Parent] {
+			t.Fatalf("span %x names refused parent %x", s.ID, s.Parent)
+		}
+	}
+	if spans[0].EndNs != 100 || spans[0].Name != "poll-direct" {
+		t.Fatalf("a held open span could not be finished at the bound: %+v", spans[0])
 	}
 }
 
@@ -159,10 +221,18 @@ func TestMergeCanonicalOrder(t *testing.T) {
 func TestJSONLRoundTrip(t *testing.T) {
 	c := NewCollector(2)
 	buildQueryTrace(c)
+	noted := c.StartTrace(110, 3, PhaseQuery, "query")
+	c.FinishNoted(noted, 120, "local", Annot{Item: 0, Level: "DC", Served: 4, StaleNs: -1, Verdict: "none"})
+	crash := c.Event(130, -1, PhaseFault, "assassination", Annot{Item: 3})
+	c.Emit(crash, 7, PhaseFault, "assassination", 130, 130)
+	c.Event(140, 7, PhaseRole, "relay>cache:demoted", Annot{Item: 3, CAR: 0.25, CS: 0.5, CE: 0.125})
 	spans := c.Export()
 	var buf bytes.Buffer
 	if err := WriteJSONL(&buf, spans); err != nil {
 		t.Fatal(err)
+	}
+	if n := bytes.Count(buf.Bytes(), []byte(`"annot"`)); n != 3 {
+		t.Fatalf("%d lines carry an annotation, want only the 3 annotated roots:\n%s", n, buf.String())
 	}
 	got, err := ReadJSONL(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -172,7 +242,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 		t.Fatalf("read %d spans, wrote %d", len(got), len(spans))
 	}
 	for i := range got {
-		if got[i] != spans[i] {
+		if !reflect.DeepEqual(got[i], spans[i]) {
 			t.Fatalf("span %d drifted: %+v vs %+v", i, got[i], spans[i])
 		}
 	}
