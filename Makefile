@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet check figures telemetry-smoke chaos-smoke conform-smoke policy-smoke wire-smoke wire-chaos-smoke scale-smoke trace-smoke bench-smoke clean
+.PHONY: all build test race vet check figures figures-smoke telemetry-smoke chaos-smoke conform-smoke policy-smoke wire-smoke wire-chaos-smoke scale-smoke trace-smoke bench-smoke clean
 
 all: check
 
@@ -33,7 +33,14 @@ bench-smoke:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
-check: build vet test race bench-smoke
+# Figure gate: the whole suite at one simulated hour per run must print
+# the checked-in figures_1h.txt byte for byte — the widest behavioural
+# byte-compare the repo has (every strategy, every figure; ~6 s on two
+# cores). A change that moves it on purpose regenerates the file.
+figures-smoke:
+	$(GO) run ./cmd/figures -simtime 1h | cmp - figures_1h.txt
+
+check: build vet test race bench-smoke figures-smoke
 
 # End-to-end metrics check: a 1-simulated-minute seeded run exports
 # Prometheus text, and telemetrylint proves it parses and satisfies the

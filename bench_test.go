@@ -25,6 +25,7 @@ package rpcc
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -494,7 +495,10 @@ func TestDeliveryDoesNotAllocate(t *testing.T) {
 // only just been released. Every send carries a unique Seq, and every
 // delivery must show exactly the payload, origin and hop budget of its
 // own send — a record reused while its fields were still live would
-// surface another send's. Steady state still allocates nothing.
+// surface another send's. A broadcast's hearers are one record walked in
+// neighbour-row order, so the origin's neighbours must hear the wide
+// flood back to back and in that order even though each of them sends
+// from inside the walk. Steady state still allocates nothing.
 func TestReentrantDeliveryKeepsRecordsApart(t *testing.T) {
 	const (
 		wideTTL = 8
@@ -530,8 +534,21 @@ func TestReentrantDeliveryKeepsRecordsApart(t *testing.T) {
 		return protocol.Message{Kind: kind, Item: 7, Version: 1, Origin: origin, Seq: next}
 	}
 	var fail string
+	// firstHop lists who heard the round's wide flood straight from its
+	// origin, in delivery order; lastFirstHop is the delivery count at the
+	// latest of them.
+	firstHop := make([]int, 0, n)
+	var deliveries, lastFirstHop int
 	check := func(node int, msg protocol.Message, meta netsim.Meta) *send {
 		s := &ledger[msg.Seq%sends]
+		deliveries++
+		if msg.Kind == protocol.KindInvalidation && meta.Hops == 1 {
+			if len(firstHop) > 0 && deliveries != lastFirstHop+1 {
+				fail = fmt.Sprintf("node %d: another delivery ran inside the origin's broadcast", node)
+			}
+			lastFirstHop = deliveries
+			firstHop = append(firstHop, node)
+		}
 		switch {
 		case msg.Kind != s.kind || msg.Origin != s.origin || msg.Item != 7:
 			fail = fmt.Sprintf("node %d got %+v, sent as kind %v from %d", node, msg, s.kind, s.origin)
@@ -575,10 +592,14 @@ func TestReentrantDeliveryKeepsRecordsApart(t *testing.T) {
 		origin := i % n
 		i++
 		first := next + 1
+		firstHop = firstHop[:0]
 		if err := net.Flood(origin, wideTTL, open(protocol.KindInvalidation, origin, -1, wideTTL)); err != nil {
 			t.Fatal(err)
 		}
 		k.Run()
+		if row := net.Graph().Neighbors(origin); !slices.Equal(firstHop, row) {
+			fail = fmt.Sprintf("flood from %d: first-hop deliveries %v, neighbour row %v", origin, firstHop, row)
+		}
 		if next-first >= sends {
 			fail = fmt.Sprintf("round made %d sends, ledger holds %d", next-first+1, sends)
 		}

@@ -1,47 +1,65 @@
 package netsim
 
 import (
-	"container/heap"
 	"math"
+	"slices"
 	"time"
 
 	"github.com/manetlab/rpcc/internal/geo"
 	"github.com/manetlab/rpcc/internal/mobility"
 	"github.com/manetlab/rpcc/internal/radio"
-	"github.com/manetlab/rpcc/internal/sim"
 )
 
 // The kinetic topology plane replaces per-snapshot full rebuilds with
-// event-driven neighbour maintenance. Node motion is piecewise linear
-// (random waypoint legs), so for every tracked node pair we can bound the
-// earliest time the pair could cross the communication range R: with the
-// pair at distance d and the two current legs moving at (exact, effective)
-// speeds s_u and s_v, no crossing can happen before t + |d−R|/(s_u+s_v),
-// and no leg's contribution changes before the leg's segment ends. The
-// minimum of those bounds is the pair's certificate; certificates are
-// scheduled as kernel events and re-verified with exact analytic positions
-// when they fire, so float error can delay a detection but never corrupt
-// one — link state is always confirmed by an exact distance test.
+// incremental neighbour maintenance that advances only when a snapshot is
+// read: nothing in this file is a kernel event. Node motion is piecewise
+// linear (random waypoint legs), so for a tracked pair at distance d whose
+// current legs move at speeds s_u and s_v, no crossing of the range R can
+// happen before t + |d−R|/(s_u+s_v), and neither leg's contribution
+// changes before its segment ends. The minimum of those bounds is the
+// pair's certificate. Certificates wait on the plane's own heap;
+// kineticSample drains those due at or before the sample time S and
+// re-verifies each with the positions sampled at S, so float error can
+// delay a detection but never corrupt one — link state is always
+// confirmed by an exact distance test.
 //
 // Candidate pairs come from a Verlet-style skin: nodes are binned on a
-// grid of side R+skin by their anchor (last rebin) position, and a node
-// re-bins before it can drift skin/2 from its anchor. Any untracked pair
-// therefore has anchor distance > R+skin and true distance > R, so links
-// can only form on tracked pairs — the exactness invariant.
+// grid of side R+skin by their anchor (last rebin) position, a node's
+// rebin falls due before it can drift skin/2 from its anchor, and every
+// re-anchoring rescans the node's 3×3 block and drops its pairs whose
+// anchors separated. So a pair is tracked exactly while its anchor
+// distance is ≤ R+skin, in whatever order rebins are processed.
+//
+// Exactness at a sample. The drain processes every heap entry due ≤ S at
+// the positions of S. Afterwards (a) a node whose rebin was overdue — by
+// however many skins; nothing runs between samples — sits within skin/4
+// of its anchor, and any other node within skin/2 by the bound that
+// scheduled its rebin, so an untracked pair is at true distance > R:
+// links exist on tracked pairs only; (b) a tracked pair whose certificate
+// was due has had its exact test at S, and one whose certificate is not
+// yet due cannot have crossed R since its last test. Inside the drain (a)
+// can fail for a moment: dropPair's premise — separated anchors imply out
+// of range — needs both anchors fresh, and the other endpoint may itself
+// be overdue, so a pair in range at S can be dropped (counted as a
+// break). It heals before the drain ends: that endpoint is more than a
+// skin from its anchor, so its own rebin is due, re-anchors it at S, and
+// the rescan re-discovers the pair with an exact distance test (a make;
+// the two CSR diffs are a superset the route repair tolerates).
 //
 // Snapshots stay byte-identical to the full-rebuild path: Graph() samples
 // positions at exactly the same times (so mobility Moves accounting and
 // RNG draw order match), link membership at the sample time is exact, and
 // the CSR is packed with the same down-node filtering and ascending row
-// order the GraphBuilder produces. The equivalence tests in
-// kinetic_test.go pin this on seeded mobile+churn histories.
+// order the GraphBuilder produces; a kinetic run also fires exactly the
+// kernel events of a full-rebuild run. The equivalence tests in
+// kinetic_test.go pin this on seeded mobile+churn histories, at dense
+// and at sparse sampling (where the in-drain heal runs).
 
 // KineticSource is the position source contract the kinetic plane needs:
-// batch sampling plus non-mutating analytic peeks at (possibly future)
-// positions and motion segments. *mobility.Field implements it.
+// batch sampling plus the linear motion segment a node is on at the
+// sample time. *mobility.Field implements it.
 type KineticSource interface {
 	PositionSource
-	PeekPosition(i int, t time.Duration) geo.Point
 	SegmentAt(i int, t time.Duration) mobility.Segment
 }
 
@@ -54,12 +72,17 @@ type TopologyStats struct {
 	// KineticSamples counts snapshots produced by incremental advance —
 	// rebuilds avoided relative to the full-rebuild baseline.
 	KineticSamples uint64
-	// LinkMakes / LinkBreaks count kinetic link state flips.
+	// LinkMakes / LinkBreaks count the link state flips kinetic samples
+	// observe: a link that forms and breaks between two samples is never
+	// seen, and a pair dropped and re-discovered inside one drain counts
+	// one of each.
 	LinkMakes, LinkBreaks uint64
 	// CertChecks counts certificate re-verifications (exact distance
-	// tests triggered by due certificates).
+	// tests at a sample, one per certificate that fell due since the
+	// last sample — not one per certificate that would have fired).
 	CertChecks uint64
-	// Rebins counts Verlet anchor re-bins (candidate rediscovery scans).
+	// Rebins counts Verlet anchor re-bins (candidate rediscovery scans),
+	// likewise at most one per node per sample.
 	Rebins uint64
 	// RoutesRepaired / RoutesDropped count the catch-ups of stale
 	// per-destination route tables when routing next reads them: repaired
@@ -85,16 +108,8 @@ func (s *TopologyStats) Add(o TopologyStats) {
 	s.RouteFullResets += o.RouteFullResets
 }
 
-const (
-	// kinSkinFactor scales the Verlet skin relative to the comm range.
-	kinSkinFactor = 0.5
-	// kinMinGrain batches the kernel driver event: certificates already
-	// due are still verified exactly at the next sample, so delaying the
-	// mid-window driver never affects snapshot contents — it only spreads
-	// the work. It also bounds the event rate of grazing pairs sitting
-	// numerically at the range boundary.
-	kinMinGrain = time.Millisecond
-)
+// kinSkinFactor scales the Verlet skin relative to the comm range.
+const kinSkinFactor = 0.5
 
 type pairState struct {
 	u, v    int32
@@ -104,6 +119,11 @@ type pairState struct {
 	pendIdx int32
 	pendGen uint32
 	diffGen uint32
+}
+
+type pairMark struct {
+	gen uint32
+	idx int32
 }
 
 type pendEntry struct {
@@ -120,13 +140,60 @@ type kinItem struct {
 	gen uint32
 }
 
+// before orders checks by (due, id, gen). A node has one rebin entry per
+// gen and a pair slab one certificate per gen in the heap at a time, so
+// this is a total order: pop order is a function of what was pushed, not
+// of the heap's shape.
+func (a kinItem) before(b kinItem) bool {
+	return a.due < b.due || a.due == b.due && (a.id < b.id || a.id == b.id && a.gen < b.gen)
+}
+
+// kinHeap is a binary min-heap of checks, sifted on the concrete type.
 type kinHeap []kinItem
 
-func (h kinHeap) Len() int           { return len(h) }
-func (h kinHeap) Less(i, j int) bool { return h[i].due < h[j].due }
-func (h kinHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *kinHeap) Push(x any)        { *h = append(*h, x.(kinItem)) }
-func (h *kinHeap) Pop() any          { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
+func (h *kinHeap) push(it kinItem) {
+	q := append(*h, it)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !it.before(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = it
+	*h = q
+}
+
+// pop removes and returns the earliest check. The heap must be non-empty.
+func (h *kinHeap) pop() kinItem {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q = q[:n]
+	*h = q
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && q[c+1].before(q[c]) {
+			c++
+		}
+		if !q[c].before(last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	if n > 0 {
+		q[i] = last
+	}
+	return top
+}
 
 type kinetic struct {
 	src  KineticSource
@@ -143,8 +210,12 @@ type kinetic struct {
 
 	pairs   []pairState
 	free    []int32
-	pairIdx map[uint64]int32
 	tracked [][]int32 // per node: pair slab indices
+
+	// mark[j].gen == markGen says the node markTracked last ran for tracks
+	// a pair with j, in slab mark[j].idx.
+	mark    []pairMark
+	markGen uint32
 
 	linkedAdj [][]int32 // sorted linked geometric neighbour rows
 
@@ -156,9 +227,6 @@ type kinetic struct {
 	downPrev []bool
 	inited   bool
 	initing  bool
-
-	ev   *sim.Event
-	evAt time.Duration
 
 	stats *TopologyStats
 }
@@ -178,19 +246,12 @@ func newKinetic(src KineticSource, commRange float64, stats *TopologyStats) *kin
 		cellOf:    make([]int64, n),
 		cells:     make(map[int64][]int32),
 		rebinGen:  make([]uint32, n),
-		pairIdx:   make(map[uint64]int32),
 		tracked:   make([][]int32, n),
+		mark:      make([]pairMark, n),
 		linkedAdj: make([][]int32, n),
 		downPrev:  make([]bool, n),
 		stats:     stats,
 	}
-}
-
-func pairKey(u, v int32) uint64 {
-	if u > v {
-		u, v = v, u
-	}
-	return uint64(u)<<32 | uint64(uint32(v))
 }
 
 // cellKey packs unclamped (possibly negative) cell coordinates; a map
@@ -201,44 +262,22 @@ func (kn *kinetic) cellCoords(p geo.Point) (int32, int32) {
 	return int32(math.Floor(p.X / kn.side)), int32(math.Floor(p.Y / kn.side))
 }
 
-// posAt returns node i's exact position at time t: from the sample buffer
-// when one is supplied (sample-time drains), otherwise via an analytic
-// peek. Both produce bit-identical points for equal times.
-func (kn *kinetic) posAt(i int32, t time.Duration, pos []geo.Point) geo.Point {
-	if pos != nil {
-		return pos[i]
-	}
-	return kn.src.PeekPosition(int(i), t)
-}
-
 func insertSorted(s []int32, x int32) []int32 {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	s = append(s, 0)
-	copy(s[lo+1:], s[lo:])
-	s[lo] = x
-	return s
+	i, _ := slices.BinarySearch(s, x)
+	return slices.Insert(s, i, x)
 }
 
 func removeSorted(s []int32, x int32) []int32 {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	if i, ok := slices.BinarySearch(s, x); ok {
+		s = slices.Delete(s, i, i+1)
 	}
-	if lo < len(s) && s[lo] == x {
-		copy(s[lo:], s[lo+1:])
+	return s
+}
+
+// swapRemove deletes x from an unordered list.
+func swapRemove(s []int32, x int32) []int32 {
+	if i := slices.Index(s, x); i >= 0 {
+		s[i] = s[len(s)-1]
 		s = s[:len(s)-1]
 	}
 	return s
@@ -267,26 +306,31 @@ func (kn *kinetic) init(t time.Duration, pos []geo.Point) {
 	kn.stats.FullRebuilds++
 }
 
+// markTracked stamps the far endpoint of every pair node u tracks with a
+// fresh generation and the pair's slab index. The stamps hold until the
+// next call.
+func (kn *kinetic) markTracked(u int32) {
+	kn.markGen++
+	for _, idx := range kn.tracked[u] {
+		st := &kn.pairs[idx]
+		kn.mark[st.u^st.v^u] = pairMark{gen: kn.markGen, idx: idx}
+	}
+}
+
 // discover scans the 3×3 cell block around node u's anchor and starts
 // tracking every candidate pair (anchor distance ≤ R+skin) not already
 // tracked.
 func (kn *kinetic) discover(u int32, t time.Duration, pos []geo.Point) {
+	kn.markTracked(u)
 	au := kn.anchors[u]
 	cx, cy := kn.cellCoords(au)
 	maxD2 := kn.side * kn.side
 	for dy := int32(-1); dy <= 1; dy++ {
 		for dx := int32(-1); dx <= 1; dx++ {
 			for _, j := range kn.cells[cellKey(cx+dx, cy+dy)] {
-				if j == u {
-					continue
+				if j != u && au.DistSq(kn.anchors[j]) <= maxD2 && kn.mark[j].gen != kn.markGen {
+					kn.trackPair(u, j, t, pos)
 				}
-				if au.DistSq(kn.anchors[j]) > maxD2 {
-					continue
-				}
-				if _, ok := kn.pairIdx[pairKey(u, j)]; ok {
-					continue
-				}
-				kn.trackPair(u, j, t, pos)
 			}
 		}
 	}
@@ -303,53 +347,49 @@ func (kn *kinetic) trackPair(u, v int32, t time.Duration, pos []geo.Point) {
 		idx = int32(len(kn.pairs))
 		kn.pairs = append(kn.pairs, pairState{u: u, v: v})
 	}
-	kn.pairIdx[pairKey(u, v)] = idx
 	kn.tracked[u] = append(kn.tracked[u], idx)
 	kn.tracked[v] = append(kn.tracked[v], idx)
-	pu := kn.posAt(u, t, pos)
-	pv := kn.posAt(v, t, pos)
-	d2 := pu.DistSq(pv)
-	if d2 <= kn.r2 {
+	pu, pv := pos[u], pos[v]
+	if pu.DistSq(pv) <= kn.r2 {
 		// A pair is only untracked while strictly out of range, so a
 		// linked discovery is a genuine link-make event.
-		kn.pairs[idx].linked = true
-		kn.linkedAdj[u] = insertSorted(kn.linkedAdj[u], v)
-		kn.linkedAdj[v] = insertSorted(kn.linkedAdj[v], u)
-		if !kn.initing {
-			kn.pendFlip(idx, true)
-			kn.stats.LinkMakes++
-		}
+		kn.setLinked(idx, true)
 	}
 	kn.scheduleCert(idx, t, pu, pv)
 }
 
+// setLinked flips a pair's link state: the adjacency rows and, outside
+// the initial build (which is not a window of link events), the
+// make/break counter and the pending CSR diff.
+func (kn *kinetic) setLinked(idx int32, linked bool) {
+	st := &kn.pairs[idx]
+	edit, count := removeSorted, &kn.stats.LinkBreaks
+	if linked {
+		edit, count = insertSorted, &kn.stats.LinkMakes
+	}
+	kn.linkedAdj[st.u] = edit(kn.linkedAdj[st.u], st.v)
+	kn.linkedAdj[st.v] = edit(kn.linkedAdj[st.v], st.u)
+	st.linked = linked
+	if !kn.initing {
+		*count++
+		kn.pendFlip(idx, linked)
+	}
+}
+
 // dropPair stops tracking a pair whose anchors have separated beyond
-// R+skin. Separated anchors imply true distance > R, so a still-linked
-// pair must break here (its certificate may simply not have been drained
-// yet this batch).
+// R+skin. Between fresh anchors that implies true distance > R, so a
+// still-linked pair breaks here (its certificate may simply not have been
+// drained yet this batch). When the other endpoint's anchor is stale —
+// its own rebin overdue, later in this drain — the pair may in truth be
+// in range; that rebin re-discovers it (see the header).
 func (kn *kinetic) dropPair(idx int32, fromRebin int32) {
 	st := &kn.pairs[idx]
 	if st.linked {
-		kn.linkedAdj[st.u] = removeSorted(kn.linkedAdj[st.u], st.v)
-		kn.linkedAdj[st.v] = removeSorted(kn.linkedAdj[st.v], st.u)
-		st.linked = false
-		kn.pendFlip(idx, false)
-		kn.stats.LinkBreaks++
+		kn.setLinked(idx, false)
 	}
-	delete(kn.pairIdx, pairKey(st.u, st.v))
-	for _, nd := range [2]int32{st.u, st.v} {
-		if nd == fromRebin {
-			continue // caller compacts its own tracked list
-		}
-		lst := kn.tracked[nd]
-		for i, p := range lst {
-			if p == idx {
-				lst[i] = lst[len(lst)-1]
-				kn.tracked[nd] = lst[:len(lst)-1]
-				break
-			}
-		}
-	}
+	// The rebinning endpoint compacts its own tracked list.
+	other := st.u ^ st.v ^ fromRebin
+	kn.tracked[other] = swapRemove(kn.tracked[other], idx)
 	st.dead = true
 	st.gen++
 	kn.free = append(kn.free, idx)
@@ -384,10 +424,7 @@ func (kn *kinetic) scheduleCert(idx int32, t time.Duration, pu, pv geo.Point) {
 	st := &kn.pairs[idx]
 	segU := kn.src.SegmentAt(int(st.u), t)
 	segV := kn.src.SegmentAt(int(st.v), t)
-	due := segU.End
-	if segV.End < due {
-		due = segV.End
-	}
+	due := min(segU.End, segV.End)
 	wx := segU.Vel.X - segV.Vel.X
 	wy := segU.Vel.Y - segV.Vel.Y
 	if a := wx*wx + wy*wy; a > 0 {
@@ -414,15 +451,10 @@ func (kn *kinetic) scheduleCert(idx int32, t time.Duration, pu, pv geo.Point) {
 			// firing early is self-correcting (the exact distance test
 			// re-arms the certificate).
 			d := time.Duration(delta*(1-1e-9)*float64(time.Second)) - time.Microsecond
-			if cand := t + d; cand < due {
-				due = cand
-			}
+			due = min(due, t+d)
 		}
 	}
-	if due <= t {
-		due = t + 1
-	}
-	heap.Push(&kn.heap, kinItem{due: due, id: idx, gen: st.gen})
+	kn.heap.push(kinItem{due: max(due, t+1), id: idx, gen: st.gen})
 }
 
 // scheduleRebin schedules the time by which node u must re-anchor: before
@@ -433,40 +465,25 @@ func (kn *kinetic) scheduleRebin(u int32, t time.Duration, pos []geo.Point) {
 	seg := kn.src.SegmentAt(int(u), t)
 	due := seg.End
 	if seg.Speed > 0 {
-		drift := kn.anchors[u].Dist(kn.posAt(u, t, pos))
-		remaining := kn.skin/2 - drift
-		if remaining < 0 {
-			remaining = 0
-		}
-		if d := t + time.Duration(remaining/seg.Speed*float64(time.Second)); d < due {
-			due = d
-		}
-	}
-	if due <= t {
-		due = t + 1
+		drift := kn.anchors[u].Dist(pos[u])
+		remaining := max(kn.skin/2-drift, 0)
+		due = min(due, t+time.Duration(remaining/seg.Speed*float64(time.Second)))
 	}
 	kn.rebinGen[u]++
-	heap.Push(&kn.heap, kinItem{due: due, id: ^u, gen: kn.rebinGen[u]})
+	kn.heap.push(kinItem{due: max(due, t+1), id: ^u, gen: kn.rebinGen[u]})
 }
 
 // processRebin re-anchors node u if it drifted meaningfully, rescans its
 // 3×3 block for new candidates and drops pairs whose anchors separated.
 func (kn *kinetic) processRebin(u int32, t time.Duration, pos []geo.Point) {
-	p := kn.posAt(u, t, pos)
+	p := pos[u]
 	if kn.anchors[u].Dist(p) >= kn.skin/4 {
 		kn.stats.Rebins++
 		kn.anchors[u] = p
 		cx, cy := kn.cellCoords(p)
 		key := cellKey(cx, cy)
 		if key != kn.cellOf[u] {
-			old := kn.cells[kn.cellOf[u]]
-			for i, x := range old {
-				if x == u {
-					old[i] = old[len(old)-1]
-					kn.cells[kn.cellOf[u]] = old[:len(old)-1]
-					break
-				}
-			}
+			kn.cells[kn.cellOf[u]] = swapRemove(kn.cells[kn.cellOf[u]], u)
 			kn.cellOf[u] = key
 			kn.cells[key] = append(kn.cells[key], u)
 		}
@@ -476,11 +493,7 @@ func (kn *kinetic) processRebin(u int32, t time.Duration, pos []geo.Point) {
 		kept := lst[:0]
 		for _, idx := range lst {
 			st := &kn.pairs[idx]
-			other := st.u
-			if other == u {
-				other = st.v
-			}
-			if p.DistSq(kn.anchors[other]) > maxD2 {
+			if p.DistSq(kn.anchors[st.u^st.v^u]) > maxD2 {
 				kn.dropPair(idx, u)
 			} else {
 				kept = append(kept, idx)
@@ -497,32 +510,19 @@ func (kn *kinetic) processRebin(u int32, t time.Duration, pos []geo.Point) {
 func (kn *kinetic) processPair(idx int32, t time.Duration, pos []geo.Point) {
 	st := &kn.pairs[idx]
 	kn.stats.CertChecks++
-	pu := kn.posAt(st.u, t, pos)
-	pv := kn.posAt(st.v, t, pos)
-	d2 := pu.DistSq(pv)
-	linked := d2 <= kn.r2
-	if linked != st.linked {
-		if linked {
-			kn.linkedAdj[st.u] = insertSorted(kn.linkedAdj[st.u], st.v)
-			kn.linkedAdj[st.v] = insertSorted(kn.linkedAdj[st.v], st.u)
-			kn.stats.LinkMakes++
-		} else {
-			kn.linkedAdj[st.u] = removeSorted(kn.linkedAdj[st.u], st.v)
-			kn.linkedAdj[st.v] = removeSorted(kn.linkedAdj[st.v], st.u)
-			kn.stats.LinkBreaks++
-		}
-		st.linked = linked
-		kn.pendFlip(idx, linked)
+	pu := pos[st.u]
+	pv := pos[st.v]
+	if linked := pu.DistSq(pv) <= kn.r2; linked != st.linked {
+		kn.setLinked(idx, linked)
 	}
 	kn.scheduleCert(idx, t, pu, pv)
 }
 
-// drainUntil processes every scheduled check due at or before t. With a
-// position buffer (sample time) the checks use the sampled positions;
-// without one (mid-window driver) they use analytic peeks.
+// drainUntil processes every scheduled check due at or before the sample
+// time t, with the positions sampled at t.
 func (kn *kinetic) drainUntil(t time.Duration, pos []geo.Point) {
 	for len(kn.heap) > 0 && kn.heap[0].due <= t {
-		it := heap.Pop(&kn.heap).(kinItem)
+		it := kn.heap.pop()
 		if it.id >= 0 {
 			st := &kn.pairs[it.id]
 			if st.dead || st.gen != it.gen {
@@ -539,33 +539,10 @@ func (kn *kinetic) drainUntil(t time.Duration, pos []geo.Point) {
 	}
 }
 
-// scheduleDriver keeps one kernel event pending at the next certificate
-// due time (clamped to now+kinMinGrain so grazing pairs cannot storm the
-// queue; sample-time drains keep snapshots exact regardless).
-func (kn *kinetic) scheduleDriver(k *sim.Kernel) {
-	if len(kn.heap) == 0 {
-		return
-	}
-	at := kn.heap[0].due
-	if min := k.Now() + kinMinGrain; at < min {
-		at = min
-	}
-	if kn.ev != nil && !kn.ev.Fired() && !kn.ev.Cancelled() {
-		if kn.evAt <= at {
-			return
-		}
-		k.Cancel(kn.ev)
-	}
-	kn.evAt = at
-	kn.ev = k.After(at-k.Now(), "netsim.kinetic", func(kk *sim.Kernel) {
-		kn.drainUntil(kk.Now(), nil)
-		kn.scheduleDriver(kk)
-	})
-}
-
 // csrDiffs converts the window's pending link flips plus the down-mask
-// delta into the exact set of CSR edge changes between the previous and
-// the new snapshot, and rolls the sample counter.
+// delta into the CSR edge changes between the previous and the new
+// snapshot — exactly those, plus a removal and an addition of the same
+// edge for a pair healed inside the drain — and rolls the sample counter.
 func (kn *kinetic) csrDiffs(down []bool, buf []radio.EdgeDiff) []radio.EdgeDiff {
 	diffs := buf[:0]
 	for i := range kn.pending {
@@ -573,8 +550,13 @@ func (kn *kinetic) csrDiffs(down []bool, buf []radio.EdgeDiff) []radio.EdgeDiff 
 		if e.dead {
 			continue
 		}
-		if idx, ok := kn.pairIdx[pairKey(e.u, e.v)]; ok {
-			kn.pairs[idx].diffGen = kn.sample
+		// The flipped pair, if it is still tracked (under this slab or,
+		// dropped and re-discovered, another): mark it handled.
+		for _, idx := range kn.tracked[e.u] {
+			if st := &kn.pairs[idx]; st.u^st.v^e.u == e.v {
+				st.diffGen = kn.sample
+				break
+			}
 		}
 		inOld := !e.add && !kn.downPrev[e.u] && !kn.downPrev[e.v]
 		inNew := e.add && !down[e.u] && !down[e.v]
@@ -586,14 +568,13 @@ func (kn *kinetic) csrDiffs(down []bool, buf []radio.EdgeDiff) []radio.EdgeDiff 
 		if kn.downPrev[w] == down[w] {
 			continue
 		}
+		kn.markTracked(int32(w))
 		for _, x := range kn.linkedAdj[w] {
-			idx, ok := kn.pairIdx[pairKey(int32(w), x)]
-			if ok && kn.pairs[idx].diffGen == kn.sample {
+			st := &kn.pairs[kn.mark[x].idx] // a linked pair is a tracked pair
+			if st.diffGen == kn.sample {
 				continue
 			}
-			if ok {
-				kn.pairs[idx].diffGen = kn.sample
-			}
+			st.diffGen = kn.sample
 			inOld := !kn.downPrev[w] && !kn.downPrev[x]
 			inNew := !down[w] && !down[x]
 			if inOld != inNew {

@@ -57,24 +57,29 @@ func newTopoHarness(t *testing.T, n int, seed int64, kinetic bool, horizon time.
 	return &topoHarness{k: k, net: net}
 }
 
-// TestKineticMatchesFullRebuild is the adjacency-equivalence gate: two
-// identically seeded mobile+churn networks — one maintaining topology
-// kinetically, one doing full rebuilds — are advanced in lockstep and
-// must produce byte-identical CSR snapshots, hop distances and next-hop
-// choices at every sample, with the kinetic side's route tables surviving
-// via incremental repair rather than resets.
-func TestKineticMatchesFullRebuild(t *testing.T) {
-	const (
-		n       = 140 // above the small-build cutoff: exercises the grid path too
-		horizon = 45 * time.Second
-		tick    = 250 * time.Millisecond
-	)
-	kin := newTopoHarness(t, n, 11, true, horizon)
-	ser := newTopoHarness(t, n, 11, false, horizon)
-
-	for at := tick; at <= horizon; at += tick {
+// matchFullRebuild advances two identically seeded mobile+churn networks —
+// one maintaining topology kinetically, one doing full rebuilds — to each
+// of the given sample times and requires byte-identical CSR snapshots, hop
+// distances and next-hop choices at every one. It returns the kinetic
+// side for the caller's own assertions, and how many samples healed a
+// pair inside one drain: an edge present on both sides of the sample whose
+// diffs nevertheless hold a removal and an addition — dropped against a
+// stale anchor, then re-discovered by the other endpoint's overdue rebin.
+func matchFullRebuild(t *testing.T, n int, seed int64, samples []time.Duration) (kin *topoHarness, healed int) {
+	t.Helper()
+	horizon := samples[len(samples)-1]
+	kin = newTopoHarness(t, n, seed, true, horizon)
+	ser := newTopoHarness(t, n, seed, false, horizon)
+	edgeKey := func(u, v int32) uint64 {
+		if u > v {
+			u, v = v, u
+		}
+		return uint64(uint32(u))<<32 | uint64(uint32(v))
+	}
+	for _, at := range samples {
 		kin.k.RunUntil(at)
 		ser.k.RunUntil(at)
+		before := kin.net.Rebuilds()
 		gk, gs := kin.net.Graph(), ser.net.Graph()
 		for i := 0; i < n; i++ {
 			if gk.Up(i) != gs.Up(i) {
@@ -95,7 +100,39 @@ func TestKineticMatchesFullRebuild(t *testing.T) {
 				}
 			}
 		}
+		if kin.net.Rebuilds() == before {
+			continue // cached snapshot: no drain, diffBuf is the last sample's
+		}
+		removed := make(map[uint64]bool)
+		for _, d := range kin.net.diffBuf {
+			if !d.Add {
+				removed[edgeKey(d.U, d.V)] = true
+			} else if removed[edgeKey(d.U, d.V)] {
+				healed++
+				break
+			}
+		}
 	}
+	if got, want := kin.net.Rebuilds(), ser.net.Rebuilds(); got != want {
+		t.Errorf("snapshot sample counts diverge: kinetic %d, serial %d", got, want)
+	}
+	return kin, healed
+}
+
+// TestKineticMatchesFullRebuild is the adjacency-equivalence gate at a
+// dense sampling cadence, with the kinetic side's route tables surviving
+// via incremental repair rather than resets.
+func TestKineticMatchesFullRebuild(t *testing.T) {
+	const (
+		n       = 140 // above the small-build cutoff: exercises the grid path too
+		horizon = 45 * time.Second
+		tick    = 250 * time.Millisecond
+	)
+	var samples []time.Duration
+	for at := tick; at <= horizon; at += tick {
+		samples = append(samples, at)
+	}
+	kin, _ := matchFullRebuild(t, n, 11, samples)
 
 	st := kin.net.TopologyStats()
 	if st.FullRebuilds != 1 {
@@ -117,8 +154,37 @@ func TestKineticMatchesFullRebuild(t *testing.T) {
 	if st.RouteFullResets != 0 {
 		t.Errorf("kinetic mode performed %d wholesale route resets", st.RouteFullResets)
 	}
-	if got, want := kin.net.Rebuilds(), ser.net.Rebuilds(); got != want {
-		t.Errorf("snapshot sample counts diverge: kinetic %d, serial %d", got, want)
+}
+
+// TestKineticMatchesFullRebuildSparseSampling reads snapshots at sparse,
+// irregular times with churn on. Nothing advances the plane between
+// reads, so at each one rebins are overdue by several skin widths (a
+// 20 m/s node covers five skins in 30 s), every certificate of the gap
+// is verified at once, and dropPair runs against stale anchors — the
+// in-drain drop and re-discovery the header of kinetic.go argues heals.
+// Snapshots must still equal the full rebuild's.
+func TestKineticMatchesFullRebuildSparseSampling(t *testing.T) {
+	const n = 140
+	gaps := []time.Duration{
+		30 * time.Second, 47 * time.Second, 250 * time.Millisecond, 61 * time.Second,
+		33 * time.Second, time.Second, 90 * time.Second, 38500 * time.Millisecond,
+		3 * time.Millisecond, 52 * time.Second, 31 * time.Second, 125 * time.Second,
+	}
+	for _, seed := range []int64{11, 12} {
+		var samples []time.Duration
+		var at time.Duration
+		for _, g := range gaps {
+			at += g
+			samples = append(samples, at)
+		}
+		kin, healed := matchFullRebuild(t, n, seed, samples)
+		st := kin.net.TopologyStats()
+		if st.FullRebuilds != 1 || st.RouteFullResets != 0 {
+			t.Errorf("seed %d: %d full rebuilds, %d route resets; want 1 and 0", seed, st.FullRebuilds, st.RouteFullResets)
+		}
+		if healed == 0 {
+			t.Errorf("seed %d: no sample dropped and re-discovered a live link inside its drain — the gaps are too short to run that path", seed)
+		}
 	}
 }
 
@@ -292,6 +358,7 @@ func runKineticScenario(t *testing.T, kinetic bool) scenarioOutcome {
 	return scenarioOutcome{
 		deliveries: got,
 		traffic:    traffic.Snapshot(),
+		events:     k.EventsFired(),
 		rebuilds:   net.Rebuilds(),
 	}
 }
@@ -299,10 +366,9 @@ func runKineticScenario(t *testing.T, kinetic bool) scenarioOutcome {
 // TestKineticIsBehaviourallyInvisible is the end-to-end byte-identity
 // gate for the kinetic plane: the same seeded protocol scenario with
 // kinetic topology maintenance on and off must produce identical delivery
-// sequences (order, hops, timestamps, flood ids), traffic ledgers, and
-// snapshot sample counts. Kernel event counts are NOT compared — the
-// kinetic driver legitimately adds its own events — which is exactly why
-// delivery-sequence identity is the meaningful check.
+// sequences (order, hops, timestamps, flood ids), traffic ledgers,
+// snapshot sample counts and kernel event counts — the plane advances
+// inside Graph() and schedules nothing of its own.
 func TestKineticIsBehaviourallyInvisible(t *testing.T) {
 	on := runKineticScenario(t, true)
 	off := runKineticScenario(t, false)
@@ -311,6 +377,9 @@ func TestKineticIsBehaviourallyInvisible(t *testing.T) {
 	}
 	if on.rebuilds != off.rebuilds {
 		t.Errorf("snapshot samples: kinetic %d, serial %d", on.rebuilds, off.rebuilds)
+	}
+	if on.events != off.events {
+		t.Errorf("kernel events fired: kinetic %d, serial %d", on.events, off.events)
 	}
 	if !reflect.DeepEqual(on.traffic, off.traffic) {
 		t.Errorf("traffic ledgers diverge:\nkinetic: %+v\nserial:  %+v", on.traffic, off.traffic)
@@ -323,5 +392,52 @@ func TestKineticIsBehaviourallyInvisible(t *testing.T) {
 			t.Fatalf("delivery %d diverges:\nkinetic: %+v\nserial:  %+v",
 				i, on.deliveries[i], off.deliveries[i])
 		}
+	}
+}
+
+// TestKineticHeapOrderAndAllocs pins the certificate heap: pop order is
+// (due, id, gen) whatever order the entries went in, and a push/pop pair
+// on a warm heap allocates nothing.
+func TestKineticHeapOrderAndAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	items := make([]kinItem, 500)
+	for i := range items {
+		// Few distinct due times and ids, so ties on each key are common.
+		items[i] = kinItem{due: time.Duration(rng.Intn(20)), id: int32(rng.Intn(40)) - 20, gen: uint32(i)}
+	}
+	var want []kinItem
+	for round := 0; round < 3; round++ {
+		rng.Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
+		var h kinHeap
+		for _, it := range items {
+			h.push(it)
+		}
+		got := make([]kinItem, 0, len(items))
+		for len(h) > 0 {
+			got = append(got, h.pop())
+		}
+		for i := 1; i < len(got); i++ {
+			if !got[i-1].before(got[i]) {
+				t.Fatalf("round %d: pop %d %+v not before pop %d %+v", round, i-1, got[i-1], i, got[i])
+			}
+		}
+		if want == nil {
+			want = got
+		} else if !slices.Equal(got, want) {
+			t.Fatalf("round %d: pop order depends on push order", round)
+		}
+	}
+
+	var h kinHeap
+	for _, it := range items {
+		h.push(it)
+	}
+	due := time.Duration(0)
+	if avg := testing.AllocsPerRun(1000, func() {
+		due += 7
+		h.push(kinItem{due: due % 20, id: 1, gen: uint32(due)})
+		h.pop()
+	}); avg != 0 {
+		t.Errorf("push/pop pair allocates %.2f objects, want 0", avg)
 	}
 }

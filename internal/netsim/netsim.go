@@ -148,13 +148,14 @@ type Config struct {
 	// the memoized hot path against the reference path.
 	DisableRouteCache bool
 	// Kinetic switches topology maintenance from per-snapshot full
-	// rebuilds to the event-driven kinetic plane (kinetic.go): link
-	// make/break times are predicted from the motion legs, scheduled as
-	// kernel events, and snapshots are produced by repacking the
-	// incrementally maintained adjacency plus repairing route tables
-	// in place. Requires the position field to implement KineticSource
-	// (*mobility.Field does). Snapshots are byte-identical to the
-	// full-rebuild path; only the cost model changes.
+	// rebuilds to the kinetic plane (kinetic.go): link make/break times
+	// are predicted from the motion legs, the predictions that fell due
+	// are re-verified when a snapshot is read, and snapshots are produced
+	// by repacking the incrementally maintained adjacency plus repairing
+	// route tables in place. Requires the position field to implement
+	// KineticSource (*mobility.Field does). Snapshots are byte-identical
+	// to the full-rebuild path and no kernel event is added; only the
+	// cost model changes.
 	Kinetic bool
 	// RouteTableCap bounds how many per-destination route tables the
 	// snapshot keeps alive (0 = unlimited, the historical behaviour).
@@ -262,7 +263,7 @@ type Network struct {
 	nextFlood uint64
 
 	// floodPool recycles per-flood duplicate-suppression state. A flood's
-	// state returns to the pool once its last in-flight reception fires.
+	// state returns to the pool once its last in-flight broadcast lands.
 	// rxPool and hopPool recycle the delivery events themselves (see
 	// floodRx and hopTx), so steady-state delivery allocates nothing.
 	floodPool []*floodState
@@ -447,7 +448,8 @@ func (n *Network) TopologyStats() TopologyStats {
 }
 
 // kineticSample produces the snapshot for a sample time via the kinetic
-// plane: drain every due certificate with the exact sampled positions,
+// plane — the only place the plane advances: drain every certificate and
+// rebin that fell due since the last sample with the sampled positions,
 // convert the window's link flips plus the down-mask delta into CSR edge
 // diffs, repack the CSR from the maintained adjacency rows, and log the
 // diffs on the snapshot so each route table is repaired when it is next
@@ -458,9 +460,7 @@ func (n *Network) kineticSample(now time.Duration, down []bool, stamp uint64) (*
 	if !kn.inited {
 		kn.init(now, n.posBuf)
 		copy(kn.downPrev, down)
-		g, err := n.builder.RebuildFromRows(kn.n, row, down, n.cfg.CommRange, stamp)
-		kn.scheduleDriver(n.k)
-		return g, err
+		return n.builder.RebuildFromRows(kn.n, row, down, n.cfg.CommRange, stamp)
 	}
 	kn.drainUntil(now, n.posBuf)
 	n.diffBuf = kn.csrDiffs(down, n.diffBuf)
@@ -470,7 +470,6 @@ func (n *Network) kineticSample(now time.Duration, down []bool, stamp uint64) (*
 	}
 	g.PatchRoutes(n.diffBuf)
 	n.topo.KineticSamples++
-	kn.scheduleDriver(n.k)
 	return g, nil
 }
 
@@ -776,9 +775,11 @@ func (n *Network) deliverUnicast(dst int, msg protocol.Message, hops int, sentAt
 
 // floodState is the per-flood bookkeeping: the message (held once for all
 // of the flood's receptions), the duplicate-suppression bitmap, the flood
-// id, and a count of in-flight receptions. When the last scheduled
-// reception fires the state returns to the network's pool, so steady-state
-// flooding reallocates nothing.
+// id, and a count of landings outstanding — scheduled kernel events that
+// will still read this state: one per broadcast for data floods (floodRx),
+// one per reception for DSR's RREQ wave (dsr.go), whose receivers each
+// carry a path of their own. When the last one lands the state returns to
+// the network's pool, so steady-state flooding reallocates nothing.
 type floodState struct {
 	msg     protocol.Message
 	visited []bool
@@ -843,7 +844,8 @@ func (n *Network) Flood(origin, ttl int, msg protocol.Message) error {
 	return nil
 }
 
-// transmitFlood performs one node's (re)broadcast of a flood.
+// transmitFlood performs one node's (re)broadcast of a flood: one frame,
+// heard by every neighbour at the same instant, so one kernel event.
 func (n *Network) transmitFlood(node, ttlLeft int, st *floodState, hops int) {
 	if !n.Up(node) {
 		return
@@ -853,31 +855,40 @@ func (n *Network) transmitFlood(node, ttlLeft int, st *floodState, hops int) {
 	n.traffic.RecordTx(st.msg.Kind, size)
 	n.spendTx(node)
 	delay := n.txDelay(node, size)
+	var r *floodRx
 	for _, v := range g.Neighbors(node) {
 		if st.visited[v] {
 			continue
 		}
 		st.visited[v] = true
-		st.pending++
-		r := n.acquireRx()
-		r.st, r.from, r.to, r.hops, r.ttlLeft = st, node, v, hops, ttlLeft
-		n.k.After(delay, "netsim.flood", r.fire)
+		if r == nil {
+			r = n.acquireRx()
+		}
+		r.to = append(r.to, v)
 	}
+	if r == nil {
+		return // nobody new in range: nothing lands
+	}
+	st.pending++
+	r.st, r.from, r.hops, r.ttlLeft = st, node, hops, ttlLeft
+	n.k.After(delay, "netsim.flood", r.fire)
 }
 
-// floodRx is one scheduled reception of a flood's broadcast: a pooled
-// record naming the flood, the link and the hop budget, scheduled through
-// fire — the record's own bound land method, created once when the record
-// is first allocated — so a reception costs no allocation. The message
-// stays on the floodState.
+// floodRx is one broadcast of a flood in the air: a pooled record naming
+// the flood, the sender, the hop budget and the neighbours hearing it for
+// the first time — copied in row order, since the snapshot's CSR may be
+// repacked before the frame lands — scheduled through fire, the record's
+// own bound land method, created once when the record is first allocated,
+// so a broadcast costs no allocation. The message stays on the floodState.
 type floodRx struct {
-	n                       *Network
-	fire                    sim.Handler
-	st                      *floodState
-	from, to, hops, ttlLeft int
+	n                   *Network
+	fire                sim.Handler
+	st                  *floodState
+	from, hops, ttlLeft int
+	to                  []int
 }
 
-// acquireRx pops a reception record from the pool (or allocates).
+// acquireRx pops a broadcast record from the pool (or allocates).
 func (n *Network) acquireRx() *floodRx {
 	if last := len(n.rxPool) - 1; last >= 0 {
 		r := n.rxPool[last]
@@ -890,29 +901,34 @@ func (n *Network) acquireRx() *floodRx {
 	return r
 }
 
-// land completes the reception. The record copies its fields out and
-// returns to the pool before anything else runs: the receiver re-enters
-// Flood and Unicast, and the rebroadcast below draws records too, any of
-// which may be this one. The floodState stays live until its pending
-// count drains, which this reception's own count guarantees.
+// land completes the broadcast: each hearer in turn, in row order, goes
+// through the reception checks, the delivery and its own rebroadcast —
+// the sequence a kernel event per reception would produce, since those
+// events would sit back to back at one instant. Receivers re-enter Flood
+// and Unicast and the rebroadcasts draw records too, so this record stays
+// out of the pool until the walk is over; the floodState stays live until
+// its pending count drains, which this landing's own count guarantees.
 func (r *floodRx) land(*sim.Kernel) {
-	n, st, from, to, hops, ttlLeft := r.n, r.st, r.from, r.to, r.hops, r.ttlLeft
-	r.st = nil
-	n.rxPool = append(n.rxPool, r)
-	switch {
-	case !n.Up(to):
-		n.traffic.RecordDropped(st.msg.Kind, stats.DropDisconnected)
-	case n.cut(from, to):
-		n.traffic.RecordDropped(st.msg.Kind, stats.DropPartition)
-	case n.lost():
-		n.traffic.RecordDropped(st.msg.Kind, stats.DropLoss)
-	default:
-		n.spendRx(to)
-		n.deliver(to, st.msg, Meta{Hops: hops + 1, At: n.k.Now(), SentAt: st.sentAt, Flood: true, FloodID: st.id})
-		if ttlLeft > 1 {
-			n.transmitFlood(to, ttlLeft-1, st, hops+1)
+	n, st := r.n, r.st
+	for _, to := range r.to {
+		switch {
+		case !n.Up(to):
+			// Hearer flipped down while the frame was in the air.
+			n.traffic.RecordDropped(st.msg.Kind, stats.DropDisconnected)
+		case n.cut(r.from, to):
+			n.traffic.RecordDropped(st.msg.Kind, stats.DropPartition)
+		case n.lost():
+			n.traffic.RecordDropped(st.msg.Kind, stats.DropLoss)
+		default:
+			n.spendRx(to)
+			n.deliver(to, st.msg, Meta{Hops: r.hops + 1, At: n.k.Now(), SentAt: st.sentAt, Flood: true, FloodID: st.id})
+			if r.ttlLeft > 1 {
+				n.transmitFlood(to, r.ttlLeft-1, st, r.hops+1)
+			}
 		}
 	}
+	r.st, r.to = nil, r.to[:0]
+	n.rxPool = append(n.rxPool, r)
 	if st.pending--; st.pending == 0 {
 		n.releaseFlood(st)
 	}

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -63,6 +65,13 @@ type harness struct {
 
 func newHarness(t *testing.T, n int, withChurn bool) *harness {
 	t.Helper()
+	return newHarnessOn(t, chain(n), withChurn)
+}
+
+// newHarnessOn is newHarness over any fixed layout.
+func newHarnessOn(t *testing.T, layout *staticSource, withChurn bool) *harness {
+	t.Helper()
+	n := layout.Len()
 	k := sim.NewKernel(sim.WithSeed(42))
 	var cp *churn.Process
 	var err error
@@ -72,7 +81,7 @@ func newHarness(t *testing.T, n int, withChurn bool) *harness {
 			t.Fatal(err)
 		}
 	}
-	net, err := New(DefaultConfig(), k, chain(n), cp, nil, stats.NewTraffic())
+	net, err := New(DefaultConfig(), k, layout, cp, nil, stats.NewTraffic())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,6 +353,155 @@ func TestFloodSkipsDownNodes(t *testing.T) {
 		if d.node >= 2 {
 			t.Errorf("node %d reached across down bridge", d.node)
 		}
+	}
+}
+
+// star returns a hub (node 0) with k leaves around it, 200 m out: every
+// leaf hears the hub, whatever the leaves hear of each other. The tests
+// on it run with (disabled) churn so they can force nodes down.
+func star(k int) *staticSource {
+	pts := make([]geo.Point, k+1)
+	for i := 1; i <= k; i++ {
+		a := 2 * math.Pi * float64(i) / float64(k)
+		pts[i] = geo.Point{X: 1000 + 200*math.Cos(a), Y: 1000 + 200*math.Sin(a)}
+	}
+	pts[0] = geo.Point{X: 1000, Y: 1000}
+	return &staticSource{pts: pts}
+}
+
+// TestBroadcastIsOneKernelEvent: the hub's TTL-1 broadcast to K leaves is
+// one frame heard by all of them at one instant — one kernel event, K
+// deliveries in neighbour-row order.
+func TestBroadcastIsOneKernelEvent(t *testing.T) {
+	const leaves = 9
+	h := newHarnessOn(t, star(leaves), true)
+	if err := h.net.Flood(0, 1, testMsg(protocol.KindInvalidation)); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.k.Pending(); got != 1 {
+		t.Fatalf("broadcast to %d neighbours queued %d kernel events, want 1", leaves, got)
+	}
+	h.k.Run()
+	if got := h.k.EventsFired(); got != 1 {
+		t.Errorf("broadcast fired %d kernel events, want 1", got)
+	}
+	if len(h.got) != leaves {
+		t.Fatalf("%d deliveries, want %d", len(h.got), leaves)
+	}
+	for i, d := range h.got {
+		if want := h.net.Graph().Neighbors(0)[i]; d.node != want {
+			t.Errorf("delivery %d went to node %d, want neighbour-row order (node %d)", i, d.node, want)
+		}
+		if d.meta.Hops != 1 || d.meta.At != h.got[0].meta.At {
+			t.Errorf("delivery %d: hops %d at %v, want 1 hop at %v", i, d.meta.Hops, d.meta.At, h.got[0].meta.At)
+		}
+	}
+}
+
+// TestBroadcastHearerDownInFlight: a leaf that goes down while the frame
+// is in the air is dropped as disconnected; its siblings on the same
+// broadcast record still deliver, in order.
+func TestBroadcastHearerDownInFlight(t *testing.T) {
+	const leaves, victim = 6, 3
+	h := newHarnessOn(t, star(leaves), true)
+	if err := h.net.Flood(0, 1, testMsg(protocol.KindInvalidation)); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.churn.ForceState(h.k, victim, churn.StateDisconnected); err != nil {
+		t.Fatal(err)
+	}
+	h.k.Run()
+	var heard []int
+	for _, d := range h.got {
+		heard = append(heard, d.node)
+	}
+	if want := []int{1, 2, 4, 5, 6}; !slices.Equal(heard, want) {
+		t.Errorf("deliveries went to %v, want %v", heard, want)
+	}
+	if got := h.net.Traffic().DroppedByCause(protocol.KindInvalidation, stats.DropDisconnected); got != 1 {
+		t.Errorf("%d receptions dropped as disconnected, want 1", got)
+	}
+}
+
+// TestBroadcastRecordHeldThroughWalk: receivers flood and unicast from
+// inside the walk over a broadcast's hearers. The record being walked
+// must stay out of the pool — and keep its hearers and hop budget — until
+// the last hearer is done, then return exactly once; so must the flood's
+// state, which the rebroadcasts of the walk keep drawing on.
+func TestBroadcastRecordHeldThroughWalk(t *testing.T) {
+	const leaves = 8
+	h := newHarnessOn(t, star(leaves), true)
+	n := h.net
+	rec := n.acquireRx() // a known record for the hub's broadcast to draw
+	var wide, echoes int
+	for node := 0; node <= leaves; node++ {
+		if err := n.SetReceiver(node, func(_ *sim.Kernel, node int, msg protocol.Message, meta Meta) {
+			if msg.Kind != protocol.KindInvalidation {
+				echoes++
+				return
+			}
+			wide++
+			if meta.Hops != 1 {
+				return // a rebroadcast reached a leaf the hub's frame already had: impossible here
+			}
+			if slices.Contains(n.rxPool, rec) {
+				t.Errorf("node %d: the record being walked is back in the pool", node)
+			}
+			if rec.from != 0 || rec.ttlLeft != 2 || len(rec.to) != leaves {
+				t.Errorf("node %d: record overwritten mid-walk: from %d ttl %d hearers %v", node, rec.from, rec.ttlLeft, rec.to)
+			}
+			if err := n.Flood(node, 1, testMsg(protocol.KindIR)); err != nil {
+				t.Error(err)
+			}
+			if err := n.Unicast(node, 0, testMsg(protocol.KindPollAckA)); err != nil {
+				t.Error(err)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := 0; round < 3; round++ {
+		wide, echoes = 0, 0
+		// Put rec on top of the pool so this round's hub broadcast draws it.
+		n.rxPool = append(slices.DeleteFunc(n.rxPool, func(r *floodRx) bool { return r == rec }), rec)
+		if err := n.Flood(0, 2, testMsg(protocol.KindInvalidation)); err != nil {
+			t.Fatal(err)
+		}
+		h.k.Run()
+		if wide != leaves {
+			t.Fatalf("round %d: wide flood delivered %d times, want once per leaf (%d)", round, wide, leaves)
+		}
+		if echoes < 2*leaves {
+			t.Fatalf("round %d: %d echo deliveries; the receivers' own sends did not run", round, echoes)
+		}
+		seenRx := make(map[*floodRx]bool)
+		for _, r := range n.rxPool {
+			if seenRx[r] {
+				t.Fatalf("round %d: broadcast record pooled twice", round)
+			}
+			seenRx[r] = true
+			if r.st != nil || len(r.to) != 0 {
+				t.Fatalf("round %d: pooled record still holds state %p, hearers %v", round, r.st, r.to)
+			}
+		}
+		if !seenRx[rec] {
+			t.Fatalf("round %d: the hub's record never came back", round)
+		}
+		seenSt := make(map[*floodState]bool)
+		for _, st := range n.floodPool {
+			if seenSt[st] {
+				t.Fatalf("round %d: flood state pooled twice", round)
+			}
+			seenSt[st] = true
+			if st.pending != 0 {
+				t.Fatalf("round %d: pooled flood state has %d landings outstanding", round, st.pending)
+			}
+		}
+	}
+	// Every round ran 1 wide + leaves echo floods, all drained: the pool
+	// holds exactly the states that were ever live at once.
+	if got := len(n.floodPool); got != leaves+1 {
+		t.Errorf("flood pool holds %d states after %d concurrent floods per round, want %d", got, leaves+1, leaves+1)
 	}
 }
 
