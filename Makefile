@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet check figures figures-smoke telemetry-smoke chaos-smoke conform-smoke policy-smoke wire-smoke wire-chaos-smoke scale-smoke trace-smoke bench-smoke clean
+.PHONY: all build test race vet check figures figures-smoke telemetry-smoke chaos-smoke conform-smoke policy-smoke wire-smoke wire-chaos-smoke scale-smoke trace-smoke bench-smoke loc clean
 
 all: check
 
@@ -156,19 +156,22 @@ wire-chaos-smoke: build
 	fi
 	@cat $(WIRE_CHAOS_TMP)/verdict-a.txt $(WIRE_CHAOS_TMP)/verdict-wc.txt
 
-# Scale gate: a 10k-node kinetic+sharded run (auto region count) runs
-# once with GOMAXPROCS=1 — the caller runs every region, the serial
-# reference — and once with GOMAXPROCS=4 — three region workers,
-# whatever the box's core count; both runs must pass cmd/scale's
-# invariant gate (answers exist, no torn/future answers, no watermark
-# regressions — non-zero exit otherwise) and produce byte-identical
-# stdout: how many workers ran the regions is unobservable.
+# Scale gate: a 10k-node run (auto region count) runs once with
+# GOMAXPROCS=1 — the caller runs every region, the serial reference —
+# and once with GOMAXPROCS=4 — three region workers, whatever the box's
+# core count; both runs must pass cmd/scale's invariant gate (answers
+# exist, no torn/future answers — non-zero exit otherwise) and produce
+# byte-identical stdout and merged causal traces: how many workers ran
+# the regions is unobservable.
 SCALE_TMP ?= /tmp/rpcc-scale-smoke
 scale-smoke:
 	mkdir -p $(SCALE_TMP)
-	GOMAXPROCS=1 $(GO) run ./cmd/scale -nodes 10000 -simtime 60s -seed 1 > $(SCALE_TMP)/a.txt
-	GOMAXPROCS=4 $(GO) run ./cmd/scale -nodes 10000 -simtime 60s -seed 1 > $(SCALE_TMP)/b.txt
+	GOMAXPROCS=1 $(GO) run ./cmd/scale -nodes 10000 -simtime 60s -seed 1 \
+		-trace-out $(SCALE_TMP)/a.jsonl > $(SCALE_TMP)/a.txt
+	GOMAXPROCS=4 $(GO) run ./cmd/scale -nodes 10000 -simtime 60s -seed 1 \
+		-trace-out $(SCALE_TMP)/b.jsonl > $(SCALE_TMP)/b.txt
 	cmp $(SCALE_TMP)/a.txt $(SCALE_TMP)/b.txt
+	cmp $(SCALE_TMP)/a.jsonl $(SCALE_TMP)/b.jsonl
 	@cat $(SCALE_TMP)/a.txt
 
 # Causal-trace gate: a seeded 30-peer run exports its span JSONL twice;
@@ -193,6 +196,10 @@ trace-smoke:
 # interrupted sweep resumes with `make figures` again.
 figures:
 	$(GO) run ./cmd/figures -simtime 5h -journal runs.jsonl -resume
+
+# The size every re-anchor quotes: non-test Go lines outside bench/.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
 
 clean:
 	rm -f runs.jsonl

@@ -78,9 +78,6 @@ func (s *Store) Capacity() int { return s.capacity }
 // Len returns the current item count.
 func (s *Store) Len() int { return len(s.byID) }
 
-// PolicyName returns the replacement policy's name ("lru", "lfu", ...).
-func (s *Store) PolicyName() string { return s.policy.Name() }
-
 // SetHopsHint installs an estimator of the hop distance from this node to
 // an item's source host. Optional: without it entry metadata carries zero
 // hops and the utility policy degrades to access-rate/size. The estimator

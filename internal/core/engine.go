@@ -133,14 +133,6 @@ type Engine struct {
 	pollFallback uint64
 	relayForgets uint64
 
-	// Repair retry accounting (§4.5 hardening): every APPLY/GET_NEW send
-	// while one is already outstanding, and every give-up at the attempt
-	// bound.
-	getNewSends   uint64
-	getNewGiveUps uint64
-	applySends    uint64
-	applyGiveUps  uint64
-
 	// Monotonicity accounting: UPDATE/SEND_NEW pushes rejected because
 	// they carried an older version than the stored copy (duplicated or
 	// reordered in flight), and poll acks ignored for the same reason.
@@ -719,13 +711,6 @@ func (e *Engine) PollStats() (direct, ring, fallback, forgets uint64) {
 // acks the version-monotonicity guards discarded.
 func (e *Engine) StaleRejects() (pushes, acks uint64) {
 	return e.stalePushRejects, e.staleAckRejects
-}
-
-// RepairStats reports the §4.5 retry accounting: total GET_NEW and APPLY
-// sends, and how many times a node exhausted MaxRepairAttempts and gave
-// up (until newer version evidence reopened the budget).
-func (e *Engine) RepairStats() (getNewSends, getNewGiveUps, applySends, applyGiveUps uint64) {
-	return e.getNewSends, e.getNewGiveUps, e.applySends, e.applyGiveUps
 }
 
 // RepairScan walks every item state and returns the largest outstanding

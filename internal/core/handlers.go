@@ -121,7 +121,6 @@ func (e *Engine) onInvalidation(k *sim.Kernel, nd int, msg protocol.Message) {
 			if st.applyAttempts >= e.cfg.MaxRepairAttempts {
 				if !st.applyGaveUp {
 					st.applyGaveUp = true
-					e.applyGiveUps++
 					e.ch.Hub.RepairGiveUp(telemetry.RepairApply)
 				}
 				return
@@ -133,7 +132,6 @@ func (e *Engine) onInvalidation(k *sim.Kernel, nd int, msg protocol.Message) {
 		st.applyPending = true
 		st.applySentAt = k.Now()
 		st.applyAttempts++
-		e.applySends++
 		e.ch.Hub.RepairAttempt(telemetry.RepairApply)
 		ap := protocol.Message{
 			Kind:   protocol.KindApply,
@@ -173,7 +171,6 @@ func (e *Engine) sendGetNew(k *sim.Kernel, nd int, item data.ItemID, st *itemSta
 		if st.getNewAttempts >= e.cfg.MaxRepairAttempts {
 			if !st.getNewGaveUp {
 				st.getNewGaveUp = true
-				e.getNewGiveUps++
 				e.ch.Hub.RepairGiveUp(telemetry.RepairGetNew)
 				e.ch.Tracer.FinishAs(st.repairTC, k.Now().Nanoseconds(), "GET_NEW-gave-up")
 				st.repairTC = protocol.TraceContext{}
@@ -187,7 +184,6 @@ func (e *Engine) sendGetNew(k *sim.Kernel, nd int, item data.ItemID, st *itemSta
 	st.getNewPending = true
 	st.getNewSentAt = k.Now()
 	st.getNewAttempts++
-	e.getNewSends++
 	e.ch.Hub.RepairAttempt(telemetry.RepairGetNew)
 	if st.repairTC.TraceID == 0 {
 		st.repairTC = e.ch.Tracer.StartChild(k.Now().Nanoseconds(), parent, nd, ctrace.PhaseRepair, "GET_NEW")

@@ -133,9 +133,8 @@ type runEnv struct {
 
 // assembled is one fully wired scenario stack bound to a kernel. The
 // serial path assembles one and runs its kernel to the horizon; the
-// sharded scale path (scale.go) assembles one per region on the
-// sub-kernels of a ShardedKernel and lets the lockstep windows drive
-// them all.
+// scale path (scale.go) assembles one per region on the kernels of a
+// ShardedKernel, which runs each to the horizon.
 type assembled struct {
 	cfg       Config
 	hub       *telemetry.Hub

@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"github.com/manetlab/rpcc/internal/telemetry"
+	ctrace "github.com/manetlab/rpcc/internal/telemetry/trace"
 	"github.com/manetlab/rpcc/internal/workload"
 )
 
@@ -30,9 +32,8 @@ func stripVolatile(r Result) Result {
 }
 
 // TestRunScaleSerialMatchesRun: below the auto-shard floor RunScale is
-// one region on one sub-kernel, and the sharded kernel's degenerate
-// single-shard case is event-identical to a plain kernel — so the whole
-// Result must match Run exactly.
+// one region on shard 0's kernel, which is seeded like a plain kernel —
+// so the whole Result must match Run exactly.
 func TestRunScaleSerialMatchesRun(t *testing.T) {
 	cfg := scaleTestConfig(24, 7)
 	plain, err := Run(cfg)
@@ -49,17 +50,52 @@ func TestRunScaleSerialMatchesRun(t *testing.T) {
 	if got, want := stripVolatile(scaled.Result), stripVolatile(plain); !reflect.DeepEqual(got, want) {
 		t.Fatalf("single-shard RunScale diverges from Run:\n got %+v\nwant %+v", got, want)
 	}
-	if scaled.GossipViolations != 0 {
-		t.Fatalf("gossip violations on a single shard: %d", scaled.GossipViolations)
+}
+
+// TestRunScaleRegionIsAStandaloneRun states the independence RunScale
+// rests on as an executable fact: region i's Result and spans are what
+// its sub-config yields run alone, traced under region id i, on a plain
+// kernel seeded root+i·goldenGamma (the literal below is sim's constant)
+// — and the merge leaves the regions' own snapshots alone.
+func TestRunScaleRegionIsAStandaloneRun(t *testing.T) {
+	cfg := ScaleConfig{Config: scaleTestConfig(96, 11), Shards: 4, Trace: true}
+	res, err := RunScale(cfg)
+	if err != nil {
+		t.Fatalf("RunScale: %v", err)
+	}
+	const goldenGamma = int64(-0x61C8864680B583EB)
+	sets := make([][]ctrace.Span, cfg.Shards)
+	for i, got := range res.PerShard {
+		sub := regionConfig(cfg.Config, cfg.Shards, i)
+		sub.Seed += int64(i) * goldenGamma
+		tracer := ctrace.NewCollector(i)
+		want, err := runScenario(sub, telemetry.NewHub(telemetry.LevelMetrics), tracer, nil)
+		if err != nil {
+			t.Fatalf("region %d alone: %v", i, err)
+		}
+		if got, want := stripVolatile(got), stripVolatile(want); !reflect.DeepEqual(got, want) {
+			t.Errorf("region %d is not its standalone run:\n got %+v\nwant %+v", i, got, want)
+		}
+		if got.Telemetry == res.Telemetry {
+			t.Errorf("region %d's snapshot is the merged one", i)
+		}
+		if got.Telemetry.SimSeconds != cfg.SimTime.Seconds() {
+			t.Errorf("region %d snapshot covers %v sim-seconds, want %v", i, got.Telemetry.SimSeconds, cfg.SimTime.Seconds())
+		}
+		sets[i] = tracer.Export()
+	}
+	if !reflect.DeepEqual(res.Spans, ctrace.Merge(sets...)) {
+		t.Error("merged trace is not the merge of the standalone traces")
+	}
+	if want := float64(cfg.Shards) * cfg.SimTime.Seconds(); res.Telemetry.SimSeconds != want {
+		t.Errorf("merged snapshot covers %v sim-seconds, want %v", res.Telemetry.SimSeconds, want)
 	}
 }
 
-// TestRunScaleSharded runs four traced regions in lockstep with
-// GOMAXPROCS 1 (the caller runs every region itself: the serial
-// reference) and 4 (three workers share them), checks results and
-// merged spans are identical, and that the
-// consistency invariants and watermark monotonicity hold in every
-// region.
+// TestRunScaleSharded runs four traced regions with GOMAXPROCS 1 (the
+// caller runs every region itself: the serial reference) and 4 (three
+// workers share them), checks results and merged spans are identical,
+// and that the consistency invariants hold in every region.
 func TestRunScaleSharded(t *testing.T) {
 	cfg := ScaleConfig{Config: scaleTestConfig(96, 11), Shards: 4, Trace: true}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -87,13 +123,6 @@ func TestRunScaleSharded(t *testing.T) {
 			t.Errorf("region %d consistency violations: torn=%d future=%d", i, r.TornAnswers, r.FutureAnswers)
 		}
 	}
-	if serial.GossipViolations != 0 {
-		t.Fatalf("watermark regressions: %d", serial.GossipViolations)
-	}
-	// One window per gossip round, one mail per region per round.
-	if want := uint64(cfg.SimTime / scaleGossipInterval); serial.Barriers != want || serial.MailDelivered != 4*want {
-		t.Fatalf("barriers=%d mail=%d, want %d and %d", serial.Barriers, serial.MailDelivered, want, 4*want)
-	}
 	if serial.Topology.KineticSamples == 0 {
 		t.Fatal("kinetic plane produced no incremental samples")
 	}
@@ -112,10 +141,8 @@ func TestRunScaleSharded(t *testing.T) {
 	if !reflect.DeepEqual(parallel.Spans, serial.Spans) {
 		t.Fatal("merged spans diverge between core counts")
 	}
-	if parallel.GossipViolations != serial.GossipViolations ||
-		parallel.MailDelivered != serial.MailDelivered || parallel.Barriers != serial.Barriers ||
-		parallel.Topology != serial.Topology {
-		t.Fatal("synchronization or topology counters diverge between core counts")
+	if parallel.Topology != serial.Topology {
+		t.Fatal("topology counters diverge between core counts")
 	}
 }
 

@@ -3,11 +3,8 @@ package experiment
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
-	"github.com/manetlab/rpcc/internal/consistency"
-	"github.com/manetlab/rpcc/internal/data"
 	"github.com/manetlab/rpcc/internal/netsim"
 	"github.com/manetlab/rpcc/internal/sim"
 	"github.com/manetlab/rpcc/internal/telemetry"
@@ -18,11 +15,6 @@ import (
 // serial: one region, one kernel — exactly the path every figure runs.
 const scaleAutoShardFloor = 2000
 
-// scaleGossipInterval paces the cross-region watermark gossip and delays
-// its mail. Regions exchange nothing else, so it is also the sharded
-// kernel's lookahead: one lockstep window per gossip round.
-const scaleGossipInterval = time.Second
-
 // ScaleConfig parameterises one large-scale run: the base scenario
 // (NPeers is the TOTAL across all regions) plus the sharding controls.
 type ScaleConfig struct {
@@ -30,10 +22,9 @@ type ScaleConfig struct {
 
 	// Shards is the region count; 0 picks automatically (1 below 2000
 	// peers, then one region per ~2500 peers, at most 16). Each region is
-	// an independent protocol stack on its own sub-kernel — peers query
-	// within their region, and regions exchange progress watermarks
-	// through the sharded kernel's bounded-lookahead mail. How many
-	// goroutines run the regions (EachShard) does not change the result.
+	// an independent protocol stack on its own kernel: peers query within
+	// their region and regions exchange nothing. How many goroutines run
+	// the regions (EachShard) does not change the result.
 	Shards int
 	// Trace enables causal tracing: each region gets its own collector
 	// (region id = shard index, so span ids never collide) and the merged
@@ -47,16 +38,12 @@ type ScaleResult struct {
 
 	// Shards is the region count actually used.
 	Shards int
-	// PerShard holds each region's own Result (nil when Shards == 1 —
-	// the merged Result IS the single region's).
+	// PerShard holds each region's own Result (with one region, the
+	// merged Result is that region's).
 	PerShard []Result
-	// Barriers / MailDelivered count sharded-kernel synchronization
-	// work (zero when Shards == 1).
-	Barriers      uint64
-	MailDelivered uint64
-	// GossipViolations counts cross-region watermark regressions — a
-	// receiver observing a sender's answered-query counter move
-	// backwards, which a correct lockstep schedule makes impossible.
+	// GossipViolations is always 0: regions send each other nothing to
+	// violate. It survives only because the frozen bench/ module gates on
+	// it (bench/sim.go:212).
 	GossipViolations uint64
 	// Topology aggregates the per-region networks' topology-maintenance
 	// counters.
@@ -66,8 +53,8 @@ type ScaleResult struct {
 	// is a pure function of the spans, so same-seed runs produce
 	// byte-identical JSONL regardless of region count or scheduling.
 	Spans []ctrace.Span
-	// KernelStats is the sharded kernel's per-shard introspection
-	// snapshot (events, mail, barrier stalls).
+	// KernelStats is the per-region kernel snapshot (events fired, wall
+	// time busy).
 	KernelStats sim.ShardedStats
 }
 
@@ -87,14 +74,12 @@ func autoShards(n int) int {
 }
 
 // RunScale executes one scenario at scale: the peers split into S
-// equal-density regions, each assembled as an independent stack on a
-// sub-kernel of a ShardedKernel (lookahead = scaleGossipInterval, the
-// delay of the only mail regions send each other), run in lockstep, and
-// merged into one report. Regions gossip monotone answered-query
-// watermarks through the barrier mail; any regression is reported as a
-// GossipViolation. S = 1 is the degenerate case — one region on one
-// sub-kernel, which the sharded-kernel tests prove event-identical to a
-// plain serial kernel — so small runs behave exactly like Run.
+// equal-density regions, each an independent stack on its own seeded
+// kernel (region i on root+i·goldenGamma), run to the horizon on
+// EachShard's workers and merged into one report. A region's Result is a
+// pure function of (its sub-config, the root seed, its index) — exactly
+// what Run returns for that sub-config on that seed — so S = 1 behaves
+// exactly like Run.
 func RunScale(cfg ScaleConfig) (ScaleResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return ScaleResult{}, err
@@ -109,31 +94,17 @@ func RunScale(cfg ScaleConfig) (ScaleResult, error) {
 	if cfg.NPeers/s < 2 {
 		return ScaleResult{}, fmt.Errorf("experiment: %d peers across %d shards leaves <2 per region", cfg.NPeers, s)
 	}
-	sk, err := sim.NewShardedKernel(s, scaleGossipInterval, cfg.SimTime, cfg.Seed)
+	sk, err := sim.NewShardedKernel(s, 0, cfg.SimTime, cfg.Seed)
 	if err != nil {
 		return ScaleResult{}, err
 	}
 
-	// Split peers evenly (remainder to the low regions) and scale each
-	// region's area by its peer share so node density matches the base
-	// scenario. A region's stack touches only its own sub-kernel, hub and
-	// collector, so the regions assemble on the kernel's workers.
+	// A region's stack touches only its own kernel, hub and collector, so
+	// the regions assemble on the kernel's workers.
 	stacks := make([]*assembled, s)
 	errs := make([]error, s)
-	base, rem := cfg.NPeers/s, cfg.NPeers%s
 	sk.EachShard(func(i int) {
-		sub := cfg.Config
-		sub.NPeers = base
-		if i < rem {
-			sub.NPeers++
-		}
-		// Width stays; the height carries the region's peer share, so each
-		// region is a horizontal strip of the base terrain at unchanged
-		// node density.
-		share := float64(sub.NPeers) / float64(cfg.NPeers)
-		sub.AreaWidth = cfg.AreaWidth
-		sub.AreaHeight = cfg.AreaHeight * share
-		sub.Seed = cfg.Seed // sub-kernel seeds already differ per shard
+		sub := regionConfig(cfg.Config, s, i)
 		if err := sub.Validate(); err != nil {
 			errs[i] = fmt.Errorf("experiment: shard %d config: %w", i, err)
 			return
@@ -154,38 +125,12 @@ func RunScale(cfg ScaleConfig) (ScaleResult, error) {
 		return ScaleResult{}, err
 	}
 
-	// Watermark gossip: every region periodically mails its answered
-	// counter to the next region; receivers assert per-sender
-	// monotonicity (receiver region = node, sender region = item, one
-	// epoch). Row j is touched only by shard j's handlers and the table
-	// is sized up front, so concurrent windows need no locking.
-	seen := make(consistency.Watermarks, s)
-	var gossipViol atomic.Uint64
-	for i := 0; s > 1 && i < s; i++ {
-		next := (i + 1) % s
-		if _, err := sk.Shard(i).Every(scaleGossipInterval, "scale.gossip", func(k *sim.Kernel) {
-			w := data.Version(stacks[i].chassis.Answered())
-			if err := sk.Send(i, next, scaleGossipInterval, "scale.watermark", func(*sim.Kernel) {
-				if _, regressed := seen.Observe(next, data.ItemID(i), w, 0); regressed {
-					gossipViol.Add(1)
-				}
-			}); err != nil {
-				panic(fmt.Sprintf("experiment: watermark send %d->%d: %v", i, next, err))
-			}
-		}); err != nil {
-			return ScaleResult{}, err
-		}
-	}
-
 	sk.Run()
 
 	out := ScaleResult{
-		Shards:           s,
-		PerShard:         make([]Result, s),
-		Barriers:         sk.Barriers(),
-		MailDelivered:    sk.Delivered(),
-		GossipViolations: gossipViol.Load(),
-		KernelStats:      sk.Stats(),
+		Shards:      s,
+		PerShard:    make([]Result, s),
+		KernelStats: sk.Stats(),
 	}
 	sets := make([][]ctrace.Span, s)
 	sk.EachShard(func(i int) {
@@ -202,6 +147,22 @@ func RunScale(cfg ScaleConfig) (ScaleResult, error) {
 	}
 	out.Result = mergeResults(cfg.Config, out.PerShard)
 	return out, nil
+}
+
+// regionConfig is region i's scenario when total is split into s regions:
+// peers divided evenly (remainder to the low regions), and the region a
+// horizontal strip of the base terrain — full width, the height carrying
+// its peer share — so node density matches the base scenario. The seed
+// stays the root's; region kernels are seeded apart by the ShardedKernel.
+func regionConfig(total Config, s, i int) Config {
+	sub := total
+	sub.NPeers = total.NPeers / s
+	if i < total.NPeers%s {
+		sub.NPeers++
+	}
+	share := float64(sub.NPeers) / float64(total.NPeers)
+	sub.AreaHeight = total.AreaHeight * share
+	return sub
 }
 
 // mergeResults folds per-region results into one report for the whole
@@ -276,8 +237,9 @@ func mergeResults(total Config, rs []Result) Result {
 		}
 		if r.Telemetry != nil {
 			if m.Telemetry == nil {
-				m.Telemetry = r.Telemetry
-			} else if err := m.Telemetry.Merge(r.Telemetry); err != nil {
+				m.Telemetry = &telemetry.Snapshot{}
+			}
+			if err := m.Telemetry.Merge(r.Telemetry); err != nil {
 				// Snapshots from identically configured regions always
 				// merge; a failure means a schema bug, not run data.
 				panic(fmt.Sprintf("experiment: telemetry merge: %v", err))

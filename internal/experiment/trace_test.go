@@ -88,8 +88,8 @@ func TestScaleTraceMergeDeterministic(t *testing.T) {
 	}
 }
 
-// TestScaleKernelStats: the sharded run exposes per-shard introspection —
-// deterministic event/mail counts populated, imbalance gauges sane.
+// TestScaleKernelStats: the scale run exposes per-region introspection —
+// deterministic event counts populated, imbalance gauges sane.
 func TestScaleKernelStats(t *testing.T) {
 	cfg := ScaleConfig{Config: scaleTestConfig(90, 11), Shards: 3}
 	res, err := RunScale(cfg)
@@ -100,10 +100,6 @@ func TestScaleKernelStats(t *testing.T) {
 	if len(ks.Shards) != 3 {
 		t.Fatalf("stats for %d shards, want 3", len(ks.Shards))
 	}
-	if ks.Barriers != res.Barriers || ks.Delivered != res.MailDelivered {
-		t.Fatal("kernel stats disagree with the scale result counters")
-	}
-	var mailSent, mailRecv uint64
 	for i, s := range ks.Shards {
 		if s.Shard != i {
 			t.Fatalf("shard %d labelled %d", i, s.Shard)
@@ -111,21 +107,9 @@ func TestScaleKernelStats(t *testing.T) {
 		if s.EventsFired == 0 {
 			t.Fatalf("shard %d fired no events", i)
 		}
-		mailSent += s.MailSent
-		mailRecv += s.MailRecv
-		var windows uint64
-		for _, n := range s.StallHist {
-			windows += n
+		if s.BusyNs <= 0 || s.StallNs < 0 {
+			t.Fatalf("shard %d busy=%d stall=%d", i, s.BusyNs, s.StallNs)
 		}
-		if windows == 0 {
-			t.Fatalf("shard %d stall histogram is empty", i)
-		}
-	}
-	if mailRecv != res.MailDelivered {
-		t.Fatalf("mail received %d != delivered %d", mailRecv, res.MailDelivered)
-	}
-	if mailSent < mailRecv {
-		t.Fatalf("mail sent %d < received %d", mailSent, mailRecv)
 	}
 	if ks.EventImbalance < 1 || ks.WallImbalance < 1 {
 		t.Fatalf("imbalance gauges below 1: event=%v wall=%v", ks.EventImbalance, ks.WallImbalance)

@@ -236,8 +236,3 @@ func (p *Plane) assassinate(k *sim.Kernel, a Assassination) {
 		p.crash(k, nd, a.RestartAfter)
 	}
 }
-
-// Crashed reports whether node is currently down due to a fault.
-func (p *Plane) Crashed(node int) bool {
-	return node >= 0 && node < len(p.crashed) && p.crashed[node]
-}

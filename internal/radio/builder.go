@@ -50,7 +50,7 @@ func (b *GraphBuilder) Build(pos []geo.Point, down []bool, commRange float64, st
 	if err := validate(pos, down, commRange); err != nil {
 		return nil, err
 	}
-	g := b.prepare(pos, down, commRange, stamp)
+	g := b.prepare(pos, down, stamp)
 	n := g.n
 	if n == 0 {
 		return g, nil
@@ -163,14 +163,14 @@ func (b *GraphBuilder) BuildPairwise(pos []geo.Point, down []bool, commRange flo
 	if err := validate(pos, down, commRange); err != nil {
 		return nil, err
 	}
-	g := b.prepare(pos, down, commRange, stamp)
+	g := b.prepare(pos, down, stamp)
 	b.fillPairwise(pos, commRange)
 	return g, nil
 }
 
 // prepare resets the reused graph for a new snapshot: sizes the CSR and
 // down mask, recycles the route-cache tables, and stores the metadata.
-func (b *GraphBuilder) prepare(pos []geo.Point, down []bool, commRange float64, stamp uint64) *Graph {
+func (b *GraphBuilder) prepare(pos []geo.Point, down []bool, stamp uint64) *Graph {
 	g := &b.g
 	n := len(pos)
 	if g.n != n {
@@ -179,7 +179,6 @@ func (b *GraphBuilder) prepare(pos []geo.Point, down []bool, commRange float64, 
 		g.resetRoutes()
 	}
 	g.n = n
-	g.rng = commRange
 	g.stamp = stamp
 	g.cacheOn = true
 	g.off = resizeI32(g.off, n+1)

@@ -67,7 +67,6 @@ func (b *GraphBuilder) RebuildFromRows(n int, row func(i int) []int32, down []bo
 		g.n = n
 		g.cacheOn = true
 	}
-	g.rng = commRange
 	g.stamp = stamp
 	g.off = resizeI32(g.off, n+1)
 	if cap(g.down) < n {

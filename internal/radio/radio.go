@@ -30,8 +30,7 @@ type Graph struct {
 	off   []int32 // CSR row offsets, len n+1
 	tgt   []int   // CSR neighbour ids, ascending per row
 	down  []bool
-	rng   float64 // communication range, metres
-	stamp uint64  // snapshot generation, for cache invalidation upstream
+	stamp uint64 // snapshot generation, for cache invalidation upstream
 
 	// Route cache: dist[dst] holds, once built, the BFS hop distance from
 	// every node to dst (Unreachable = -1). Slices are recycled through
@@ -74,9 +73,6 @@ func (g *Graph) Len() int { return g.n }
 
 // Stamp returns the snapshot generation counter supplied at build time.
 func (g *Graph) Stamp() uint64 { return g.stamp }
-
-// Range returns the communication range used to build the snapshot.
-func (g *Graph) Range() float64 { return g.rng }
 
 // Up reports whether node i was up when the snapshot was taken.
 func (g *Graph) Up(i int) bool { return i >= 0 && i < g.n && !g.down[i] }

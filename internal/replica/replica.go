@@ -31,7 +31,6 @@ import (
 	"github.com/manetlab/rpcc/internal/netsim"
 	"github.com/manetlab/rpcc/internal/protocol"
 	"github.com/manetlab/rpcc/internal/sim"
-	"github.com/manetlab/rpcc/internal/telemetry"
 )
 
 // Value is one replica's state: the payload plus its ordering tag.
@@ -88,22 +87,6 @@ type Manager struct {
 	writes  uint64
 	merges  uint64
 	syncs   uint64
-
-	writesC *telemetry.Counter
-	mergesC *telemetry.Counter
-	syncsC  *telemetry.Counter
-}
-
-// SetTelemetry attaches a hub before Start. The manager owns its own
-// network (no chassis), so the hub is injected directly; a nil hub (the
-// default) records nothing.
-func (m *Manager) SetTelemetry(h *telemetry.Hub) {
-	m.writesC = h.Counter("rpcc_replica_events_total",
-		"Replica-tier protocol events.", telemetry.Label{Key: "event", Value: "write"})
-	m.mergesC = h.Counter("rpcc_replica_events_total",
-		"Replica-tier protocol events.", telemetry.Label{Key: "event", Value: "merge"})
-	m.syncsC = h.Counter("rpcc_replica_events_total",
-		"Replica-tier protocol events.", telemetry.Label{Key: "event", Value: "sync"})
 }
 
 // NewManager builds a manager over net.
@@ -205,7 +188,6 @@ func (m *Manager) Write(k *sim.Kernel, node, id int, payload string) error {
 	v := Value{Data: payload, Clock: m.clocks[node], Writer: node}
 	m.apply(node, id, v)
 	m.writes++
-	m.writesC.Inc()
 	msg := protocol.Message{
 		Kind:   protocol.KindReplicaWrite,
 		Item:   data.ItemID(id),
@@ -242,7 +224,6 @@ func (m *Manager) apply(node, id int, v Value) {
 	if v.Newer(cur) {
 		m.values[node][id] = v
 		m.merges++
-		m.mergesC.Inc()
 	}
 }
 
@@ -256,7 +237,6 @@ func (m *Manager) dispatch(k *sim.Kernel, nd int, msg protocol.Message) {
 		m.apply(nd, id, Value{Data: msg.Copy.Value, Clock: msg.Seq, Writer: msg.Origin})
 		if msg.Kind == protocol.KindReplicaSync {
 			m.syncs++
-			m.syncsC.Inc()
 		}
 	case protocol.KindReplicaDigest:
 		m.onDigest(k, nd, msg)

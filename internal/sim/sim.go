@@ -178,9 +178,6 @@ func NewKernel(opts ...Option) *Kernel {
 // Now returns the current virtual time.
 func (k *Kernel) Now() time.Duration { return k.now }
 
-// Horizon returns the configured run horizon (zero when uncapped).
-func (k *Kernel) Horizon() time.Duration { return k.horizon }
-
 // EventsFired returns the number of events whose handlers have executed.
 func (k *Kernel) EventsFired() uint64 { return k.events }
 

@@ -380,15 +380,6 @@ func (n *Node) Latency() *stats.Latency { return n.lat }
 // Transport exposes the UDP layer (diagnostics).
 func (n *Node) Transport() *Transport { return n.tr }
 
-// WorkloadCounts returns queries and updates issued by the built-in
-// generator (zero without one). Read after Stop.
-func (n *Node) WorkloadCounts() (queries, updates uint64) {
-	if n.wl == nil {
-		return 0, 0
-	}
-	return n.wl.Counts()
-}
-
 // Summary renders a one-line daemon report.
 func (n *Node) Summary() string {
 	var b strings.Builder
