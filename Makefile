@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet check figures figures-smoke telemetry-smoke chaos-smoke conform-smoke policy-smoke wire-smoke wire-chaos-smoke scale-smoke trace-smoke bench-smoke loc clean
+.PHONY: all build test race vet check regen figures figures-smoke telemetry-smoke chaos-smoke conform-smoke policy-smoke wire-smoke wire-chaos-smoke scale-smoke trace-smoke bench-smoke loc clean
 
 all: check
 
@@ -41,6 +41,15 @@ figures-smoke:
 	$(GO) run ./cmd/figures -simtime 1h | cmp - figures_1h.txt
 
 check: build vet test race bench-smoke figures-smoke
+
+# Rewrite the artefacts pinned to the seeded random streams: the figure
+# gate's figures_1h.txt and the divergences recorded in the oracle corpus
+# (internal/oracle/testdata/). Only a change that moves the seeded bytes
+# on purpose runs this; review the diff it leaves.
+regen:
+	$(GO) run ./cmd/figures -simtime 1h > figures_1h.txt.new
+	mv figures_1h.txt.new figures_1h.txt
+	$(GO) test -count=1 ./internal/oracle -run TestReplayTestdataTraces -update
 
 # End-to-end metrics check: a 1-simulated-minute seeded run exports
 # Prometheus text, and telemetrylint proves it parses and satisfies the

@@ -745,14 +745,18 @@ func (e *Engine) RelaysFor(item data.ItemID) []int {
 // version it has heard announced against the version it actually holds.
 // The §4.5 reconnection guarantee is conditional on hearing evidence, so
 // the invariant auditor flags only debts left unserviced — not relays an
-// invalidation never reached.
+// invalidation never reached, nor relays whose last GET_NEW is still
+// inside its resend gate when the evidence stops arriving.
 type RepairDebt struct {
 	Node    int
 	Heard   data.Version  // newest version seen in an INVALIDATION
-	HeardAt time.Duration // when that evidence last arrived
+	HeardAt time.Duration // when INVALIDATION evidence last arrived (invAt)
 	Since   time.Duration // when the debt first opened (first missed version)
 	Held    data.Version  // version of the cached copy
 	GaveUp  bool          // repair budget exhausted (invariant 4's domain)
+	// RetryAt is when the last GET_NEW's resend gate expires: evidence
+	// heard from then on is a retry trigger. Zero when none was sent.
+	RetryAt time.Duration
 }
 
 // RepairDebts returns the repair state of every node holding item in the
@@ -768,14 +772,18 @@ func (e *Engine) RepairDebts(item data.ItemID) []RepairDebt {
 		if !have {
 			continue
 		}
-		out = append(out, RepairDebt{
+		d := RepairDebt{
 			Node:    nd,
 			Heard:   st.invVersion,
 			HeardAt: st.invAt,
 			Since:   st.debtSince,
 			Held:    cp.Version,
 			GaveUp:  st.getNewGaveUp,
-		})
+		}
+		if st.getNewPending {
+			d.RetryAt = st.getNewSentAt + e.repairGate(st.getNewAttempts)
+		}
+		out = append(out, d)
 	}
 	return out
 }

@@ -33,10 +33,12 @@ func TestReorderedStaleUpdateRejected(t *testing.T) {
 	if cp.Version != v2.Version {
 		t.Fatalf("relay holds v%d after UPDATE v2", cp.Version)
 	}
-	refreshedAt := st.lastRefreshed
 
-	// The reordered duplicate of the earlier push arrives last.
+	// The reordered duplicate of the earlier push arrives last. The live
+	// timers may legitimately renew the TTR meanwhile (a heard
+	// INVALIDATION does), so the base is read just before the replay.
 	e.k.RunUntil(e.k.Now() + 30*time.Second)
+	refreshedAt := st.lastRefreshed
 	e.eng.onUpdate(e.k, 1, protocol.Message{
 		Kind: protocol.KindUpdate, Item: 0, Origin: 0, Version: v1.Version, Copy: v1,
 	})

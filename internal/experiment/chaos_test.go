@@ -41,8 +41,8 @@ func chaosCampaign() faults.Config {
 		DupProb:        0.01,
 		ReorderMax:     5 * time.Millisecond,
 		// Repair is trigger-driven (an INVALIDATION flood every TTN=2m),
-		// so the window must exceed the auditor's debt grace (2·TTN+30s)
-		// for the check to be non-vacuous.
+		// so the window spans several trigger cycles for the check to be
+		// non-vacuous.
 		RepairWindow: 6 * time.Minute,
 		// RPCC-SC's strong level is TTR-window approximate even
 		// fault-free (~11% stale answers in this scenario); the budget

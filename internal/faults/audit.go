@@ -29,12 +29,6 @@ type AuditorConfig struct {
 	// shorter than TTN cannot guarantee any INVALIDATION fell inside it,
 	// so such heal checks are recorded as skipped, not violated.
 	TTN time.Duration
-	// RepairGrace is how old a relay's repair debt must be before the
-	// heal check counts it as unserviced. Repair is trigger-driven —
-	// one GET_NEW shot per INVALIDATION flood — so the grace must cover
-	// at least two trigger cycles for a loss-eaten first round trip to
-	// get its retry; zero means NewAuditor picks 2·TTN plus slack.
-	RepairGrace time.Duration
 	// MaxRepairAttempts is the engine's retry bound (invariant 4).
 	MaxRepairAttempts int
 	// StrongStaleBudget is the tolerated stale-SC answer fraction for
@@ -79,10 +73,13 @@ func (c AuditorConfig) Validate() error {
 //     StoredAt can only be an in-place overwrite — a store bug.
 //  3. Every partition heal is followed by relay-state convergence within
 //     RepairWindow: at the deadline, no relay sits on unserviced repair
-//     debt — version evidence it heard longer than RepairGrace ago while
-//     still holding an older copy. (The §4.5 guarantee is conditional on
-//     hearing an INVALIDATION, so relays the flood never reached carry
-//     no debt and are not flagged.)
+//     debt — it still holds a copy older than the version it heard
+//     announced, and its last INVALIDATION arrived when a GET_NEW was due
+//     (none outstanding, or the last one's resend gate expired). Repair
+//     is trigger-driven, one GET_NEW shot per INVALIDATION heard, so a
+//     relay whose send was lost and which no later flood reached has had
+//     no trigger to retry on and is not flagged; neither are relays the
+//     flood never reached at all (§4.5 is conditional on hearing one).
 //  4. Repair retries are bounded: no item state ever exceeds the
 //     engine's MaxRepairAttempts consecutive unanswered sends.
 type Auditor struct {
@@ -112,9 +109,6 @@ func NewAuditor(cfg AuditorConfig, reg *data.Registry, stores []*cache.Store, ch
 	}
 	if reg == nil || chn == nil || len(stores) == 0 {
 		return nil, fmt.Errorf("faults: auditor needs registry, churn and stores")
-	}
-	if cfg.RepairGrace <= 0 {
-		cfg.RepairGrace = 2*cfg.TTN + 30*time.Second
 	}
 	return &Auditor{
 		cfg: cfg, reg: reg, stores: stores, chn: chn,
@@ -166,10 +160,9 @@ func (a *Auditor) sweep(k *sim.Kernel) {
 // scheduleHealCheck verifies relay convergence RepairWindow after the
 // heal (invariant 3).
 func (a *Auditor) scheduleHealCheck(k *sim.Kernel, _ Partition) {
-	if a.cfg.RepairWindow < a.cfg.TTN || a.cfg.RepairWindow < a.cfg.RepairGrace {
-		// The window is too short for any INVALIDATION trigger (or for a
-		// debt to outlive the grace), so the check would be vacuous or a
-		// false positive; record the heal as unchecked instead.
+	if a.cfg.RepairWindow < a.cfg.TTN {
+		// The window is too short for any INVALIDATION trigger, so the
+		// check would be vacuous; record the heal as unchecked instead.
 		a.rep.HealsSkipped++
 		return
 	}
@@ -179,10 +172,9 @@ func (a *Auditor) scheduleHealCheck(k *sim.Kernel, _ Partition) {
 	})
 }
 
-// checkHeal flags every relay still sitting on old repair debt: it first
-// heard a version newer than its copy at least RepairGrace ago (at least
-// two trigger cycles) and neither repaired nor (legitimately, invariant
-// 4) gave up.
+// checkHeal flags every relay sitting on unserviced repair debt: it heard
+// a version newer than its copy at a moment a GET_NEW was due, and
+// neither repaired nor (legitimately, invariant 4) gave up.
 func (a *Auditor) checkHeal(k *sim.Kernel, healAt time.Duration) {
 	a.rep.HealsChecked++
 	for i := 0; i < a.reg.Len(); i++ {
@@ -194,8 +186,8 @@ func (a *Auditor) checkHeal(k *sim.Kernel, healAt time.Duration) {
 			if d.Node < len(a.stores) && !a.chn.Connected(d.Node) {
 				continue // down again: cannot be expected to repair
 			}
-			if k.Now()-d.Since < a.cfg.RepairGrace {
-				continue // debt young enough that retries are still due
+			if d.HeardAt < d.RetryAt {
+				continue // no evidence since the last send's gate: no retry was due
 			}
 			a.rep.HealViolations++
 			a.detail("heal-convergence: relay %d item %v in debt since %v (heard v%d, holds v%d) %v after heal at %v",

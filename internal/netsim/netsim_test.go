@@ -71,6 +71,12 @@ func newHarness(t *testing.T, n int, withChurn bool) *harness {
 // newHarnessOn is newHarness over any fixed layout.
 func newHarnessOn(t *testing.T, layout *staticSource, withChurn bool) *harness {
 	t.Helper()
+	return newHarnessCfg(t, DefaultConfig(), layout, withChurn)
+}
+
+// newHarnessCfg is newHarnessOn with a non-default network config.
+func newHarnessCfg(t *testing.T, cfg Config, layout *staticSource, withChurn bool) *harness {
+	t.Helper()
 	n := layout.Len()
 	k := sim.NewKernel(sim.WithSeed(42))
 	var cp *churn.Process
@@ -81,7 +87,7 @@ func newHarnessOn(t *testing.T, layout *staticSource, withChurn bool) *harness {
 			t.Fatal(err)
 		}
 	}
-	net, err := New(DefaultConfig(), k, layout, cp, nil, stats.NewTraffic())
+	net, err := New(cfg, k, layout, cp, nil, stats.NewTraffic())
 	if err != nil {
 		t.Fatal(err)
 	}

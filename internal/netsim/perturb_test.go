@@ -79,9 +79,12 @@ func TestPerturberDrop(t *testing.T) {
 
 // TestPerturberDelayAndDup delays one message past another sent later
 // (reordering) and checks a duplicated delivery arrives twice with the
-// duplicate at the delayed time.
+// duplicate at the delayed time. Jitter is off, so the order is set by
+// the perturber's delays alone and not by the seed's jitter draws.
 func TestPerturberDelayAndDup(t *testing.T) {
-	h := newHarness(t, 2, false)
+	cfg := DefaultConfig()
+	cfg.JitterMax = 0
+	h := newHarnessCfg(t, cfg, chain(2), false)
 	h.net.SetPerturber(func(node int, msg protocol.Message, meta Meta) Perturbation {
 		switch msg.Kind {
 		case protocol.KindGetNew:

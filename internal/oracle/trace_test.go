@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -51,12 +52,22 @@ func TestTraceRejectsMalformed(t *testing.T) {
 	}
 }
 
+var update = flag.Bool("update", false, "rewrite the divergences recorded in testdata/*.jsonl from a fresh run of each scenario")
+
 // TestReplayTestdataTraces replays every shrunk divergence trace shipped
 // under testdata/: each must reproduce its recorded divergences exactly.
 // These traces are the regression corpus for the bugs this package's
 // mutants re-introduce (stale-push replay, ACK races, TTL drift, store
 // regression): if a protocol change silently re-opens one, replay either
 // diverges differently or stops diverging, and this test fails.
+//
+// A change that moves every seeded byte on purpose (the kernel's random
+// streams) regenerates the recorded divergences with
+//
+//	go test ./internal/oracle -run TestReplayTestdataTraces -update
+//
+// (`make regen`). The scenarios are kept; one that no longer diverges
+// still fails and must be re-derived through the mutant gate and shrinker.
 func TestReplayTestdataTraces(t *testing.T) {
 	paths, err := filepath.Glob("testdata/*.jsonl")
 	if err != nil {
@@ -68,14 +79,27 @@ func TestReplayTestdataTraces(t *testing.T) {
 	for _, path := range paths {
 		path := path
 		t.Run(filepath.Base(path), func(t *testing.T) {
-			f, err := os.Open(path)
+			raw, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer f.Close()
-			sc, recorded, err := ReadTrace(f)
+			sc, recorded, err := ReadTrace(bytes.NewReader(raw))
 			if err != nil {
 				t.Fatal(err)
+			}
+			if *update {
+				rep, err := Run(sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				recorded = rep.Divergences
+				var buf bytes.Buffer
+				if err := WriteTrace(&buf, sc, recorded); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if len(recorded) == 0 {
 				t.Fatal("trace records no divergences")

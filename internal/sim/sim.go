@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"time"
 )
 
@@ -346,13 +347,34 @@ func (k *Kernel) RunUntil(t time.Duration) {
 // first use. Streams are derived from the root seed and the name, so adding
 // a new consumer of randomness does not perturb existing streams — a
 // property that keeps A/B comparisons between strategies honest.
+//
+// A stream is a *math/rand.Rand over a 16-byte PCG-DXSM generator
+// (math/rand/v2.PCG) seeded with deriveSeed(root, name); creating one
+// costs two small allocations and no warm-up, where a math/rand source is
+// a 4.9 KB table seeded in ~1 800 dependent steps. Callers see only the
+// math/rand API.
 func (k *Kernel) Stream(name string) *rand.Rand {
 	if r, ok := k.streams[name]; ok {
 		return r
 	}
-	r := rand.New(rand.NewSource(deriveSeed(k.root, name)))
+	src := new(pcgSource)
+	src.Seed(deriveSeed(k.root, name))
+	r := rand.New(src)
 	k.streams[name] = r
 	return r
+}
+
+// pcgSource adapts math/rand/v2's PCG to math/rand.Source64.
+type pcgSource struct{ pcg randv2.PCG }
+
+func (s *pcgSource) Uint64() uint64 { return s.pcg.Uint64() }
+
+func (s *pcgSource) Int63() int64 { return int64(s.pcg.Uint64() &^ (1 << 63)) }
+
+// Seed sets the 128-bit state to (seed, seed·0x9E3779B97F4A7C15): the
+// golden gamma is odd, so the low word is a bijection of the seed.
+func (s *pcgSource) Seed(seed int64) {
+	s.pcg.Seed(uint64(seed), uint64(seed)*0x9E3779B97F4A7C15)
 }
 
 // deriveSeed mixes the root seed with a name using FNV-1a so distinct names
