@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet check regen figures figures-smoke telemetry-smoke chaos-smoke conform-smoke policy-smoke wire-smoke wire-chaos-smoke scale-smoke trace-smoke bench-smoke loc clean
+.PHONY: all build test race vet check regen figures figures-smoke telemetry-smoke chaos-smoke conform-smoke policy-smoke wire-smoke wire-chaos-smoke scale-smoke trace-smoke bench-smoke loc
 
 all: check
 
@@ -40,7 +40,10 @@ bench-smoke:
 figures-smoke:
 	$(GO) run ./cmd/figures -simtime 1h | cmp - figures_1h.txt
 
+# The tier-1 gate, the race audit, both module smokes, the figure gate,
+# and a formatting gate: gofmt must have nothing to rewrite.
 check: build vet test race bench-smoke figures-smoke
+	test -z "$$(gofmt -l .)"
 
 # Rewrite the artefacts pinned to the seeded random streams: the figure
 # gate's figures_1h.txt and the divergences recorded in the oracle corpus
@@ -201,14 +204,11 @@ trace-smoke:
 	$(GO) run ./cmd/telemetrylint -trace $(TRACE_TMP)/a.jsonl
 	@head -12 $(TRACE_TMP)/a.txt
 
-# Full paper reproduction (5 simulated hours per run), journaled so an
-# interrupted sweep resumes with `make figures` again.
+# Full paper reproduction (5 simulated hours per run).
 figures:
-	$(GO) run ./cmd/figures -simtime 5h -journal runs.jsonl -resume
+	$(GO) run ./cmd/figures -simtime 5h
 
 # The size every re-anchor quotes: non-test Go lines outside bench/.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
 
-clean:
-	rm -f runs.jsonl

@@ -17,7 +17,7 @@ package rpcc
 //	BenchmarkFig9a/b — traffic and latency vs invalidation TTL on the
 //	                   single-hot-item topology (paper Fig 9)
 //	BenchmarkRelayCountVsTTL — the §5.3 relay-population series
-//	BenchmarkAblation*       — design-choice ablations (DESIGN.md A1–A4)
+//	BenchmarkAblation*       — design-choice ablations (DESIGN.md A1, A3–A5, A7, A10)
 //
 // Substrate micro-benchmarks (kernel events, graph build, route lookup,
 // unicast, flood) live in bench/probes.go; the two delivery hot-path
@@ -141,33 +141,6 @@ func BenchmarkAblationOmega(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationAdaptivePull compares the push-with-adaptive-pull
-// extension against simple pull (DESIGN.md A2): same workload, report
-// both traffic totals.
-func BenchmarkAblationAdaptivePull(b *testing.B) {
-	var adaptive, pull experiment.Result
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, s := range []experiment.StrategyKind{experiment.StrategyAdaptive, experiment.StrategyPull} {
-			cfg := experiment.DefaultConfig(s, 1)
-			cfg.SimTime = benchSimTime
-			r, err := experiment.Run(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if s == experiment.StrategyAdaptive {
-				adaptive = r
-			} else {
-				pull = r
-			}
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(adaptive.TotalTx), "adaptive_msgs")
-	b.ReportMetric(float64(pull.TotalTx), "pull_msgs")
-	b.ReportMetric(float64(adaptive.MeanLatency.Milliseconds()), "adaptive_ms")
-}
-
 // BenchmarkAblationEagerRefresh quantifies the eager relay-refresh
 // extension (DESIGN.md A4): RPCC(SC) with and without it.
 func BenchmarkAblationEagerRefresh(b *testing.B) {
@@ -279,34 +252,6 @@ func BenchmarkAblationDSRRouting(b *testing.B) {
 	b.ReportMetric(100*dsr.AnswerRate(), "dsr_answered_pct")
 }
 
-// BenchmarkAblationAdaptiveTTN enables RPCC's adaptive invalidation
-// interval (§6 future work, DESIGN.md A6) under a slow-update workload,
-// where quiet sources should save most of their periodic floods.
-func BenchmarkAblationAdaptiveTTN(b *testing.B) {
-	var fixed, adaptive experiment.Result
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, on := range []bool{false, true} {
-			cfg := experiment.DefaultConfig(experiment.StrategyRPCCDC, 1)
-			cfg.SimTime = benchSimTime
-			cfg.UpdateInterval = 8 * time.Minute // quiet items
-			cfg.AdaptiveTTN = on
-			r, err := experiment.Run(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if on {
-				adaptive = r
-			} else {
-				fixed = r
-			}
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(fixed.TotalTx), "fixedTTN_msgs")
-	b.ReportMetric(float64(adaptive.TotalTx), "adaptiveTTN_msgs")
-}
-
 // BenchmarkAblationLossRate sweeps the wireless loss rate (DESIGN.md A7)
 // and reports RPCC(SC)'s answer rate and traffic under each — the
 // robustness dimension the paper's §1 problem statement raises ("higher
@@ -330,72 +275,6 @@ func BenchmarkAblationLossRate(b *testing.B) {
 	b.StopTimer()
 	for j, rate := range rates {
 		b.ReportMetric(100*results[j].AnswerRate(), fmt.Sprintf("loss%.0f%%_answered_pct", 100*rate))
-	}
-}
-
-// BenchmarkAblationGPSCE runs the location-aided comparator from the
-// paper's related work (DESIGN.md A8): eager geo-unicast invalidation
-// with per-source state. Reports traffic, latency and the staleness
-// violations its lost invalidations cause — the quantified version of
-// the paper's qualitative argument against GPS-based schemes.
-func BenchmarkAblationGPSCE(b *testing.B) {
-	var gpsce, push experiment.Result
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, s := range []experiment.StrategyKind{experiment.StrategyGPSCE, experiment.StrategyPush} {
-			cfg := experiment.DefaultConfig(s, 1)
-			cfg.SimTime = benchSimTime
-			r, err := experiment.Run(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if s == experiment.StrategyGPSCE {
-				gpsce = r
-			} else {
-				push = r
-			}
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(gpsce.TotalTx), "gpsce_msgs")
-	b.ReportMetric(float64(push.TotalTx), "push_msgs")
-	b.ReportMetric(float64(gpsce.MeanLatency.Milliseconds()), "gpsce_ms")
-	b.ReportMetric(float64(gpsce.Violations), "gpsce_staleViol")
-}
-
-// BenchmarkAblationMobilityModel reruns the default scenario under the
-// random-direction mobility model (DESIGN.md A9): if the strategy
-// ordering held only under random waypoint's centre-density artefact, it
-// would show here.
-func BenchmarkAblationMobilityModel(b *testing.B) {
-	type cell struct{ wp, rd experiment.Result }
-	results := map[experiment.StrategyKind]*cell{}
-	strategies := []experiment.StrategyKind{experiment.StrategyPull, experiment.StrategyRPCCSC}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, s := range strategies {
-			c := &cell{}
-			for _, rd := range []bool{false, true} {
-				cfg := experiment.DefaultConfig(s, 1)
-				cfg.SimTime = benchSimTime
-				cfg.RandomDirection = rd
-				r, err := experiment.Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if rd {
-					c.rd = r
-				} else {
-					c.wp = r
-				}
-			}
-			results[s] = c
-		}
-	}
-	b.StopTimer()
-	for _, s := range strategies {
-		b.ReportMetric(float64(results[s].wp.TotalTx), fmt.Sprintf("%s_waypoint_msgs", s))
-		b.ReportMetric(float64(results[s].rd.TotalTx), fmt.Sprintf("%s_randdir_msgs", s))
 	}
 }
 

@@ -203,6 +203,7 @@ func runSweep(base experiment.Config, campaign faults.Config, sweep, parallel in
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	frep, runErr := fleet.Run(ctx, jobs, fleet.Options{Parallel: parallel, Progress: os.Stderr, Execute: execute})
+	fleet.ReportFailures(os.Stderr, frep.Records)
 
 	failed := 0
 	var merged *telemetry.Snapshot

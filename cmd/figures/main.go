@@ -6,11 +6,9 @@
 // simulation matrix) and run concurrently, one worker per core by
 // default. Results are identical to a serial run for the same seed.
 //
-// A full 5-hour Table 1 reproduction on all cores, journaled so it can
-// be interrupted and resumed:
+// A full 5-hour Table 1 reproduction on all cores:
 //
-//	figures -simtime 5h -parallel 8 -journal runs.jsonl
-//	figures -simtime 5h -parallel 8 -journal runs.jsonl -resume
+//	figures -simtime 5h -parallel 8
 //
 // A quick pass (seconds of wall time):
 //
@@ -51,8 +49,6 @@ func run() error {
 		format     = flag.String("format", "table", "output format: table | csv")
 		replicas   = flag.Int("replicas", 1, "independent seeds per point, averaged")
 		parallel   = flag.Int("parallel", 0, "concurrent simulations (0 = all cores); results are identical for any value")
-		journal    = flag.String("journal", "", "append-only JSONL run journal (one record per completed/failed run)")
-		resume     = flag.Bool("resume", false, "reuse successful runs already in -journal; retry failures")
 		timeout    = flag.Duration("timeout", 0, "per-run wall-clock timeout (0 = none)")
 		metricsOut = flag.String("metrics-out", "", "write Prometheus text metrics merged across every run to this file")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
@@ -69,9 +65,6 @@ func run() error {
 	}
 	if *format != "table" && *format != "csv" {
 		return fmt.Errorf("unknown format %q", *format)
-	}
-	if *resume && *journal == "" {
-		return fmt.Errorf("-resume requires -journal")
 	}
 
 	specs := experiment.AllFigureSpecs()
@@ -109,26 +102,17 @@ func run() error {
 		}
 	}
 
-	opts := fleet.Options{
-		Parallel: *parallel,
-		Timeout:  *timeout,
-		Progress: os.Stderr,
-	}
-	if *journal != "" {
-		jl, err := fleet.OpenJournal(*journal, *resume)
-		if err != nil {
-			return err
-		}
-		defer jl.Close()
-		opts.Journal = jl
-	}
-
-	// Ctrl-C cancels the context; the fleet drains in-flight runs into
-	// the journal and we exit with the partial report recorded.
+	// Ctrl-C cancels the context; the fleet drains in-flight runs and we
+	// exit with the partial report.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	rep, runErr := fleet.Run(ctx, jobs, opts)
+	rep, runErr := fleet.Run(ctx, jobs, fleet.Options{
+		Parallel: *parallel,
+		Timeout:  *timeout,
+		Progress: os.Stderr,
+	})
+	fleet.ReportFailures(os.Stderr, rep.Records)
 
 	if *metricsOut != "" {
 		if err := writeMergedMetrics(*metricsOut, rep.Records); err != nil {
@@ -136,7 +120,7 @@ func run() error {
 		}
 	}
 	if runErr != nil {
-		return fmt.Errorf("sweep interrupted (%d/%d runs journaled): %w", rep.Executed+rep.Resumed, len(rep.Records), runErr)
+		return fmt.Errorf("sweep interrupted (%d/%d runs completed): %w", rep.Executed, len(rep.Records), runErr)
 	}
 
 	var failedFigures []string
@@ -155,19 +139,19 @@ func run() error {
 		fmt.Println()
 	}
 
-	fmt.Fprintf(os.Stderr, "%d runs (%d resumed, %d failed) on %d workers in %v (%.2f runs/s)\n",
-		len(rep.Records), rep.Resumed, rep.Failed, rep.Workers, rep.Wall.Round(time.Millisecond), rep.RunsPerSec())
+	fmt.Fprintf(os.Stderr, "%d runs (%d failed) on %d workers in %v (%.2f runs/s)\n",
+		len(rep.Records), rep.Failed, rep.Workers, rep.Wall.Round(time.Millisecond), rep.RunsPerSec())
 
 	if len(failedFigures) > 0 {
-		return fmt.Errorf("%d run(s) failed; incomplete figures: %s (see the journal for stacks)",
+		return fmt.Errorf("%d run(s) failed; incomplete figures: %s",
 			rep.Failed, strings.Join(failedFigures, ", "))
 	}
 	return nil
 }
 
 // writeMergedMetrics folds the telemetry snapshots of every successful
-// run (freshly executed or resumed from the journal) into one Prometheus
-// text file — the sweep's aggregate protocol picture.
+// run into one Prometheus text file — the sweep's aggregate protocol
+// picture.
 func writeMergedMetrics(path string, records []fleet.Record) error {
 	var merged *telemetry.Snapshot
 	for _, rec := range records {

@@ -39,7 +39,7 @@ func main() {
 
 func run() error {
 	var (
-		strategy   = flag.String("strategy", "rpcc-sc", "pull | push | rpcc-sc | rpcc-dc | rpcc-wc | rpcc-hy | adaptive-pull")
+		strategy   = flag.String("strategy", "rpcc-sc", "pull | push | rpcc-sc | rpcc-dc | rpcc-wc | rpcc-hy")
 		seed       = flag.Int64("seed", 1, "root random seed")
 		peers      = flag.Int("peers", 50, "number of mobile peers (N_Peers)")
 		area       = flag.Float64("area", 1500, "square terrain side in metres (T_Area)")
@@ -59,7 +59,6 @@ func run() error {
 		detail     = flag.Bool("detail", true, "print the per-kind traffic breakdown")
 		useDSR     = flag.Bool("dsr", false, "route unicasts with DSR-style discovery instead of the oracle")
 		loss       = flag.Float64("loss", 0, "per-reception link loss probability [0,1)")
-		adaptTTN   = flag.Bool("adaptivettn", false, "enable RPCC's adaptive invalidation interval (§6)")
 		replicas   = flag.Int("replicas", 1, "independent seeds (seed..seed+N-1), run concurrently and aggregated")
 		parallel   = flag.Int("parallel", 0, "concurrent replica runs (0 = all cores)")
 		metricsOut = flag.String("metrics-out", "", "write Prometheus text metrics to this file (merged across replicas)")
@@ -95,7 +94,6 @@ func run() error {
 	}
 	cfg.UseDSRRouting = *useDSR
 	cfg.LossRate = *loss
-	cfg.AdaptiveTTN = *adaptTTN
 
 	if *replicas > 1 {
 		if *traceOut != "" {
@@ -157,12 +155,12 @@ func runReplicated(base experiment.Config, replicas, parallel int, metricsOut st
 	if err != nil {
 		return err
 	}
+	fleet.ReportFailures(os.Stderr, rep.Records)
 
 	results := make([]experiment.Result, 0, replicas)
 	var merged *telemetry.Snapshot
 	for _, rec := range rep.Records {
 		if rec.Status != fleet.StatusOK {
-			fmt.Fprintf(os.Stderr, "rpccsim: seed %d %s: %s\n", rec.Seed, rec.Status, rec.Error)
 			continue
 		}
 		res, _ := rep.Result(rec.Key)

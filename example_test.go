@@ -46,22 +46,3 @@ func ExampleSimulation() {
 	// host 3 sees version: 1
 	// stale strong answers: 0
 }
-
-// ExampleNewReplicaSimulation shows the §6 future-work replica model:
-// any holder may write; replicas converge via last-writer-wins.
-func ExampleNewReplicaSimulation() {
-	sim, err := rpcc.NewReplicaSimulation(rpcc.DefaultSimOptions(7))
-	if err != nil {
-		panic(err)
-	}
-	sim.Register(1, []int{0, 4, 9})
-	sim.Write(4, 1, "hello from a non-owner")
-	sim.RunFor(2 * time.Minute)
-
-	v, converged := sim.Converged(1)
-	fmt.Println("converged:", converged)
-	fmt.Println("value:", v.Data)
-	// Output:
-	// converged: true
-	// value: hello from a non-owner
-}

@@ -92,14 +92,6 @@ type Config struct {
 	// returns true. The Fig 9 scenario has a single active source; all
 	// other hosts own items nobody caches and stay silent.
 	ActiveSource func(host int) bool
-	// AdaptiveTTN enables the §6 future-work extension: a source host
-	// whose item saw no update during the last interval stretches its
-	// next INVALIDATION interval multiplicatively (×1.5, capped at
-	// AdaptiveTTNMax), and snaps back to TTN as soon as the item
-	// changes. Quiet items then stop paying the periodic flood cost.
-	AdaptiveTTN bool
-	// AdaptiveTTNMax caps the stretched interval (default 4×TTN).
-	AdaptiveTTNMax time.Duration
 	// Mutant selects a deliberately broken protocol variant for the
 	// conformance mutation gate (internal/oracle, cmd/conform): each
 	// value reverts or corrupts exactly one correctness-critical guard so
@@ -174,9 +166,6 @@ func (c Config) Validate() error {
 	}
 	if c.MaxRepairAttempts < 0 {
 		return fmt.Errorf("core: negative repair attempt bound %d", c.MaxRepairAttempts)
-	}
-	if c.AdaptiveTTN && c.AdaptiveTTNMax < c.TTN {
-		return fmt.Errorf("core: adaptive TTN cap %v below TTN %v", c.AdaptiveTTNMax, c.TTN)
 	}
 	if c.Omega < 0 || c.Omega > 1 {
 		return fmt.Errorf("core: omega %g outside [0,1]", c.Omega)

@@ -91,9 +91,6 @@ type peerState struct {
 	// Source-host side (the node's own item).
 	relays    map[int]struct{}
 	announced data.Version
-	// ttnInterval is the current broadcast interval; it equals cfg.TTN
-	// unless AdaptiveTTN has stretched it during a quiet spell.
-	ttnInterval time.Duration
 	// Cache-node side: state per cached item (see items.go; touched only
 	// through the engine's getItem/putItem/delItem/resetItems).
 	items itemTable
@@ -435,16 +432,10 @@ func (e *Engine) pollStage(k *sim.Kernel, r *pollRound, have data.Version) {
 
 // ttnTick is the source host's periodic invalidation duty (Fig 6b): push
 // UPDATE to relay peers when the item changed this interval, then flood
-// INVALIDATION, then renew TTN. With AdaptiveTTN the renewal interval
-// stretches while the item is quiet and snaps back on change (§6).
+// INVALIDATION, then renew TTN.
 func (e *Engine) ttnTick(k *sim.Kernel, nd int) {
 	ps := e.peers[nd]
-	if ps.ttnInterval <= 0 {
-		ps.ttnInterval = e.cfg.TTN
-	}
-	defer func() {
-		k.After(ps.ttnInterval, "rpcc.ttn", func(kk *sim.Kernel) { e.ttnTick(kk, nd) })
-	}()
+	defer k.After(e.cfg.TTN, "rpcc.ttn", func(kk *sim.Kernel) { e.ttnTick(kk, nd) })
 
 	if e.cfg.ActiveSource != nil && !e.cfg.ActiveSource(nd) {
 		return
@@ -455,17 +446,6 @@ func (e *Engine) ttnTick(k *sim.Kernel, nd int) {
 		return
 	}
 	cur := m.Current()
-	if e.cfg.AdaptiveTTN {
-		if cur.Version > ps.announced {
-			ps.ttnInterval = e.cfg.TTN
-		} else {
-			ps.ttnInterval = ps.ttnInterval * 3 / 2
-			if ps.ttnInterval > e.cfg.AdaptiveTTNMax {
-				ps.ttnInterval = e.cfg.AdaptiveTTNMax
-			}
-		}
-	}
-
 	if cur.Version > ps.announced {
 		// One update-push trace roots every relay unicast of this round.
 		var utc protocol.TraceContext

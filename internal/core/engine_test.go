@@ -273,6 +273,19 @@ func TestStrongQueryFailsAcrossPartition(t *testing.T) {
 	}
 }
 
+// TestFixedTTNIntervalConstant: every source floods INVALIDATION once
+// per TTN, first at a stagger inside [0, TTN), so over ten intervals
+// each of the three sources floods exactly ten times — quiet items
+// included.
+func TestFixedTTNIntervalConstant(t *testing.T) {
+	cfg := DefaultConfig()
+	e := newEnv(t, 3, cfg)
+	e.k.RunUntil(10*cfg.TTN - time.Nanosecond)
+	if got := e.net.Traffic().Originated(protocol.KindInvalidation); got != 30 {
+		t.Fatalf("INVALIDATION originations over 10×TTN = %d, want 30", got)
+	}
+}
+
 func TestCandidatePromotionViaInvalidation(t *testing.T) {
 	e := newEnv(t, 4, DefaultConfig())
 	e.seedCache(t, 2, 0) // node 2 caches item 0 (owner node 0, 2 hops < TTL 3)

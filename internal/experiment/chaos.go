@@ -18,7 +18,7 @@ const chaosSweepEvery = 5 * time.Second
 // RunChaos executes one scenario with a fault campaign injected and the
 // consistency invariants audited throughout. It is a separate entry point
 // rather than extra Config fields on purpose: Config.Key() hashes the
-// struct for fleet journal identity, and chaos campaigns must not shift
+// struct to deduplicate fleet jobs, and chaos campaigns must not shift
 // the keys of plain experiments.
 //
 // Only RPCC strategies are supported — the crash wipe, relay

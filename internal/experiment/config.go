@@ -6,6 +6,7 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/manetlab/rpcc/internal/cache"
@@ -22,14 +23,12 @@ type StrategyKind string
 
 // The strategy kinds of §5.
 const (
-	StrategyPull     StrategyKind = "pull"
-	StrategyPush     StrategyKind = "push"
-	StrategyRPCCSC   StrategyKind = "rpcc-sc"
-	StrategyRPCCDC   StrategyKind = "rpcc-dc"
-	StrategyRPCCWC   StrategyKind = "rpcc-wc"
-	StrategyRPCCHY   StrategyKind = "rpcc-hy"
-	StrategyAdaptive StrategyKind = "adaptive-pull"
-	StrategyGPSCE    StrategyKind = "gpsce"
+	StrategyPull   StrategyKind = "pull"
+	StrategyPush   StrategyKind = "push"
+	StrategyRPCCSC StrategyKind = "rpcc-sc"
+	StrategyRPCCDC StrategyKind = "rpcc-dc"
+	StrategyRPCCWC StrategyKind = "rpcc-wc"
+	StrategyRPCCHY StrategyKind = "rpcc-hy"
 )
 
 // AllPaperStrategies returns the six combinations Fig 7/8 plot.
@@ -40,15 +39,10 @@ func AllPaperStrategies() []StrategyKind {
 	}
 }
 
-// Valid reports whether k names a known strategy.
+// Valid reports whether k names a known strategy: one of
+// AllPaperStrategies.
 func (k StrategyKind) Valid() bool {
-	switch k {
-	case StrategyPull, StrategyPush, StrategyRPCCSC, StrategyRPCCDC,
-		StrategyRPCCWC, StrategyRPCCHY, StrategyAdaptive, StrategyGPSCE:
-		return true
-	default:
-		return false
-	}
+	return slices.Contains(AllPaperStrategies(), k)
 }
 
 // Strategy is what every consistency engine (RPCC and baselines)
@@ -112,16 +106,9 @@ type Config struct {
 	// control traffic to the ledger (the A5 ablation; the paper's
 	// GloMoSim testbed ran over DSR).
 	UseDSRRouting bool
-	// AdaptiveTTN enables RPCC's adaptive invalidation-interval
-	// extension (§6 future work; the A6 ablation).
-	AdaptiveTTN bool
 	// LossRate is the per-reception link loss probability (0 = clean
 	// channel, the default; the A7 robustness sweep uses 0–0.3).
 	LossRate float64
-	// RandomDirection switches mobility from the paper's random-waypoint
-	// model to random direction (boundary-to-boundary legs), probing
-	// whether conclusions depend on the mobility model (the A9 ablation).
-	RandomDirection bool
 	// SerializeTx gives each node a single radio with MAC-style queueing
 	// instead of the idealised parallel radio (the A10 ablation).
 	SerializeTx bool

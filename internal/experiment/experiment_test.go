@@ -51,11 +51,10 @@ func TestStrategyKindValid(t *testing.T) {
 			t.Errorf("%s invalid", s)
 		}
 	}
-	if !StrategyAdaptive.Valid() {
-		t.Error("adaptive invalid")
-	}
-	if StrategyKind("bogus").Valid() {
-		t.Error("bogus valid")
+	for _, s := range []StrategyKind{"bogus", "adaptive-pull", "gpsce", ""} {
+		if s.Valid() {
+			t.Errorf("%q valid", s)
+		}
 	}
 }
 
@@ -76,7 +75,7 @@ func runShort(t *testing.T, s StrategyKind) Result {
 }
 
 func TestRunProducesAnswersForEveryStrategy(t *testing.T) {
-	for _, s := range append(AllPaperStrategies(), StrategyAdaptive) {
+	for _, s := range AllPaperStrategies() {
 		s := s
 		t.Run(string(s), func(t *testing.T) {
 			r := runShort(t, s)
@@ -415,60 +414,6 @@ func TestRunSweepReplicatedAverages(t *testing.T) {
 	ratio := float64(b) / float64(a)
 	if ratio < 0.5 || ratio > 2 {
 		t.Errorf("averaged tx %d wildly off single-seed %d", b, a)
-	}
-}
-
-func TestMobilityModelSwapStillFunctions(t *testing.T) {
-	// Random direction pushes nodes to the terrain edges, so the network
-	// is markedly sparser than under random waypoint (whose density
-	// piles up in the centre). Absolute traffic comparisons flip with
-	// connectivity — the informative invariants are that both strategies
-	// keep serving queries correctly. The per-answer cost ordering must
-	// still favour the relay tier.
-	run := func(s StrategyKind) Result {
-		cfg := shortConfig(s)
-		cfg.RandomDirection = true
-		r, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	pull := run(StrategyPull)
-	sc := run(StrategyRPCCSC)
-	for _, r := range []Result{pull, sc} {
-		if r.Answered == 0 {
-			t.Fatalf("%s answered nothing under random direction", r.Strategy)
-		}
-		if r.TornAnswers != 0 || r.FutureAnswers != 0 {
-			t.Fatalf("%s integrity violations under random direction", r.Strategy)
-		}
-	}
-	// No cost-ordering assertion here: with the field this fragmented,
-	// RPCC's fixed periodic tier amortises over very few answerable
-	// queries and its advantage evaporates — a real boundary condition
-	// of the paper's design, recorded in EXPERIMENTS.md (A9).
-	t.Logf("random direction: pull tx=%d answered=%d; rpcc-sc tx=%d answered=%d",
-		pull.TotalTx, pull.Answered, sc.TotalTx, sc.Answered)
-}
-
-func TestGPSCEEndToEnd(t *testing.T) {
-	r := runShort(t, StrategyGPSCE)
-	if r.AnswerRate() < 0.5 {
-		t.Errorf("gpsce answer rate %.2f", r.AnswerRate())
-	}
-	// The location-aided control plane is unicast-only: traffic must sit
-	// clearly below the pull baseline.
-	pull := runShort(t, StrategyPull)
-	if r.TotalTx*2 > pull.TotalTx {
-		t.Errorf("gpsce traffic %d not clearly below pull %d", r.TotalTx, pull.TotalTx)
-	}
-	if r.TornAnswers != 0 || r.FutureAnswers != 0 {
-		t.Error("gpsce integrity violations")
-	}
-	// Its known weakness: some stale strong answers leak.
-	if r.Violations == 0 {
-		t.Log("note: no staleness leaked this seed (usually some does)")
 	}
 }
 

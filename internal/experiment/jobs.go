@@ -7,11 +7,10 @@ import (
 
 // This file holds the pure helpers the fleet orchestrator builds on:
 // enumerating a sweep as an explicit job list, fingerprinting a scenario
-// config into a stable job key, deriving per-job seeds, and assembling a
-// Figure back out of a key→Result lookup. Everything here is
-// deterministic and side-effect free, so callers may evaluate jobs in
-// any order, on any number of workers, and still reproduce the serial
-// result bit for bit.
+// config into a stable job key, and assembling a Figure back out of a
+// key→Result lookup. Everything here is deterministic and side-effect
+// free, so callers may evaluate jobs in any order, on any number of
+// workers, and still reproduce the serial result bit for bit.
 
 // SweepJob is one (strategy, sweep point, replica) simulation of a spec.
 type SweepJob struct {
@@ -29,40 +28,13 @@ type SweepJob struct {
 }
 
 // Key returns a stable fingerprint of the scenario: the strategy and
-// seed in the clear (for humans grepping a journal) plus an FNV-1a hash
-// of every config field. Keys are stable across runs of the same binary;
-// they change when Config gains fields, which is exactly when journaled
-// results stop being comparable anyway.
+// seed in the clear (for humans reading a failure report) plus an FNV-1a
+// hash of every config field. Keys are stable across runs of the same
+// binary.
 func (c Config) Key() string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%+v", c)
 	return fmt.Sprintf("%s/seed%d/%016x", c.Strategy, c.Seed, h.Sum64())
-}
-
-// DeriveSeed mixes a root seed with a job key using FNV-1a (the same
-// construction the sim kernel uses for its named random streams) so
-// ad-hoc fleet jobs get decorrelated seeds that depend only on the job's
-// identity — never on worker assignment or completion order. Sweep jobs
-// do NOT use it: see SweepJobs for why replicas share seeds across
-// strategies.
-func DeriveSeed(root int64, key string) int64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < 8; i++ {
-		h ^= uint64(root>>(8*i)) & 0xff
-		h *= prime64
-	}
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	if h == 0 {
-		h = offset64
-	}
-	return int64(h & 0x7fffffffffffffff)
 }
 
 // SweepJobs enumerates the spec as an explicit job list: one job per
@@ -103,9 +75,8 @@ func SweepJobs(spec SweepSpec, base Config, replicas int) ([]SweepJob, error) {
 }
 
 // AssembleFigure rebuilds the spec's Figure from a key→Result lookup
-// (typically a fleet report, or the journal of a previous run). Replica
-// results for each point are folded through Aggregate, exactly as the
-// serial driver does. A missing key — a job that failed or never ran —
+// (typically a fleet report). Replica results for each point are folded
+// through Aggregate, exactly as the serial driver does. A missing key — a job that failed or never ran —
 // is an error naming the job, so partial sweeps fail loudly per figure
 // rather than plotting holes.
 func AssembleFigure(spec SweepSpec, base Config, replicas int, lookup func(key string) (Result, bool)) (Figure, error) {

@@ -73,21 +73,6 @@ func TestSweepJobsSharedAcrossMetricTwins(t *testing.T) {
 	}
 }
 
-func TestDeriveSeedDeterministicAndKeyed(t *testing.T) {
-	if DeriveSeed(1, "a") != DeriveSeed(1, "a") {
-		t.Fatal("DeriveSeed must be deterministic")
-	}
-	if DeriveSeed(1, "a") == DeriveSeed(1, "b") {
-		t.Fatal("different keys must yield different seeds")
-	}
-	if DeriveSeed(1, "a") == DeriveSeed(2, "a") {
-		t.Fatal("different roots must yield different seeds")
-	}
-	if s := DeriveSeed(0, ""); s < 0 {
-		t.Fatalf("seed must be non-negative, got %d", s)
-	}
-}
-
 // AssembleFigure must reproduce what the serial driver computes from the
 // same results, and fail loudly when a job's result is missing.
 func TestAssembleFigureRoundTrip(t *testing.T) {

@@ -83,7 +83,7 @@ type Result struct {
 	// Telemetry is the run's metrics snapshot (nil when the run executed
 	// with telemetry off). Snapshots from replica runs merge with
 	// (*telemetry.Snapshot).Merge.
-	Telemetry *telemetry.Snapshot `json:"Telemetry,omitempty"`
+	Telemetry *telemetry.Snapshot
 }
 
 // Run executes one scenario to completion and returns its metrics. It
@@ -196,9 +196,6 @@ func assembleScenario(cfg Config, hub *telemetry.Hub, k *sim.Kernel, tracer *ctr
 		MaxSpeed:   cfg.MaxSpeed,
 		Pause:      cfg.Pause,
 		SubnetCell: cfg.SubnetCell,
-	}
-	if cfg.RandomDirection {
-		mobCfg.Model = mobility.ModelRandomDirection
 	}
 	field, err := mobility.NewField(mobCfg, cfg.NPeers, func(i int) *rand.Rand {
 		return k.Stream(fmt.Sprintf("mobility.%d", i))
@@ -449,15 +446,6 @@ func buildStrategy(cfg Config, k *sim.Kernel, chassis *node.Chassis, churnProc *
 		pushCfg := pushConfigFrom(cfg)
 		s, err := newPush(pushCfg, chassis)
 		return s, fixed(consistency.LevelStrong), err
-	case StrategyAdaptive:
-		s, err := newAdaptive(chassis)
-		return s, fixed(consistency.LevelDelta), err
-	case StrategyGPSCE:
-		// Audited at strong: the scheme CLAIMS validity via eager
-		// invalidation; violations measure what stale GPS positions and
-		// greedy-forwarding voids silently lose.
-		s, err := newGPSCE(chassis)
-		return s, fixed(consistency.LevelStrong), err
 	case StrategyRPCCSC, StrategyRPCCDC, StrategyRPCCWC, StrategyRPCCHY:
 		coreCfg := coreConfigFrom(cfg)
 		tel := core.Telemetry{
@@ -511,10 +499,6 @@ func coreConfigFrom(cfg Config) core.Config {
 	c.MuCS = cfg.MuCS
 	c.MuCE = cfg.MuCE
 	c.EagerRelayRefresh = !cfg.DisableEagerRefresh
-	if cfg.AdaptiveTTN {
-		c.AdaptiveTTN = true
-		c.AdaptiveTTNMax = 4 * c.TTN
-	}
 	if testCoreMutator != nil {
 		testCoreMutator(&c)
 	}

@@ -34,11 +34,3 @@ func newPush(cfg pushpull.PushConfig, ch *node.Chassis) (Strategy, error) {
 func newPull(cfg pushpull.PullConfig, ch *node.Chassis) (Strategy, error) {
 	return pushpull.NewPull(cfg, ch)
 }
-
-func newAdaptive(ch *node.Chassis) (Strategy, error) {
-	return pushpull.NewAdaptive(pushpull.DefaultAdaptiveConfig(), ch)
-}
-
-func newGPSCE(ch *node.Chassis) (Strategy, error) {
-	return pushpull.NewGPSCE(pushpull.DefaultGPSCEConfig(), ch)
-}

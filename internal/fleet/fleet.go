@@ -7,10 +7,9 @@
 // A fleet executes jobs, not goroutines-with-opinions: every Job carries
 // a fully specified experiment.Config whose Seed is a pure function of
 // the job's identity (sweep jobs share replica seeds by design — see
-// experiment.SweepJobs; ad-hoc jobs can use experiment.DeriveSeed).
-// Workers never feed anything into a simulation — no worker IDs, no
-// wall-clock, no completion order — so running a job list with
-// Parallel=1 and Parallel=N yields byte-identical Results. Duplicate
+// experiment.SweepJobs). Workers never feed anything into a simulation
+// — no worker IDs, no wall-clock, no completion order — so running a job
+// list with Parallel=1 and Parallel=N yields byte-identical Results. Duplicate
 // keys (e.g. fig7a and fig8a sharing one simulation matrix) are
 // detected and each distinct scenario runs exactly once.
 //
@@ -19,10 +18,10 @@
 // Everything below experiment.Run is strictly per-run state:
 // sim.Kernel is a single-threaded event loop owned by one worker for
 // the duration of one run; mobility fields, node chassis, cache stores,
-// trace.Recorder rings and the stats ledgers are all constructed inside
-// Run and never escape it. The only cross-worker state in a fleet is
-// this package's own: atomic progress counters, the journal (guarded by
-// its mutex), and the per-job record slots (each written by exactly one
+// trace collectors and the stats ledgers are all constructed inside Run
+// and never escape it. The only cross-worker state in a fleet is this
+// package's own: atomic progress counters, the result map (guarded by a
+// mutex), and the per-job record slots (each written by exactly one
 // worker). TestFleetParallelRealRuns and sim's parallel kernel test
 // enforce this under -race.
 //
@@ -30,18 +29,16 @@
 //
 // A panicking simulation is converted by a per-run recover() into a
 // failed Record carrying the panic value and stack; the rest of the
-// fleet keeps running. A per-run wall-clock timeout abandons runaway
-// simulations the same way. Cancelling the context (Ctrl-C) stops
-// dispatching new jobs, lets in-flight runs finish being recorded, and
-// returns the partial report with ctx's error.
+// fleet keeps running, and ReportFailures hands each failed record's
+// key, error and stack to the user. A per-run wall-clock timeout
+// abandons runaway simulations the same way. Cancelling the context
+// (Ctrl-C) stops dispatching new jobs, lets in-flight runs finish being
+// recorded, and returns the partial report with ctx's error.
 //
 // # Observability
 //
-// Completed and failed runs are appended to an optional JSONL journal
-// (one self-contained Record per line) that supports resuming an
-// interrupted sweep: journaled successes are reused, journaled failures
-// are retried. Progress (done/failed counts, runs/sec, ETA) ticks on an
-// optional writer.
+// Progress (done/failed counts, runs/sec, ETA) ticks on an optional
+// writer.
 package fleet
 
 import (
@@ -51,6 +48,7 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"sync"
 	"time"
 
@@ -69,36 +67,44 @@ type Job struct {
 // Status classifies how a job ended.
 type Status string
 
-// Job outcomes. Cancelled jobs (context expired before or during the
-// run) are reported but never journaled, so a resumed sweep retries
-// them.
+// Job outcomes. Cancelled jobs are those the context cut off before or
+// during the run.
 const (
 	StatusOK        Status = "ok"
 	StatusFailed    Status = "failed"
 	StatusCancelled Status = "cancelled"
 )
 
-// Record is one job's outcome — the unit of the journal and of the
-// report. Failed records carry the error (and the panic stack when the
-// simulation panicked) instead of a Result.
+// Record is one job's outcome — the unit of the report. Failed records
+// carry the error (and the panic stack when the simulation panicked)
+// instead of a Result.
 type Record struct {
-	Key      string `json:"key"`
-	Status   Status `json:"status"`
-	Strategy string `json:"strategy"`
-	Seed     int64  `json:"seed"`
-	WallMS   int64  `json:"wall_ms"`
-	// MaxRSSKB is the process-wide peak resident set size (KiB) observed
-	// when the record was written — a high-water mark for budgeting sweep
-	// memory, not this run's private footprint. 0 where getrusage is
-	// unavailable.
-	MaxRSSKB int64              `json:"max_rss_kb,omitempty"`
-	Error    string             `json:"error,omitempty"`
-	Stack    string             `json:"stack,omitempty"`
-	Result   *experiment.Result `json:"result,omitempty"`
+	Key      string
+	Status   Status
+	Strategy string
+	Seed     int64
+	Error    string
+	Stack    string
+	Result   *experiment.Result
+}
+
+// ReportFailures writes every failed record to w: its key and error,
+// then the panic stack when the run panicked. It is how a failed run's
+// stack reaches the user.
+func ReportFailures(w io.Writer, recs []Record) {
+	for _, rec := range recs {
+		if rec.Status != StatusFailed {
+			continue
+		}
+		fmt.Fprintf(w, "fleet: %s failed: %s\n", rec.Key, rec.Error)
+		if rec.Stack != "" {
+			fmt.Fprintln(w, strings.TrimRight(rec.Stack, "\n"))
+		}
+	}
 }
 
 // Options configures a fleet run. The zero value is usable: all cores,
-// no timeout, no journal, no progress output.
+// no timeout, no progress output.
 type Options struct {
 	// Parallel is the worker count; <= 0 means GOMAXPROCS.
 	Parallel int
@@ -106,9 +112,6 @@ type Options struct {
 	// simulation is abandoned (its goroutine is leaked — the kernel has
 	// no preemption point) and recorded as failed.
 	Timeout time.Duration
-	// Journal, when non-nil, receives one Record per completed or failed
-	// run and supplies prior results for resumption.
-	Journal *Journal
 	// Progress, when non-nil, receives periodic one-line status updates
 	// (counts, runs/sec, ETA).
 	Progress io.Writer
@@ -130,22 +133,22 @@ type Report struct {
 	Wall time.Duration
 	// Workers is the resolved worker count.
 	Workers int
-	// Executed counts runs performed by this invocation; Resumed counts
-	// jobs satisfied from the journal; Failed counts failed records
-	// (including timeouts); Cancelled counts jobs the context cut off.
-	Executed, Resumed, Failed, Cancelled int
+	// Executed counts runs that finished (ok or failed); Failed counts
+	// failed records (including timeouts); Cancelled counts jobs the
+	// context cut off.
+	Executed, Failed, Cancelled int
 
 	results map[string]experiment.Result
 }
 
 // Result returns the result recorded for a job key, if that job
-// succeeded (either in this run or resumed from the journal).
+// succeeded.
 func (r Report) Result(key string) (experiment.Result, bool) {
 	res, ok := r.results[key]
 	return res, ok
 }
 
-// RunsPerSec is the executed-run throughput of this invocation.
+// RunsPerSec is the executed-run throughput.
 func (r Report) RunsPerSec() float64 {
 	if r.Wall <= 0 {
 		return 0
@@ -190,24 +193,9 @@ func Run(ctx context.Context, jobs []Job, opts Options) (Report, error) {
 		results: make(map[string]experiment.Result, len(order)),
 	}
 	start := time.Now()
-
-	// Resume pass: satisfy jobs from the journal before dispatching.
-	// Only successful prior records are reused — failures retry.
-	pending := make([]int, 0, len(order))
 	var resMu sync.Mutex // guards rep.results (records are per-slot)
-	for i, j := range order {
-		if opts.Journal != nil {
-			if prior, ok := opts.Journal.Prior(j.Key); ok && prior.Status == StatusOK && prior.Result != nil {
-				rep.Records[i] = prior
-				rep.results[j.Key] = *prior.Result
-				rep.Resumed++
-				continue
-			}
-		}
-		pending = append(pending, i)
-	}
 
-	prog := newProgress(opts.Progress, len(order), rep.Resumed, start)
+	prog := newProgress(opts.Progress, len(order), start)
 	prog.launch(opts.ProgressEvery)
 	defer prog.stop()
 
@@ -237,28 +225,19 @@ func Run(ctx context.Context, jobs []Job, opts Options) (Report, error) {
 				case StatusFailed:
 					prog.done(true)
 				}
-				if opts.Journal != nil && rec.Status != StatusCancelled {
-					if err := opts.Journal.Append(rec); err != nil {
-						// Journal trouble must not kill the sweep; surface it
-						// on the progress writer if there is one.
-						if opts.Progress != nil {
-							fmt.Fprintf(opts.Progress, "fleet: journal append failed: %v\n", err)
-						}
-					}
-				}
 			}
 		}()
 	}
 
 dispatch:
-	for n, i := range pending {
+	for i := range order {
 		select {
 		case idxCh <- i:
 		case <-ctx.Done():
 			// Drain: everything not yet dispatched is marked cancelled
 			// here (no worker will ever touch those slots), and in-flight
 			// runs finish being recorded before wg.Wait returns.
-			for _, rest := range pending[n:] {
+			for rest := i; rest < len(order); rest++ {
 				j := order[rest]
 				rep.Records[rest] = Record{Key: j.Key, Status: StatusCancelled,
 					Strategy: string(j.Config.Strategy), Seed: j.Config.Seed,
@@ -271,20 +250,17 @@ dispatch:
 	wg.Wait()
 
 	rep.Wall = time.Since(start)
-	terminal := 0
 	for _, rec := range rep.Records {
 		switch rec.Status {
 		case StatusOK:
-			terminal++
+			rep.Executed++
 		case StatusFailed:
-			terminal++
+			rep.Executed++
 			rep.Failed++
 		case StatusCancelled:
 			rep.Cancelled++
 		}
 	}
-	// Resumed records are terminal but were not run by this invocation.
-	rep.Executed = terminal - rep.Resumed
 	return rep, ctx.Err()
 }
 
@@ -305,7 +281,6 @@ func runOne(ctx context.Context, j Job, execute func(experiment.Config) (experim
 		stack string
 	}
 	done := make(chan outcome, 1)
-	start := time.Now()
 	go func() {
 		defer func() {
 			if p := recover(); p != nil {
@@ -324,8 +299,6 @@ func runOne(ctx context.Context, j Job, execute func(experiment.Config) (experim
 	}
 	select {
 	case o := <-done:
-		rec.WallMS = time.Since(start).Milliseconds()
-		rec.MaxRSSKB = peakRSSKB()
 		if o.err != nil {
 			rec.Status = StatusFailed
 			rec.Error = o.err.Error()
@@ -337,13 +310,10 @@ func runOne(ctx context.Context, j Job, execute func(experiment.Config) (experim
 		rec.Result = &res
 		return rec
 	case <-timer:
-		rec.WallMS = time.Since(start).Milliseconds()
-		rec.MaxRSSKB = peakRSSKB()
 		rec.Status = StatusFailed
 		rec.Error = fmt.Sprintf("timeout after %v", timeout)
 		return rec
 	case <-ctx.Done():
-		rec.WallMS = time.Since(start).Milliseconds()
 		rec.Status = StatusCancelled
 		rec.Error = ctx.Err().Error()
 		return rec

@@ -3,12 +3,7 @@ package fleet
 import (
 	"context"
 	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
-	"reflect"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -24,7 +19,7 @@ func testJobs(n int) []Job {
 		cfg := experiment.DefaultConfig(experiment.StrategyRPCCWC, 1)
 		cfg.SimTime = 2 * time.Minute
 		cfg.NPeers = 10
-		cfg.Seed = experiment.DeriveSeed(1, fmt.Sprintf("job%d", i))
+		cfg.Seed = int64(i + 1)
 		jobs[i] = Job{Key: cfg.Key(), Config: cfg}
 	}
 	return jobs
@@ -84,20 +79,14 @@ func TestFleetParallelMatchesSerialRealRuns(t *testing.T) {
 	}
 }
 
-// TestFleetPanicIsJournaledNotFatal: a panicking simulation becomes a
-// failed record (with the stack) in the report and the journal, and
-// every other job still completes.
-func TestFleetPanicIsJournaledNotFatal(t *testing.T) {
+// TestFleetPanicIsReportedNotFatal: a panicking simulation becomes a
+// failed record carrying the stack, ReportFailures prints its key, error
+// and stack, and every other job still completes.
+func TestFleetPanicIsReportedNotFatal(t *testing.T) {
 	jobs := testJobs(5)
 	bad := jobs[2].Key
-	journalPath := filepath.Join(t.TempDir(), "runs.jsonl")
-	j, err := OpenJournal(journalPath, false)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rep, err := Run(context.Background(), jobs, Options{
 		Parallel: 4,
-		Journal:  j,
 		Execute: func(cfg experiment.Config) (experiment.Result, error) {
 			if cfg.Key() == bad {
 				panic("simulated kernel blow-up")
@@ -106,9 +95,6 @@ func TestFleetPanicIsJournaledNotFatal(t *testing.T) {
 		},
 	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if rep.Failed != 1 {
@@ -135,114 +121,24 @@ func TestFleetPanicIsJournaledNotFatal(t *testing.T) {
 		t.Fatalf("failed record lacks a stack: %q", failedRec.Stack)
 	}
 
-	// The journal carries the failure too.
-	f, err := os.Open(journalPath)
-	if err != nil {
-		t.Fatal(err)
+	// The report names the failed run and carries its stack; the
+	// successful runs stay out of it.
+	var out strings.Builder
+	ReportFailures(&out, rep.Records)
+	got := out.String()
+	if n := strings.Count(got, " failed: "); n != 1 {
+		t.Fatalf("failure report names %d runs, want 1:\n%s", n, got)
 	}
-	defer f.Close()
-	recs, err := ReadRecords(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 5 {
-		t.Fatalf("journal has %d records, want 5", len(recs))
-	}
-	found := false
-	for _, rec := range recs {
-		if rec.Key == bad && rec.Status == StatusFailed {
-			found = true
+	for _, want := range []string{bad, "simulated kernel blow-up", "goroutine", "runtime/debug.Stack"} {
+		if !strings.Contains(got, want) {
+			t.Fatalf("failure report lacks %q:\n%s", want, got)
 		}
 	}
-	if !found {
-		t.Fatal("journal lacks the failed record")
-	}
-}
-
-// TestFleetResume: successful journaled jobs are reused without
-// re-running; journaled failures are retried.
-func TestFleetResume(t *testing.T) {
-	jobs := testJobs(4)
-	failing := jobs[1].Key
-	journalPath := filepath.Join(t.TempDir(), "runs.jsonl")
-
-	j1, err := OpenJournal(journalPath, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := Run(context.Background(), jobs, Options{
-		Parallel: 2,
-		Journal:  j1,
-		Execute: func(cfg experiment.Config) (experiment.Result, error) {
-			if cfg.Key() == failing {
-				return experiment.Result{}, fmt.Errorf("transient failure")
-			}
-			return fakeExecute(cfg)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j1.Close()
-	if first.Failed != 1 || first.Executed != 4 {
-		t.Fatalf("first pass: failed=%d executed=%d", first.Failed, first.Executed)
-	}
-
-	j2, err := OpenJournal(journalPath, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if j2.PriorCount() != 4 {
-		t.Fatalf("resume loaded %d keys, want 4", j2.PriorCount())
-	}
-	var execMu sync.Mutex
-	executed := make(map[string]bool)
-	second, err := Run(context.Background(), jobs, Options{
-		Parallel: 2,
-		Journal:  j2,
-		Execute: func(cfg experiment.Config) (experiment.Result, error) {
-			execMu.Lock()
-			executed[cfg.Key()] = true
-			execMu.Unlock()
-			return fakeExecute(cfg)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Resumed != 3 {
-		t.Fatalf("resumed = %d, want 3", second.Resumed)
-	}
-	if second.Executed != 1 {
-		t.Fatalf("executed = %d, want 1 (only the prior failure)", second.Executed)
-	}
-	if len(executed) != 1 || !executed[failing] {
-		t.Fatalf("re-ran %v, want only %s", executed, failing)
-	}
-	if second.Failed != 0 {
-		t.Fatalf("second pass failed = %d, want 0", second.Failed)
-	}
-	// Every job has a result after resume.
-	for _, job := range jobs {
-		if _, ok := second.Result(job.Key); !ok {
-			t.Fatalf("job %s has no result after resume", job.Key)
+	for _, rec := range rep.Records {
+		if rec.Key != bad && strings.Contains(got, rec.Key) {
+			t.Fatalf("failure report names successful job %s", rec.Key)
 		}
 	}
-	// Resumed results survive the journal round-trip intact.
-	want, _ := fakeExecute(jobs[0].Config)
-	got, _ := second.Result(jobs[0].Key)
-	if !reflect.DeepEqual(gotComparable(got), gotComparable(want)) {
-		t.Fatalf("resumed result drifted:\ngot  %+v\nwant %+v", got, want)
-	}
-}
-
-// gotComparable strips nothing today but funnels both sides through one
-// JSON round-trip so future non-comparable Result fields keep this test
-// honest.
-func gotComparable(r experiment.Result) string {
-	b, _ := json.Marshal(r)
-	return string(b)
 }
 
 // TestFleetTimeout: a run exceeding Options.Timeout is recorded as
@@ -276,20 +172,14 @@ func TestFleetTimeout(t *testing.T) {
 	}
 }
 
-// TestFleetCancellationDrains: cancelling mid-sweep stops dispatch,
-// reports partial results, and never journals cancelled jobs.
+// TestFleetCancellationDrains: cancelling mid-sweep stops dispatch and
+// reports partial results, every job either executed or cancelled.
 func TestFleetCancellationDrains(t *testing.T) {
 	jobs := testJobs(8)
-	journalPath := filepath.Join(t.TempDir(), "runs.jsonl")
-	j, err := OpenJournal(journalPath, false)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	ran := 0
 	rep, err := Run(ctx, jobs, Options{
 		Parallel: 1,
-		Journal:  j,
 		Execute: func(cfg experiment.Config) (experiment.Result, error) {
 			ran++
 			if ran == 2 {
@@ -298,7 +188,6 @@ func TestFleetCancellationDrains(t *testing.T) {
 			return fakeExecute(cfg)
 		},
 	})
-	j.Close()
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -308,22 +197,10 @@ func TestFleetCancellationDrains(t *testing.T) {
 	if rep.Executed+rep.Cancelled != len(jobs) {
 		t.Fatalf("executed %d + cancelled %d != %d jobs", rep.Executed, rep.Cancelled, len(jobs))
 	}
-	f, err := os.Open(journalPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	recs, err := ReadRecords(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range recs {
-		if rec.Status == StatusCancelled {
-			t.Fatal("cancelled job leaked into the journal")
-		}
-	}
-	if len(recs) != rep.Executed {
-		t.Fatalf("journal has %d records, want %d (the executed runs)", len(recs), rep.Executed)
+	var out strings.Builder
+	ReportFailures(&out, rep.Records)
+	if out.Len() != 0 {
+		t.Fatalf("cancelled jobs reported as failed:\n%s", out.String())
 	}
 }
 

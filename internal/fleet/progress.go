@@ -13,10 +13,9 @@ import (
 // goroutine, and they are only ever read for display — never fed back
 // into a simulation, which is what keeps parallel runs deterministic.
 type progress struct {
-	w       io.Writer
-	total   int
-	resumed int
-	start   time.Time
+	w     io.Writer
+	total int
+	start time.Time
 
 	completed atomic.Int64 // runs finished this invocation (ok + failed)
 	failed    atomic.Int64
@@ -25,8 +24,8 @@ type progress struct {
 	doneCh chan struct{}
 }
 
-func newProgress(w io.Writer, total, resumed int, start time.Time) *progress {
-	return &progress{w: w, total: total, resumed: resumed, start: start}
+func newProgress(w io.Writer, total int, start time.Time) *progress {
+	return &progress{w: w, total: total, start: start}
 }
 
 // done records one finished run.
@@ -77,18 +76,14 @@ func (p *progress) line() string {
 	completed := int(p.completed.Load())
 	failed := int(p.failed.Load())
 	elapsed := time.Since(p.start)
-	covered := p.resumed + completed
-	s := fmt.Sprintf("fleet: %d/%d runs", covered, p.total)
-	if p.resumed > 0 {
-		s += fmt.Sprintf(" (%d resumed)", p.resumed)
-	}
+	s := fmt.Sprintf("fleet: %d/%d runs", completed, p.total)
 	if failed > 0 {
 		s += fmt.Sprintf(", %d FAILED", failed)
 	}
 	if completed > 0 && elapsed > 0 {
 		rate := float64(completed) / elapsed.Seconds()
 		s += fmt.Sprintf(", %.2f runs/s", rate)
-		if remaining := p.total - covered; remaining > 0 && rate > 0 {
+		if remaining := p.total - completed; remaining > 0 && rate > 0 {
 			eta := time.Duration(float64(remaining)/rate) * time.Second
 			s += fmt.Sprintf(", eta %v", eta.Round(time.Second))
 		}

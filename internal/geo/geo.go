@@ -65,14 +65,6 @@ func (t Terrain) Contains(p Point) bool {
 	return p.X >= 0 && p.X <= t.Width && p.Y >= 0 && p.Y <= t.Height
 }
 
-// Clamp returns p moved to the nearest point inside the terrain.
-func (t Terrain) Clamp(p Point) Point {
-	return Point{
-		X: math.Min(math.Max(p.X, 0), t.Width),
-		Y: math.Min(math.Max(p.Y, 0), t.Height),
-	}
-}
-
 // RandomPoint draws a uniform point inside the terrain from r.
 func (t Terrain) RandomPoint(r *rand.Rand) Point {
 	return Point{X: r.Float64() * t.Width, Y: r.Float64() * t.Height}

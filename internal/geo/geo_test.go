@@ -95,7 +95,7 @@ func TestNewTerrainValidation(t *testing.T) {
 	}
 }
 
-func TestTerrainContainsAndClamp(t *testing.T) {
+func TestTerrainContains(t *testing.T) {
 	tr, _ := NewTerrain(100, 50)
 	tests := []struct {
 		p      Point
@@ -112,20 +112,6 @@ func TestTerrainContainsAndClamp(t *testing.T) {
 		if got := tr.Contains(tt.p); got != tt.inside {
 			t.Errorf("Contains(%v) = %v, want %v", tt.p, got, tt.inside)
 		}
-		if c := tr.Clamp(tt.p); !tr.Contains(c) {
-			t.Errorf("Clamp(%v) = %v outside terrain", tt.p, c)
-		}
-	}
-}
-
-func TestClampIdempotentProperty(t *testing.T) {
-	tr, _ := NewTerrain(1500, 1500)
-	f := func(x, y int32) bool {
-		c := tr.Clamp(Point{float64(x), float64(y)})
-		return tr.Contains(c) && tr.Clamp(c) == c
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -170,7 +156,7 @@ func TestCellIndex(t *testing.T) {
 func TestCellIndexNonNegativeProperty(t *testing.T) {
 	tr, _ := NewTerrain(1500, 1500)
 	f := func(x, y uint16, cell uint8) bool {
-		p := tr.Clamp(Point{float64(x), float64(y)})
+		p := Point{float64(x % 1501), float64(y % 1501)}
 		return tr.CellIndex(p, float64(cell)+1) >= 0
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -11,33 +11,15 @@ package mobility
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
 	"github.com/manetlab/rpcc/internal/geo"
 )
 
-// Model selects the trajectory generator.
-type Model int
-
-// Mobility models. The zero value selects random waypoint so existing
-// configurations keep their behaviour.
-const (
-	// ModelRandomWaypoint: pick a uniform destination, travel straight,
-	// pause, repeat (Johnson & Maltz; the paper's model).
-	ModelRandomWaypoint Model = iota
-	// ModelRandomDirection: pick a uniform direction, travel straight to
-	// the terrain boundary, pause, repeat. Compared with random waypoint
-	// it avoids the well-known density pile-up at the terrain centre, so
-	// it probes whether conclusions depend on the mobility model.
-	ModelRandomDirection
-)
-
 // Config parameterises the mobility model.
 type Config struct {
 	Terrain  geo.Terrain
-	Model    Model         // trajectory generator; zero = random waypoint
 	MinSpeed float64       // metres/second, > 0
 	MaxSpeed float64       // metres/second, >= MinSpeed
 	Pause    time.Duration // dwell time at each waypoint, >= 0
@@ -60,9 +42,6 @@ func (c Config) Validate() error {
 	}
 	if c.Pause < 0 {
 		return fmt.Errorf("mobility: negative pause %v", c.Pause)
-	}
-	if c.Model != ModelRandomWaypoint && c.Model != ModelRandomDirection {
-		return fmt.Errorf("mobility: unknown model %d", c.Model)
 	}
 	return nil
 }
@@ -111,17 +90,10 @@ func NewWaypoint(cfg Config, rng *rand.Rand) (*Waypoint, error) {
 	return w, nil
 }
 
-// nextLeg draws a fresh destination and speed, departing from `from` at
-// time `depart`. The destination comes from the configured model: a
-// uniform terrain point (random waypoint) or the boundary hit of a
-// uniform direction (random direction).
+// nextLeg draws a fresh destination (a uniform terrain point) and speed,
+// departing from `from` at time `depart`.
 func (w *Waypoint) nextLeg(from geo.Point, depart time.Duration) leg {
-	var to geo.Point
-	if w.cfg.Model == ModelRandomDirection {
-		to = w.boundaryHit(from)
-	} else {
-		to = w.cfg.Terrain.RandomPoint(w.rng)
-	}
+	to := w.cfg.Terrain.RandomPoint(w.rng)
 	speed := w.cfg.MinSpeed + w.rng.Float64()*(w.cfg.MaxSpeed-w.cfg.MinSpeed)
 	dist := from.Dist(to)
 	travel := time.Duration(dist / speed * float64(time.Second))
@@ -135,30 +107,6 @@ func (w *Waypoint) nextLeg(from geo.Point, depart time.Duration) leg {
 		arriveAt:  depart + travel,
 		pauseTill: depart + travel + w.cfg.Pause,
 	}
-}
-
-// boundaryHit returns where a ray from p in a uniform-random direction
-// leaves the terrain.
-func (w *Waypoint) boundaryHit(p geo.Point) geo.Point {
-	theta := w.rng.Float64() * 2 * math.Pi
-	dx, dy := math.Cos(theta), math.Sin(theta)
-	// Smallest positive t where p + t·(dx,dy) crosses an edge.
-	best := math.MaxFloat64
-	if dx > 0 {
-		best = math.Min(best, (w.cfg.Terrain.Width-p.X)/dx)
-	} else if dx < 0 {
-		best = math.Min(best, -p.X/dx)
-	}
-	if dy > 0 {
-		best = math.Min(best, (w.cfg.Terrain.Height-p.Y)/dy)
-	} else if dy < 0 {
-		best = math.Min(best, -p.Y/dy)
-	}
-	if best == math.MaxFloat64 || best < 0 {
-		// Degenerate direction (numerically zero): stay put this leg.
-		return p
-	}
-	return w.cfg.Terrain.Clamp(geo.Point{X: p.X + best*dx, Y: p.Y + best*dy})
 }
 
 // advance rolls the trajectory forward so the current leg covers time t.

@@ -217,67 +217,3 @@ func TestTrajectoryInsideTerrainProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestRandomDirectionStaysInTerrain(t *testing.T) {
-	cfg := testConfig()
-	cfg.Model = ModelRandomDirection
-	w, err := NewWaypoint(cfg, rand.New(rand.NewSource(31)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := 0; s < 7200; s += 3 {
-		p := w.PositionAt(time.Duration(s) * time.Second)
-		if !cfg.Terrain.Contains(p) {
-			t.Fatalf("random-direction node at %v outside terrain (t=%ds)", p, s)
-		}
-	}
-}
-
-func TestRandomDirectionLegsEndOnBoundary(t *testing.T) {
-	cfg := testConfig()
-	cfg.Model = ModelRandomDirection
-	cfg.Pause = 0
-	w, err := NewWaypoint(cfg, rand.New(rand.NewSource(37)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Sample densely; count how many samples sit on the boundary. With
-	// boundary-to-boundary legs, boundary touches must occur repeatedly.
-	touches := 0
-	for s := 0; s < 7200; s++ {
-		p := w.PositionAt(time.Duration(s) * time.Second)
-		onEdge := p.X < 1 || p.Y < 1 || p.X > cfg.Terrain.Width-1 || p.Y > cfg.Terrain.Height-1
-		if onEdge {
-			touches++
-		}
-	}
-	if touches == 0 {
-		t.Fatal("random-direction trajectory never touched the boundary in 2h")
-	}
-}
-
-func TestUnknownModelRejected(t *testing.T) {
-	cfg := testConfig()
-	cfg.Model = Model(9)
-	if cfg.Validate() == nil {
-		t.Fatal("unknown model accepted")
-	}
-}
-
-func TestModelsProduceDifferentTrajectories(t *testing.T) {
-	wp := testConfig()
-	rd := testConfig()
-	rd.Model = ModelRandomDirection
-	a, _ := NewWaypoint(wp, rand.New(rand.NewSource(5)))
-	b, _ := NewWaypoint(rd, rand.New(rand.NewSource(5)))
-	diverged := false
-	for s := 0; s < 600; s += 10 {
-		if a.PositionAt(time.Duration(s)*time.Second) != b.PositionAt(time.Duration(s)*time.Second) {
-			diverged = true
-			break
-		}
-	}
-	if !diverged {
-		t.Fatal("models produced identical trajectories")
-	}
-}

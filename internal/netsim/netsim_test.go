@@ -684,95 +684,6 @@ func TestHopDelayGrowsWithSize(t *testing.T) {
 	}
 }
 
-func TestPositionReturnsGPSReading(t *testing.T) {
-	h := newHarness(t, 3, false)
-	p := h.net.Position(1)
-	if p.X != 200 || p.Y != 0 {
-		t.Errorf("Position(1) = %v, want (200,0)", p)
-	}
-	zero := h.net.Position(99)
-	if zero.X != 0 || zero.Y != 0 {
-		t.Error("out-of-range Position not zero value")
-	}
-}
-
-func TestGeoUnicastDeliversAlongChain(t *testing.T) {
-	h := newHarness(t, 5, false)
-	target := h.net.Position(4)
-	if err := h.net.GeoUnicast(0, 4, target, testMsg(protocol.KindGeoInv)); err != nil {
-		t.Fatal(err)
-	}
-	h.k.Run()
-	if len(h.got) != 1 || h.got[0].node != 4 {
-		t.Fatalf("geo delivery = %+v, want node 4", h.got)
-	}
-	if h.got[0].meta.Hops != 4 {
-		t.Errorf("hops = %d, want 4 greedy hops", h.got[0].meta.Hops)
-	}
-}
-
-func TestGeoUnicastDropsAtVoid(t *testing.T) {
-	// Target position far off-axis: node 0's only neighbour (node 1) is
-	// no closer to the target than node 0 itself, so greedy forwarding
-	// hits a void immediately.
-	k := sim.NewKernel()
-	pts := []geo.Point{{X: 0, Y: 0}, {X: 200, Y: 0}, {X: 9000, Y: 9000}}
-	net, err := New(DefaultConfig(), k, &staticSource{pts: pts}, nil, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	delivered := false
-	net.SetReceiver(2, func(*sim.Kernel, int, protocol.Message, Meta) { delivered = true })
-	if err := net.GeoUnicast(0, 2, geo.Point{X: -5000, Y: 0}, testMsg(protocol.KindGeoInv)); err != nil {
-		t.Fatal(err)
-	}
-	k.Run()
-	if delivered {
-		t.Fatal("message crossed a greedy void")
-	}
-	if net.Traffic().Dropped(protocol.KindGeoInv) != 1 {
-		t.Error("void drop not recorded")
-	}
-}
-
-func TestGeoUnicastStaleTargetStrands(t *testing.T) {
-	// The destination is reachable hop-wise but the BELIEVED position is
-	// at the far end of the chain's opposite side: greedy walks the
-	// wrong way and strands.
-	h := newHarness(t, 6, false)
-	wrong := h.net.Position(0) // believe node 5 is where node 0 is
-	if err := h.net.GeoUnicast(2, 5, wrong, testMsg(protocol.KindGeoInv)); err != nil {
-		t.Fatal(err)
-	}
-	h.k.Run()
-	for _, d := range h.got {
-		if d.node == 5 {
-			t.Fatal("stale-position geo unicast still delivered past the believed location")
-		}
-	}
-}
-
-func TestGeoUnicastSelfDelivery(t *testing.T) {
-	h := newHarness(t, 3, false)
-	if err := h.net.GeoUnicast(1, 1, h.net.Position(1), testMsg(protocol.KindGeoInv)); err != nil {
-		t.Fatal(err)
-	}
-	h.k.Run()
-	if len(h.got) != 1 || h.got[0].meta.Hops != 0 {
-		t.Fatalf("self geo delivery = %+v", h.got)
-	}
-}
-
-func TestGeoUnicastValidation(t *testing.T) {
-	h := newHarness(t, 3, false)
-	if err := h.net.GeoUnicast(0, 99, geo.Point{}, testMsg(protocol.KindGeoInv)); err == nil {
-		t.Error("out-of-range destination accepted")
-	}
-	if err := h.net.GeoUnicast(0, 2, geo.Point{}, protocol.Message{}); err == nil {
-		t.Error("invalid message accepted")
-	}
-}
-
 func TestSerializeTxQueuesBursts(t *testing.T) {
 	// Ten 1KB frames sent back-to-back from one node: with a single
 	// serialized radio the last arrival trails the first by at least

@@ -1,7 +1,6 @@
 package node
 
 import (
-	"github.com/manetlab/rpcc/internal/geo"
 	"github.com/manetlab/rpcc/internal/netsim"
 	"github.com/manetlab/rpcc/internal/protocol"
 	"github.com/manetlab/rpcc/internal/sim"
@@ -45,20 +44,5 @@ type Transport interface {
 	Activity(node int) uint64
 }
 
-// GeoTransport extends Transport with position awareness for the
-// location-aided (GPSCE-style) strategies. Only the simulator provides
-// it; a real radio has no oracle GPS registry, so strategies requiring
-// it must type-assert and fail loudly when bound to a plain Transport.
-type GeoTransport interface {
-	Transport
-	// Position returns node's current coordinates.
-	Position(node int) geo.Point
-	// GeoUnicast greedily geo-routes msg from -> dst toward target.
-	GeoUnicast(from, dst int, target geo.Point, msg protocol.Message) error
-}
-
-// Compile-time conformance: the simulator network implements both.
-var (
-	_ Transport    = (*netsim.Network)(nil)
-	_ GeoTransport = (*netsim.Network)(nil)
-)
+// Compile-time conformance: the simulator network implements Transport.
+var _ Transport = (*netsim.Network)(nil)

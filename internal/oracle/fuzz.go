@@ -27,7 +27,7 @@ type FuzzFinding struct {
 	Divergences []Divergence
 }
 
-var fuzzStrategies = []string{"rpcc", "pull", "push", "adaptive", "gpsce"}
+var fuzzStrategies = []string{"rpcc", "pull", "push"}
 
 // rpccKinds are the message kinds the fuzzer perturbs on RPCC runs;
 // baselineKinds likewise for the pushpull engines.

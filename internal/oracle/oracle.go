@@ -64,8 +64,7 @@ func (d Divergence) String() string {
 // Spec is the per-run contract the model checks against. Envelopes maps
 // a consistency level to the strategy's staleness bound for answers at
 // that level; a level absent from the map is bound only by the universal
-// committed-value rule (weak consistency, or strategies like GPSCE whose
-// invalidation is best-effort by design). Slack absorbs message flight
+// committed-value rule (weak consistency). Slack absorbs message flight
 // and timer-stagger jitter; Inflate widens every envelope further and is
 // set to the fuzzer's maximum injected delay so that delayed *fresh*
 // evidence can never produce a false positive (a copy validated at

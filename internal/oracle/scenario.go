@@ -64,7 +64,7 @@ type Scenario struct {
 	Name     string `json:"name"`
 	Seed     int64  `json:"seed"`
 	Nodes    int    `json:"nodes"`
-	Strategy string `json:"strategy"` // rpcc | pull | push | adaptive | gpsce
+	Strategy string `json:"strategy"` // rpcc | pull | push
 	// HorizonMS is the simulated run length.
 	HorizonMS int64 `json:"horizon_ms"`
 	// InvTTL overrides the invalidation flood TTL (0 = strategy default).
@@ -159,7 +159,7 @@ func (sc Scenario) Validate() error {
 		return fmt.Errorf("oracle: non-positive horizon %dms", sc.HorizonMS)
 	}
 	switch sc.Strategy {
-	case "rpcc", "pull", "push", "adaptive", "gpsce":
+	case "rpcc", "pull", "push":
 	default:
 		return fmt.Errorf("oracle: unknown strategy %q", sc.Strategy)
 	}
@@ -231,16 +231,6 @@ func envelopes(sc Scenario) map[consistency.Level]time.Duration {
 		ttn := pushpull.DefaultPushConfig().TTN
 		env[consistency.LevelStrong] = ttn
 		env[consistency.LevelDelta] = ttn
-	case "adaptive":
-		// The pull window backs off to at most MaxWindow between
-		// validations.
-		maxw := pushpull.DefaultAdaptiveConfig().MaxWindow
-		env[consistency.LevelStrong] = maxw
-		env[consistency.LevelDelta] = maxw
-	case "gpsce":
-		// Geo-routed invalidation is best-effort (unregistered holders
-		// are never invalidated), so only the committed-value rule and
-		// monotone reads apply.
 	}
 	return env
 }
@@ -286,18 +276,6 @@ func buildStrategy(sc Scenario, ch *node.Chassis) (strategyRunner, error) {
 			return nil, err
 		}
 		return p, nil
-	case "adaptive":
-		a, err := pushpull.NewAdaptive(pushpull.DefaultAdaptiveConfig(), ch)
-		if err != nil {
-			return nil, err
-		}
-		return a, nil
-	case "gpsce":
-		g, err := pushpull.NewGPSCE(pushpull.DefaultGPSCEConfig(), ch)
-		if err != nil {
-			return nil, err
-		}
-		return g, nil
 	}
 	return nil, fmt.Errorf("oracle: unknown strategy %q", sc.Strategy)
 }

@@ -3,11 +3,9 @@ package protocol
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"time"
 
 	"github.com/manetlab/rpcc/internal/data"
-	"github.com/manetlab/rpcc/internal/geo"
 )
 
 // timeDuration converts the wire integer back to the virtual timestamp.
@@ -21,13 +19,14 @@ func timeDuration(v int64) time.Duration { return time.Duration(v) }
 //
 //	magic byte 0xRC | version byte | kind | flags | item | origin |
 //	version | seq | path(len + entries) |
-//	[pos: 2 × float64 LE, if flagPos] |
 //	[copy: id, version, writtenAt, value(len + bytes), if flagCopy]
+//
+// Flag bit 0 is reserved (it once announced a position field): a message
+// that sets it is rejected like any other unknown flag.
 const (
 	wireMagic   = 0xAC
 	wireVersion = 1
 
-	flagPos  = 1 << 0
 	flagMiss = 1 << 1
 	flagCopy = 1 << 2
 )
@@ -41,9 +40,6 @@ func Marshal(m Message) ([]byte, error) {
 	buf = append(buf, wireMagic, wireVersion, byte(m.Kind))
 
 	var flags byte
-	if m.HasPos {
-		flags |= flagPos
-	}
 	if m.Miss {
 		flags |= flagMiss
 	}
@@ -61,10 +57,6 @@ func Marshal(m Message) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, uint64(len(m.Path)))
 	for _, hop := range m.Path {
 		buf = binary.AppendVarint(buf, int64(hop))
-	}
-	if m.HasPos {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(m.Pos.X))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(m.Pos.Y))
 	}
 	if hasCopy {
 		buf = binary.AppendVarint(buf, int64(m.Copy.ID))
@@ -122,19 +114,6 @@ func (d *decoder) uvarint() uint64 {
 	return v
 }
 
-func (d *decoder) float64() float64 {
-	if d.err != nil {
-		return 0
-	}
-	if d.off+8 > len(d.buf) {
-		d.err = fmt.Errorf("protocol: truncated float at byte %d", d.off)
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.buf[d.off:]))
-	d.off += 8
-	return v
-}
-
 func (d *decoder) bytes(n uint64) []byte {
 	if d.err != nil {
 		return nil
@@ -168,7 +147,7 @@ func Unmarshal(buf []byte) (Message, error) {
 	var m Message
 	m.Kind = Kind(d.byte())
 	flags := d.byte()
-	if flags&^(byte(flagPos|flagMiss|flagCopy)) != 0 && d.err == nil {
+	if flags&^(byte(flagMiss|flagCopy)) != 0 && d.err == nil {
 		return Message{}, fmt.Errorf("protocol: unknown flag bits %#x", flags)
 	}
 	m.Item = data.ItemID(d.varint())
@@ -185,10 +164,6 @@ func Unmarshal(buf []byte) (Message, error) {
 		for i := range m.Path {
 			m.Path[i] = int(d.varint())
 		}
-	}
-	if flags&flagPos != 0 {
-		m.HasPos = true
-		m.Pos = geo.Point{X: d.float64(), Y: d.float64()}
 	}
 	m.Miss = flags&flagMiss != 0
 	if flags&flagCopy != 0 {

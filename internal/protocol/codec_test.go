@@ -1,12 +1,14 @@
 package protocol
 
 import (
+	"encoding/binary"
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"github.com/manetlab/rpcc/internal/data"
-	"github.com/manetlab/rpcc/internal/geo"
 )
 
 func TestMarshalRoundTripAllKinds(t *testing.T) {
@@ -38,15 +40,13 @@ func TestMarshalRoundTripAllKinds(t *testing.T) {
 
 func TestMarshalRoundTripFullFields(t *testing.T) {
 	m := Message{
-		Kind:    KindGeoInv,
+		Kind:    KindDataReply,
 		Item:    3,
 		Origin:  21,
 		Version: 5,
 		Seq:     77,
 		Miss:    true,
 		Path:    []int{0, 4, 9, 21},
-		Pos:     geo.Point{X: 123.25, Y: -9.5},
-		HasPos:  true,
 		Copy:    data.Copy{ID: 3, Version: 5, Value: data.ValueFor(3, 5), WrittenAt: time.Hour},
 	}
 	buf, err := Marshal(m)
@@ -57,8 +57,8 @@ func TestMarshalRoundTripFullFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Miss != m.Miss || got.HasPos != m.HasPos || got.Pos != m.Pos {
-		t.Errorf("flags/pos: %+v", got)
+	if got.Miss != m.Miss {
+		t.Errorf("flags: %+v", got)
 	}
 	if len(got.Path) != len(m.Path) {
 		t.Fatalf("path: %v", got.Path)
@@ -79,6 +79,20 @@ func TestMarshalRejectsInvalidKind(t *testing.T) {
 	}
 }
 
+// retiredPosMessage encodes a POLL the way the retired position flag
+// (bit 0x01) once laid it out: the flag set and two little-endian
+// float64 coordinates after the path.
+func retiredPosMessage(t testing.TB) []byte {
+	t.Helper()
+	buf, err := Marshal(Message{Kind: KindPoll, Item: 1, Origin: 2, Version: 3, Seq: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf[3] |= 1 << 0
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(120.5))
+	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(-3.25))
+}
+
 func TestUnmarshalRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,
@@ -87,11 +101,34 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 		{wireMagic, 99},                          // wrong version
 		{wireMagic},                              // truncated
 		{wireMagic, wireVersion, byte(KindPoll)}, // truncated after kind
+		retiredPosMessage(t),                     // reserved flag bit 0x01
 	}
 	for i, buf := range cases {
 		if _, err := Unmarshal(buf); err == nil {
 			t.Errorf("case %d: garbage decoded", i)
 		}
+	}
+}
+
+// TestUnmarshalRejectsRetiredPosFlag: a message with the retired position
+// flag is refused as an unknown flag, not decoded with its 16 coordinate
+// bytes silently dropped; the same bytes with the flag cleared are a
+// plain POLL plus trailing garbage.
+func TestUnmarshalRejectsRetiredPosFlag(t *testing.T) {
+	buf := retiredPosMessage(t)
+	_, err := Unmarshal(buf)
+	if err == nil || !strings.Contains(err.Error(), "unknown flag bits 0x1") {
+		t.Fatalf("retired pos flag: err = %v, want an unknown-flag error", err)
+	}
+	buf[3] &^= 1 << 0
+	if _, err := Unmarshal(buf); err == nil || !strings.Contains(err.Error(), "16 trailing bytes") {
+		t.Fatalf("flag cleared: err = %v, want 16 trailing bytes", err)
+	}
+	// A valid v1 unicast header (no flags, from 1, to 2, ttl 0, seq 0 as
+	// zigzag varints) in front of the same payload.
+	header := []byte{frameMagic, frameVersion, 0, 2, 4, 0, 0}
+	if _, err := UnmarshalFrame(append(header, retiredPosMessage(t)...)); err == nil {
+		t.Fatal("frame carrying the retired pos flag accepted")
 	}
 }
 
@@ -123,7 +160,7 @@ func TestUnmarshalCapsHostileLengths(t *testing.T) {
 }
 
 func TestRoundTripProperty(t *testing.T) {
-	f := func(kind uint8, item uint8, origin uint8, version uint16, seq uint32, miss bool, x, y float64, hops []uint8) bool {
+	f := func(kind uint8, item uint8, origin uint8, version uint16, seq uint32, miss bool, hops []uint8) bool {
 		k := Kind(int(kind)%(NumKinds-1)) + 1
 		m := Message{
 			Kind:    k,
@@ -132,8 +169,6 @@ func TestRoundTripProperty(t *testing.T) {
 			Version: data.Version(version),
 			Seq:     uint64(seq),
 			Miss:    miss,
-			HasPos:  true,
-			Pos:     geo.Point{X: x, Y: y},
 		}
 		if len(hops) > maxWirePath {
 			hops = hops[:maxWirePath]
@@ -157,8 +192,7 @@ func TestRoundTripProperty(t *testing.T) {
 			got.Copy != m.Copy || len(got.Path) != len(m.Path) {
 			return false
 		}
-		// NaN positions cannot compare equal; accept bit-level identity
-		// via the encoded buffer instead.
+		// The re-encode is byte-identical: the encoding is canonical.
 		buf2, err := Marshal(got)
 		if err != nil {
 			return false

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/manetlab/rpcc/internal/data"
-	"github.com/manetlab/rpcc/internal/geo"
 )
 
 // TestFrameRoundTripAllKinds wraps one message of every kind in both a
@@ -53,8 +52,8 @@ func TestFrameRoundTripFullFields(t *testing.T) {
 	f := Frame{
 		From: 12, To: 0, Seq: 1 << 40,
 		Msg: Message{
-			Kind: KindGeoInv, Item: 5, Origin: 12, Version: 77, Seq: 9, Miss: true,
-			Path: []int{4, 9, 2}, HasPos: true, Pos: geo.Point{X: 120.5, Y: -3.25},
+			Kind: KindDataRequest, Item: 5, Origin: 12, Version: 77, Seq: 9, Miss: true,
+			Path: []int{4, 9, 2},
 		},
 	}
 	buf, err := MarshalFrame(f)
@@ -65,8 +64,7 @@ func TestFrameRoundTripFullFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Msg.Pos != f.Msg.Pos || !got.Msg.HasPos || !got.Msg.Miss ||
-		len(got.Msg.Path) != 3 || got.Msg.Path[1] != 9 {
+	if !got.Msg.Miss || len(got.Msg.Path) != 3 || got.Msg.Path[1] != 9 {
 		t.Fatalf("full-field frame drifted: %+v", got)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"github.com/manetlab/rpcc/internal/data"
-	"github.com/manetlab/rpcc/internal/geo"
 )
 
 // FuzzUnmarshal throws arbitrary bytes at the wire decoder: it must never
@@ -16,7 +15,6 @@ func FuzzUnmarshal(f *testing.F) {
 		{Kind: KindPoll, Item: 1, Origin: 2, Version: 3, Seq: 4},
 		{Kind: KindUpdate, Item: 5, Origin: 6, Version: 7,
 			Copy: data.Copy{ID: 5, Version: 7, Value: data.ValueFor(5, 7)}},
-		{Kind: KindGeoInv, Item: 1, HasPos: true, Pos: geo.Point{X: 1, Y: 2}},
 		{Kind: KindRREQ, Item: 0, Path: []int{0, 1, 2}},
 	}
 	for _, m := range seed {
@@ -26,6 +24,7 @@ func FuzzUnmarshal(f *testing.F) {
 		}
 		f.Add(buf)
 	}
+	f.Add(retiredPosMessage(f))
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		m, err := Unmarshal(buf)
 		if err != nil {
@@ -41,7 +40,7 @@ func FuzzUnmarshal(f *testing.F) {
 		}
 		if m2.Kind != m.Kind || m2.Item != m.Item || m2.Origin != m.Origin ||
 			m2.Version != m.Version || m2.Seq != m.Seq || m2.Miss != m.Miss ||
-			m2.HasPos != m.HasPos || m2.Copy != m.Copy || len(m2.Path) != len(m.Path) {
+			m2.Copy != m.Copy || len(m2.Path) != len(m.Path) {
 			t.Fatalf("round trip drifted:\n first: %+v\nsecond: %+v", m, m2)
 		}
 	})

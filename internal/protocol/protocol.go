@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"github.com/manetlab/rpcc/internal/data"
-	"github.com/manetlab/rpcc/internal/geo"
 )
 
 // Kind enumerates every message type in the system.
@@ -45,15 +44,7 @@ const (
 	KindRREQ // route request flood
 	KindRREP // route reply carrying the discovered path
 	KindRERR // route error: a source-routed hop found its link broken
-	// Replica-consistency messages (§6 future work: multi-writer
-	// replicas with last-writer-wins merge).
-	KindReplicaWrite  // eager write propagation flood
-	KindReplicaDigest // anti-entropy digest: (clock, writer) of newest write
-	KindReplicaSync   // anti-entropy repair carrying the newer value
-	// Location-aided (GPSCE-style) messages.
-	KindRegister // cache node -> source: position registration
-	KindGeoInv   // source -> cache node: geo-routed invalidation
-	kindMax      // sentinel for validation and dense counters
+	kindMax  // sentinel for validation and dense counters
 )
 
 // NumKinds is the number of valid message kinds; stats arrays index by
@@ -62,31 +53,26 @@ const NumKinds = int(kindMax)
 
 // kindNames is indexed by Kind.
 var kindNames = [...]string{
-	KindInvalid:       "INVALID",
-	KindInvalidation:  "INVALIDATION",
-	KindUpdate:        "UPDATE",
-	KindGetNew:        "GET_NEW",
-	KindSendNew:       "SEND_NEW",
-	KindApply:         "APPLY",
-	KindApplyAck:      "APPLY_ACK",
-	KindCancel:        "CANCEL",
-	KindPoll:          "POLL",
-	KindPollAckA:      "POLL_ACK_A",
-	KindPollAckB:      "POLL_ACK_B",
-	KindDataRequest:   "DATA_REQUEST",
-	KindDataReply:     "DATA_REPLY",
-	KindIR:            "IR",
-	KindPullPoll:      "PULL_POLL",
-	KindPullReply:     "PULL_REPLY",
-	KindPullAck:       "PULL_ACK",
-	KindRREQ:          "RREQ",
-	KindRREP:          "RREP",
-	KindRERR:          "RERR",
-	KindReplicaWrite:  "REPLICA_WRITE",
-	KindReplicaDigest: "REPLICA_DIGEST",
-	KindReplicaSync:   "REPLICA_SYNC",
-	KindRegister:      "REGISTER",
-	KindGeoInv:        "GEO_INV",
+	KindInvalid:      "INVALID",
+	KindInvalidation: "INVALIDATION",
+	KindUpdate:       "UPDATE",
+	KindGetNew:       "GET_NEW",
+	KindSendNew:      "SEND_NEW",
+	KindApply:        "APPLY",
+	KindApplyAck:     "APPLY_ACK",
+	KindCancel:       "CANCEL",
+	KindPoll:         "POLL",
+	KindPollAckA:     "POLL_ACK_A",
+	KindPollAckB:     "POLL_ACK_B",
+	KindDataRequest:  "DATA_REQUEST",
+	KindDataReply:    "DATA_REPLY",
+	KindIR:           "IR",
+	KindPullPoll:     "PULL_POLL",
+	KindPullReply:    "PULL_REPLY",
+	KindPullAck:      "PULL_ACK",
+	KindRREQ:         "RREQ",
+	KindRREP:         "RREP",
+	KindRERR:         "RERR",
 }
 
 // String renders the kind in the paper's message-name style.
@@ -152,11 +138,6 @@ type Message struct {
 	// Path is the source route for DSR-routed messages (and the
 	// discovered route inside RREP); empty under oracle routing.
 	Path []int
-	// Pos carries the sender's GPS position for location-aided kinds
-	// (REGISTER, GEO_INV and the geo-routed fetch pair); HasPos marks it
-	// meaningful.
-	Pos    geo.Point
-	HasPos bool
 	// Trace is the causal-tracing context of the send that produced this
 	// message; zero when tracing is off. It is invisible to Size(),
 	// Validate() and every protocol handler.
@@ -174,18 +155,11 @@ func (k Kind) carriesContent() bool {
 }
 
 // Size returns the nominal wire size of the message in bytes. Source
-// routes add four bytes per hop, as in DSR's source-route header; replica
-// payloads are counted at their actual length.
+// routes add four bytes per hop, as in DSR's source-route header.
 func (m Message) Size() int {
 	size := headerBytes + 4*len(m.Path)
 	if m.Kind.carriesContent() {
 		size += payloadBytes
-	}
-	if m.Kind == KindReplicaWrite || m.Kind == KindReplicaSync {
-		size += len(m.Copy.Value)
-	}
-	if m.HasPos {
-		size += 8 // two float32 coordinates, GPS precision
 	}
 	return size
 }

@@ -3,9 +3,7 @@
 // host periodically floods an invalidation report (IR) network-wide, and
 // queries wait for the next IR to validate the local copy — and the
 // simple pull strategy — every query floods a poll toward the source
-// host. A third engine, push-with-adaptive-pull (after Lan et al.
-// [Lan03], the paper's §6 future-work direction), adapts its per-item
-// poll interval multiplicatively.
+// host.
 package pushpull
 
 import (

@@ -111,22 +111,6 @@ func TestPullConfigValidate(t *testing.T) {
 	}
 }
 
-func TestAdaptiveConfigValidate(t *testing.T) {
-	if err := DefaultAdaptiveConfig().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := DefaultAdaptiveConfig()
-	bad.InitialWindow = time.Hour
-	if bad.Validate() == nil {
-		t.Error("initial window above max accepted")
-	}
-	bad = DefaultAdaptiveConfig()
-	bad.MinWindow = 0
-	if bad.Validate() == nil {
-		t.Error("zero min window accepted")
-	}
-}
-
 func TestPushQueryWaitsForIR(t *testing.T) {
 	e := newEnv(t, 4)
 	p, err := NewPush(DefaultPushConfig(), e.ch)
@@ -292,75 +276,6 @@ func TestPullFloodsPerQuery(t *testing.T) {
 	}
 }
 
-func TestAdaptiveWindowWidensOnUnchanged(t *testing.T) {
-	e := newEnv(t, 4)
-	a, err := NewAdaptive(DefaultAdaptiveConfig(), e.ch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Start(e.k); err != nil {
-		t.Fatal(err)
-	}
-	e.seed(t, 0, 2)
-	w0 := a.Window(0, 2)
-	a.OnQuery(e.k, 0, 2, consistency.LevelDelta)
-	e.k.RunUntil(10 * time.Second)
-	if e.ch.Answered() != 1 {
-		t.Fatalf("adaptive query unanswered; reasons=%v", e.ch.FailReasons())
-	}
-	if got := a.Window(0, 2); got != 2*w0 {
-		t.Errorf("window after unchanged validation = %v, want %v", got, 2*w0)
-	}
-}
-
-func TestAdaptiveWindowTightensOnChange(t *testing.T) {
-	e := newEnv(t, 4)
-	a, _ := NewAdaptive(DefaultAdaptiveConfig(), e.ch)
-	a.Start(e.k)
-	e.seed(t, 0, 2)
-	a.OnUpdate(e.k, 2)
-	w0 := a.Window(0, 2)
-	a.OnQuery(e.k, 0, 2, consistency.LevelDelta)
-	e.k.RunUntil(10 * time.Second)
-	if got := a.Window(0, 2); got != w0/2 {
-		t.Errorf("window after changed validation = %v, want %v", got, w0/2)
-	}
-}
-
-func TestAdaptiveAnswersLocallyInsideWindow(t *testing.T) {
-	e := newEnv(t, 4)
-	a, _ := NewAdaptive(DefaultAdaptiveConfig(), e.ch)
-	a.Start(e.k)
-	e.seed(t, 0, 2)
-	a.OnQuery(e.k, 0, 2, consistency.LevelDelta) // validates, opens window
-	e.k.RunUntil(10 * time.Second)
-	before := e.net.Traffic().Originated(protocol.KindPullPoll)
-	a.OnQuery(e.k, 0, 2, consistency.LevelDelta) // inside window: local
-	if e.ch.Answered() != 2 {
-		t.Fatal("in-window query not answered synchronously")
-	}
-	if got := e.net.Traffic().Originated(protocol.KindPullPoll); got != before {
-		t.Error("in-window query polled anyway")
-	}
-}
-
-func TestAdaptiveWindowBounds(t *testing.T) {
-	e := newEnv(t, 4)
-	cfg := DefaultAdaptiveConfig()
-	a, _ := NewAdaptive(cfg, e.ch)
-	a.Start(e.k)
-	e.seed(t, 0, 2)
-	// Repeated changes push the window to its floor, never below.
-	for i := 0; i < 10; i++ {
-		a.OnUpdate(e.k, 2)
-		a.OnQuery(e.k, 0, 2, consistency.LevelWeak)
-		e.k.RunUntil(e.k.Now() + cfg.MaxWindow) // ensure next query re-polls
-	}
-	if got := a.Window(0, 2); got != cfg.MinWindow {
-		t.Errorf("window floor = %v, want %v", got, cfg.MinWindow)
-	}
-}
-
 func TestStrategiesRejectDoubleStart(t *testing.T) {
 	e := newEnv(t, 3)
 	p, _ := NewPush(DefaultPushConfig(), e.ch)
@@ -373,12 +288,6 @@ func TestStrategiesRejectDoubleStart(t *testing.T) {
 	pl.Start(e2.k)
 	if pl.Start(e2.k) == nil {
 		t.Error("pull double start accepted")
-	}
-	e3 := newEnv(t, 3)
-	ad, _ := NewAdaptive(DefaultAdaptiveConfig(), e3.ch)
-	ad.Start(e3.k)
-	if ad.Start(e3.k) == nil {
-		t.Error("adaptive double start accepted")
 	}
 }
 
@@ -470,86 +379,5 @@ func TestPullNonOwnerIgnoresPoll(t *testing.T) {
 		e.net.Traffic().Originated(protocol.KindPullAck)
 	if after != before {
 		t.Error("non-owner answered a pull poll")
-	}
-}
-
-func TestAdaptiveLateReplyIgnored(t *testing.T) {
-	e := newEnv(t, 4)
-	a, _ := NewAdaptive(DefaultAdaptiveConfig(), e.ch)
-	a.Start(e.k)
-	e.seed(t, 0, 2)
-	a.OnQuery(e.k, 0, 2, consistency.LevelDelta)
-	e.k.RunUntil(10 * time.Second)
-	if e.ch.Answered() != 1 {
-		t.Fatal("setup failed")
-	}
-	a.onReply(e.k, 0, protocol.Message{
-		Kind: protocol.KindPullReply, Item: 2, Origin: 2, Seq: 1,
-		Copy: data.Copy{ID: 2, Version: 0, Value: data.ValueFor(2, 0)},
-	})
-	if e.ch.Answered() != 1 {
-		t.Error("late reply double-answered")
-	}
-}
-
-func TestAdaptivePollTimeoutFails(t *testing.T) {
-	// Adaptive polls are unicast, so only a genuine partition (not hop
-	// count) makes the owner unreachable: put it on an island.
-	k := sim.NewKernel(sim.WithSeed(21))
-	pts := []geo.Point{{X: 0}, {X: 200}, {X: 9000}}
-	net, err := netsim.New(netsim.DefaultConfig(), k, &staticSource{pts: pts}, nil, nil, stats.NewTraffic())
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg, _ := data.NewRegistry(3)
-	stores := make([]*cache.Store, 3)
-	for i := range stores {
-		stores[i], _ = cache.NewStore(10)
-	}
-	aud, _ := consistency.NewAuditor(reg, 4*time.Minute, 5*time.Second)
-	ch, err := node.NewChassis(node.DefaultConfig(), net, reg, stores, stats.NewLatency(), aud)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := NewAdaptive(DefaultAdaptiveConfig(), ch)
-	a.Start(k)
-	m, _ := reg.Master(2)
-	if err := stores[0].Put(m.Current(), 0); err != nil {
-		t.Fatal(err)
-	}
-	a.OnQuery(k, 0, 2, consistency.LevelDelta)
-	k.RunUntil(30 * time.Second)
-	if ch.Failed() != 1 {
-		t.Fatalf("unreachable adaptive poll did not fail (answered=%d)", ch.Answered())
-	}
-}
-
-func TestAdaptiveMissFetchesContent(t *testing.T) {
-	e := newEnv(t, 4)
-	a, _ := NewAdaptive(DefaultAdaptiveConfig(), e.ch)
-	a.Start(e.k)
-	a.OnQuery(e.k, 0, 2, consistency.LevelDelta) // no local copy
-	e.k.RunUntil(10 * time.Second)
-	if e.ch.Answered() != 1 {
-		t.Fatalf("adaptive miss unanswered; reasons=%v", e.ch.FailReasons())
-	}
-	if !e.stores[0].Contains(2) {
-		t.Error("adaptive miss did not cache the reply")
-	}
-}
-
-func TestAdaptiveWindowCapAtMax(t *testing.T) {
-	e := newEnv(t, 4)
-	cfg := DefaultAdaptiveConfig()
-	a, _ := NewAdaptive(cfg, e.ch)
-	a.Start(e.k)
-	e.seed(t, 0, 2)
-	// Repeated unchanged validations: the window must stop at MaxWindow.
-	for i := 0; i < 12; i++ {
-		a.OnQuery(e.k, 0, 2, consistency.LevelDelta)
-		e.k.RunUntil(e.k.Now() + cfg.MaxWindow + time.Second)
-	}
-	if got := a.Window(0, 2); got != cfg.MaxWindow {
-		t.Errorf("window = %v, want capped at %v", got, cfg.MaxWindow)
 	}
 }

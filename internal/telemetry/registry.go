@@ -11,8 +11,8 @@ import (
 // so a metric's identity — and every export — is independent of the order
 // the caller wrote them in.
 type Label struct {
-	Key   string `json:"k"`
-	Value string `json:"v"`
+	Key   string
+	Value string
 }
 
 // metricType enumerates the three instrument families.

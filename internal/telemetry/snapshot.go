@@ -5,37 +5,37 @@ import (
 	"sort"
 )
 
-// Snapshot is the serializable end-of-run state of a registry: every
-// family sorted by name, every metric sorted by label signature, zero
-// metrics skipped. Snapshots are what fleet journals embed and what the
-// Prometheus writer renders; Merge folds snapshots from independent
-// runs (replica seeds, sweep points) into one aggregate.
+// Snapshot is the end-of-run state of a registry: every family sorted
+// by name, every metric sorted by label signature, zero metrics skipped.
+// Snapshots are what the Prometheus writer renders; Merge folds
+// snapshots from independent runs (replica seeds, sweep points) into one
+// aggregate.
 type Snapshot struct {
 	// SimSeconds is the simulated time covered (summed across merges).
-	SimSeconds float64      `json:"sim_seconds"`
-	Families   []FamilySnap `json:"families"`
+	SimSeconds float64
+	Families   []FamilySnap
 }
 
 // FamilySnap is one metric family in a snapshot.
 type FamilySnap struct {
-	Name string `json:"name"`
-	Help string `json:"help"`
-	Type string `json:"type"` // counter | gauge | histogram
+	Name string
+	Help string
+	Type string // counter | gauge | histogram
 	// Uppers are the histogram bucket upper bounds (+Inf implicit).
-	Uppers  []float64    `json:"uppers,omitempty"`
-	Metrics []MetricSnap `json:"metrics"`
+	Uppers  []float64
+	Metrics []MetricSnap
 }
 
 // MetricSnap is one labelled metric.
 type MetricSnap struct {
-	Labels []Label `json:"labels,omitempty"`
+	Labels []Label
 	// Value is the counter or gauge value.
-	Value float64 `json:"value,omitempty"`
+	Value float64
 	// Histogram fields: per-bucket (non-cumulative) counts, total count,
 	// sample sum.
-	Buckets []uint64 `json:"buckets,omitempty"`
-	Count   uint64   `json:"count,omitempty"`
-	Sum     float64  `json:"sum,omitempty"`
+	Buckets []uint64
+	Count   uint64
+	Sum     float64
 }
 
 // Snapshot captures the hub's registry (nil hub → nil snapshot).

@@ -17,7 +17,7 @@
 //   - Simulation: an imperative, scriptable handle for custom scenarios —
 //     schedule queries, updates and disconnections at chosen virtual
 //     times and inspect protocol state (roles, relay tables) as the run
-//     progresses. The runnable programs under examples/ are built on it.
+//     progresses. examples/quickstart is built on it.
 //
 // All simulations are deterministic: the same seed reproduces the same
 // run, byte for byte.
@@ -49,16 +49,6 @@ const (
 	// StrategyRPCCHY is RPCC under the paper's hybrid workload: strong,
 	// Δ and weak requests arrive with equal probability.
 	StrategyRPCCHY = experiment.StrategyRPCCHY
-	// StrategyAdaptive is push-with-adaptive-pull (after Lan et al.), the
-	// paper's future-work direction: per-item poll windows that double on
-	// unchanged validations and halve on changed ones.
-	StrategyAdaptive = experiment.StrategyAdaptive
-	// StrategyGPSCE is the location-aided comparator from the paper's
-	// related work (GPSCE, Lim et al.): per-cache-node state plus GPS
-	// positions let the source geo-unicast invalidations eagerly, with
-	// no flooding — cheap and fast, but leaky under mobility, and it
-	// needs positioning hardware the paper deems too expensive.
-	StrategyGPSCE = experiment.StrategyGPSCE
 )
 
 // Level is a query's consistency requirement (§3 of the paper).

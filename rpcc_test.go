@@ -208,78 +208,3 @@ func TestSimulationAtSchedulesActions(t *testing.T) {
 		t.Error("scheduled weak query unanswered")
 	}
 }
-
-func TestReplicaSimulationConverges(t *testing.T) {
-	opts := DefaultSimOptions(13)
-	opts.Peers = 8
-	s, err := NewReplicaSimulation(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Register(1, []int{0, 2, 4, 6}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Write(0, 1, "a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Write(4, 1, "b"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RunFor(5 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	v, ok := s.Converged(1)
-	if !ok {
-		t.Fatal("replicas did not converge")
-	}
-	if v.Data != "a" && v.Data != "b" {
-		t.Fatalf("converged to unexpected value %q", v.Data)
-	}
-	if s.Transmissions() == 0 {
-		t.Error("no transmissions recorded")
-	}
-}
-
-func TestReplicaSimulationPartitionHeals(t *testing.T) {
-	opts := DefaultSimOptions(19)
-	opts.Peers = 8
-	s, err := NewReplicaSimulation(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Register(1, []int{0, 3, 6}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Disconnect(6); err != nil {
-		t.Fatal(err)
-	}
-	s.Write(0, 1, "missed")
-	s.RunFor(30 * time.Second)
-	if v, _ := s.Read(6, 1); v.Data == "missed" {
-		t.Fatal("disconnected holder saw the write")
-	}
-	s.Reconnect(6)
-	s.RunFor(5 * time.Minute)
-	if v, _ := s.Read(6, 1); v.Data != "missed" {
-		t.Fatalf("anti-entropy failed: holder 6 has %q", v.Data)
-	}
-}
-
-func TestReplicaSimulationValidation(t *testing.T) {
-	if _, err := NewReplicaSimulation(SimOptions{Peers: 1}); err == nil {
-		t.Error("1-peer replica simulation accepted")
-	}
-	s, err := NewReplicaSimulation(DefaultSimOptions(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Register(1, []int{0}); err == nil {
-		t.Error("single-holder replica accepted")
-	}
-	if err := s.Register(1, []int{0, 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Write(5, 1, "x"); err == nil {
-		t.Error("non-holder write accepted")
-	}
-}
