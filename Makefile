@@ -69,12 +69,14 @@ telemetry-smoke:
 
 # Chaos soak gate: the seeded demonstration campaign (partition + bursty
 # loss + crash + relay assassination over 25 simulated minutes, sub-second
-# wall) runs twice with the same seed; the runs must pass every
-# consistency invariant (non-zero exit otherwise), produce byte-identical
-# stdout/metrics/causal traces, and the exports must lint — the
-# cause-labelled drop accounting in the metrics, the phase vocabulary and
-# the role/fault roots in the trace, which must hold at least one fault
-# root (the injected faults are what this trace is for).
+# wall) runs twice with the same seed, then a third time from its JSON
+# file (internal/faults/testdata/demo.json, the schema wiretest and rpccd
+# read); the runs must pass every consistency invariant (non-zero exit
+# otherwise), produce byte-identical stdout/metrics/causal traces, and the
+# exports must lint — the cause-labelled drop accounting in the metrics,
+# the phase vocabulary and the role/fault roots in the trace, which must
+# hold at least one fault root (the injected faults are what this trace
+# is for).
 CHAOS_TMP ?= /tmp/rpcc-chaos-smoke
 chaos-smoke:
 	mkdir -p $(CHAOS_TMP)
@@ -84,9 +86,14 @@ chaos-smoke:
 	$(GO) run ./cmd/chaos -seed 11 \
 		-trace-out $(CHAOS_TMP)/b.jsonl -metrics-out $(CHAOS_TMP)/b.prom \
 		> $(CHAOS_TMP)/b.txt
-	cmp $(CHAOS_TMP)/a.txt $(CHAOS_TMP)/b.txt
-	cmp $(CHAOS_TMP)/a.prom $(CHAOS_TMP)/b.prom
-	cmp $(CHAOS_TMP)/a.jsonl $(CHAOS_TMP)/b.jsonl
+	$(GO) run ./cmd/chaos -seed 11 -faults internal/faults/testdata/demo.json \
+		-trace-out $(CHAOS_TMP)/c.jsonl -metrics-out $(CHAOS_TMP)/c.prom \
+		> $(CHAOS_TMP)/c.txt
+	for run in b c; do \
+		cmp $(CHAOS_TMP)/a.txt $(CHAOS_TMP)/$$run.txt && \
+		cmp $(CHAOS_TMP)/a.prom $(CHAOS_TMP)/$$run.prom && \
+		cmp $(CHAOS_TMP)/a.jsonl $(CHAOS_TMP)/$$run.jsonl || exit 1; \
+	done
 	$(GO) run ./cmd/telemetrylint \
 		-prom $(CHAOS_TMP)/a.prom \
 		-trace $(CHAOS_TMP)/a.jsonl \

@@ -1,18 +1,22 @@
 // Command chaos runs one RPCC scenario under a deterministic fault
 // campaign — network partitions, bursty Gilbert–Elliott loss, node
-// crashes, relay assassination, duplication and reordering — while the
+// crashes, relay assassination, duplication and jitter — while the
 // consistency invariants are audited throughout (see internal/faults).
+// The campaign is faults.Demo(peers) unless -faults names a JSON campaign
+// file: the same schema wiretest and rpccd read
+// (internal/faults/testdata/demo.json is the default campaign at 50
+// peers).
 //
-// Everything is a pure function of the seed: two runs with identical
-// flags produce byte-identical stdout, metrics and causal traces, which
-// is what `make chaos-smoke` asserts. The exit status is non-zero when any
-// invariant is violated, so the command doubles as a CI soak gate.
+// Everything is a pure function of the seed and the campaign: two runs
+// with identical flags produce byte-identical stdout, metrics and causal
+// traces, which is what `make chaos-smoke` asserts. The exit status is
+// non-zero when any invariant is violated, so the command doubles as a CI
+// soak gate.
 //
 // Examples:
 //
-//	chaos                         # demonstration campaign, 25 simulated minutes
-//	chaos -seed 7 -gilbert 0.05,0.2,0,0.9
-//	chaos -crash "" -assassinate ""   # partitions and loss only
+//	chaos                             # demonstration campaign, 25 simulated minutes
+//	chaos -faults my-campaign.json    # any other campaign
 //	chaos -sweep 8 -parallel 8        # same campaign across 8 seeds on the fleet
 //	chaos -policy lfu -cache 4 -zipf -hotspot 6m,8m,1,0.8
 //	                                  # flash crowd on item 1 under replacement churn
@@ -26,7 +30,6 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -62,17 +65,7 @@ func run() error {
 		hotspot  = flag.String("hotspot", "", "flash-crowd hotspot start,duration,item,weight (empty disables)")
 		diurnal  = flag.String("diurnal", "", "diurnal load modulation period,min-level (empty disables)")
 
-		split      = flag.Duration("split", 5*time.Minute, "partition start (0 disables the partition)")
-		healAt     = flag.Duration("heal-at", 10*time.Minute, "partition heal time")
-		islandFrac = flag.Float64("island-frac", 0.5, "fraction of highest-id peers cut into the island")
-		gilbert    = flag.String("gilbert", "0.02,0.3,0,0.8", "bursty loss p_g2b,p_b2g,loss_good,loss_bad (empty disables)")
-		crash      = flag.String("crash", "18m,7,1m", "crash at,node,restart-after (empty disables; restart 0 = permanent)")
-		assassin   = flag.String("assassinate", "15m,3,1,2m", "relay assassination at,item,count,restart-after (empty disables)")
-		dup        = flag.Float64("dup", 0.01, "per-delivery duplication probability [0,1)")
-		reorder    = flag.Duration("reorder", 5*time.Millisecond, "max extra delivery jitter for reordering")
-
-		repairWin = flag.Duration("repair-window", 6*time.Minute, "heal-convergence audit window (0 disables invariant 3)")
-		budget    = flag.Float64("strong-budget", 0.5, "tolerated stale-SC answer fraction [0,1]")
+		faultsFile = flag.String("faults", "", "JSON fault campaign (empty: the demonstration campaign for -peers)")
 
 		sweep      = flag.Int("sweep", 1, "run the campaign across this many seeds (seed..seed+N-1) on the fleet")
 		parallel   = flag.Int("parallel", 0, "concurrent sweep runs (0 = all cores)")
@@ -110,24 +103,26 @@ func run() error {
 		cfg.DiurnalMin = min
 	}
 
-	campaign, err := buildCampaign(*peers, *split, *healAt, *islandFrac, *gilbert, *crash, *assassin,
-		*dup, *reorder, *repairWin, *budget)
-	if err != nil {
-		return err
+	cfg.Faults = faults.Demo(*peers)
+	if *faultsFile != "" {
+		fc, err := faults.LoadScript(*faultsFile)
+		if err != nil {
+			return err
+		}
+		cfg.Faults = *fc
+	}
+	if cfg.Faults.IsZero() {
+		return fmt.Errorf("the campaign injects and audits nothing")
 	}
 
 	if *sweep > 1 {
 		if *traceOut != "" {
 			return fmt.Errorf("-trace-out records one run's causal trace; use -sweep 1")
 		}
-		return runSweep(cfg, campaign, *sweep, *parallel, *metricsOut)
+		return runSweep(cfg, *sweep, *parallel, *metricsOut)
 	}
 
 	hub := telemetry.NewHub(telemetry.LevelMetrics)
-	var tracer *ctrace.Collector
-	if *traceOut != "" {
-		tracer = ctrace.NewCollector(0)
-	}
 
 	// A deterministic simulation cannot stop midway, so the first
 	// interrupt defers: the run finishes and every sink flushes. A second
@@ -143,7 +138,14 @@ func run() error {
 	}()
 
 	start := time.Now()
-	res, rep, err := experiment.RunChaos(cfg, hub, tracer, campaign)
+	var res experiment.Result
+	var spans []ctrace.Span
+	var err error
+	if *traceOut != "" {
+		res, spans, err = experiment.RunWithTrace(cfg, hub)
+	} else {
+		res, err = experiment.RunWithTelemetry(cfg, hub)
+	}
 	if err != nil {
 		return err
 	}
@@ -156,19 +158,19 @@ func run() error {
 	} else {
 		fmt.Println(res)
 	}
-	fmt.Println(rep)
+	fmt.Println(res.Faults)
 
 	if *metricsOut != "" {
 		if err := telemetry.WritePrometheusFile(*metricsOut, res.Telemetry); err != nil {
 			return err
 		}
 	}
-	if tracer != nil {
-		if err := ctrace.WriteFile(*traceOut, tracer.Export()); err != nil {
+	if *traceOut != "" {
+		if err := ctrace.WriteFile(*traceOut, spans); err != nil {
 			return err
 		}
 	}
-	if !rep.Passed() {
+	if !res.Faults.Passed() {
 		return fmt.Errorf("invariant audit failed")
 	}
 	return nil
@@ -177,7 +179,7 @@ func run() error {
 // runSweep runs the same campaign across consecutive seeds on the fleet
 // pool, printing one verdict line per seed. Any violated invariant (or
 // failed run) fails the sweep.
-func runSweep(base experiment.Config, campaign faults.Config, sweep, parallel int, metricsOut string) error {
+func runSweep(base experiment.Config, sweep, parallel int, metricsOut string) error {
 	jobs := make([]fleet.Job, sweep)
 	for i := range jobs {
 		cfg := base
@@ -185,24 +187,9 @@ func runSweep(base experiment.Config, campaign faults.Config, sweep, parallel in
 		jobs[i] = fleet.Job{Key: cfg.Key(), Config: cfg}
 	}
 
-	// The fleet executor runs jobs on parallel workers; reports are
-	// collected per seed under a lock and joined with records afterwards.
-	var mu sync.Mutex
-	reports := make(map[int64]faults.Report, sweep)
-	execute := func(cfg experiment.Config) (experiment.Result, error) {
-		res, rep, err := experiment.RunChaos(cfg, telemetry.NewHub(telemetry.LevelMetrics), nil, campaign)
-		if err != nil {
-			return res, err
-		}
-		mu.Lock()
-		reports[cfg.Seed] = *rep
-		mu.Unlock()
-		return res, nil
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	frep, runErr := fleet.Run(ctx, jobs, fleet.Options{Parallel: parallel, Progress: os.Stderr, Execute: execute})
+	frep, runErr := fleet.Run(ctx, jobs, fleet.Options{Parallel: parallel, Progress: os.Stderr})
 	fleet.ReportFailures(os.Stderr, frep.Records)
 
 	failed := 0
@@ -213,18 +200,16 @@ func runSweep(base experiment.Config, campaign faults.Config, sweep, parallel in
 			failed++
 			continue
 		}
-		rep := reports[rec.Seed]
-		fmt.Printf("seed %-3d %s\n", rec.Seed, rep)
-		if !rep.Passed() {
+		res := rec.Result
+		fmt.Printf("seed %-3d %s\n", rec.Seed, res.Faults)
+		if !res.Faults.Passed() {
 			failed++
 		}
-		if metricsOut != "" {
-			if res, ok := frep.Result(rec.Key); ok && res.Telemetry != nil {
-				if merged == nil {
-					merged = res.Telemetry
-				} else if err := merged.Merge(res.Telemetry); err != nil {
-					return fmt.Errorf("merge telemetry for seed %d: %w", rec.Seed, err)
-				}
+		if metricsOut != "" && res.Telemetry != nil {
+			if merged == nil {
+				merged = res.Telemetry
+			} else if err := merged.Merge(res.Telemetry); err != nil {
+				return fmt.Errorf("merge telemetry for seed %d: %w", rec.Seed, err)
 			}
 		}
 	}
@@ -245,105 +230,6 @@ func runSweep(base experiment.Config, campaign faults.Config, sweep, parallel in
 		return fmt.Errorf("%d of %d campaign runs violated invariants or failed", failed, sweep)
 	}
 	return nil
-}
-
-// buildCampaign assembles the faults.Config from the flag values. Empty
-// string flags disable their fault class; validation is delegated to
-// faults.Config.Validate via the run entry point.
-func buildCampaign(peers int, split, healAt time.Duration, islandFrac float64,
-	gilbert, crash, assassin string, dup float64, reorder, repairWin time.Duration,
-	budget float64) (faults.Config, error) {
-	fc := faults.Config{
-		DupProb:           dup,
-		ReorderMax:        reorder,
-		RepairWindow:      repairWin,
-		StrongStaleBudget: budget,
-	}
-
-	if split > 0 {
-		if islandFrac <= 0 || islandFrac >= 1 {
-			return fc, fmt.Errorf("island fraction %g outside (0,1)", islandFrac)
-		}
-		n := int(float64(peers) * islandFrac)
-		if n < 1 {
-			n = 1
-		}
-		island := make([]int, n)
-		for i := range island {
-			island[i] = peers - n + i
-		}
-		fc.Partitions = []faults.Partition{{Start: split, End: healAt, Islands: [][]int{island}}}
-	}
-
-	if gilbert != "" {
-		p, err := parseFloats(gilbert, 4)
-		if err != nil {
-			return fc, fmt.Errorf("-gilbert: %v", err)
-		}
-		fc.Loss = &faults.GilbertParams{PGoodToBad: p[0], PBadToGood: p[1], LossGood: p[2], LossBad: p[3]}
-	}
-
-	if crash != "" {
-		parts := strings.Split(crash, ",")
-		if len(parts) != 3 {
-			return fc, fmt.Errorf("-crash: want at,node,restart-after, got %q", crash)
-		}
-		at, err := time.ParseDuration(strings.TrimSpace(parts[0]))
-		if err != nil {
-			return fc, fmt.Errorf("-crash: %v", err)
-		}
-		node, err := strconv.Atoi(strings.TrimSpace(parts[1]))
-		if err != nil {
-			return fc, fmt.Errorf("-crash: %v", err)
-		}
-		restart, err := time.ParseDuration(strings.TrimSpace(parts[2]))
-		if err != nil {
-			return fc, fmt.Errorf("-crash: %v", err)
-		}
-		fc.Crashes = []faults.Crash{{At: at, Node: node, RestartAfter: restart}}
-	}
-
-	if assassin != "" {
-		parts := strings.Split(assassin, ",")
-		if len(parts) != 4 {
-			return fc, fmt.Errorf("-assassinate: want at,item,count,restart-after, got %q", assassin)
-		}
-		at, err := time.ParseDuration(strings.TrimSpace(parts[0]))
-		if err != nil {
-			return fc, fmt.Errorf("-assassinate: %v", err)
-		}
-		item, err := strconv.Atoi(strings.TrimSpace(parts[1]))
-		if err != nil {
-			return fc, fmt.Errorf("-assassinate: %v", err)
-		}
-		count, err := strconv.Atoi(strings.TrimSpace(parts[2]))
-		if err != nil {
-			return fc, fmt.Errorf("-assassinate: %v", err)
-		}
-		restart, err := time.ParseDuration(strings.TrimSpace(parts[3]))
-		if err != nil {
-			return fc, fmt.Errorf("-assassinate: %v", err)
-		}
-		fc.Assassinations = []faults.Assassination{{At: at, Item: data.ItemID(item), Count: count, RestartAfter: restart}}
-	}
-	return fc, nil
-}
-
-// parseFloats splits a comma-separated list into exactly n floats.
-func parseFloats(s string, n int) ([]float64, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != n {
-		return nil, fmt.Errorf("want %d comma-separated values, got %d", n, len(parts))
-	}
-	out := make([]float64, n)
-	for i, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
 }
 
 // parseHotspot reads a "start,duration,item,weight" flash-crowd window.

@@ -30,6 +30,7 @@ import (
 
 	"github.com/manetlab/rpcc/internal/core"
 	"github.com/manetlab/rpcc/internal/data"
+	"github.com/manetlab/rpcc/internal/faults"
 	"github.com/manetlab/rpcc/internal/telemetry"
 	ctrace "github.com/manetlab/rpcc/internal/telemetry/trace"
 	"github.com/manetlab/rpcc/internal/wire"
@@ -67,7 +68,7 @@ func run() error {
 		duration = flag.Duration("duration", 0, "run length (0 = run until SIGTERM/SIGINT)")
 		drain    = flag.Duration("drain", 5*time.Second, "shutdown drain deadline")
 
-		faults     = flag.String("faults", "", "JSON wire fault script; every daemon of a campaign loads the same file")
+		faultsIn   = flag.String("faults", "", "JSON fault campaign (the schema chaos and wiretest read); every daemon of a campaign loads the same file")
 		faultsOff  = flag.Duration("faults-offset", 0, "campaign time already elapsed at this daemon's start (restarted daemons)")
 		ownVersion = flag.Uint64("own-version", 0, "resume this daemon's own item at this version (restarted daemons)")
 		crashAfter = flag.Duration("crash-after", 0, "abruptly exit(3) after this long — no drain, no flush (chaos harnesses)")
@@ -153,9 +154,9 @@ func run() error {
 	if *traceOut != "" || *traceTo != "" {
 		tracer = ctrace.NewBoundedCollector(*id, traceSpanCap)
 	}
-	var script *wire.Script
-	if *faults != "" {
-		script, err = wire.LoadScript(*faults)
+	var script *faults.Config
+	if *faultsIn != "" {
+		script, err = faults.LoadScript(*faultsIn)
 		if err != nil {
 			conn.Close()
 			return err

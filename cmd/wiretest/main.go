@@ -6,17 +6,17 @@
 // cluster served nothing (a vacuously "clean" run) — so the command
 // doubles as the `make wire-smoke` CI gate.
 //
-// Chaos campaign mode (-chaos, or -faults script.json) runs the same
-// cluster under the wire chaos plane: scripted Gilbert–Elliott loss,
-// delay/jitter/duplication, partition windows, and daemon crash/restart
-// churn, judged by the fault-aware live oracle. In chaos mode stdout
-// carries only the deterministic verdict block (the `make
-// wire-chaos-smoke` gate byte-compares it across same-seed runs) and the
-// nondeterministic per-run counts go to stderr; -schedule-out writes the
-// expanded fault schedule, which is byte-identical across runs by
-// construction. -broken inflation judges the run blind to the fault
-// schedule — the deliberately broken variant the gate requires the judge
-// to catch.
+// Chaos campaign mode (-chaos, or -faults campaign.json: the JSON schema
+// cmd/chaos and rpccd read) runs the same cluster under the wire chaos
+// plane: Gilbert–Elliott loss, delay/jitter/duplication, partition
+// windows, and daemon crash/restart churn, judged by the fault-aware live
+// oracle. In chaos mode stdout carries only the deterministic verdict
+// block (the `make wire-chaos-smoke` gate byte-compares it across
+// same-seed runs) and the nondeterministic per-run counts go to stderr;
+// -schedule-out writes the expanded fault schedule, which is
+// byte-identical across runs by construction. -broken inflation judges
+// the run blind to the fault schedule — the deliberately broken variant
+// the gate requires the judge to catch.
 //
 // Examples:
 //
@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"os"
 
+	"github.com/manetlab/rpcc/internal/faults"
 	ctrace "github.com/manetlab/rpcc/internal/telemetry/trace"
 	"github.com/manetlab/rpcc/internal/wire"
 	"github.com/manetlab/rpcc/internal/wire/cluster"
@@ -65,16 +66,16 @@ func run() error {
 		verbose  = flag.Bool("v", false, "print per-node summaries and every divergence")
 
 		chaos    = flag.Bool("chaos", false, "run the canonical chaos campaign (loss + partitions + crash/restart churn)")
-		faults   = flag.String("faults", "", "run under this JSON fault script (overrides -chaos)")
+		faultsIn = flag.String("faults", "", "run under this JSON fault campaign (overrides -chaos)")
 		schedOut = flag.String("schedule-out", "", "write the expanded, deterministic fault schedule here")
 		broken   = flag.String("broken", "", "deliberately broken judge variant: \"inflation\" judges blind to the fault schedule")
 	)
 	flag.Parse()
 
-	var script *wire.Script
+	var script *faults.Config
 	switch {
-	case *faults != "":
-		s, err := wire.LoadScript(*faults)
+	case *faultsIn != "":
+		s, err := faults.LoadScript(*faultsIn)
 		if err != nil {
 			return err
 		}
@@ -94,7 +95,7 @@ func run() error {
 		if script == nil {
 			return fmt.Errorf("-schedule-out needs -chaos or -faults")
 		}
-		if err := os.WriteFile(*schedOut, []byte(script.ScheduleLog(*n)), 0o644); err != nil {
+		if err := os.WriteFile(*schedOut, []byte(wire.ScheduleLog(script, *n)), 0o644); err != nil {
 			return err
 		}
 	}

@@ -16,99 +16,70 @@ import (
 
 // chaosConfig is the demonstration scenario: Table 1 shrunk to 25
 // simulated minutes so a partition, its heal, a relay assassination and a
-// crash/restart all fit.
+// crash/restart all fit, under the demonstration campaign.
 func chaosConfig() Config {
 	cfg := DefaultConfig(StrategyRPCCSC, 11)
 	cfg.SimTime = 25 * time.Minute
+	cfg.Faults = faults.Demo(cfg.NPeers)
 	return cfg
 }
 
-// chaosCampaign exercises every fault class at once: a five-minute
-// two-island partition, bursty Gilbert–Elliott loss, one crash/restart,
-// one relay assassination, and mild duplication/reordering.
-func chaosCampaign() faults.Config {
-	island := make([]int, 25)
-	for i := range island {
-		island[i] = 25 + i
+// runChaos runs cfg with a metrics hub, failing the test on error.
+func runChaos(t *testing.T, cfg Config) Result {
+	t.Helper()
+	res, err := RunWithTelemetry(cfg, telemetry.NewHub(telemetry.LevelMetrics))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return faults.Config{
-		Partitions: []faults.Partition{
-			{Start: 5 * time.Minute, End: 10 * time.Minute, Islands: [][]int{island}},
-		},
-		Loss:           &faults.GilbertParams{PGoodToBad: 0.02, PBadToGood: 0.3, LossGood: 0, LossBad: 0.8},
-		Crashes:        []faults.Crash{{At: 18 * time.Minute, Node: 7, RestartAfter: time.Minute}},
-		Assassinations: []faults.Assassination{{At: 15 * time.Minute, Item: 3, Count: 1, RestartAfter: 2 * time.Minute}},
-		DupProb:        0.01,
-		ReorderMax:     5 * time.Millisecond,
-		// Repair is trigger-driven (an INVALIDATION flood every TTN=2m),
-		// so the window spans several trigger cycles for the check to be
-		// non-vacuous.
-		RepairWindow: 6 * time.Minute,
-		// RPCC-SC's strong level is TTR-window approximate even
-		// fault-free (~11% stale answers in this scenario); the budget
-		// tolerates that plus fault-induced degradation.
-		StrongStaleBudget: 0.5,
-	}
+	return res
 }
 
-func TestRunChaosRequiresRPCC(t *testing.T) {
+func TestCampaignRequiresRPCC(t *testing.T) {
 	cfg := chaosConfig()
 	cfg.Strategy = StrategyPull
-	if _, _, err := RunChaos(cfg, nil, nil, faults.Config{}); err == nil {
-		t.Fatal("non-RPCC strategy accepted")
+	if _, err := Run(cfg); err == nil {
+		t.Fatal("non-RPCC strategy accepted a campaign")
 	}
 }
 
-// A zero campaign must be invisible: the chaos entry point with nothing
-// to inject produces the byte-identical result of a plain run — no extra
-// RNG draws, no behavioural drift from the plane or the auditor sweeps.
-func TestRunChaosZeroCampaignMatchesPlainRun(t *testing.T) {
+// An audit-only campaign injects nothing, so it must be invisible: the
+// run it audits is the plain run — no extra RNG draws, no behavioural
+// drift from the plane or the auditor sweeps — and only the report is
+// new.
+func TestAuditOnlyCampaignMatchesPlainRun(t *testing.T) {
 	cfg := chaosConfig()
-	plain, err := RunWithTelemetry(cfg, telemetry.NewHub(telemetry.LevelMetrics))
-	if err != nil {
-		t.Fatal(err)
+	cfg.Faults = faults.Config{}
+	plain := runChaos(t, cfg)
+	if plain.Faults != nil {
+		t.Fatalf("plain run carries a fault report: %s", plain.Faults)
 	}
-	chaos, rep, err := RunChaos(cfg, telemetry.NewHub(telemetry.LevelMetrics), nil, faults.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Sweeps == 0 {
-		t.Error("auditor never swept")
+	cfg.Faults = faults.Config{RepairWindow: faults.Duration(6 * time.Minute), StrongStaleBudget: 0.5}
+	audited := runChaos(t, cfg)
+	rep := audited.Faults
+	if rep == nil || rep.Sweeps == 0 {
+		t.Fatalf("auditor never swept: %v", rep)
 	}
 	if rep.MonotoneViolations != 0 || rep.RetryViolations != 0 {
 		t.Errorf("fault-free run violated invariants: %s", rep)
 	}
-	if !reflect.DeepEqual(plain, chaos) {
-		t.Errorf("zero campaign perturbed the run:\nplain %s\nchaos %s", plain, chaos)
+	audited.Faults, audited.Config.Faults = nil, faults.Config{}
+	if !reflect.DeepEqual(plain, audited) {
+		t.Errorf("audit-only campaign perturbed the run:\nplain   %s\naudited %s", plain, audited)
 	}
 }
 
-func TestRunChaosSameSeedDeterminism(t *testing.T) {
-	cfg := chaosConfig()
-	camp := chaosCampaign()
-	r1, rep1, err := RunChaos(cfg, telemetry.NewHub(telemetry.LevelMetrics), nil, camp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, rep2, err := RunChaos(cfg, telemetry.NewHub(telemetry.LevelMetrics), nil, camp)
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestChaosSameSeedDeterminism(t *testing.T) {
+	r1, r2 := runChaos(t, chaosConfig()), runChaos(t, chaosConfig())
 	if !reflect.DeepEqual(r1, r2) {
-		t.Errorf("same-seed campaigns diverged:\n%s\n%s", r1, r2)
-	}
-	if !reflect.DeepEqual(rep1, rep2) {
-		t.Errorf("same-seed reports diverged:\n%s\n%s", rep1, rep2)
+		t.Errorf("same-seed campaigns diverged:\n%s %s\n%s %s", r1, r1.Faults, r2, r2.Faults)
 	}
 }
 
 // The demonstration campaign — partition, assassination, crash, bursty
 // loss, duplication, reordering — must leave every invariant standing.
 func TestChaosDemonstrationCampaignPassesInvariants(t *testing.T) {
-	res, rep, err := RunChaos(chaosConfig(), telemetry.NewHub(telemetry.LevelMetrics), nil, chaosCampaign())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runChaos(t, chaosConfig())
+	rep := res.Faults
 	if rep.HealsChecked != 1 {
 		t.Errorf("heal checks = %d, want 1", rep.HealsChecked)
 	}
@@ -143,28 +114,21 @@ func TestChaosDemonstrationCampaignPassesInvariants(t *testing.T) {
 // TestTracedChaosRecordsEveryFaultAndRoleInvisibly: the causal trace is
 // the event record of a campaign — one fault root per counted fault
 // event of each kind, one role root per counted role transition — and
-// recording it moves nothing: Result (metrics snapshot included) and
-// Report equal the untraced run's.
+// recording it moves nothing: Result (metrics snapshot and audit report
+// included) equals the untraced run's.
 func TestTracedChaosRecordsEveryFaultAndRoleInvisibly(t *testing.T) {
-	plain, plainRep, err := RunChaos(chaosConfig(), telemetry.NewHub(telemetry.LevelMetrics), nil, chaosCampaign())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tracer := ctrace.NewCollector(0)
-	res, rep, err := RunChaos(chaosConfig(), telemetry.NewHub(telemetry.LevelMetrics), tracer, chaosCampaign())
+	plain := runChaos(t, chaosConfig())
+	res, spans, err := RunWithTrace(chaosConfig(), telemetry.NewHub(telemetry.LevelMetrics))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(res, plain) {
-		t.Errorf("tracing perturbed the campaign:\n got %s\nwant %s", res, plain)
-	}
-	if !reflect.DeepEqual(rep, plainRep) {
-		t.Errorf("tracing perturbed the audit:\n got %s\nwant %s", rep, plainRep)
+		t.Errorf("tracing perturbed the campaign:\n got %s %s\nwant %s %s", res, res.Faults, plain, plain.Faults)
 	}
 
 	faultRoots := map[string]float64{}
 	var roleRoots, islanders float64
-	for _, s := range tracer.Export() {
+	for _, s := range spans {
 		switch {
 		case s.Phase == ctrace.PhaseFault && s.Parent == 0:
 			faultRoots[s.Name]++
@@ -202,10 +166,7 @@ func TestTracedChaosRecordsEveryFaultAndRoleInvisibly(t *testing.T) {
 func TestChaosBrokenRepairCaught(t *testing.T) {
 	testCoreMutator = func(c *core.Config) { c.DisableRepair = true }
 	defer func() { testCoreMutator = nil }()
-	_, rep, err := RunChaos(chaosConfig(), telemetry.NewHub(telemetry.LevelMetrics), nil, chaosCampaign())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runChaos(t, chaosConfig()).Faults
 	if rep.HealViolations == 0 {
 		t.Fatalf("auditor missed the disabled repair path: %s", rep)
 	}
@@ -235,17 +196,13 @@ func flashCrowdChaosConfig(policy cache.PolicyKind) Config {
 // policies must also actually behave differently under this pressure —
 // identical results across all four would mean the churn is vacuous.
 func TestChaosFlashCrowdUnderFaultsPerPolicy(t *testing.T) {
-	camp := chaosCampaign()
 	distinct := map[string][]string{}
 	for _, kind := range cache.AllPolicyKinds() {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
-			res, rep, err := RunChaos(flashCrowdChaosConfig(kind), telemetry.NewHub(telemetry.LevelMetrics), nil, camp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !rep.Passed() {
-				t.Errorf("invariants violated under %s flash crowd: %s", kind, rep)
+			res := runChaos(t, flashCrowdChaosConfig(kind))
+			if !res.Faults.Passed() {
+				t.Errorf("invariants violated under %s flash crowd: %s", kind, res.Faults)
 			}
 			if res.Issued == 0 || res.Answered == 0 {
 				t.Errorf("flash crowd starved the workload: %s", res)

@@ -12,6 +12,7 @@ import (
 	"github.com/manetlab/rpcc/internal/cache"
 	"github.com/manetlab/rpcc/internal/consistency"
 	"github.com/manetlab/rpcc/internal/data"
+	"github.com/manetlab/rpcc/internal/faults"
 	"github.com/manetlab/rpcc/internal/node"
 	"github.com/manetlab/rpcc/internal/sim"
 	"github.com/manetlab/rpcc/internal/workload"
@@ -136,6 +137,10 @@ type Config struct {
 	// diurnal-load sweep); zero period disables.
 	DiurnalPeriod time.Duration
 	DiurnalMin    float64
+	// Faults is the fault campaign injected into the run, with the
+	// consistency invariants audited throughout (zero: a plain run; see
+	// Result.Faults). Only RPCC strategies take one.
+	Faults faults.Config
 }
 
 // DefaultConfig returns the Table 1 scenario for one strategy.
@@ -207,5 +212,13 @@ func (c Config) Validate() error {
 	if !c.CachePolicy.Valid() {
 		return fmt.Errorf("experiment: unknown cache policy %q", c.CachePolicy)
 	}
-	return nil
+	if c.Faults.IsZero() {
+		return nil
+	}
+	// The crash wipe, relay assassination and heal-convergence checks all
+	// reach into the RPCC engine's relay table.
+	if c.Strategy == StrategyPull || c.Strategy == StrategyPush {
+		return fmt.Errorf("experiment: fault campaigns require an RPCC strategy, got %q", c.Strategy)
+	}
+	return c.Faults.Validate(c.NPeers)
 }

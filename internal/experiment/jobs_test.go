@@ -3,6 +3,8 @@ package experiment
 import (
 	"testing"
 	"time"
+
+	"github.com/manetlab/rpcc/internal/faults"
 )
 
 func TestSweepJobsEnumeration(t *testing.T) {
@@ -47,6 +49,16 @@ func TestConfigKeyStableAndDiscriminating(t *testing.T) {
 	c := DefaultConfig(StrategyRPCCSC, 2)
 	if a.Key() == c.Key() {
 		t.Fatal("configs differing in seed must not share a key")
+	}
+	// The campaign is part of the scenario, keyed by value: two campaigns
+	// built apart key alike, and a campaign moves the plain key.
+	d, e := a, a
+	d.Faults, e.Faults = faults.Demo(a.NPeers), faults.Demo(a.NPeers)
+	if d.Key() != e.Key() {
+		t.Fatalf("equal campaigns must share a key: %s vs %s", d.Key(), e.Key())
+	}
+	if d.Key() == a.Key() {
+		t.Fatal("a campaign-bearing config must not share the plain key")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"github.com/manetlab/rpcc/internal/cache"
 	"github.com/manetlab/rpcc/internal/core"
+	"github.com/manetlab/rpcc/internal/faults"
 )
 
 // TestExperimentCannotReachMutants pins the containment property the
@@ -33,6 +34,8 @@ func TestExperimentCannotReachMutants(t *testing.T) {
 				// The loop variable: one of the RPCC kinds.
 			case f.Type() == reflect.TypeOf(cache.PolicyKind("")):
 				f.Set(reflect.ValueOf(cache.PolicyLFU))
+			case f.Type() == reflect.TypeOf(faults.Config{}):
+				f.Set(reflect.ValueOf(faults.Demo(cfg.NPeers)))
 			case f.Kind() == reflect.Bool:
 				f.SetBool(true)
 			case f.CanInt():

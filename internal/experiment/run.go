@@ -12,6 +12,7 @@ import (
 	"github.com/manetlab/rpcc/internal/core"
 	"github.com/manetlab/rpcc/internal/data"
 	"github.com/manetlab/rpcc/internal/energy"
+	"github.com/manetlab/rpcc/internal/faults"
 	"github.com/manetlab/rpcc/internal/geo"
 	"github.com/manetlab/rpcc/internal/mobility"
 	"github.com/manetlab/rpcc/internal/netsim"
@@ -84,6 +85,10 @@ type Result struct {
 	// with telemetry off). Snapshots from replica runs merge with
 	// (*telemetry.Snapshot).Merge.
 	Telemetry *telemetry.Snapshot
+
+	// Faults is the invariant audit of the run's fault campaign (nil when
+	// Config.Faults is zero).
+	Faults *faults.Report
 }
 
 // Run executes one scenario to completion and returns its metrics. It
@@ -94,12 +99,12 @@ func Run(cfg Config) (Result, error) {
 }
 
 // RunWithTelemetry executes one scenario with the caller's telemetry hub
-// installed across the stack (netsim tracer, chassis, strategy counters).
-// A nil hub disables telemetry entirely. The hub is finalized (traffic and
-// sim-clock folded in) before the function returns, so the caller may
-// export it immediately.
+// installed across the stack (netsim tracer, chassis, strategy counters,
+// fault plane). A nil hub disables telemetry entirely. The hub is
+// finalized (traffic and sim-clock folded in) before the function
+// returns, so the caller may export it immediately.
 func RunWithTelemetry(cfg Config, hub *telemetry.Hub) (Result, error) {
-	return runScenario(cfg, hub, nil, nil)
+	return runScenario(cfg, hub, nil)
 }
 
 // RunWithTrace executes one scenario with causal tracing enabled and
@@ -107,28 +112,15 @@ func RunWithTelemetry(cfg Config, hub *telemetry.Hub) (Result, error) {
 // (StartNs, Region, Seq) order — ready for trace.WriteJSONL or
 // trace.ExtractCriticalPaths. Tracing observes the run without touching
 // it: the result is byte-identical to an untraced same-seed run, and the
-// span set itself is deterministic for a given config.
+// span set itself is deterministic for a given config. A fault campaign's
+// injected faults are recorded as fault roots.
 func RunWithTrace(cfg Config, hub *telemetry.Hub) (Result, []ctrace.Span, error) {
 	tracer := ctrace.NewCollector(0)
-	res, err := runScenario(cfg, hub, tracer, nil)
+	res, err := runScenario(cfg, hub, tracer)
 	if err != nil {
 		return Result{}, nil, err
 	}
 	return res, tracer.Export(), nil
-}
-
-// runEnv exposes the assembled simulation to a pre-run hook (the chaos
-// harness wires the fault plane and invariant auditor through it).
-type runEnv struct {
-	k       *sim.Kernel
-	net     *netsim.Network
-	churn   *churn.Process
-	reg     *data.Registry
-	stores  []*cache.Store
-	chassis *node.Chassis
-	strat   Strategy
-	traffic *stats.Traffic
-	aud     *consistency.Auditor
 }
 
 // assembled is one fully wired scenario stack bound to a kernel. The
@@ -152,13 +144,14 @@ type assembled struct {
 	strat     Strategy
 	tracer    *ctrace.Collector
 	timeline  []uint64
+	// faults audits the campaign's invariants (nil without a campaign).
+	faults *faults.Auditor
 }
 
 // runScenario builds and runs one scenario, traced when tracer is
-// non-nil. preRun, if non-nil, fires after the stack is assembled and
-// started but before the kernel runs — anything it schedules lands on
-// the same event queue. A nil preRun is exactly the plain run.
-func runScenario(cfg Config, hub *telemetry.Hub, tracer *ctrace.Collector, preRun func(env runEnv) error) (Result, error) {
+// non-nil. A non-zero fault campaign is installed after the stack is
+// assembled and started, before the kernel runs.
+func runScenario(cfg Config, hub *telemetry.Hub, tracer *ctrace.Collector) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -167,16 +160,50 @@ func runScenario(cfg Config, hub *telemetry.Hub, tracer *ctrace.Collector, preRu
 	if err != nil {
 		return Result{}, err
 	}
-	if preRun != nil {
-		if err := preRun(runEnv{
-			k: k, net: a.net, churn: a.churn, reg: a.reg, stores: a.stores,
-			chassis: a.chassis, strat: a.strat, traffic: a.traffic, aud: a.aud,
-		}); err != nil {
+	if !cfg.Faults.IsZero() {
+		if err := a.installFaults(); err != nil {
 			return Result{}, err
 		}
 	}
 	k.Run()
 	return a.finalize(), nil
+}
+
+// chaosSweepEvery is the invariant-audit period during chaos campaigns:
+// fine enough to catch transient version regressions, coarse enough that
+// the sweep itself stays invisible in the profile.
+const chaosSweepEvery = 5 * time.Second
+
+// installFaults wires the scenario's fault campaign into the assembled,
+// started stack: the invariant auditor first — its heal callback must be
+// registered before the plane schedules anything against it — then the
+// plane. Validate admits a campaign only for RPCC strategies, so the
+// strategy is the core engine.
+func (a *assembled) installFaults() error {
+	engine, fc := a.strat.(*core.Engine), a.cfg.Faults
+	plane, err := faults.NewPlane(fc, faults.Env{
+		Net: a.net, Churn: a.churn, Stores: a.stores,
+		Engine: engine, Hub: a.hub, Tracer: a.tracer,
+	})
+	if err != nil {
+		return err
+	}
+	coreCfg := coreConfigFrom(a.cfg)
+	aud, err := faults.NewAuditor(faults.AuditorConfig{
+		SweepEvery:        chaosSweepEvery,
+		RepairWindow:      fc.RepairWindow.D(),
+		TTN:               coreCfg.TTN,
+		MaxRepairAttempts: coreCfg.MaxRepairAttempts,
+		StrongStaleBudget: fc.StrongStaleBudget,
+	}, a.reg, a.stores, a.churn, engine, a.aud)
+	if err != nil {
+		return err
+	}
+	if err := aud.Install(a.k, plane); err != nil {
+		return err
+	}
+	a.faults = aud
+	return plane.Install(a.k)
 }
 
 // assembleScenario wires the full stack — terrain, mobility, churn,
@@ -375,6 +402,10 @@ func (a *assembled) finalize() Result {
 		}
 	}
 	res.EnergyFairness = jainIndex(drains)
+	if a.faults != nil {
+		rep := a.faults.Finish()
+		res.Faults = &rep
+	}
 	return res
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/manetlab/rpcc/internal/faults"
 	"github.com/manetlab/rpcc/internal/telemetry"
 	ctrace "github.com/manetlab/rpcc/internal/telemetry/trace"
 	"github.com/manetlab/rpcc/internal/workload"
@@ -69,7 +70,7 @@ func TestRunScaleRegionIsAStandaloneRun(t *testing.T) {
 		sub := regionConfig(cfg.Config, cfg.Shards, i)
 		sub.Seed += int64(i) * goldenGamma
 		tracer := ctrace.NewCollector(i)
-		want, err := runScenario(sub, telemetry.NewHub(telemetry.LevelMetrics), tracer, nil)
+		want, err := runScenario(sub, telemetry.NewHub(telemetry.LevelMetrics), tracer)
 		if err != nil {
 			t.Fatalf("region %d alone: %v", i, err)
 		}
@@ -185,5 +186,15 @@ func TestRunScaleValidation(t *testing.T) {
 	}
 	if got := autoShards(50); got != 1 {
 		t.Errorf("autoShards(50) = %d, want 1", got)
+	}
+}
+
+// TestRunScaleRejectsCampaign: regions are independent runs with no one
+// plane to schedule a campaign's partitions and crashes across them.
+func TestRunScaleRejectsCampaign(t *testing.T) {
+	cfg := ScaleConfig{Config: scaleTestConfig(24, 1)}
+	cfg.Faults = faults.Demo(cfg.NPeers)
+	if _, err := RunScale(cfg); err == nil || !strings.Contains(err.Error(), "fault campaign") {
+		t.Fatalf("RunScale with a campaign = %v, want a fault-campaign rejection", err)
 	}
 }

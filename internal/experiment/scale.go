@@ -84,6 +84,9 @@ func RunScale(cfg ScaleConfig) (ScaleResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return ScaleResult{}, err
 	}
+	if !cfg.Faults.IsZero() {
+		return ScaleResult{}, fmt.Errorf("experiment: scale runs take no fault campaign")
+	}
 	s := cfg.Shards
 	if s == 0 {
 		s = autoShards(cfg.NPeers)

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -9,14 +10,14 @@ import (
 func validCampaign() Config {
 	return Config{
 		Partitions: []Partition{
-			{Start: 5 * time.Minute, End: 10 * time.Minute, Islands: [][]int{{0, 1}, {2, 3}}},
+			{Start: Duration(5 * time.Minute), End: Duration(10 * time.Minute), Islands: [][]int{{0, 1}, {2, 3}}},
 		},
-		Loss:           &GilbertParams{PGoodToBad: 0.05, PBadToGood: 0.3, LossGood: 0.01, LossBad: 0.9},
-		Crashes:        []Crash{{At: 2 * time.Minute, Node: 4, RestartAfter: time.Minute}},
-		Assassinations: []Assassination{{At: 20 * time.Minute, Item: 0, Count: 1}},
+		Loss:           GilbertParams{PGoodToBad: 0.05, PBadToGood: 0.3, LossGood: 0.01, LossBad: 0.9},
+		Crashes:        []Crash{{At: Duration(2 * time.Minute), Node: 4, RestartAfter: Duration(time.Minute)}},
+		Assassinations: []Assassination{{At: Duration(20 * time.Minute), Item: 0, Count: 1}},
 		DupProb:        0.01,
-		ReorderMax:     20 * time.Millisecond,
-		RepairWindow:   3 * time.Minute,
+		Jitter:         Duration(20 * time.Millisecond),
+		RepairWindow:   Duration(3 * time.Minute),
 	}
 }
 
@@ -34,23 +35,24 @@ func TestConfigValidate(t *testing.T) {
 		want string
 	}{
 		{"empty window", func(c *Config) { c.Partitions[0].End = c.Partitions[0].Start }, "empty"},
-		{"negative start", func(c *Config) { c.Partitions[0].Start = -time.Second }, "negative"},
+		{"negative start", func(c *Config) { c.Partitions[0].Start = Duration(-time.Second) }, "negative"},
 		{"no islands", func(c *Config) { c.Partitions[0].Islands = nil }, "no islands"},
 		{"node out of range", func(c *Config) { c.Partitions[0].Islands[0][0] = 8 }, "out of range"},
 		{"node twice", func(c *Config) { c.Partitions[0].Islands[1][0] = 0 }, "twice"},
 		{"overlap", func(c *Config) {
 			c.Partitions = append(c.Partitions, Partition{
-				Start: 7 * time.Minute, End: 12 * time.Minute, Islands: [][]int{{5}},
+				Start: Duration(7 * time.Minute), End: Duration(12 * time.Minute), Islands: [][]int{{5}},
 			})
 		}, "overlap"},
 		{"gilbert out of range", func(c *Config) { c.Loss.LossBad = 1.5 }, "outside [0,1]"},
 		{"crash node", func(c *Config) { c.Crashes[0].Node = -1 }, "out of range"},
-		{"crash timing", func(c *Config) { c.Crashes[0].RestartAfter = -time.Second }, "negative timing"},
+		{"crash timing", func(c *Config) { c.Crashes[0].RestartAfter = Duration(-time.Second) }, "negative timing"},
 		{"assassination item", func(c *Config) { c.Assassinations[0].Item = 99 }, "out of range"},
 		{"assassination count", func(c *Config) { c.Assassinations[0].Count = -1 }, "negative count"},
 		{"dup prob", func(c *Config) { c.DupProb = 1 }, "outside [0,1)"},
-		{"reorder", func(c *Config) { c.ReorderMax = -time.Second }, "negative reorder"},
-		{"repair window", func(c *Config) { c.RepairWindow = -time.Second }, "negative repair"},
+		{"jitter", func(c *Config) { c.Jitter = Duration(-time.Second) }, "negative delay"},
+		{"delay", func(c *Config) { c.Delay = Duration(-time.Second) }, "negative delay"},
+		{"repair window", func(c *Config) { c.RepairWindow = Duration(-time.Second) }, "negative repair"},
 	}
 	for _, tc := range cases {
 		cfg := validCampaign()
@@ -70,20 +72,36 @@ func TestConfigEnabled(t *testing.T) {
 	if (Config{}).Enabled() {
 		t.Fatal("zero campaign claims to be enabled")
 	}
-	if (Config{RepairWindow: time.Minute}).Enabled() {
+	audit := Config{RepairWindow: Duration(time.Minute)}
+	if audit.Enabled() {
 		t.Fatal("a bare audit window is not an injection")
 	}
+	if !(Config{}).IsZero() || audit.IsZero() {
+		t.Fatal("IsZero must hold for the zero campaign only, audit-only campaigns included")
+	}
 	for name, c := range map[string]Config{
-		"partition":     {Partitions: []Partition{{End: time.Second, Islands: [][]int{{0}}}}},
-		"loss":          {Loss: &GilbertParams{}},
+		"partition":     {Partitions: []Partition{{End: Duration(time.Second), Islands: [][]int{{0}}}}},
+		"loss":          {Loss: GilbertParams{LossBad: 0.5}},
 		"crash":         {Crashes: []Crash{{}}},
 		"assassination": {Assassinations: []Assassination{{}}},
 		"dup":           {DupProb: 0.1},
-		"reorder":       {ReorderMax: time.Millisecond},
+		"jitter":        {Jitter: Duration(time.Millisecond)},
 	} {
 		if !c.Enabled() {
 			t.Errorf("%s campaign claims to be disabled", name)
 		}
+	}
+}
+
+// The checked-in demonstration file is the demonstration campaign: the
+// JSON schema and Demo describe one campaign.
+func TestDemoFileIsDemo(t *testing.T) {
+	got, err := LoadScript("testdata/demo.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := Demo(50); !reflect.DeepEqual(*got, want) {
+		t.Fatalf("testdata/demo.json = %+v\nwant Demo(50) = %+v", *got, want)
 	}
 }
 

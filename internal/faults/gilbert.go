@@ -48,6 +48,3 @@ func (g *GilbertElliott) Lost() bool {
 	}
 	return g.rng.Float64() < loss
 }
-
-// Bad exposes the current chain state (tests and diagnostics).
-func (g *GilbertElliott) Bad() bool { return g.bad }

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"github.com/manetlab/rpcc/internal/churn"
 	"github.com/manetlab/rpcc/internal/core"
 	"github.com/manetlab/rpcc/internal/netsim"
+	"github.com/manetlab/rpcc/internal/protocol"
 	"github.com/manetlab/rpcc/internal/sim"
 	"github.com/manetlab/rpcc/internal/telemetry"
 	ctrace "github.com/manetlab/rpcc/internal/telemetry/trace"
@@ -32,13 +34,14 @@ type Env struct {
 type Plane struct {
 	cfg Config
 	env Env
-	// island holds each node's current island id; all-zero (or inactive)
-	// means no partition is in force. The netsim link filter reads it on
-	// every in-flight frame, so membership checks must be O(1).
+	// island holds each node's island id under the partition in force
+	// (Partition.IslandIDs); active is false between windows. The netsim
+	// link filter reads it on every in-flight frame, so membership checks
+	// must be O(1).
 	island  []int32
 	active  bool
 	crashed []bool
-	onHeal  []func(k *sim.Kernel, p Partition)
+	onHeal  func(k *sim.Kernel, p Partition)
 }
 
 // NewPlane validates the campaign against the environment.
@@ -56,49 +59,37 @@ func NewPlane(cfg Config, env Env) (*Plane, error) {
 	if len(env.Stores) != 0 && len(env.Stores) != n {
 		return nil, fmt.Errorf("faults: %d stores for %d nodes", len(env.Stores), n)
 	}
-	return &Plane{
-		cfg:     cfg,
-		env:     env,
-		island:  make([]int32, n),
-		crashed: make([]bool, n),
-	}, nil
+	return &Plane{cfg: cfg, env: env, crashed: make([]bool, n)}, nil
 }
 
-// OnHeal registers a callback fired at every partition heal (the
-// invariant auditor hangs its convergence check here). Call before
-// Install.
-func (p *Plane) OnHeal(f func(k *sim.Kernel, part Partition)) {
-	if f != nil {
-		p.onHeal = append(p.onHeal, f)
-	}
-}
+// OnHeal sets the callback fired at every partition heal (the invariant
+// auditor hangs its convergence check here). Call before Install.
+func (p *Plane) OnHeal(f func(k *sim.Kernel, part Partition)) { p.onHeal = f }
 
-// Install wires the loss model and delivery-fault knobs into the network
-// and schedules every partition, crash and assassination on the kernel.
-// A zero-value campaign installs nothing at all.
+// Install wires the loss model, the delivery perturber and the link cut
+// into the network and schedules every partition, crash and assassination
+// on the kernel. A zero-value campaign installs nothing at all.
 func (p *Plane) Install(k *sim.Kernel) error {
-	if p.cfg.Loss != nil {
-		ge, err := NewGilbertElliott(*p.cfg.Loss, k.Stream("faults.gilbert"))
+	if p.cfg.Loss != (GilbertParams{}) {
+		ge, err := NewGilbertElliott(p.cfg.Loss, k.Stream("faults.gilbert"))
 		if err != nil {
 			return err
 		}
 		p.env.Net.SetLossModel(ge)
 	}
-	if p.cfg.DupProb > 0 || p.cfg.ReorderMax > 0 {
-		if err := p.env.Net.SetDeliveryFaults(p.cfg.DupProb, p.cfg.ReorderMax); err != nil {
-			return err
-		}
+	if p.cfg.DupProb > 0 || p.cfg.Jitter > 0 {
+		p.env.Net.SetPerturber(dupJitter(p.cfg.DupProb, p.cfg.Jitter.D(), k.Stream("netsim.faults")))
 	}
 	if len(p.cfg.Partitions) > 0 {
 		p.env.Net.SetLinkFilter(p.linkCut)
 		for _, part := range p.cfg.Partitions {
 			part := part
-			if _, err := k.At(part.Start, "faults.partition.split", func(kk *sim.Kernel) {
+			if _, err := k.At(part.Start.D(), "faults.partition.split", func(kk *sim.Kernel) {
 				p.split(kk, part)
 			}); err != nil {
 				return err
 			}
-			if _, err := k.At(part.End, "faults.partition.heal", func(kk *sim.Kernel) {
+			if _, err := k.At(part.End.D(), "faults.partition.heal", func(kk *sim.Kernel) {
 				p.heal(kk, part)
 			}); err != nil {
 				return err
@@ -107,21 +98,46 @@ func (p *Plane) Install(k *sim.Kernel) error {
 	}
 	for _, c := range p.cfg.Crashes {
 		c := c
-		if _, err := k.At(c.At, "faults.crash", func(kk *sim.Kernel) {
-			p.crash(kk, c.Node, c.RestartAfter)
+		if _, err := k.At(c.At.D(), "faults.crash", func(kk *sim.Kernel) {
+			p.crash(kk, c.Node, c.RestartAfter.D())
 		}); err != nil {
 			return err
 		}
 	}
 	for _, a := range p.cfg.Assassinations {
 		a := a
-		if _, err := k.At(a.At, "faults.assassinate", func(kk *sim.Kernel) {
+		if _, err := k.At(a.At.D(), "faults.assassinate", func(kk *sim.Kernel) {
 			p.assassinate(kk, a)
 		}); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// dupJitter is the campaign's duplication and jitter as a netsim
+// perturber drawing from rng alone. It touches unicast final hops only;
+// floods and local deliveries pass. Each touched delivery draws in a fixed
+// order: one duplication draw (when DupProb > 0), then one jitter draw per
+// copy (when jitter > 0).
+func dupJitter(dupProb float64, jitter time.Duration, rng *rand.Rand) netsim.Perturber {
+	draw := func() time.Duration {
+		if jitter <= 0 {
+			return 0
+		}
+		return time.Duration(rng.Int63n(int64(jitter)))
+	}
+	return func(_ int, _ protocol.Message, meta netsim.Meta) netsim.Perturbation {
+		if meta.Flood || meta.Hops == 0 {
+			return netsim.Perturbation{}
+		}
+		dup := dupProb > 0 && rng.Float64() < dupProb
+		pt := netsim.Perturbation{Dup: dup, Delay: draw()}
+		if dup {
+			pt.DupDelay = draw()
+		}
+		return pt
+	}
 }
 
 // linkCut is the netsim.LinkFilter: a frame in flight between islands is
@@ -162,29 +178,16 @@ func partitioned(part Partition) []int {
 }
 
 func (p *Plane) split(k *sim.Kernel, part Partition) {
-	for i := range p.island {
-		p.island[i] = 0
-	}
-	for gi, group := range part.Islands {
-		for _, nd := range group {
-			// Island ids start at 1: id 0 is the mainland (every node not
-			// named in any group), so a single listed island really is cut
-			// off from the rest.
-			p.island[nd] = int32(gi + 1)
-		}
-	}
+	p.island = part.IslandIDs(p.env.Net.Len())
 	p.active = true
 	p.report(k, telemetry.FaultPartitionSplit, partitioned(part), -1)
 }
 
 func (p *Plane) heal(k *sim.Kernel, part Partition) {
-	for i := range p.island {
-		p.island[i] = 0
-	}
 	p.active = false
 	p.report(k, telemetry.FaultPartitionHeal, partitioned(part), -1)
-	for _, f := range p.onHeal {
-		f(k, part)
+	if p.onHeal != nil {
+		p.onHeal(k, part)
 	}
 }
 
@@ -233,6 +236,6 @@ func (p *Plane) assassinate(k *sim.Kernel, a Assassination) {
 	}
 	p.report(k, telemetry.FaultAssassination, targets, int(a.Item))
 	for _, nd := range targets {
-		p.crash(k, nd, a.RestartAfter)
+		p.crash(k, nd, a.RestartAfter.D())
 	}
 }

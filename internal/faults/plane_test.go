@@ -58,7 +58,7 @@ func planeNet(t *testing.T, fc Config) (*sim.Kernel, *netsim.Network, *Plane) {
 // implicit id.)
 func TestPartitionSeversSingleIsland(t *testing.T) {
 	fc := Config{Partitions: []Partition{
-		{Start: 1 * time.Second, End: 10 * time.Second, Islands: [][]int{{2, 3}}},
+		{Start: Duration(time.Second), End: Duration(10 * time.Second), Islands: [][]int{{2, 3}}},
 	}}
 	k, net, _ := planeNet(t, fc)
 
@@ -93,7 +93,7 @@ func TestPartitionSeversSingleIsland(t *testing.T) {
 // from the mainland.
 func TestPartitionSeversIslandsFromEachOther(t *testing.T) {
 	fc := Config{Partitions: []Partition{
-		{Start: 1 * time.Second, End: 10 * time.Second, Islands: [][]int{{0, 1}, {2, 3}}},
+		{Start: Duration(time.Second), End: Duration(10 * time.Second), Islands: [][]int{{0, 1}, {2, 3}}},
 	}}
 	k, net, _ := planeNet(t, fc)
 
@@ -106,6 +106,68 @@ func TestPartitionSeversIslandsFromEachOther(t *testing.T) {
 	k.RunUntil(5 * time.Second)
 	if got := net.Traffic().DroppedByCause(protocol.KindPoll, stats.DropPartition); got != 1 {
 		t.Errorf("partition drops = %d, want 1", got)
+	}
+}
+
+// TestDupJitterPerturbsOnlyUnicastFinalHops pins the campaign's
+// duplication and jitter on the 4-node chain: twelve unicasts 0→3 sent
+// 2 ms apart arrive with five duplicates, reordered by the jitter, at
+// these exact times; a flood and a local delivery in the same run arrive
+// once each, exactly when they arrive in a fault-free run.
+func TestDupJitterPerturbsOnlyUnicastFinalHops(t *testing.T) {
+	type arrival struct {
+		node int
+		seq  uint64
+		at   time.Duration
+	}
+	run := func(fc Config) (unicasts, others []arrival) {
+		k, net, _ := planeNet(t, fc)
+		for nd := 0; nd < net.Len(); nd++ {
+			if err := net.SetReceiver(nd, func(_ *sim.Kernel, node int, msg protocol.Message, meta netsim.Meta) {
+				a := arrival{node, msg.Seq, meta.At}
+				if msg.Seq < 100 {
+					unicasts = append(unicasts, a)
+				} else {
+					others = append(others, a)
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		send := func(from, to int, kind protocol.Kind, seq uint64) {
+			msg := protocol.Message{Kind: kind, Item: 1, Version: 1, Origin: from, Seq: seq}
+			if err := net.Unicast(from, to, msg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 12; i++ {
+			seq := uint64(i + 1)
+			k.At(time.Duration(i)*2*time.Millisecond, "send", func(*sim.Kernel) { send(0, 3, protocol.KindPoll, seq) })
+		}
+		k.At(50*time.Millisecond, "flood", func(*sim.Kernel) {
+			msg := protocol.Message{Kind: protocol.KindInvalidation, Version: 1, Seq: 100}
+			if err := net.Flood(0, 3, msg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		k.At(60*time.Millisecond, "local", func(*sim.Kernel) { send(2, 2, protocol.KindPoll, 200) })
+		k.RunUntil(time.Second)
+		return unicasts, others
+	}
+	unicasts, others := run(Config{DupProb: 0.3, Jitter: Duration(5 * time.Millisecond)})
+	want := []arrival{
+		{3, 2, 11160768}, {3, 1, 11164698}, {3, 3, 12439356}, {3, 3, 15258285},
+		{3, 4, 18479200}, {3, 5, 18990004}, {3, 7, 21225717}, {3, 6, 21452739},
+		{3, 7, 22610677}, {3, 8, 24232669}, {3, 8, 24479713}, {3, 9, 27461164},
+		{3, 10, 27479647}, {3, 10, 28769731}, {3, 11, 29964256}, {3, 12, 32107739},
+		{3, 12, 35331022},
+	}
+	if !reflect.DeepEqual(unicasts, want) {
+		t.Errorf("unicast arrivals = %v\nwant %v", unicasts, want)
+	}
+	_, clean := run(Config{})
+	if len(others) != 4 || !reflect.DeepEqual(others, clean) {
+		t.Errorf("flood and local arrivals = %v, want the fault-free %v", others, clean)
 	}
 }
 

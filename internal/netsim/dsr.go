@@ -256,7 +256,7 @@ func (n *Network) dsrForward(msg protocol.Message, idx int, sentAt time.Duration
 			case protocol.KindRERR:
 				n.dsrHandleRERR(next, msg)
 			default:
-				n.deliverUnicast(next, msg, len(path)-1, sentAt)
+				n.deliver(next, msg, Meta{Hops: len(path) - 1, At: n.k.Now(), SentAt: sentAt})
 			}
 			return
 		}

@@ -67,28 +67,30 @@ type Receiver func(k *sim.Kernel, node int, msg protocol.Message, meta Meta)
 // by the protocol trace tool and by tests that assert on message flows.
 type Tracer func(at time.Duration, node int, msg protocol.Message, meta Meta)
 
-// Perturbation is what a schedule perturber does to one final delivery:
-// suppress it, delay it, or deliver both an on-time and a delayed copy.
-// The zero value leaves the delivery untouched.
+// Perturbation is what a schedule perturber does to one delivery: drop
+// it, delay it, or deliver a second copy. The zero value leaves the
+// delivery untouched. The wire's chaos shim returns the same value for
+// every frame a daemon receives.
 type Perturbation struct {
-	// Delay postpones the delivery by this much virtual time (with Dup
-	// set, it is the duplicate copy that is delayed).
+	// Drop suppresses the delivery, recorded under Cause (the zero cause
+	// is loss).
+	Drop  bool
+	Cause stats.DropCause
+	// Delay postpones the delivery by this much time (0: on schedule).
 	Delay time.Duration
-	// Dup delivers the message twice: once on schedule, once after Delay.
-	Dup bool
-	// Drop suppresses the delivery entirely, recorded as a loss drop.
-	Drop bool
+	// Dup delivers a second copy, DupDelay from now.
+	Dup      bool
+	DupDelay time.Duration
 }
 
 // Perturber inspects every final delivery — unicast, flood and local
 // alike, just before the tracer and receiver would run — and returns the
-// schedule perturbation to apply. The conformance fuzzer uses it to
-// explore adversarial message interleavings. Implementations must be
-// deterministic and must not draw from kernel streams (the fuzzer
-// precomputes its perturbation plans), so runs with a nil perturber stay
-// byte-identical to runs built before the hook existed. The tracer and
-// receiver observe only what survives perturbation, at its actual
-// delivery time.
+// schedule perturbation to apply. The fault plane's duplication and
+// jitter and the conformance fuzzer's rules are both perturbers.
+// Implementations must be deterministic and draw only from their own
+// stream, so the rest of the run draws exactly what it would without them.
+// The tracer and receiver observe only what survives perturbation, at its
+// actual delivery time.
 type Perturber func(node int, msg protocol.Message, meta Meta) Perturbation
 
 // LossModel replaces the uniform per-reception loss draw when installed
@@ -276,22 +278,12 @@ type Network struct {
 	// dsr holds per-node routing state when cfg.Routing is RoutingDSR.
 	dsr []*dsrNode
 
-	// Fault-plane hooks. All nil/zero in normal runs: the hot paths pay
-	// one nil check and draw no extra randomness, so seeded runs without
-	// faults stay byte-identical to builds without the plane.
+	// Fault hooks. All nil in normal runs: the hot paths pay one nil
+	// check and draw no extra randomness, so seeded runs without faults
+	// stay byte-identical to builds without them.
 	lossModel  LossModel
 	linkFilter LinkFilter
-	// dupProb duplicates a unicast's final delivery with this
-	// probability; reorderMax adds up to this much uniform extra delay
-	// before a unicast's final delivery, letting later sends overtake
-	// earlier ones. Both draw from faultRand, a dedicated stream.
-	dupProb    float64
-	reorderMax time.Duration
-	faultRand  *rand.Rand
-
-	// perturber is the conformance harness's schedule-perturbation hook;
-	// nil (the default) costs one pointer check per delivery.
-	perturber Perturber
+	perturber  Perturber
 }
 
 // New constructs the network. churnProc and batteries are optional (nil
@@ -499,25 +491,6 @@ func (n *Network) SetLossModel(m LossModel) { n.lossModel = m }
 // cut predicate.
 func (n *Network) SetLinkFilter(f LinkFilter) { n.linkFilter = f }
 
-// SetDeliveryFaults configures unicast duplication and reordering at the
-// delivery queue. dupProb in [0,1) duplicates final deliveries;
-// reorderMax adds uniform extra delay in [0, reorderMax) before final
-// delivery. Both zero (the default) disables the machinery entirely.
-func (n *Network) SetDeliveryFaults(dupProb float64, reorderMax time.Duration) error {
-	if dupProb < 0 || dupProb >= 1 {
-		return fmt.Errorf("netsim: duplication probability %g outside [0,1)", dupProb)
-	}
-	if reorderMax < 0 {
-		return fmt.Errorf("netsim: negative reorder delay %v", reorderMax)
-	}
-	n.dupProb = dupProb
-	n.reorderMax = reorderMax
-	if (dupProb > 0 || reorderMax > 0) && n.faultRand == nil {
-		n.faultRand = n.k.Stream("netsim.faults")
-	}
-	return nil
-}
-
 // lost draws the per-reception loss event from the installed loss model,
 // or from the uniform LossRate channel when none is installed.
 func (n *Network) lost() bool {
@@ -579,8 +552,9 @@ func (n *Network) SetTracer(t Tracer) { n.tracer = t }
 // message. Untraced messages cost one pointer check.
 func (n *Network) SetTraceCollector(c *ctrace.Collector) { n.trace = c }
 
-// SetPerturber installs (or with nil removes) a delivery-schedule
-// perturber. Install during setup, before the kernel runs.
+// SetPerturber installs (or with nil removes) the delivery-schedule
+// perturber: the fault plane's or the fuzzer's, never both. Install during
+// setup, before the kernel runs.
 func (n *Network) SetPerturber(p Perturber) { n.perturber = p }
 
 // deliver applies any installed schedule perturbation and completes the
@@ -588,27 +562,24 @@ func (n *Network) SetPerturber(p Perturber) { n.perturber = p }
 // delivery funnels through, so a perturber sees the whole message
 // schedule.
 func (n *Network) deliver(node int, msg protocol.Message, meta Meta) {
-	if n.perturber != nil {
-		p := n.perturber(node, msg, meta)
-		switch {
-		case p.Drop:
-			n.traffic.RecordDropped(msg.Kind, stats.DropLoss)
-			return
-		case p.Dup:
-			n.deliverFinal(node, msg, meta)
-			n.deliverDelayed(node, msg, meta, p.Delay)
-			return
-		case p.Delay > 0:
-			n.deliverDelayed(node, msg, meta, p.Delay)
-			return
-		}
+	if n.perturber == nil {
+		n.deliverFinal(node, msg, meta)
+		return
 	}
-	n.deliverFinal(node, msg, meta)
+	p := n.perturber(node, msg, meta)
+	if p.Drop {
+		n.traffic.RecordDropped(msg.Kind, p.Cause)
+		return
+	}
+	n.deliverDelayed(node, msg, meta, p.Delay)
+	if p.Dup {
+		n.deliverDelayed(node, msg, meta, p.DupDelay)
+	}
 }
 
-// deliverDelayed re-schedules a perturbed delivery, re-checking that the
-// destination is still up at fire time (as the delivery-fault delay path
-// does) and stamping the actual delivery time into the meta.
+// deliverDelayed completes a perturbed delivery after d (at once when d is
+// zero), re-checking that the destination is still up at fire time and
+// stamping the actual delivery time into the meta.
 func (n *Network) deliverDelayed(node int, msg protocol.Message, meta Meta, d time.Duration) {
 	if d <= 0 {
 		n.deliverFinal(node, msg, meta)
@@ -732,44 +703,10 @@ func (h *hopTx) land(*sim.Kernel) {
 		n.traffic.RecordDropped(msg.Kind, stats.DropLoss)
 	case next == dst:
 		n.spendRx(next)
-		n.deliverUnicast(dst, msg, hops+1, sentAt)
+		n.deliver(dst, msg, Meta{Hops: hops + 1, At: n.k.Now(), SentAt: sentAt})
 	default:
 		n.spendRx(next)
 		n.forward(next, dst, msg, hops+1, sentAt)
-	}
-}
-
-// deliverUnicast completes a unicast's final hop, applying the delivery
-// fault knobs (duplication, reordering) when configured. The common path
-// — no faults — delivers inline, exactly as before the knobs existed.
-func (n *Network) deliverUnicast(dst int, msg protocol.Message, hops int, sentAt time.Duration) {
-	if n.dupProb <= 0 && n.reorderMax <= 0 {
-		n.deliver(dst, msg, Meta{Hops: hops, At: n.k.Now(), SentAt: sentAt})
-		return
-	}
-	copies := 1
-	if n.dupProb > 0 && n.faultRand.Float64() < n.dupProb {
-		copies = 2
-	}
-	for i := 0; i < copies; i++ {
-		var extra time.Duration
-		if n.reorderMax > 0 {
-			extra = time.Duration(n.faultRand.Int63n(int64(n.reorderMax)))
-		}
-		if extra == 0 {
-			n.deliver(dst, msg, Meta{Hops: hops, At: n.k.Now(), SentAt: sentAt})
-			continue
-		}
-		// The closure gets a copy of its own: capturing the parameter
-		// would move it to the heap on entry, fault-free calls included.
-		msg := msg
-		n.k.After(extra, "netsim.fault.delay", func(*sim.Kernel) {
-			if !n.Up(dst) {
-				n.traffic.RecordDropped(msg.Kind, stats.DropDisconnected)
-				return
-			}
-			n.deliver(dst, msg, Meta{Hops: hops, At: n.k.Now(), SentAt: sentAt})
-		})
 	}
 }
 

@@ -90,7 +90,7 @@ func TestPerturberDelayAndDup(t *testing.T) {
 		case protocol.KindGetNew:
 			return Perturbation{Delay: time.Second}
 		case protocol.KindInvalidation:
-			return Perturbation{Dup: true, Delay: 2 * time.Second}
+			return Perturbation{Dup: true, DupDelay: 2 * time.Second}
 		}
 		return Perturbation{}
 	})

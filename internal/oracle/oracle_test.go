@@ -241,7 +241,7 @@ func TestPlanRuleMatching(t *testing.T) {
 		t.Fatal("poll to node 2 perturbed, want pass-through")
 	}
 	got := p(3, poll, netsim.Meta{})
-	if !got.Dup || got.Delay != 500*time.Millisecond {
+	if !got.Dup || got.Delay != 0 || got.DupDelay != 500*time.Millisecond {
 		t.Fatalf("poll to node 3 perturbation = %+v, want dup+500ms", got)
 	}
 }

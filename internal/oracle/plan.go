@@ -27,7 +27,7 @@ type Rule struct {
 	To int `json:"to"`
 	// Occurrence selects the nth base match (1-based); 0 means every.
 	Occurrence int `json:"occurrence"`
-	// DelayMS postpones delivery (the duplicate, when Dup is set).
+	// DelayMS postpones delivery (only the duplicate, when Dup is set).
 	DelayMS int64 `json:"delay_ms,omitempty"`
 	// Dup delivers twice: once on schedule, once after DelayMS.
 	Dup bool `json:"dup,omitempty"`
@@ -99,11 +99,11 @@ func perturber(rules []Rule) (netsim.Perturber, error) {
 			if r.Occurrence != 0 && counts[i] != r.Occurrence {
 				continue
 			}
-			return netsim.Perturbation{
-				Delay: time.Duration(r.DelayMS) * time.Millisecond,
-				Dup:   r.Dup,
-				Drop:  r.Drop,
+			delay := time.Duration(r.DelayMS) * time.Millisecond
+			if r.Dup {
+				return netsim.Perturbation{Dup: true, DupDelay: delay, Drop: r.Drop}
 			}
+			return netsim.Perturbation{Delay: delay, Drop: r.Drop}
 		}
 		return netsim.Perturbation{}
 	}, nil

@@ -1,25 +1,23 @@
 package wire
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"sort"
 	"strings"
 	"time"
 
 	"github.com/manetlab/rpcc/internal/faults"
+	"github.com/manetlab/rpcc/internal/netsim"
 	"github.com/manetlab/rpcc/internal/stats"
 )
 
-// Wire-level chaos plane: the same seeded, declarative adversity the
-// simulator's fault plane (internal/faults) injects through netsim,
-// applied at the wire.Transport seam of live UDP daemons. A Script is
-// shared by every daemon of a cluster; each daemon derives its own
-// per-link Gilbert–Elliott chains and jitter streams from the script
-// seed and the node ids, so the whole cluster computes one coherent
-// fault schedule with no coordination traffic.
+// Wire-level chaos plane: the simulator's fault campaign (faults.Config,
+// the same JSON) applied at the wire.Transport seam of live UDP daemons.
+// One campaign is shared by every daemon of a cluster; each daemon
+// derives its own per-link Gilbert–Elliott chains and jitter streams from
+// the campaign seed and the node ids, so the whole cluster computes one
+// coherent fault schedule with no coordination traffic.
 //
 // Determinism discipline: everything *scheduled* (partition windows,
 // crash/restart times, model parameters, derived stream seeds) is a pure
@@ -29,136 +27,16 @@ import (
 // given the reception sequence; across live runs the sequence itself
 // carries wall-clock nondeterminism, so per-frame outcomes are
 // reproducible in distribution, not byte-for-byte — the honest best a
-// real network allows, documented in DESIGN.md §15.
+// real network allows, documented in DESIGN.md §10.
 
-// Duration marshals as a human-readable Go duration string ("250ms") so
-// fault scripts stay hand-editable; plain nanosecond numbers are also
-// accepted on decode.
-type Duration time.Duration
-
-// D returns the native duration.
-func (d Duration) D() time.Duration { return time.Duration(d) }
-
-// MarshalJSON renders the duration as its Go string form.
-func (d Duration) MarshalJSON() ([]byte, error) {
-	return json.Marshal(time.Duration(d).String())
-}
-
-// UnmarshalJSON accepts "1.5s" strings or nanosecond numbers.
-func (d *Duration) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err == nil {
-		v, err := time.ParseDuration(s)
-		if err != nil {
-			return fmt.Errorf("wire: bad duration %q: %w", s, err)
-		}
-		*d = Duration(v)
-		return nil
-	}
-	var ns int64
-	if err := json.Unmarshal(b, &ns); err != nil {
-		return fmt.Errorf("wire: duration must be a string or nanoseconds: %s", b)
-	}
-	*d = Duration(ns)
-	return nil
-}
-
-// ScriptPartition cuts the cluster into islands for [Start, End): frames
-// whose endpoints sit in different islands are dropped at the receiver
-// (cause "partition"). Nodes listed in no island belong to island 0,
-// matching faults.Partition semantics.
-type ScriptPartition struct {
-	Start   Duration `json:"start"`
-	End     Duration `json:"end"`
-	Islands [][]int  `json:"islands"`
-}
-
-// ScriptCrash schedules one daemon crash: the node dies cold at At and
-// restarts RestartAfter later (zero: never). The cluster harness's churn
-// controller executes these; a transport shim cannot kill its own
-// process.
-type ScriptCrash struct {
-	At           Duration `json:"at"`
-	Node         int      `json:"node"`
-	RestartAfter Duration `json:"restart_after"`
-}
-
-// Script is one declarative wire-level fault campaign, shared verbatim
-// by every daemon in the cluster. Same script + same seed ⇒ same
-// schedule on every daemon and every run.
-type Script struct {
-	// Seed roots every derived stream (per-link loss chains, per-node
-	// jitter/duplication draws).
-	Seed int64 `json:"seed"`
-	// Loss installs the two-state Gilbert–Elliott bursty-loss model on
-	// every incoming link (nil: lossless). Field names follow
-	// faults.GilbertParams.
-	Loss *faults.GilbertParams `json:"loss,omitempty"`
-	// Delay is a fixed extra latency added to every delivered frame;
-	// Jitter adds a further uniform draw in [0, Jitter). Jitter is also
-	// the reordering mechanism: a later frame drawing a smaller jitter
-	// overtakes an earlier one.
-	Delay  Duration `json:"delay,omitempty"`
-	Jitter Duration `json:"jitter,omitempty"`
-	// DupProb duplicates a delivered frame with this probability; the
-	// duplicate arrives after an independent delay+jitter draw.
-	DupProb float64 `json:"dup_prob,omitempty"`
-	// Partitions lists scheduled island cuts (non-overlapping).
-	Partitions []ScriptPartition `json:"partitions,omitempty"`
-	// Crashes lists scheduled daemon crash/restarts.
-	Crashes []ScriptCrash `json:"crashes,omitempty"`
-}
-
-// ParseScript decodes a JSON fault script. Unknown fields are rejected:
-// a typo in a chaos campaign must fail loudly, not silently un-inject.
-func ParseScript(b []byte) (*Script, error) {
-	dec := json.NewDecoder(strings.NewReader(string(b)))
-	dec.DisallowUnknownFields()
-	var s Script
-	if err := dec.Decode(&s); err != nil {
-		return nil, fmt.Errorf("wire: parse fault script: %w", err)
-	}
-	return &s, nil
-}
-
-// LoadScript reads and parses a JSON fault script file.
-func LoadScript(path string) (*Script, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return ParseScript(b)
-}
-
-// faultsConfig converts the script's scheduled faults into the sim fault
-// plane's Config so validation stays single-sourced.
-func (s *Script) faultsConfig() faults.Config {
-	fc := faults.Config{Loss: s.Loss, DupProb: s.DupProb}
-	for _, p := range s.Partitions {
-		fc.Partitions = append(fc.Partitions, faults.Partition{
-			Start: p.Start.D(), End: p.End.D(), Islands: p.Islands,
-		})
-	}
-	for _, c := range s.Crashes {
-		fc.Crashes = append(fc.Crashes, faults.Crash{
-			At: c.At.D(), Node: c.Node, RestartAfter: c.RestartAfter.D(),
-		})
-	}
-	return fc
-}
-
-// Validate reports script errors for an n-node cluster. The scheduled
-// faults reuse the sim fault plane's validation (window shapes, island
-// membership, crash ranges, Gilbert parameters).
-func (s *Script) Validate(n int) error {
-	if err := s.faultsConfig().Validate(n); err != nil {
-		return err
-	}
-	if s.Delay < 0 || s.Jitter < 0 {
-		return fmt.Errorf("wire: negative chaos delay %v or jitter %v", s.Delay.D(), s.Jitter.D())
-	}
-	return nil
-}
+// Script and Duration name the campaign schema for the frozen benchmark
+// module (bench/wire.go), which predates the move of the schema into
+// internal/faults; new code uses faults.Config and faults.Duration. Both
+// go when the benchmark is next re-pointed.
+type (
+	Script   = faults.Config
+	Duration = faults.Duration
+)
 
 // chainSeed derives the loss-chain seed for the from→to link. Pure
 // arithmetic on the script seed and endpoint ids, so both ends (and the
@@ -172,27 +50,28 @@ func nodeSeed(seed int64, self int) int64 {
 	return seed + 104_729*int64(self+1)
 }
 
-// ScheduleLog renders the expanded fault schedule for an n-node cluster:
-// every scheduled window and crash, the model parameters, and the
-// derived stream seeds. It is a pure function of (script, n) — two runs
-// of the same script must produce byte-identical logs, which the
+// ScheduleLog renders the expanded fault schedule of campaign s for an
+// n-node cluster: every scheduled window and crash, the model parameters,
+// and the derived stream seeds. It is a pure function of (s, n) — two
+// runs of the same campaign must produce byte-identical logs, which the
 // wire-chaos CI gate enforces with cmp.
-func (s *Script) ScheduleLog(n int) string {
+func ScheduleLog(s *faults.Config, n int) string {
 	var b strings.Builder
+	lossy := s.Loss != (faults.GilbertParams{})
 	fmt.Fprintf(&b, "wire-chaos schedule: seed=%d nodes=%d\n", s.Seed, n)
-	if s.Loss != nil {
+	if lossy {
 		fmt.Fprintf(&b, "loss: gilbert PGoodToBad=%g PBadToGood=%g LossGood=%g LossBad=%g\n",
 			s.Loss.PGoodToBad, s.Loss.PBadToGood, s.Loss.LossGood, s.Loss.LossBad)
 	} else {
 		fmt.Fprintf(&b, "loss: none\n")
 	}
 	fmt.Fprintf(&b, "delay: %v jitter: %v dup: %g\n", s.Delay.D(), s.Jitter.D(), s.DupProb)
-	parts := append([]ScriptPartition(nil), s.Partitions...)
+	parts := append([]faults.Partition(nil), s.Partitions...)
 	sort.Slice(parts, func(i, j int) bool { return parts[i].Start < parts[j].Start })
 	for i, p := range parts {
 		fmt.Fprintf(&b, "partition %d: [%v,%v) islands=%v\n", i+1, p.Start.D(), p.End.D(), p.Islands)
 	}
-	crashes := append([]ScriptCrash(nil), s.Crashes...)
+	crashes := append([]faults.Crash(nil), s.Crashes...)
 	sort.Slice(crashes, func(i, j int) bool { return crashes[i].At < crashes[j].At })
 	for i, c := range crashes {
 		if c.RestartAfter > 0 {
@@ -203,20 +82,14 @@ func (s *Script) ScheduleLog(n int) string {
 	}
 	for to := 0; to < n; to++ {
 		fmt.Fprintf(&b, "node %d: stream-seed=%d", to, nodeSeed(s.Seed, to))
-		if s.Loss != nil {
-			fmt.Fprintf(&b, " chain-seeds=[")
-			first := true
+		if lossy {
+			var seeds []string
 			for from := 0; from < n; from++ {
-				if from == to {
-					continue
+				if from != to {
+					seeds = append(seeds, fmt.Sprintf("%d:%d", from, chainSeed(s.Seed, from, to)))
 				}
-				if !first {
-					fmt.Fprintf(&b, " ")
-				}
-				first = false
-				fmt.Fprintf(&b, "%d:%d", from, chainSeed(s.Seed, from, to))
 			}
-			fmt.Fprintf(&b, "]")
+			fmt.Fprintf(&b, " chain-seeds=[%s]", strings.Join(seeds, " "))
 		}
 		fmt.Fprintf(&b, "\n")
 	}
@@ -227,8 +100,9 @@ func (s *Script) ScheduleLog(n int) string {
 // duration d: bursty Gilbert–Elliott loss throughout, two partition
 // windows splitting the cluster in half, and two crash/restarts at
 // distinct nodes — the `make wire-chaos-smoke` shape. Windows are fixed
-// fractions of d so the same campaign scales with the run length.
-func DemoScript(n int, d time.Duration, seed int64) *Script {
+// fractions of d so the same campaign scales with the run length. Every
+// node is listed on one side of each split.
+func DemoScript(n int, d time.Duration, seed int64) *faults.Config {
 	half := make([]int, 0, n/2)
 	rest := make([]int, 0, n-n/2)
 	for i := 0; i < n; i++ {
@@ -238,22 +112,24 @@ func DemoScript(n int, d time.Duration, seed int64) *Script {
 			rest = append(rest, i)
 		}
 	}
-	frac := func(num, den int64) Duration { return Duration(d * time.Duration(num) / time.Duration(den)) }
-	s := &Script{
+	frac := func(num, den int64) faults.Duration {
+		return faults.Duration(d * time.Duration(num) / time.Duration(den))
+	}
+	s := &faults.Config{
 		Seed: seed,
-		Loss: &faults.GilbertParams{
+		Loss: faults.GilbertParams{
 			PGoodToBad: 0.05, PBadToGood: 0.25, LossGood: 0.005, LossBad: 0.6,
 		},
-		Delay:   Duration(2 * time.Millisecond),
-		Jitter:  Duration(8 * time.Millisecond),
+		Delay:   faults.Duration(2 * time.Millisecond),
+		Jitter:  faults.Duration(8 * time.Millisecond),
 		DupProb: 0.02,
-		Partitions: []ScriptPartition{
+		Partitions: []faults.Partition{
 			{Start: frac(3, 20), End: frac(11, 40), Islands: [][]int{half, rest}},
 			{Start: frac(10, 20), End: frac(25, 40), Islands: [][]int{half, rest}},
 		},
 	}
 	if n >= 2 {
-		s.Crashes = []ScriptCrash{
+		s.Crashes = []faults.Crash{
 			{At: frac(7, 20), Node: n / 3, RestartAfter: frac(2, 20)},
 			{At: frac(14, 20), Node: (2 * n) / 3 % n, RestartAfter: frac(2, 20)},
 		}
@@ -264,31 +140,19 @@ func DemoScript(n int, d time.Duration, seed int64) *Script {
 	return s
 }
 
-// Verdict is one frame's chaos outcome at the receiver.
-type Verdict struct {
-	// Drop discards the frame; Cause attributes it.
-	Drop  bool
-	Cause stats.DropCause
-	// Delay postpones the delivery (0: deliver now). Dup schedules a
-	// second delivery after DupDelay.
-	Delay    time.Duration
-	Dup      bool
-	DupDelay time.Duration
-}
-
-// partitionWindow is a precomputed island cut: islandOf[node] is the
-// island id, 0 for unlisted nodes (faults.Partition semantics).
+// partitionWindow is a precomputed island cut: islandOf is the window's
+// faults.Partition.IslandIDs.
 type partitionWindow struct {
 	start, end time.Duration
-	islandOf   []int
+	islandOf   []int32
 }
 
-// Chaos is one daemon's shim instance: the script compiled for a given
+// Chaos is one daemon's shim instance: the campaign compiled for a given
 // receiver. It is confined to the kernel goroutine (Plan is called from
 // Transport.deliver) and draws only from its own derived streams, so
 // installing it perturbs nothing else.
 type Chaos struct {
-	script *Script
+	script *faults.Config
 	self   int
 	// offset maps this daemon's local virtual clock onto campaign time:
 	// a cold-restarted daemon rejoins mid-schedule, so its partition
@@ -301,13 +165,17 @@ type Chaos struct {
 }
 
 // NewChaos compiles script for the daemon self in an n-node cluster,
-// starting offset into the campaign schedule.
-func NewChaos(script *Script, self, n int, offset time.Duration) (*Chaos, error) {
+// starting offset into the campaign schedule. It rejects relay
+// assassinations: a daemon's transport has no relay table to aim them.
+func NewChaos(script *faults.Config, self, n int, offset time.Duration) (*Chaos, error) {
 	if script == nil {
 		return nil, fmt.Errorf("wire: nil chaos script")
 	}
 	if err := script.Validate(n); err != nil {
 		return nil, err
+	}
+	if len(script.Assassinations) > 0 {
+		return nil, fmt.Errorf("wire: relay assassinations need the simulator's relay table")
 	}
 	if self < 0 || self >= n {
 		return nil, fmt.Errorf("wire: chaos self %d out of range [0,%d)", self, n)
@@ -321,24 +189,18 @@ func NewChaos(script *Script, self, n int, offset time.Duration) (*Chaos, error)
 		offset: offset,
 		rng:    rand.New(rand.NewSource(nodeSeed(script.Seed, self))),
 	}
-	parts := append([]ScriptPartition(nil), script.Partitions...)
+	parts := append([]faults.Partition(nil), script.Partitions...)
 	sort.Slice(parts, func(i, j int) bool { return parts[i].Start < parts[j].Start })
 	for _, p := range parts {
-		w := partitionWindow{start: p.Start.D(), end: p.End.D(), islandOf: make([]int, n)}
-		for island, group := range p.Islands {
-			for _, nd := range group {
-				w.islandOf[nd] = island
-			}
-		}
-		c.parts = append(c.parts, w)
+		c.parts = append(c.parts, partitionWindow{start: p.Start.D(), end: p.End.D(), islandOf: p.IslandIDs(n)})
 	}
-	if script.Loss != nil {
+	if script.Loss != (faults.GilbertParams{}) {
 		c.chains = make([]*faults.GilbertElliott, n)
 		for from := 0; from < n; from++ {
 			if from == self {
 				continue
 			}
-			ge, err := faults.NewGilbertElliott(*script.Loss,
+			ge, err := faults.NewGilbertElliott(script.Loss,
 				rand.New(rand.NewSource(chainSeed(script.Seed, from, self))))
 			if err != nil {
 				return nil, err
@@ -369,14 +231,14 @@ func (c *Chaos) Partitioned(now time.Duration, from int) bool {
 // jitter draw when jitter is on, two duplication draws when duplication
 // is on — so runs differing only in schedule windows consume the streams
 // identically.
-func (c *Chaos) Plan(now time.Duration, from int) Verdict {
+func (c *Chaos) Plan(now time.Duration, from int) netsim.Perturbation {
 	if c.Partitioned(now, from) {
-		return Verdict{Drop: true, Cause: stats.DropPartition}
+		return netsim.Perturbation{Drop: true, Cause: stats.DropPartition}
 	}
 	if c.chains != nil && c.chains[from] != nil && c.chains[from].Lost() {
-		return Verdict{Drop: true, Cause: stats.DropLoss}
+		return netsim.Perturbation{Drop: true, Cause: stats.DropLoss}
 	}
-	v := Verdict{Delay: c.script.Delay.D()}
+	v := netsim.Perturbation{Delay: c.script.Delay.D()}
 	if j := c.script.Jitter.D(); j > 0 {
 		v.Delay += time.Duration(c.rng.Int63n(int64(j)))
 	}

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"encoding/json"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,12 +12,12 @@ import (
 )
 
 func TestScheduleLogDeterministic(t *testing.T) {
-	a := DemoScript(10, 20*time.Second, 7).ScheduleLog(10)
-	b := DemoScript(10, 20*time.Second, 7).ScheduleLog(10)
+	a := ScheduleLog(DemoScript(10, 20*time.Second, 7), 10)
+	b := ScheduleLog(DemoScript(10, 20*time.Second, 7), 10)
 	if a != b {
 		t.Fatalf("same-seed schedule logs differ:\n%s\n---\n%s", a, b)
 	}
-	if c := DemoScript(10, 20*time.Second, 8).ScheduleLog(10); c == a {
+	if c := ScheduleLog(DemoScript(10, 20*time.Second, 8), 10); c == a {
 		t.Fatalf("different seeds produced identical schedule logs")
 	}
 }
@@ -44,28 +46,30 @@ func TestScriptJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	got, err := ParseScript(b)
+	got, err := faults.ParseScript(b)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	if got.ScheduleLog(5) != s.ScheduleLog(5) {
-		t.Fatalf("round trip changed the schedule:\n%s\n---\n%s", s.ScheduleLog(5), got.ScheduleLog(5))
+	if !reflect.DeepEqual(got, s) {
+		t.Fatalf("round trip changed the campaign:\n%s\n---\n%s", ScheduleLog(s, 5), ScheduleLog(got, 5))
 	}
 	// Durations must serialize as human-readable strings.
-	if want := `"delay": "2ms"`; !containsStr(string(b), want) {
+	if want := `"delay": "2ms"`; !strings.Contains(string(b), want) {
 		t.Fatalf("marshaled script missing %s:\n%s", want, b)
 	}
 }
 
+// Wire scripts parse through the one campaign parser, which must stay
+// strict about their fields and durations.
 func TestParseScriptRejectsUnknownFields(t *testing.T) {
-	if _, err := ParseScript([]byte(`{"seed": 1, "los": {}}`)); err == nil {
+	if _, err := faults.ParseScript([]byte(`{"seed": 1, "los": {}}`)); err == nil {
 		t.Fatalf("typoed field accepted")
 	}
-	if _, err := ParseScript([]byte(`{"seed": 1, "delay": "not-a-duration"}`)); err == nil {
+	if _, err := faults.ParseScript([]byte(`{"seed": 1, "delay": "not-a-duration"}`)); err == nil {
 		t.Fatalf("bad duration accepted")
 	}
 	// Nanosecond numbers are accepted for durations.
-	s, err := ParseScript([]byte(`{"seed": 1, "delay": 2000000}`))
+	s, err := faults.ParseScript([]byte(`{"seed": 1, "delay": 2000000}`))
 	if err != nil {
 		t.Fatalf("numeric duration rejected: %v", err)
 	}
@@ -74,29 +78,34 @@ func TestParseScriptRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// NewChaos validates the campaign for the cluster and turns away what a
+// daemon cannot run.
 func TestScriptValidate(t *testing.T) {
-	bad := []Script{
-		{Seed: 1, Partitions: []ScriptPartition{{Start: Duration(2 * time.Second), End: Duration(time.Second), Islands: [][]int{{0}, {1}}}}},
-		{Seed: 1, Partitions: []ScriptPartition{{Start: 0, End: Duration(time.Second), Islands: [][]int{{0}, {9}}}}},
-		{Seed: 1, Crashes: []ScriptCrash{{At: Duration(time.Second), Node: 9}}},
-		{Seed: 1, Loss: &faults.GilbertParams{PGoodToBad: 2, PBadToGood: 0.5, LossBad: 0.5}},
-		{Seed: 1, Delay: Duration(-time.Second)},
+	sec := faults.Duration(time.Second)
+	bad := []faults.Config{
+		{Seed: 1, Partitions: []faults.Partition{{Start: 2 * sec, End: sec, Islands: [][]int{{0}, {1}}}}},
+		{Seed: 1, Partitions: []faults.Partition{{Start: 0, End: sec, Islands: [][]int{{0}, {9}}}}},
+		{Seed: 1, Crashes: []faults.Crash{{At: sec, Node: 9}}},
+		{Seed: 1, Loss: faults.GilbertParams{PGoodToBad: 2, PBadToGood: 0.5, LossBad: 0.5}},
+		{Seed: 1, Delay: -sec},
+		{Seed: 1, Assassinations: []faults.Assassination{{At: sec, Item: 1}}},
 	}
-	for i, s := range bad {
-		if err := s.Validate(3); err == nil {
+	for i := range bad {
+		if _, err := NewChaos(&bad[i], 0, 3, 0); err == nil {
 			t.Fatalf("bad script %d accepted", i)
 		}
 	}
-	if err := (&Script{Seed: 1}).Validate(3); err != nil {
+	if _, err := NewChaos(&faults.Config{Seed: 1}, 0, 3, 0); err != nil {
 		t.Fatalf("empty script rejected: %v", err)
 	}
 }
 
 func TestChaosPartitionWindows(t *testing.T) {
-	s := &Script{
+	sec := faults.Duration(time.Second)
+	s := &faults.Config{
 		Seed: 5,
-		Partitions: []ScriptPartition{
-			{Start: Duration(time.Second), End: Duration(2 * time.Second), Islands: [][]int{{0, 1}, {2, 3}}},
+		Partitions: []faults.Partition{
+			{Start: sec, End: 2 * sec, Islands: [][]int{{0, 1}, {2, 3}}},
 		},
 	}
 	c, err := NewChaos(s, 0, 4, 0)
@@ -134,22 +143,25 @@ func TestChaosPartitionWindows(t *testing.T) {
 	if !late.Partitioned(200*time.Millisecond, 3) {
 		t.Fatalf("offset chaos missed the shifted window")
 	}
-	// Unlisted nodes belong to island 0, like faults.Partition.
-	sub := &Script{
+	// Unlisted nodes are the mainland, cut from every listed island.
+	sub := &faults.Config{
 		Seed: 5,
-		Partitions: []ScriptPartition{
-			{Start: 0, End: Duration(time.Second), Islands: [][]int{{3}, {1}}},
+		Partitions: []faults.Partition{
+			{Start: 0, End: sec, Islands: [][]int{{3}, {1}}},
 		},
 	}
 	c2, err := NewChaos(sub, 0, 4, 0)
 	if err != nil {
 		t.Fatalf("NewChaos: %v", err)
 	}
-	if c2.Partitioned(0, 3) {
-		t.Fatalf("node 3 listed in island 0 cut from unlisted self")
+	if !c2.Partitioned(0, 3) {
+		t.Fatalf("first-island node 3 not cut from unlisted self")
 	}
 	if !c2.Partitioned(0, 1) {
-		t.Fatalf("island-1 node not cut from island-0 self")
+		t.Fatalf("second-island node 1 not cut from unlisted self")
+	}
+	if c2.Partitioned(0, 2) {
+		t.Fatalf("unlisted node 2 cut from unlisted self")
 	}
 }
 
@@ -198,13 +210,4 @@ func TestChaosChainsDeterministic(t *testing.T) {
 	if same {
 		t.Fatalf("distinct receivers produced identical streams")
 	}
-}
-
-func containsStr(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }

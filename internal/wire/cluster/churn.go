@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/manetlab/rpcc/internal/data"
+	"github.com/manetlab/rpcc/internal/faults"
 	"github.com/manetlab/rpcc/internal/oracle"
 	"github.com/manetlab/rpcc/internal/stats"
 	"github.com/manetlab/rpcc/internal/wire"
@@ -113,7 +114,7 @@ func rebind(addr string) (*net.UDPConn, error) {
 // run processes the crash schedule; call in its own goroutine and join
 // it (via the WaitGroup the caller owns) before collecting members.
 func (c *churn) run(stop <-chan struct{}) {
-	crashes := append([]wire.ScriptCrash(nil), c.cfg.Chaos.Crashes...)
+	crashes := append([]faults.Crash(nil), c.cfg.Chaos.Crashes...)
 	sort.Slice(crashes, func(a, b int) bool { return crashes[a].At < crashes[b].At })
 	for _, cr := range crashes {
 		if !sleepUntil(c.started.Add(cr.At.D()), stop) {

@@ -20,6 +20,7 @@ import (
 	"github.com/manetlab/rpcc/internal/consistency"
 	"github.com/manetlab/rpcc/internal/core"
 	"github.com/manetlab/rpcc/internal/data"
+	"github.com/manetlab/rpcc/internal/faults"
 	"github.com/manetlab/rpcc/internal/oracle"
 	"github.com/manetlab/rpcc/internal/stats"
 	ctrace "github.com/manetlab/rpcc/internal/telemetry/trace"
@@ -56,12 +57,12 @@ type Config struct {
 	// Report.TraceSpans, and the run cross-checks the merged trace
 	// against the measured latencies (Report.TraceErrors).
 	Trace bool
-	// Chaos, when non-nil, runs the cluster under the scripted wire
-	// fault campaign: every daemon gets the chaos shim, and the script's
-	// crash schedule drives daemon crash/restart churn. Mutually
-	// exclusive with Trace (a trace cross-checked under scripted loss
-	// would fail its own decomposition identity).
-	Chaos *wire.Script
+	// Chaos, when non-nil, runs the cluster under the fault campaign:
+	// every daemon gets the chaos shim, and the campaign's crash schedule
+	// drives daemon crash/restart churn. Mutually exclusive with Trace (a
+	// trace cross-checked under scripted loss would fail its own
+	// decomposition identity).
+	Chaos *faults.Config
 	// BreakInflation deliberately judges a chaos run blind to the fault
 	// schedule — no adversity windows, no restart epochs. It exists so
 	// the CI gate can prove the fault-aware judge has teeth: the broken
@@ -115,7 +116,7 @@ func (c Config) Validate() error {
 		if c.Trace {
 			return fmt.Errorf("cluster: chaos and trace modes are mutually exclusive")
 		}
-		if err := c.Chaos.Validate(c.N); err != nil {
+		if _, err := wire.NewChaos(c.Chaos, 0, c.N, 0); err != nil {
 			return err
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"github.com/manetlab/rpcc/internal/consistency"
 	"github.com/manetlab/rpcc/internal/core"
 	"github.com/manetlab/rpcc/internal/data"
+	"github.com/manetlab/rpcc/internal/faults"
 	"github.com/manetlab/rpcc/internal/wire"
 )
 
@@ -182,10 +183,10 @@ func TestClusterRestartRejoin(t *testing.T) {
 	cfg.TTR = 400 * time.Millisecond
 	cfg.TTP = time.Second
 	cfg.CoeffPeriod = 300 * time.Millisecond
-	cfg.Chaos = &wire.Script{
+	cfg.Chaos = &faults.Config{
 		Seed: cfg.Seed,
-		Crashes: []wire.ScriptCrash{
-			{At: wire.Duration(time.Second), Node: 1, RestartAfter: wire.Duration(500 * time.Millisecond)},
+		Crashes: []faults.Crash{
+			{At: faults.Duration(time.Second), Node: 1, RestartAfter: faults.Duration(500 * time.Millisecond)},
 		},
 	}
 
@@ -232,9 +233,13 @@ func TestClusterChaosValidation(t *testing.T) {
 		t.Fatal("break-inflation without chaos accepted")
 	}
 	c = DefaultConfig()
-	c.Chaos = &wire.Script{Seed: 1, Crashes: []wire.ScriptCrash{{At: wire.Duration(time.Second), Node: 99}}}
+	c.Chaos = &faults.Config{Seed: 1, Crashes: []faults.Crash{{At: faults.Duration(time.Second), Node: 99}}}
 	if err := c.Validate(); err == nil {
 		t.Fatal("out-of-range crash node accepted")
+	}
+	c.Chaos = &faults.Config{Assassinations: []faults.Assassination{{Item: 1}}}
+	if err := c.Validate(); err == nil {
+		t.Fatal("relay assassination accepted on the wire")
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"github.com/manetlab/rpcc/internal/consistency"
 	"github.com/manetlab/rpcc/internal/core"
 	"github.com/manetlab/rpcc/internal/data"
+	"github.com/manetlab/rpcc/internal/faults"
 	"github.com/manetlab/rpcc/internal/node"
 	"github.com/manetlab/rpcc/internal/sim"
 	"github.com/manetlab/rpcc/internal/stats"
@@ -69,7 +70,7 @@ type NodeConfig struct {
 	// Chaos, when non-nil, installs the wire-level fault shim on this
 	// daemon's transport; ChaosOffset maps the daemon's clock onto
 	// campaign time (non-zero for daemons cold-restarted mid-campaign).
-	Chaos       *Script
+	Chaos       *faults.Config
 	ChaosOffset time.Duration
 	// ResumeOwnVersion fast-forwards Self's own item to this version at
 	// Start, without announcing or reporting the skipped versions — how a

@@ -365,8 +365,7 @@ func (t *Transport) deliver(k *sim.Kernel, f protocol.Frame) {
 		return
 	}
 	if plan.Dup {
-		dup := f
-		k.After(plan.DupDelay, "wire.chaos.dup", func(k *sim.Kernel) { t.deliverNow(k, dup) })
+		k.After(plan.DupDelay, "wire.chaos.dup", func(k *sim.Kernel) { t.deliverNow(k, f) })
 	}
 	if plan.Delay > 0 {
 		k.After(plan.Delay, "wire.chaos.delay", func(k *sim.Kernel) { t.deliverNow(k, f) })

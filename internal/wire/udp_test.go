@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/manetlab/rpcc/internal/data"
+	"github.com/manetlab/rpcc/internal/faults"
 	"github.com/manetlab/rpcc/internal/netsim"
 	"github.com/manetlab/rpcc/internal/protocol"
 	"github.com/manetlab/rpcc/internal/sim"
@@ -332,10 +333,10 @@ func TestUDPPeerCrashContinuedDelivery(t *testing.T) {
 
 func TestUDPChaosPartitionDropsAndAccounts(t *testing.T) {
 	trs, clocks, start := boot(t, 2)
-	script := &Script{
+	script := &faults.Config{
 		Seed: 3,
-		Partitions: []ScriptPartition{
-			{Start: 0, End: Duration(time.Hour), Islands: [][]int{{0}, {1}}},
+		Partitions: []faults.Partition{
+			{Start: 0, End: faults.Duration(time.Hour), Islands: [][]int{{0}, {1}}},
 		},
 	}
 	ch, err := NewChaos(script, 1, 2, 0)
@@ -365,7 +366,7 @@ func TestUDPChaosPartitionDropsAndAccounts(t *testing.T) {
 
 func TestUDPChaosDelayDefersDelivery(t *testing.T) {
 	trs, _, start := boot(t, 2)
-	script := &Script{Seed: 3, Delay: Duration(150 * time.Millisecond)}
+	script := &faults.Config{Seed: 3, Delay: Duration(150 * time.Millisecond)}
 	ch, err := NewChaos(script, 1, 2, 0)
 	if err != nil {
 		t.Fatal(err)
