@@ -38,7 +38,7 @@ bench-smoke:
 # byte-compare the repo has (every strategy, every figure; ~6 s on two
 # cores). A change that moves it on purpose regenerates the file.
 figures-smoke:
-	$(GO) run ./cmd/figures -simtime 1h | cmp - figures_1h.txt
+	$(GO) run ./cmd/rpcc figures -simtime 1h | cmp - figures_1h.txt
 
 # The tier-1 gate, the race audit, both module smokes, the figure gate,
 # and a formatting gate: gofmt must have nothing to rewrite.
@@ -50,27 +50,44 @@ check: build vet test race bench-smoke figures-smoke
 # (internal/oracle/testdata/). Only a change that moves the seeded bytes
 # on purpose runs this; review the diff it leaves.
 regen:
-	$(GO) run ./cmd/figures -simtime 1h > figures_1h.txt.new
+	$(GO) run ./cmd/rpcc figures -simtime 1h > figures_1h.txt.new
 	mv figures_1h.txt.new figures_1h.txt
 	$(GO) test -count=1 ./internal/oracle -run TestReplayTestdataTraces -update
 
+# Every smoke builds rpcc once into its scratch directory, then drives
+# the binary. $(call rpcc,DIR) is that build.
+define rpcc
+	mkdir -p $(1)
+	$(GO) build -o $(1)/rpcc ./cmd/rpcc
+endef
+
+# $(call twice,DIR,ARGS,EXTS[,ENV_A,ENV_B]) is the run-twice byte-compare
+# behind every determinism gate: legs a and b each run `DIR/rpcc ARGS`
+# (under ENV_A / ENV_B when given) with LEG in ARGS replaced by the leg's
+# name and stdout in DIR/<leg>.txt; then DIR/a.X and DIR/b.X must be
+# byte-identical for X in txt and EXTS.
+define twice
+	$(4) $(1)/rpcc $(subst LEG,a,$(2)) > $(1)/a.txt
+	$(5) $(1)/rpcc $(subst LEG,b,$(2)) > $(1)/b.txt
+	for x in txt $(3); do cmp $(1)/a.$$x $(1)/b.$$x || exit 1; done
+endef
+
 # End-to-end metrics check: a 1-simulated-minute seeded run exports
-# Prometheus text, and telemetrylint proves it parses and satisfies the
+# Prometheus text, and rpcc lint proves it parses and satisfies the
 # histogram invariants plus family presence. (The per-event record is
 # the causal trace: trace-smoke and chaos-smoke lint it.)
 TELEMETRY_TMP ?= /tmp/rpcc-telemetry-smoke
 telemetry-smoke:
-	mkdir -p $(TELEMETRY_TMP)
-	$(GO) run ./cmd/rpccsim -strategy rpcc-sc -simtime 1m -seed 1 \
+	$(call rpcc,$(TELEMETRY_TMP))
+	$(TELEMETRY_TMP)/rpcc run -strategy rpcc-sc -simtime 1m -seed 1 \
 		-metrics-out $(TELEMETRY_TMP)/metrics.prom > /dev/null
-	$(GO) run ./cmd/telemetrylint \
-		-prom $(TELEMETRY_TMP)/metrics.prom \
+	$(TELEMETRY_TMP)/rpcc lint -prom $(TELEMETRY_TMP)/metrics.prom \
 		-require rpcc_delivery_latency_seconds,rpcc_delivery_hops,rpcc_queries_issued_total,rpcc_staleness_seconds,rpcc_tx_total,rpcc_topology_snapshots_total
 
 # Chaos soak gate: the seeded demonstration campaign (partition + bursty
 # loss + crash + relay assassination over 25 simulated minutes, sub-second
 # wall) runs twice with the same seed, then a third time from its JSON
-# file (internal/faults/testdata/demo.json, the schema wiretest and rpccd
+# file (internal/faults/testdata/demo.json, the schema wire and rpccd
 # read); the runs must pass every consistency invariant (non-zero exit
 # otherwise), produce byte-identical stdout/metrics/causal traces, and the
 # exports must lint — the cause-labelled drop accounting in the metrics,
@@ -78,40 +95,28 @@ telemetry-smoke:
 # hold at least one fault root (the injected faults are what this trace
 # is for).
 CHAOS_TMP ?= /tmp/rpcc-chaos-smoke
+CHAOS_RUN = run -seed 11 -simtime 25m -detail=false \
+	-trace-out $(CHAOS_TMP)/LEG.jsonl -metrics-out $(CHAOS_TMP)/LEG.prom
 chaos-smoke:
-	mkdir -p $(CHAOS_TMP)
-	$(GO) run ./cmd/chaos -seed 11 \
-		-trace-out $(CHAOS_TMP)/a.jsonl -metrics-out $(CHAOS_TMP)/a.prom \
-		> $(CHAOS_TMP)/a.txt
-	$(GO) run ./cmd/chaos -seed 11 \
-		-trace-out $(CHAOS_TMP)/b.jsonl -metrics-out $(CHAOS_TMP)/b.prom \
-		> $(CHAOS_TMP)/b.txt
-	$(GO) run ./cmd/chaos -seed 11 -faults internal/faults/testdata/demo.json \
-		-trace-out $(CHAOS_TMP)/c.jsonl -metrics-out $(CHAOS_TMP)/c.prom \
-		> $(CHAOS_TMP)/c.txt
-	for run in b c; do \
-		cmp $(CHAOS_TMP)/a.txt $(CHAOS_TMP)/$$run.txt && \
-		cmp $(CHAOS_TMP)/a.prom $(CHAOS_TMP)/$$run.prom && \
-		cmp $(CHAOS_TMP)/a.jsonl $(CHAOS_TMP)/$$run.jsonl || exit 1; \
-	done
-	$(GO) run ./cmd/telemetrylint \
-		-prom $(CHAOS_TMP)/a.prom \
-		-trace $(CHAOS_TMP)/a.jsonl \
+	$(call rpcc,$(CHAOS_TMP))
+	$(call twice,$(CHAOS_TMP),$(CHAOS_RUN) -faults demo,prom jsonl)
+	$(CHAOS_TMP)/rpcc $(subst LEG,c,$(CHAOS_RUN)) \
+		-faults internal/faults/testdata/demo.json > $(CHAOS_TMP)/c.txt
+	for x in txt prom jsonl; do cmp $(CHAOS_TMP)/a.$$x $(CHAOS_TMP)/c.$$x || exit 1; done
+	$(CHAOS_TMP)/rpcc lint -prom $(CHAOS_TMP)/a.prom -trace $(CHAOS_TMP)/a.jsonl \
 		-require rpcc_fault_events_total,rpcc_dropped_total,rpcc_repair_attempts_total
 	grep -q '"parent":0,.*"phase":"fault"' $(CHAOS_TMP)/a.jsonl
 	@cat $(CHAOS_TMP)/a.txt
 
-# Conformance gate: the oracle's unit/replay tests, then the conform CLI
+# Conformance gate: the oracle's unit/replay tests, then rpcc conform
 # (mutant gate across 5 seeds + per-strategy clean sweep + a short fuzz
 # budget) run twice with identical flags; the two outputs must be byte
 # identical — the determinism contract behind trace replay and shrinking.
 CONFORM_TMP ?= /tmp/rpcc-conform-smoke
 conform-smoke:
-	mkdir -p $(CONFORM_TMP)
 	$(GO) test ./internal/oracle/
-	$(GO) run ./cmd/conform -seeds 5 -fuzz 25 > $(CONFORM_TMP)/a.txt
-	$(GO) run ./cmd/conform -seeds 5 -fuzz 25 > $(CONFORM_TMP)/b.txt
-	cmp $(CONFORM_TMP)/a.txt $(CONFORM_TMP)/b.txt
+	$(call rpcc,$(CONFORM_TMP))
+	$(call twice,$(CONFORM_TMP),conform -seeds 5 -fuzz 25,)
 	@tail -3 $(CONFORM_TMP)/a.txt
 
 # Replacement-policy gate: the four-policy comparison figure (policy-hit:
@@ -122,15 +127,11 @@ conform-smoke:
 # introduced (the hotspot lands on its own host for one peer, so the
 # counter is exercised, not merely registered).
 POLICY_TMP ?= /tmp/rpcc-policy-smoke
+POLICY_RUN = figures -only policy-hit -simtime 10m -seed 1 -metrics-out $(POLICY_TMP)/LEG.prom
 policy-smoke:
-	mkdir -p $(POLICY_TMP)
-	$(GO) run ./cmd/figures -only policy-hit -simtime 10m -seed 1 \
-		-metrics-out $(POLICY_TMP)/a.prom > $(POLICY_TMP)/a.txt
-	$(GO) run ./cmd/figures -only policy-hit -simtime 10m -seed 1 \
-		-metrics-out $(POLICY_TMP)/b.prom > $(POLICY_TMP)/b.txt
-	cmp $(POLICY_TMP)/a.txt $(POLICY_TMP)/b.txt
-	cmp $(POLICY_TMP)/a.prom $(POLICY_TMP)/b.prom
-	$(GO) run ./cmd/telemetrylint -prom $(POLICY_TMP)/a.prom \
+	$(call rpcc,$(POLICY_TMP))
+	$(call twice,$(POLICY_TMP),$(POLICY_RUN),prom)
+	$(POLICY_TMP)/rpcc lint -prom $(POLICY_TMP)/a.prom \
 		-require rpcc_workload_suppressed_total,rpcc_queries_issued_total,rpcc_tx_total
 	@cat $(POLICY_TMP)/a.txt
 
@@ -138,8 +139,10 @@ policy-smoke:
 # cluster of live daemons for ~10 s of wall time. Every served answer is
 # judged against the live oracle's staleness envelopes; any divergence,
 # unclean shutdown, or vacuous (zero-answer) run exits non-zero.
+WIRE_TMP ?= /tmp/rpcc-wire-smoke
 wire-smoke: build
-	$(GO) run ./cmd/wiretest -n 5 -duration 10s -v
+	$(call rpcc,$(WIRE_TMP))
+	$(WIRE_TMP)/rpcc wire -n 5 -duration 10s -v
 
 # Wire chaos gate: the canonical scripted fault campaign (Gilbert–Elliott
 # loss, delay/jitter/duplication, two partition windows, two crash/restart
@@ -157,63 +160,52 @@ wire-smoke: build
 #        unless the judge honours the restart epoch. A passing broken
 #        variant means the gate has lost its teeth.
 WIRE_CHAOS_TMP ?= /tmp/rpcc-wire-chaos-smoke
+WIRE_CHAOS_DC = wire -n 10 -duration 20s -strategy rpcc-dc -seed 7 -chaos \
+	-schedule-out $(WIRE_CHAOS_TMP)/LEG.log
+WIRE_CHAOS_WC = wire -n 10 -duration 20s -strategy rpcc-wc -query 100ms -seed 7 -chaos
 wire-chaos-smoke: build
-	mkdir -p $(WIRE_CHAOS_TMP)
-	$(GO) run ./cmd/wiretest -n 10 -duration 20s -strategy rpcc-dc -seed 7 \
-		-chaos -schedule-out $(WIRE_CHAOS_TMP)/sched-a.log > $(WIRE_CHAOS_TMP)/verdict-a.txt
-	$(GO) run ./cmd/wiretest -n 10 -duration 20s -strategy rpcc-dc -seed 7 \
-		-chaos -schedule-out $(WIRE_CHAOS_TMP)/sched-b.log > $(WIRE_CHAOS_TMP)/verdict-b.txt
-	cmp $(WIRE_CHAOS_TMP)/sched-a.log $(WIRE_CHAOS_TMP)/sched-b.log
-	cmp $(WIRE_CHAOS_TMP)/verdict-a.txt $(WIRE_CHAOS_TMP)/verdict-b.txt
-	$(GO) run ./cmd/wiretest -n 10 -duration 20s -strategy rpcc-wc -query 100ms \
-		-seed 7 -chaos > $(WIRE_CHAOS_TMP)/verdict-wc.txt
-	@if $(GO) run ./cmd/wiretest -n 10 -duration 20s -strategy rpcc-wc -query 100ms \
-		-seed 7 -chaos -broken inflation > /dev/null 2>$(WIRE_CHAOS_TMP)/broken.err; then \
+	$(call rpcc,$(WIRE_CHAOS_TMP))
+	$(call twice,$(WIRE_CHAOS_TMP),$(WIRE_CHAOS_DC),log)
+	$(WIRE_CHAOS_TMP)/rpcc $(WIRE_CHAOS_WC) > $(WIRE_CHAOS_TMP)/wc.txt
+	@if $(WIRE_CHAOS_TMP)/rpcc $(WIRE_CHAOS_WC) -broken inflation > /dev/null 2>$(WIRE_CHAOS_TMP)/broken.err; then \
 		echo "BUG: broken judge variant passed — the chaos gate has no teeth"; exit 1; \
 	else \
 		echo "broken judge variant caught ($$(grep -c 'divergence:' $(WIRE_CHAOS_TMP)/broken.err) divergences)"; \
 	fi
-	@cat $(WIRE_CHAOS_TMP)/verdict-a.txt $(WIRE_CHAOS_TMP)/verdict-wc.txt
+	@cat $(WIRE_CHAOS_TMP)/a.txt $(WIRE_CHAOS_TMP)/wc.txt
 
 # Scale gate: a 10k-node run (auto region count) runs once with
 # GOMAXPROCS=1 — the caller runs every region, the serial reference —
 # and once with GOMAXPROCS=4 — three region workers, whatever the box's
-# core count; both runs must pass cmd/scale's invariant gate (answers
+# core count; both runs must pass rpcc scale's invariant gate (answers
 # exist, no torn/future answers — non-zero exit otherwise) and produce
 # byte-identical stdout and merged causal traces: how many workers ran
 # the regions is unobservable.
 SCALE_TMP ?= /tmp/rpcc-scale-smoke
+SCALE_RUN = scale -peers 10000 -simtime 60s -seed 1 -trace-out $(SCALE_TMP)/LEG.jsonl
 scale-smoke:
-	mkdir -p $(SCALE_TMP)
-	GOMAXPROCS=1 $(GO) run ./cmd/scale -nodes 10000 -simtime 60s -seed 1 \
-		-trace-out $(SCALE_TMP)/a.jsonl > $(SCALE_TMP)/a.txt
-	GOMAXPROCS=4 $(GO) run ./cmd/scale -nodes 10000 -simtime 60s -seed 1 \
-		-trace-out $(SCALE_TMP)/b.jsonl > $(SCALE_TMP)/b.txt
-	cmp $(SCALE_TMP)/a.txt $(SCALE_TMP)/b.txt
-	cmp $(SCALE_TMP)/a.jsonl $(SCALE_TMP)/b.jsonl
+	$(call rpcc,$(SCALE_TMP))
+	$(call twice,$(SCALE_TMP),$(SCALE_RUN),jsonl,GOMAXPROCS=1,GOMAXPROCS=4)
 	@cat $(SCALE_TMP)/a.txt
 
 # Causal-trace gate: a seeded 30-peer run exports its span JSONL twice;
-# the trace files, and the traceview reports rendered from them, must be
-# byte-identical — the tracing determinism contract. telemetrylint then
+# the trace files, and the rpcc view reports rendered from them, must be
+# byte-identical — the tracing determinism contract. rpcc lint then
 # proves the trace is structurally sound (closed phase vocabulary,
 # parents resolve, DAG acyclic, intervals nested, canonical order,
 # annotations only where they belong).
 TRACE_TMP ?= /tmp/rpcc-trace-smoke
+TRACE_RUN = run -peers 30 -simtime 10m -seed 1 -trace-out $(TRACE_TMP)/LEG.jsonl
 trace-smoke:
-	mkdir -p $(TRACE_TMP)
-	$(GO) run ./cmd/rpccsim -peers 30 -simtime 10m -seed 1 -trace-out $(TRACE_TMP)/a.jsonl > /dev/null
-	$(GO) run ./cmd/rpccsim -peers 30 -simtime 10m -seed 1 -trace-out $(TRACE_TMP)/b.jsonl > /dev/null
-	cmp $(TRACE_TMP)/a.jsonl $(TRACE_TMP)/b.jsonl
-	$(GO) run ./cmd/traceview -in $(TRACE_TMP)/a.jsonl > $(TRACE_TMP)/a.txt
-	$(GO) run ./cmd/traceview -in $(TRACE_TMP)/b.jsonl > $(TRACE_TMP)/b.txt
-	cmp $(TRACE_TMP)/a.txt $(TRACE_TMP)/b.txt
-	$(GO) run ./cmd/telemetrylint -trace $(TRACE_TMP)/a.jsonl
+	$(call rpcc,$(TRACE_TMP))
+	$(call twice,$(TRACE_TMP),$(TRACE_RUN),jsonl)
+	$(call twice,$(TRACE_TMP),view -in $(TRACE_TMP)/LEG.jsonl,)
+	$(TRACE_TMP)/rpcc lint -trace $(TRACE_TMP)/a.jsonl
 	@head -12 $(TRACE_TMP)/a.txt
 
 # Full paper reproduction (5 simulated hours per run).
 figures:
-	$(GO) run ./cmd/figures -simtime 5h
+	$(GO) run ./cmd/rpcc figures -simtime 5h
 
 # The size every re-anchor quotes: non-test Go lines outside bench/.
 loc:

@@ -38,7 +38,7 @@ import (
 )
 
 // benchSimTime keeps one full figure sweep around a few seconds of wall
-// time. Use cmd/figures -simtime 5h for the paper-duration reproduction.
+// time. Use rpcc figures -simtime 5h for the paper-duration reproduction.
 const benchSimTime = 10 * time.Minute
 
 // benchFigure runs the identified figure sweep each iteration and reports

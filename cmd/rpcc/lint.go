@@ -1,48 +1,40 @@
-// Command telemetrylint validates telemetry exports without any
-// third-party scrape stack: a Prometheus text file (-prom) is checked
-// for exposition-format discipline and histogram invariants, and a
-// causal trace (-trace) for structure and vocabulary. It is the
-// assertion half of the smoke targets — a seeded run produces the
-// files, this command proves they parse.
-//
-//	telemetrylint -prom metrics.prom -require rpcc_delivery_latency_seconds,rpcc_queries_total
-//	telemetrylint -trace trace.jsonl -skew 5ms
-//
-// -trace validates a causal trace (-trace-out of rpccsim, scale, chaos,
-// rpccd, wiretest; tracecol output): the closed phase vocabulary, parent
-// resolution, acyclicity, causal interval nesting within the -skew
-// allowance, canonical span order, and where annotations may sit.
-//
-// Exit status is non-zero on the first violated invariant, with a
-// message naming the metric/line at fault.
 package main
 
 import (
 	"bufio"
-	"flag"
+	"context"
 	"fmt"
 	"math"
 	"os"
 	"sort"
 	"strconv"
 	"strings"
+
+	"github.com/manetlab/rpcc/internal/stats"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "telemetrylint:", err)
-		os.Exit(1)
-	}
-}
+const lintSynopsis = `Validates telemetry exports without a third-party scrape stack — the
+assertion half of the smoke targets. -prom checks a Prometheus text file
+for exposition-format discipline, histogram invariants, the closed
+drop-cause vocabulary and -require'd families. -trace checks a causal
+trace (-trace-out of run, scale, wire or rpccd; several files, one per
+daemon or region, are each checked for canonical order and then merged):
+the closed phase vocabulary, parent resolution, acyclicity, causal
+nesting within the -skew allowance, and where annotations may sit. The
+first violated invariant is a non-zero exit naming the line at fault.
 
-func run() error {
+  rpcc lint -prom metrics.prom -require rpcc_delivery_latency_seconds
+  rpcc lint -trace node0.jsonl,node1.jsonl -skew 5ms`
+
+func lintCmd(_ context.Context, args []string) error {
+	fs := newFlagSet("lint", lintSynopsis)
 	var (
-		promPath  = flag.String("prom", "", "Prometheus text file to validate")
-		tracePath = flag.String("trace", "", "causal-trace span JSONL file to validate")
-		skew      = flag.Duration("skew", 0, "clock-skew allowance for -trace parent/child nesting")
-		require   = flag.String("require", "", "comma-separated metric families that must be present in -prom")
+		promPath  = fs.String("prom", "", "Prometheus text file to validate")
+		tracePath = fs.String("trace", "", "causal-trace span JSONL file(s) to validate, comma-separated")
+		skew      = fs.Duration("skew", 0, "clock-skew allowance for -trace parent/child nesting")
+		require   = fs.String("require", "", "comma-separated metric families that must be present in -prom")
 	)
-	flag.Parse()
+	fs.Parse(args)
 	if *promPath == "" && *tracePath == "" {
 		return fmt.Errorf("nothing to do: pass -prom and/or -trace")
 	}
@@ -60,7 +52,7 @@ func run() error {
 		fmt.Printf("%s: ok (%d families, %d samples)\n", *promPath, len(families), samples)
 	}
 	if *tracePath != "" {
-		spans, traces, roots, err := lintTrace(*tracePath, *skew)
+		spans, traces, roots, err := lintTrace(strings.Split(*tracePath, ","), *skew)
 		if err != nil {
 			return err
 		}
@@ -133,18 +125,13 @@ func lintProm(path string) (map[string]bool, int, error) {
 		samples++
 		// The fault plane's accounting families carry mandatory labels:
 		// every drop is attributed to a cause, every fault event to a kind.
-		if name == "rpcc_dropped_total" {
-			if !hasLabel(labels, "cause") {
-				return nil, 0, fmt.Errorf("%s:%d: rpcc_dropped_total sample without cause label", path, lineNo)
-			}
-			// Label discipline extends to the value set: the sim and wire
-			// layers share one cause vocabulary, so an unknown cause is a
-			// typo or an unregistered accounting path, not a new category.
-			if c := labelValue(labels, "cause"); !validDropCauses[c] {
-				return nil, 0, fmt.Errorf("%s:%d: rpcc_dropped_total cause %q not in the shared vocabulary", path, lineNo, c)
-			}
+		// Label discipline extends to the cause's value set: the sim and
+		// wire layers share one vocabulary, so an unknown (or absent) cause
+		// is a typo or an unregistered accounting path, not a new category.
+		if c := labelValue(labels, "cause"); name == "rpcc_dropped_total" && !isDropCause(c) {
+			return nil, 0, fmt.Errorf("%s:%d: rpcc_dropped_total cause %q not in the shared vocabulary", path, lineNo, c)
 		}
-		if name == "rpcc_fault_events_total" && !hasLabel(labels, "kind") {
+		if name == "rpcc_fault_events_total" && labelValue(labels, "kind") == "" {
 			return nil, 0, fmt.Errorf("%s:%d: rpcc_fault_events_total sample without kind label", path, lineNo)
 		}
 		base := strings.TrimSuffix(strings.TrimSuffix(strings.TrimSuffix(name, "_bucket"), "_count"), "_sum")
@@ -241,11 +228,16 @@ func parseSample(line string) (name, labels string, value float64, err error) {
 	return name, labels, v, nil
 }
 
-// validDropCauses is the shared drop-cause vocabulary: the sim fault
-// plane's causes plus the wire transport's (stats.DropCause.String()).
-var validDropCauses = map[string]bool{
-	"loss": true, "partition": true, "disconnected": true,
-	"no-route": true, "peer-down": true, "decode": true,
+// isDropCause reports whether label names a cause of the shared
+// drop-cause vocabulary: the String of stats.DropCause 0…NumDropCauses−1,
+// the sim fault plane's causes and the wire transport's alike.
+func isDropCause(label string) bool {
+	for c := stats.DropCause(0); c < stats.NumDropCauses; c++ {
+		if c.String() == label {
+			return true
+		}
+	}
+	return false
 }
 
 // labelValue returns the value of key="..." in the label string.
@@ -256,16 +248,6 @@ func labelValue(labels, key string) string {
 		}
 	}
 	return ""
-}
-
-// hasLabel reports whether the label string contains key="...".
-func hasLabel(labels, key string) bool {
-	for _, part := range splitLabels(labels) {
-		if strings.HasPrefix(part, key+`="`) {
-			return true
-		}
-	}
-	return false
 }
 
 // splitLE removes the le="..." pair from a label string, returning its

@@ -2,15 +2,18 @@ package main
 
 import (
 	"fmt"
-	"os"
 	"slices"
+	"strings"
 	"time"
 
 	ctrace "github.com/manetlab/rpcc/internal/telemetry/trace"
 )
 
-// lintTrace validates a causal-trace span JSONL file (rpccsim
-// -trace-out, tracecol output):
+// lintTrace validates causal-trace span JSONL files (-trace-out of run,
+// scale, wire or rpccd). Each file must be in canonical (StartNs,
+// Region, Seq) order, the order every producer must emit for
+// byte-identical same-seed output; the files then merge into one trace
+// (a daemon's spans parent on its peers'), which must satisfy:
 //
 //   - every line parses as a span with a non-zero trace and span id, a
 //     unique span id, and a phase from the closed vocabulary
@@ -27,20 +30,25 @@ import (
 //     collector's clock-skew slack). End-side containment is deliberately
 //     NOT required — transit and serve spans legitimately outlive a poll
 //     stage that escalated past them.
-//   - the file is in canonical (StartNs, Region, Seq) order, the order
-//     every producer must emit for byte-identical same-seed output
 //
 // Returns span/trace/root counts for the ok line.
-func lintTrace(path string, skew time.Duration) (spans, traces, roots int, err error) {
-	f, err := os.Open(path)
+func lintTrace(paths []string, skew time.Duration) (spans, traces, roots int, err error) {
+	sets, err := readSpanFiles(paths)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	all, err := ctrace.ReadJSONL(f)
-	f.Close()
-	if err != nil {
-		return 0, 0, 0, err
+	for i, set := range sets {
+		for j := 1; j < len(set); j++ {
+			s, p := set[j], set[j-1]
+			if s.StartNs < p.StartNs ||
+				(s.StartNs == p.StartNs && (s.Region < p.Region ||
+					(s.Region == p.Region && s.Seq < p.Seq))) {
+				return 0, 0, 0, fmt.Errorf("%s: spans %d,%d out of canonical (start,region,seq) order", paths[i], j, j+1)
+			}
+		}
 	}
+	path := strings.Join(paths, ",")
+	all := ctrace.Merge(sets...)
 	if len(all) == 0 {
 		return 0, 0, 0, fmt.Errorf("%s: empty trace", path)
 	}
@@ -67,14 +75,6 @@ func lintTrace(path string, skew time.Duration) (spans, traces, roots int, err e
 		}
 		if s.Parent == 0 {
 			roots++
-		}
-		if i > 0 {
-			p := all[i-1]
-			if s.StartNs < p.StartNs ||
-				(s.StartNs == p.StartNs && (s.Region < p.Region ||
-					(s.Region == p.Region && s.Seq < p.Seq))) {
-				return 0, 0, 0, fmt.Errorf("%s: spans %d,%d out of canonical (start,region,seq) order", path, i, i+1)
-			}
 		}
 	}
 

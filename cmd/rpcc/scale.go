@@ -1,78 +1,54 @@
-// Command scale runs one large-population scenario as independent
-// kinetic regions and reports, deterministically, what the fleet did.
-//
-//	scale -nodes 10000 -simtime 60s
-//	scale -nodes 100000 -simtime 30s
-//
-// Regions run on GOMAXPROCS-1 goroutines (with one or two cores: the
-// caller's alone, the serial reference). The stdout report is a pure
-// function of the flags (sim-derived metrics only), so `make scale-smoke`
-// byte-compares a GOMAXPROCS=1 run against a GOMAXPROCS=4 one. Wall-clock
-// throughput (nodes simulated per wall-second) and peak RSS go
-// to stderr; the measured record is the scale10k workloads of the
-// repository benchmark (bench/).
-//
-// Above -scale-threshold nodes the per-host workload intervals stretch
-// proportionally, holding the fleet-wide query/update rate at the Table 1
-// scenario's: population scaling probes topology and cache maintenance,
-// not an ever-growing query storm.
 package main
 
 import (
-	"flag"
+	"context"
 	"fmt"
 	"math"
 	"os"
-	"runtime/pprof"
-	"syscall"
 	"time"
 
 	"github.com/manetlab/rpcc/internal/experiment"
 	ctrace "github.com/manetlab/rpcc/internal/telemetry/trace"
 )
 
+const scaleSynopsis = `One large-population scenario run as independent kinetic regions on
+GOMAXPROCS-1 goroutines (defaults: 10 000 peers, 1 simulated minute,
+seed 1). The terrain grows with -peers to hold Table 1 density, and
+above 1000 peers the per-host workload intervals stretch with n, so
+the fleet-wide query/update rate stays the Table 1 scenario's. Stdout
+is a pure function of the flags (make scale-smoke compares GOMAXPROCS 1
+and 4); wall time, throughput and peak RSS go to stderr.
+
+  rpcc scale -peers 10000 -simtime 60s
+  rpcc scale -peers 100000 -simtime 30s`
+
 // workloadScaleThreshold is the population above which per-host workload
 // intervals stretch with n.
 const workloadScaleThreshold = 1000
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "scale:", err)
-		os.Exit(1)
-	}
-}
-
-func run() error {
+func scaleCmd(_ context.Context, args []string) error {
+	fs := newFlagSet("scale", scaleSynopsis)
+	base := experiment.DefaultConfig(experiment.StrategyRPCCSC, 1)
+	base.NPeers, base.SimTime = 10_000, time.Minute
+	scenario := scenarioFlags(fs, base, "peers", "seed", "strategy", "simtime")
 	var (
-		nodes    = flag.Int("nodes", 10_000, "total peer population")
-		simtime  = flag.Duration("simtime", time.Minute, "simulated horizon")
-		shards   = flag.Int("shards", 0, "region count (0 = auto)")
-		seed     = flag.Int64("seed", 1, "root RNG seed")
-		strategy = flag.String("strategy", "rpcc-sc", "consistency strategy")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		traceOut = flag.String("trace-out", "", "write the merged causal trace (span JSONL) to this file")
+		shards   = fs.Int("shards", 0, "region count (0 = auto)")
+		traceOut = fs.String("trace-out", "", "write the merged causal trace (span JSONL) to this file")
 	)
-	flag.Parse()
-
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
+	profile := cpuProfileFlag(fs)
+	fs.Parse(args)
+	scfg, err := scenario()
+	if err != nil {
+		return err
 	}
-
-	cfg := experiment.ScaleConfig{
-		Config: experiment.DefaultConfig(experiment.StrategyKind(*strategy), *seed),
-		Shards: *shards,
-		Trace:  *traceOut != "",
+	stop, err := profile()
+	if err != nil {
+		return err
 	}
-	cfg.NPeers = *nodes
-	cfg.SimTime = *simtime
+	defer stop()
+
+	cfg := experiment.ScaleConfig{Config: scfg, Shards: *shards, Trace: *traceOut != ""}
+	n := cfg.NPeers
 	// Scale-run resource bounds: per-destination route tables capped, and
 	// churn folded into topology at epoch granularity (forwarding still
 	// checks liveness per hop) — at 100k nodes per-flip resampling would
@@ -82,11 +58,11 @@ func run() error {
 	// Hold terrain density at the Table 1 scenario's by growing the area
 	// with the population (the per-region split keeps it; the total must
 	// too).
-	side := 1500 * math.Sqrt(float64(*nodes)/50.0)
+	side := 1500 * math.Sqrt(float64(n)/50.0)
 	cfg.AreaWidth = side
 	cfg.AreaHeight = side
-	if *nodes > workloadScaleThreshold {
-		f := time.Duration(*nodes / workloadScaleThreshold)
+	if n > workloadScaleThreshold {
+		f := time.Duration(n / workloadScaleThreshold)
 		cfg.QueryInterval *= f
 		cfg.UpdateInterval *= f
 	}
@@ -100,7 +76,7 @@ func run() error {
 
 	// Deterministic report: everything here derives from the seed.
 	fmt.Printf("nodes=%d shards=%d simtime=%v strategy=%s seed=%d\n",
-		*nodes, res.Shards, *simtime, *strategy, *seed)
+		n, res.Shards, cfg.SimTime, cfg.Strategy, cfg.Seed)
 	fmt.Printf("queries: issued=%d answered=%d failed=%d\n", res.Issued, res.Answered, res.Failed)
 	fmt.Printf("traffic: tx=%d bytes=%d\n", res.TotalTx, res.TotalBytes)
 	fmt.Printf("consistency: violations=%d torn=%d future=%d\n",
@@ -119,9 +95,8 @@ func run() error {
 	}
 
 	// Non-deterministic performance report, kept off stdout.
-	nodesPerSec := float64(*nodes) / wall.Seconds()
 	fmt.Fprintf(os.Stderr, "wall=%.2fs nodes_per_wall_sec=%.1f peak_rss_kb=%d\n",
-		wall.Seconds(), nodesPerSec, peakRSSKB())
+		wall.Seconds(), float64(n)/wall.Seconds(), peakRSSKB())
 	// Wall-clock half: time inside each region's kernel, and its gap to
 	// the slowest region's.
 	fmt.Fprintf(os.Stderr, "shards: wall_imbalance=%.3f\n", ks.WallImbalance)
@@ -146,14 +121,4 @@ func run() error {
 		return fmt.Errorf("consistency violations: torn=%d future=%d", res.TornAnswers, res.FutureAnswers)
 	}
 	return nil
-}
-
-// peakRSSKB returns the process's peak resident set size in KiB
-// (ru_maxrss is KiB on Linux).
-func peakRSSKB() int64 {
-	var ru syscall.Rusage
-	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
-		return 0
-	}
-	return int64(ru.Maxrss)
 }

@@ -1,22 +1,7 @@
-// Command traceview renders a causal trace (span JSONL, as written by
-// rpccsim -trace-out, cmd/scale -trace-out, or cmd/tracecol) as a
-// deterministic text report: per-region span accounting, the per-phase
-// latency decomposition across all completed operations, the top-k
-// critical paths with per-segment self-time attribution, then one line
-// per flood wave (each invalidate/update root's deliveries and first and
-// last arrival, from its transit spans) and one line per query root
-// (item, level, outcome, latency and, once answered, the version served,
-// its staleness and the audit verdict).
-//
-//	traceview -in trace.jsonl
-//	traceview -in trace.jsonl -topk 10 -paths=false
-//
-// The report is a pure function of the file contents — `make trace-smoke`
-// byte-compares the output of two same-seed runs.
 package main
 
 import (
-	"flag"
+	"context"
 	"fmt"
 	"os"
 	"sort"
@@ -26,34 +11,33 @@ import (
 	ctrace "github.com/manetlab/rpcc/internal/telemetry/trace"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "traceview:", err)
-		os.Exit(1)
-	}
-}
+const viewSynopsis = `Renders a causal trace (span JSONL from -trace-out of run, scale, wire
+or rpccd) as a deterministic text report: per-region span accounting,
+the per-phase latency decomposition across all completed operations,
+the top-k critical paths with per-segment self time, one line per flood
+wave and one line per query root. Several files (one per daemon or
+region) merge into one canonical trace first. The report is a pure
+function of the files' contents.
 
-func run() error {
+  rpcc view -in trace.jsonl -topk 10 -paths=false
+  rpcc view -in node0.jsonl,node1.jsonl,node2.jsonl`
+
+func viewCmd(_ context.Context, args []string) error {
+	fs := newFlagSet("view", viewSynopsis)
 	var (
-		in        = flag.String("in", "", "span JSONL file (required)")
-		topk      = flag.Int("topk", 5, "critical paths to print in full")
-		showPaths = flag.Bool("paths", true, "print the top-k critical paths")
+		in        = fs.String("in", "", "span JSONL file(s), comma-separated (required)")
+		topk      = fs.Int("topk", 5, "critical paths to print in full")
+		showPaths = fs.Bool("paths", true, "print the top-k critical paths")
 	)
-	flag.Parse()
+	fs.Parse(args)
 	if *in == "" {
 		return fmt.Errorf("-in is required")
 	}
-
-	f, err := os.Open(*in)
+	sets, err := readSpanFiles(strings.Split(*in, ","))
 	if err != nil {
 		return err
 	}
-	spans, err := ctrace.ReadJSONL(f)
-	f.Close()
-	if err != nil {
-		return err
-	}
-	spans = ctrace.Merge(spans) // canonical order regardless of producer
+	spans := ctrace.Merge(sets...) // canonical order regardless of producer
 
 	paths := ctrace.ExtractCriticalPaths(spans)
 	fmt.Printf("trace: %d spans, %d roots\n", len(spans), len(paths))
@@ -65,6 +49,23 @@ func run() error {
 	waveReport(spans)
 	queryReport(spans)
 	return nil
+}
+
+// readSpanFiles reads one span set per file.
+func readSpanFiles(paths []string) ([][]ctrace.Span, error) {
+	sets := make([][]ctrace.Span, len(paths))
+	for i, path := range paths {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		sets[i], err = ctrace.ReadJSONL(f)
+		f.Close()
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
+	}
+	return sets, nil
 }
 
 // regionReport prints per-region span accounting: how much causal

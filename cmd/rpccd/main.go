@@ -68,15 +68,14 @@ func run() error {
 		duration = flag.Duration("duration", 0, "run length (0 = run until SIGTERM/SIGINT)")
 		drain    = flag.Duration("drain", 5*time.Second, "shutdown drain deadline")
 
-		faultsIn   = flag.String("faults", "", "JSON fault campaign (the schema chaos and wiretest read); every daemon of a campaign loads the same file")
+		faultsIn   = flag.String("faults", "", "JSON fault campaign (the schema rpcc run and rpcc wire read); every daemon of a campaign loads the same file")
 		faultsOff  = flag.Duration("faults-offset", 0, "campaign time already elapsed at this daemon's start (restarted daemons)")
 		ownVersion = flag.Uint64("own-version", 0, "resume this daemon's own item at this version (restarted daemons)")
 		crashAfter = flag.Duration("crash-after", 0, "abruptly exit(3) after this long — no drain, no flush (chaos harnesses)")
 
 		metricsOut = flag.String("metrics-out", "", "write Prometheus text metrics to this file at shutdown")
-		traceOut   = flag.String("trace-out", "", "write this daemon's causal-trace span JSONL to this file at shutdown")
-		traceTo    = flag.String("trace-to", "", "ship the span stream to a tracecol aggregator (host:port) at shutdown")
-		pprofAddr  = flag.String("pprof", "", "serve pprof and runtime stats on this address (e.g. 127.0.0.1:6060)")
+		traceOut   = flag.String("trace-out", "", "write this daemon's causal-trace span JSONL to this file at shutdown (rpcc view/lint merge several)")
+		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060)")
 
 		compose    = flag.Bool("compose", false, "emit a docker-compose deployment instead of running")
 		composeOut = flag.String("compose-out", ".", "directory for docker-compose.yml and churn.sh")
@@ -151,7 +150,7 @@ func run() error {
 	}
 
 	var tracer *ctrace.Collector
-	if *traceOut != "" || *traceTo != "" {
+	if *traceOut != "" {
 		tracer = ctrace.NewBoundedCollector(*id, traceSpanCap)
 	}
 	var script *faults.Config
@@ -220,33 +219,12 @@ func run() error {
 		}
 	}
 	if tracer != nil {
-		spans := nd.TraceSpans()
-		if *traceOut != "" {
-			if err := ctrace.WriteFile(*traceOut, spans); err != nil {
-				return err
-			}
-		}
-		if *traceTo != "" {
-			if err := shipTrace(*traceTo, spans); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "rpccd: shipped %d spans to %s\n", len(spans), *traceTo)
+		if err := ctrace.WriteFile(*traceOut, nd.TraceSpans()); err != nil {
+			return err
 		}
 	}
 	fmt.Println(nd.Summary())
 	return stopErr
-}
-
-// shipTrace streams the span set to a tracecol aggregator over TCP: one
-// JSONL stream per connection, terminated by closing the write side.
-func shipTrace(addr string, spans []ctrace.Span) error {
-	conn, err := net.DialTimeout("tcp", addr, 10*time.Second)
-	if err != nil {
-		return fmt.Errorf("trace-to %s: %w", addr, err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(30 * time.Second))
-	return ctrace.WriteJSONL(conn, spans)
 }
 
 // peerTable parses the -peers list or -peers-file into id -> address.

@@ -93,7 +93,7 @@ type Config struct {
 	// other hosts own items nobody caches and stay silent.
 	ActiveSource func(host int) bool
 	// Mutant selects a deliberately broken protocol variant for the
-	// conformance mutation gate (internal/oracle, cmd/conform): each
+	// conformance mutation gate (internal/oracle, rpcc conform): each
 	// value reverts or corrupts exactly one correctness-critical guard so
 	// the gate can prove the differential oracle detects the breakage.
 	// Like DisableRepair, it exists solely for the verification tooling:

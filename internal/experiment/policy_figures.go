@@ -11,7 +11,7 @@ import (
 // under skewed flash-crowd demand, and the read/write-ratio and
 // diurnal-load workload sweeps. They live outside AllFigureSpecs so the
 // default `figures` output — and the figures_1h.txt regression baseline —
-// stays exactly the paper's set; cmd/figures selects them with -extra or
+// stays exactly the paper's set; rpcc figures selects them with -extra or
 // -only.
 
 // MetricMeanHitRatio is the cache-effectiveness metric of the

@@ -288,7 +288,7 @@ func LoadScript(path string) (*Config, error) {
 }
 
 // Demo is the demonstration campaign for an n-peer field over 25
-// simulated minutes (cmd/chaos's default; testdata/demo.json is Demo(50)):
+// simulated minutes (rpcc run -faults demo; testdata/demo.json is Demo(50)):
 // the highest-numbered half of the peers cut off from 5 to 10 minutes,
 // bursty loss throughout, the first relay of item 3 assassinated at 15
 // minutes, node 7 crashed at 18, mild duplication and jitter, and audit

@@ -53,6 +53,7 @@ import (
 	"time"
 
 	"github.com/manetlab/rpcc/internal/experiment"
+	"github.com/manetlab/rpcc/internal/telemetry"
 )
 
 // Job is one simulation to run: a stable key naming the scenario and the
@@ -146,6 +147,26 @@ type Report struct {
 func (r Report) Result(key string) (experiment.Result, bool) {
 	res, ok := r.results[key]
 	return res, ok
+}
+
+// Telemetry merges the telemetry snapshots of the OK records, in record
+// order, into a fresh snapshot — the sweep's aggregate protocol picture;
+// the records' own snapshots are left untouched. It is nil when no OK
+// record carried telemetry.
+func (r Report) Telemetry() (*telemetry.Snapshot, error) {
+	var merged *telemetry.Snapshot
+	for _, rec := range r.Records {
+		if rec.Status != StatusOK || rec.Result.Telemetry == nil {
+			continue
+		}
+		if merged == nil {
+			merged = &telemetry.Snapshot{}
+		}
+		if err := merged.Merge(rec.Result.Telemetry); err != nil {
+			return nil, fmt.Errorf("merge telemetry for %s: %w", rec.Key, err)
+		}
+	}
+	return merged, nil
 }
 
 // RunsPerSec is the executed-run throughput.

@@ -3,12 +3,14 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/manetlab/rpcc/internal/experiment"
+	"github.com/manetlab/rpcc/internal/telemetry"
 )
 
 // testJobs builds n distinct fast scenarios keyed and seeded like real
@@ -138,6 +140,39 @@ func TestFleetPanicIsReportedNotFatal(t *testing.T) {
 		if rec.Key != bad && strings.Contains(got, rec.Key) {
 			t.Fatalf("failure report names successful job %s", rec.Key)
 		}
+	}
+}
+
+// TestReportTelemetryMergesOKRecords: Report.Telemetry sums the
+// snapshots of the OK records only, and leaves each record's own
+// snapshot as the run produced it.
+func TestReportTelemetryMergesOKRecords(t *testing.T) {
+	jobs := testJobs(4)
+	bad := jobs[1].Key
+	rep, err := Run(context.Background(), jobs, Options{
+		Execute: func(cfg experiment.Config) (experiment.Result, error) {
+			if cfg.Key() == bad {
+				return experiment.Result{}, errors.New("no result")
+			}
+			res, _ := fakeExecute(cfg)
+			hub := telemetry.NewHub(telemetry.LevelMetrics)
+			hub.Counter("runs_total", "runs").Add(uint64(cfg.Seed))
+			res.Telemetry = hub.Snapshot()
+			return res, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := rep.Telemetry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := merged.CounterValue("runs_total"); got != 1+3+4 {
+		t.Errorf("merged runs_total = %g, want 8 (seeds 1, 3, 4; seed 2 failed)", got)
+	}
+	if got := rep.Records[0].Result.Telemetry.CounterValue("runs_total"); got != 1 {
+		t.Errorf("first record's own snapshot mutated by the merge: runs_total = %g", got)
 	}
 }
 

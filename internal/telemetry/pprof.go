@@ -2,19 +2,18 @@ package telemetry
 
 import (
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"runtime"
 	"time"
 )
 
 // ServePprof starts an HTTP server exposing net/http/pprof on addr
-// (e.g. "localhost:6060") and returns the bound address. This is the one
-// opt-in wall-clock facility in the package: profiling a live simulation
-// is inherently about real time and never feeds back into exported
-// simulation values. The server runs until the process exits.
+// (e.g. "localhost:6060") and returns the bound address — the live
+// profile of a long-running daemon (rpccd -pprof); batch commands write
+// a -cpuprofile instead. This is the one opt-in wall-clock facility in
+// the package: profiling is inherently about real time and never feeds
+// back into exported values. The server runs until the process exits.
 func ServePprof(addr string) (string, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -31,32 +30,4 @@ func ServePprof(addr string) (string, error) {
 		_ = srv.Serve(ln)
 	}()
 	return ln.Addr().String(), nil
-}
-
-// StartRuntimeStats writes one line of Go runtime statistics (heap in
-// use, total allocations, GC cycles, goroutines) to w every period, and
-// returns a stop function. Companion to ServePprof for long sweeps:
-// coarse memory trends without attaching a profiler. Wall-clock driven
-// and write-only — it never touches simulation state.
-func StartRuntimeStats(w io.Writer, period time.Duration) (stop func()) {
-	if period <= 0 {
-		period = 10 * time.Second
-	}
-	done := make(chan struct{})
-	go func() {
-		t := time.NewTicker(period)
-		defer t.Stop()
-		var ms runtime.MemStats
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				runtime.ReadMemStats(&ms)
-				fmt.Fprintf(w, "runtime: heap=%.1fMiB allocs=%d gc=%d goroutines=%d\n",
-					float64(ms.HeapInuse)/(1<<20), ms.Mallocs, ms.NumGC, runtime.NumGoroutine())
-			}
-		}
-	}()
-	return func() { close(done) }
 }

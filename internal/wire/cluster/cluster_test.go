@@ -15,7 +15,7 @@ import (
 // TestClusterSmallRunConformant boots a real 3-daemon loopback cluster
 // for ~1.5 s of wall time with aggressively scaled timers and requires a
 // clean oracle verdict. This is the in-tree slice of the wire-smoke
-// gate; cmd/wiretest runs the full 5/10-node shape.
+// gate; rpcc wire runs the full 5/10-node shape.
 func TestClusterSmallRunConformant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock cluster run")
