@@ -35,7 +35,7 @@ func figuresCmd(ctx context.Context, args []string) error {
 		timeout    = fs.Duration("timeout", 0, "per-run wall-clock timeout (0 = none)")
 		metricsOut = fs.String("metrics-out", "", "write Prometheus text metrics merged across every run to this file")
 	)
-	profile := cpuProfileFlag(fs)
+	profile := profileFlags(fs)
 	fs.Parse(args)
 	base, err := scenario()
 	if err != nil {

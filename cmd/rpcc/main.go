@@ -16,6 +16,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"strings"
@@ -105,23 +106,49 @@ func interruptContext() (context.Context, context.CancelFunc) {
 	return ctx, cancel
 }
 
-// cpuProfileFlag registers -cpuprofile on fs. The returned function,
-// called after Parse, starts the profile and returns its stop function.
-func cpuProfileFlag(fs *flag.FlagSet) func() (stop func(), err error) {
-	path := fs.String("cpuprofile", "", "write a CPU profile of the command to this file")
+// profileFlags registers -cpuprofile and -memprofile on fs. The returned
+// function, called after Parse, starts the CPU profile and returns the
+// stop function that ends it and writes the allocation profile.
+func profileFlags(fs *flag.FlagSet) func() (stop func(), err error) {
+	cpuPath := fs.String("cpuprofile", "", "write a CPU profile of the command to this file")
+	memPath := fs.String("memprofile", "", "write an allocation profile (allocs) to this file at exit")
 	return func() (func(), error) {
-		if *path == "" {
-			return func() {}, nil
+		var cpu, mem *os.File
+		var err error
+		if *memPath != "" {
+			if mem, err = os.Create(*memPath); err != nil {
+				return nil, err
+			}
 		}
-		f, err := os.Create(*path)
-		if err != nil {
-			return nil, err
+		if *cpuPath != "" {
+			if cpu, err = os.Create(*cpuPath); err == nil {
+				if err = pprof.StartCPUProfile(cpu); err != nil {
+					cpu.Close()
+				}
+			}
+			if err != nil {
+				if mem != nil {
+					mem.Close()
+				}
+				return nil, err
+			}
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-		return func() { pprof.StopCPUProfile(); f.Close() }, nil
+		return func() {
+			if cpu != nil {
+				pprof.StopCPUProfile()
+				cpu.Close()
+			}
+			if mem != nil {
+				runtime.GC() // the allocs profile is as of the last collection
+				err := pprof.Lookup("allocs").WriteTo(mem, 0)
+				if cerr := mem.Close(); err == nil {
+					err = cerr
+				}
+				if err != nil {
+					fmt.Fprintf(os.Stderr, "rpcc: -memprofile: %v\n", err)
+				}
+			}
+		}, nil
 	}
 }
 

@@ -35,7 +35,7 @@ func runCmd(ctx context.Context, args []string) error {
 		metricsOut = fs.String("metrics-out", "", "write Prometheus text metrics to this file (merged across replicas)")
 		traceOut   = fs.String("trace-out", "", "write the causal trace (span JSONL, injected faults included) to this file (requires -replicas 1)")
 	)
-	profile := cpuProfileFlag(fs)
+	profile := profileFlags(fs)
 	fs.Parse(args)
 	cfg, err := scenario()
 	if err != nil {

@@ -35,7 +35,7 @@ func scaleCmd(_ context.Context, args []string) error {
 		shards   = fs.Int("shards", 0, "region count (0 = auto)")
 		traceOut = fs.String("trace-out", "", "write the merged causal trace (span JSONL) to this file")
 	)
-	profile := cpuProfileFlag(fs)
+	profile := profileFlags(fs)
 	fs.Parse(args)
 	scfg, err := scenario()
 	if err != nil {

@@ -4,11 +4,12 @@
 // number of cache accesses per period, feeding the peer access rate of
 // Eq 4.2.1).
 //
-// Replacement is pluggable: a Policy (LRU by default; see policy.go)
-// decides which entry to sacrifice when the store is full. The store owns
-// the entries and the protocol-facing invariants — version monotonicity,
-// torn-copy rejection, capacity — and drives the policy through its
-// Admit/Touch/Victim/Remove hooks.
+// A store is one id-sorted array of entries, allocated at capacity, and
+// every store of a run is carved from one backing array (NewStores). Each
+// entry carries the statistics the replacement policies rank by, so a
+// policy (LRU by default; see policy.go) is just the rank the store
+// minimises when it is full. The store owns the protocol-facing invariants
+// — version monotonicity, torn-copy rejection, capacity.
 //
 // Placement is query-driven ("cache what you fetched"), and discovery —
 // locating a nearby copy on a miss — is performed by the protocol layers
@@ -19,69 +20,83 @@ package cache
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/manetlab/rpcc/internal/data"
 )
 
-// Store is one node's cache. The zero value is unusable; use NewStore.
-// Store is not safe for concurrent use: it lives inside the single-threaded
-// simulation loop.
+// Store is one node's cache. The zero value is unusable; use NewStore or
+// NewStores. Store is not safe for concurrent use: it lives inside the
+// single-threaded simulation loop.
 type Store struct {
-	capacity int
-	policy   Policy
-	byID     map[data.ItemID]*entry
+	// entries holds the cached copies ascending by id; its capacity is
+	// the store's, fixed at construction, so it never reallocates.
+	entries []entry
+	policy  Policy
 	// hops, when set, estimates the distance in hops to an item's source
-	// host; the store snapshots it into entry metadata on every Put so
-	// utility policies can weight re-fetch cost.
-	hops     func(data.ItemID) int
+	// host; the store snapshots it into the entry whenever the version
+	// advances so utility ranking can weight re-fetch cost.
+	hops func(data.ItemID) int
+	// tick is the logical clock the ranks read: one step per admission or
+	// touch.
+	tick     uint64
 	accesses uint64 // cumulative: hits + misses observed by this node
 	hits     uint64
-	puts     uint64
 	evicts   uint64
 }
 
-// entry is one cached copy plus bookkeeping.
+// entry is one cached copy plus what the replacement ranks read.
 type entry struct {
 	copy     data.Copy
 	storedAt time.Duration
 	hops     int
+	lastUse  uint64 // tick of the latest admission or touch
+	admitted uint64 // tick of admission
+	// uses counts the admission and every touch since; under LFU it is
+	// halved every agePeriod ticks.
+	uses uint64
 }
 
-// NewStore creates a cache holding at most capacity items, replaced LRU —
-// the default policy, byte-identical to the store before replacement
-// became pluggable.
+// NewStore creates a cache holding at most capacity items, replaced LRU.
 func NewStore(capacity int) (*Store, error) {
-	return NewStoreWithPolicy(capacity, newLRUPolicy())
+	s, err := NewStores(1, capacity, Policy{})
+	if err != nil {
+		return nil, err
+	}
+	return s[0], nil
 }
 
-// NewStoreWithPolicy creates a cache with an explicit replacement policy.
-// The policy instance must be exclusive to this store.
-func NewStoreWithPolicy(capacity int, p Policy) (*Store, error) {
+// NewStores creates n caches of the given capacity under policy p, all
+// carved from one entry array: three allocations however large n is.
+func NewStores(n, capacity int, p Policy) ([]*Store, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("cache: capacity %d must be > 0", capacity)
 	}
-	if p == nil {
-		return nil, fmt.Errorf("cache: nil replacement policy")
+	if n < 0 {
+		return nil, fmt.Errorf("cache: negative store count %d", n)
 	}
-	return &Store{
-		capacity: capacity,
-		policy:   p,
-		byID:     make(map[data.ItemID]*entry, capacity),
-	}, nil
+	backing := make([]entry, n*capacity)
+	stores := make([]Store, n)
+	out := make([]*Store, n)
+	for i := range stores {
+		lo := i * capacity
+		stores[i] = Store{entries: backing[lo : lo : lo+capacity], policy: p}
+		out[i] = &stores[i]
+	}
+	return out, nil
 }
 
 // Capacity returns the configured maximum item count.
-func (s *Store) Capacity() int { return s.capacity }
+func (s *Store) Capacity() int { return cap(s.entries) }
 
 // Len returns the current item count.
-func (s *Store) Len() int { return len(s.byID) }
+func (s *Store) Len() int { return len(s.entries) }
 
 // SetHopsHint installs an estimator of the hop distance from this node to
-// an item's source host. Optional: without it entry metadata carries zero
-// hops and the utility policy degrades to access-rate/size. The estimator
-// must be deterministic for a given sim state.
+// an item's source host. Optional: without it entries carry zero hops and
+// the utility policy degrades to access-rate/size. The estimator must be
+// deterministic for a given sim state.
 func (s *Store) SetHopsHint(f func(data.ItemID) int) { s.hops = f }
 
 func (s *Store) hopsFor(id data.ItemID) int {
@@ -91,39 +106,74 @@ func (s *Store) hopsFor(id data.ItemID) int {
 	return s.hops(id)
 }
 
-func (s *Store) metaOf(e *entry) Meta {
-	return Meta{
-		StoredAt: e.storedAt,
-		Version:  e.copy.Version,
-		Size:     len(e.copy.Value),
-		Hops:     e.hops,
+// find returns the position of id in the entries, or where it would be
+// inserted.
+func (s *Store) find(id data.ItemID) (int, bool) {
+	lo, hi := 0, len(s.entries)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s.entries[m].copy.ID < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(s.entries) && s.entries[lo].copy.ID == id
+}
+
+// advance steps the logical clock. Under LFU every agePeriod ticks all
+// counts halve, so popularity decays with a half-life of one period.
+func (s *Store) advance() {
+	s.tick++
+	if p := s.policy.agePeriod; p > 0 && s.tick%p == 0 {
+		for i := range s.entries {
+			s.entries[i].uses /= 2
+		}
 	}
 }
 
+// touch records an access or refresh of e.
+func (s *Store) touch(e *entry) {
+	s.advance()
+	e.uses++
+	e.lastUse = s.tick
+}
+
+// victim returns the position of the entry the policy ranks lowest. The
+// scan runs in ascending id order and replaces only on a strict win, so
+// ties go to the lower id.
+func (s *Store) victim() int {
+	v := 0
+	for i := 1; i < len(s.entries); i++ {
+		if s.policy.below(&s.entries[i], &s.entries[v], s.tick) {
+			v = i
+		}
+	}
+	return v
+}
+
 // Get returns the cached copy of id and whether it was present, counting
-// the access (hit or miss) for the PAR statistic and touching the
-// replacement policy.
+// the access (hit or miss) for the PAR statistic and touching the entry.
 func (s *Store) Get(id data.ItemID) (data.Copy, bool) {
 	s.accesses++
-	e, ok := s.byID[id]
+	i, ok := s.find(id)
 	if !ok {
 		return data.Copy{}, false
 	}
 	s.hits++
-	s.policy.Touch(id, s.metaOf(e))
+	e := &s.entries[i]
+	s.touch(e)
 	return e.copy, true
 }
 
 // Peek returns the cached copy without counting an access or touching the
-// replacement policy — for protocol-internal inspection (e.g. a relay
-// peer answering a POLL examines its copy without that counting as local
-// demand).
+// entry — for protocol-internal inspection (e.g. a relay peer answering a
+// POLL examines its copy without that counting as local demand).
 func (s *Store) Peek(id data.ItemID) (data.Copy, bool) {
-	e, ok := s.byID[id]
-	if !ok {
-		return data.Copy{}, false
+	if i, ok := s.find(id); ok {
+		return s.entries[i].copy, true
 	}
-	return e.copy, true
+	return data.Copy{}, false
 }
 
 // Put inserts or refreshes a copy, evicting the policy's victim when
@@ -145,7 +195,9 @@ func (s *Store) PutEvict(c data.Copy, now time.Duration) (evicted data.ItemID, h
 	if !c.Consistent() {
 		return 0, false, fmt.Errorf("cache: refusing torn copy %v v%d", c.ID, c.Version)
 	}
-	if e, ok := s.byID[c.ID]; ok {
+	i, ok := s.find(c.ID)
+	if ok {
+		e := &s.entries[i]
 		if c.Version < e.copy.Version {
 			return 0, false, fmt.Errorf("cache: version regression for %v: have v%d, put v%d",
 				c.ID, e.copy.Version, c.Version)
@@ -158,58 +210,49 @@ func (s *Store) PutEvict(c data.Copy, now time.Duration) (evicted data.ItemID, h
 			e.hops = s.hopsFor(c.ID)
 		}
 		e.copy = c
-		s.policy.Touch(c.ID, s.metaOf(e))
-		s.puts++
+		s.touch(e)
 		return 0, false, nil
 	}
-	if len(s.byID) >= s.capacity {
-		victim, ok := s.policy.Victim()
-		if !ok || s.byID[victim] == nil {
-			// Defensive: a policy that lost track of its entries must
-			// not let the store overflow. Fall back to the lowest id.
-			for id := range s.byID {
-				if !ok || id < victim {
-					victim, ok = id, true
-				}
-			}
-		}
-		s.policy.Remove(victim)
-		delete(s.byID, victim)
-		evicted, hasEvicted = victim, true
+	if len(s.entries) == cap(s.entries) {
+		v := s.victim()
+		evicted, hasEvicted = s.entries[v].copy.ID, true
+		s.entries = slices.Delete(s.entries, v, v+1)
 		s.evicts++
+		if v < i {
+			i--
+		}
 	}
-	e := &entry{copy: c, storedAt: now, hops: s.hopsFor(c.ID)}
-	s.byID[c.ID] = e
-	s.policy.Admit(c.ID, s.metaOf(e))
-	s.puts++
+	hops := s.hopsFor(c.ID)
+	s.advance()
+	s.entries = slices.Insert(s.entries, i, entry{
+		copy: c, storedAt: now, hops: hops,
+		lastUse: s.tick, admitted: s.tick, uses: 1,
+	})
 	return evicted, hasEvicted, nil
 }
 
 // Remove drops id from the cache (e.g. on invalidation without refresh),
 // reporting whether it was present.
 func (s *Store) Remove(id data.ItemID) bool {
-	if _, ok := s.byID[id]; !ok {
-		return false
+	i, ok := s.find(id)
+	if ok {
+		s.entries = slices.Delete(s.entries, i, i+1)
 	}
-	s.policy.Remove(id)
-	delete(s.byID, id)
-	return true
+	return ok
 }
 
 // Clear wipes every cached copy — the cache side of a node crash. The
-// cumulative counters (accesses, hits, evictions) survive: they are
-// measurements of what happened, not state the node holds. Entries leave
-// the policy in ascending id order so policy state stays deterministic.
+// cumulative counters (accesses, hits, evictions) and the logical clock
+// survive: they are measurements of what happened, not state the node
+// holds.
 func (s *Store) Clear() {
-	for _, id := range s.Items() {
-		s.policy.Remove(id)
-		delete(s.byID, id)
-	}
+	clear(s.entries)
+	s.entries = s.entries[:0]
 }
 
-// Contains reports whether id is cached, without touching the policy.
+// Contains reports whether id is cached, without touching the entry.
 func (s *Store) Contains(id data.ItemID) bool {
-	_, ok := s.byID[id]
+	_, ok := s.find(id)
 	return ok
 }
 
@@ -217,21 +260,18 @@ func (s *Store) Contains(id data.ItemID) bool {
 // (the fetch time of its current version; same-version re-Puts do not
 // advance it).
 func (s *Store) StoredAt(id data.ItemID) (time.Duration, bool) {
-	e, ok := s.byID[id]
-	if !ok {
-		return 0, false
+	if i, ok := s.find(id); ok {
+		return s.entries[i].storedAt, true
 	}
-	return e.storedAt, true
+	return 0, false
 }
 
-// Items returns the cached item ids sorted ascending (stable for tests and
-// iteration determinism).
+// Items returns the cached item ids sorted ascending.
 func (s *Store) Items() []data.ItemID {
-	out := make([]data.ItemID, 0, len(s.byID))
-	for id := range s.byID {
-		out = append(out, id)
+	out := make([]data.ItemID, len(s.entries))
+	for i := range s.entries {
+		out[i] = s.entries[i].copy.ID
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

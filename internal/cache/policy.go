@@ -3,53 +3,7 @@ package cache
 import (
 	"fmt"
 	"time"
-
-	"github.com/manetlab/rpcc/internal/data"
 )
-
-// Meta is what a replacement policy may know about a cached entry. The
-// store maintains it; policies receive a fresh snapshot on every Admit
-// and Touch and must not retain pointers into store state.
-type Meta struct {
-	// StoredAt is when the entry's current content was fetched. It
-	// advances only when the version advances — a same-version re-Put is
-	// a no-op for freshness (see Store.PutEvict).
-	StoredAt time.Duration
-	// Version is the entry's data version.
-	Version data.Version
-	// Size is the payload size in bytes.
-	Size int
-	// Hops estimates the network distance to the item's source host at
-	// the time the copy was stored (0 when the store has no hint; see
-	// Store.SetHopsHint). Re-fetching a far copy costs more, so
-	// utility-based policies weight it.
-	Hops int
-}
-
-// Policy decides which cached entry to sacrifice when the store is full.
-// The store drives it through four hooks: Admit when an entry is
-// inserted, Touch on every access or refresh of an existing entry,
-// Victim when space is needed, and Remove when an entry leaves for any
-// reason (eviction included — the store calls Remove for the id Victim
-// returned).
-//
-// Policies are single-threaded like the store and must be deterministic:
-// given the same hook sequence they must produce the same victims, with
-// ties broken by ascending item id. One policy instance serves exactly
-// one store.
-type Policy interface {
-	// Name identifies the policy ("lru", "lfu", ...).
-	Name() string
-	// Admit records a newly inserted entry.
-	Admit(id data.ItemID, m Meta)
-	// Touch records an access or refresh of an entry previously admitted.
-	Touch(id data.ItemID, m Meta)
-	// Victim nominates the entry to evict. It reports false only when
-	// the policy tracks no entries.
-	Victim() (data.ItemID, bool)
-	// Remove forgets an entry (eviction, invalidation, crash wipe).
-	Remove(id data.ItemID)
-}
 
 // PolicyKind names a replacement policy for configuration surfaces
 // (experiment.Config, CLI flags, oracle scenarios).
@@ -94,9 +48,9 @@ type PolicyParams struct {
 	// TTL is PolicyTTL's freshness horizon (default 4 minutes, the
 	// paper's TTP). Entries are ranked by storedAt + TTL.
 	TTL time.Duration
-	// AgePeriod is how many Admit/Touch events pass between PolicyLFU's
-	// count halvings (default 128; 0 selects the default, negative is
-	// rejected by NewPolicy).
+	// AgePeriod is how many admissions and touches pass between
+	// PolicyLFU's count halvings (default 128; 0 selects the default,
+	// negative is rejected by NewPolicy).
 	AgePeriod int
 }
 
@@ -107,33 +61,87 @@ const (
 	defaultUtilityMinSize = 1
 )
 
-// NewPolicy builds a fresh instance of the named policy. The empty kind
-// yields LRU. Every store needs its own instance: policies are stateful.
+// Policy is a validated replacement policy: the rank a full store
+// minimises over its entries to choose a victim, with that rank's tuning.
+// It is a plain value — one Policy configures any number of stores — and
+// the zero Policy is LRU.
+//
+// Every rank reads only the per-entry statistics the store keeps inline
+// (see entry) and the store's logical clock, which advances once per
+// admission or touch; that clock, not simulated time, is what keeps
+// victims a pure function of the operation sequence. Ties go to the lower
+// item id.
+type Policy struct {
+	kind      PolicyKind
+	ttl       time.Duration
+	agePeriod uint64 // LFU only: clock ticks between count halvings
+}
+
+// NewPolicy validates and builds the named policy. The empty kind yields
+// LRU.
 func NewPolicy(kind PolicyKind, p PolicyParams) (Policy, error) {
 	if p.TTL < 0 {
-		return nil, fmt.Errorf("cache: negative policy TTL %v", p.TTL)
+		return Policy{}, fmt.Errorf("cache: negative policy TTL %v", p.TTL)
 	}
 	if p.AgePeriod < 0 {
-		return nil, fmt.Errorf("cache: negative LFU age period %d", p.AgePeriod)
+		return Policy{}, fmt.Errorf("cache: negative LFU age period %d", p.AgePeriod)
 	}
 	switch kind {
 	case "", PolicyLRU:
-		return newLRUPolicy(), nil
+		return Policy{}, nil
 	case PolicyLFU:
 		period := p.AgePeriod
 		if period == 0 {
 			period = DefaultLFUAgePeriod
 		}
-		return newLFUPolicy(uint64(period)), nil
+		return Policy{kind: PolicyLFU, agePeriod: uint64(period)}, nil
 	case PolicyTTL:
 		ttl := p.TTL
 		if ttl == 0 {
 			ttl = DefaultPolicyTTL
 		}
-		return newTTLPolicy(ttl), nil
+		return Policy{kind: PolicyTTL, ttl: ttl}, nil
 	case PolicyUtility:
-		return newUtilityPolicy(), nil
+		return Policy{kind: PolicyUtility}, nil
 	default:
-		return nil, fmt.Errorf("cache: unknown policy kind %q", kind)
+		return Policy{}, fmt.Errorf("cache: unknown policy kind %q", kind)
 	}
+}
+
+// below reports whether a ranks strictly below b — is the better victim —
+// at logical time tick.
+func (p Policy) below(a, b *entry, tick uint64) bool {
+	switch p.kind {
+	case PolicyLFU:
+		// Fewest aged uses; among equals the older admission.
+		return a.uses < b.uses || (a.uses == b.uses && a.admitted < b.admitted)
+	case PolicyTTL:
+		// Earliest expiry. storedAt advances only with the version (see
+		// Store.PutEvict), so a same-version re-Put does not rejuvenate.
+		return a.storedAt+p.ttl < b.storedAt+p.ttl
+	case PolicyUtility:
+		return utility(a, tick) < utility(b, tick)
+	default:
+		// Least recently admitted or touched.
+		return a.lastUse < b.lastUse
+	}
+}
+
+// utility is e's keep-value under PolicyUtility: an entry is worth keeping
+// in proportion to how often it is accessed and how far away its source is
+// (a re-fetch costs more hops of traffic), and in inverse proportion to the
+// cache space it occupies:
+//
+//	utility = (uses / residency) * (hops + 1) / size
+//
+// Residency is counted in clock ticks since admission, so utility stays a
+// pure function of the operation sequence.
+func utility(e *entry, tick uint64) float64 {
+	residency := tick - e.admitted + 1
+	size := len(e.copy.Value)
+	if size < defaultUtilityMinSize {
+		size = defaultUtilityMinSize
+	}
+	rate := float64(e.uses) / float64(residency)
+	return rate * float64(e.hops+1) / float64(size)
 }

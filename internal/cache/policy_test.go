@@ -14,11 +14,11 @@ func storeWith(t *testing.T, capacity int, kind PolicyKind) *Store {
 	if err != nil {
 		t.Fatalf("NewPolicy(%q): %v", kind, err)
 	}
-	s, err := NewStoreWithPolicy(capacity, p)
+	s, err := NewStores(1, capacity, p)
 	if err != nil {
-		t.Fatalf("NewStoreWithPolicy: %v", err)
+		t.Fatalf("NewStores: %v", err)
 	}
-	return s
+	return s[0]
 }
 
 func TestNewPolicyValidation(t *testing.T) {
@@ -31,15 +31,15 @@ func TestNewPolicyValidation(t *testing.T) {
 	if _, err := NewPolicy(PolicyLFU, PolicyParams{AgePeriod: -1}); err == nil {
 		t.Error("negative age period accepted")
 	}
-	if _, err := NewStoreWithPolicy(3, nil); err == nil {
-		t.Error("nil policy accepted")
+	if _, err := NewStores(2, 0, Policy{}); err == nil {
+		t.Error("zero capacity accepted")
 	}
 	p, err := NewPolicy("", PolicyParams{})
 	if err != nil {
 		t.Fatalf("empty kind: %v", err)
 	}
-	if p.Name() != "lru" {
-		t.Errorf("empty kind resolved to %q, want lru", p.Name())
+	if p != (Policy{}) {
+		t.Errorf("empty kind resolved to %+v, want the zero policy (LRU)", p)
 	}
 	if PolicyKind("fifo").Valid() {
 		t.Error("fifo reported valid")
@@ -90,8 +90,9 @@ func TestLFUPolicyTieBreaksByAdmission(t *testing.T) {
 }
 
 func TestLFUAgingForgetsStalePopularity(t *testing.T) {
-	p := newLFUPolicy(4)
-	s, _ := NewStoreWithPolicy(2, p)
+	p, _ := NewPolicy(PolicyLFU, PolicyParams{AgePeriod: 4})
+	stores, _ := NewStores(1, 2, p)
+	s := stores[0]
 	s.Put(copyOf(1, 0), 0)
 	s.Get(1)
 	s.Get(1) // item 1: hot early (count 3)

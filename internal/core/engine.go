@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -24,53 +25,87 @@ type Telemetry struct {
 	CE       func(nd int) float64
 }
 
-// itemState is one node's protocol state for one cached item.
+// itemState is one node's protocol state for one cached item. A 10k-node
+// run holds about 100 000 of them, so the layout is packed: instants
+// first, then narrow counters, then the flags, 96 bytes in all. The
+// relay-only queue and repair span live behind relay, allocated by the
+// few states that need them.
 type itemState struct {
-	role Role
 	// lastValidated is the TTP base: the last instant this node confirmed
 	// its copy against an authority (poll ack, update, owner fetch).
 	lastValidated time.Duration
-	validatedOnce bool
 	// lastRefreshed is the TTR base (relay role): the last instant the
 	// source (or its INVALIDATION) confirmed the relay's copy.
 	lastRefreshed time.Duration
-	refreshedOnce bool
 	// invVersion/invAt remember the newest INVALIDATION heard, so a
 	// candidate promoted by APPLY_ACK knows whether its copy was already
 	// confirmed current in this interval.
-	invVersion data.Version
-	invAt      time.Duration
-	invHeard   bool
+	invVersion   data.Version
+	invAt        time.Duration
+	applySentAt  time.Duration
+	getNewSentAt time.Duration
+	// debtSince marks when this relay first heard a version newer than
+	// its copy without having repaired yet — the age of its outstanding
+	// repair debt (cleared on refresh, tracked for the chaos auditor).
+	debtSince time.Duration
+	relay     *relayWork
+	role      Role
 
-	applyPending  bool
-	applySentAt   time.Duration
-	applyAttempts int
-	applyGaveUp   bool
-	getNewPending bool
-	getNewSentAt  time.Duration
 	// getNewAttempts counts consecutive unanswered GET_NEW sends; the
 	// resend gate doubles with each one (capped at RepairBackoffMax) and
 	// the node gives up at MaxRepairAttempts until strictly newer version
 	// evidence reopens the budget. applyAttempts mirrors this for APPLY.
-	getNewAttempts int
-	getNewGaveUp   bool
-	// debtSince marks when this relay first heard a version newer than
-	// its copy without having repaired yet — the age of its outstanding
-	// repair debt (cleared on refresh, tracked for the chaos auditor).
-	debtSince   time.Duration
-	debtOpen    bool
-	failingRuns int
-	pending     []pendingPoll
+	getNewAttempts int32
+	applyAttempts  int32
+	failingRuns    int32
 	// knownRelay is the last peer whose POLL_ACK validated this item
 	// (-1 when none): subsequent polls unicast straight to it, falling
 	// back to ring discovery when it stops answering. This is the
 	// "locating the nearest cache node" mechanism §3 assumes, learned
 	// from the protocol's own acks.
-	knownRelay int
+	knownRelay int32
+
+	validatedOnce bool
+	refreshedOnce bool
+	invHeard      bool
+	applyPending  bool
+	applyGaveUp   bool
+	getNewPending bool
+	getNewGaveUp  bool
+	debtOpen      bool
+}
+
+// relayWork is the relay-only part of an item state, allocated the first
+// time a relay queues a poll or opens a traced repair round.
+type relayWork struct {
+	pending []pendingPoll
 	// repairTC is the span of the in-flight GET_NEW repair round (zero
 	// when none is open or tracing is off); closed when SEND_NEW lands,
 	// the budget is exhausted, or the role is torn down.
 	repairTC protocol.TraceContext
+}
+
+// work returns st's relay-only state, allocating it on first use.
+func (st *itemState) work() *relayWork {
+	if st.relay == nil {
+		st.relay = new(relayWork)
+	}
+	return st.relay
+}
+
+// dropPending discards the polls st queued while its TTR was expired.
+func (st *itemState) dropPending() {
+	if st.relay != nil {
+		st.relay.pending = nil
+	}
+}
+
+// repairTC returns the span of st's open GET_NEW round (zero when none).
+func (st *itemState) repairTC() protocol.TraceContext {
+	if st.relay == nil {
+		return protocol.TraceContext{}
+	}
+	return st.relay.repairTC
 }
 
 // pendingPoll is a POLL a relay could not answer because its TTR had
@@ -88,12 +123,31 @@ type pendingPoll struct {
 
 // peerState is one node's full protocol state.
 type peerState struct {
-	// Source-host side (the node's own item).
-	relays    map[int]struct{}
+	// Source-host side (the node's own item): the registered relay peers,
+	// ascending — the order UPDATE pushes go out in.
+	relays    []int32
 	announced data.Version
 	// Cache-node side: state per cached item (see items.go; touched only
 	// through the engine's getItem/putItem/delItem/resetItems).
 	items itemTable
+}
+
+// addRelay registers r, reporting whether it was new.
+func (ps *peerState) addRelay(r int) bool {
+	i, ok := slices.BinarySearch(ps.relays, int32(r))
+	if !ok {
+		ps.relays = slices.Insert(ps.relays, i, int32(r))
+	}
+	return !ok
+}
+
+// dropRelay unregisters r, reporting whether it was registered.
+func (ps *peerState) dropRelay(r int) bool {
+	i, ok := slices.BinarySearch(ps.relays, int32(r))
+	if ok {
+		ps.relays = slices.Delete(ps.relays, i, i+1)
+	}
+	return ok
 }
 
 // pollRound is one cache node's in-flight validation round.
@@ -113,11 +167,15 @@ type Engine struct {
 	cfg   Config
 	ch    *node.Chassis
 	tel   Telemetry
-	peers []*peerState
+	peers []peerState
 	// sigs holds one signature word per node over the item ids in
 	// peers[nd].items; written only by putItem, delItem and resetItems.
 	sigs     []uint64
-	trackers []*CoeffTracker
+	trackers []CoeffTracker
+	// states is the slab new item states are carved from (newItemState);
+	// a slot is never reused, so a pointer a pending timer holds stays
+	// that state's.
+	states []itemState
 	// deliveries counts protocol messages handled per node; together with
 	// cache accesses it forms N_a, the accessibility evidence of Eq 4.2.1.
 	deliveries []uint64
@@ -151,26 +209,49 @@ func New(cfg Config, ch *node.Chassis, tel Telemetry) (*Engine, error) {
 	if cfg.MaxRepairAttempts == 0 {
 		cfg.MaxRepairAttempts = 6
 	}
+	tr, err := NewCoeffTracker(cfg.Omega, cfg.CoeffPeriod)
+	if err != nil {
+		return nil, err
+	}
 	n := ch.Net.Len()
 	e := &Engine{
 		cfg:        cfg,
 		ch:         ch,
 		tel:        tel,
-		peers:      make([]*peerState, n),
+		peers:      make([]peerState, n),
 		sigs:       make([]uint64, n),
-		trackers:   make([]*CoeffTracker, n),
+		trackers:   make([]CoeffTracker, n),
 		deliveries: make([]uint64, n),
 		polls:      make(map[uint64]*pollRound),
 	}
-	for i := 0; i < n; i++ {
-		e.peers[i] = &peerState{relays: make(map[int]struct{})}
-		tr, err := NewCoeffTracker(cfg.Omega, cfg.CoeffPeriod)
-		if err != nil {
-			return nil, err
-		}
-		e.trackers[i] = tr
+	// Every node's item table, and the first slab of item states, is sized
+	// from its store's capacity up front: a warmed run fills exactly that.
+	total := 0
+	for nd := 0; nd < n; nd++ {
+		total += ch.Stores[nd].Capacity()
+	}
+	ids, sts := make([]data.ItemID, total), make([]*itemState, total)
+	e.states = make([]itemState, 0, total)
+	off := 0
+	for nd := range e.peers {
+		end := off + ch.Stores[nd].Capacity()
+		e.peers[nd].items = itemTable{ids: ids[off:off:end], sts: sts[off:off:end]}
+		e.trackers[nd] = *tr
+		off = end
 	}
 	return e, nil
+}
+
+// stateBlock is how many item states a slab refill allocates at once.
+const stateBlock = 64
+
+// newItemState returns a fresh cache-role state carved from the slab.
+func (e *Engine) newItemState() *itemState {
+	if len(e.states) == cap(e.states) {
+		e.states = make([]itemState, 0, stateBlock)
+	}
+	e.states = append(e.states, itemState{role: RoleCache, knownRelay: -1})
+	return &e.states[len(e.states)-1]
 }
 
 // Name identifies the strategy in reports.
@@ -190,17 +271,24 @@ func (e *Engine) Start(k *sim.Kernel) error {
 	// One receiver value for every node: a closure per node is 10 000 cold
 	// objects for the delivery path's indirect call to miss on.
 	recv := netsim.Receiver(e.dispatch)
-	for nd := 0; nd < e.ch.Net.Len(); nd++ {
-		nd := nd
+	// Each node's two periodic handlers are built once and re-arm
+	// themselves, so a tick allocates nothing.
+	timers := make([]struct{ ttn, coeff sim.Handler }, e.ch.Net.Len())
+	for nd := range timers {
 		if err := e.ch.Net.SetReceiver(nd, recv); err != nil {
 			return err
 		}
-		k.After(time.Duration(stagger.Int63n(int64(e.cfg.TTN))), "rpcc.ttn", func(kk *sim.Kernel) {
+		t := &timers[nd]
+		t.ttn = func(kk *sim.Kernel) {
 			e.ttnTick(kk, nd)
-		})
-		k.After(time.Duration(stagger.Int63n(int64(e.cfg.CoeffPeriod))), "rpcc.coeff", func(kk *sim.Kernel) {
+			kk.After(e.cfg.TTN, "rpcc.ttn", t.ttn)
+		}
+		t.coeff = func(kk *sim.Kernel) {
 			e.coeffTick(kk, nd)
-		})
+			kk.After(e.cfg.CoeffPeriod, "rpcc.coeff", t.coeff)
+		}
+		k.After(time.Duration(stagger.Int63n(int64(e.cfg.TTN))), "rpcc.ttn", t.ttn)
+		k.After(time.Duration(stagger.Int63n(int64(e.cfg.CoeffPeriod))), "rpcc.coeff", t.coeff)
 	}
 	return nil
 }
@@ -324,7 +412,7 @@ func (e *Engine) dropItemState(k *sim.Kernel, host int, item data.ItemID) {
 func (e *Engine) itemState(host int, item data.ItemID) *itemState {
 	st, ok := e.getItem(host, item)
 	if !ok {
-		st = &itemState{role: RoleCache, knownRelay: -1}
+		st = e.newItemState()
 		e.putItem(host, item, st)
 	}
 	return st
@@ -394,7 +482,7 @@ func (e *Engine) pollStage(k *sim.Kernel, r *pollRound, have data.Version) {
 		r.q.Route = "poll-direct"
 		r.tc = e.ch.Tracer.StartChild(k.Now().Nanoseconds(), r.q.TC, r.host, ctrace.PhasePoll, "poll-direct")
 		msg.Trace = r.tc
-		err = e.ch.Net.Unicast(r.host, st.knownRelay, msg)
+		err = e.ch.Net.Unicast(r.host, int(st.knownRelay), msg)
 	case 1:
 		e.pollRing++
 		e.ch.Hub.PollStage(telemetry.PollRing)
@@ -432,11 +520,9 @@ func (e *Engine) pollStage(k *sim.Kernel, r *pollRound, have data.Version) {
 
 // ttnTick is the source host's periodic invalidation duty (Fig 6b): push
 // UPDATE to relay peers when the item changed this interval, then flood
-// INVALIDATION, then renew TTN.
+// INVALIDATION. The handler Start installs renews TTN after it.
 func (e *Engine) ttnTick(k *sim.Kernel, nd int) {
-	ps := e.peers[nd]
-	defer k.After(e.cfg.TTN, "rpcc.ttn", func(kk *sim.Kernel) { e.ttnTick(kk, nd) })
-
+	ps := &e.peers[nd]
 	if e.cfg.ActiveSource != nil && !e.cfg.ActiveSource(nd) {
 		return
 	}
@@ -455,10 +541,14 @@ func (e *Engine) ttnTick(k *sim.Kernel, nd int) {
 			e.ch.Tracer.Finish(utc, now)
 		}
 		// MAC-layer disconnection discovery (§4.5): unreachable relay
-		// peers are dropped from the table before pushing.
-		for _, relay := range sortedRelays(ps.relays) {
+		// peers are dropped from the table before pushing. The walk is
+		// over a stack copy: a push to itself is delivered synchronously
+		// and may re-enter the table.
+		var buf [64]int32
+		for _, r := range append(buf[:0], ps.relays...) {
+			relay := int(r)
 			if !e.ch.Net.Reachable(nd, relay) {
-				delete(ps.relays, relay)
+				ps.dropRelay(relay)
 				e.ch.Hub.RelayMembership(telemetry.MembershipPrune)
 				continue
 			}
@@ -500,8 +590,6 @@ func (e *Engine) ttnTick(k *sim.Kernel, nd int) {
 // coeffTick recomputes nd's coefficients and applies the role transitions
 // of Fig 5.
 func (e *Engine) coeffTick(k *sim.Kernel, nd int) {
-	defer k.After(e.cfg.CoeffPeriod, "rpcc.coeff", func(kk *sim.Kernel) { e.coeffTick(kk, nd) })
-
 	sample := CoeffSample{
 		// Accessibility evidence: cache accesses plus all radio activity
 		// (sends, receptions, forwarding). A node that carries the
@@ -518,7 +606,7 @@ func (e *Engine) coeffTick(k *sim.Kernel, nd int) {
 	if e.tel.CE != nil {
 		sample.CE = e.tel.CE(nd)
 	}
-	tr := e.trackers[nd]
+	tr := &e.trackers[nd]
 	tr.Observe(sample)
 	e.ch.Hub.Coeff(tr.CAR(), tr.CS(), tr.CE())
 	eligible := tr.Eligible(e.cfg.MuCAR, e.cfg.MuCS, e.cfg.MuCE)
@@ -539,7 +627,7 @@ func (e *Engine) coeffTick(k *sim.Kernel, nd int) {
 		if st.role == RoleRelay && k.Now() > 3*e.cfg.TTN && k.Now()-st.invAt > 3*e.cfg.TTN {
 			st.role = RoleCache
 			st.failingRuns = 0
-			st.pending = nil
+			st.dropPending()
 			e.resetGetNew(k, st)
 			e.sendCancel(k, nd, item)
 			e.roleChanged(k, nd, item, RoleRelay, RoleCache, "inv-drift")
@@ -559,7 +647,7 @@ func (e *Engine) coeffTick(k *sim.Kernel, nd int) {
 		// Candidates and relays step down only after DemoteAfter
 		// consecutive failing windows (hysteresis over Fig 5).
 		st.failingRuns++
-		if st.failingRuns < e.cfg.DemoteAfter {
+		if int(st.failingRuns) < e.cfg.DemoteAfter {
 			continue
 		}
 		st.failingRuns = 0
@@ -570,7 +658,7 @@ func (e *Engine) coeffTick(k *sim.Kernel, nd int) {
 			e.roleChanged(k, nd, item, RoleCandidate, RoleCache, "demoted")
 		case RoleRelay:
 			st.role = RoleCache
-			st.pending = nil
+			st.dropPending()
 			e.resetGetNew(k, st)
 			e.sendCancel(k, nd, item)
 			e.roleChanged(k, nd, item, RoleRelay, RoleCache, "demoted")
@@ -584,7 +672,7 @@ func (e *Engine) coeffTick(k *sim.Kernel, nd int) {
 func (e *Engine) roleChanged(k *sim.Kernel, nd int, item data.ItemID, from, to Role, reason string) {
 	e.ch.Hub.RoleTransition(from.String(), to.String(), reason)
 	if e.ch.Tracer != nil {
-		tr := e.trackers[nd]
+		tr := &e.trackers[nd]
 		e.ch.Tracer.Event(k.Now().Nanoseconds(), nd, ctrace.PhaseRole,
 			from.String()+">"+to.String()+":"+reason,
 			ctrace.Annot{Item: int(item), CAR: tr.CAR(), CS: tr.CS(), CE: tr.CE()})
@@ -627,7 +715,7 @@ func (e *Engine) SeedRelay(k *sim.Kernel, host int, item data.ItemID) error {
 	st.invAt = k.Now()
 	owner := e.ch.Reg.Owner(item)
 	if owner >= 0 && owner < len(e.peers) {
-		e.peers[owner].relays[host] = struct{}{}
+		e.peers[owner].addRelay(host)
 	}
 	return nil
 }
@@ -646,8 +734,8 @@ func (e *Engine) Role(nd int, item data.ItemID) Role {
 // quantity the Fig 9 discussion ties to the invalidation TTL.
 func (e *Engine) RelayCount() int {
 	n := 0
-	for _, ps := range e.peers {
-		n += len(ps.relays)
+	for nd := range e.peers {
+		n += len(e.peers[nd].relays)
 	}
 	return n
 }
@@ -655,8 +743,8 @@ func (e *Engine) RelayCount() int {
 // RoleCounts returns the node-side totals of (cache, candidate, relay)
 // item-states across the network — the Fig 5 state distribution.
 func (e *Engine) RoleCounts() (cacheN, candidateN, relayN int) {
-	for _, ps := range e.peers {
-		for _, st := range ps.items.sts {
+	for nd := range e.peers {
+		for _, st := range e.peers[nd].items.sts {
 			switch st.role {
 			case RoleCandidate:
 				candidateN++
@@ -697,14 +785,10 @@ func (e *Engine) StaleRejects() (pushes, acks uint64) {
 // consecutive-attempt count for either repair kind. The chaos auditor's
 // bounded-retry invariant asserts it never exceeds MaxRepairAttempts.
 func (e *Engine) RepairScan() (maxGetNew, maxApply int) {
-	for _, ps := range e.peers {
-		for _, st := range ps.items.sts {
-			if st.getNewAttempts > maxGetNew {
-				maxGetNew = st.getNewAttempts
-			}
-			if st.applyAttempts > maxApply {
-				maxApply = st.applyAttempts
-			}
+	for nd := range e.peers {
+		for _, st := range e.peers[nd].items.sts {
+			maxGetNew = max(maxGetNew, int(st.getNewAttempts))
+			maxApply = max(maxApply, int(st.applyAttempts))
 		}
 	}
 	return maxGetNew, maxApply
@@ -718,7 +802,11 @@ func (e *Engine) RelaysFor(item data.ItemID) []int {
 	if owner < 0 || owner >= len(e.peers) {
 		return nil
 	}
-	return sortedRelays(e.peers[owner].relays)
+	out := make([]int, len(e.peers[owner].relays))
+	for i, r := range e.peers[owner].relays {
+		out[i] = int(r)
+	}
+	return out
 }
 
 // RepairDebt is one relay's repair obligation for an item: the newest
@@ -761,7 +849,7 @@ func (e *Engine) RepairDebts(item data.ItemID) []RepairDebt {
 			GaveUp:  st.getNewGaveUp,
 		}
 		if st.getNewPending {
-			d.RetryAt = st.getNewSentAt + e.repairGate(st.getNewAttempts)
+			d.RetryAt = st.getNewSentAt + e.repairGate(int(st.getNewAttempts))
 		}
 		out = append(out, d)
 	}
@@ -800,29 +888,17 @@ func (e *Engine) Crash(k *sim.Kernel, nd int) error {
 		e.resetGetNew(k, st)
 	}
 	e.ch.Stores[nd].Clear()
-	e.peers[nd] = &peerState{relays: make(map[int]struct{})}
+	ps := &e.peers[nd]
+	ps.relays, ps.announced = ps.relays[:0], 0
 	e.resetItems(nd)
 	tr, err := NewCoeffTracker(e.cfg.Omega, e.cfg.CoeffPeriod)
 	if err != nil {
 		return err
 	}
-	e.trackers[nd] = tr
+	e.trackers[nd] = *tr
 	e.deliveries[nd] = 0
 	return nil
 }
 
 // Tracker exposes nd's coefficient tracker (read-only use).
-func (e *Engine) Tracker(nd int) *CoeffTracker { return e.trackers[nd] }
-
-// sortedRelays returns the relay node ids in ascending order. Go map
-// iteration order varies between runs; anything that sends messages per
-// relay must walk a sorted copy so the event sequence — and therefore the
-// whole simulation — is a pure function of the seed.
-func sortedRelays(relays map[int]struct{}) []int {
-	out := make([]int, 0, len(relays))
-	for r := range relays {
-		out = append(out, r)
-	}
-	sort.Ints(out)
-	return out
-}
+func (e *Engine) Tracker(nd int) *CoeffTracker { return &e.trackers[nd] }

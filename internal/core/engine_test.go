@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -100,6 +101,12 @@ func (e *env) seedCache(t *testing.T, host int, item data.ItemID) {
 	st := e.eng.itemState(host, item)
 	st.lastValidated = e.k.Now()
 	st.validatedOnce = true
+}
+
+// hasRelay reports whether r is registered in ps's relay table.
+func (ps *peerState) hasRelay(r int) bool {
+	_, ok := slices.BinarySearch(ps.relays, int32(r))
+	return ok
 }
 
 func TestConfigValidateTable(t *testing.T) {
@@ -332,14 +339,14 @@ func TestRelayWithExpiredTTRQueuesPoll(t *testing.T) {
 	e.eng.onPoll(e.k, 1, protocol.Message{
 		Kind: protocol.KindPoll, Item: 0, Origin: 2, Version: 0, Seq: 77,
 	})
-	if len(st.pending) != 1 {
-		t.Fatalf("pending polls = %d, want 1 (stale relay must wait)", len(st.pending))
+	if len(st.work().pending) != 1 {
+		t.Fatalf("pending polls = %d, want 1 (stale relay must wait)", len(st.work().pending))
 	}
 	// An INVALIDATION confirming the version flushes the queue.
 	e.eng.onInvalidation(e.k, 1, protocol.Message{
 		Kind: protocol.KindInvalidation, Item: 0, Origin: 0, Version: 0,
 	})
-	if len(st.pending) != 0 {
+	if len(st.work().pending) != 0 {
 		t.Fatal("pending polls not flushed on refresh")
 	}
 	e.k.RunUntil(e.k.Now() + time.Second)
@@ -379,7 +386,7 @@ func TestUpdatePushAtTTNTick(t *testing.T) {
 	e := newEnv(t, 3, DefaultConfig())
 	e.seedCache(t, 1, 0)
 	e.eng.itemState(1, 0).role = RoleRelay
-	e.eng.peers[0].relays[1] = struct{}{}
+	e.eng.peers[0].addRelay(1)
 	e.eng.OnUpdate(e.k, 0) // v1 committed
 	e.eng.ttnTick(e.k, 0)  // push interval
 	e.k.RunUntil(e.k.Now() + 5*time.Second)
@@ -434,7 +441,7 @@ func TestDemotionSendsCancel(t *testing.T) {
 	e.seedCache(t, 1, 0)
 	st := e.eng.itemState(1, 0)
 	st.role = RoleRelay
-	e.eng.peers[0].relays[1] = struct{}{}
+	e.eng.peers[0].addRelay(1)
 	// A single failing window is tolerated (hysteresis), then demotion
 	// after DemoteAfter consecutive failures.
 	e.eng.coeffTick(e.k, 1)
@@ -448,7 +455,7 @@ func TestDemotionSendsCancel(t *testing.T) {
 		t.Fatalf("role after %d failing windows = %v, want cache", DefaultConfig().DemoteAfter, st.role)
 	}
 	e.k.RunUntil(e.k.Now() + 2*time.Second)
-	if _, still := e.eng.peers[0].relays[1]; still {
+	if e.eng.peers[0].hasRelay(1) {
 		t.Error("owner kept demoted relay in table after CANCEL")
 	}
 }
@@ -463,7 +470,7 @@ func TestEvictionCancelsRelayRole(t *testing.T) {
 	e.ch.Stores[1] = small
 	e.seedCache(t, 1, 0)
 	e.eng.itemState(1, 0).role = RoleRelay
-	e.eng.peers[0].relays[1] = struct{}{}
+	e.eng.peers[0].addRelay(1)
 	// Caching another item evicts item 0 (capacity 1).
 	m2, _ := e.reg.Master(2)
 	e.eng.putCopy(e.k, 1, m2.Current())
@@ -471,7 +478,7 @@ func TestEvictionCancelsRelayRole(t *testing.T) {
 		t.Fatalf("evicted item still has role %v", e.eng.Role(1, 0))
 	}
 	e.k.RunUntil(e.k.Now() + 2*time.Second)
-	if _, still := e.eng.peers[0].relays[1]; still {
+	if e.eng.peers[0].hasRelay(1) {
 		t.Error("owner kept relay whose copy was evicted")
 	}
 }
@@ -490,9 +497,9 @@ func TestCoeffTickPromotesBusyNode(t *testing.T) {
 
 func TestRelayCountAggregates(t *testing.T) {
 	e := newEnv(t, 4, DefaultConfig())
-	e.eng.peers[0].relays[1] = struct{}{}
-	e.eng.peers[0].relays[2] = struct{}{}
-	e.eng.peers[3].relays[2] = struct{}{}
+	e.eng.peers[0].addRelay(1)
+	e.eng.peers[0].addRelay(2)
+	e.eng.peers[3].addRelay(2)
 	if got := e.eng.RelayCount(); got != 3 {
 		t.Errorf("RelayCount = %d, want 3", got)
 	}

@@ -73,7 +73,7 @@ func (e *Engine) onInvalidation(k *sim.Kernel, nd int, msg protocol.Message) {
 		// Hearing the INVALIDATION proves the source is within TTL hops:
 		// until a closer relay answers a poll, validate against the
 		// source directly rather than flooding.
-		st.knownRelay = msg.Origin
+		st.knownRelay = int32(msg.Origin)
 	}
 
 	switch st.role {
@@ -118,14 +118,14 @@ func (e *Engine) onInvalidation(k *sim.Kernel, nd int, msg protocol.Message) {
 			if e.cfg.DisableRepair {
 				return
 			}
-			if st.applyAttempts >= e.cfg.MaxRepairAttempts {
+			if int(st.applyAttempts) >= e.cfg.MaxRepairAttempts {
 				if !st.applyGaveUp {
 					st.applyGaveUp = true
 					e.ch.Hub.RepairGiveUp(telemetry.RepairApply)
 				}
 				return
 			}
-			if k.Now()-st.applySentAt < e.repairGate(st.applyAttempts) {
+			if k.Now()-st.applySentAt < e.repairGate(int(st.applyAttempts)) {
 				return
 			}
 		}
@@ -168,16 +168,18 @@ func (e *Engine) sendGetNew(k *sim.Kernel, nd int, item data.ItemID, st *itemSta
 		return
 	}
 	if st.getNewPending {
-		if st.getNewAttempts >= e.cfg.MaxRepairAttempts {
+		if int(st.getNewAttempts) >= e.cfg.MaxRepairAttempts {
 			if !st.getNewGaveUp {
 				st.getNewGaveUp = true
 				e.ch.Hub.RepairGiveUp(telemetry.RepairGetNew)
-				e.ch.Tracer.FinishAs(st.repairTC, k.Now().Nanoseconds(), "GET_NEW-gave-up")
-				st.repairTC = protocol.TraceContext{}
+				if tc := st.repairTC(); tc.TraceID != 0 {
+					e.ch.Tracer.FinishAs(tc, k.Now().Nanoseconds(), "GET_NEW-gave-up")
+					st.relay.repairTC = protocol.TraceContext{}
+				}
 			}
 			return
 		}
-		if k.Now()-st.getNewSentAt < e.repairGate(st.getNewAttempts) {
+		if k.Now()-st.getNewSentAt < e.repairGate(int(st.getNewAttempts)) {
 			return
 		}
 	}
@@ -185,10 +187,13 @@ func (e *Engine) sendGetNew(k *sim.Kernel, nd int, item data.ItemID, st *itemSta
 	st.getNewSentAt = k.Now()
 	st.getNewAttempts++
 	e.ch.Hub.RepairAttempt(telemetry.RepairGetNew)
-	if st.repairTC.TraceID == 0 {
-		st.repairTC = e.ch.Tracer.StartChild(k.Now().Nanoseconds(), parent, nd, ctrace.PhaseRepair, "GET_NEW")
+	tc := st.repairTC()
+	if tc.TraceID == 0 {
+		if tc = e.ch.Tracer.StartChild(k.Now().Nanoseconds(), parent, nd, ctrace.PhaseRepair, "GET_NEW"); tc.TraceID != 0 {
+			st.work().repairTC = tc
+		}
 	}
-	gn := protocol.Message{Kind: protocol.KindGetNew, Item: item, Origin: nd, Trace: st.repairTC}
+	gn := protocol.Message{Kind: protocol.KindGetNew, Item: item, Origin: nd, Trace: tc}
 	_ = e.ch.Net.Unicast(nd, e.ch.Reg.Owner(item), gn)
 }
 
@@ -257,9 +262,9 @@ func (e *Engine) resetGetNew(k *sim.Kernel, st *itemState) {
 	st.getNewAttempts = 0
 	st.getNewGaveUp = false
 	st.debtOpen = false
-	if st.repairTC.TraceID != 0 {
-		e.ch.Tracer.Finish(st.repairTC, k.Now().Nanoseconds())
-		st.repairTC = protocol.TraceContext{}
+	if tc := st.repairTC(); tc.TraceID != 0 {
+		e.ch.Tracer.Finish(tc, k.Now().Nanoseconds())
+		st.relay.repairTC = protocol.TraceContext{}
 	}
 }
 
@@ -305,10 +310,9 @@ func (e *Engine) onGetNew(k *sim.Kernel, nd int, msg protocol.Message) {
 	// A GET_NEW proves the sender still acts as a relay peer; if a
 	// transient partition got it pruned from the table (§4.5 MAC-layer
 	// discovery), re-register it so it receives future UPDATE pushes.
-	if _, known := e.peers[nd].relays[msg.Origin]; !known {
+	if e.peers[nd].addRelay(msg.Origin) {
 		e.ch.Hub.RelayMembership(telemetry.MembershipReRegister)
 	}
-	e.peers[nd].relays[msg.Origin] = struct{}{}
 	m, err := e.ch.Reg.Master(msg.Item)
 	if err != nil {
 		return
@@ -363,10 +367,9 @@ func (e *Engine) onApply(k *sim.Kernel, nd int, msg protocol.Message) {
 	if e.ch.Reg.Owner(msg.Item) != nd {
 		return
 	}
-	if _, known := e.peers[nd].relays[msg.Origin]; !known {
+	if e.peers[nd].addRelay(msg.Origin) {
 		e.ch.Hub.RelayMembership(telemetry.MembershipApply)
 	}
-	e.peers[nd].relays[msg.Origin] = struct{}{}
 	ack := protocol.Message{
 		Kind:   protocol.KindApplyAck,
 		Item:   msg.Item,
@@ -403,10 +406,9 @@ func (e *Engine) onCancel(nd int, msg protocol.Message) {
 	if e.ch.Reg.Owner(msg.Item) != nd {
 		return
 	}
-	if _, known := e.peers[nd].relays[msg.Origin]; known {
+	if e.peers[nd].dropRelay(msg.Origin) {
 		e.ch.Hub.RelayMembership(telemetry.MembershipCancel)
 	}
-	delete(e.peers[nd].relays, msg.Origin)
 }
 
 // onPoll answers a cache node's validation request (Fig 6c lines 8–18).
@@ -432,10 +434,11 @@ func (e *Engine) onPoll(k *sim.Kernel, nd int, msg protocol.Message) {
 		// relay repairs right away instead of waiting out the TTR gap.
 		// The queue is bounded: beyond it, older entries (whose pollers
 		// have long since escalated) are discarded first.
-		if len(st.pending) >= 64 {
-			st.pending = st.pending[1:]
+		w := st.work()
+		if len(w.pending) >= 64 {
+			w.pending = w.pending[1:]
 		}
-		st.pending = append(st.pending, pendingPoll{
+		w.pending = append(w.pending, pendingPoll{
 			from: msg.Origin, seq: msg.Seq, version: msg.Version, at: k.Now(),
 			tc: msg.Trace,
 		})
@@ -486,15 +489,15 @@ func (e *Engine) answerPoll(k *sim.Kernel, nd int, msg protocol.Message, authori
 // expired. Entries older than TTN are dropped: their pollers have long
 // since escalated.
 func (e *Engine) flushPendingPolls(k *sim.Kernel, nd int, item data.ItemID, st *itemState) {
-	if len(st.pending) == 0 {
+	if st.relay == nil || len(st.relay.pending) == 0 {
 		return
 	}
 	cp, have := e.ch.Stores[nd].Peek(item)
 	if !have {
-		st.pending = nil
+		st.relay.pending = nil
 		return
 	}
-	for _, p := range st.pending {
+	for _, p := range st.relay.pending {
 		if k.Now()-p.at > e.cfg.TTN {
 			continue
 		}
@@ -511,7 +514,7 @@ func (e *Engine) flushPendingPolls(k *sim.Kernel, nd int, item data.ItemID, st *
 		}
 		e.answerPoll(k, nd, pm, cp)
 	}
-	st.pending = nil
+	st.relay.pending = nil
 }
 
 // learnRelay remembers the answering relay as the poll target for next
@@ -522,11 +525,11 @@ func (e *Engine) flushPendingPolls(k *sim.Kernel, nd int, item data.ItemID, st *
 // what ties RPCC's traffic to the TTL in the Fig 9 sweep.
 func (e *Engine) learnRelay(k *sim.Kernel, st *itemState, msg protocol.Message) {
 	if msg.Origin != e.ch.Reg.Owner(msg.Item) {
-		st.knownRelay = msg.Origin
+		st.knownRelay = int32(msg.Origin)
 		return
 	}
 	if st.invHeard && k.Now()-st.invAt < 2*e.cfg.TTN {
-		st.knownRelay = msg.Origin
+		st.knownRelay = int32(msg.Origin)
 	}
 }
 

@@ -81,8 +81,10 @@ func (e *Engine) delItem(nd int, id data.ItemID) (*itemState, bool) {
 }
 
 // resetItems empties nd's table and signature word (crash: the node
-// restarts cold).
+// restarts cold), keeping the table's storage.
 func (e *Engine) resetItems(nd int) {
-	e.peers[nd].items = itemTable{}
+	t := &e.peers[nd].items
+	clear(t.sts)
+	t.ids, t.sts = t.ids[:0], t.sts[:0]
 	e.sigs[nd] = 0
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/manetlab/rpcc/internal/cache"
 	"github.com/manetlab/rpcc/internal/data"
@@ -19,10 +20,9 @@ import (
 // tables grow to several times the ten entries a node really holds.
 func TestItemTableMatchesMapProperty(t *testing.T) {
 	const nodes = 3
-	e := &Engine{peers: make([]*peerState, nodes), sigs: make([]uint64, nodes)}
+	e := &Engine{peers: make([]peerState, nodes), sigs: make([]uint64, nodes)}
 	model := make([]map[data.ItemID]*itemState, nodes)
 	for nd := range e.peers {
-		e.peers[nd] = &peerState{}
 		model[nd] = map[data.ItemID]*itemState{}
 	}
 	rng := rand.New(rand.NewSource(42))
@@ -32,7 +32,7 @@ func TestItemTableMatchesMapProperty(t *testing.T) {
 		nd, id := rng.Intn(nodes), randID()
 		switch op := rng.Intn(100); {
 		case op < 50: // put (insert or replace)
-			st := &itemState{knownRelay: step}
+			st := &itemState{knownRelay: int32(step)}
 			e.putItem(nd, id, st)
 			model[nd][id] = st
 		case op < 99: // del, present or not
@@ -86,10 +86,18 @@ func TestItemTableMatchesMapProperty(t *testing.T) {
 	}
 }
 
+// TestItemStateIsPacked pins the packed layout: a 10k-node run holds about
+// 100 000 item states.
+func TestItemStateIsPacked(t *testing.T) {
+	if got := unsafe.Sizeof(itemState{}); got > 96 {
+		t.Fatalf("itemState is %d bytes, want <= 96", got)
+	}
+}
+
 // TestItemSignatureKeepsCollidingBit pins the del case a cleared bit would
 // get wrong: two held ids share a residue and one of them goes.
 func TestItemSignatureKeepsCollidingBit(t *testing.T) {
-	e := &Engine{peers: []*peerState{{}}, sigs: make([]uint64, 1)}
+	e := &Engine{peers: []peerState{{}}, sigs: make([]uint64, 1)}
 	a, b := &itemState{}, &itemState{}
 	e.putItem(0, 5, a)
 	e.putItem(0, 5+64, b)
@@ -185,7 +193,7 @@ func TestRepairSpanClosedWhenRelayStateGoes(t *testing.T) {
 			})
 			e.k.RunUntil(e.k.Now() + 5*time.Second)
 			st, _ := e.eng.getItem(1, 0)
-			if st == nil || !st.getNewPending || st.repairTC.TraceID == 0 {
+			if st == nil || !st.getNewPending || st.repairTC().TraceID == 0 {
 				t.Fatal("setup: relay is not mid-repair with an open span")
 			}
 
@@ -194,7 +202,7 @@ func TestRepairSpanClosedWhenRelayStateGoes(t *testing.T) {
 			if e.eng.Role(1, 0) != RoleNone {
 				t.Fatalf("item state survived the teardown (role %v)", e.eng.Role(1, 0))
 			}
-			if st.repairTC.TraceID != 0 {
+			if st.repairTC().TraceID != 0 {
 				t.Error("removed state still names an open repair span")
 			}
 			repairs := 0

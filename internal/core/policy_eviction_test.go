@@ -15,12 +15,12 @@ func swapStore(t *testing.T, e *env, nd int, kind cache.PolicyKind) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, err := cache.NewStoreWithPolicy(1, p)
+	small, err := cache.NewStores(1, 1, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.stores[nd] = small
-	e.ch.Stores[nd] = small
+	e.stores[nd] = small[0]
+	e.ch.Stores[nd] = small[0]
 }
 
 // TestEvictionCancelsRelayRolePerPolicy: the eviction → relay CANCEL
@@ -34,7 +34,7 @@ func TestEvictionCancelsRelayRolePerPolicy(t *testing.T) {
 			swapStore(t, e, 1, kind)
 			e.seedCache(t, 1, 0)
 			e.eng.itemState(1, 0).role = RoleRelay
-			e.eng.peers[0].relays[1] = struct{}{}
+			e.eng.peers[0].addRelay(1)
 			// Caching another item evicts item 0 (capacity 1) under
 			// every policy: it is the only resident entry.
 			m2, _ := e.reg.Master(2)
@@ -43,7 +43,7 @@ func TestEvictionCancelsRelayRolePerPolicy(t *testing.T) {
 				t.Fatalf("evicted item still has role %v", e.eng.Role(1, 0))
 			}
 			e.k.RunUntil(e.k.Now() + 2*time.Second)
-			if _, still := e.eng.peers[0].relays[1]; still {
+			if e.eng.peers[0].hasRelay(1) {
 				t.Error("owner kept relay whose copy was evicted")
 			}
 		})
@@ -62,7 +62,7 @@ func TestStoreRefreshEvictionCancelsRelay(t *testing.T) {
 			swapStore(t, e, 1, kind)
 			e.seedCache(t, 1, 0)
 			e.eng.itemState(1, 0).role = RoleRelay
-			e.eng.peers[0].relays[1] = struct{}{}
+			e.eng.peers[0].addRelay(1)
 			// Refresh item 2, absent from the full store: inserting it
 			// evicts item 0, whose relay role must still tear down.
 			m2, _ := e.reg.Master(2)
@@ -75,7 +75,7 @@ func TestStoreRefreshEvictionCancelsRelay(t *testing.T) {
 				t.Fatalf("evicted item still has role %v after storeRefresh", e.eng.Role(1, 0))
 			}
 			e.k.RunUntil(e.k.Now() + 2*time.Second)
-			if _, still := e.eng.peers[0].relays[1]; still {
+			if e.eng.peers[0].hasRelay(1) {
 				t.Error("owner kept relay whose copy storeRefresh evicted")
 			}
 		})

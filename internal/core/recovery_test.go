@@ -85,7 +85,7 @@ func (e *faultEnv) makeRelay(t *testing.T, host int) {
 	st.refreshedOnce = true
 	st.invHeard = true
 	st.invAt = e.k.Now()
-	e.eng.peers[0].relays[host] = struct{}{}
+	e.eng.peers[0].addRelay(host)
 }
 
 func TestRelayReconnectionRepair(t *testing.T) {
@@ -181,7 +181,7 @@ func TestCandidateMissedApplyAckRetries(t *testing.T) {
 		t.Fatal("node promoted while disconnected")
 	}
 	// The source believes node 1 is a relay already.
-	if _, inTable := e.eng.peers[0].relays[1]; !inTable {
+	if !e.eng.peers[0].hasRelay(1) {
 		t.Fatal("source did not record the APPLY")
 	}
 
@@ -207,7 +207,7 @@ func TestOwnerPrunesUnreachableRelayOnPush(t *testing.T) {
 	}
 	e.eng.OnUpdate(e.k, 0)
 	e.eng.ttnTick(e.k, 0) // push round observes the dead relay
-	if _, still := e.eng.peers[0].relays[2]; still {
+	if e.eng.peers[0].hasRelay(2) {
 		t.Fatal("owner kept unreachable relay in table")
 	}
 }

@@ -270,18 +270,16 @@ func assembleScenario(cfg Config, hub *telemetry.Hub, k *sim.Kernel, tracer *ctr
 	if err != nil {
 		return nil, err
 	}
-	stores := make([]*cache.Store, cfg.NPeers)
+	// The TTL policy ranks freshness against the scenario's TTP horizon.
+	pol, err := cache.NewPolicy(cfg.CachePolicy, cache.PolicyParams{TTL: cfg.TTP})
+	if err != nil {
+		return nil, err
+	}
+	stores, err := cache.NewStores(cfg.NPeers, cfg.CacheNum, pol)
+	if err != nil {
+		return nil, err
+	}
 	for i := range stores {
-		// One policy instance per store: policies are stateful. The TTL
-		// policy ranks freshness against the scenario's TTP horizon.
-		pol, perr := cache.NewPolicy(cfg.CachePolicy, cache.PolicyParams{TTL: cfg.TTP})
-		if perr != nil {
-			return nil, perr
-		}
-		stores[i], err = cache.NewStoreWithPolicy(cfg.CacheNum, pol)
-		if err != nil {
-			return nil, err
-		}
 		if cfg.CachePolicy == cache.PolicyUtility {
 			// Estimate the re-fetch distance to an item's source host
 			// geometrically (current positions, one hop per CommRange).
@@ -543,7 +541,13 @@ func coreConfigFrom(cfg Config) core.Config {
 // PopularityCached.
 func warmCaches(k *sim.Kernel, cfg Config, reg *data.Registry, stores []*cache.Store, strat Strategy) [][]data.ItemID {
 	rng := k.Stream("experiment.warm")
+	// Every host's domain is carved from one array of CacheNum slots each.
+	slots := make([]data.ItemID, cfg.NPeers*cfg.CacheNum)
 	domains := make([][]data.ItemID, cfg.NPeers)
+	for host := range domains {
+		lo := host * cfg.CacheNum
+		domains[host] = slots[lo : lo : lo+cfg.CacheNum]
+	}
 	warm := func(host int, item data.ItemID) {
 		m, err := reg.Master(item)
 		if err != nil {
@@ -564,14 +568,19 @@ func warmCaches(k *sim.Kernel, cfg Config, reg *data.Registry, stores []*cache.S
 		}
 		return domains
 	}
+	// drawnFor[item] == host+1 marks item as already drawn for host (the
+	// host's own item included), so one array serves every host.
+	drawnFor := make([]int32, cfg.NPeers)
 	for host := 0; host < cfg.NPeers; host++ {
-		seen := map[int]bool{host: true}
-		for len(seen) <= cfg.CacheNum && len(seen) < cfg.NPeers {
+		mark := int32(host + 1)
+		drawnFor[host] = mark
+		for seen := 1; seen <= cfg.CacheNum && seen < cfg.NPeers; {
 			item := rng.Intn(cfg.NPeers)
-			if seen[item] {
+			if drawnFor[item] == mark {
 				continue
 			}
-			seen[item] = true
+			drawnFor[item] = mark
+			seen++
 			warm(host, data.ItemID(item))
 		}
 	}

@@ -319,15 +319,13 @@ func Run(sc Scenario) (*Report, error) {
 		cap = 10
 	}
 	ccfg := core.DefaultConfig()
-	stores := make([]*cache.Store, sc.Nodes)
-	for i := range stores {
-		pol, perr := cache.NewPolicy(cache.PolicyKind(sc.Policy), cache.PolicyParams{TTL: ccfg.TTP})
-		if perr != nil {
-			return nil, perr
-		}
-		if stores[i], err = cache.NewStoreWithPolicy(cap, pol); err != nil {
-			return nil, err
-		}
+	pol, err := cache.NewPolicy(cache.PolicyKind(sc.Policy), cache.PolicyParams{TTL: ccfg.TTP})
+	if err != nil {
+		return nil, err
+	}
+	stores, err := cache.NewStores(sc.Nodes, cap, pol)
+	if err != nil {
+		return nil, err
 	}
 	// The model below is this run's judge; the chassis gets the
 	// ledger-less auditor so no answer is judged twice.

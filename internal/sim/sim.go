@@ -146,7 +146,13 @@ type Kernel struct {
 	// scheduling allocates nothing: the heap pops an event, its handler
 	// runs, and the next At/After reuses the same struct.
 	free []*Event
+	// fresh holds never-used events, allocated eventBlock at a time, for
+	// the schedules the freelist cannot serve (set-up, a growing queue).
+	fresh []Event
 }
+
+// eventBlock is how many events one cold acquire allocates.
+const eventBlock = 256
 
 // Option configures a Kernel.
 type Option func(*Kernel)
@@ -227,7 +233,12 @@ func (k *Kernel) acquire() *Event {
 		*e = Event{}
 		return e
 	}
-	return &Event{}
+	if len(k.fresh) == 0 {
+		k.fresh = make([]Event, eventBlock)
+	}
+	e := &k.fresh[0]
+	k.fresh = k.fresh[1:]
+	return e
 }
 
 // recycle returns a popped event to the freelist. The handler reference

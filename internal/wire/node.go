@@ -169,12 +169,10 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if capacity <= 0 {
 		capacity = 1
 	}
-	stores := make([]*cache.Store, cfg.Nodes)
-	for i := range stores {
-		if stores[i], err = cache.NewStore(capacity); err != nil {
-			tr.Close()
-			return nil, err
-		}
+	stores, err := cache.NewStores(cfg.Nodes, capacity, cache.Policy{})
+	if err != nil {
+		tr.Close()
+		return nil, err
 	}
 	// reg is this daemon's private registry: it never hears another
 	// owner's commits, so it is no ledger to judge answers against. The

@@ -173,16 +173,24 @@ func (g *Generator) Start(k *sim.Kernel) {
 		// in-range id IS the host). NewZipf needs s > 1.
 		g.zipf = rand.NewZipf(k.Stream("workload.zipf"), 1.1, 1, uint64(g.cfg.Hosts-2))
 	}
-	for host := 0; host < g.cfg.Hosts; host++ {
-		host := host
+	// Each host's two handlers are built once and re-arm themselves, so a
+	// tick allocates nothing.
+	timers := make([]struct{ query, update sim.Handler }, g.cfg.Hosts)
+	for host := range timers {
+		t := &timers[host]
+		t.query = func(kk *sim.Kernel) {
+			g.queryTick(kk, host)
+			kk.After(g.exp(g.cfg.MeanQueryEvery), "workload.query", t.query)
+		}
+		t.update = func(kk *sim.Kernel) {
+			g.updates++
+			g.onUpdate(kk, host)
+			kk.After(g.exp(g.cfg.MeanUpdateEvery), "workload.update", t.update)
+		}
 		// Deterministic uniform stagger for the first event of each
 		// stream, then exponential gaps.
-		k.After(g.uniform(g.cfg.MeanQueryEvery), "workload.query", func(kk *sim.Kernel) {
-			g.queryTick(kk, host)
-		})
-		k.After(g.uniform(g.cfg.MeanUpdateEvery), "workload.update", func(kk *sim.Kernel) {
-			g.updateTick(kk, host)
-		})
+		k.After(g.uniform(g.cfg.MeanQueryEvery), "workload.query", t.query)
+		k.After(g.uniform(g.cfg.MeanUpdateEvery), "workload.update", t.update)
 	}
 }
 
@@ -218,9 +226,6 @@ func (g *Generator) queryTick(k *sim.Kernel, host int) {
 			g.onQuery(k, host, item)
 		}
 	}
-	k.After(g.exp(g.cfg.MeanQueryEvery), "workload.query", func(kk *sim.Kernel) {
-		g.queryTick(kk, host)
-	})
 }
 
 // diurnalLevel is the query-acceptance probability at now: a sinusoid
@@ -230,14 +235,6 @@ func (g *Generator) diurnalLevel(now time.Duration) float64 {
 	phase := float64(now%g.cfg.DiurnalPeriod) / float64(g.cfg.DiurnalPeriod)
 	min := g.cfg.DiurnalMin
 	return min + (1-min)*0.5*(1+math.Sin(2*math.Pi*phase))
-}
-
-func (g *Generator) updateTick(k *sim.Kernel, host int) {
-	g.updates++
-	g.onUpdate(k, host)
-	k.After(g.exp(g.cfg.MeanUpdateEvery), "workload.update", func(kk *sim.Kernel) {
-		g.updateTick(kk, host)
-	})
 }
 
 // pickItem selects the item host would query at now. It may return the

@@ -133,11 +133,9 @@ func NewSimulation(opts SimOptions) (*Simulation, error) {
 	if err != nil {
 		return nil, err
 	}
-	stores := make([]*cache.Store, opts.Peers)
-	for i := range stores {
-		if stores[i], err = cache.NewStore(opts.CacheCapacity); err != nil {
-			return nil, err
-		}
+	stores, err := cache.NewStores(opts.Peers, opts.CacheCapacity, cache.Policy{})
+	if err != nil {
+		return nil, err
 	}
 	aud, err := consistency.NewAuditor(reg, opts.DeltaBound, 5*time.Second)
 	if err != nil {
