@@ -18,9 +18,11 @@ test:
 # carry the hot-path buffer reuse: the fleet orchestrator (real
 # simulations on parallel workers), the kernel with its event freelist,
 # the pooled network layer, the reused radio snapshot builder, the stats
-# merge, and the protocol engine those runs share.
+# merge, the protocol engine those runs share, and the per-registry
+# payload arena and the query/fetch/round slabs of the strategies.
 race:
-	$(GO) test -race ./internal/fleet/ ./internal/sim/ ./internal/stats/ ./internal/experiment/ ./internal/netsim/ ./internal/radio/ ./internal/wire/ ./internal/wire/cluster/ ./internal/oracle/ ./internal/core/
+	$(GO) test -race ./internal/fleet/ ./internal/sim/ ./internal/stats/ ./internal/experiment/ ./internal/netsim/ ./internal/radio/ ./internal/wire/ ./internal/wire/cluster/ ./internal/oracle/ ./internal/core/ \
+		./internal/data/ ./internal/node/ ./internal/pushpull/ ./internal/churn/
 
 vet:
 	$(GO) vet ./...

@@ -81,6 +81,20 @@ type Process struct {
 	phase     []State
 	frozen    []bool // frozen nodes ignore scheduled flips (crash faults)
 	listeners []Listener
+	// flips holds each node's transition timer, re-armed after every flip.
+	flips []flipTimer
+}
+
+// flipTimer is one node's scheduled churn transition.
+type flipTimer struct {
+	p    *Process
+	node int
+}
+
+// Fire flips the node and schedules its next transition.
+func (t *flipTimer) Fire(k *sim.Kernel) {
+	t.p.flip(k, t.node)
+	t.p.scheduleTransition(k, t.node)
 }
 
 // NewProcess creates the churn process for n nodes, all initially
@@ -108,7 +122,9 @@ func NewProcess(cfg Config, n int, k *sim.Kernel) (*Process, error) {
 		p.phase[i] = StateConnected
 	}
 	if !cfg.Disabled {
-		for i := 0; i < n; i++ {
+		p.flips = make([]flipTimer, n)
+		for i := range p.flips {
+			p.flips[i] = flipTimer{p: p, node: i}
 			p.scheduleTransition(k, i)
 		}
 	}
@@ -130,10 +146,7 @@ func (p *Process) scheduleTransition(k *sim.Kernel, node int) {
 	if p.phase[node] == StateDisconnected {
 		mean = p.cfg.MeanDown
 	}
-	k.After(p.expDraw(mean), "churn.flip", func(kk *sim.Kernel) {
-		p.flip(kk, node)
-		p.scheduleTransition(kk, node)
-	})
+	k.AfterTimer(p.expDraw(mean), "churn.flip", &p.flips[node])
 }
 
 func (p *Process) flip(k *sim.Kernel, node int) {

@@ -93,10 +93,11 @@ func (st *itemState) work() *relayWork {
 	return st.relay
 }
 
-// dropPending discards the polls st queued while its TTR was expired.
+// dropPending discards the polls st queued while its TTR was expired,
+// keeping the queue's array for the next ones.
 func (st *itemState) dropPending() {
 	if st.relay != nil {
-		st.relay.pending = nil
+		st.relay.pending = st.relay.pending[:0]
 	}
 }
 
@@ -150,12 +151,20 @@ func (ps *peerState) dropRelay(r int) bool {
 	return ok
 }
 
-// pollRound is one cache node's in-flight validation round.
+// pollRound is one query's record past the local checks: the fetch of a
+// missing copy (it is the fetch's FetchDone) and then the validation round
+// (it is the poll timeout's Timer). Rounds come from the engine's slab.
 type pollRound struct {
+	e     *Engine
 	q     *node.Query
 	host  int
 	item  data.ItemID
 	stage int
+	// have is the version the poller holds, carried by every stage's POLL.
+	have data.Version
+	// st is the state the running stage polled for; its timeout forgets
+	// the learned relay there.
+	st *itemState
 	// tc is the span of the currently running escalation stage; the next
 	// stage (or the resolving ack) closes it.
 	tc protocol.TraceContext
@@ -175,11 +184,12 @@ type Engine struct {
 	// states is the slab new item states are carved from (newItemState);
 	// a slot is never reused, so a pointer a pending timer holds stays
 	// that state's.
-	states []itemState
+	states sim.Slab[itemState]
 	// deliveries counts protocol messages handled per node; together with
 	// cache accesses it forms N_a, the accessibility evidence of Eq 4.2.1.
 	deliveries []uint64
 	polls      map[uint64]*pollRound
+	rounds     sim.Slab[pollRound]
 	started    bool
 
 	// Stage usage counters (diagnostics and the A4 ablation).
@@ -231,7 +241,7 @@ func New(cfg Config, ch *node.Chassis, tel Telemetry) (*Engine, error) {
 		total += ch.Stores[nd].Capacity()
 	}
 	ids, sts := make([]data.ItemID, total), make([]*itemState, total)
-	e.states = make([]itemState, 0, total)
+	e.states.Reserve(total)
 	off := 0
 	for nd := range e.peers {
 		end := off + ch.Stores[nd].Capacity()
@@ -242,16 +252,11 @@ func New(cfg Config, ch *node.Chassis, tel Telemetry) (*Engine, error) {
 	return e, nil
 }
 
-// stateBlock is how many item states a slab refill allocates at once.
-const stateBlock = 64
-
 // newItemState returns a fresh cache-role state carved from the slab.
 func (e *Engine) newItemState() *itemState {
-	if len(e.states) == cap(e.states) {
-		e.states = make([]itemState, 0, stateBlock)
-	}
-	e.states = append(e.states, itemState{role: RoleCache, knownRelay: -1})
-	return &e.states[len(e.states)-1]
+	st := e.states.New()
+	*st = itemState{role: RoleCache, knownRelay: -1}
+	return st
 }
 
 // Name identifies the strategy in reports.
@@ -346,38 +351,50 @@ func (e *Engine) OnQuery(k *sim.Kernel, host int, item data.ItemID, level consis
 		q.Source = host
 		e.ch.Answer(k, q, cp)
 	default:
-		e.startPoll(k, q, cp.Version)
+		e.startPoll(k, e.newRound(q), cp.Version)
 	}
+}
+
+// newRound returns a fresh round for q from the slab.
+func (e *Engine) newRound(q *node.Query) *pollRound {
+	r := e.rounds.New()
+	*r = pollRound{e: e, q: q, host: q.Host, item: q.Item}
+	return r
 }
 
 // fetchMiss resolves a query for an item the host does not cache: locate a
 // copy (expanding ring, §3's discovery substrate), cache it, then apply
-// the level rules — a copy obtained from the owner is authoritative, one
-// from a peer must still be validated for SC and expired-Δ queries.
+// the level rules (FetchDone).
 func (e *Engine) fetchMiss(k *sim.Kernel, q *node.Query) {
-	e.ch.FetchRing(k, q.Host, q.Item, q.TC, func(kk *sim.Kernel, c data.Copy, from int, ok bool) {
-		if !ok {
-			e.ch.Fail(q, "fetch-timeout")
-			return
-		}
-		e.putCopy(kk, q.Host, c)
-		st := e.itemState(q.Host, q.Item)
-		fromOwner := from == e.ch.Reg.Owner(q.Item)
-		if fromOwner {
-			st.lastValidated = kk.Now()
-			st.validatedOnce = true
-		}
-		switch {
-		case q.Level == consistency.LevelWeak, fromOwner:
-			q.Source = from
-			e.ch.Answer(kk, q, c)
-		case q.Level == consistency.LevelDelta && e.ttpValid(kk, st):
-			q.Source = from
-			e.ch.Answer(kk, q, c)
-		default:
-			e.startPoll(kk, q, c.Version)
-		}
-	})
+	e.ch.FetchRing(k, q.Host, q.Item, q.TC, e.newRound(q))
+}
+
+// FetchDone completes a miss's fetch: a copy obtained from the owner is
+// authoritative, one from a peer must still be validated for SC and
+// expired-Δ queries, by this round.
+func (r *pollRound) FetchDone(k *sim.Kernel, c data.Copy, from int, ok bool) {
+	e, q := r.e, r.q
+	if !ok {
+		e.ch.Fail(q, "fetch-timeout")
+		return
+	}
+	e.putCopy(k, q.Host, c)
+	st := e.itemState(q.Host, q.Item)
+	fromOwner := from == e.ch.Reg.Owner(q.Item)
+	if fromOwner {
+		st.lastValidated = k.Now()
+		st.validatedOnce = true
+	}
+	switch {
+	case q.Level == consistency.LevelWeak, fromOwner:
+		q.Source = from
+		e.ch.Answer(k, q, c)
+	case q.Level == consistency.LevelDelta && e.ttpValid(k, st):
+		q.Source = from
+		e.ch.Answer(k, q, c)
+	default:
+		e.startPoll(k, r, c.Version)
+	}
 }
 
 // putCopy stores a copy at host, tearing down relay state for whatever the
@@ -442,19 +459,19 @@ func (e *Engine) ttrValid(k *sim.Kernel, st *itemState) bool {
 // cheap unicast straight to it; otherwise (or when it stops answering) a
 // PollTTL ring flood discovers a relay, escalating to the network-wide
 // PollFallbackTTL flood, then failing.
-func (e *Engine) startPoll(k *sim.Kernel, q *node.Query, have data.Version) {
-	r := &pollRound{q: q, host: q.Host, item: q.Item}
-	st := e.itemState(q.Host, q.Item)
+func (e *Engine) startPoll(k *sim.Kernel, r *pollRound, have data.Version) {
+	r.have = have
+	st := e.itemState(r.host, r.item)
 	if st.knownRelay < 0 {
 		r.stage = 1 // no known relay: go straight to ring discovery
 	}
-	e.polls[q.Seq] = r
-	e.pollStage(k, r, have)
+	e.polls[r.q.Seq] = r
+	e.pollStage(k, r)
 }
 
 // Poll stages: 0 unicast to the learned relay, 1 ring flood, 2 fallback
 // flood, 3 give up.
-func (e *Engine) pollStage(k *sim.Kernel, r *pollRound, have data.Version) {
+func (e *Engine) pollStage(k *sim.Kernel, r *pollRound) {
 	if r.q.Resolved() {
 		delete(e.polls, r.q.Seq)
 		return
@@ -470,7 +487,7 @@ func (e *Engine) pollStage(k *sim.Kernel, r *pollRound, have data.Version) {
 		Kind:    protocol.KindPoll,
 		Item:    r.item,
 		Origin:  r.host,
-		Version: have,
+		Version: r.have,
 		Seq:     r.q.Seq,
 	}
 	st := e.itemState(r.host, r.item)
@@ -504,18 +521,23 @@ func (e *Engine) pollStage(k *sim.Kernel, r *pollRound, have data.Version) {
 		e.ch.Fail(r.q, "poll-send")
 		return
 	}
-	stage := r.stage
+	r.st = st
 	r.stage++
-	k.After(e.cfg.PollTimeout, "rpcc.poll.timeout", func(kk *sim.Kernel) {
-		if stage == 0 && !r.q.Resolved() {
-			// The learned relay went quiet (moved, demoted, partitioned):
-			// forget it before falling back to discovery.
-			st.knownRelay = -1
-			e.relayForgets++
-			e.ch.Hub.RelayForget()
-		}
-		e.pollStage(kk, r, have)
-	})
+	k.AfterTimer(e.cfg.PollTimeout, "rpcc.poll.timeout", r)
+}
+
+// Fire is the timeout of the stage that ran last (r.stage-1): it
+// escalates to the next one.
+func (r *pollRound) Fire(k *sim.Kernel) {
+	e := r.e
+	if r.stage == 1 && !r.q.Resolved() {
+		// The learned relay went quiet (moved, demoted, partitioned):
+		// forget it before falling back to discovery.
+		r.st.knownRelay = -1
+		e.relayForgets++
+		e.ch.Hub.RelayForget()
+	}
+	e.pollStage(k, r)
 }
 
 // ttnTick is the source host's periodic invalidation duty (Fig 6b): push

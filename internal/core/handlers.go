@@ -436,7 +436,9 @@ func (e *Engine) onPoll(k *sim.Kernel, nd int, msg protocol.Message) {
 		// have long since escalated) are discarded first.
 		w := st.work()
 		if len(w.pending) >= 64 {
-			w.pending = w.pending[1:]
+			// Shift in place: reslicing forward would walk the array and
+			// reallocate it on every append under steady load.
+			w.pending = w.pending[:copy(w.pending, w.pending[1:])]
 		}
 		w.pending = append(w.pending, pendingPoll{
 			from: msg.Origin, seq: msg.Seq, version: msg.Version, at: k.Now(),
@@ -494,7 +496,7 @@ func (e *Engine) flushPendingPolls(k *sim.Kernel, nd int, item data.ItemID, st *
 	}
 	cp, have := e.ch.Stores[nd].Peek(item)
 	if !have {
-		st.relay.pending = nil
+		st.dropPending()
 		return
 	}
 	for _, p := range st.relay.pending {
@@ -514,7 +516,7 @@ func (e *Engine) flushPendingPolls(k *sim.Kernel, nd int, item data.ItemID, st *
 		}
 		e.answerPoll(k, nd, pm, cp)
 	}
-	st.relay.pending = nil
+	st.dropPending()
 }
 
 // learnRelay remembers the answering relay as the poll target for next

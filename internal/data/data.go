@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"strconv"
 	"time"
+	"unsafe"
 )
 
 // ItemID identifies a data item. Under the paper's simplifying assumption
@@ -66,30 +67,68 @@ func (c Copy) Consistent() bool {
 	return c.Value == string(appendValue(buf[:0], c.ID, c.Version))
 }
 
+// arenaChunk is the size of one payload arena chunk: a few hundred
+// canonical payloads.
+const arenaChunk = 4096
+
+// arena is an append-only byte store the canonical payloads are rendered
+// into. A payload is a string over its own bytes of a chunk, and a chunk is
+// never written again once a payload sits in it (copies in caches and in
+// flight still point there), so a full chunk is left to the collector and
+// a fresh one started. One arena serves one registry, and so one
+// simulation: registries on parallel goroutines never share a chunk.
+type arena struct {
+	buf []byte
+}
+
+// value renders the canonical payload for (id, v) into the arena.
+func (a *arena) value(id ItemID, v Version) string {
+	if cap(a.buf)-len(a.buf) < maxValueLen {
+		a.buf = make([]byte, 0, arenaChunk)
+	}
+	start := len(a.buf)
+	// The room check above means appendValue never reallocates, so the
+	// bytes stay where the string points.
+	a.buf = appendValue(a.buf, id, v)
+	return unsafe.String(&a.buf[start], len(a.buf)-start)
+}
+
 // Master is a source host's authoritative copy plus its update history
 // timeline, which the auditor uses to translate versions to commit times.
 type Master struct {
 	cur     Copy
 	commits []time.Duration // commits[v] = virtual time version v was written
+	arena   *arena          // where Update renders the payloads
 }
 
-// NewMaster creates version 0 of the item at virtual time 0.
-func NewMaster(id ItemID) *Master {
-	m := &Master{
-		cur: Copy{ID: id, Version: 0, Value: ValueFor(id, 0), WrittenAt: 0},
+// init makes m version 0 of item id at virtual time 0, its payload drawn
+// from a and its history starting in commits (length 1).
+func (m *Master) init(id ItemID, a *arena, commits []time.Duration) {
+	*m = Master{
+		cur:     Copy{ID: id, Version: 0, Value: a.value(id, 0), WrittenAt: 0},
+		commits: commits,
+		arena:   a,
 	}
-	m.commits = append(m.commits, 0)
+}
+
+// NewMaster creates version 0 of the item at virtual time 0, with an arena
+// of its own.
+func NewMaster(id ItemID) *Master {
+	m := new(Master)
+	m.init(id, new(arena), make([]time.Duration, 1))
 	return m
 }
 
 // Update commits the next version at virtual time now and returns the new
-// copy. Updates at non-decreasing times are enforced.
+// copy. Updates at non-decreasing times are enforced. The payload is
+// rendered into the registry's arena, so a commit allocates nothing but an
+// occasional arena chunk and history growth.
 func (m *Master) Update(now time.Duration) (Copy, error) {
 	if now < m.cur.WrittenAt {
 		return Copy{}, fmt.Errorf("data: update at %v before last write %v of %v", now, m.cur.WrittenAt, m.cur.ID)
 	}
 	next := m.cur.Version + 1
-	m.cur = Copy{ID: m.cur.ID, Version: next, Value: ValueFor(m.cur.ID, next), WrittenAt: now}
+	m.cur = Copy{ID: m.cur.ID, Version: next, Value: m.arena.value(m.cur.ID, next), WrittenAt: now}
 	m.commits = append(m.commits, now)
 	return m.cur, nil
 }
@@ -128,7 +167,7 @@ func (m *Master) CommitTime(v Version) (time.Duration, bool) {
 
 // Registry is the ground-truth table of every master copy in the system.
 type Registry struct {
-	masters []*Master
+	masters []Master
 }
 
 // NewRegistry creates n items, item i owned by host i (the paper's m = n
@@ -137,11 +176,15 @@ func NewRegistry(n int) (*Registry, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("data: need at least one item, got %d", n)
 	}
-	masters := make([]*Master, n)
-	for i := range masters {
-		masters[i] = NewMaster(ItemID(i))
+	// One slab of masters, one of first history entries and one payload
+	// arena: set-up costs three allocations plus a chunk per few hundred
+	// items, not three per item.
+	r := &Registry{masters: make([]Master, n)}
+	a, commits := new(arena), make([]time.Duration, n)
+	for i := range r.masters {
+		r.masters[i].init(ItemID(i), a, commits[i:i+1:i+1])
 	}
-	return &Registry{masters: masters}, nil
+	return r, nil
 }
 
 // Len returns the number of items.
@@ -152,7 +195,7 @@ func (r *Registry) Master(id ItemID) (*Master, error) {
 	if int(id) < 0 || int(id) >= len(r.masters) {
 		return nil, fmt.Errorf("data: unknown item %v", id)
 	}
-	return r.masters[int(id)], nil
+	return &r.masters[int(id)], nil
 }
 
 // Owner returns the host index that owns item id (identity mapping).

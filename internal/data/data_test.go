@@ -227,6 +227,108 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// TestArenaPayloadsMatchValueFor: payloads rendered into the registry's
+// arena equal the canonical ValueFor bytes for every version, across many
+// chunk boundaries and for items whose ids differ in width.
+func TestArenaPayloadsMatchValueFor(t *testing.T) {
+	r, err := NewRegistry(1200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []ItemID{0, 7, 42, 1199}
+	for _, id := range ids {
+		m, _ := r.Master(id)
+		if got, want := m.Current().Value, ValueFor(id, 0); got != want {
+			t.Fatalf("item %d v0 payload %q, want %q", id, got, want)
+		}
+	}
+	// ~15-byte payloads: 4 000 commits cross a 4 KB chunk ~15 times.
+	for i := 1; i <= 4000; i++ {
+		id := ids[i%len(ids)]
+		m, _ := r.Master(id)
+		c, err := m.Update(time.Duration(i) * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := ValueFor(id, c.Version); c.Value != want || !c.Consistent() {
+			t.Fatalf("item %d v%d payload %q, want %q", id, c.Version, c.Value, want)
+		}
+	}
+}
+
+// TestArenaCopyOutlivesLaterUpdates: a copy taken at version 1 keeps its
+// bytes while the arena fills thousands of later payloads around it.
+func TestArenaCopyOutlivesLaterUpdates(t *testing.T) {
+	r, err := NewRegistry(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _ := r.Master(2)
+	v1, err := m.Update(time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, _ := r.Master(0)
+	for i := 2; i <= 10_001; i++ {
+		if _, err := m.Update(time.Duration(i) * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := other.Update(time.Duration(i) * time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if v1.Value != "item-2-v1" || !v1.Consistent() {
+		t.Fatalf("version-1 copy now reads %q", v1.Value)
+	}
+	if got := m.Current().Value; got != "item-2-v10001" {
+		t.Fatalf("current payload %q", got)
+	}
+}
+
+// TestRegistriesUpdateConcurrently: registries of parallel simulations own
+// separate arenas, so updating two from two goroutines is race-clean (run
+// under -race) and each sees only its own payloads.
+func TestRegistriesUpdateConcurrently(t *testing.T) {
+	regs := make([]*Registry, 2)
+	for i := range regs {
+		r, err := NewRegistry(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		regs[i] = r
+	}
+	errs := make(chan error, len(regs))
+	for _, r := range regs {
+		go func(r *Registry) {
+			for i := 1; i <= 2000; i++ {
+				m, _ := r.Master(ItemID(i % 4))
+				c, err := m.Update(time.Duration(i) * time.Millisecond)
+				if err == nil && !c.Consistent() {
+					err = fmt.Errorf("torn payload %q for v%d", c.Value, c.Version)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}(r)
+	}
+	for range regs {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range regs {
+		for id := ItemID(0); id < 4; id++ {
+			m, _ := r.Master(id)
+			if c := m.Current(); c.Version != 500 || c.Value != ValueFor(id, 500) {
+				t.Errorf("item %d ends at %+v", id, c)
+			}
+		}
+	}
+}
+
 func TestItemIDString(t *testing.T) {
 	if got := ItemID(17).String(); got != "D17" {
 		t.Errorf("String = %q", got)

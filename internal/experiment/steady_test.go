@@ -1,0 +1,75 @@
+package experiment
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"github.com/manetlab/rpcc/internal/sim"
+	"github.com/manetlab/rpcc/internal/telemetry"
+)
+
+// steadyMallocsPer1kEvents runs cfg's scenario, as Run assembles it, to
+// warm and returns the heap allocations per 1 000 kernel events over the
+// following window, and the event count behind it.
+func steadyMallocsPer1kEvents(t *testing.T, cfg Config, warm, window time.Duration) (float64, uint64) {
+	t.Helper()
+	cfg.SimTime = warm + window
+	k := sim.NewKernel(sim.WithSeed(cfg.Seed), sim.WithHorizon(cfg.SimTime))
+	if _, err := assembleScenario(cfg, telemetry.NewHub(telemetry.LevelMetrics), k, nil); err != nil {
+		t.Fatal(err)
+	}
+	k.RunUntil(warm)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	events := k.EventsFired()
+	k.RunUntil(warm + window)
+	runtime.ReadMemStats(&after)
+	events = k.EventsFired() - events
+	if events == 0 {
+		t.Fatal("no event fired in the window")
+	}
+	return 1000 * float64(after.Mallocs-before.Mallocs) / float64(events), events
+}
+
+// TestSteadyStateAllocationBudget pins the protocol steady state: for each
+// of the six strategies, at Table 1's intervals and at the update-heavy
+// ones of the paper50-write benchmark (I_Update 10 s, I_Query 2 min), the
+// 10 minutes after a one-hour warm-up must stay within the allocation
+// budget per 1 000 kernel events. Per event, not per answer, so the bound
+// survives answer rates moving. What remains is amortised growth: record
+// slabs, payload arena chunks and commit histories, and the relays' poll
+// queues. Measured (go1.24, linux/amd64): 1.2–8.8 per 1 000 events over
+// the twelve runs, against 136–616 while queries, fetches, poll rounds and
+// timeouts were one heap object or closure each and every commit built
+// its payload string. The budget is the largest measurement + 20 %.
+func TestSteadyStateAllocationBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("steady-state window skipped in -short mode")
+	}
+	const budget = 1.2 * 8.8
+	const warm, window = time.Hour, 10 * time.Minute
+	regimes := []struct {
+		name string
+		tune func(*Config)
+	}{
+		{"table1", func(*Config) {}},
+		{"write", func(c *Config) {
+			c.UpdateInterval = 10 * time.Second
+			c.QueryInterval = 2 * time.Minute
+		}},
+	}
+	for _, rg := range regimes {
+		for _, s := range AllPaperStrategies() {
+			cfg := DefaultConfig(s, 1)
+			rg.tune(&cfg)
+			per1k, events := steadyMallocsPer1kEvents(t, cfg, warm, window)
+			t.Logf("%s %s: %.2f mallocs per 1 000 events (%d events)", rg.name, s, per1k, events)
+			if per1k > budget {
+				t.Errorf("%s %s: %.2f mallocs per 1 000 kernel events in the steady state; budget %.2f",
+					rg.name, s, per1k, budget)
+			}
+		}
+	}
+}

@@ -47,19 +47,41 @@ type Query struct {
 // Resolved reports whether the query has been answered or failed.
 func (q *Query) Resolved() bool { return q.resolved }
 
-// FetchCallback receives the outcome of a fetch: the copy, the node that
+// FetchDone receives the outcome of a fetch: the copy, the node that
 // supplied it, and true on success; a zero copy, -1 and false when every
 // attempt timed out. Strategies use `from` to decide how much to trust the
-// copy (a reply from the item's owner is authoritative).
-type FetchCallback func(k *sim.Kernel, c data.Copy, from int, ok bool)
+// copy (a reply from the item's owner is authoritative). A strategy passes
+// one of its own records, so starting a fetch allocates no closure.
+type FetchDone interface {
+	FetchDone(k *sim.Kernel, c data.Copy, from int, ok bool)
+}
 
-// fetch tracks one in-flight copy search.
+// fetch tracks one in-flight copy search. It is its own timeout: Fire
+// escalates a ring search to ring next, or gives up a direct fetch.
 type fetch struct {
+	c    *Chassis
 	host int
 	item data.ItemID
-	cb   FetchCallback
+	seq  uint64
+	cb   FetchDone
 	tc   protocol.TraceContext
+	// next is the ring the pending timeout escalates to; -1 marks a
+	// direct fetch.
+	next int
 	done bool
+}
+
+// Fire is the fetch's timeout.
+func (f *fetch) Fire(k *sim.Kernel) {
+	if f.next >= 0 {
+		f.c.ring(k, f, f.next)
+		return
+	}
+	if f.done {
+		return
+	}
+	f.c.finishFetch(k, f, "direct-timeout")
+	f.cb.FetchDone(k, data.Copy{}, -1, false)
 }
 
 // Config tunes the shared fetch machinery.
@@ -121,6 +143,9 @@ type Chassis struct {
 
 	seq     uint64
 	fetches map[uint64]*fetch
+	// Query and fetch records are carved from slabs, never reused.
+	queries    sim.Slab[Query]
+	fetchSlots sim.Slab[fetch]
 
 	// answerObserver, when set, sees every answered query after audit and
 	// telemetry recording. The conformance oracle installs it to compare
@@ -171,7 +196,8 @@ func (c *Chassis) NextSeq() uint64 {
 func (c *Chassis) Begin(k *sim.Kernel, host int, item data.ItemID, level consistency.Level) *Query {
 	c.issued++
 	c.Hub.QueryIssued(level)
-	return &Query{
+	q := c.queries.New()
+	*q = Query{
 		Seq:      c.NextSeq(),
 		Host:     host,
 		Item:     item,
@@ -180,6 +206,7 @@ func (c *Chassis) Begin(k *sim.Kernel, host int, item data.ItemID, level consist
 		Source:   -1,
 		TC:       c.Tracer.StartTrace(k.Now().Nanoseconds(), host, ctrace.PhaseQuery, "query"),
 	}
+	return q
 }
 
 // SetAnswerObserver installs a hook invoked for every answered query,
@@ -188,16 +215,13 @@ func (c *Chassis) SetAnswerObserver(fn func(k *sim.Kernel, q *Query, served data
 	c.answerObserver = fn
 }
 
-// Answer resolves q with the served copy: it records latency, audits the
-// answer against ground truth, and stores nothing (callers decide about
+// Answer resolves q with the served copy: it audits the answer against
+// ground truth, records latency, and stores nothing (callers decide about
 // caching). Double resolution is ignored so racing reply paths are safe.
 func (c *Chassis) Answer(k *sim.Kernel, q *Query, served data.Copy) {
 	if q == nil || q.resolved {
 		return
 	}
-	q.resolved = true
-	c.answered++
-	c.Latency.Record(k.Now() - q.IssuedAt)
 	v, stale, err := c.Auditor.CheckStale(consistency.Answer{
 		Item:       q.Item,
 		Level:      q.Level,
@@ -206,11 +230,14 @@ func (c *Chassis) Answer(k *sim.Kernel, q *Query, served data.Copy) {
 	})
 	if err != nil {
 		// Audit errors indicate simulation bugs (unknown item, bad
-		// level); surface them in the failure ledger loudly.
-		c.Tracer.FinishAs(q.TC, k.Now().Nanoseconds(), q.Route)
-		c.failReasons["audit-error:"+err.Error()]++
+		// level). The query fails under the error, loudly, so it is not
+		// also counted answered and Issued = Answered + Failed + open.
+		c.Fail(q, "audit-error:"+err.Error())
 		return
 	}
+	q.resolved = true
+	c.answered++
+	c.Latency.Record(k.Now() - q.IssuedAt)
 	c.Tracer.FinishNoted(q.TC, k.Now().Nanoseconds(), q.Route, ctrace.Annot{
 		Item:    int(q.Item),
 		Level:   q.Level.String(),
@@ -273,80 +300,78 @@ type ReasonCount struct {
 }
 
 // FetchRing searches for a copy of item with expanding-ring DATA_REQUEST
-// floods from host, invoking cb exactly once with the first reply or with
+// floods from host, telling cb exactly once with the first reply or with
 // ok=false after the last ring times out. parent is the causal-trace
 // context the search runs under (zero when untraced): the whole search
 // becomes one fetch span whose transit/serve children the network layer
 // records.
-func (c *Chassis) FetchRing(k *sim.Kernel, host int, item data.ItemID, parent protocol.TraceContext, cb FetchCallback) {
-	f := &fetch{host: host, item: item, cb: cb,
-		tc: c.Tracer.StartChild(k.Now().Nanoseconds(), parent, host, ctrace.PhaseFetch, "ring")}
-	seq := c.NextSeq()
-	c.fetches[seq] = f
-	c.ring(k, f, seq, 0)
+func (c *Chassis) FetchRing(k *sim.Kernel, host int, item data.ItemID, parent protocol.TraceContext, cb FetchDone) {
+	f := c.newFetch(k, host, item, parent, cb, "ring")
+	c.ring(k, f, 0)
 }
 
-func (c *Chassis) finishFetch(k *sim.Kernel, f *fetch, seq uint64, name string) {
+// newFetch registers a fetch record under a fresh sequence number.
+func (c *Chassis) newFetch(k *sim.Kernel, host int, item data.ItemID, parent protocol.TraceContext, cb FetchDone, name string) *fetch {
+	f := c.fetchSlots.New()
+	*f = fetch{c: c, host: host, item: item, cb: cb,
+		tc: c.Tracer.StartChild(k.Now().Nanoseconds(), parent, host, ctrace.PhaseFetch, name)}
+	f.seq = c.NextSeq()
+	c.fetches[f.seq] = f
+	return f
+}
+
+func (c *Chassis) finishFetch(k *sim.Kernel, f *fetch, name string) {
 	f.done = true
-	delete(c.fetches, seq)
+	delete(c.fetches, f.seq)
 	c.Tracer.FinishAs(f.tc, k.Now().Nanoseconds(), name)
 }
 
-func (c *Chassis) ring(k *sim.Kernel, f *fetch, seq uint64, idx int) {
+func (c *Chassis) ring(k *sim.Kernel, f *fetch, idx int) {
 	if f.done {
 		return
 	}
 	if idx >= len(c.cfg.RingTTLs) {
-		c.finishFetch(k, f, seq, "ring-timeout")
-		f.cb(k, data.Copy{}, -1, false)
+		c.finishFetch(k, f, "ring-timeout")
+		f.cb.FetchDone(k, data.Copy{}, -1, false)
 		return
 	}
 	msg := protocol.Message{
 		Kind:   protocol.KindDataRequest,
 		Item:   f.item,
 		Origin: f.host,
-		Seq:    seq,
+		Seq:    f.seq,
 		Trace:  f.tc,
 	}
 	if err := c.Net.Flood(f.host, c.cfg.RingTTLs[idx], msg); err != nil {
-		c.finishFetch(k, f, seq, "ring-error")
-		f.cb(k, data.Copy{}, -1, false)
+		c.finishFetch(k, f, "ring-error")
+		f.cb.FetchDone(k, data.Copy{}, -1, false)
 		return
 	}
-	k.After(c.cfg.RingTimeout, "node.fetch.ring", func(kk *sim.Kernel) {
-		c.ring(kk, f, seq, idx+1)
-	})
+	f.next = idx + 1
+	k.AfterTimer(c.cfg.RingTimeout, "node.fetch.ring", f)
 }
 
 // FetchDirect asks the owner of item for its master copy with a unicast
-// DATA_REQUEST, invoking cb once with the reply or with ok=false on
+// DATA_REQUEST, telling cb once with the reply or with ok=false on
 // timeout. parent is the causal-trace context of the fetch (zero when
 // untraced).
-func (c *Chassis) FetchDirect(k *sim.Kernel, host int, item data.ItemID, parent protocol.TraceContext, cb FetchCallback) {
-	f := &fetch{host: host, item: item, cb: cb,
-		tc: c.Tracer.StartChild(k.Now().Nanoseconds(), parent, host, ctrace.PhaseFetch, "direct")}
-	seq := c.NextSeq()
-	c.fetches[seq] = f
+func (c *Chassis) FetchDirect(k *sim.Kernel, host int, item data.ItemID, parent protocol.TraceContext, cb FetchDone) {
+	f := c.newFetch(k, host, item, parent, cb, "direct")
+	f.next = -1
 	msg := protocol.Message{
 		Kind:   protocol.KindDataRequest,
 		Item:   item,
 		Origin: host,
-		Seq:    seq,
+		Seq:    f.seq,
 		Trace:  f.tc,
 	}
 	owner := c.Reg.Owner(item)
 	if err := c.Net.Unicast(host, owner, msg); err != nil {
-		c.finishFetch(k, f, seq, "direct-error")
-		cb(k, data.Copy{}, -1, false)
+		c.finishFetch(k, f, "direct-error")
+		cb.FetchDone(k, data.Copy{}, -1, false)
 		return
 	}
-	k.After(c.cfg.DirectTimeout, "node.fetch.direct", func(kk *sim.Kernel) {
-		if f.done {
-			return
-		}
-		c.finishFetch(kk, f, seq, "direct-timeout")
-		cb(kk, data.Copy{}, -1, false)
-	})
+	k.AfterTimer(c.cfg.DirectTimeout, "node.fetch.direct", f)
 }
 
 // HandleDataRequest serves a DATA_REQUEST arriving at node: owners answer
@@ -389,8 +414,8 @@ func (c *Chassis) HandleDataReply(k *sim.Kernel, node int, msg protocol.Message)
 	if !ok || f.done || f.host != node || f.item != msg.Item {
 		return
 	}
-	c.finishFetch(k, f, msg.Seq, "")
-	f.cb(k, msg.Copy, msg.Origin, true)
+	c.finishFetch(k, f, "")
+	f.cb.FetchDone(k, msg.Copy, msg.Origin, true)
 }
 
 // PendingFetches returns the number of unresolved fetches (diagnostic).

@@ -29,6 +29,11 @@ func (s *staticSource) PositionsAt(_ time.Duration, dst []geo.Point) []geo.Point
 	return dst
 }
 
+// fetchFunc adapts a function to FetchDone.
+type fetchFunc func(k *sim.Kernel, c data.Copy, from int, ok bool)
+
+func (f fetchFunc) FetchDone(k *sim.Kernel, c data.Copy, from int, ok bool) { f(k, c, from, ok) }
+
 type env struct {
 	k      *sim.Kernel
 	net    *netsim.Network
@@ -161,6 +166,31 @@ func TestQueryFail(t *testing.T) {
 	}
 }
 
+// TestAnswerRejectedByAuditFails: an answer the auditor rejects with an
+// error (here an invalid level) fails the query instead of answering it, so
+// Issued = Answered + Failed still holds and no latency is recorded.
+func TestAnswerRejectedByAuditFails(t *testing.T) {
+	e := newEnv(t, 3)
+	q := e.ch.Begin(e.k, 1, 2, consistency.Level(99))
+	m, _ := e.reg.Master(2)
+	e.ch.Answer(e.k, q, m.Current())
+	if !q.Resolved() {
+		t.Fatal("rejected answer left the query open")
+	}
+	if e.ch.Failed() != 1 || e.ch.Answered() != 0 {
+		t.Errorf("answered/failed = %d/%d, want 0/1", e.ch.Answered(), e.ch.Failed())
+	}
+	if e.ch.Issued() != e.ch.Answered()+e.ch.Failed() {
+		t.Errorf("issued %d != answered %d + failed %d", e.ch.Issued(), e.ch.Answered(), e.ch.Failed())
+	}
+	if e.ch.Latency.Count() != 0 {
+		t.Error("rejected answer recorded latency")
+	}
+	if rs := e.ch.FailReasons(); len(rs) != 1 || rs[0].Count != 1 {
+		t.Errorf("FailReasons = %+v, want one audit-error entry", rs)
+	}
+}
+
 func TestAnswerAuditsViolation(t *testing.T) {
 	e := newEnv(t, 3)
 	m, _ := e.reg.Master(2)
@@ -226,7 +256,7 @@ func TestFetchDirectFromOwner(t *testing.T) {
 	e := newEnv(t, 4)
 	var got data.Copy
 	ok := false
-	e.ch.FetchDirect(e.k, 0, 3, protocol.TraceContext{}, func(_ *sim.Kernel, c data.Copy, _ int, o bool) { got, ok = c, o })
+	e.ch.FetchDirect(e.k, 0, 3, protocol.TraceContext{}, fetchFunc(func(_ *sim.Kernel, c data.Copy, _ int, o bool) { got, ok = c, o }))
 	e.k.Run()
 	if !ok {
 		t.Fatal("direct fetch failed on connected chain")
@@ -248,11 +278,11 @@ func TestFetchRingPrefersNearbyCacheCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	from := -1
-	e.ch.FetchRing(e.k, 0, 5, protocol.TraceContext{}, func(_ *sim.Kernel, c data.Copy, f int, o bool) {
+	e.ch.FetchRing(e.k, 0, 5, protocol.TraceContext{}, fetchFunc(func(_ *sim.Kernel, c data.Copy, f int, o bool) {
 		if o {
 			from = f
 		}
-	})
+	}))
 	e.k.Run()
 	if from != 1 {
 		t.Fatalf("ring fetch answered by node %d, want nearby holder 1", from)
@@ -264,7 +294,7 @@ func TestFetchRingFallsBackToOwner(t *testing.T) {
 	// Nobody caches item 5; only the owner (node 5, five hops away,
 	// beyond the first TTL-4 ring) can answer via the TTL-8 ring.
 	ok := false
-	e.ch.FetchRing(e.k, 0, 5, protocol.TraceContext{}, func(_ *sim.Kernel, c data.Copy, _ int, o bool) { ok = o })
+	e.ch.FetchRing(e.k, 0, 5, protocol.TraceContext{}, fetchFunc(func(_ *sim.Kernel, c data.Copy, _ int, o bool) { ok = o }))
 	e.k.Run()
 	if !ok {
 		t.Fatal("ring fetch did not fall back to network-wide flood")
@@ -290,7 +320,7 @@ func TestFetchRingFailsWhenNoHolderReachable(t *testing.T) {
 		t.Fatal(err)
 	}
 	called, ok := false, true
-	ch.FetchRing(k, 0, 2, protocol.TraceContext{}, func(_ *sim.Kernel, _ data.Copy, _ int, o bool) { called, ok = true, o })
+	ch.FetchRing(k, 0, 2, protocol.TraceContext{}, fetchFunc(func(_ *sim.Kernel, _ data.Copy, _ int, o bool) { called, ok = true, o }))
 	k.Run()
 	if !called {
 		t.Fatal("callback never invoked")
@@ -322,7 +352,7 @@ func TestFetchDirectTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ok = true
-	ch.FetchDirect(k, 0, 1, protocol.TraceContext{}, func(_ *sim.Kernel, _ data.Copy, _ int, o bool) { ok = o })
+	ch.FetchDirect(k, 0, 1, protocol.TraceContext{}, fetchFunc(func(_ *sim.Kernel, _ data.Copy, _ int, o bool) { ok = o }))
 	k.Run()
 	if ok {
 		t.Fatal("unreachable owner fetch succeeded")
@@ -337,7 +367,7 @@ func TestDuplicateRepliesIgnored(t *testing.T) {
 	e.stores[1].Put(m.Current(), 0)
 	e.stores[2].Put(m.Current(), 0)
 	calls := 0
-	e.ch.FetchRing(e.k, 0, 3, protocol.TraceContext{}, func(*sim.Kernel, data.Copy, int, bool) { calls++ })
+	e.ch.FetchRing(e.k, 0, 3, protocol.TraceContext{}, fetchFunc(func(*sim.Kernel, data.Copy, int, bool) { calls++ }))
 	e.k.Run()
 	if calls != 1 {
 		t.Fatalf("callback fired %d times, want 1", calls)

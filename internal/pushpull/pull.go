@@ -57,8 +57,23 @@ type Pull struct {
 	cfg     PullConfig
 	ch      *node.Chassis
 	rounds  map[uint64]*node.Query
+	timers  sim.Slab[pullTimeout]
 	started bool
 	polls   *telemetry.Counter
+}
+
+// pullTimeout is one poll flood's timeout, carved from the Pull's slab.
+type pullTimeout struct {
+	p *Pull
+	q *node.Query
+}
+
+// Fire fails the query unless an ack or reply closed its round.
+func (t *pullTimeout) Fire(*sim.Kernel) {
+	if _, open := t.p.rounds[t.q.Seq]; open {
+		delete(t.p.rounds, t.q.Seq)
+		t.p.ch.Fail(t.q, "poll-timeout")
+	}
 }
 
 // NewPull builds the baseline on the shared chassis.
@@ -144,12 +159,9 @@ func (p *Pull) OnQuery(k *sim.Kernel, host int, item data.ItemID, level consiste
 		p.ch.Fail(q, "poll-send")
 		return
 	}
-	k.After(p.cfg.PollTimeout, "pull.timeout", func(*sim.Kernel) {
-		if _, open := p.rounds[q.Seq]; open {
-			delete(p.rounds, q.Seq)
-			p.ch.Fail(q, "poll-timeout")
-		}
-	})
+	t := p.timers.New()
+	*t = pullTimeout{p: p, q: q}
+	k.AfterTimer(p.cfg.PollTimeout, "pull.timeout", t)
 }
 
 func (p *Pull) dispatch(k *sim.Kernel, nd int, msg protocol.Message) {

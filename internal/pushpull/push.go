@@ -56,19 +56,48 @@ func (c PushConfig) Validate() error {
 	return nil
 }
 
-// waiting is one query parked until the item's next IR arrives.
+// waiting is one query parked until the item's next IR arrives, linked
+// behind the query parked before it. It is the query's record: the
+// FetchDone of a miss's ring fetch and the Timer of its patience.
 type waiting struct {
-	q *node.Query
+	p    *Push
+	q    *node.Query
+	next *waiting
+}
+
+// parkedList is the arrival-ordered queue of one (node, item)'s waiting
+// queries.
+type parkedList struct{ head, tail *waiting }
+
+// refetch is the FetchDone of the direct fetch an IR starts for the
+// queries parked at nd when their copy is stale or gone.
+type refetch struct {
+	p      *Push
+	nd     int
+	parked *waiting
+	// store puts the fetched copy before answering (it replaces a stale
+	// one; an evicted copy is not re-cached).
+	store bool
+}
+
+// irTimer is one source host's periodic IR duty.
+type irTimer struct {
+	p  *Push
+	nd int
 }
 
 // Push is the simple push baseline engine.
 type Push struct {
 	cfg     PushConfig
 	ch      *node.Chassis
-	waiting []map[data.ItemID][]*waiting // per node
-	started bool
-	irs     *telemetry.Counter
-	parks   *telemetry.Counter
+	waiting []map[data.ItemID]parkedList // per node
+	// Query and refetch records are carved from slabs, never reused.
+	waits     sim.Slab[waiting]
+	refetches sim.Slab[refetch]
+	ticks     []irTimer // per node
+	started   bool
+	irs       *telemetry.Counter
+	parks     *telemetry.Counter
 }
 
 // NewPush builds the baseline on the shared chassis.
@@ -79,9 +108,9 @@ func NewPush(cfg PushConfig, ch *node.Chassis) (*Push, error) {
 	if ch == nil {
 		return nil, fmt.Errorf("pushpull: nil chassis")
 	}
-	p := &Push{cfg: cfg, ch: ch, waiting: make([]map[data.ItemID][]*waiting, ch.Net.Len())}
+	p := &Push{cfg: cfg, ch: ch, waiting: make([]map[data.ItemID]parkedList, ch.Net.Len())}
 	for i := range p.waiting {
-		p.waiting[i] = make(map[data.ItemID][]*waiting)
+		p.waiting[i] = make(map[data.ItemID]parkedList)
 	}
 	return p, nil
 }
@@ -103,14 +132,14 @@ func (p *Push) Start(k *sim.Kernel) error {
 	stagger := k.Stream("push.stagger")
 	// One receiver value shared by every node, not a closure per node.
 	recv := func(kk *sim.Kernel, n int, msg protocol.Message, _ netsim.Meta) { p.dispatch(kk, n, msg) }
-	for nd := 0; nd < p.ch.Net.Len(); nd++ {
-		nd := nd
+	// Each node's IR timer is a record that re-arms itself.
+	p.ticks = make([]irTimer, p.ch.Net.Len())
+	for nd := range p.ticks {
 		if err := p.ch.Net.SetReceiver(nd, recv); err != nil {
 			return err
 		}
-		k.After(time.Duration(stagger.Int63n(int64(p.cfg.TTN))), "push.ir", func(kk *sim.Kernel) {
-			p.irTick(kk, nd)
-		})
+		p.ticks[nd] = irTimer{p: p, nd: nd}
+		k.AfterTimer(time.Duration(stagger.Int63n(int64(p.cfg.TTN))), "push.ir", &p.ticks[nd])
 	}
 	return nil
 }
@@ -144,46 +173,64 @@ func (p *Push) OnQuery(k *sim.Kernel, host int, item data.ItemID, level consiste
 		p.ch.Answer(k, q, m.Current())
 		return
 	}
+	w := p.waits.New()
+	*w = waiting{p: p, q: q}
 	if !p.ch.Stores[host].Contains(item) {
 		// Cache miss: locate a copy first; it still answers only after
-		// the next IR validates it, like any other copy.
-		p.ch.FetchRing(k, host, item, q.TC, func(kk *sim.Kernel, c data.Copy, _ int, ok bool) {
-			if !ok {
-				p.ch.Fail(q, "fetch-timeout")
-				return
-			}
-			if err := p.ch.Stores[host].Put(c, kk.Now()); err == nil {
-				p.parkQuery(kk, host, item, q)
-			} else if cp, have := p.ch.Stores[host].Peek(item); have {
-				// A newer copy raced in; park against that one.
-				_ = cp
-				p.parkQuery(kk, host, item, q)
-			} else {
-				p.ch.Fail(q, "store-reject")
-			}
-		})
+		// the next IR validates it, like any other copy (FetchDone).
+		p.ch.FetchRing(k, host, item, q.TC, w)
 		return
 	}
 	// Touch the store so push's accesses are accounted like RPCC's.
 	p.ch.Stores[host].Get(item)
-	p.parkQuery(k, host, item, q)
+	p.parkQuery(k, w)
 }
 
-// parkQuery holds q until item's next IR reaches host.
-func (p *Push) parkQuery(k *sim.Kernel, host int, item data.ItemID, q *node.Query) {
-	q.Route = "ir-wait"
+// FetchDone parks a miss's query once its copy is cached.
+func (w *waiting) FetchDone(k *sim.Kernel, c data.Copy, _ int, ok bool) {
+	p, q := w.p, w.q
+	if !ok {
+		p.ch.Fail(q, "fetch-timeout")
+		return
+	}
+	// A rejected put means a newer copy raced in; park against that one.
+	if err := p.ch.Stores[q.Host].Put(c, k.Now()); err == nil || p.ch.Stores[q.Host].Contains(q.Item) {
+		p.parkQuery(k, w)
+	} else {
+		p.ch.Fail(q, "store-reject")
+	}
+}
+
+// parkQuery holds w's query until its item's next IR reaches its host.
+func (p *Push) parkQuery(k *sim.Kernel, w *waiting) {
+	host, item := w.q.Host, w.q.Item
+	w.q.Route = "ir-wait"
 	p.parks.Inc()
-	w := &waiting{q: q}
-	p.waiting[host][item] = append(p.waiting[host][item], w)
-	k.After(p.cfg.QueryPatience, "push.patience", func(*sim.Kernel) {
-		p.ch.Fail(q, "no-ir") // no-op if already answered
-	})
+	l := p.waiting[host][item]
+	if l.tail == nil {
+		l.head = w
+	} else {
+		l.tail.next = w
+	}
+	l.tail = w
+	p.waiting[host][item] = l
+	k.AfterTimer(p.cfg.QueryPatience, "push.patience", w)
+}
+
+// Fire is the query's patience running out.
+func (w *waiting) Fire(*sim.Kernel) {
+	w.p.ch.Fail(w.q, "no-ir") // no-op if already answered
+}
+
+// Fire runs the IR duty and re-arms the timer.
+func (t *irTimer) Fire(k *sim.Kernel) {
+	t.p.irTick(k, t.nd)
+	k.AfterTimer(t.p.cfg.TTN, "push.ir", t)
 }
 
 // irTick is the source host's periodic duty: flood the invalidation
-// report network-wide.
+// report network-wide. Its timer renews TTN after it.
 func (p *Push) irTick(k *sim.Kernel, nd int) {
-	defer k.After(p.cfg.TTN, "push.ir", func(kk *sim.Kernel) { p.irTick(kk, nd) })
 	if p.cfg.ActiveSource != nil && !p.cfg.ActiveSource(nd) {
 		return
 	}
@@ -219,50 +266,58 @@ func (p *Push) onIR(k *sim.Kernel, nd int, msg protocol.Message) {
 	if have && cp.Version < msg.Version {
 		// Stale: refetch from the source, then answer the parked queries
 		// with the fresh copy.
-		parked := p.takeParked(nd, msg.Item)
-		p.ch.FetchDirect(k, nd, msg.Item, msg.Trace, func(kk *sim.Kernel, c data.Copy, from int, ok bool) {
-			if !ok {
-				for _, w := range parked {
-					p.ch.Fail(w.q, "refetch-timeout")
-				}
-				return
-			}
-			_ = p.ch.Stores[nd].Put(c, kk.Now())
-			for _, w := range parked {
-				w.q.Source = from
-				p.ch.Answer(kk, w.q, c)
-			}
-		})
+		p.refetch(k, nd, msg, true)
 		return
 	}
 	if !have {
 		// Copy evicted while queries were parked: refetch for them.
-		parked := p.takeParked(nd, msg.Item)
-		if len(parked) == 0 {
-			return
+		if p.waiting[nd][msg.Item].head != nil {
+			p.refetch(k, nd, msg, false)
 		}
-		p.ch.FetchDirect(k, nd, msg.Item, msg.Trace, func(kk *sim.Kernel, c data.Copy, from int, ok bool) {
-			for _, w := range parked {
-				if ok {
-					w.q.Source = from
-					p.ch.Answer(kk, w.q, c)
-				} else {
-					p.ch.Fail(w.q, "refetch-timeout")
-				}
-			}
-		})
 		return
 	}
 	// Copy is current as of this IR: the IR's origin is the authority
 	// vouching for the local copy.
-	for _, w := range p.takeParked(nd, msg.Item) {
+	for w := p.takeParked(nd, msg.Item); w != nil; w = w.next {
 		w.q.Source = msg.Origin
 		p.ch.Answer(k, w.q, cp)
 	}
 }
 
-func (p *Push) takeParked(nd int, item data.ItemID) []*waiting {
-	parked := p.waiting[nd][item]
-	delete(p.waiting[nd], item)
-	return parked
+// refetch takes the queries parked at nd for the IR's item and fetches the
+// item from its source for them.
+func (p *Push) refetch(k *sim.Kernel, nd int, msg protocol.Message, store bool) {
+	r := p.refetches.New()
+	*r = refetch{p: p, nd: nd, parked: p.takeParked(nd, msg.Item), store: store}
+	p.ch.FetchDirect(k, nd, msg.Item, msg.Trace, r)
+}
+
+// FetchDone answers the parked queries with the fetched copy, or fails
+// them.
+func (r *refetch) FetchDone(k *sim.Kernel, c data.Copy, from int, ok bool) {
+	p := r.p
+	if !ok {
+		for w := r.parked; w != nil; w = w.next {
+			p.ch.Fail(w.q, "refetch-timeout")
+		}
+		return
+	}
+	if r.store {
+		_ = p.ch.Stores[r.nd].Put(c, k.Now())
+	}
+	for w := r.parked; w != nil; w = w.next {
+		w.q.Source = from
+		p.ch.Answer(k, w.q, c)
+	}
+}
+
+// takeParked detaches the queue of queries parked at nd for item and
+// returns its head. The map keeps the emptied entry, so parking there
+// again costs no map insert.
+func (p *Push) takeParked(nd int, item data.ItemID) *waiting {
+	head := p.waiting[nd][item].head
+	if head != nil {
+		p.waiting[nd][item] = parkedList{}
+	}
+	return head
 }

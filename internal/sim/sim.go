@@ -25,8 +25,19 @@ import (
 // kernel so it can schedule follow-up events and read the current time.
 type Handler func(k *Kernel)
 
+// Fire runs the handler, so a Handler is a Timer.
+func (h Handler) Fire(k *Kernel) { h(k) }
+
+// Timer is anything the kernel can fire. Besides a Handler it is the way
+// to schedule a record pointer (AfterTimer): a per-query or per-round
+// record whose Fire method is its timeout needs no closure, so arming it
+// allocates nothing.
+type Timer interface {
+	Fire(k *Kernel)
+}
+
 // Event is a scheduled callback. The zero value is inert; events are
-// created via Kernel.At / Kernel.After.
+// created via Kernel.At / Kernel.After / Kernel.AfterTimer.
 //
 // Fired events are recycled through the kernel's freelist: a handle is
 // valid for Cancel and state queries until its event fires (or, if
@@ -36,7 +47,7 @@ type Handler func(k *Kernel)
 // handles across fire time is unsupported.
 type Event struct {
 	when   time.Duration
-	fn     Handler
+	fire   Timer
 	label  string
 	fired  bool
 	cancel bool
@@ -146,13 +157,10 @@ type Kernel struct {
 	// scheduling allocates nothing: the heap pops an event, its handler
 	// runs, and the next At/After reuses the same struct.
 	free []*Event
-	// fresh holds never-used events, allocated eventBlock at a time, for
-	// the schedules the freelist cannot serve (set-up, a growing queue).
-	fresh []Event
+	// fresh hands out never-used events, a block at a time, for the
+	// schedules the freelist cannot serve (set-up, a growing queue).
+	fresh Slab[Event]
 }
-
-// eventBlock is how many events one cold acquire allocates.
-const eventBlock = 256
 
 // Option configures a Kernel.
 type Option func(*Kernel)
@@ -215,11 +223,18 @@ func (k *Kernel) At(t time.Duration, label string, fn Handler) (*Event, error) {
 	if fn == nil {
 		return nil, fmt.Errorf("sim: nil handler for event %q", label)
 	}
+	return k.schedule(t, label, fn), nil
+}
+
+// schedule queues fire at t, which the caller has checked is not in the
+// past: every At, After and AfterTimer ends here, so they share one queue,
+// one freelist and one (when, seq) order.
+func (k *Kernel) schedule(t time.Duration, label string, fire Timer) *Event {
 	e := k.acquire()
-	e.when, e.fn, e.label = t, fn, label
+	e.when, e.fire, e.label = t, fire, label
 	k.queue.push(heapSlot{when: t, seq: k.seq, ev: e})
 	k.seq++
-	return e, nil
+	return e
 }
 
 // acquire returns a recycled event or a fresh one. State is reset here,
@@ -233,19 +248,14 @@ func (k *Kernel) acquire() *Event {
 		*e = Event{}
 		return e
 	}
-	if len(k.fresh) == 0 {
-		k.fresh = make([]Event, eventBlock)
-	}
-	e := &k.fresh[0]
-	k.fresh = k.fresh[1:]
-	return e
+	return k.fresh.New()
 }
 
-// recycle returns a popped event to the freelist. The handler reference
-// is dropped immediately so a parked event does not pin its closure (and
-// everything the closure captures) until reuse.
+// recycle returns a popped event to the freelist. The timer reference is
+// dropped immediately so a parked event does not pin its closure or record
+// (and everything that references) until reuse.
 func (k *Kernel) recycle(e *Event) {
-	e.fn = nil
+	e.fire = nil
 	k.free = append(k.free, e)
 }
 
@@ -262,6 +272,16 @@ func (k *Kernel) After(d time.Duration, label string, fn Handler) *Event {
 		panic(fmt.Sprintf("sim: After failed: %v", err))
 	}
 	return e
+}
+
+// AfterTimer schedules t.Fire to run d from now, with After's clamping.
+// Passing a record pointer stores it in the event as is, so a record that
+// carries its own timeout is armed without allocating.
+func (k *Kernel) AfterTimer(d time.Duration, label string, t Timer) *Event {
+	if t == nil {
+		panic(fmt.Sprintf("sim: nil timer for event %q", label))
+	}
+	return k.schedule(k.now+max(d, 0), label, t)
 }
 
 // Every schedules fn to run every period, starting one period from now,
@@ -321,7 +341,7 @@ func (k *Kernel) Run() time.Duration {
 		k.now = e.when
 		e.fired = true
 		k.events++
-		e.fn(k)
+		e.fire.Fire(k)
 		k.recycle(e)
 	}
 	if k.horizon > 0 && k.now < k.horizon && len(k.queue) == 0 {
@@ -346,7 +366,7 @@ func (k *Kernel) RunUntil(t time.Duration) {
 		k.now = e.when
 		e.fired = true
 		k.events++
-		e.fn(k)
+		e.fire.Fire(k)
 		k.recycle(e)
 	}
 	if k.now < t {

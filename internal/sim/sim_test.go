@@ -464,7 +464,7 @@ func TestFreelistRecyclesFiredEvents(t *testing.T) {
 	if len(k.free) != 1 {
 		t.Fatalf("freelist size = %d after fire, want 1", len(k.free))
 	}
-	if k.free[0].fn != nil {
+	if k.free[0].fire != nil {
 		t.Fatal("recycled event retains its handler closure")
 	}
 	e2 := k.After(time.Second, "second", func(*Kernel) {})
@@ -505,6 +505,114 @@ func TestSteadyStateSchedulingDoesNotAllocate(t *testing.T) {
 		k.Run()
 	}); avg != 0 {
 		t.Errorf("steady-state schedule+fire allocates %.2f/op, want 0", avg)
+	}
+	// The record form: a pointer to a record that is its own timeout.
+	rec := &countTimer{}
+	if avg := testing.AllocsPerRun(200, func() {
+		k.AfterTimer(0, "record", rec)
+		k.Run()
+	}); avg != 0 {
+		t.Errorf("steady-state record schedule+fire allocates %.2f/op, want 0", avg)
+	}
+	if rec.fired == 0 {
+		t.Fatal("record timer never fired")
+	}
+}
+
+// countTimer is a record timer that counts its firings and, when log is
+// set, appends its id to it.
+type countTimer struct {
+	id    int
+	fired int
+	log   *[]int
+}
+
+func (c *countTimer) Fire(*Kernel) {
+	c.fired++
+	if c.log != nil {
+		*c.log = append(*c.log, c.id)
+	}
+}
+
+func TestCancelledRecordTimerNeverFires(t *testing.T) {
+	k := NewKernel()
+	rec := &countTimer{}
+	e := k.AfterTimer(time.Second, "doomed", rec)
+	if !k.Cancel(e) {
+		t.Fatal("Cancel of a pending record timer returned false")
+	}
+	k.AfterTimer(2*time.Second, "kept", &countTimer{})
+	k.Run()
+	if rec.fired != 0 {
+		t.Fatalf("cancelled record timer fired %d times", rec.fired)
+	}
+	if !e.Cancelled() || e.Fired() {
+		t.Fatalf("handle state fired=%v cancelled=%v", e.Fired(), e.Cancelled())
+	}
+	if k.EventsFired() != 1 {
+		t.Fatalf("EventsFired() = %d, want 1", k.EventsFired())
+	}
+}
+
+// TestRecordAndFuncEventsShareOneOrder: record timers and handlers go
+// through one queue, so a seeded mix of both, with equal due times,
+// negative delays and scheduling from inside firings, fires as a stable
+// sort by due time of the scheduling order.
+func TestRecordAndFuncEventsShareOneOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	k := NewKernel()
+	type due struct {
+		when time.Duration
+		id   int
+	}
+	var scheduled []due
+	var fired []int
+	next := 0
+	var schedule func(kk *Kernel, depth int)
+	schedule = func(kk *Kernel, depth int) {
+		id := next
+		next++
+		d := time.Duration(rng.Intn(5)-1) * time.Second // -1s clamps to now
+		scheduled = append(scheduled, due{kk.Now() + max(d, 0), id})
+		spawn := depth < 2 && rng.Intn(3) == 0
+		if id%2 == 0 {
+			kk.AfterTimer(d, "record", &spawnTimer{countTimer{id: id, log: &fired}, spawn, depth, schedule})
+			return
+		}
+		kk.After(d, "func", func(k2 *Kernel) {
+			fired = append(fired, id)
+			if spawn {
+				schedule(k2, depth+1)
+			}
+		})
+	}
+	for i := 0; i < 200; i++ {
+		schedule(k, 0)
+	}
+	k.Run()
+	slices.SortStableFunc(scheduled, func(a, b due) int { return int(a.when - b.when) })
+	if len(fired) != len(scheduled) {
+		t.Fatalf("%d fired, %d scheduled", len(fired), len(scheduled))
+	}
+	for i := range fired {
+		if fired[i] != scheduled[i].id {
+			t.Fatalf("fire %d is event %d, want %d (stable by due time)", i, fired[i], scheduled[i].id)
+		}
+	}
+}
+
+// spawnTimer is a record timer that may schedule a follow-up when fired.
+type spawnTimer struct {
+	countTimer
+	spawn    bool
+	depth    int
+	schedule func(*Kernel, int)
+}
+
+func (s *spawnTimer) Fire(k *Kernel) {
+	s.countTimer.Fire(k)
+	if s.spawn {
+		s.schedule(k, s.depth+1)
 	}
 }
 
