@@ -140,11 +140,14 @@ policy-smoke:
 # Sim-to-wire gate: build everything, then boot a 5-node loopback UDP
 # cluster of live daemons for ~10 s of wall time. Every served answer is
 # judged against the live oracle's staleness envelopes; any divergence,
-# unclean shutdown, or vacuous (zero-answer) run exits non-zero.
+# unclean shutdown, or vacuous (zero-answer) run exits non-zero. A
+# bounded fuzz leg (10 s of FuzzUnmarshalFrame) then throws mutated
+# datagrams at the frame codec the daemons decode with.
 WIRE_TMP ?= /tmp/rpcc-wire-smoke
 wire-smoke: build
 	$(call rpcc,$(WIRE_TMP))
 	$(WIRE_TMP)/rpcc wire -n 5 -duration 10s -v
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalFrame$$' -fuzztime 10s ./internal/protocol
 
 # Wire chaos gate: the canonical scripted fault campaign (Gilbert–Elliott
 # loss, delay/jitter/duplication, two partition windows, two crash/restart

@@ -3,6 +3,7 @@ package protocol
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/manetlab/rpcc/internal/data"
@@ -32,11 +33,29 @@ const (
 )
 
 // Marshal encodes m into the binary wire format.
-func Marshal(m Message) ([]byte, error) {
+func Marshal(m Message) ([]byte, error) { return AppendMessage(nil, m) }
+
+// maxMessageLen bounds the encoded length of m: four fixed bytes, five
+// header varints, the path, and the copy's three varints plus its
+// length-prefixed value.
+func maxMessageLen(m Message) int {
+	return 4 + (9+len(m.Path))*binary.MaxVarintLen64 + len(m.Copy.Value)
+}
+
+// AppendMessage appends the wire encoding of m to buf and returns the
+// extended buffer. It grows buf at most once, so a reused buffer of
+// sufficient capacity encodes without allocating. On error buf is
+// returned unchanged.
+func AppendMessage(buf []byte, m Message) ([]byte, error) {
 	if !m.Kind.Valid() {
-		return nil, fmt.Errorf("protocol: marshal of invalid kind %v", m.Kind)
+		return buf, fmt.Errorf("protocol: marshal of invalid kind %v", m.Kind)
 	}
-	buf := make([]byte, 0, m.Size()+16)
+	return appendMessage(slices.Grow(buf, maxMessageLen(m)), m), nil
+}
+
+// appendMessage is AppendMessage past validation; the caller has grown
+// buf.
+func appendMessage(buf []byte, m Message) []byte {
 	buf = append(buf, wireMagic, wireVersion, byte(m.Kind))
 
 	var flags byte
@@ -65,7 +84,7 @@ func Marshal(m Message) ([]byte, error) {
 		buf = binary.AppendUvarint(buf, uint64(len(m.Copy.Value)))
 		buf = append(buf, m.Copy.Value...)
 	}
-	return buf, nil
+	return buf
 }
 
 // decoder walks a wire buffer with error-latching reads.

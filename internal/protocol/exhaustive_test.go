@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -69,5 +70,57 @@ func TestEveryKindOnTheWire(t *testing.T) {
 	}
 	if _, err := Marshal(Message{Kind: kindMax}); err == nil {
 		t.Error("sentinel kindMax marshalled")
+	}
+}
+
+// TestAppendIntoReusedBufferMatchesMarshal: encoding every kind, traced
+// and untraced, unicast and flood, into one dirty buffer reused across
+// all of them yields exactly MarshalFrame's (and Marshal's) bytes, and a
+// prefix already in the buffer survives.
+func TestAppendIntoReusedBufferMatchesMarshal(t *testing.T) {
+	dirty := bytes.Repeat([]byte{0xEE}, 512)
+	buf := dirty[:0]
+	for k := Kind(1); int(k) < NumKinds; k++ {
+		msg := Message{Kind: k, Item: 2, Origin: 5, Version: 6, Seq: 8, Path: []int{5, 300, 2}}
+		if k.carriesContent() {
+			msg.Copy = data.Copy{ID: 2, Version: 6, Value: data.ValueFor(2, 6), WrittenAt: 1}
+		}
+		for _, tc := range []TraceContext{{}, {TraceID: 1 << 40, SpanID: 3, ParentID: 1 << 40}} {
+			msg.Trace = tc
+			for _, f := range []Frame{
+				{From: 5, To: 2, Seq: 1 << 20, Msg: msg},
+				{From: 5, To: -1, TTL: 8, Flood: true, Seq: 3, Msg: msg},
+			} {
+				want, err := MarshalFrame(f)
+				if err != nil {
+					t.Fatalf("%v: %v", k, err)
+				}
+				buf, err = AppendFrame(buf[:0], f)
+				if err != nil {
+					t.Fatalf("%v: %v", k, err)
+				}
+				if !bytes.Equal(buf, want) {
+					t.Errorf("%v trace=%v flood=%v: AppendFrame into a reused buffer\n got %x\nwant %x", k, tc, f.Flood, buf, want)
+				}
+				withPrefix, err := AppendFrame([]byte("hdr"), f)
+				if err != nil || string(withPrefix[:3]) != "hdr" || !bytes.Equal(withPrefix[3:], want) {
+					t.Errorf("%v: AppendFrame after a prefix = %x, %v", k, withPrefix, err)
+				}
+			}
+			wantMsg, err := Marshal(msg)
+			if err != nil {
+				t.Fatalf("%v: %v", k, err)
+			}
+			if buf, err = AppendMessage(buf[:0], msg); err != nil || !bytes.Equal(buf, wantMsg) {
+				t.Errorf("%v: AppendMessage into a reused buffer = %x, %v; want %x", k, buf, err, wantMsg)
+			}
+		}
+	}
+	if &buf[:1][0] != &dirty[0] {
+		t.Error("a 512-byte buffer was outgrown: AppendFrame did not encode in place")
+	}
+	good := []byte("keep")
+	if out, err := AppendFrame(good, Frame{From: 1, To: 2, Msg: Message{}}); err == nil || string(out) != "keep" {
+		t.Errorf("AppendFrame of an invalid message = %q, %v; want the buffer unchanged and an error", out, err)
 	}
 }

@@ -3,6 +3,7 @@ package protocol
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Frame is the transport envelope that wraps a Message when it crosses a
@@ -56,24 +57,33 @@ const (
 	maxFrameTTL = 1024
 )
 
+// maxFrameHeaderLen bounds the envelope ahead of the payload: three fixed
+// bytes, four header varints and the three-uvarint trace extension.
+const maxFrameHeaderLen = 3 + 7*binary.MaxVarintLen64
+
 // MarshalFrame encodes f, including its embedded message, into a single
 // datagram-sized buffer.
-func MarshalFrame(f Frame) ([]byte, error) {
+func MarshalFrame(f Frame) ([]byte, error) { return AppendFrame(nil, f) }
+
+// AppendFrame appends the datagram encoding of f — header and message in
+// one pass — to buf and returns the extended buffer. It grows buf at most
+// once, so a reused send buffer of sufficient capacity encodes without
+// allocating. On error buf is returned unchanged.
+func AppendFrame(buf []byte, f Frame) ([]byte, error) {
 	if f.From < 0 {
-		return nil, fmt.Errorf("protocol: frame from %d must be >= 0", f.From)
+		return buf, fmt.Errorf("protocol: frame from %d must be >= 0", f.From)
 	}
 	if !f.Flood && f.To < 0 {
-		return nil, fmt.Errorf("protocol: unicast frame to %d must be >= 0", f.To)
+		return buf, fmt.Errorf("protocol: unicast frame to %d must be >= 0", f.To)
 	}
 	if f.TTL < 0 || f.TTL > maxFrameTTL {
-		return nil, fmt.Errorf("protocol: frame ttl %d out of range [0,%d]", f.TTL, maxFrameTTL)
+		return buf, fmt.Errorf("protocol: frame ttl %d out of range [0,%d]", f.TTL, maxFrameTTL)
 	}
-	payload, err := Marshal(f.Msg)
-	if err != nil {
-		return nil, err
+	if !f.Msg.Kind.Valid() {
+		return buf, fmt.Errorf("protocol: marshal of invalid kind %v", f.Msg.Kind)
 	}
 	traced := !f.Msg.Trace.Zero()
-	buf := make([]byte, 0, len(payload)+54)
+	buf = slices.Grow(buf, maxFrameHeaderLen+maxMessageLen(f.Msg))
 	version := byte(frameVersion)
 	if traced {
 		version = frameVersion2
@@ -96,7 +106,7 @@ func MarshalFrame(f Frame) ([]byte, error) {
 		buf = binary.AppendUvarint(buf, f.Msg.Trace.SpanID)
 		buf = binary.AppendUvarint(buf, f.Msg.Trace.ParentID)
 	}
-	return append(buf, payload...), nil
+	return appendMessage(buf, f.Msg), nil
 }
 
 // UnmarshalFrame decodes a datagram back into a Frame. Like Unmarshal it

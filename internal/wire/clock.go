@@ -30,7 +30,7 @@ type Clock struct {
 	idleTick time.Duration
 
 	start  time.Time
-	inject chan func(*sim.Kernel)
+	inject chan sim.Timer
 	quit   chan struct{}
 	done   chan struct{}
 
@@ -43,7 +43,7 @@ func NewClock(k *sim.Kernel) *Clock {
 	return &Clock{
 		k:        k,
 		idleTick: 50 * time.Millisecond,
-		inject:   make(chan func(*sim.Kernel), 1024),
+		inject:   make(chan sim.Timer, injectDepth),
 		quit:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -65,11 +65,20 @@ func (c *Clock) Epoch() time.Time { return c.start }
 // Elapsed returns the current virtual time (wall time since Start).
 func (c *Clock) Elapsed() time.Duration { return time.Since(c.start) }
 
+// injectDepth is the capacity of the clock's inject queue, and of each
+// record free list that feeds it: a list as deep as the queue keeps every
+// record of a burst the queue absorbed, so the next burst allocates none.
+const injectDepth = 1024
+
 // Inject runs fn on the kernel goroutine at the current virtual instant.
 // It is the only way other goroutines (socket readers, signal handlers)
 // may touch engine state. Returns false if the clock has stopped and fn
 // will never run.
-func (c *Clock) Inject(fn func(*sim.Kernel)) bool {
+func (c *Clock) Inject(fn func(*sim.Kernel)) bool { return c.injectTimer(sim.Handler(fn)) }
+
+// injectTimer is Inject for a record: t.Fire runs on the kernel
+// goroutine, and handing over a pointer allocates nothing.
+func (c *Clock) injectTimer(t sim.Timer) bool {
 	// Check quit first: a two-way select with both channels ready picks
 	// randomly, and after Stop the refusal must be deterministic.
 	select {
@@ -80,8 +89,31 @@ func (c *Clock) Inject(fn func(*sim.Kernel)) bool {
 	select {
 	case <-c.quit:
 		return false
-	case c.inject <- fn:
+	case c.inject <- t:
 		return true
+	}
+}
+
+// freeList recycles the records other goroutines hand to the kernel
+// goroutine (receive and query records). It is a buffered channel, so
+// get and put are safe from any goroutine; it allocates only when empty,
+// is never pre-filled, and a record put into a full list is left to the
+// collector.
+type freeList[T any] chan *T
+
+func (l freeList[T]) get() *T {
+	select {
+	case r := <-l:
+		return r
+	default:
+		return new(T)
+	}
+}
+
+func (l freeList[T]) put(r *T) {
+	select {
+	case l <- r:
+	default:
 	}
 }
 
@@ -128,17 +160,17 @@ func (c *Clock) loop() {
 		timer.Reset(wait)
 
 		select {
-		case fn := <-c.inject:
+		case t := <-c.inject:
 			// Advance the clock first so the injection (a datagram
 			// delivery, typically) is stamped with the instant it
 			// actually happened, then drain any backlog.
 			c.k.RunUntil(time.Since(c.start))
-			fn(c.k)
+			t.Fire(c.k)
 		drain:
 			for {
 				select {
-				case fn := <-c.inject:
-					fn(c.k)
+				case t := <-c.inject:
+					t.Fire(c.k)
 				default:
 					break drain
 				}

@@ -130,6 +130,9 @@ type Node struct {
 	wl      *workload.Generator
 	traffic *stats.Traffic
 	lat     *stats.Latency
+	// queries recycles Query's records between the callers' goroutines
+	// and the kernel goroutine.
+	queries freeList[queryReq]
 	started bool
 	stopped bool
 }
@@ -207,6 +210,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	n := &Node{
 		cfg: cfg, k: k, clock: clock, tr: tr, reg: reg, stores: stores,
 		chassis: chassis, eng: eng, traffic: traffic, lat: lat,
+		queries: make(freeList[queryReq], injectDepth),
 	}
 	if cfg.OnAnswer != nil {
 		chassis.SetAnswerObserver(func(_ *sim.Kernel, q *node.Query, served data.Copy) {
@@ -328,11 +332,31 @@ func (n *Node) Inject(fn func(k *sim.Kernel)) bool { return n.clock.Inject(fn) }
 
 // Query injects one query at Self for item at the given level — the
 // externally driven path (no built-in workload needed). The outcome is
-// observable through OnAnswer or the chassis counters.
+// observable through OnAnswer or the chassis counters. Safe from any
+// goroutine; the query travels as a pooled record, not a closure.
 func (n *Node) Query(item data.ItemID, level consistency.Level) bool {
-	return n.clock.Inject(func(k *sim.Kernel) {
-		n.eng.OnQuery(k, n.cfg.Self, item, level)
-	})
+	q := n.queries.get()
+	q.n, q.item, q.level = n, item, level
+	if !n.clock.injectTimer(q) {
+		n.queries.put(q)
+		return false
+	}
+	return true
+}
+
+// queryReq is one externally driven query on its way to the kernel
+// goroutine.
+type queryReq struct {
+	n     *Node
+	item  data.ItemID
+	level consistency.Level
+}
+
+// Fire issues the query and returns the record to its free list.
+func (q *queryReq) Fire(k *sim.Kernel) {
+	n, item, level := q.n, q.item, q.level
+	n.queries.put(q)
+	n.eng.OnQuery(k, n.cfg.Self, item, level)
 }
 
 // Stop shuts the daemon down: the clock finishes its in-flight handler

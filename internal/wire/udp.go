@@ -95,11 +95,22 @@ type Transport struct {
 	misdelivers atomic.Uint64
 	readErrs    atomic.Uint64
 
-	// writeTo / readFrom are the socket seams, overridable in tests to
-	// fault individual peers or feed the read loop synthetic errors. They
+	// free recycles receive records between the read loop, which decodes
+	// into them, and the kernel goroutine, which releases each one after
+	// its delivery or drop.
+	free freeList[rx]
+	// decodeDrop accounts one undecodable datagram on the kernel
+	// goroutine; bound once, it is injected as is for every such datagram.
+	decodeDrop sim.Handler
+	// sendBuf is the encode buffer Unicast and Flood reuse. Confined to
+	// the kernel goroutine; the socket copies it on every write.
+	sendBuf []byte
+
+	// writeTo / read are the socket seams, overridable in tests to fault
+	// individual peers or feed the read loop synthetic errors. They
 	// default to the socket's own methods.
-	writeTo  func(b []byte, addr *net.UDPAddr) (int, error)
-	readFrom func(b []byte) (int, *net.UDPAddr, error)
+	writeTo func(b []byte, addr *net.UDPAddr) (int, error)
+	read    func(b []byte) (int, error)
 
 	closeOnce sync.Once
 	closeErr  error
@@ -124,8 +135,10 @@ func NewTransport(cfg TransportConfig, clock *Clock, traffic *stats.Traffic) (*T
 		traffic:   traffic,
 		addrs:     make([]*net.UDPAddr, cfg.Nodes),
 		receivers: make([]netsim.Receiver, cfg.Nodes),
+		free:      make(freeList[rx], injectDepth),
 		readDone:  make(chan struct{}),
 	}
+	t.decodeDrop = func(*sim.Kernel) { t.traffic.RecordDroppedUnknown(stats.DropDecode) }
 	for id, addr := range cfg.Peers {
 		ua, err := net.ResolveUDPAddr("udp", addr)
 		if err != nil {
@@ -149,7 +162,7 @@ func NewTransport(cfg TransportConfig, clock *Clock, traffic *stats.Traffic) (*T
 		t.conn = conn
 	}
 	t.writeTo = t.conn.WriteToUDP
-	t.readFrom = t.conn.ReadFromUDP
+	t.read = t.conn.Read
 	return t, nil
 }
 
@@ -239,9 +252,7 @@ func (t *Transport) Unicast(from, to int, msg protocol.Message) error {
 		return fmt.Errorf("wire: unicast to unknown peer %d", to)
 	}
 	t.sendSeq++
-	buf, err := protocol.MarshalFrame(protocol.Frame{
-		From: from, To: to, Seq: t.sendSeq, Msg: msg,
-	})
+	buf, err := t.encode(protocol.Frame{From: from, To: to, Seq: t.sendSeq, Msg: msg})
 	if err != nil {
 		return err
 	}
@@ -253,6 +264,14 @@ func (t *Transport) Unicast(from, to int, msg protocol.Message) error {
 		return fmt.Errorf("wire: unicast to %d: %w", to, err)
 	}
 	return nil
+}
+
+// encode renders f into the reused send buffer. The result is valid
+// until the next encode, which is all a send needs.
+func (t *Transport) encode(f protocol.Frame) ([]byte, error) {
+	buf, err := protocol.AppendFrame(t.sendBuf[:0], f)
+	t.sendBuf = buf
+	return buf, err
 }
 
 // send writes one datagram with a single bounded retry: UDP sends fail
@@ -285,9 +304,7 @@ func (t *Transport) Flood(origin, ttl int, msg protocol.Message) error {
 		return fmt.Errorf("wire: flood ttl %d must be > 0", ttl)
 	}
 	t.sendSeq++
-	buf, err := protocol.MarshalFrame(protocol.Frame{
-		From: origin, TTL: ttl, Flood: true, Seq: t.sendSeq, Msg: msg,
-	})
+	buf, err := t.encode(protocol.Frame{From: origin, TTL: ttl, Flood: true, Seq: t.sendSeq, Msg: msg})
 	if err != nil {
 		return err
 	}
@@ -308,16 +325,51 @@ func (t *Transport) Flood(origin, ttl int, msg protocol.Message) error {
 	return nil
 }
 
-// readLoop decodes datagrams and injects deliveries onto the kernel
-// goroutine. It exits only when the socket is closed: transient read
-// errors — ICMP port-unreachable bounced back from a crashed peer is the
-// classic — are counted and survived, because one dead neighbour must
-// not deafen this daemon to the rest of the cluster.
+// rx is a receive record: one decoded frame on its way from the read
+// loop to Self's receiver. It is the sim.Timer the read loop injects and,
+// under a chaos delay, the one the kernel re-arms; each record returns to
+// the transport's free list exactly once, after its delivery or drop.
+type rx struct {
+	t *Transport
+	f protocol.Frame
+	// planned marks a record whose chaos plan is already drawn: firing
+	// it delivers without adjudicating again.
+	planned bool
+}
+
+// Fire runs on the kernel goroutine.
+func (r *rx) Fire(k *sim.Kernel) {
+	if r.planned {
+		r.t.deliverNow(k, r)
+		return
+	}
+	r.t.deliver(k, r)
+}
+
+// newRx takes a record from the free list, addressed to t.
+func (t *Transport) newRx() *rx {
+	r := t.free.get()
+	r.t, r.planned = t, false
+	return r
+}
+
+// release clears r, so a parked record pins no decoded payload, and
+// returns it to the free list.
+func (t *Transport) release(r *rx) {
+	*r = rx{}
+	t.free.put(r)
+}
+
+// readLoop decodes datagrams into receive records and injects them onto
+// the kernel goroutine. It exits only when the socket is closed:
+// transient read errors — ICMP port-unreachable bounced back from a
+// crashed peer is the classic — are counted and survived, because one
+// dead neighbour must not deafen this daemon to the rest of the cluster.
 func (t *Transport) readLoop() {
 	defer close(t.readDone)
 	buf := make([]byte, 65536)
 	for {
-		n, _, err := t.readFrom(buf)
+		n, err := t.read(buf)
 		if err != nil {
 			if errors.Is(err, net.ErrClosed) {
 				return // deliberate shutdown
@@ -328,24 +380,26 @@ func (t *Transport) readLoop() {
 			time.Sleep(time.Millisecond)
 			continue
 		}
-		f, err := protocol.UnmarshalFrame(buf[:n])
-		if err != nil {
+		r := t.newRx()
+		if r.f, err = protocol.UnmarshalFrame(buf[:n]); err != nil {
+			t.release(r)
 			t.decodeErrs.Add(1)
 			// The frame has no decodable kind, so account it on the
 			// kindless drop ledger (kernel goroutine owns the counters).
-			t.clock.Inject(func(k *sim.Kernel) {
-				t.traffic.RecordDroppedUnknown(stats.DropDecode)
-			})
+			t.clock.injectTimer(t.decodeDrop)
 			continue
 		}
-		if f.From == t.cfg.Self || (!f.Flood && f.To != t.cfg.Self) {
+		// A sender outside the peer table has no chaos chain or island
+		// to adjudicate it by: it is a misdelivery, like self-echoes and
+		// unicasts for another node.
+		if f := &r.f; f.From == t.cfg.Self || !t.Up(f.From) || (!f.Flood && f.To != t.cfg.Self) {
+			t.release(r)
 			t.misdelivers.Add(1)
 			continue
 		}
-		frame := f // capture a stable copy for the closure
-		if !t.clock.Inject(func(k *sim.Kernel) { t.deliver(k, frame) }) {
+		if !t.clock.injectTimer(r) {
 			// Clock stopped: drain and discard until the socket closes.
-			continue
+			t.release(r)
 		}
 	}
 }
@@ -354,47 +408,54 @@ func (t *Transport) readLoop() {
 // the chaos plan (if installed), then deliver now or on the scheduled
 // delay. Reordering needs no machinery of its own — two frames drawing
 // different jitters already swap on the kernel's event queue.
-func (t *Transport) deliver(k *sim.Kernel, f protocol.Frame) {
+func (t *Transport) deliver(k *sim.Kernel, r *rx) {
 	if t.chaos == nil {
-		t.deliverNow(k, f)
+		t.deliverNow(k, r)
 		return
 	}
-	plan := t.chaos.Plan(k.Now(), f.From)
+	plan := t.chaos.Plan(k.Now(), r.f.From)
 	if plan.Drop {
-		t.traffic.RecordDropped(f.Msg.Kind, plan.Cause)
+		t.traffic.RecordDropped(r.f.Msg.Kind, plan.Cause)
+		t.release(r)
 		return
 	}
 	if plan.Dup {
-		k.After(plan.DupDelay, "wire.chaos.dup", func(k *sim.Kernel) { t.deliverNow(k, f) })
+		dup := t.newRx()
+		dup.f, dup.planned = r.f, true
+		k.AfterTimer(plan.DupDelay, "wire.chaos.dup", dup)
 	}
 	if plan.Delay > 0 {
-		k.After(plan.Delay, "wire.chaos.delay", func(k *sim.Kernel) { t.deliverNow(k, f) })
+		r.planned = true
+		k.AfterTimer(plan.Delay, "wire.chaos.delay", r)
 		return
 	}
-	t.deliverNow(k, f)
+	t.deliverNow(k, r)
 }
 
-// deliverNow accounts the reception and hands the message to Self's
-// receiver with simulator-shaped metadata.
-func (t *Transport) deliverNow(k *sim.Kernel, f protocol.Frame) {
+// deliverNow accounts the reception, hands the message to Self's
+// receiver with simulator-shaped metadata, and releases the record.
+func (t *Transport) deliverNow(k *sim.Kernel, r *rx) {
+	f := &r.f
 	t.traffic.RecordDelivered(f.Msg.Kind)
 	t.activity++
-	r := t.receivers[t.cfg.Self]
-	if r == nil {
-		return
+	if rcv := t.receivers[t.cfg.Self]; rcv != nil {
+		if t.trace != nil && f.Msg.Trace.TraceID != 0 {
+			// Sender clocks are not comparable, so the hop span is an
+			// instant at local receipt; its value is the causal stitch,
+			// not the flight time.
+			now := k.Now().Nanoseconds()
+			f.Msg.Trace = t.trace.Emit(f.Msg.Trace, t.cfg.Self, ctrace.PhaseTransit, f.Msg.Kind.String(), now, now)
+		}
+		meta := netsim.Meta{
+			Hops:   1,
+			At:     k.Now(),
+			SentAt: k.Now(), // sender clocks are not comparable; flight time reads as 0
+			Flood:  f.Flood,
+		}
+		if f.Flood {
+			meta.FloodID = f.Seq // netsim's contract: 0 on unicasts
+		}
+		rcv(k, t.cfg.Self, f.Msg, meta)
 	}
-	if t.trace != nil && f.Msg.Trace.TraceID != 0 {
-		// Sender clocks are not comparable, so the hop span is an instant
-		// at local receipt; its value is the causal stitch, not the flight
-		// time.
-		now := k.Now().Nanoseconds()
-		f.Msg.Trace = t.trace.Emit(f.Msg.Trace, t.cfg.Self, ctrace.PhaseTransit, f.Msg.Kind.String(), now, now)
-	}
-	r(k, t.cfg.Self, f.Msg, netsim.Meta{
-		Hops:    1,
-		At:      k.Now(),
-		SentAt:  k.Now(), // sender clocks are not comparable; flight time reads as 0
-		Flood:   f.Flood,
-		FloodID: f.Seq,
-	})
+	t.release(r)
 }

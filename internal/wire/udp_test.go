@@ -3,6 +3,7 @@ package wire
 import (
 	"errors"
 	"net"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -74,7 +75,7 @@ func TestUDPUnicastDelivers(t *testing.T) {
 	trs, _, start := boot(t, 2)
 	got := make(chan protocol.Message, 1)
 	trs[1].SetReceiver(1, func(k *sim.Kernel, nd int, msg protocol.Message, meta netsim.Meta) {
-		if nd != 1 || meta.Flood || meta.Hops != 1 {
+		if nd != 1 || meta.Flood || meta.Hops != 1 || meta.FloodID != 0 {
 			t.Errorf("bad delivery: nd=%d meta=%+v", nd, meta)
 		}
 		got <- msg
@@ -100,8 +101,8 @@ func TestUDPFloodReachesAllButOrigin(t *testing.T) {
 	for i := 1; i < 4; i++ {
 		i := i
 		trs[i].SetReceiver(i, func(k *sim.Kernel, nd int, msg protocol.Message, meta netsim.Meta) {
-			if !meta.Flood {
-				t.Errorf("node %d: flood delivered with Flood=false", i)
+			if !meta.Flood || meta.FloodID == 0 {
+				t.Errorf("node %d: flood delivered with meta %+v", i, meta)
 			}
 			got <- i
 		})
@@ -275,10 +276,10 @@ func TestUDPReadLoopSurvivesTransientErrors(t *testing.T) {
 	// and still deliver what arrives afterwards.
 	var fails atomic.Int32
 	fails.Store(3)
-	real := trs[1].readFrom
-	trs[1].readFrom = func(b []byte) (int, *net.UDPAddr, error) {
+	real := trs[1].read
+	trs[1].read = func(b []byte) (int, error) {
 		if fails.Add(-1) >= 0 {
-			return 0, nil, &net.OpError{Op: "read", Net: "udp", Err: errors.New("connection refused")}
+			return 0, &net.OpError{Op: "read", Net: "udp", Err: errors.New("connection refused")}
 		}
 		return real(b)
 	}
@@ -388,5 +389,188 @@ func TestUDPChaosDelayDefersDelivery(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("delayed frame never delivered")
+	}
+}
+
+// TestUDPUnlistedSenderIsMisdelivered: a well-formed frame from a node id
+// outside the peer table is a misdelivery, counted and dropped on the
+// read loop, before the chaos plan, which indexes its per-sender loss
+// chains by that id, can see it.
+func TestUDPUnlistedSenderIsMisdelivered(t *testing.T) {
+	trs, _, start := boot(t, 2)
+	// A loss model is installed, so the plan consults per-sender chains,
+	// but it never leaves its lossless good state.
+	script := &faults.Config{Seed: 3, Loss: faults.GilbertParams{PBadToGood: 1, LossBad: 1}}
+	ch, err := NewChaos(script, 1, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trs[1].SetChaos(ch)
+	got := make(chan protocol.Message, 1)
+	trs[1].SetReceiver(1, func(k *sim.Kernel, nd int, msg protocol.Message, meta netsim.Meta) {
+		got <- msg
+	})
+	start()
+	raw, err := net.Dial("udp", trs[1].LocalAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	buf, err := protocol.MarshalFrame(protocol.Frame{
+		From: 7, To: 1, Seq: 1,
+		Msg: protocol.Message{Kind: protocol.KindPoll, Item: 1, Origin: 7},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := raw.Write(buf); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "misdeliver count", func() bool { return trs[1].Misdelivers() == 1 })
+	// The kernel goroutine survived: a listed sender's frame gets through.
+	if err := trs[0].Unicast(0, 1, protocol.Message{Kind: protocol.KindPoll, Item: 1, Origin: 0, Seq: 5}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case msg := <-got:
+		if msg.Seq != 5 {
+			t.Fatalf("delivered %+v", msg)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("listed sender's frame never delivered")
+	}
+}
+
+// TestWireSteadyStateDoesNotAllocate: once warmed up, two transports
+// exchanging unicasts and floods allocate nothing per delivered frame —
+// clean, and under a delay + duplication campaign. Mallocs are counted
+// process-wide, so the read loops and clock goroutines count too.
+func TestWireSteadyStateDoesNotAllocate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("times a few thousand loopback datagrams")
+	}
+	for _, tc := range []struct {
+		name  string
+		chaos *faults.Config
+	}{
+		{"clean", nil},
+		{"delay+dup", &faults.Config{Seed: 5, Delay: Duration(time.Millisecond), DupProb: 0.3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			trs, clocks, start := boot(t, 2)
+			var delivered atomic.Uint64
+			count := func(*sim.Kernel, int, protocol.Message, netsim.Meta) { delivered.Add(1) }
+			sends := make([]func(*sim.Kernel), 2)
+			for i, tr := range trs {
+				if tc.chaos != nil {
+					ch, err := NewChaos(tc.chaos, i, 2, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					tr.SetChaos(ch)
+				}
+				tr.SetReceiver(i, count)
+				tr, peer := tr, 1-i
+				poll := protocol.Message{Kind: protocol.KindPoll, Item: 1, Origin: i, Version: 3, Seq: 9}
+				inv := protocol.Message{Kind: protocol.KindInvalidation, Item: 0, Origin: i, Version: 4}
+				sends[i] = func(*sim.Kernel) {
+					if err := tr.Unicast(i, peer, poll); err != nil {
+						panic(err)
+					}
+					if err := tr.Flood(i, 2, inv); err != nil {
+						panic(err)
+					}
+				}
+			}
+			start()
+			// round sends one unicast and one flood each way, then waits
+			// for the four originals.
+			round := func() {
+				want := delivered.Load() + 4
+				for i, c := range clocks {
+					if !c.Inject(sends[i]) {
+						t.Fatal("clock stopped")
+					}
+				}
+				for deadline := time.Now().Add(5 * time.Second); delivered.Load() < want; {
+					if time.Now().After(deadline) {
+						t.Fatal("round never delivered")
+					}
+					time.Sleep(50 * time.Microsecond)
+				}
+			}
+			for i := 0; i < 300; i++ {
+				round()
+			}
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			d0 := delivered.Load()
+			for i := 0; i < 600; i++ {
+				round()
+			}
+			runtime.ReadMemStats(&m1)
+			frames := delivered.Load() - d0
+			perFrame := float64(m1.Mallocs-m0.Mallocs) / float64(frames)
+			t.Logf("%d frames delivered, %d mallocs, %.4f per frame", frames, m1.Mallocs-m0.Mallocs, perFrame)
+			if perFrame > 0.05 {
+				t.Fatalf("%.4f mallocs per delivered frame, want <= 0.05", perFrame)
+			}
+		})
+	}
+}
+
+// TestChaosRecordsDeliverAsPlanned crosses receive records between the
+// read loop and the kernel goroutine under delay, jitter and duplication
+// (run it under -race): each frame must be delivered exactly 1 + dup
+// times, where dup replays the campaign's plan for that reception.
+func TestChaosRecordsDeliverAsPlanned(t *testing.T) {
+	const frames = 200
+	script := &faults.Config{Seed: 9, Delay: Duration(time.Millisecond), Jitter: Duration(2 * time.Millisecond), DupProb: 0.5}
+	trs, clocks, start := boot(t, 2)
+	ch, err := NewChaos(script, 1, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trs[1].SetChaos(ch)
+	counts := make([]atomic.Int32, frames+1)
+	var total atomic.Int32
+	trs[1].SetReceiver(1, func(k *sim.Kernel, nd int, msg protocol.Message, meta netsim.Meta) {
+		counts[msg.Seq].Add(1)
+		total.Add(1)
+	})
+	start()
+	// One frame at a time, each sent once its original has landed, so the
+	// receptions happen in Seq order and the plans can be replayed.
+	replay, err := NewChaos(script, 1, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]int32, frames+1)
+	var wantTotal int32
+	for seq := 1; seq <= frames; seq++ {
+		want[seq] = 1
+		if replay.Plan(0, 0).Dup {
+			want[seq] = 2
+		}
+		wantTotal += want[seq]
+		msg := protocol.Message{Kind: protocol.KindPoll, Item: 1, Origin: 0, Seq: uint64(seq)}
+		if !clocks[0].Inject(func(*sim.Kernel) {
+			if err := trs[0].Unicast(0, 1, msg); err != nil {
+				t.Error(err)
+			}
+		}) {
+			t.Fatal("clock stopped")
+		}
+		waitFor(t, "delivery", func() bool { return counts[seq].Load() > 0 })
+	}
+	waitFor(t, "every planned delivery", func() bool { return total.Load() >= wantTotal })
+	time.Sleep(20 * time.Millisecond) // any extra delivery would land by now
+	for seq := 1; seq <= frames; seq++ {
+		if got := counts[seq].Load(); got != want[seq] {
+			t.Errorf("frame %d delivered %d times, the campaign planned %d", seq, got, want[seq])
+		}
+	}
+	if got := total.Load(); got != wantTotal {
+		t.Errorf("%d deliveries, the campaign planned %d", got, wantTotal)
 	}
 }
