@@ -123,7 +123,8 @@ type Auditor struct {
 // is the in-flight forgiveness applied to SC/DC checks. A nil registry
 // builds a judge without a ledger — a wire daemon, whose own registry
 // never hears another owner's commits: it counts torn copies only and
-// reports every staleness as Unknown.
+// reports every staleness as Unknown. The zero Auditor is that judge
+// with no Δ and no slack.
 func NewAuditor(registry *data.Registry, delta, slack time.Duration) (*Auditor, error) {
 	if delta < 0 || slack < 0 {
 		return nil, fmt.Errorf("consistency: negative delta %v or slack %v", delta, slack)

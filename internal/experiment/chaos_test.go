@@ -25,9 +25,9 @@ func chaosConfig() Config {
 }
 
 // runChaos runs cfg with a metrics hub, failing the test on error.
-func runChaos(t *testing.T, cfg Config) Result {
+func runChaos(t *testing.T, cfg Config, opts ...Option) Result {
 	t.Helper()
-	res, err := RunWithTelemetry(cfg, telemetry.NewHub(telemetry.LevelMetrics))
+	res, err := run(cfg, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,9 +164,7 @@ func TestTracedChaosRecordsEveryFaultAndRoleInvisibly(t *testing.T) {
 // hearing newer version evidence — must be caught by the heal-convergence
 // invariant.
 func TestChaosBrokenRepairCaught(t *testing.T) {
-	testCoreMutator = func(c *core.Config) { c.DisableRepair = true }
-	defer func() { testCoreMutator = nil }()
-	rep := runChaos(t, chaosConfig()).Faults
+	rep := runChaos(t, chaosConfig(), WithCoreConfig(func(c *core.Config) { c.DisableRepair = true })).Faults
 	if rep.HealViolations == 0 {
 		t.Fatalf("auditor missed the disabled repair path: %s", rep)
 	}

@@ -13,7 +13,6 @@ import (
 	"github.com/manetlab/rpcc/internal/consistency"
 	"github.com/manetlab/rpcc/internal/data"
 	"github.com/manetlab/rpcc/internal/faults"
-	"github.com/manetlab/rpcc/internal/node"
 	"github.com/manetlab/rpcc/internal/sim"
 	"github.com/manetlab/rpcc/internal/workload"
 )
@@ -47,19 +46,12 @@ func (k StrategyKind) Valid() bool {
 }
 
 // Strategy is what every consistency engine (RPCC and baselines)
-// implements; the harness drives it from the workload generator.
+// implements; a batch run drives it from the workload generator, the
+// oracle and rpcc.Simulation from their scripts.
 type Strategy interface {
-	Name() string
 	Start(k *sim.Kernel) error
 	OnQuery(k *sim.Kernel, host int, item data.ItemID, level consistency.Level)
 	OnUpdate(k *sim.Kernel, host int)
-	Chassis() *node.Chassis
-}
-
-// RelayCounter is implemented by strategies with a relay tier (RPCC); the
-// harness samples it for the Fig 9 relay-population metric.
-type RelayCounter interface {
-	RelayCount() int
 }
 
 // Config is one scenario: Table 1 plus the handful of knobs Table 1 leaves

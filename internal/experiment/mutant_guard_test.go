@@ -12,8 +12,8 @@ import (
 // TestExperimentCannotReachMutants pins the containment property the
 // conformance mutants rely on: no experiment Config field maps onto
 // core.Config.Mutant, so every experiment-driven engine runs the clean
-// protocol. Only the oracle's gate (which builds core.Config directly)
-// may inject a mutant.
+// protocol. Only Build's WithCoreConfig hook, which the oracle's gate
+// uses, may inject a mutant.
 //
 // Every exported Config field is turned away from its zero value by
 // reflection — bools true, numbers and durations non-zero, slices

@@ -2,21 +2,13 @@ package experiment
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
 	"time"
 
-	"github.com/manetlab/rpcc/internal/cache"
-	"github.com/manetlab/rpcc/internal/churn"
 	"github.com/manetlab/rpcc/internal/consistency"
-	"github.com/manetlab/rpcc/internal/core"
 	"github.com/manetlab/rpcc/internal/data"
 	"github.com/manetlab/rpcc/internal/energy"
 	"github.com/manetlab/rpcc/internal/faults"
-	"github.com/manetlab/rpcc/internal/geo"
-	"github.com/manetlab/rpcc/internal/mobility"
 	"github.com/manetlab/rpcc/internal/netsim"
-	"github.com/manetlab/rpcc/internal/node"
 	"github.com/manetlab/rpcc/internal/sim"
 	"github.com/manetlab/rpcc/internal/stats"
 	"github.com/manetlab/rpcc/internal/telemetry"
@@ -95,7 +87,7 @@ type Result struct {
 // records aggregate telemetry internally; use RunWithTelemetry to run
 // with a hub of the caller's, or none.
 func Run(cfg Config) (Result, error) {
-	return RunWithTelemetry(cfg, telemetry.NewHub(telemetry.LevelMetrics))
+	return run(cfg)
 }
 
 // RunWithTelemetry executes one scenario with the caller's telemetry hub
@@ -104,7 +96,7 @@ func Run(cfg Config) (Result, error) {
 // finalized (traffic and sim-clock folded in) before the function
 // returns, so the caller may export it immediately.
 func RunWithTelemetry(cfg Config, hub *telemetry.Hub) (Result, error) {
-	return runScenario(cfg, hub, nil)
+	return run(cfg, WithHub(hub))
 }
 
 // RunWithTrace executes one scenario with causal tracing enabled and
@@ -116,217 +108,45 @@ func RunWithTelemetry(cfg Config, hub *telemetry.Hub) (Result, error) {
 // injected faults are recorded as fault roots.
 func RunWithTrace(cfg Config, hub *telemetry.Hub) (Result, []ctrace.Span, error) {
 	tracer := ctrace.NewCollector(0)
-	res, err := runScenario(cfg, hub, tracer)
+	res, err := run(cfg, WithHub(hub), WithTracer(tracer))
 	if err != nil {
 		return Result{}, nil, err
 	}
 	return res, tracer.Export(), nil
 }
 
-// assembled is one fully wired scenario stack bound to a kernel. The
-// serial path assembles one and runs its kernel to the horizon; the
-// scale path (scale.go) assembles one per region on the kernels of a
-// ShardedKernel, which runs each to the horizon.
-type assembled struct {
-	cfg       Config
-	hub       *telemetry.Hub
-	k         *sim.Kernel
-	field     *mobility.Field
-	churn     *churn.Process
-	batteries []*energy.Battery
-	net       *netsim.Network
-	reg       *data.Registry
-	stores    []*cache.Store
-	aud       *consistency.Auditor
-	lat       *stats.Latency
-	traffic   *stats.Traffic
-	chassis   *node.Chassis
-	strat     Strategy
-	tracer    *ctrace.Collector
-	timeline  []uint64
-	// faults audits the campaign's invariants (nil without a campaign).
-	faults *faults.Auditor
-}
-
-// runScenario builds and runs one scenario, traced when tracer is
-// non-nil. A non-zero fault campaign is installed after the stack is
-// assembled and started, before the kernel runs.
-func runScenario(cfg Config, hub *telemetry.Hub, tracer *ctrace.Collector) (Result, error) {
-	if err := cfg.Validate(); err != nil {
+// run builds one scenario's World (with a metrics hub unless opts set
+// one), starts its workload, installs a non-zero fault campaign, and runs
+// it to the horizon.
+func run(cfg Config, opts ...Option) (Result, error) {
+	w, err := Build(cfg, append([]Option{WithHub(telemetry.NewHub(telemetry.LevelMetrics))}, opts...)...)
+	if err != nil {
 		return Result{}, err
 	}
-	k := sim.NewKernel(sim.WithSeed(cfg.Seed), sim.WithHorizon(cfg.SimTime))
-	a, err := assembleScenario(cfg, hub, k, tracer)
-	if err != nil {
+	if err := w.startScenario(); err != nil {
 		return Result{}, err
 	}
 	if !cfg.Faults.IsZero() {
-		if err := a.installFaults(); err != nil {
+		if err := w.installFaults(); err != nil {
 			return Result{}, err
 		}
 	}
-	k.Run()
-	return a.finalize(), nil
+	w.RunUntil(cfg.SimTime)
+	return w.Finish(), nil
 }
 
-// chaosSweepEvery is the invariant-audit period during chaos campaigns:
-// fine enough to catch transient version regressions, coarse enough that
-// the sweep itself stays invisible in the profile.
-const chaosSweepEvery = 5 * time.Second
-
-// installFaults wires the scenario's fault campaign into the assembled,
-// started stack: the invariant auditor first — its heal callback must be
-// registered before the plane schedules anything against it — then the
-// plane. Validate admits a campaign only for RPCC strategies, so the
-// strategy is the core engine.
-func (a *assembled) installFaults() error {
-	engine, fc := a.strat.(*core.Engine), a.cfg.Faults
-	plane, err := faults.NewPlane(fc, faults.Env{
-		Net: a.net, Churn: a.churn, Stores: a.stores,
-		Engine: engine, Hub: a.hub, Tracer: a.tracer,
-	})
-	if err != nil {
-		return err
-	}
-	coreCfg := coreConfigFrom(a.cfg)
-	aud, err := faults.NewAuditor(faults.AuditorConfig{
-		SweepEvery:        chaosSweepEvery,
-		RepairWindow:      fc.RepairWindow.D(),
-		TTN:               coreCfg.TTN,
-		MaxRepairAttempts: coreCfg.MaxRepairAttempts,
-		StrongStaleBudget: fc.StrongStaleBudget,
-	}, a.reg, a.stores, a.churn, engine, a.aud)
-	if err != nil {
-		return err
-	}
-	if err := aud.Install(a.k, plane); err != nil {
-		return err
-	}
-	a.faults = aud
-	return plane.Install(a.k)
-}
-
-// assembleScenario wires the full stack — terrain, mobility, churn,
-// energy, network, data, caches, auditor, chassis, strategy, workload
-// and the traffic timeline — onto the caller's kernel, leaving the
-// kernel unrun.
-// A non-nil tracer threads causal trace contexts through every query and
-// protocol message (chassis roots, netsim transit spans).
-func assembleScenario(cfg Config, hub *telemetry.Hub, k *sim.Kernel, tracer *ctrace.Collector) (*assembled, error) {
-	terrain, err := geo.NewTerrain(cfg.AreaWidth, cfg.AreaHeight)
-	if err != nil {
-		return nil, err
-	}
-	mobCfg := mobility.Config{
-		Terrain:    terrain,
-		MinSpeed:   cfg.MinSpeed,
-		MaxSpeed:   cfg.MaxSpeed,
-		Pause:      cfg.Pause,
-		SubnetCell: cfg.SubnetCell,
-	}
-	field, err := mobility.NewField(mobCfg, cfg.NPeers, func(i int) *rand.Rand {
-		return k.Stream(fmt.Sprintf("mobility.%d", i))
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	churnCfg := churn.Config{
-		MeanUp:   cfg.SwitchInterval,
-		MeanDown: cfg.MeanDown,
-		Disabled: cfg.ChurnDisabled,
-	}
-	churnProc, err := churn.NewProcess(churnCfg, cfg.NPeers, k)
-	if err != nil {
-		return nil, err
-	}
-
-	batteries := make([]*energy.Battery, cfg.NPeers)
-	for i := range batteries {
-		b, err := energy.NewBattery(energy.DefaultConfig())
-		if err != nil {
-			return nil, err
-		}
-		batteries[i] = b
-	}
-
-	netCfg := netsim.DefaultConfig()
-	netCfg.CommRange = cfg.CommRange
-	if cfg.UseDSRRouting {
-		netCfg.Routing = netsim.RoutingDSR
-	}
-	netCfg.LossRate = cfg.LossRate
-	netCfg.SerializeTx = cfg.SerializeTx
-	netCfg.Kinetic = true
-	netCfg.RouteTableCap = cfg.RouteTableCap
-	netCfg.LazyChurnRefresh = cfg.LazyChurnRefresh
-	traffic := stats.NewTraffic()
-	network, err := netsim.New(netCfg, k, field, churnProc, batteries, traffic)
-	if err != nil {
-		return nil, err
-	}
-
-	reg, err := data.NewRegistry(cfg.NPeers)
-	if err != nil {
-		return nil, err
-	}
-	// The TTL policy ranks freshness against the scenario's TTP horizon.
-	pol, err := cache.NewPolicy(cfg.CachePolicy, cache.PolicyParams{TTL: cfg.TTP})
-	if err != nil {
-		return nil, err
-	}
-	stores, err := cache.NewStores(cfg.NPeers, cfg.CacheNum, pol)
-	if err != nil {
-		return nil, err
-	}
-	for i := range stores {
-		if cfg.CachePolicy == cache.PolicyUtility {
-			// Estimate the re-fetch distance to an item's source host
-			// geometrically (current positions, one hop per CommRange).
-			// Pure function of sim state, so runs stay deterministic.
-			node := i
-			stores[i].SetHopsHint(func(item data.ItemID) int {
-				owner := reg.Owner(item)
-				if owner < 0 || owner >= cfg.NPeers || owner == node {
-					return 0
-				}
-				d := field.PeekPosition(node, k.Now()).Dist(field.PeekPosition(owner, k.Now()))
-				return int(math.Ceil(d / cfg.CommRange))
-			})
-		}
-	}
-
-	// Slack: in-flight forgiveness covering flood propagation plus the
-	// poll round trip at the default hop latency.
-	aud, err := consistency.NewAuditor(reg, cfg.TTP, 5*time.Second)
-	if err != nil {
-		return nil, err
-	}
-	lat := stats.NewLatency()
-	chassis, err := node.NewChassis(node.DefaultConfig(), network, reg, stores, lat, aud)
-	if err != nil {
-		return nil, err
-	}
-	chassis.Hub = hub
-	if tr := hub.Tracer(); tr != nil {
-		network.SetTracer(tr)
-	}
-	if tracer != nil {
-		chassis.Tracer = tracer
-		network.SetTraceCollector(tracer)
-	}
-
-	strat, levelFor, err := buildStrategy(cfg, k, chassis, churnProc, field, batteries)
-	if err != nil {
-		return nil, err
-	}
-
+// startScenario adds what a batch run puts on a built World: the warm
+// placement, the strategy's start, the workload with its per-query
+// consistency levels, and the traffic timeline.
+func (w *World) startScenario() error {
+	cfg, k := w.Config, w.K
+	levelFor := levelSelector(cfg, k)
 	var domains [][]data.ItemID
 	if cfg.WarmCaches {
-		domains = warmCaches(k, cfg, reg, stores, strat)
+		domains = w.warmCaches()
 	}
-	if err := strat.Start(k); err != nil {
-		return nil, err
+	if err := w.Start(); err != nil {
+		return err
 	}
 
 	wlCfg := workload.Config{
@@ -340,10 +160,11 @@ func assembleScenario(cfg Config, hub *telemetry.Hub, k *sim.Kernel, tracer *ctr
 	}
 	if cfg.Popularity == workload.PopularityCached {
 		if domains == nil {
-			return nil, fmt.Errorf("experiment: cached-domain workload requires WarmCaches")
+			return fmt.Errorf("experiment: cached-domain workload requires WarmCaches")
 		}
 		wlCfg.Domain = func(host int) []data.ItemID { return domains[host] }
 	}
+	strat := w.Strategy
 	wl, err := workload.NewGenerator(wlCfg,
 		func(kk *sim.Kernel, host int, item data.ItemID) {
 			strat.OnQuery(kk, host, item, levelFor(host, item))
@@ -353,58 +174,80 @@ func assembleScenario(cfg Config, hub *telemetry.Hub, k *sim.Kernel, tracer *ctr
 		},
 	)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	wl.AttachTelemetry(hub)
+	wl.AttachTelemetry(w.Hub)
 	wl.Start(k)
 
-	a := &assembled{
-		cfg: cfg, hub: hub, k: k, field: field, churn: churnProc,
-		batteries: batteries, net: network, reg: reg, stores: stores,
-		aud: aud, lat: lat, traffic: traffic, chassis: chassis, strat: strat,
-		tracer: tracer,
-	}
-
 	// Sample the traffic total in 60 windows for the timeline.
-	a.timeline = make([]uint64, 0, 60)
+	traffic := w.Net.Traffic()
+	w.timeline = make([]uint64, 0, 60)
 	var lastTx uint64
 	_, _ = k.Every(cfg.SimTime/60, "experiment.timeline", func(*sim.Kernel) {
 		cur := traffic.TotalTx()
-		a.timeline = append(a.timeline, cur-lastTx)
+		w.timeline = append(w.timeline, cur-lastTx)
 		lastTx = cur
 	})
-	return a, nil
+	return nil
 }
 
-// finalize folds traffic, the topology-maintenance counters and the sim
-// clock into the hub, then collects the run's Result. Call exactly once,
-// after the kernel has run to its horizon.
-func (a *assembled) finalize() Result {
-	a.hub.AttachTraffic(a.traffic)
-	publishTopologyStats(a.hub, a.net.TopologyStats())
-	a.hub.Finish(a.k.Now())
-
-	res := collect(a.cfg, a.strat, a.traffic, a.lat, a.chassis, a.stores)
-	res.Telemetry = a.hub.Snapshot()
-	res.TrafficTimeline = a.timeline
-	res.MinBatteryCE = 1
-	capacity := energy.DefaultConfig().Capacity
-	drains := make([]float64, 0, len(a.batteries))
-	for _, b := range a.batteries {
-		ce := b.CE(a.k.Now())
-		drain := capacity * (1 - ce)
-		drains = append(drains, drain)
-		res.EnergyDrained += drain
-		if ce < res.MinBatteryCE {
-			res.MinBatteryCE = ce
+// levelSelector returns the consistency level each query of the strategy
+// requests: the baselines and RPCC-SC strong, RPCC-DC Δ, RPCC-WC weak,
+// and the hybrid workload the three with equal probability.
+func levelSelector(cfg Config, k *sim.Kernel) func(host int, item data.ItemID) consistency.Level {
+	level := consistency.LevelStrong
+	switch cfg.Strategy {
+	case StrategyRPCCDC:
+		level = consistency.LevelDelta
+	case StrategyRPCCWC:
+		level = consistency.LevelWeak
+	case StrategyRPCCHY:
+		rng := k.Stream("experiment.levels")
+		levels := []consistency.Level{
+			consistency.LevelStrong, consistency.LevelDelta, consistency.LevelWeak,
+		}
+		return func(int, data.ItemID) consistency.Level {
+			return levels[rng.Intn(len(levels))]
 		}
 	}
-	res.EnergyFairness = jainIndex(drains)
-	if a.faults != nil {
-		rep := a.faults.Finish()
-		res.Faults = &rep
+	return func(int, data.ItemID) consistency.Level { return level }
+}
+
+// chaosSweepEvery is the invariant-audit period during chaos campaigns:
+// fine enough to catch transient version regressions, coarse enough that
+// the sweep itself stays invisible in the profile.
+const chaosSweepEvery = 5 * time.Second
+
+// installFaults wires the scenario's fault campaign into the started
+// World: the invariant auditor first — its heal callback must be
+// registered before the plane schedules anything against it — then the
+// plane. Validate admits a campaign only for RPCC strategies, so the
+// engine is set.
+func (w *World) installFaults() error {
+	fc := w.Config.Faults
+	plane, err := faults.NewPlane(fc, faults.Env{
+		Net: w.Net, Churn: w.Churn, Stores: w.Stores,
+		Engine: w.Engine, Hub: w.Hub, Tracer: w.Tracer,
+	})
+	if err != nil {
+		return err
 	}
-	return res
+	coreCfg := coreConfigFrom(w.Config)
+	aud, err := faults.NewAuditor(faults.AuditorConfig{
+		SweepEvery:        chaosSweepEvery,
+		RepairWindow:      fc.RepairWindow.D(),
+		TTN:               coreCfg.TTN,
+		MaxRepairAttempts: coreCfg.MaxRepairAttempts,
+		StrongStaleBudget: fc.StrongStaleBudget,
+	}, w.Reg, w.Stores, w.Churn, w.Engine, w.Chassis.Auditor)
+	if err != nil {
+		return err
+	}
+	if err := aud.Install(w.K, plane); err != nil {
+		return err
+	}
+	w.faults = aud
+	return plane.Install(w.K)
 }
 
 // publishTopologyStats exposes netsim's topology-maintenance counters as
@@ -460,87 +303,14 @@ func jainIndex(xs []float64) float64 {
 	return sum * sum / (float64(len(xs)) * sumSq)
 }
 
-// buildStrategy instantiates the configured engine and the per-query
-// consistency-level selector.
-func buildStrategy(cfg Config, k *sim.Kernel, chassis *node.Chassis, churnProc *churn.Process, field *mobility.Field, batteries []*energy.Battery) (Strategy, func(host int, item data.ItemID) consistency.Level, error) {
-	fixed := func(l consistency.Level) func(int, data.ItemID) consistency.Level {
-		return func(int, data.ItemID) consistency.Level { return l }
-	}
-	switch cfg.Strategy {
-	case StrategyPull:
-		pullCfg := pullConfigFrom(cfg)
-		s, err := newPull(pullCfg, chassis)
-		return s, fixed(consistency.LevelStrong), err
-	case StrategyPush:
-		pushCfg := pushConfigFrom(cfg)
-		s, err := newPush(pushCfg, chassis)
-		return s, fixed(consistency.LevelStrong), err
-	case StrategyRPCCSC, StrategyRPCCDC, StrategyRPCCWC, StrategyRPCCHY:
-		coreCfg := coreConfigFrom(cfg)
-		tel := core.Telemetry{
-			Switches: churnProc.Switches,
-			Moves:    func(nd int) uint64 { return field.Node(nd).Moves() },
-			CE:       func(nd int) float64 { return batteries[nd].CE(k.Now()) },
-		}
-		eng, err := core.New(coreCfg, chassis, tel)
-		if err != nil {
-			return nil, nil, err
-		}
-		switch cfg.Strategy {
-		case StrategyRPCCSC:
-			return eng, fixed(consistency.LevelStrong), nil
-		case StrategyRPCCDC:
-			return eng, fixed(consistency.LevelDelta), nil
-		case StrategyRPCCWC:
-			return eng, fixed(consistency.LevelWeak), nil
-		default: // hybrid: the three levels arrive with equal probability
-			rng := k.Stream("experiment.levels")
-			levels := []consistency.Level{
-				consistency.LevelStrong, consistency.LevelDelta, consistency.LevelWeak,
-			}
-			return eng, func(int, data.ItemID) consistency.Level {
-				return levels[rng.Intn(len(levels))]
-			}, nil
-		}
-	default:
-		return nil, nil, fmt.Errorf("experiment: unknown strategy %q", cfg.Strategy)
-	}
-}
-
-// testCoreMutator, when set (tests only), rewrites the derived core
-// config — the broken-invariant chaos regression flips DisableRepair
-// through it, since deliberately broken protocol knobs must never be
-// reachable from an experiment Config.
-var testCoreMutator func(*core.Config)
-
-func coreConfigFrom(cfg Config) core.Config {
-	c := core.DefaultConfig()
-	if cfg.Popularity == workload.PopularitySingle {
-		c.ActiveSource = func(host int) bool { return host == 0 }
-	}
-	c.InvalidationTTL = cfg.InvalidationTTL
-	c.TTN = cfg.TTN
-	c.TTR = cfg.TTR
-	c.TTP = cfg.TTP
-	c.PollFallbackTTL = cfg.BroadcastTTL
-	c.Omega = cfg.Omega
-	c.MuCAR = cfg.MuCAR
-	c.MuCS = cfg.MuCS
-	c.MuCE = cfg.MuCE
-	c.EagerRelayRefresh = !cfg.DisableEagerRefresh
-	if testCoreMutator != nil {
-		testCoreMutator(&c)
-	}
-	return c
-}
-
 // warmCaches pre-populates the placement the paper's model assumes — in
 // single-item mode every peer caches item 0; otherwise each node caches
 // CacheNum items drawn uniformly from the others' — and returns each
 // host's placed item set, which doubles as its query domain under
 // PopularityCached.
-func warmCaches(k *sim.Kernel, cfg Config, reg *data.Registry, stores []*cache.Store, strat Strategy) [][]data.ItemID {
-	rng := k.Stream("experiment.warm")
+func (w *World) warmCaches() [][]data.ItemID {
+	cfg := w.Config
+	rng := w.K.Stream("experiment.warm")
 	// Every host's domain is carved from one array of CacheNum slots each.
 	slots := make([]data.ItemID, cfg.NPeers*cfg.CacheNum)
 	domains := make([][]data.ItemID, cfg.NPeers)
@@ -549,18 +319,9 @@ func warmCaches(k *sim.Kernel, cfg Config, reg *data.Registry, stores []*cache.S
 		domains[host] = slots[lo : lo : lo+cfg.CacheNum]
 	}
 	warm := func(host int, item data.ItemID) {
-		m, err := reg.Master(item)
-		if err != nil {
-			return
+		if w.Warm(host, item) == nil {
+			domains[host] = append(domains[host], item)
 		}
-		if w, ok := strat.(interface {
-			Warm(*sim.Kernel, int, data.Copy)
-		}); ok {
-			w.Warm(k, host, m.Current())
-		} else if err := stores[host].Put(m.Current(), 0); err != nil {
-			return
-		}
-		domains[host] = append(domains[host], item)
 	}
 	if cfg.Popularity == workload.PopularitySingle {
 		for host := 1; host < cfg.NPeers; host++ {
@@ -587,46 +348,66 @@ func warmCaches(k *sim.Kernel, cfg Config, reg *data.Registry, stores []*cache.S
 	return domains
 }
 
-func collect(cfg Config, strat Strategy, traffic *stats.Traffic, lat *stats.Latency, chassis *node.Chassis, stores []*cache.Store) Result {
+// Finish folds traffic, the topology-maintenance counters and the sim
+// clock into the hub, then collects the run's Result. Call exactly once,
+// after the run.
+func (w *World) Finish() Result {
+	traffic, lat, aud := w.Net.Traffic(), w.Chassis.Latency, w.Chassis.Auditor
+	w.Hub.AttachTraffic(traffic)
+	publishTopologyStats(w.Hub, w.Net.TopologyStats())
+	w.Hub.Finish(w.K.Now())
+
 	r := Result{
-		Strategy:    cfg.Strategy,
-		Config:      cfg,
-		TotalTx:     traffic.TotalTx(),
-		TotalBytes:  traffic.TotalBytes(),
-		ByKind:      traffic.Snapshot(),
-		MeanLatency: lat.Mean(),
-		P50Latency:  lat.Quantile(0.5),
-		P99Latency:  lat.Quantile(0.99),
-		MaxLatency:  lat.Max(),
-		Issued:      chassis.Issued(),
-		Answered:    chassis.Answered(),
-		Failed:      chassis.Failed(),
+		Strategy:        w.Config.Strategy,
+		Config:          w.Config,
+		TotalTx:         traffic.TotalTx(),
+		TotalBytes:      traffic.TotalBytes(),
+		ByKind:          traffic.Snapshot(),
+		MeanLatency:     lat.Mean(),
+		P50Latency:      lat.Quantile(0.5),
+		P99Latency:      lat.Quantile(0.99),
+		MaxLatency:      lat.Max(),
+		Issued:          w.Chassis.Issued(),
+		Answered:        w.Chassis.Answered(),
+		Failed:          w.Chassis.Failed(),
+		Violations:      aud.TotalViolations(),
+		TornAnswers:     aud.Violations(consistency.ViolationTorn),
+		FutureAnswers:   aud.Violations(consistency.ViolationFuture),
+		MeanStaleness:   aud.MeanStaleness(),
+		MaxStaleness:    aud.MaxStaleness(),
+		TrafficTimeline: w.timeline,
+		Telemetry:       w.Hub.Snapshot(),
+		MinBatteryCE:    1,
 	}
-	if hours := cfg.SimTime.Hours(); hours > 0 {
+	if hours := w.Config.SimTime.Hours(); hours > 0 {
 		r.TxPerHour = float64(r.TotalTx) / hours
 	}
-	aud := chassis.Auditor
-	r.Violations = aud.TotalViolations()
-	r.TornAnswers = aud.Violations(consistency.ViolationTorn)
-	r.FutureAnswers = aud.Violations(consistency.ViolationFuture)
-	r.MeanStaleness = aud.MeanStaleness()
-	r.MaxStaleness = aud.MaxStaleness()
-	if rc, ok := strat.(RelayCounter); ok {
-		r.RelayCount = rc.RelayCount()
+	if e := w.Engine; e != nil {
+		r.RelayCount = e.RelayCount()
+		r.PollDirect, r.PollRing, r.PollFallback, r.RelayForgets = e.PollStats()
+		r.RoleCache, r.RoleCand, r.RoleRelay = e.RoleCounts()
 	}
-	if ps, ok := strat.(interface {
-		PollStats() (uint64, uint64, uint64, uint64)
-	}); ok {
-		r.PollDirect, r.PollRing, r.PollFallback, r.RelayForgets = ps.PollStats()
+	for _, s := range w.Stores {
+		r.MeanHitRatio += s.HitRatio()
 	}
-	if rc, ok := strat.(interface{ RoleCounts() (int, int, int) }); ok {
-		r.RoleCache, r.RoleCand, r.RoleRelay = rc.RoleCounts()
+	r.MeanHitRatio /= float64(len(w.Stores))
+
+	capacity := energy.DefaultConfig().Capacity
+	drains := make([]float64, 0, len(w.Batteries))
+	for _, b := range w.Batteries {
+		ce := b.CE(w.K.Now())
+		drain := capacity * (1 - ce)
+		drains = append(drains, drain)
+		r.EnergyDrained += drain
+		if ce < r.MinBatteryCE {
+			r.MinBatteryCE = ce
+		}
 	}
-	var hit float64
-	for _, s := range stores {
-		hit += s.HitRatio()
+	r.EnergyFairness = jainIndex(drains)
+	if w.faults != nil {
+		rep := w.faults.Finish()
+		r.Faults = &rep
 	}
-	r.MeanHitRatio = hit / float64(len(stores))
 	return r
 }
 

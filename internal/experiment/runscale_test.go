@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"github.com/manetlab/rpcc/internal/faults"
-	"github.com/manetlab/rpcc/internal/telemetry"
 	ctrace "github.com/manetlab/rpcc/internal/telemetry/trace"
 	"github.com/manetlab/rpcc/internal/workload"
 )
@@ -70,7 +69,7 @@ func TestRunScaleRegionIsAStandaloneRun(t *testing.T) {
 		sub := regionConfig(cfg.Config, cfg.Shards, i)
 		sub.Seed += int64(i) * goldenGamma
 		tracer := ctrace.NewCollector(i)
-		want, err := runScenario(sub, telemetry.NewHub(telemetry.LevelMetrics), tracer)
+		want, err := run(sub, WithTracer(tracer))
 		if err != nil {
 			t.Fatalf("region %d alone: %v", i, err)
 		}

@@ -104,25 +104,22 @@ func RunScale(cfg ScaleConfig) (ScaleResult, error) {
 
 	// A region's stack touches only its own kernel, hub and collector, so
 	// the regions assemble on the kernel's workers.
-	stacks := make([]*assembled, s)
+	worlds := make([]*World, s)
 	errs := make([]error, s)
 	sk.EachShard(func(i int) {
-		sub := regionConfig(cfg.Config, s, i)
-		if err := sub.Validate(); err != nil {
-			errs[i] = fmt.Errorf("experiment: shard %d config: %w", i, err)
-			return
-		}
-		hub := telemetry.NewHub(telemetry.LevelMetrics)
-		var tracer *ctrace.Collector
+		opts := []Option{WithKernel(sk.Shard(i)), WithHub(telemetry.NewHub(telemetry.LevelMetrics))}
 		if cfg.Trace {
-			tracer = ctrace.NewCollector(i)
+			opts = append(opts, WithTracer(ctrace.NewCollector(i)))
 		}
-		a, err := assembleScenario(sub, hub, sk.Shard(i), tracer)
+		w, err := Build(regionConfig(cfg.Config, s, i), opts...)
+		if err == nil {
+			err = w.startScenario()
+		}
 		if err != nil {
 			errs[i] = fmt.Errorf("experiment: shard %d assemble: %w", i, err)
 			return
 		}
-		stacks[i] = a
+		worlds[i] = w
 	})
 	if err := errors.Join(errs...); err != nil {
 		return ScaleResult{}, err
@@ -137,13 +134,13 @@ func RunScale(cfg ScaleConfig) (ScaleResult, error) {
 	}
 	sets := make([][]ctrace.Span, s)
 	sk.EachShard(func(i int) {
-		out.PerShard[i] = stacks[i].finalize()
+		out.PerShard[i] = worlds[i].Finish()
 		if cfg.Trace {
-			sets[i] = stacks[i].tracer.Export()
+			sets[i] = worlds[i].Tracer.Export()
 		}
 	})
-	for _, a := range stacks {
-		out.Topology.Add(a.net.TopologyStats())
+	for _, w := range worlds {
+		out.Topology.Add(w.Net.TopologyStats())
 	}
 	if cfg.Trace {
 		out.Spans = ctrace.Merge(sets...)

@@ -5,20 +5,23 @@ import (
 	"testing"
 	"time"
 
-	"github.com/manetlab/rpcc/internal/sim"
 	"github.com/manetlab/rpcc/internal/telemetry"
 )
 
-// steadyMallocsPer1kEvents runs cfg's scenario, as Run assembles it, to
+// steadyMallocsPer1kEvents runs cfg's scenario, as Run starts it, to
 // warm and returns the heap allocations per 1 000 kernel events over the
 // following window, and the event count behind it.
 func steadyMallocsPer1kEvents(t *testing.T, cfg Config, warm, window time.Duration) (float64, uint64) {
 	t.Helper()
 	cfg.SimTime = warm + window
-	k := sim.NewKernel(sim.WithSeed(cfg.Seed), sim.WithHorizon(cfg.SimTime))
-	if _, err := assembleScenario(cfg, telemetry.NewHub(telemetry.LevelMetrics), k, nil); err != nil {
+	w, err := Build(cfg, WithHub(telemetry.NewHub(telemetry.LevelMetrics)))
+	if err != nil {
 		t.Fatal(err)
 	}
+	if err := w.startScenario(); err != nil {
+		t.Fatal(err)
+	}
+	k := w.K
 	k.RunUntil(warm)
 	var before, after runtime.MemStats
 	runtime.GC()

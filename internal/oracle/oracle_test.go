@@ -280,3 +280,35 @@ func TestScenarioValidate(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRejectsMalformedScript: a script that names a host or item
+// outside the scenario, or asks for what only another setup supports, is
+// refused by Validate, so Run turns it away before building anything —
+// instead of panicking the kernel on a host it does not have, or running
+// a silent no-op commit or an unknown-item query.
+func TestRunRejectsMalformedScript(t *testing.T) {
+	good := Scenario{Name: "ok", Nodes: 4, Strategy: "rpcc", HorizonMS: 10_000}
+	cases := []struct {
+		name   string
+		mutate func(*Scenario)
+	}{
+		{"query host", func(s *Scenario) { s.Queries = []QueryEvent{{AtMS: 1000, Host: 9, Item: 0, Level: "SC"}} }},
+		{"query item", func(s *Scenario) { s.Queries = []QueryEvent{{AtMS: 1000, Host: 1, Item: 4, Level: "WC"}} }},
+		{"poller host", func(s *Scenario) { s.Pollers = []Poller{{Host: -1, Item: 0, Level: "DC", PeriodMS: 1000}} }},
+		{"poller item", func(s *Scenario) { s.Pollers = []Poller{{Host: 1, Item: 7, Level: "SC", PeriodMS: 1000}} }},
+		{"commit host", func(s *Scenario) { s.Commits = []CommitEvent{{AtMS: 1000, Host: 4}} }},
+		{"crash host", func(s *Scenario) { s.Crashes = []CrashEvent{{AtMS: 1000, Host: 5}} }},
+		{"crash on baseline", func(s *Scenario) { s.Strategy = "pull"; s.Crashes = []CrashEvent{{AtMS: 1000, Host: 1}} }},
+		{"reach without single source", func(s *Scenario) { s.CheckReach = true }},
+	}
+	for _, tc := range cases {
+		sc := good
+		tc.mutate(&sc)
+		if err := sc.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted", tc.name)
+		}
+		if _, err := Run(sc); err == nil {
+			t.Errorf("%s: Run accepted", tc.name)
+		}
+	}
+}

@@ -9,12 +9,11 @@ import (
 	"github.com/manetlab/rpcc/internal/consistency"
 	"github.com/manetlab/rpcc/internal/core"
 	"github.com/manetlab/rpcc/internal/data"
+	"github.com/manetlab/rpcc/internal/experiment"
 	"github.com/manetlab/rpcc/internal/geo"
-	"github.com/manetlab/rpcc/internal/netsim"
-	"github.com/manetlab/rpcc/internal/node"
 	"github.com/manetlab/rpcc/internal/pushpull"
 	"github.com/manetlab/rpcc/internal/sim"
-	"github.com/manetlab/rpcc/internal/stats"
+	"github.com/manetlab/rpcc/internal/workload"
 )
 
 // Placement warms one (host, item) pair before the run starts.
@@ -110,13 +109,6 @@ type Report struct {
 	Failed      uint64
 }
 
-// strategyRunner is the slice of experiment.Strategy the oracle drives.
-type strategyRunner interface {
-	Start(k *sim.Kernel) error
-	OnQuery(k *sim.Kernel, host int, item data.ItemID, level consistency.Level)
-	OnUpdate(k *sim.Kernel, host int)
-}
-
 func parseLevel(s string) (consistency.Level, error) {
 	switch s {
 	case "SC":
@@ -169,6 +161,12 @@ func (sc Scenario) Validate() error {
 	if len(sc.Relays) > 0 && sc.Strategy != "rpcc" {
 		return fmt.Errorf("oracle: relay seeding applies only to rpcc")
 	}
+	if len(sc.Crashes) > 0 && sc.Strategy != "rpcc" {
+		return fmt.Errorf("oracle: crash events require rpcc")
+	}
+	if sc.CheckReach && !sc.SingleSource {
+		return fmt.Errorf("oracle: CheckReach requires SingleSource")
+	}
 	if _, err := parseMutant(sc.Mutant); err != nil {
 		return err
 	}
@@ -181,6 +179,15 @@ func (sc Scenario) Validate() error {
 	if _, err := compileRules(sc.Rules); err != nil {
 		return err
 	}
+	// Host i owns item i, so hosts and items share the range [0, Nodes).
+	outside := func(ids ...int) bool {
+		for _, id := range ids {
+			if id < 0 || id >= sc.Nodes {
+				return true
+			}
+		}
+		return false
+	}
 	for _, p := range sc.Pollers {
 		if p.PeriodMS <= 0 {
 			return fmt.Errorf("oracle: poller period %dms must be positive", p.PeriodMS)
@@ -188,15 +195,31 @@ func (sc Scenario) Validate() error {
 		if _, err := parseLevel(p.Level); err != nil {
 			return err
 		}
+		if outside(p.Host, p.Item) {
+			return fmt.Errorf("oracle: poller (host %d, item %d) outside %d nodes", p.Host, p.Item, sc.Nodes)
+		}
 	}
 	for _, q := range sc.Queries {
 		if _, err := parseLevel(q.Level); err != nil {
 			return err
 		}
+		if outside(q.Host, q.Item) {
+			return fmt.Errorf("oracle: query (host %d, item %d) outside %d nodes", q.Host, q.Item, sc.Nodes)
+		}
+	}
+	for _, c := range sc.Commits {
+		if outside(c.Host) {
+			return fmt.Errorf("oracle: commit host %d outside %d nodes", c.Host, sc.Nodes)
+		}
+	}
+	for _, c := range sc.Crashes {
+		if outside(c.Host) {
+			return fmt.Errorf("oracle: crash host %d outside %d nodes", c.Host, sc.Nodes)
+		}
 	}
 	for _, lst := range [][]Placement{sc.Warm, sc.Relays} {
 		for _, p := range lst {
-			if p.Host < 0 || p.Host >= sc.Nodes || p.Item < 0 || p.Item >= sc.Nodes {
+			if outside(p.Host, p.Item) {
 				return fmt.Errorf("oracle: placement (host %d, item %d) outside %d nodes", p.Host, p.Item, sc.Nodes)
 			}
 		}
@@ -235,112 +258,62 @@ func envelopes(sc Scenario) map[consistency.Level]time.Duration {
 	return env
 }
 
-// buildStrategy constructs the requested strategy over the chassis.
-func buildStrategy(sc Scenario, ch *node.Chassis) (strategyRunner, error) {
-	single := func(host int) bool { return host == 0 }
-	switch sc.Strategy {
-	case "rpcc":
-		cc := core.DefaultConfig()
-		m, err := parseMutant(sc.Mutant)
-		if err != nil {
-			return nil, err
-		}
-		cc.Mutant = m
-		if sc.InvTTL > 0 {
-			cc.InvalidationTTL = sc.InvTTL
-		}
-		if sc.TTRMS > 0 {
-			cc.TTR = time.Duration(sc.TTRMS) * time.Millisecond
-		}
-		if sc.SingleSource {
-			cc.ActiveSource = single
-		}
-		eng, err := core.New(cc, ch, core.Telemetry{})
-		if err != nil {
-			return nil, err
-		}
-		return eng, nil
-	case "pull":
-		p, err := pushpull.NewPull(pushpull.DefaultPullConfig(), ch)
-		if err != nil {
-			return nil, err
-		}
-		return p, nil
-	case "push":
-		pc := pushpull.DefaultPushConfig()
-		if sc.SingleSource {
-			pc.ActiveSource = single
-		}
-		p, err := pushpull.NewPush(pc, ch)
-		if err != nil {
-			return nil, err
-		}
-		return p, nil
+// config maps the scenario onto the batch runs' Config: RPCC serves its
+// strong queries as rpcc-sc, a single source is the single-item
+// popularity, and every knob the scenario leaves at zero keeps Table 1's
+// value. The horizon is the run length and churn is off; the nodes sit
+// on the line Run pins them to.
+func (sc Scenario) config() experiment.Config {
+	kind := experiment.StrategyKind(sc.Strategy)
+	if sc.Strategy == "rpcc" {
+		kind = experiment.StrategyRPCCSC
 	}
-	return nil, fmt.Errorf("oracle: unknown strategy %q", sc.Strategy)
-}
-
-// lineSource pins nodes on a 200m chain: with the default 250m radio
-// range only adjacent nodes hear each other, so hop counts equal node
-// distance and TTL scenarios are exact.
-type lineSource struct{ pts []geo.Point }
-
-func (s *lineSource) Len() int { return len(s.pts) }
-func (s *lineSource) PositionsAt(_ time.Duration, dst []geo.Point) []geo.Point {
-	if cap(dst) < len(s.pts) {
-		dst = make([]geo.Point, len(s.pts))
+	cfg := experiment.DefaultConfig(kind, sc.Seed)
+	cfg.NPeers = sc.Nodes
+	cfg.SimTime = time.Duration(sc.HorizonMS) * time.Millisecond
+	cfg.ChurnDisabled = true
+	cfg.CachePolicy = cache.PolicyKind(sc.Policy)
+	if sc.CacheCap > 0 {
+		cfg.CacheNum = sc.CacheCap
 	}
-	dst = dst[:len(s.pts)]
-	copy(dst, s.pts)
-	return dst
+	if sc.InvTTL > 0 {
+		cfg.InvalidationTTL = sc.InvTTL
+	}
+	if sc.TTRMS > 0 {
+		cfg.TTR = time.Duration(sc.TTRMS) * time.Millisecond
+	}
+	if sc.SingleSource {
+		cfg.Popularity = workload.PopularitySingle
+	}
+	return cfg
 }
 
 // Run executes the scenario to its horizon and returns the oracle's
 // report. Same scenario, same report — byte for byte.
+//
+// The stack is experiment.Build's, over a 200 m chain: with the default
+// 250 m radio range only adjacent nodes hear each other, so hop counts
+// equal node distance and TTL scenarios are exact. The reference model
+// is this run's judge; the chassis gets a ledger-less auditor so no
+// answer is judged twice.
 func Run(sc Scenario) (*Report, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	k := sim.NewKernel(sim.WithSeed(sc.Seed))
-	pts := make([]geo.Point, sc.Nodes)
-	for i := range pts {
-		pts[i] = geo.Point{X: float64(i) * 200}
-	}
-	net, err := netsim.New(netsim.DefaultConfig(), k, &lineSource{pts: pts}, nil, nil, stats.NewTraffic())
+	mutant, err := parseMutant(sc.Mutant)
 	if err != nil {
 		return nil, err
 	}
-	reg, err := data.NewRegistry(sc.Nodes)
+	line := make([]geo.Point, sc.Nodes)
+	for i := range line {
+		line[i] = geo.Point{X: float64(i) * 200}
+	}
+	w, err := experiment.Build(sc.config(), experiment.WithLayout(line),
+		experiment.WithCoreConfig(func(c *core.Config) { c.Mutant = mutant }))
 	if err != nil {
 		return nil, err
 	}
-	cap := sc.CacheCap
-	if cap == 0 {
-		cap = 10
-	}
-	ccfg := core.DefaultConfig()
-	pol, err := cache.NewPolicy(cache.PolicyKind(sc.Policy), cache.PolicyParams{TTL: ccfg.TTP})
-	if err != nil {
-		return nil, err
-	}
-	stores, err := cache.NewStores(sc.Nodes, cap, pol)
-	if err != nil {
-		return nil, err
-	}
-	// The model below is this run's judge; the chassis gets the
-	// ledger-less auditor so no answer is judged twice.
-	aud, err := consistency.NewAuditor(nil, 0, 0)
-	if err != nil {
-		return nil, err
-	}
-	ch, err := node.NewChassis(node.DefaultConfig(), net, reg, stores, stats.NewLatency(), aud)
-	if err != nil {
-		return nil, err
-	}
-	strat, err := buildStrategy(sc, ch)
-	if err != nil {
-		return nil, err
-	}
+	w.Chassis.Auditor = new(consistency.Auditor)
 
 	slack := 2 * time.Second
 	if sc.SlackMS > 0 {
@@ -348,7 +321,7 @@ func Run(sc Scenario) (*Report, error) {
 	}
 	specTTL := sc.InvTTL
 	if specTTL == 0 && sc.Strategy == "rpcc" {
-		specTTL = ccfg.InvalidationTTL
+		specTTL = core.DefaultConfig().InvalidationTTL
 	}
 	spec := Spec{
 		Envelopes:  envelopes(sc),
@@ -358,60 +331,43 @@ func Run(sc Scenario) (*Report, error) {
 		CheckReach: sc.CheckReach,
 	}
 	if sc.CheckReach {
-		if !sc.SingleSource {
-			return nil, fmt.Errorf("oracle: CheckReach requires SingleSource")
-		}
 		for nd := 1; nd < sc.Nodes && nd <= specTTL; nd++ {
 			spec.ExpectReach = append(spec.ExpectReach, nd)
 		}
 	}
-	model, err := NewModel(reg, spec)
+	model, err := NewModel(w.Reg, spec)
 	if err != nil {
 		return nil, err
 	}
-	ch.SetAnswerObserver(model.ObserveAnswer)
-	net.SetTracer(model.ObserveDelivery)
+	w.Chassis.SetAnswerObserver(model.ObserveAnswer)
+	w.Net.SetTracer(model.ObserveDelivery)
 	pert, err := perturber(sc.Rules)
 	if err != nil {
 		return nil, err
 	}
 	if pert != nil {
-		net.SetPerturber(pert)
+		w.Net.SetPerturber(pert)
 	}
 
 	// Pre-start placement: warm copies, then seed relays (which require
 	// the copy to be present).
-	type warmer interface {
-		Warm(k *sim.Kernel, host int, c data.Copy)
-	}
 	for _, p := range sc.Warm {
-		m, err := reg.Master(data.ItemID(p.Item))
-		if err != nil {
-			return nil, err
-		}
-		if w, ok := strat.(warmer); ok {
-			w.Warm(k, p.Host, m.Current())
-		} else if err := stores[p.Host].Put(m.Current(), k.Now()); err != nil {
+		if err := w.Warm(p.Host, data.ItemID(p.Item)); err != nil {
 			return nil, err
 		}
 	}
-	eng, isRPCC := strat.(*core.Engine)
 	for _, p := range sc.Relays {
-		if !isRPCC {
-			return nil, fmt.Errorf("oracle: relay seeding requires rpcc")
-		}
-		if err := eng.SeedRelay(k, p.Host, data.ItemID(p.Item)); err != nil {
+		if err := w.Engine.SeedRelay(w.K, p.Host, data.ItemID(p.Item)); err != nil {
 			return nil, err
 		}
 	}
-
-	if err := strat.Start(k); err != nil {
+	if err := w.Start(); err != nil {
 		return nil, err
 	}
 
 	// Schedule the workload. Every event goes through k.At so ordering
 	// is the kernel's deterministic tie-break, not slice order.
-	horizon := time.Duration(sc.HorizonMS) * time.Millisecond
+	k, strat := w.K, w.Strategy
 	for _, c := range sc.Commits {
 		host := c.Host
 		if _, err := k.At(time.Duration(c.AtMS)*time.Millisecond, "oracle.commit", func(kk *sim.Kernel) {
@@ -421,12 +377,9 @@ func Run(sc Scenario) (*Report, error) {
 		}
 	}
 	for _, cr := range sc.Crashes {
-		if !isRPCC {
-			return nil, fmt.Errorf("oracle: crash events require rpcc")
-		}
 		host := cr.Host
 		if _, err := k.At(time.Duration(cr.AtMS)*time.Millisecond, "oracle.crash", func(kk *sim.Kernel) {
-			if err := eng.Crash(kk, host); err == nil {
+			if err := w.Engine.Crash(kk, host); err == nil {
 				model.OnCrash(host)
 			}
 		}); err != nil {
@@ -457,7 +410,8 @@ func Run(sc Scenario) (*Report, error) {
 		}
 	}
 
-	k.RunUntil(horizon)
+	w.RunUntil(w.Config.SimTime)
+	ch := w.Chassis
 	return &Report{
 		Scenario:    sc,
 		Divergences: model.Finish(),

@@ -2,21 +2,12 @@ package rpcc
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
-	"github.com/manetlab/rpcc/internal/cache"
 	"github.com/manetlab/rpcc/internal/churn"
-	"github.com/manetlab/rpcc/internal/consistency"
-	"github.com/manetlab/rpcc/internal/core"
 	"github.com/manetlab/rpcc/internal/data"
-	"github.com/manetlab/rpcc/internal/energy"
-	"github.com/manetlab/rpcc/internal/geo"
-	"github.com/manetlab/rpcc/internal/mobility"
-	"github.com/manetlab/rpcc/internal/netsim"
-	"github.com/manetlab/rpcc/internal/node"
+	"github.com/manetlab/rpcc/internal/experiment"
 	"github.com/manetlab/rpcc/internal/sim"
-	"github.com/manetlab/rpcc/internal/stats"
 )
 
 // SimOptions configures a scriptable Simulation. The zero value is not
@@ -40,11 +31,6 @@ type SimOptions struct {
 	// way.
 	EnableChurn      bool
 	MeanUp, MeanDown time.Duration
-	// Protocol is the RPCC parameterisation (Table 1 defaults if zero).
-	Protocol core.Config
-	// DeltaBound is the Δ used by the consistency auditor for LevelDelta
-	// answers; defaults to Protocol.TTP.
-	DeltaBound time.Duration
 }
 
 // DefaultSimOptions returns a compact, well-connected 20-peer setup
@@ -64,100 +50,41 @@ func DefaultSimOptions(seed int64) SimOptions {
 		EnableChurn:   false,
 		MeanUp:        5 * time.Minute,
 		MeanDown:      30 * time.Second,
-		Protocol:      core.DefaultConfig(),
 	}
+}
+
+// config maps the options onto an RPCC scenario with Table 1's protocol
+// parameters (Δ = TTP). Its SimTime bounds only a batch run; a script
+// advances the clock itself with RunFor.
+func (o SimOptions) config() experiment.Config {
+	cfg := experiment.DefaultConfig(experiment.StrategyRPCCSC, o.Seed)
+	cfg.NPeers = o.Peers
+	cfg.AreaWidth, cfg.AreaHeight = o.AreaMeters, o.AreaMeters
+	cfg.SubnetCell = o.AreaMeters / 2
+	cfg.CommRange = o.RadioRange
+	cfg.CacheNum = o.CacheCapacity
+	cfg.MinSpeed, cfg.MaxSpeed, cfg.Pause = o.MinSpeed, o.MaxSpeed, o.Pause
+	cfg.SwitchInterval, cfg.MeanDown = o.MeanUp, o.MeanDown
+	cfg.ChurnDisabled = !o.EnableChurn
+	return cfg
 }
 
 // Simulation is a scriptable RPCC deployment: schedule queries, updates
 // and fault injections at chosen virtual times, then advance the clock
-// with RunFor and inspect the outcome.
+// with RunFor and inspect the outcome. It is the batch runs' simulated
+// world, driven by a script instead of a workload.
 type Simulation struct {
-	k       *sim.Kernel
-	net     *netsim.Network
-	reg     *data.Registry
-	stores  []*cache.Store
-	chassis *node.Chassis
-	eng     *core.Engine
-	proc    *churn.Process
-	lat     *stats.Latency
+	w       *experiment.World
 	started bool
 }
 
 // NewSimulation builds the full stack described by opts.
 func NewSimulation(opts SimOptions) (*Simulation, error) {
-	if opts.Peers <= 1 {
-		return nil, fmt.Errorf("rpcc: need at least 2 peers, got %d", opts.Peers)
-	}
-	if opts.Protocol.TTN == 0 {
-		opts.Protocol = core.DefaultConfig()
-	}
-	if opts.DeltaBound <= 0 {
-		opts.DeltaBound = opts.Protocol.TTP
-	}
-	k := sim.NewKernel(sim.WithSeed(opts.Seed))
-	terrain, err := geo.NewTerrain(opts.AreaMeters, opts.AreaMeters)
+	w, err := experiment.Build(opts.config())
 	if err != nil {
 		return nil, err
 	}
-	field, err := mobility.NewField(mobility.Config{
-		Terrain:    terrain,
-		MinSpeed:   opts.MinSpeed,
-		MaxSpeed:   opts.MaxSpeed,
-		Pause:      opts.Pause,
-		SubnetCell: opts.AreaMeters / 2,
-	}, opts.Peers, func(i int) *rand.Rand { return k.Stream(fmt.Sprintf("mobility.%d", i)) })
-	if err != nil {
-		return nil, err
-	}
-	proc, err := churn.NewProcess(churn.Config{
-		MeanUp:   opts.MeanUp,
-		MeanDown: opts.MeanDown,
-		Disabled: !opts.EnableChurn,
-	}, opts.Peers, k)
-	if err != nil {
-		return nil, err
-	}
-	batteries := make([]*energy.Battery, opts.Peers)
-	for i := range batteries {
-		if batteries[i], err = energy.NewBattery(energy.DefaultConfig()); err != nil {
-			return nil, err
-		}
-	}
-	netCfg := netsim.DefaultConfig()
-	netCfg.CommRange = opts.RadioRange
-	network, err := netsim.New(netCfg, k, field, proc, batteries, stats.NewTraffic())
-	if err != nil {
-		return nil, err
-	}
-	reg, err := data.NewRegistry(opts.Peers)
-	if err != nil {
-		return nil, err
-	}
-	stores, err := cache.NewStores(opts.Peers, opts.CacheCapacity, cache.Policy{})
-	if err != nil {
-		return nil, err
-	}
-	aud, err := consistency.NewAuditor(reg, opts.DeltaBound, 5*time.Second)
-	if err != nil {
-		return nil, err
-	}
-	lat := stats.NewLatency()
-	chassis, err := node.NewChassis(node.DefaultConfig(), network, reg, stores, lat, aud)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := core.New(opts.Protocol, chassis, core.Telemetry{
-		Switches: proc.Switches,
-		Moves:    func(nd int) uint64 { return field.Node(nd).Moves() },
-		CE:       func(nd int) float64 { return batteries[nd].CE(k.Now()) },
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Simulation{
-		k: k, net: network, reg: reg, stores: stores,
-		chassis: chassis, eng: eng, proc: proc, lat: lat,
-	}, nil
+	return &Simulation{w: w}, nil
 }
 
 // ensureStarted lazily wires receivers and periodic protocol duties the
@@ -166,7 +93,7 @@ func (s *Simulation) ensureStarted() error {
 	if s.started {
 		return nil
 	}
-	if err := s.eng.Start(s.k); err != nil {
+	if err := s.w.Start(); err != nil {
 		return err
 	}
 	s.started = true
@@ -179,19 +106,14 @@ func (s *Simulation) Warm(host, item int) error {
 	if err := s.checkHostItem(host, item); err != nil {
 		return err
 	}
-	m, err := s.reg.Master(data.ItemID(item))
-	if err != nil {
-		return err
-	}
-	s.eng.Warm(s.k, host, m.Current())
-	return nil
+	return s.w.Warm(host, data.ItemID(item))
 }
 
 func (s *Simulation) checkHostItem(host, item int) error {
-	if host < 0 || host >= s.net.Len() {
+	if host < 0 || host >= s.w.Config.NPeers {
 		return fmt.Errorf("rpcc: host %d out of range", host)
 	}
-	if item < 0 || item >= s.reg.Len() {
+	if item < 0 || item >= s.w.Config.NPeers {
 		return fmt.Errorf("rpcc: item %d out of range", item)
 	}
 	return nil
@@ -204,7 +126,7 @@ func (s *Simulation) At(t time.Duration, fn func()) error {
 	if err := s.ensureStarted(); err != nil {
 		return err
 	}
-	_, err := s.k.At(t, "script", func(*sim.Kernel) { fn() })
+	_, err := s.w.K.At(t, "script", func(*sim.Kernel) { fn() })
 	return err
 }
 
@@ -216,7 +138,7 @@ func (s *Simulation) Query(host, item int, level Level) error {
 	if err := s.ensureStarted(); err != nil {
 		return err
 	}
-	s.eng.OnQuery(s.k, host, data.ItemID(item), level)
+	s.w.Engine.OnQuery(s.w.K, host, data.ItemID(item), level)
 	return nil
 }
 
@@ -228,7 +150,7 @@ func (s *Simulation) Update(host int) error {
 	if err := s.ensureStarted(); err != nil {
 		return err
 	}
-	s.eng.OnUpdate(s.k, host)
+	s.w.Engine.OnUpdate(s.w.K, host)
 	return nil
 }
 
@@ -237,7 +159,7 @@ func (s *Simulation) Disconnect(host int) error {
 	if err := s.ensureStarted(); err != nil {
 		return err
 	}
-	return s.proc.ForceState(s.k, host, churn.StateDisconnected)
+	return s.w.Churn.ForceState(s.w.K, host, churn.StateDisconnected)
 }
 
 // Reconnect brings a disconnected host back.
@@ -245,7 +167,7 @@ func (s *Simulation) Reconnect(host int) error {
 	if err := s.ensureStarted(); err != nil {
 		return err
 	}
-	return s.proc.ForceState(s.k, host, churn.StateConnected)
+	return s.w.Churn.ForceState(s.w.K, host, churn.StateConnected)
 }
 
 // RunFor advances the simulation clock by d, executing everything due.
@@ -253,22 +175,22 @@ func (s *Simulation) RunFor(d time.Duration) error {
 	if err := s.ensureStarted(); err != nil {
 		return err
 	}
-	s.k.RunUntil(s.k.Now() + d)
+	s.w.RunUntil(s.w.K.Now() + d)
 	return nil
 }
 
 // Now returns the current virtual time.
-func (s *Simulation) Now() time.Duration { return s.k.Now() }
+func (s *Simulation) Now() time.Duration { return s.w.K.Now() }
 
 // Role describes host's protocol role for item: "none", "cache",
 // "candidate" or "relay".
 func (s *Simulation) Role(host, item int) string {
-	return s.eng.Role(host, data.ItemID(item)).String()
+	return s.w.Engine.Role(host, data.ItemID(item)).String()
 }
 
 // RelayCount returns the number of relay registrations across all source
 // hosts.
-func (s *Simulation) RelayCount() int { return s.eng.RelayCount() }
+func (s *Simulation) RelayCount() int { return s.w.Engine.RelayCount() }
 
 // Metrics is a snapshot of a Simulation's counters.
 type Metrics struct {
@@ -284,17 +206,18 @@ type Metrics struct {
 
 // Metrics returns the current snapshot.
 func (s *Simulation) Metrics() Metrics {
+	ch, traffic := s.w.Chassis, s.w.Net.Traffic()
 	return Metrics{
-		Issued:             s.chassis.Issued(),
-		Answered:           s.chassis.Answered(),
-		Failed:             s.chassis.Failed(),
-		MeanLatency:        s.lat.Mean(),
-		MaxLatency:         s.lat.Max(),
-		TotalTransmissions: s.net.Traffic().TotalTx(),
-		TotalBytes:         s.net.Traffic().TotalBytes(),
-		AuditViolations:    s.chassis.AuditViolations(),
-		MeanStaleness:      s.chassis.Auditor.MeanStaleness(),
-		RelayRegistrations: s.eng.RelayCount(),
+		Issued:             ch.Issued(),
+		Answered:           ch.Answered(),
+		Failed:             ch.Failed(),
+		MeanLatency:        ch.Latency.Mean(),
+		MaxLatency:         ch.Latency.Max(),
+		TotalTransmissions: traffic.TotalTx(),
+		TotalBytes:         traffic.TotalBytes(),
+		AuditViolations:    ch.AuditViolations(),
+		MeanStaleness:      ch.Auditor.MeanStaleness(),
+		RelayRegistrations: s.w.Engine.RelayCount(),
 	}
 }
 
@@ -304,14 +227,14 @@ func (s *Simulation) Version(host, item int) (uint64, bool) {
 	if s.checkHostItem(host, item) != nil {
 		return 0, false
 	}
-	if s.reg.Owner(data.ItemID(item)) == host {
-		m, err := s.reg.Master(data.ItemID(item))
+	if s.w.Reg.Owner(data.ItemID(item)) == host {
+		m, err := s.w.Reg.Master(data.ItemID(item))
 		if err != nil {
 			return 0, false
 		}
 		return uint64(m.Current().Version), true
 	}
-	cp, ok := s.stores[host].Peek(data.ItemID(item))
+	cp, ok := s.w.Stores[host].Peek(data.ItemID(item))
 	if !ok {
 		return 0, false
 	}
