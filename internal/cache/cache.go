@@ -268,11 +268,16 @@ func (s *Store) StoredAt(id data.ItemID) (time.Duration, bool) {
 
 // Items returns the cached item ids sorted ascending.
 func (s *Store) Items() []data.ItemID {
-	out := make([]data.ItemID, len(s.entries))
+	return s.AppendItems(make([]data.ItemID, 0, len(s.entries)))
+}
+
+// AppendItems appends the cached item ids, sorted ascending, to dst: a
+// periodic scan reusing one buffer allocates nothing.
+func (s *Store) AppendItems(dst []data.ItemID) []data.ItemID {
 	for i := range s.entries {
-		out[i] = s.entries[i].copy.ID
+		dst = append(dst, s.entries[i].copy.ID)
 	}
-	return out
+	return dst
 }
 
 // Accesses returns the cumulative access count (the basis for the paper's

@@ -276,26 +276,47 @@ func (e *Engine) Start(k *sim.Kernel) error {
 	// One receiver value for every node: a closure per node is 10 000 cold
 	// objects for the delivery path's indirect call to miss on.
 	recv := netsim.Receiver(e.dispatch)
-	// Each node's two periodic handlers are built once and re-arm
-	// themselves, so a tick allocates nothing.
-	timers := make([]struct{ ttn, coeff sim.Handler }, e.ch.Net.Len())
-	for nd := range timers {
+	// Each node's two periodic ticks are records from one array that
+	// re-arm themselves, so neither set-up nor a tick allocates per node.
+	ticks := make([]nodeTicks, e.ch.Net.Len())
+	for nd := range ticks {
 		if err := e.ch.Net.SetReceiver(nd, recv); err != nil {
 			return err
 		}
-		t := &timers[nd]
-		t.ttn = func(kk *sim.Kernel) {
-			e.ttnTick(kk, nd)
-			kk.After(e.cfg.TTN, "rpcc.ttn", t.ttn)
-		}
-		t.coeff = func(kk *sim.Kernel) {
-			e.coeffTick(kk, nd)
-			kk.After(e.cfg.CoeffPeriod, "rpcc.coeff", t.coeff)
-		}
-		k.After(time.Duration(stagger.Int63n(int64(e.cfg.TTN))), "rpcc.ttn", t.ttn)
-		k.After(time.Duration(stagger.Int63n(int64(e.cfg.CoeffPeriod))), "rpcc.coeff", t.coeff)
+		t := &ticks[nd]
+		t.ttn, t.coeff = ttnTimer{e, nd}, coeffTimer{e, nd}
+		k.AfterTimer(time.Duration(stagger.Int63n(int64(e.cfg.TTN))), "rpcc.ttn", &t.ttn)
+		k.AfterTimer(time.Duration(stagger.Int63n(int64(e.cfg.CoeffPeriod))), "rpcc.coeff", &t.coeff)
 	}
 	return nil
+}
+
+// nodeTicks is one node's pair of periodic tick records.
+type nodeTicks struct {
+	ttn   ttnTimer
+	coeff coeffTimer
+}
+
+// ttnTimer is a node's TTN tick: it runs the tick, then re-arms itself.
+type ttnTimer struct {
+	e  *Engine
+	nd int
+}
+
+func (t *ttnTimer) Fire(k *sim.Kernel) {
+	t.e.ttnTick(k, t.nd)
+	k.AfterTimer(t.e.cfg.TTN, "rpcc.ttn", t)
+}
+
+// coeffTimer is a node's coefficient tick, re-arming like ttnTimer.
+type coeffTimer struct {
+	e  *Engine
+	nd int
+}
+
+func (t *coeffTimer) Fire(k *sim.Kernel) {
+	t.e.coeffTick(k, t.nd)
+	k.AfterTimer(t.e.cfg.CoeffPeriod, "rpcc.coeff", t)
 }
 
 // OnUpdate commits a new version of host's own item. Per Fig 6(b) the

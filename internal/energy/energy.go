@@ -64,6 +64,24 @@ func NewBattery(cfg Config) (*Battery, error) {
 	return &Battery{cfg: cfg, remaining: cfg.Capacity}, nil
 }
 
+// NewBatteries returns n full batteries settled at t=0, carved from one
+// array: a world's batteries are one allocation, not one per host.
+func NewBatteries(cfg Config, n int) ([]*Battery, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if n < 0 {
+		return nil, fmt.Errorf("energy: negative battery count %d", n)
+	}
+	store := make([]Battery, n)
+	bs := make([]*Battery, n)
+	for i := range store {
+		store[i] = Battery{cfg: cfg, remaining: cfg.Capacity}
+		bs[i] = &store[i]
+	}
+	return bs, nil
+}
+
 // settle applies idle drain up to now.
 func (b *Battery) settle(now time.Duration) {
 	if now <= b.settledAt {

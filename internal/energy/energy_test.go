@@ -40,6 +40,31 @@ func TestNewBatteryFull(t *testing.T) {
 	}
 }
 
+// TestNewBatteriesAreIndependent pins the carved batteries: n full,
+// separate batteries from one array, in a fixed number of allocations.
+func TestNewBatteriesAreIndependent(t *testing.T) {
+	cfg := Config{Capacity: 100, TxCost: 1, RxCost: 1}
+	bs, err := NewBatteries(cfg, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs[1].SpendTx(0)
+	for i, want := range []float64{100, 99, 100} {
+		if got := bs[i].Level(0); got != want {
+			t.Errorf("battery %d level %g, want %g", i, got, want)
+		}
+	}
+	if _, err := NewBatteries(Config{}, 3); err == nil {
+		t.Error("invalid config accepted")
+	}
+	if _, err := NewBatteries(cfg, -1); err == nil {
+		t.Error("negative count accepted")
+	}
+	if allocs := testing.AllocsPerRun(5, func() { NewBatteries(cfg, 1000) }); allocs > 2 {
+		t.Errorf("NewBatteries(1000) makes %.0f allocations, want <= 2", allocs)
+	}
+}
+
 func TestSpendTxRx(t *testing.T) {
 	b, _ := NewBattery(Config{Capacity: 100, TxCost: 3, RxCost: 2})
 	b.SpendTx(0)

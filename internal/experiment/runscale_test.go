@@ -95,7 +95,10 @@ func TestRunScaleRegionIsAStandaloneRun(t *testing.T) {
 // TestRunScaleSharded runs four traced regions with GOMAXPROCS 1 (the
 // caller runs every region itself: the serial reference) and 4 (three
 // workers share them), checks results and merged spans are identical,
-// and that the consistency invariants hold in every region.
+// and that the consistency invariants hold in every region. The regions
+// are built on those workers too, so under `make race` this is also the
+// audit that a world's per-node arrays — stream family, waypoints,
+// batteries, tick and demand records, kinetic rows — share nothing.
 func TestRunScaleSharded(t *testing.T) {
 	cfg := ScaleConfig{Config: scaleTestConfig(96, 11), Shards: 4, Trace: true}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))

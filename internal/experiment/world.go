@@ -132,9 +132,8 @@ func Build(cfg Config, opts ...Option) (*World, error) {
 			Pause:      cfg.Pause,
 			SubnetCell: cfg.SubnetCell,
 		}
-		w.Field, err = mobility.NewField(mobCfg, cfg.NPeers, func(i int) *rand.Rand {
-			return k.Stream(fmt.Sprintf("mobility.%d", i))
-		})
+		rngs := k.Streams("mobility.", cfg.NPeers)
+		w.Field, err = mobility.NewField(mobCfg, cfg.NPeers, func(i int) *rand.Rand { return rngs[i] })
 		if err != nil {
 			return nil, err
 		}
@@ -152,11 +151,8 @@ func Build(cfg Config, opts ...Option) (*World, error) {
 	if w.Churn, err = churn.NewProcess(churnCfg, cfg.NPeers, k); err != nil {
 		return nil, err
 	}
-	w.Batteries = make([]*energy.Battery, cfg.NPeers)
-	for i := range w.Batteries {
-		if w.Batteries[i], err = energy.NewBattery(energy.DefaultConfig()); err != nil {
-			return nil, err
-		}
+	if w.Batteries, err = energy.NewBatteries(energy.DefaultConfig(), cfg.NPeers); err != nil {
+		return nil, err
 	}
 
 	netCfg := netsim.DefaultConfig()

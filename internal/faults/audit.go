@@ -92,6 +92,7 @@ type Auditor struct {
 
 	watermarks consistency.Watermarks
 	rep        Report
+	items      []data.ItemID // the sweep's reused store-scan buffer
 }
 
 // watermark is one node's last swept observation of an item. Its epoch
@@ -134,7 +135,8 @@ func (a *Auditor) Install(k *sim.Kernel, p *Plane) error {
 func (a *Auditor) sweep(k *sim.Kernel) {
 	a.rep.Sweeps++
 	for nd, s := range a.stores {
-		for _, item := range s.Items() {
+		a.items = s.AppendItems(a.items[:0])
+		for _, item := range a.items {
 			cp, ok := s.Peek(item)
 			if !ok {
 				continue

@@ -83,11 +83,18 @@ func NewWaypoint(cfg Config, rng *rand.Rand) (*Waypoint, error) {
 	if rng == nil {
 		return nil, fmt.Errorf("mobility: nil rng")
 	}
+	w := new(Waypoint)
+	w.start(cfg, rng)
+	return w, nil
+}
+
+// start places w at a uniform-random position on its first leg; cfg is
+// valid and rng non-nil.
+func (w *Waypoint) start(cfg Config, rng *rand.Rand) {
 	start := cfg.Terrain.RandomPoint(rng)
-	w := &Waypoint{cfg: cfg, rng: rng}
+	*w = Waypoint{cfg: cfg, rng: rng}
 	w.cur = w.nextLeg(start, 0)
 	w.lastCell = cfg.Terrain.CellIndex(start, cfg.SubnetCell)
-	return w, nil
 }
 
 // nextLeg draws a fresh destination (a uniform terrain point) and speed,
@@ -235,9 +242,10 @@ func legPos(l leg, t time.Duration) geo.Point {
 func (w *Waypoint) Moves() uint64 { return w.moves }
 
 // Field is the collection of all node trajectories; it answers the batch
-// position queries the radio model issues every topology tick.
+// position queries the radio model issues every topology tick. The
+// trajectories are one array, not one heap object per node.
 type Field struct {
-	nodes []*Waypoint
+	nodes []Waypoint
 }
 
 // NewField builds n independent trajectories. The stream function must
@@ -249,13 +257,16 @@ func NewField(cfg Config, n int, stream func(i int) *rand.Rand) (*Field, error) 
 	if stream == nil {
 		return nil, fmt.Errorf("mobility: nil stream function")
 	}
-	nodes := make([]*Waypoint, n)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	nodes := make([]Waypoint, n)
 	for i := range nodes {
-		w, err := NewWaypoint(cfg, stream(i))
-		if err != nil {
-			return nil, fmt.Errorf("mobility: node %d: %w", i, err)
+		rng := stream(i)
+		if rng == nil {
+			return nil, fmt.Errorf("mobility: node %d: nil rng", i)
 		}
-		nodes[i] = w
+		nodes[i].start(cfg, rng)
 	}
 	return &Field{nodes: nodes}, nil
 }
@@ -264,7 +275,7 @@ func NewField(cfg Config, n int, stream func(i int) *rand.Rand) (*Field, error) 
 func (f *Field) Len() int { return len(f.nodes) }
 
 // Node returns the trajectory of node i.
-func (f *Field) Node(i int) *Waypoint { return f.nodes[i] }
+func (f *Field) Node(i int) *Waypoint { return &f.nodes[i] }
 
 // PeekPosition returns node i's position at time t (future times allowed)
 // without advancing any trajectory state. See Waypoint.PeekPosition.
@@ -285,8 +296,8 @@ func (f *Field) PositionsAt(t time.Duration, dst []geo.Point) []geo.Point {
 		dst = make([]geo.Point, len(f.nodes))
 	}
 	dst = dst[:len(f.nodes)]
-	for i, w := range f.nodes {
-		dst[i] = w.PositionAt(t)
+	for i := range f.nodes {
+		dst[i] = f.nodes[i].PositionAt(t)
 	}
 	return dst
 }

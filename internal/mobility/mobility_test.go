@@ -173,6 +173,52 @@ func TestFieldConstruction(t *testing.T) {
 	}
 }
 
+// TestFieldMatchesWaypoints pins the carved field to standalone
+// trajectories: node i of NewField follows exactly the path NewWaypoint
+// draws from the same stream, and the field is a fixed number of
+// allocations whatever its size, with a nil stream rejected by node.
+func TestFieldMatchesWaypoints(t *testing.T) {
+	cfg := testConfig()
+	stream := func(i int) *rand.Rand { return rand.New(rand.NewSource(int64(i) + 1)) }
+	f, err := NewField(cfg, 20, stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < f.Len(); i++ {
+		w, err := NewWaypoint(cfg, stream(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for at := time.Duration(0); at <= 10*time.Minute; at += 7 * time.Second {
+			if got, want := f.Node(i).PositionAt(at), w.PositionAt(at); got != want {
+				t.Fatalf("node %d at %v: field %v, waypoint %v", i, at, got, want)
+			}
+		}
+		if f.Node(i).Moves() != w.Moves() {
+			t.Fatalf("node %d: field moves %d, waypoint %d", i, f.Node(i).Moves(), w.Moves())
+		}
+	}
+	rngs := make([]*rand.Rand, 1000)
+	for i := range rngs {
+		rngs[i] = stream(i)
+	}
+	if allocs := testing.AllocsPerRun(5, func() {
+		if _, err := NewField(cfg, len(rngs), func(i int) *rand.Rand { return rngs[i] }); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 2 {
+		t.Errorf("NewField(1000) makes %.0f allocations, want <= 2", allocs)
+	}
+	if _, err := NewField(cfg, 3, func(i int) *rand.Rand {
+		if i == 2 {
+			return nil
+		}
+		return stream(i)
+	}); err == nil {
+		t.Error("nil stream for one node accepted")
+	}
+}
+
 func TestFieldPositionsAt(t *testing.T) {
 	cfg := testConfig()
 	stream := func(i int) *rand.Rand { return rand.New(rand.NewSource(int64(i) + 1)) }

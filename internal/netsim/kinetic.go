@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"time"
@@ -171,10 +172,19 @@ func (h *kinHeap) pop() kinItem {
 	q := *h
 	top := q[0]
 	n := len(q) - 1
-	last := q[n]
+	q[0] = q[n]
 	q = q[:n]
 	*h = q
-	i := 0
+	if n > 0 {
+		q.down(0)
+	}
+	return top
+}
+
+// down sifts entry i towards the leaves until its children follow it.
+func (q kinHeap) down(i int) {
+	n := len(q)
+	it := q[i]
 	for {
 		c := 2*i + 1
 		if c >= n {
@@ -183,16 +193,20 @@ func (h *kinHeap) pop() kinItem {
 		if c+1 < n && q[c+1].before(q[c]) {
 			c++
 		}
-		if !q[c].before(last) {
+		if !q[c].before(it) {
 			break
 		}
 		q[i] = q[c]
 		i = c
 	}
-	if n > 0 {
-		q[i] = last
+	q[i] = it
+}
+
+// heapify restores the heap order over arbitrary contents.
+func (q kinHeap) heapify() {
+	for i := len(q)/2 - 1; i >= 0; i-- {
+		q.down(i)
 	}
-	return top
 }
 
 type kinetic struct {
@@ -211,6 +225,11 @@ type kinetic struct {
 	pairs   []pairState
 	free    []int32
 	tracked [][]int32 // per node: pair slab indices
+
+	// dead counts heap entries whose pair was dropped after they were
+	// pushed: a certificate waits in the heap until it falls due, and a
+	// compaction removes them all once they reach the live ones.
+	dead int
 
 	// mark[j].gen == markGen says the node markTracked last ran for tracks
 	// a pair with j, in slab mark[j].idx.
@@ -244,7 +263,6 @@ func newKinetic(src KineticSource, commRange float64, stats *TopologyStats) *kin
 		side:      commRange + skin,
 		anchors:   make([]geo.Point, n),
 		cellOf:    make([]int64, n),
-		cells:     make(map[int64][]int32),
 		rebinGen:  make([]uint32, n),
 		tracked:   make([][]int32, n),
 		mark:      make([]pairMark, n),
@@ -288,12 +306,8 @@ func swapRemove(s []int32, x int32) []int32 {
 // sampled positions.
 func (kn *kinetic) init(t time.Duration, pos []geo.Point) {
 	copy(kn.anchors, pos)
-	for i := 0; i < kn.n; i++ {
-		cx, cy := kn.cellCoords(pos[i])
-		key := cellKey(cx, cy)
-		kn.cellOf[i] = key
-		kn.cells[key] = append(kn.cells[key], int32(i))
-	}
+	kn.bin()
+	kn.carve()
 	kn.initing = true
 	for i := 0; i < kn.n; i++ {
 		kn.discover(int32(i), t, pos)
@@ -304,6 +318,101 @@ func (kn *kinetic) init(t time.Duration, pos []geo.Point) {
 	}
 	kn.inited = true
 	kn.stats.FullRebuilds++
+}
+
+// withSlack is the capacity a row carved for count entries gets when rows
+// hold mean entries on average: three times the larger of the two.
+// Random-waypoint nodes crowd toward the terrain's centre over time, and
+// a node carries its rows from a sparse corner into the crowd, so the
+// slack follows the mean as well as the row's own count. A row that
+// still outgrows it falls back to append, into an array of its own.
+func withSlack(count, mean int) int {
+	return 3*max(count, mean) + 1
+}
+
+// carveRows splits backing into empty rows with room for withSlack of
+// each count, capped there so an append past the slack reallocates
+// instead of running into the next row. It returns the rest of backing.
+func carveRows(rows [][]int32, counts []int32, backing []int32, mean int) []int32 {
+	for i, c := range counts {
+		end := withSlack(int(c), mean)
+		rows[i] = backing[:0:end]
+		backing = backing[end:]
+	}
+	return backing
+}
+
+// bin files every node into the cell of its anchor. The cell rows are
+// carved from one array with slack, in ascending node order within a
+// cell (the order appending one node at a time gives).
+func (kn *kinetic) bin() {
+	order := make([]int32, kn.n)
+	for i := range order {
+		cx, cy := kn.cellCoords(kn.anchors[i])
+		kn.cellOf[i] = cellKey(cx, cy)
+		order[i] = int32(i)
+	}
+	slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(kn.cellOf[a], kn.cellOf[b]) })
+	starts := make([]int, 0, kn.n+1) // where each cell's run of order begins
+	for i, u := range order {
+		if i == 0 || kn.cellOf[u] != kn.cellOf[order[i-1]] {
+			starts = append(starts, i)
+		}
+	}
+	cells := len(starts)
+	starts = append(starts, kn.n)
+	mean, size := kn.n/max(cells, 1), 0
+	for c := range cells {
+		size += withSlack(starts[c+1]-starts[c], mean)
+	}
+	kn.cells = make(map[int64][]int32, cells)
+	backing := make([]int32, size)
+	for c := range cells {
+		run := order[starts[c]:starts[c+1]]
+		end := withSlack(len(run), mean)
+		kn.cells[kn.cellOf[run[0]]] = append(backing[:0:end], run...)
+		backing = backing[end:]
+	}
+}
+
+// carve sizes the plane from the candidate pairs around the fresh anchors
+// — the counts discover is about to track — before any is tracked: every
+// node's tracked and linked rows, carved from one array with slack, the
+// pair slab and the certificate heap. A node's links are a subset of its
+// tracked pairs, so its linked row gets the tracked row's room: it
+// outgrows it only when the tracked row does.
+func (kn *kinetic) carve() {
+	counts := make([]int32, kn.n)
+	maxD2 := kn.side * kn.side
+	entries := 0
+	for u := range kn.n {
+		au := kn.anchors[u]
+		cx, cy := kn.cellCoords(au)
+		for dy := int32(-1); dy <= 1; dy++ {
+			for dx := int32(-1); dx <= 1; dx++ {
+				for _, j := range kn.cells[cellKey(cx+dx, cy+dy)] {
+					if int(j) != u && au.DistSq(kn.anchors[j]) <= maxD2 {
+						counts[u]++
+					}
+				}
+			}
+		}
+		entries += int(counts[u])
+	}
+	mean, size := entries/max(kn.n, 1), 0
+	for _, c := range counts {
+		size += 2 * withSlack(int(c), mean)
+	}
+	backing := carveRows(kn.tracked, counts, make([]int32, size), mean)
+	carveRows(kn.linkedAdj, counts, backing, mean)
+	// The pair count drifts less than a row does; half as many again
+	// covers the crowding. A dropped pair's certificate stays until it
+	// falls due or a compaction, which runs once the dead entries reach
+	// the live ones, so the heap holds at most two entries per live check
+	// (a slab pair or a node's rebin).
+	slab := entries/2 + entries/4
+	kn.pairs = make([]pairState, 0, slab)
+	kn.heap = make(kinHeap, 0, 2*(slab+kn.n))
 }
 
 // markTracked stamps the far endpoint of every pair node u tracks with a
@@ -393,6 +502,24 @@ func (kn *kinetic) dropPair(idx int32, fromRebin int32) {
 	st.dead = true
 	st.gen++
 	kn.free = append(kn.free, idx)
+	if kn.dead++; 2*kn.dead >= len(kn.heap) {
+		kn.compact()
+	}
+}
+
+// compact drops the dead certificates from the heap and restores its
+// order. Checks pop in (due, id, gen) order, a total order, so the drain
+// sequence does not depend on the heap's shape.
+func (kn *kinetic) compact() {
+	live := kn.heap[:0]
+	for _, it := range kn.heap {
+		if it.id < 0 || kn.pairs[it.id].gen == it.gen {
+			live = append(live, it)
+		}
+	}
+	kn.heap = live
+	kn.heap.heapify()
+	kn.dead = 0
 }
 
 // pendFlip records a link flip for the next sample's CSR diff, with
@@ -526,6 +653,7 @@ func (kn *kinetic) drainUntil(t time.Duration, pos []geo.Point) {
 		if it.id >= 0 {
 			st := &kn.pairs[it.id]
 			if st.dead || st.gen != it.gen {
+				kn.dead--
 				continue
 			}
 			kn.processPair(it.id, t, pos)

@@ -266,11 +266,13 @@ type Network struct {
 
 	// floodPool recycles per-flood duplicate-suppression state. A flood's
 	// state returns to the pool once its last in-flight broadcast lands.
-	// rxPool and hopPool recycle the delivery events themselves (see
-	// floodRx and hopTx), so steady-state delivery allocates nothing.
-	floodPool []*floodState
-	rxPool    []*floodRx
-	hopPool   []*hopTx
+	// rxPool, hopPool and perturbPool recycle the delivery events
+	// themselves (see floodRx, hopTx and perturbTx), so steady-state
+	// delivery allocates nothing.
+	floodPool   []*floodState
+	rxPool      []*floodRx
+	hopPool     []*hopTx
+	perturbPool []*perturbTx
 
 	// rebuilds counts topology snapshot rebuilds (cache misses).
 	rebuilds uint64
@@ -585,14 +587,45 @@ func (n *Network) deliverDelayed(node int, msg protocol.Message, meta Meta, d ti
 		n.deliverFinal(node, msg, meta)
 		return
 	}
-	n.k.After(d, "netsim.perturb", func(*sim.Kernel) {
-		if !n.Up(node) {
-			n.traffic.RecordDropped(msg.Kind, stats.DropDisconnected)
-			return
-		}
-		meta.At = n.k.Now()
-		n.deliverFinal(node, msg, meta)
-	})
+	p := n.acquirePerturb()
+	p.node, p.msg, p.meta = node, msg, meta
+	n.k.AfterTimer(d, "netsim.perturb", p)
+}
+
+// perturbTx is one delivery a perturber delayed: a pooled record that is
+// its own timer, so a jittered or duplicated delivery allocates nothing.
+type perturbTx struct {
+	n    *Network
+	node int
+	msg  protocol.Message
+	meta Meta
+}
+
+// acquirePerturb pops a delayed-delivery record from the pool (or
+// allocates).
+func (n *Network) acquirePerturb() *perturbTx {
+	if last := len(n.perturbPool) - 1; last >= 0 {
+		p := n.perturbPool[last]
+		n.perturbPool[last] = nil
+		n.perturbPool = n.perturbPool[:last]
+		return p
+	}
+	return &perturbTx{n: n}
+}
+
+// Fire completes the delayed delivery if the destination is still up.
+// Like hopTx.land it copies its fields out and returns to the pool first:
+// the receiver may send, and a perturbed send may take this very record.
+func (p *perturbTx) Fire(k *sim.Kernel) {
+	n, node, msg, meta := p.n, p.node, p.msg, p.meta
+	p.msg = protocol.Message{} // a parked record must not pin the payload
+	n.perturbPool = append(n.perturbPool, p)
+	if !n.Up(node) {
+		n.traffic.RecordDropped(msg.Kind, stats.DropDisconnected)
+		return
+	}
+	meta.At = k.Now()
+	n.deliverFinal(node, msg, meta)
 }
 
 // deliverFinal completes a delivery: traffic ledger, tracer, trace span,

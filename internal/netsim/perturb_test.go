@@ -5,7 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"github.com/manetlab/rpcc/internal/churn"
 	"github.com/manetlab/rpcc/internal/protocol"
+	"github.com/manetlab/rpcc/internal/sim"
+	"github.com/manetlab/rpcc/internal/stats"
 )
 
 // TestFloodTTLBoundary pins the paper's TTL-scoped flood semantics on a
@@ -157,5 +160,69 @@ func TestPerturberNilIsIdentity(t *testing.T) {
 		if a[i].node != b[i].node || a[i].msg.Kind != b[i].msg.Kind || a[i].meta != b[i].meta {
 			t.Fatalf("delivery %d differs: %+v vs %+v", i, a[i], b[i])
 		}
+	}
+}
+
+// TestPerturbedDeliveryIsAPooledRecord ping-pongs a message between two
+// nodes with every delivery delayed, so each receiver sends from inside
+// a delayed delivery and its send takes the record that delivery just
+// released: every delivery must still carry its own message and time.
+// Once the pool is warm a round allocates nothing, and a destination
+// that goes down while its delivery is delayed is dropped at fire time.
+func TestPerturbedDeliveryIsAPooledRecord(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.JitterMax = 0
+	h := newHarnessCfg(t, cfg, chain(2), true)
+	h.net.SetPerturber(func(int, protocol.Message, Meta) Perturbation {
+		return Perturbation{Delay: time.Second}
+	})
+	var got []delivery
+	for nd := 0; nd < 2; nd++ {
+		if err := h.net.SetReceiver(nd, func(_ *sim.Kernel, node int, msg protocol.Message, meta Meta) {
+			got = append(got, delivery{node: node, msg: msg, meta: meta})
+			msg.Seq++
+			if err := h.net.Unicast(node, 1-node, msg); err != nil {
+				t.Error(err)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	msg := testMsg(protocol.KindGetNew)
+	msg.Seq = 1
+	if err := h.net.Unicast(0, 1, msg); err != nil {
+		t.Fatal(err)
+	}
+	h.k.RunUntil(10 * time.Second)
+	if len(got) < 4 {
+		t.Fatalf("only %d deliveries in 10 s", len(got))
+	}
+	for i, d := range got {
+		if d.node != (i+1)%2 || d.msg.Seq != uint64(i+1) || d.meta.At < time.Duration(i+1)*time.Second {
+			t.Fatalf("delivery %d: node %d seq %d at %v; want node %d seq %d at >= %ds",
+				i, d.node, d.msg.Seq, d.meta.At, (i+1)%2, i+1, i+1)
+		}
+	}
+
+	got = make([]delivery, 0, 1024)
+	next := h.k.Now()
+	if avg := testing.AllocsPerRun(50, func() {
+		next += 10 * time.Second
+		h.k.RunUntil(next)
+	}); avg != 0 {
+		t.Errorf("a window of delayed deliveries allocates %.2f objects, want 0", avg)
+	}
+
+	if err := h.churn.ForceState(h.k, 1-got[len(got)-1].node, churn.StateDisconnected); err != nil {
+		t.Fatal(err)
+	}
+	before := h.net.Traffic().DroppedByCause(protocol.KindGetNew, stats.DropDisconnected)
+	delivered := len(got)
+	h.k.RunUntil(h.k.Now() + 5*time.Second)
+	if len(got) != delivered {
+		t.Errorf("%d deliveries reached a node that went down while they were delayed", len(got)-delivered)
+	}
+	if h.net.Traffic().DroppedByCause(protocol.KindGetNew, stats.DropDisconnected) == before {
+		t.Error("the delayed delivery to a down node was not recorded as dropped")
 	}
 }

@@ -18,6 +18,8 @@ import (
 	"fmt"
 	"math/rand"
 	randv2 "math/rand/v2"
+	"strconv"
+	"strings"
 	"time"
 )
 
@@ -149,9 +151,12 @@ type Kernel struct {
 	seq     uint64
 	root    int64
 	streams map[string]*rand.Rand
-	stopped bool
-	horizon time.Duration
-	events  uint64 // total events fired
+	// families are the bulk stream families (Streams): the members have
+	// no map entry of their own, so Stream looks a miss up here.
+	families []family
+	stopped  bool
+	horizon  time.Duration
+	events   uint64 // total events fired
 
 	// free recycles fired (or collected-cancelled) events so steady-state
 	// scheduling allocates nothing: the heap pops an event, its handler
@@ -384,15 +389,100 @@ func (k *Kernel) RunUntil(t time.Duration) {
 // costs two small allocations and no warm-up, where a math/rand source is
 // a 4.9 KB table seeded in ~1 800 dependent steps. Callers see only the
 // math/rand API.
+//
+// A name that belongs to a family Streams created (prefix followed by a
+// member index in strconv.Itoa form) returns that member: one name, one
+// generator, however it was reached.
 func (k *Kernel) Stream(name string) *rand.Rand {
 	if r, ok := k.streams[name]; ok {
 		return r
+	}
+	for _, f := range k.families {
+		if i, ok := memberIndex(name, f.prefix, len(f.members)); ok {
+			return f.members[i]
+		}
 	}
 	src := new(pcgSource)
 	src.Seed(deriveSeed(k.root, name))
 	r := rand.New(src)
 	k.streams[name] = r
 	return r
+}
+
+// family is one bulk stream family: members[i] is the stream named
+// prefix+strconv.Itoa(i).
+type family struct {
+	prefix  string
+	members []*rand.Rand
+}
+
+// familyStream is one member's storage: the generator and the rand.Rand
+// over it, side by side in the family's one array.
+type familyStream struct {
+	r   rand.Rand
+	src pcgSource
+}
+
+// Streams returns the n streams named prefix+strconv.Itoa(i), i in
+// [0, n), in index order — the per-node stream family of a world. Member
+// i is seeded exactly as Stream(prefix+strconv.Itoa(i)) would seed it,
+// but the family is carved from one array, with no name string and no
+// map entry per member: three allocations for any n.
+//
+// A family is registered once. Stream on a member's name afterwards
+// returns that member; a member Stream created before the family joins it
+// as it is, with whatever it has drawn. Calling Streams again with the
+// same prefix returns the registered family when n matches and panics
+// otherwise, as it does for a prefix that extends or is extended by a
+// registered one ("m." and "m.1" would both claim "m.12"): either way two
+// generators would answer to one name.
+func (k *Kernel) Streams(prefix string, n int) []*rand.Rand {
+	if n < 0 {
+		panic(fmt.Sprintf("sim: Streams(%q, %d): negative count", prefix, n))
+	}
+	for _, f := range k.families {
+		switch {
+		case f.prefix == prefix && len(f.members) == n:
+			return f.members
+		case strings.HasPrefix(f.prefix, prefix) || strings.HasPrefix(prefix, f.prefix):
+			panic(fmt.Sprintf("sim: Streams(%q, %d) overlaps family Streams(%q, %d)",
+				prefix, n, f.prefix, len(f.members)))
+		}
+	}
+	members := make([]*rand.Rand, n)
+	for name, r := range k.streams {
+		if i, ok := memberIndex(name, prefix, n); ok {
+			members[i] = r
+		}
+	}
+	store := make([]familyStream, n)
+	h := fnv1a(fnvRoot(k.root), prefix)
+	var digits [20]byte
+	for i := range members {
+		if members[i] != nil {
+			continue
+		}
+		s := &store[i]
+		s.src.Seed(finishSeed(fnv1a(h, strconv.AppendInt(digits[:0], int64(i), 10))))
+		s.r = *rand.New(&s.src)
+		members[i] = &s.r
+	}
+	k.families = append(k.families, family{prefix: prefix, members: members})
+	return members
+}
+
+// memberIndex reports whether name is prefix+strconv.Itoa(i) for some i
+// in [0, n), and which.
+func memberIndex(name, prefix string, n int) (int, bool) {
+	rest, ok := strings.CutPrefix(name, prefix)
+	if !ok || rest == "" || len(rest) > 1 && rest[0] == '0' {
+		return 0, false
+	}
+	i, err := strconv.Atoi(rest)
+	if err != nil || i < 0 || i >= n || rest[0] == '+' || rest[0] == '-' {
+		return 0, false
+	}
+	return i, true
 }
 
 // pcgSource adapts math/rand/v2's PCG to math/rand.Source64.
@@ -411,21 +501,40 @@ func (s *pcgSource) Seed(seed int64) {
 // deriveSeed mixes the root seed with a name using FNV-1a so distinct names
 // yield decorrelated streams.
 func deriveSeed(root int64, name string) int64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+	return finishSeed(fnv1a(fnvRoot(root), name))
+}
+
+// FNV-1a, the hash deriveSeed runs over the root seed and the name.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvRoot hashes the root seed's eight bytes, low byte first. FNV-1a is
+// sequential, so the state after a shared prefix extends to each name
+// of a family (Streams).
+func fnvRoot(root int64) uint64 {
+	h := uint64(fnvOffset64)
 	for i := 0; i < 8; i++ {
 		h ^= uint64(root>>(8*i)) & 0xff
-		h *= prime64
+		h *= fnvPrime64
 	}
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= prime64
+	return h
+}
+
+// fnv1a extends the hash state h over the bytes of s.
+func fnv1a[S string | []byte](h uint64, s S) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime64
 	}
+	return h
+}
+
+// finishSeed turns a hash into a seed: never zero, top bit cleared.
+func finishSeed(h uint64) int64 {
 	if h == 0 {
-		h = offset64
+		h = fnvOffset64
 	}
 	return int64(h & 0x7fffffffffffffff)
 }

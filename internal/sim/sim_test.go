@@ -309,6 +309,93 @@ func TestStreamIsSmall(t *testing.T) {
 	}
 }
 
+// TestStreamsMatchNamedStreams pins the bulk family to the named streams:
+// member i of Streams(prefix, n) starts exactly where a fresh kernel's
+// Stream(prefix+strconv.Itoa(i)) starts, over several roots and prefixes.
+func TestStreamsMatchNamedStreams(t *testing.T) {
+	for _, root := range []int64{1, 2, 7, -3, 1 << 40} {
+		for _, prefix := range []string{"mobility.", "", "x"} {
+			const n = 130
+			fam := NewKernel(WithSeed(root)).Streams(prefix, n)
+			named := NewKernel(WithSeed(root))
+			for i, r := range fam {
+				name := prefix + strconv.Itoa(i)
+				want := named.Stream(name)
+				for d := 0; d < 3; d++ {
+					if got, w := r.Uint64(), want.Uint64(); got != w {
+						t.Fatalf("root %d %q draw %d = %#x, want %#x", root, name, d, got, w)
+					}
+				}
+				if got, w := r.Int63n(1000), want.Int63n(1000); got != w {
+					t.Fatalf("root %d %q Int63n = %d, want %d", root, name, got, w)
+				}
+			}
+		}
+	}
+	// The golden draws of mobility.0 hold for the family's member 0.
+	if got, w := NewKernel(WithSeed(1)).Streams("mobility.", 1)[0].Uint64(), uint64(0xaba3fbd7d27de958); got != w {
+		t.Fatalf("family mobility.0 first draw = %#x, want %#x", got, w)
+	}
+}
+
+// TestStreamsOneGeneratorPerName pins what a family does to the names it
+// covers: Stream on a member's name is that member (never a second
+// generator replaying its sequence), a member created by Stream first
+// joins the family as it is, non-members stay separate, and a repeated or
+// overlapping family is the registered one or a panic.
+func TestStreamsOneGeneratorPerName(t *testing.T) {
+	k := NewKernel(WithSeed(5))
+	early := k.Stream("m.3")
+	early.Uint64() // a member drawn from before the family exists
+	fam := k.Streams("m.", 8)
+	if fam[3] != early {
+		t.Fatal("Streams re-created member 3 instead of adopting the earlier Stream(\"m.3\")")
+	}
+	for _, i := range []int{0, 5, 7} {
+		if got := k.Stream("m." + strconv.Itoa(i)); got != fam[i] {
+			t.Fatalf("Stream(m.%d) after Streams is not member %d", i, i)
+		}
+	}
+	for _, name := range []string{"m.8", "m.03", "m.+3", "m.-3", "m.", "m.x"} {
+		r := k.Stream(name)
+		if slices.Contains(fam, r) {
+			t.Fatalf("Stream(%q) returned a family member", name)
+		}
+		if k.Stream(name) != r {
+			t.Fatalf("Stream(%q) is not stable", name)
+		}
+	}
+	if again := k.Streams("m.", 8); &again[0] != &fam[0] {
+		t.Fatal("Streams with the same prefix and count built a second family")
+	}
+	for _, c := range []struct {
+		prefix string
+		n      int
+	}{{"m.", 9}, {"m.1", 4}, {"m", 4}, {"", 2}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Streams(%q, %d) after Streams(\"m.\", 8) did not panic", c.prefix, c.n)
+				}
+			}()
+			k.Streams(c.prefix, c.n)
+		}()
+	}
+}
+
+// TestStreamsAllocateOncePerFamily pins the point of the family: its cost
+// does not grow in allocations with n.
+func TestStreamsAllocateOncePerFamily(t *testing.T) {
+	k := NewKernel(WithSeed(1))
+	allocs := testing.AllocsPerRun(10, func() {
+		k.families = k.families[:0]
+		k.Streams("mobility.", 4096)
+	})
+	if allocs > 3 {
+		t.Fatalf("Streams(4096) makes %.0f allocations, want <= 3", allocs)
+	}
+}
+
 func TestDeriveSeedDistinct(t *testing.T) {
 	names := []string{"a", "b", "ab", "ba", "mobility", "churn", "workload"}
 	seen := make(map[int64]string, len(names))

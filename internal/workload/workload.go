@@ -173,25 +173,47 @@ func (g *Generator) Start(k *sim.Kernel) {
 		// in-range id IS the host). NewZipf needs s > 1.
 		g.zipf = rand.NewZipf(k.Stream("workload.zipf"), 1.1, 1, uint64(g.cfg.Hosts-2))
 	}
-	// Each host's two handlers are built once and re-arm themselves, so a
-	// tick allocates nothing.
-	timers := make([]struct{ query, update sim.Handler }, g.cfg.Hosts)
-	for host := range timers {
-		t := &timers[host]
-		t.query = func(kk *sim.Kernel) {
-			g.queryTick(kk, host)
-			kk.After(g.exp(g.cfg.MeanQueryEvery), "workload.query", t.query)
-		}
-		t.update = func(kk *sim.Kernel) {
-			g.updates++
-			g.onUpdate(kk, host)
-			kk.After(g.exp(g.cfg.MeanUpdateEvery), "workload.update", t.update)
-		}
+	// Each host's two streams are records from one array that re-arm
+	// themselves, so neither set-up nor a tick allocates per host.
+	ticks := make([]hostTicks, g.cfg.Hosts)
+	for host := range ticks {
+		t := &ticks[host]
+		t.query, t.update = queryTimer{g, host}, updateTimer{g, host}
 		// Deterministic uniform stagger for the first event of each
 		// stream, then exponential gaps.
-		k.After(g.uniform(g.cfg.MeanQueryEvery), "workload.query", t.query)
-		k.After(g.uniform(g.cfg.MeanUpdateEvery), "workload.update", t.update)
+		k.AfterTimer(g.uniform(g.cfg.MeanQueryEvery), "workload.query", &t.query)
+		k.AfterTimer(g.uniform(g.cfg.MeanUpdateEvery), "workload.update", &t.update)
 	}
+}
+
+// hostTicks is one host's pair of demand stream records.
+type hostTicks struct {
+	query  queryTimer
+	update updateTimer
+}
+
+// queryTimer is a host's query stream: it issues the tick's query, then
+// re-arms itself an exponential gap later.
+type queryTimer struct {
+	g    *Generator
+	host int
+}
+
+func (t *queryTimer) Fire(k *sim.Kernel) {
+	t.g.queryTick(k, t.host)
+	k.AfterTimer(t.g.exp(t.g.cfg.MeanQueryEvery), "workload.query", t)
+}
+
+// updateTimer is a host's update stream, re-arming like queryTimer.
+type updateTimer struct {
+	g    *Generator
+	host int
+}
+
+func (t *updateTimer) Fire(k *sim.Kernel) {
+	t.g.updates++
+	t.g.onUpdate(k, t.host)
+	k.AfterTimer(t.g.exp(t.g.cfg.MeanUpdateEvery), "workload.update", t)
 }
 
 func (g *Generator) uniform(mean time.Duration) time.Duration {
