@@ -25,7 +25,7 @@ test:
 # builds on concurrent shard workers.
 race:
 	$(GO) test -race ./internal/fleet/ ./internal/sim/ ./internal/stats/ ./internal/experiment/ ./internal/netsim/ ./internal/radio/ ./internal/wire/ ./internal/wire/cluster/ ./internal/oracle/ ./internal/core/ \
-		./internal/data/ ./internal/node/ ./internal/pushpull/ ./internal/churn/ ./internal/mobility/ ./internal/energy/ ./internal/workload/
+		./internal/data/ ./internal/node/ ./internal/pushpull/ ./internal/churn/ ./internal/mobility/ ./internal/energy/ ./internal/workload/ .
 
 vet:
 	$(GO) vet ./...

@@ -33,6 +33,7 @@ import (
 	"github.com/manetlab/rpcc/internal/geo"
 	"github.com/manetlab/rpcc/internal/netsim"
 	"github.com/manetlab/rpcc/internal/protocol"
+	"github.com/manetlab/rpcc/internal/radio"
 	"github.com/manetlab/rpcc/internal/sim"
 	"github.com/manetlab/rpcc/internal/stats"
 )
@@ -355,11 +356,19 @@ func TestDeliveryDoesNotAllocate(t *testing.T) {
 		unicast()
 	}
 	heard, arrived, hops = 0, 0, 0
-	if avg := testing.AllocsPerRun(200, flood); avg != 0 {
-		t.Errorf("steady-state Flood allocates %.2f objects per call, want 0", avg)
+	if total := testing.AllocsPerRun(1, func() {
+		for range 200 {
+			flood()
+		}
+	}); total != 0 {
+		t.Errorf("200 steady-state Floods allocate %.0f objects, want 0", total)
 	}
-	if avg := testing.AllocsPerRun(200, unicast); avg != 0 {
-		t.Errorf("steady-state Unicast allocates %.2f objects per call, want 0", avg)
+	if total := testing.AllocsPerRun(1, func() {
+		for range 200 {
+			unicast()
+		}
+	}); total != 0 {
+		t.Errorf("200 steady-state Unicasts allocate %.0f objects, want 0", total)
 	}
 	// The layout is sparse, so not every pair is connected; enough must be,
 	// and over several hops, for the pins to have measured the path.
@@ -490,22 +499,56 @@ func TestReentrantDeliveryKeepsRecordsApart(t *testing.T) {
 			}
 		}
 	}
+	// The layout is static and lossless: the wide flood reaches its whole
+	// TTL ball, counted on a from-scratch build, and every receiver's
+	// answer comes back.
+	ref, err := radio.NewGraphBuilder().Build(benchPoints(t, n), nil, netsim.DefaultConfig().CommRange, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for warm := 0; warm < 2*n; warm++ {
 		round()
 		if fail != "" {
 			t.Fatal(fail)
 		}
-		// The layout is static and lossless: the wide flood reaches its
-		// whole TTL ball and every receiver's answer comes back.
 		origin := (i - 1) % n
-		if want := len(net.Graph().WithinTTL(origin, wideTTL)); wide != want || acks != want {
+		if want := ttlBall(ref, origin, wideTTL); wide != want || acks != want {
 			t.Fatalf("flood from %d: %d receptions, %d answers, want %d of each", origin, wide, acks, want)
 		}
 	}
-	if avg := testing.AllocsPerRun(100, round); avg != 0 {
-		t.Errorf("steady-state re-entrant delivery allocates %.2f objects per round, want 0", avg)
+	if total := testing.AllocsPerRun(1, func() {
+		for range 100 {
+			round()
+		}
+	}); total != 0 {
+		t.Errorf("100 steady-state re-entrant delivery rounds allocate %.0f objects, want 0", total)
 	}
 	if fail != "" {
 		t.Fatal(fail)
 	}
+}
+
+// ttlBall counts the nodes 1 to ttl hops from src on g by a fresh BFS:
+// the nodes a TTL-scoped flood from src reaches.
+func ttlBall(g *radio.Graph, src, ttl int) int {
+	dist := make([]int, g.Len())
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[src] = 0
+	ball := 0
+	for queue := []int{src}; len(queue) > 0; queue = queue[1:] {
+		u := queue[0]
+		if dist[u] == ttl {
+			continue
+		}
+		for _, v := range g.Neighbors(u) {
+			if dist[v] < 0 {
+				dist[v] = dist[u] + 1
+				ball++
+				queue = append(queue, v)
+			}
+		}
+	}
+	return ball
 }

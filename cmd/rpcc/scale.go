@@ -84,8 +84,7 @@ func scaleCmd(_ context.Context, args []string) error {
 	t := res.Topology
 	fmt.Printf("topology: full_rebuilds=%d kinetic_samples=%d makes=%d breaks=%d rebins=%d cert_checks=%d\n",
 		t.FullRebuilds, t.KineticSamples, t.LinkMakes, t.LinkBreaks, t.Rebins, t.CertChecks)
-	fmt.Printf("routes: repaired=%d dropped=%d full_resets=%d\n",
-		t.RoutesRepaired, t.RoutesDropped, t.RouteFullResets)
+	fmt.Printf("routes: repaired=%d dropped=%d\n", t.RoutesRepaired, t.RoutesDropped)
 	// Per-region introspection, deterministic half: event counts and the
 	// event-imbalance gauge derive from the seed alone.
 	ks := res.KernelStats

@@ -279,11 +279,10 @@ func publishTopologyStats(hub *telemetry.Hub, s netsim.TopologyStats) {
 
 	routes := func(outcome string) *telemetry.Counter {
 		return hub.Counter("rpcc_topology_route_maintenance_total",
-			"Route-table outcomes: stale tables repaired or abandoned on demand when next read, and wholesale resets.", telemetry.Label{Key: "outcome", Value: outcome})
+			"Route-table outcomes: stale tables repaired or abandoned on demand when next read.", telemetry.Label{Key: "outcome", Value: outcome})
 	}
 	routes("repaired").Add(s.RoutesRepaired)
 	routes("dropped").Add(s.RoutesDropped)
-	routes("full_reset").Add(s.RouteFullResets)
 }
 
 // jainIndex computes Jain's fairness index (Σx)²/(n·Σx²) over xs,

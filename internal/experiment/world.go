@@ -83,9 +83,10 @@ func WithHub(hub *telemetry.Hub) Option { return func(o *options) { o.hub = hub 
 func WithTracer(c *ctrace.Collector) Option { return func(o *options) { o.tracer = c } }
 
 // WithLayout pins node i at pts[i] for the whole run instead of moving it
-// by random waypoint. Without a mobility field there is no kinetic
-// topology plane, no movement signal for RPCC's coefficients and no
-// geometric hop hint for the utility policy.
+// by random waypoint. The layout runs on the kinetic topology plane like
+// a mobility field, with no certificate ever falling due. Without a
+// mobility field there is no movement signal for RPCC's coefficients and
+// no geometric hop hint for the utility policy.
 func WithLayout(pts []geo.Point) Option { return func(o *options) { o.layout = pts } }
 
 // WithCoreConfig lets fn rewrite the RPCC engine's config after Build
@@ -162,7 +163,6 @@ func Build(cfg Config, opts ...Option) (*World, error) {
 	}
 	netCfg.LossRate = cfg.LossRate
 	netCfg.SerializeTx = cfg.SerializeTx
-	netCfg.Kinetic = w.Field != nil
 	netCfg.RouteTableCap = cfg.RouteTableCap
 	netCfg.LazyChurnRefresh = cfg.LazyChurnRefresh
 	if w.Net, err = netsim.New(netCfg, k, positions, w.Churn, w.Batteries, stats.NewTraffic()); err != nil {

@@ -11,7 +11,7 @@ import (
 	"github.com/manetlab/rpcc/internal/radio"
 )
 
-// The kinetic topology plane replaces per-snapshot full rebuilds with
+// The kinetic topology plane produces every connectivity snapshot by
 // incremental neighbour maintenance that advances only when a snapshot is
 // read: nothing in this file is a kernel event. Node motion is piecewise
 // linear (random waypoint legs), so for a tracked pair at distance d whose
@@ -47,14 +47,13 @@ import (
 // the rescan re-discovers the pair with an exact distance test (a make;
 // the two CSR diffs are a superset the route repair tolerates).
 //
-// Snapshots stay byte-identical to the full-rebuild path: Graph() samples
-// positions at exactly the same times (so mobility Moves accounting and
-// RNG draw order match), link membership at the sample time is exact, and
-// the CSR is packed with the same down-node filtering and ascending row
-// order the GraphBuilder produces; a kinetic run also fires exactly the
-// kernel events of a full-rebuild run. The equivalence tests in
-// kinetic_test.go pin this on seeded mobile+churn histories, at dense
-// and at sparse sampling (where the in-drain heal runs).
+// Snapshots are byte-identical to a from-scratch radio.GraphBuilder build
+// of the sampled positions: link membership at the sample time is exact,
+// and the CSR is packed with the same down-node filtering and ascending
+// row order the builder produces. The equivalence tests in
+// kinetic_test.go pin this, and route answers equal to a fresh BFS, on
+// seeded mobile+churn histories and static layouts, at dense and at
+// sparse sampling (where the in-drain heal runs).
 
 // KineticSource is the position source contract the kinetic plane needs:
 // batch sampling plus the linear motion segment a node is on at the
@@ -64,14 +63,21 @@ type KineticSource interface {
 	SegmentAt(i int, t time.Duration) mobility.Segment
 }
 
+// still runs a PositionSource without SegmentAt on the kinetic plane: its
+// nodes never move, so no certificate or rebin ever falls due.
+type still struct{ PositionSource }
+
+func (still) SegmentAt(int, time.Duration) mobility.Segment {
+	return mobility.Segment{End: math.MaxInt64}
+}
+
 // TopologyStats counts the kinetic plane's work — the accounting behind
 // the rpcc_topology_* and rpcc_route_invalidation_* telemetry families.
 type TopologyStats struct {
-	// FullRebuilds counts full topology builds (every serial-mode rebuild,
-	// plus the kinetic plane's initial build).
+	// FullRebuilds counts the plane's one initial build.
 	FullRebuilds uint64
-	// KineticSamples counts snapshots produced by incremental advance —
-	// rebuilds avoided relative to the full-rebuild baseline.
+	// KineticSamples counts snapshots produced by incremental advance:
+	// every sample after the initial build.
 	KineticSamples uint64
 	// LinkMakes / LinkBreaks count the link state flips kinetic samples
 	// observe: a link that forms and breaks between two samples is never
@@ -90,9 +96,7 @@ type TopologyStats struct {
 	// in place against the edge changes logged since the last read, vs
 	// abandoned (lagging past the log, or affected region too large) and
 	// recomputed by BFS. A table nobody reads costs neither.
-	// RouteFullResets counts wholesale route-cache resets (every
-	// serial-mode rebuild does one).
-	RoutesRepaired, RoutesDropped, RouteFullResets uint64
+	RoutesRepaired, RoutesDropped uint64
 }
 
 // Add folds another stats block into s — the sharded scale path sums the
@@ -106,7 +110,6 @@ func (s *TopologyStats) Add(o TopologyStats) {
 	s.Rebins += o.Rebins
 	s.RoutesRepaired += o.RoutesRepaired
 	s.RoutesDropped += o.RoutesDropped
-	s.RouteFullResets += o.RouteFullResets
 }
 
 // kinSkinFactor scales the Verlet skin relative to the comm range.

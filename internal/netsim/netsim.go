@@ -33,7 +33,10 @@ import (
 )
 
 // PositionSource supplies node positions at a virtual time. Production
-// code passes *mobility.Field; tests pass fixed layouts to pin topologies.
+// code passes *mobility.Field, a KineticSource; static layouts and tests
+// pass fixed slices. A source without SegmentAt never moves: New runs it
+// on the kinetic plane as a layout whose certificates never fall due, so
+// PositionsAt must return the same positions at every time.
 type PositionSource interface {
 	Len() int
 	PositionsAt(t time.Duration, dst []geo.Point) []geo.Point
@@ -143,22 +146,6 @@ type Config struct {
 	// Off by default: the paper-reproduction figures use the idealised
 	// parallel radio, and the A10 ablation quantifies the difference.
 	SerializeTx bool
-	// DisableRouteCache turns off the per-snapshot route-table
-	// memoization in the radio layer, reverting every NextHop to the
-	// original per-call BFS. Routing decisions are identical either way;
-	// the switch exists so the determinism regression tests can compare
-	// the memoized hot path against the reference path.
-	DisableRouteCache bool
-	// Kinetic switches topology maintenance from per-snapshot full
-	// rebuilds to the kinetic plane (kinetic.go): link make/break times
-	// are predicted from the motion legs, the predictions that fell due
-	// are re-verified when a snapshot is read, and snapshots are produced
-	// by repacking the incrementally maintained adjacency plus repairing
-	// route tables in place. Requires the position field to implement
-	// KineticSource (*mobility.Field does). Snapshots are byte-identical
-	// to the full-rebuild path and no kernel event is added; only the
-	// cost model changes.
-	Kinetic bool
 	// RouteTableCap bounds how many per-destination route tables the
 	// snapshot keeps alive (0 = unlimited, the historical behaviour).
 	// Large kinetic runs set a cap so persistent tables stay O(cap·n)
@@ -240,9 +227,9 @@ type Network struct {
 	cachedAt   time.Duration
 	cacheValid bool
 
-	// kin is the kinetic topology plane (nil unless cfg.Kinetic); topo
-	// accumulates topology-maintenance counters in both modes. diffBuf
-	// is the reused CSR edge-diff scratch between samples.
+	// kin is the kinetic topology plane behind every snapshot; topo
+	// accumulates its maintenance counters. diffBuf is the reused CSR
+	// edge-diff scratch between samples.
 	kin     *kinetic
 	topo    TopologyStats
 	diffBuf []radio.EdgeDiff
@@ -323,13 +310,11 @@ func New(cfg Config, k *sim.Kernel, field PositionSource, churnProc *churn.Proce
 	if n.cfg.Routing == RoutingDSR {
 		n.initDSR()
 	}
-	if cfg.Kinetic {
-		src, ok := field.(KineticSource)
-		if !ok {
-			return nil, fmt.Errorf("netsim: kinetic topology needs a KineticSource field, got %T", field)
-		}
-		n.kin = newKinetic(src, cfg.CommRange, &n.topo)
+	src, ok := field.(KineticSource)
+	if !ok {
+		src = still{field}
 	}
+	n.kin = newKinetic(src, cfg.CommRange, &n.topo)
 	if churnProc != nil && !cfg.LazyChurnRefresh {
 		// Any connectivity flip invalidates the cached topology snapshot
 		// immediately, so messages in the same refresh window observe it.
@@ -391,21 +376,12 @@ func (n *Network) Graph() *radio.Graph {
 	for i := range down {
 		down[i] = !n.Up(i)
 	}
-	var g *radio.Graph
-	var err error
-	if n.kin != nil {
-		g, err = n.kineticSample(now, down, uint64(epoch))
-	} else {
-		g, err = n.builder.Build(n.posBuf, down, n.cfg.CommRange, uint64(epoch))
-		n.topo.FullRebuilds++
-		n.topo.RouteFullResets++
-	}
+	g, err := n.kineticSample(now, down, uint64(epoch))
 	if err != nil {
 		// Config was validated at construction; only a programming error
 		// reaches here. Fail loudly rather than route on a stale graph.
 		panic(fmt.Sprintf("netsim: graph rebuild failed: %v", err))
 	}
-	g.SetRouteCache(!n.cfg.DisableRouteCache)
 	g.SetRouteTableCap(n.cfg.RouteTableCap)
 	n.rebuilds++
 	n.cached = g
@@ -428,9 +404,9 @@ func (n *Network) Reachable(from, to int) bool {
 // reuses one graph in place).
 func (n *Network) Rebuilds() uint64 { return n.rebuilds }
 
-// TopologyStats returns the topology-maintenance counters: full rebuilds
-// vs kinetic incremental samples, link make/break events, certificate
-// checks, Verlet rebins, and route tables repaired vs dropped vs reset.
+// TopologyStats returns the topology-maintenance counters: the plane's
+// initial build vs its incremental samples, link make/break events,
+// certificate checks, Verlet rebins, and route tables repaired vs dropped.
 // The repaired/dropped pair is read off the snapshot, which counts the
 // on-demand catch-ups as routing reads stale tables.
 func (n *Network) TopologyStats() TopologyStats {

@@ -9,12 +9,13 @@ import (
 
 // GraphBuilder rebuilds connectivity snapshots without reallocating: the
 // CSR arrays, the down mask, the spatial-grid buckets and the route-cache
-// distance tables all persist across Build calls. The network layer holds
-// one builder and calls Build every topology-refresh tick.
+// distance tables all persist across calls. The network layer holds one
+// builder and repacks it from the kinetic plane's rows every sample
+// (RebuildFromRows); Build is the from-scratch build of a position set.
 //
-// Build returns the same *Graph on every call; the previous snapshot is
+// Both return the same *Graph on every call; the previous snapshot is
 // overwritten in place. Callers must therefore treat a returned graph as
-// valid only until the next Build — which the simulator guarantees by
+// valid only until the next call — which the simulator guarantees by
 // construction, since every event handler re-fetches the current snapshot
 // and never retains one across events.
 type GraphBuilder struct {
@@ -44,8 +45,7 @@ const smallBuildCutoff = 100
 // eight surrounding cells, so the scan is O(n·k) for k candidates per
 // neighbourhood instead of the O(n²) all-pairs sweep. Rows are sorted
 // ascending, which yields byte-identical adjacency — and therefore
-// identical routing and simulation output — to the pairwise reference
-// build (BuildPairwise).
+// identical routing and simulation output — to the O(n²) all-pairs sweep.
 func (b *GraphBuilder) Build(pos []geo.Point, down []bool, commRange float64, stamp uint64) (*Graph, error) {
 	if err := validate(pos, down, commRange); err != nil {
 		return nil, err
@@ -156,18 +156,6 @@ func (b *GraphBuilder) Build(pos []geo.Point, down []bool, commRange float64, st
 	return g, nil
 }
 
-// BuildPairwise constructs the identical snapshot with the original O(n²)
-// all-pairs scan. It is the reference implementation the equivalence tests
-// run against.
-func (b *GraphBuilder) BuildPairwise(pos []geo.Point, down []bool, commRange float64, stamp uint64) (*Graph, error) {
-	if err := validate(pos, down, commRange); err != nil {
-		return nil, err
-	}
-	g := b.prepare(pos, down, stamp)
-	b.fillPairwise(pos, commRange)
-	return g, nil
-}
-
 // prepare resets the reused graph for a new snapshot: sizes the CSR and
 // down mask, recycles the route-cache tables, and stores the metadata.
 func (b *GraphBuilder) prepare(pos []geo.Point, down []bool, stamp uint64) *Graph {
@@ -180,7 +168,6 @@ func (b *GraphBuilder) prepare(pos []geo.Point, down []bool, stamp uint64) *Grap
 	}
 	g.n = n
 	g.stamp = stamp
-	g.cacheOn = true
 	g.off = resizeI32(g.off, n+1)
 	if cap(g.down) < n {
 		g.down = make([]bool, n)

@@ -51,7 +51,7 @@ func TestGridMatchesPairwiseProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ref, err := NewGraphBuilder().BuildPairwise(pts, down, 250, 1)
+		ref, err := NewGraphBuilder().buildPairwise(pts, down, 250, 1)
 		if err != nil {
 			return false
 		}
@@ -68,11 +68,11 @@ func TestGridMatchesPairwiseProperty(t *testing.T) {
 // adjacency.
 func TestGridFallbackOnSparseSpread(t *testing.T) {
 	pts := []geo.Point{{X: 0, Y: 0}, {X: 100, Y: 0}, {X: 1e6, Y: 1e6}, {X: 1e6 + 150, Y: 1e6}}
-	grid, err := NewGraph(pts, nil, 250, 0)
+	grid, err := newGraph(pts, nil, 250, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := NewGraphBuilder().BuildPairwise(pts, nil, 250, 0)
+	ref, err := NewGraphBuilder().buildPairwise(pts, nil, 250, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestBuilderReuseAcrossRebuilds(t *testing.T) {
 		if g.Stamp() != uint64(round) {
 			t.Fatalf("stamp = %d, want %d", g.Stamp(), round)
 		}
-		fresh, err := NewGraph(pts, down, 250, uint64(round))
+		fresh, err := newGraph(pts, down, 250, uint64(round))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,35 +118,23 @@ func TestBuilderReuseAcrossRebuilds(t *testing.T) {
 	}
 }
 
-// TestRouteCacheMatchesUncachedProperty: NextHop and Hops with the route
-// cache must equal the pure per-call BFS on random graphs and pairs — the
+// TestRouteCacheMatchesUncachedProperty: NextHop and Hops from the route
+// cache must equal a fresh per-call BFS on random graphs and pairs — the
 // property that makes the memoization behaviourally invisible.
 func TestRouteCacheMatchesUncachedProperty(t *testing.T) {
 	terrain, _ := geo.NewTerrain(1500, 1500)
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		pts, down := randomScenario(r, terrain)
-		cached, err := NewGraph(pts, down, 250, 0)
+		g, err := newGraph(pts, down, 250, 0)
 		if err != nil {
 			return false
 		}
-		uncached, err := NewGraph(pts, down, 250, 0)
-		if err != nil {
-			return false
-		}
-		uncached.SetRouteCache(false)
-		if cached.RouteCacheEnabled() == uncached.RouteCacheEnabled() {
-			t.Fatal("SetRouteCache(false) did not disable the cache")
-		}
-		n := cached.Len()
+		n := g.Len()
 		for src := 0; src < n; src++ {
 			for dst := 0; dst < n; dst++ {
-				if got, want := cached.NextHop(src, dst), uncached.NextHop(src, dst); got != want {
-					t.Errorf("NextHop(%d,%d): cached %d, uncached %d", src, dst, got, want)
-					return false
-				}
-				if got, want := cached.Hops(src, dst), uncached.Hops(src, dst); got != want {
-					t.Errorf("Hops(%d,%d): cached %d, uncached %d", src, dst, got, want)
+				if got, want := g.NextHop(src, dst), nextHopRef(g, src, dst); got != want {
+					t.Errorf("NextHop(%d,%d): cached %d, BFS %d", src, dst, got, want)
 					return false
 				}
 			}
@@ -158,28 +146,21 @@ func TestRouteCacheMatchesUncachedProperty(t *testing.T) {
 	}
 }
 
-// TestHopsAgreesWithHopsFrom: both Hops paths (cached table, early-exit
-// BFS) must agree with the full HopsFrom table.
+// TestHopsAgreesWithHopsFrom: Hops, read from the memoized tables, must
+// agree with a fresh BFS from the source.
 func TestHopsAgreesWithHopsFrom(t *testing.T) {
 	terrain, _ := geo.NewTerrain(1000, 1000)
 	r := rand.New(rand.NewSource(3))
 	pts, down := randomScenario(r, terrain)
-	g, err := NewGraph(pts, down, 250, 0)
+	g, err := newGraph(pts, down, 250, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cache := range []bool{true, false} {
-		g.SetRouteCache(cache)
-		for src := 0; src < g.Len(); src++ {
-			dist := g.HopsFrom(src)
-			for dst := 0; dst < g.Len(); dst++ {
-				want := dist[dst]
-				if src == dst && g.Up(src) {
-					want = 0
-				}
-				if got := g.Hops(src, dst); got != want {
-					t.Fatalf("cache=%v Hops(%d,%d) = %d, want %d", cache, src, dst, got, want)
-				}
+	for src := 0; src < g.Len(); src++ {
+		dist := hopsFrom(g, src)
+		for dst := 0; dst < g.Len(); dst++ {
+			if got := g.Hops(src, dst); got != dist[dst] {
+				t.Fatalf("Hops(%d,%d) = %d, want %d", src, dst, got, dist[dst])
 			}
 		}
 	}
@@ -191,7 +172,7 @@ func TestConnectedMatchesNeighborMembership(t *testing.T) {
 	terrain, _ := geo.NewTerrain(1200, 1200)
 	r := rand.New(rand.NewSource(11))
 	pts, down := randomScenario(r, terrain)
-	g, err := NewGraph(pts, down, 250, 0)
+	g, err := newGraph(pts, down, 250, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,8 +190,8 @@ func TestConnectedMatchesNeighborMembership(t *testing.T) {
 }
 
 // TestHotQueriesDoNotAllocate pins the zero-alloc contract: once a
-// snapshot's route table toward a destination is warm, NextHop and Hops
-// allocate nothing, and neither does the uncached early-exit Hops.
+// snapshot's route table toward a destination is warm, NextHop, Hops and
+// Connected allocate nothing.
 func TestHotQueriesDoNotAllocate(t *testing.T) {
 	terrain, _ := geo.NewTerrain(1500, 1500)
 	r := rand.New(rand.NewSource(5))
@@ -218,24 +199,60 @@ func TestHotQueriesDoNotAllocate(t *testing.T) {
 	for i := range pts {
 		pts[i] = terrain.RandomPoint(r)
 	}
-	g, err := NewGraph(pts, nil, 250, 0)
+	g, err := newGraph(pts, nil, 250, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g.NextHop(0, 49) // warm dst 49's table
-	if avg := testing.AllocsPerRun(100, func() {
-		g.NextHop(0, 49)
-		g.Hops(3, 49)
-		g.Connected(0, 1)
-	}); avg != 0 {
-		t.Errorf("warm cached queries allocate %.1f/op, want 0", avg)
+	if total := testing.AllocsPerRun(1, func() {
+		for range 100 {
+			g.NextHop(0, 49)
+			g.Hops(3, 49)
+			g.Connected(0, 1)
+		}
+	}); total != 0 {
+		t.Errorf("100 rounds of warm cached queries allocate %.0f objects, want 0", total)
 	}
-	g.SetRouteCache(false)
-	g.Hops(0, 49) // let the early-exit path size its scratch
-	if avg := testing.AllocsPerRun(100, func() {
-		g.Hops(0, 49)
-	}); avg != 0 {
-		t.Errorf("early-exit Hops allocates %.1f/op, want 0", avg)
+}
+
+// TestCappedEvictionDoesNotAllocate pins the capped route cache's FIFO
+// eviction: once the cap's tables exist, a lookup that evicts the oldest
+// table and builds its own in the recycled one allocates nothing, at a
+// small cap and at the cap scale runs use.
+func TestCappedEvictionDoesNotAllocate(t *testing.T) {
+	const n = 300
+	terrain, _ := geo.NewTerrain(3000, 3000)
+	r := rand.New(rand.NewSource(4))
+	pts := make([]geo.Point, n)
+	for i := range pts {
+		pts[i] = terrain.RandomPoint(r)
+	}
+	for _, tableCap := range []int{8, 256} {
+		g, err := newGraph(pts, nil, 250, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.SetRouteTableCap(tableCap)
+		// Destinations cycle through all n > cap nodes, so every lookup
+		// misses and evicts once the cap is reached.
+		dst := 0
+		lookup := func() {
+			g.Hops((dst+1)%n, dst)
+			dst = (dst + 1) % n
+		}
+		for range 2 * n {
+			lookup()
+		}
+		if total := testing.AllocsPerRun(1, func() {
+			for range 1000 {
+				lookup()
+			}
+		}); total != 0 {
+			t.Errorf("cap %d: 1000 evicting lookups allocate %.0f objects, want 0", tableCap, total)
+		}
+		if g.RouteTables() != tableCap {
+			t.Errorf("cap %d: %d live tables", tableCap, g.RouteTables())
+		}
 	}
 }
 

@@ -65,7 +65,6 @@ func (b *GraphBuilder) RebuildFromRows(n int, row func(i int) []int32, down []bo
 	if g.n != n {
 		g.dropRoutes()
 		g.n = n
-		g.cacheOn = true
 	}
 	g.stamp = stamp
 	g.off = resizeI32(g.off, n+1)

@@ -6,14 +6,14 @@
 // next-hop selection for hop-by-hop unicast routing.
 //
 // The snapshot is stored in a flat CSR (compressed sparse row) layout and
-// carries a per-snapshot route cache: the first NextHop query toward a
-// destination runs one BFS from that destination and memoizes the hop
-// distances; every later hop of every message to the same destination is
-// an O(degree) scan over the source's neighbour list. The cache lives on
-// the snapshot itself, so it is implicitly keyed by the snapshot stamp and
-// can never serve distances from a stale topology. Graphs are not safe for
-// concurrent use; like the rest of the simulator they live on a single
-// kernel goroutine.
+// carries a route cache: the first NextHop query toward a destination
+// runs one BFS from that destination and memoizes the hop distances;
+// every later hop of every message to the same destination is an
+// O(degree) scan over the source's neighbour list. A table outlives a
+// repack from rows and is repaired against the logged edge changes when
+// next read (patch.go), so it never serves distances from a stale
+// topology. Graphs are not safe for concurrent use; like the rest of the
+// simulator they live on a single kernel goroutine.
 package radio
 
 import (
@@ -35,7 +35,6 @@ type Graph struct {
 	// Route cache: dist[dst] holds, once built, the BFS hop distance from
 	// every node to dst (Unreachable = -1). Slices are recycled through
 	// distPool across snapshot rebuilds by the owning GraphBuilder.
-	cacheOn  bool
 	dist     [][]int32
 	built    []int32   // destinations with a table built this snapshot
 	distPool [][]int32 // spare distance tables
@@ -60,14 +59,6 @@ type Graph struct {
 	repairInvalid []int32
 }
 
-// NewGraph builds a standalone snapshot from positions via a throwaway
-// GraphBuilder. down may be nil (all up) or a slice of the same length
-// flagging unreachable nodes. Hot callers that rebuild every topology
-// refresh should hold a GraphBuilder instead so backing arrays are reused.
-func NewGraph(pos []geo.Point, down []bool, commRange float64, stamp uint64) (*Graph, error) {
-	return NewGraphBuilder().Build(pos, down, commRange, stamp)
-}
-
 // Len returns the number of nodes.
 func (g *Graph) Len() int { return g.n }
 
@@ -76,15 +67,6 @@ func (g *Graph) Stamp() uint64 { return g.stamp }
 
 // Up reports whether node i was up when the snapshot was taken.
 func (g *Graph) Up(i int) bool { return i >= 0 && i < g.n && !g.down[i] }
-
-// SetRouteCache enables or disables the per-destination route memoization
-// (enabled by default). Disabling reverts NextHop and Hops to the pure
-// per-call BFS the pre-cache implementation ran — the reference path the
-// determinism regression tests compare against.
-func (g *Graph) SetRouteCache(on bool) { g.cacheOn = on }
-
-// RouteCacheEnabled reports whether route memoization is active.
-func (g *Graph) RouteCacheEnabled() bool { return g.cacheOn }
 
 // Neighbors returns the nodes within range of i, ascending. The returned
 // slice aliases the snapshot's CSR arrays; callers must not mutate it.
@@ -108,34 +90,6 @@ func (g *Graph) Connected(i, j int) bool {
 // Unreachable is the hop distance reported for unreachable pairs.
 const Unreachable = -1
 
-// HopsFrom runs BFS from src and returns the hop distance to every node
-// (Unreachable where no path exists, 0 for src itself). A down source
-// yields all-Unreachable. The result is freshly allocated and owned by the
-// caller; the forwarding hot path uses the memoized route tables instead.
-func (g *Graph) HopsFrom(src int) []int {
-	dist := make([]int, g.n)
-	for i := range dist {
-		dist[i] = Unreachable
-	}
-	if src < 0 || src >= g.n || g.down[src] {
-		return dist
-	}
-	dist[src] = 0
-	queue := make([]int, 0, g.n)
-	queue = append(queue, src)
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range g.Neighbors(u) {
-			if dist[v] == Unreachable {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return dist
-}
-
 // routeTo returns the memoized hop-distance table toward dst, building it
 // with one BFS on first use and bringing it up to date with the edge
 // changes logged since it was last read (catchUp, patch.go).
@@ -152,9 +106,10 @@ func (g *Graph) routeTo(dst int) []int32 {
 	}
 	if g.tableCap > 0 && len(g.built) >= g.tableCap {
 		// FIFO eviction keeps the live-table population bounded and the
-		// eviction order deterministic.
+		// eviction order deterministic. Copying the queue down, rather
+		// than reslicing its front away, keeps one backing array.
 		old := g.built[0]
-		g.built = g.built[1:]
+		g.built = g.built[:copy(g.built, g.built[1:])]
 		g.distPool = append(g.distPool, g.dist[old])
 		g.dist[old] = nil
 	}
@@ -207,10 +162,8 @@ func (g *Graph) resetRoutes() {
 	g.diffLog = g.diffLog[:0]
 }
 
-// Hops returns the BFS hop distance from src to dst, or Unreachable. With
-// the route cache enabled the answer comes from (and warms) dst's memoized
-// table; otherwise an early-exit BFS from src stops as soon as dst is
-// labelled instead of computing the full all-distances-from-src table.
+// Hops returns the BFS hop distance from src to dst, or Unreachable. The
+// answer comes from (and warms) dst's memoized table.
 func (g *Graph) Hops(src, dst int) int {
 	if src == dst {
 		if g.Up(src) {
@@ -221,47 +174,7 @@ func (g *Graph) Hops(src, dst int) int {
 	if !g.Up(src) || !g.Up(dst) {
 		return Unreachable
 	}
-	if g.cacheOn {
-		return int(g.routeTo(dst)[src])
-	}
-	return g.hopsEarlyExit(src, dst)
-}
-
-// hopsEarlyExit is the uncached Hops path: BFS from src, returning the
-// moment dst is reached. Scratch comes from the graph's pooled buffers so
-// the query still does not allocate.
-func (g *Graph) hopsEarlyExit(src, dst int) int {
-	var d []int32
-	if n := len(g.distPool); n > 0 {
-		d = g.distPool[n-1]
-		g.distPool = g.distPool[:n-1]
-		d = d[:g.n]
-	} else {
-		d = make([]int32, g.n)
-	}
-	defer func() { g.distPool = append(g.distPool, d) }()
-	for i := range d {
-		d[i] = Unreachable
-	}
-	d[src] = 0
-	q := g.queue[:0]
-	q = append(q, int32(src))
-	for head := 0; head < len(q); head++ {
-		u := q[head]
-		du := d[u]
-		for _, v := range g.tgt[g.off[u]:g.off[u+1]] {
-			if d[v] == Unreachable {
-				if v == dst {
-					g.queue = q
-					return int(du) + 1
-				}
-				d[v] = du + 1
-				q = append(q, int32(v))
-			}
-		}
-	}
-	g.queue = q
-	return Unreachable
+	return int(g.routeTo(dst)[src])
 }
 
 // NextHop returns the neighbour of src that lies on a shortest path to
@@ -271,28 +184,15 @@ func (g *Graph) hopsEarlyExit(src, dst int) int {
 // which lets in-flight messages adapt to topology changes the way a
 // reactive MANET routing protocol would after a route repair.
 //
-// With the route cache (the default) the BFS tree for dst is computed once
-// per snapshot and every call is an O(degree(src)) scan; distances are
-// identical to the uncached per-call BFS, so routes, tie-breaks and
-// therefore simulation outputs do not change.
+// The BFS tree for dst is computed once and kept repaired across samples
+// (patch.go), so every call is an O(degree(src)) scan over distances
+// equal to a fresh BFS.
 func (g *Graph) NextHop(src, dst int) int {
 	if src == dst || !g.Up(src) || !g.Up(dst) {
 		return Unreachable
 	}
-	if g.cacheOn {
-		dist := g.routeTo(dst)
-		best, bestDist := Unreachable, int32(^uint32(0)>>1)
-		for _, v := range g.Neighbors(src) {
-			if d := dist[v]; d != Unreachable && d < bestDist {
-				best, bestDist = v, d
-			}
-		}
-		return best
-	}
-	// Reference path: BFS from dst on every call, exactly as the original
-	// implementation did.
-	dist := g.HopsFrom(dst)
-	best, bestDist := Unreachable, int(^uint(0)>>1)
+	dist := g.routeTo(dst)
+	best, bestDist := Unreachable, int32(^uint32(0)>>1)
 	for _, v := range g.Neighbors(src) {
 		if d := dist[v]; d != Unreachable && d < bestDist {
 			best, bestDist = v, d
@@ -300,38 +200,6 @@ func (g *Graph) NextHop(src, dst int) int {
 	}
 	return best
 }
-
-// WithinTTL returns every node whose hop distance from src is between 1
-// and ttl inclusive — the set a TTL-scoped flood from src can reach.
-func (g *Graph) WithinTTL(src, ttl int) []int {
-	if ttl <= 0 {
-		return nil
-	}
-	dist := g.HopsFrom(src)
-	var out []int
-	for i, d := range dist {
-		if i != src && d != Unreachable && d <= ttl {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// ComponentOf returns all nodes in src's connected component, including
-// src itself. A down src yields nil.
-func (g *Graph) ComponentOf(src int) []int {
-	dist := g.HopsFrom(src)
-	var out []int
-	for i, d := range dist {
-		if d != Unreachable {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// Degree returns the number of neighbours of i.
-func (g *Graph) Degree(i int) int { return len(g.Neighbors(i)) }
 
 // validate checks the inputs shared by every build path.
 func validate(pos []geo.Point, down []bool, commRange float64) error {

@@ -17,18 +17,20 @@ func line(n int, spacing float64) []geo.Point {
 	return pts
 }
 
+// TestNewGraphValidation: Build rejects a non-positive range and a down
+// mask of the wrong length.
 func TestNewGraphValidation(t *testing.T) {
 	pts := line(3, 100)
-	if _, err := NewGraph(pts, nil, 0, 0); err == nil {
+	if _, err := newGraph(pts, nil, 0, 0); err == nil {
 		t.Error("zero range accepted")
 	}
-	if _, err := NewGraph(pts, make([]bool, 2), 100, 0); err == nil {
+	if _, err := newGraph(pts, make([]bool, 2), 100, 0); err == nil {
 		t.Error("mismatched down slice accepted")
 	}
 }
 
 func TestChainConnectivity(t *testing.T) {
-	g, err := NewGraph(line(5, 200), nil, 250, 1)
+	g, err := newGraph(line(5, 200), nil, 250, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,13 +49,13 @@ func TestChainConnectivity(t *testing.T) {
 	if g.Connected(0, 2) {
 		t.Error("nodes 0,2 connected across 400m with 250m range")
 	}
-	if g.Degree(0) != 1 || g.Degree(2) != 2 {
-		t.Errorf("degrees = %d,%d want 1,2", g.Degree(0), g.Degree(2))
+	if d0, d2 := len(g.Neighbors(0)), len(g.Neighbors(2)); d0 != 1 || d2 != 2 {
+		t.Errorf("degrees = %d,%d want 1,2", d0, d2)
 	}
 }
 
 func TestHops(t *testing.T) {
-	g, _ := NewGraph(line(6, 200), nil, 250, 0)
+	g, _ := newGraph(line(6, 200), nil, 250, 0)
 	tests := []struct {
 		src, dst, want int
 	}{
@@ -72,7 +74,7 @@ func TestHops(t *testing.T) {
 func TestHopsUnreachableAcrossPartition(t *testing.T) {
 	// Two clusters far apart.
 	pts := append(line(3, 100), geo.Point{X: 5000, Y: 0}, geo.Point{X: 5100, Y: 0})
-	g, _ := NewGraph(pts, nil, 250, 0)
+	g, _ := newGraph(pts, nil, 250, 0)
 	if got := g.Hops(0, 3); got != Unreachable {
 		t.Errorf("Hops across partition = %d, want Unreachable", got)
 	}
@@ -83,12 +85,12 @@ func TestHopsUnreachableAcrossPartition(t *testing.T) {
 
 func TestDownNodesHaveNoEdges(t *testing.T) {
 	down := []bool{false, true, false}
-	g, _ := NewGraph(line(3, 200), down, 250, 0)
+	g, _ := newGraph(line(3, 200), down, 250, 0)
 	if g.Up(1) {
 		t.Error("down node reported up")
 	}
-	if g.Degree(1) != 0 {
-		t.Errorf("down node degree = %d", g.Degree(1))
+	if d := len(g.Neighbors(1)); d != 0 {
+		t.Errorf("down node degree = %d", d)
 	}
 	// Node 1 was the bridge: 0 and 2 are now mutually unreachable.
 	if got := g.Hops(0, 2); got != Unreachable {
@@ -100,7 +102,7 @@ func TestDownNodesHaveNoEdges(t *testing.T) {
 }
 
 func TestNextHopChain(t *testing.T) {
-	g, _ := NewGraph(line(5, 200), nil, 250, 0)
+	g, _ := newGraph(line(5, 200), nil, 250, 0)
 	if got := g.NextHop(0, 4); got != 1 {
 		t.Errorf("NextHop(0,4) = %d, want 1", got)
 	}
@@ -116,7 +118,7 @@ func TestNextHopDeterministicTieBreak(t *testing.T) {
 	// Diamond: 0 - {1,2} - 3; both 1 and 2 are valid next hops, the
 	// lower id must win.
 	pts := []geo.Point{{X: 0, Y: 0}, {X: 100, Y: 80}, {X: 100, Y: -80}, {X: 200, Y: 0}}
-	g, _ := NewGraph(pts, nil, 150, 0)
+	g, _ := newGraph(pts, nil, 150, 0)
 	if got := g.NextHop(0, 3); got != 1 {
 		t.Errorf("NextHop tie-break = %d, want 1", got)
 	}
@@ -124,38 +126,9 @@ func TestNextHopDeterministicTieBreak(t *testing.T) {
 
 func TestNextHopUnreachable(t *testing.T) {
 	pts := append(line(2, 100), geo.Point{X: 9000, Y: 0})
-	g, _ := NewGraph(pts, nil, 250, 0)
+	g, _ := newGraph(pts, nil, 250, 0)
 	if got := g.NextHop(0, 2); got != Unreachable {
 		t.Errorf("NextHop to island = %d, want Unreachable", got)
-	}
-}
-
-func TestWithinTTL(t *testing.T) {
-	g, _ := NewGraph(line(8, 200), nil, 250, 0)
-	got := g.WithinTTL(0, 3)
-	want := []int{1, 2, 3}
-	if len(got) != len(want) {
-		t.Fatalf("WithinTTL = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("WithinTTL = %v, want %v", got, want)
-		}
-	}
-	if got := g.WithinTTL(0, 0); got != nil {
-		t.Errorf("WithinTTL(ttl=0) = %v, want nil", got)
-	}
-}
-
-func TestComponentOf(t *testing.T) {
-	pts := append(line(3, 100), geo.Point{X: 9000, Y: 0})
-	g, _ := NewGraph(pts, nil, 250, 0)
-	comp := g.ComponentOf(0)
-	if len(comp) != 3 {
-		t.Fatalf("ComponentOf(0) = %v, want 3 nodes", comp)
-	}
-	if len(g.ComponentOf(3)) != 1 {
-		t.Error("island component wrong")
 	}
 }
 
@@ -170,7 +143,7 @@ func TestSymmetryProperty(t *testing.T) {
 			pts[i] = terrain.RandomPoint(r)
 			down[i] = r.Intn(10) == 0
 		}
-		g, err := NewGraph(pts, down, 250, 0)
+		g, err := newGraph(pts, down, 250, 0)
 		if err != nil {
 			return false
 		}
@@ -202,7 +175,7 @@ func TestNextHopMakesProgressProperty(t *testing.T) {
 		for i := range pts {
 			pts[i] = terrain.RandomPoint(r)
 		}
-		g, err := NewGraph(pts, nil, 300, 0)
+		g, err := newGraph(pts, nil, 300, 0)
 		if err != nil {
 			return false
 		}
@@ -235,17 +208,17 @@ func TestNextHopMakesProgressProperty(t *testing.T) {
 }
 
 func TestOutOfRangeQueries(t *testing.T) {
-	g, _ := NewGraph(line(3, 100), nil, 250, 0)
+	g, _ := newGraph(line(3, 100), nil, 250, 0)
 	if g.Neighbors(-1) != nil || g.Neighbors(99) != nil {
 		t.Error("out-of-range Neighbors not nil")
 	}
 	if g.Up(-1) || g.Up(99) {
 		t.Error("out-of-range Up true")
 	}
-	dist := g.HopsFrom(-1)
-	for _, d := range dist {
-		if d != Unreachable {
-			t.Fatal("HopsFrom(-1) returned reachable node")
-		}
+	if g.Hops(-1, 0) != Unreachable || g.Hops(0, 99) != Unreachable {
+		t.Error("out-of-range Hops reachable")
+	}
+	if g.NextHop(-1, 0) != Unreachable || g.NextHop(0, 99) != Unreachable {
+		t.Error("out-of-range NextHop reachable")
 	}
 }

@@ -1,0 +1,65 @@
+package radio
+
+import "github.com/manetlab/rpcc/internal/geo"
+
+// The reference implementations the equivalence tests compare against:
+// the O(n²) all-pairs build and a per-call BFS, both free of the grid,
+// the route cache and its repair.
+
+// newGraph builds a standalone snapshot with a throwaway builder.
+func newGraph(pos []geo.Point, down []bool, commRange float64, stamp uint64) (*Graph, error) {
+	return NewGraphBuilder().Build(pos, down, commRange, stamp)
+}
+
+// buildPairwise constructs Build's snapshot with the all-pairs sweep at
+// every n.
+func (b *GraphBuilder) buildPairwise(pos []geo.Point, down []bool, commRange float64, stamp uint64) (*Graph, error) {
+	if err := validate(pos, down, commRange); err != nil {
+		return nil, err
+	}
+	g := b.prepare(pos, down, stamp)
+	b.fillPairwise(pos, commRange)
+	return g, nil
+}
+
+// hopsFrom runs a fresh BFS from src over g's rows and returns the hop
+// distance to every node (Unreachable where no path exists, 0 for src
+// itself). A down or out-of-range source yields all-Unreachable.
+func hopsFrom(g *Graph, src int) []int {
+	dist := make([]int, g.Len())
+	for i := range dist {
+		dist[i] = Unreachable
+	}
+	if !g.Up(src) {
+		return dist
+	}
+	dist[src] = 0
+	queue := []int{src}
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		for _, v := range g.Neighbors(u) {
+			if dist[v] == Unreachable {
+				dist[v] = dist[u] + 1
+				queue = append(queue, v)
+			}
+		}
+	}
+	return dist
+}
+
+// nextHopRef is NextHop by a fresh BFS from dst: the lowest-id neighbour
+// of src nearest to dst.
+func nextHopRef(g *Graph, src, dst int) int {
+	if src == dst || !g.Up(src) || !g.Up(dst) {
+		return Unreachable
+	}
+	dist := hopsFrom(g, dst)
+	best := Unreachable
+	for _, v := range g.Neighbors(src) {
+		if dist[v] != Unreachable && (best == Unreachable || dist[v] < dist[best]) {
+			best = v
+		}
+	}
+	return best
+}
