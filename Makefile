@@ -14,18 +14,9 @@ build:
 test:
 	$(GO) test ./...
 
-# Race-detector pass over the packages that exercise concurrency or
-# carry the hot-path buffer reuse: the fleet orchestrator (real
-# simulations on parallel workers), the kernel with its event freelist,
-# the pooled network layer, the reused radio snapshot builder, the stats
-# merge, the protocol engine those runs share, the per-registry
-# payload arena and the query/fetch/round slabs of the strategies, and
-# the per-world arrays every node's records are carved from (stream
-# family, waypoints, batteries, tick and demand records), which RunScale
-# builds on concurrent shard workers.
+# Race-detector pass over every package of the root module.
 race:
-	$(GO) test -race ./internal/fleet/ ./internal/sim/ ./internal/stats/ ./internal/experiment/ ./internal/netsim/ ./internal/radio/ ./internal/wire/ ./internal/wire/cluster/ ./internal/oracle/ ./internal/core/ \
-		./internal/data/ ./internal/node/ ./internal/pushpull/ ./internal/churn/ ./internal/mobility/ ./internal/energy/ ./internal/workload/ .
+	$(GO) test -race ./...
 
 vet:
 	$(GO) vet ./...

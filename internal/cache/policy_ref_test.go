@@ -497,21 +497,23 @@ func TestStoreSteadyStateDoesNotAllocate(t *testing.T) {
 				}
 			}
 			held, next := 0, capacity
-			avg := testing.AllocsPerRun(200, func() {
-				for !s.Contains(data.ItemID(held % universe)) {
-					held++
-				}
-				s.Get(data.ItemID(held % universe))
-				_ = s.Put(copies[held%universe], time.Second)
-				for s.Contains(data.ItemID(next % universe)) {
-					next++
-				}
-				if _, has, err := s.PutEvict(copies[next%universe], time.Second); err != nil || !has {
-					t.Fatalf("PutEvict: has=%v err=%v", has, err)
+			total := testing.AllocsPerRun(1, func() {
+				for range 200 {
+					for !s.Contains(data.ItemID(held % universe)) {
+						held++
+					}
+					s.Get(data.ItemID(held % universe))
+					_ = s.Put(copies[held%universe], time.Second)
+					for s.Contains(data.ItemID(next % universe)) {
+						next++
+					}
+					if _, has, err := s.PutEvict(copies[next%universe], time.Second); err != nil || !has {
+						t.Fatalf("PutEvict: has=%v err=%v", has, err)
+					}
 				}
 			})
-			if avg != 0 {
-				t.Fatalf("%s: %.1f allocations per hit+refresh+eviction, want 0", kind, avg)
+			if total != 0 {
+				t.Fatalf("%s: 200 hit+refresh+eviction rounds allocate %.0f objects, want 0", kind, total)
 			}
 		})
 	}

@@ -153,7 +153,7 @@ func (ps *peerState) dropRelay(r int) bool {
 
 // pollRound is one query's record past the local checks: the fetch of a
 // missing copy (it is the fetch's FetchDone) and then the validation round
-// (it is the poll timeout's Timer). Rounds come from the engine's slab.
+// (it is the poll timeout's Timer). Rounds come from the engine's pool.
 type pollRound struct {
 	e     *Engine
 	q     *node.Query
@@ -181,15 +181,15 @@ type Engine struct {
 	// peers[nd].items; written only by putItem, delItem and resetItems.
 	sigs     []uint64
 	trackers []CoeffTracker
-	// states is the slab new item states are carved from (newItemState);
-	// a slot is never reused, so a pointer a pending timer holds stays
-	// that state's.
-	states sim.Slab[itemState]
+	// states is the pool new item states are taken from (newItemState);
+	// nothing is Put back, so a pointer a pending timer holds stays that
+	// state's.
+	states sim.Pool[itemState]
 	// deliveries counts protocol messages handled per node; together with
 	// cache accesses it forms N_a, the accessibility evidence of Eq 4.2.1.
 	deliveries []uint64
 	polls      map[uint64]*pollRound
-	rounds     sim.Slab[pollRound]
+	rounds     sim.Pool[pollRound]
 	started    bool
 
 	// Stage usage counters (diagnostics and the A4 ablation).
@@ -234,7 +234,7 @@ func New(cfg Config, ch *node.Chassis, tel Telemetry) (*Engine, error) {
 		deliveries: make([]uint64, n),
 		polls:      make(map[uint64]*pollRound),
 	}
-	// Every node's item table, and the first slab of item states, is sized
+	// Every node's item table, and the first block of item states, is sized
 	// from its store's capacity up front: a warmed run fills exactly that.
 	total := 0
 	for nd := 0; nd < n; nd++ {
@@ -252,7 +252,7 @@ func New(cfg Config, ch *node.Chassis, tel Telemetry) (*Engine, error) {
 	return e, nil
 }
 
-// newItemState returns a fresh cache-role state carved from the slab.
+// newItemState returns a fresh cache-role state from the pool.
 func (e *Engine) newItemState() *itemState {
 	st := e.states.New()
 	*st = itemState{role: RoleCache, knownRelay: -1}
@@ -376,7 +376,7 @@ func (e *Engine) OnQuery(k *sim.Kernel, host int, item data.ItemID, level consis
 	}
 }
 
-// newRound returns a fresh round for q from the slab.
+// newRound returns a fresh round for q from the pool.
 func (e *Engine) newRound(q *node.Query) *pollRound {
 	r := e.rounds.New()
 	*r = pollRound{e: e, q: q, host: q.Host, item: q.Item}

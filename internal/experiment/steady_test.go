@@ -49,8 +49,8 @@ func steadyMallocsPer1kEvents(t *testing.T, cfg Config, warm, window time.Durati
 // 10 minutes after a one-hour warm-up must stay within the allocation
 // budget per 1 000 kernel events. Per event, not per answer, so the bound
 // survives answer rates moving. What remains is amortised growth: record
-// slabs, payload arena chunks and commit histories, and the relays' poll
-// queues. Measured (go1.24, linux/amd64): 1.2–8.8 per 1 000 events over
+// pool blocks, payload arena chunks and commit histories, and the relays'
+// poll queues. Measured (go1.24, linux/amd64): 1.2–8.8 per 1 000 events over
 // the twelve runs, against 136–616 while queries, fetches, poll rounds and
 // timeouts were one heap object or closure each and every commit built
 // its payload string. The budget is the largest measurement + 20 %.

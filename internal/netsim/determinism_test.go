@@ -155,10 +155,11 @@ func TestFloodStateIsPooled(t *testing.T) {
 			t.Fatal(err)
 		}
 		h.k.Run()
-		if len(h.net.floodPool) != 1 {
-			t.Fatalf("after flood %d: pool holds %d states, want 1", i+1, len(h.net.floodPool))
+		parked := pooled(&h.net.floodStates)
+		if len(parked) != 1 {
+			t.Fatalf("after flood %d: pool holds %d states, want 1", i+1, len(parked))
 		}
-		st := h.net.floodPool[0]
+		st := parked[0]
 		for v, seen := range st.visited {
 			if seen {
 				t.Fatalf("pooled state not cleared: node %d still visited", v)

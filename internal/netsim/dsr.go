@@ -26,6 +26,8 @@ const (
 	// carries them back, data packets carry the full source route, and
 	// broken links trigger RERR plus rediscovery. All routing control
 	// traffic is charged to the traffic ledger (kinds RREQ/RREP/RERR).
+	// It schedules closures and allocates per reception: DSR is outside
+	// the steady-state allocation rule and every allocation budget.
 	RoutingDSR
 )
 

@@ -251,15 +251,15 @@ type Network struct {
 	// rides on every flood delivery as Meta.FloodID.
 	nextFlood uint64
 
-	// floodPool recycles per-flood duplicate-suppression state. A flood's
-	// state returns to the pool once its last in-flight broadcast lands.
-	// rxPool, hopPool and perturbPool recycle the delivery events
-	// themselves (see floodRx, hopTx and perturbTx), so steady-state
-	// delivery allocates nothing.
-	floodPool   []*floodState
-	rxPool      []*floodRx
-	hopPool     []*hopTx
-	perturbPool []*perturbTx
+	// floodStates recycles per-flood duplicate-suppression state. A
+	// flood's state returns to the pool once its last in-flight broadcast
+	// lands. The other three recycle the delivery records themselves (see
+	// floodRx, hopTx and perturbTx), so steady-state delivery allocates
+	// nothing.
+	floodStates sim.Pool[floodState]
+	floodRxs    sim.Pool[floodRx]
+	hopTxs      sim.Pool[hopTx]
+	perturbTxs  sim.Pool[perturbTx]
 
 	// rebuilds counts topology snapshot rebuilds (cache misses).
 	rebuilds uint64
@@ -563,8 +563,8 @@ func (n *Network) deliverDelayed(node int, msg protocol.Message, meta Meta, d ti
 		n.deliverFinal(node, msg, meta)
 		return
 	}
-	p := n.acquirePerturb()
-	p.node, p.msg, p.meta = node, msg, meta
+	p := n.perturbTxs.New()
+	p.n, p.node, p.msg, p.meta = n, node, msg, meta
 	n.k.AfterTimer(d, "netsim.perturb", p)
 }
 
@@ -577,25 +577,13 @@ type perturbTx struct {
 	meta Meta
 }
 
-// acquirePerturb pops a delayed-delivery record from the pool (or
-// allocates).
-func (n *Network) acquirePerturb() *perturbTx {
-	if last := len(n.perturbPool) - 1; last >= 0 {
-		p := n.perturbPool[last]
-		n.perturbPool[last] = nil
-		n.perturbPool = n.perturbPool[:last]
-		return p
-	}
-	return &perturbTx{n: n}
-}
-
 // Fire completes the delayed delivery if the destination is still up.
-// Like hopTx.land it copies its fields out and returns to the pool first:
+// Like hopTx.Fire it copies its fields out and returns to the pool first:
 // the receiver may send, and a perturbed send may take this very record.
 func (p *perturbTx) Fire(k *sim.Kernel) {
 	n, node, msg, meta := p.n, p.node, p.msg, p.meta
 	p.msg = protocol.Message{} // a parked record must not pin the payload
-	n.perturbPool = append(n.perturbPool, p)
+	n.perturbTxs.Put(p)
 	if !n.Up(node) {
 		n.traffic.RecordDropped(msg.Kind, stats.DropDisconnected)
 		return
@@ -665,43 +653,28 @@ func (n *Network) forward(cur, dst int, msg protocol.Message, hops int, sentAt t
 	}
 	n.traffic.RecordTx(msg.Kind, msg.Size())
 	n.spendTx(cur)
-	h := n.acquireHop()
-	h.cur, h.next, h.dst, h.hops, h.sentAt, h.msg = cur, next, dst, hops, sentAt, msg
-	n.k.After(n.txDelay(cur, msg.Size()), "netsim.hop", h.fire)
+	h := n.hopTxs.New()
+	h.n, h.cur, h.next, h.dst, h.hops, h.sentAt, h.msg = n, cur, next, dst, hops, sentAt, msg
+	n.k.AfterTimer(n.txDelay(cur, msg.Size()), "netsim.hop", h)
 }
 
 // hopTx is one unicast frame in the air: a pooled record carrying what the
-// arrival needs, scheduled through fire — the record's own bound land
-// method, created once when the record is first allocated — so putting a
-// hop on the kernel allocates nothing.
+// arrival needs that is its own timer, so putting a hop on the kernel
+// allocates nothing.
 type hopTx struct {
 	n                    *Network
-	fire                 sim.Handler
 	cur, next, dst, hops int
 	sentAt               time.Duration
 	msg                  protocol.Message
 }
 
-// acquireHop pops a hop record from the pool (or allocates).
-func (n *Network) acquireHop() *hopTx {
-	if last := len(n.hopPool) - 1; last >= 0 {
-		h := n.hopPool[last]
-		n.hopPool[last] = nil
-		n.hopPool = n.hopPool[:last]
-		return h
-	}
-	h := &hopTx{n: n}
-	h.fire = h.land
-	return h
-}
-
-// land completes the hop. The record copies its fields out and returns to
+// Fire completes the hop. The record copies its fields out and returns to
 // the pool before anything else runs: the receiver re-enters Unicast and
 // Flood, which may hand this very record out again.
-func (h *hopTx) land(*sim.Kernel) {
+func (h *hopTx) Fire(*sim.Kernel) {
 	n, cur, next, dst, hops, sentAt, msg := h.n, h.cur, h.next, h.dst, h.hops, h.sentAt, h.msg
 	h.msg = protocol.Message{} // a parked record must not pin the payload
-	n.hopPool = append(n.hopPool, h)
+	n.hopTxs.Put(h)
 	switch {
 	case !n.Up(next):
 		// Receiver flipped down while the frame was in the air.
@@ -736,15 +709,14 @@ type floodState struct {
 	sentAt time.Duration
 }
 
-// acquireFlood pops a cleared flood state from the pool (or allocates).
+// acquireFlood takes a cleared flood state from the pool, making its
+// bitmap on first use.
 func (n *Network) acquireFlood() *floodState {
-	if last := len(n.floodPool) - 1; last >= 0 {
-		st := n.floodPool[last]
-		n.floodPool[last] = nil
-		n.floodPool = n.floodPool[:last]
-		return st
+	st := n.floodStates.New()
+	if st.visited == nil {
+		st.visited = make([]bool, n.Len())
 	}
-	return &floodState{visited: make([]bool, n.Len())}
+	return st
 }
 
 // releaseFlood clears and pools a finished flood's state.
@@ -752,7 +724,7 @@ func (n *Network) releaseFlood(st *floodState) {
 	clear(st.visited)
 	st.pending = 0
 	st.msg = protocol.Message{} // a parked state must not pin the payload
-	n.floodPool = append(n.floodPool, st)
+	n.floodStates.Put(st)
 }
 
 // Flood broadcasts msg from origin with the given TTL. Every distinct node
@@ -808,7 +780,7 @@ func (n *Network) transmitFlood(node, ttlLeft int, st *floodState, hops int) {
 		}
 		st.visited[v] = true
 		if r == nil {
-			r = n.acquireRx()
+			r = n.floodRxs.New()
 		}
 		r.to = append(r.to, v)
 	}
@@ -816,45 +788,30 @@ func (n *Network) transmitFlood(node, ttlLeft int, st *floodState, hops int) {
 		return // nobody new in range: nothing lands
 	}
 	st.pending++
-	r.st, r.from, r.hops, r.ttlLeft = st, node, hops, ttlLeft
-	n.k.After(delay, "netsim.flood", r.fire)
+	r.n, r.st, r.from, r.hops, r.ttlLeft = n, st, node, hops, ttlLeft
+	n.k.AfterTimer(delay, "netsim.flood", r)
 }
 
 // floodRx is one broadcast of a flood in the air: a pooled record naming
 // the flood, the sender, the hop budget and the neighbours hearing it for
 // the first time — copied in row order, since the snapshot's CSR may be
-// repacked before the frame lands — scheduled through fire, the record's
-// own bound land method, created once when the record is first allocated,
-// so a broadcast costs no allocation. The message stays on the floodState.
+// repacked before the frame lands — that is its own timer, so a broadcast
+// costs no allocation. The message stays on the floodState.
 type floodRx struct {
 	n                   *Network
-	fire                sim.Handler
 	st                  *floodState
 	from, hops, ttlLeft int
 	to                  []int
 }
 
-// acquireRx pops a broadcast record from the pool (or allocates).
-func (n *Network) acquireRx() *floodRx {
-	if last := len(n.rxPool) - 1; last >= 0 {
-		r := n.rxPool[last]
-		n.rxPool[last] = nil
-		n.rxPool = n.rxPool[:last]
-		return r
-	}
-	r := &floodRx{n: n}
-	r.fire = r.land
-	return r
-}
-
-// land completes the broadcast: each hearer in turn, in row order, goes
+// Fire completes the broadcast: each hearer in turn, in row order, goes
 // through the reception checks, the delivery and its own rebroadcast —
 // the sequence a kernel event per reception would produce, since those
 // events would sit back to back at one instant. Receivers re-enter Flood
 // and Unicast and the rebroadcasts draw records too, so this record stays
 // out of the pool until the walk is over; the floodState stays live until
 // its pending count drains, which this landing's own count guarantees.
-func (r *floodRx) land(*sim.Kernel) {
+func (r *floodRx) Fire(*sim.Kernel) {
 	n, st := r.n, r.st
 	for _, to := range r.to {
 		switch {
@@ -874,7 +831,7 @@ func (r *floodRx) land(*sim.Kernel) {
 		}
 	}
 	r.st, r.to = nil, r.to[:0]
-	n.rxPool = append(n.rxPool, r)
+	n.floodRxs.Put(r)
 	if st.pending--; st.pending == 0 {
 		n.releaseFlood(st)
 	}

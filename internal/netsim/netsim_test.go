@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -61,6 +62,33 @@ type harness struct {
 	net   *Network
 	churn *churn.Process
 	got   []delivery
+}
+
+// takeAll empties p down to its first fresh zero record, which it puts
+// back, and returns the parked records it took, bottom of the stack first:
+// putting them back in that order restores the pool. It is how a test
+// reads a pool's contents, which sim.Pool does not expose.
+func takeAll[T any](p *sim.Pool[T]) []*T {
+	var parked []*T
+	for {
+		r := p.New()
+		if reflect.ValueOf(r).Elem().IsZero() {
+			p.Put(r)
+			slices.Reverse(parked)
+			return parked
+		}
+		parked = append(parked, r)
+	}
+}
+
+// pooled returns the records parked in p, bottom first, leaving p as it
+// was.
+func pooled[T any](p *sim.Pool[T]) []*T {
+	parked := takeAll(p)
+	for _, r := range parked {
+		p.Put(r)
+	}
+	return parked
 }
 
 func newHarness(t *testing.T, n int, withChurn bool) *harness {
@@ -438,7 +466,7 @@ func TestBroadcastRecordHeldThroughWalk(t *testing.T) {
 	const leaves = 8
 	h := newHarnessOn(t, star(leaves), true)
 	n := h.net
-	rec := n.acquireRx() // a known record for the hub's broadcast to draw
+	rec := n.floodRxs.New() // a known record for the hub's broadcast to draw
 	var wide, echoes int
 	for node := 0; node <= leaves; node++ {
 		if err := n.SetReceiver(node, func(_ *sim.Kernel, node int, msg protocol.Message, meta Meta) {
@@ -450,7 +478,7 @@ func TestBroadcastRecordHeldThroughWalk(t *testing.T) {
 			if meta.Hops != 1 {
 				return // a rebroadcast reached a leaf the hub's frame already had: impossible here
 			}
-			if slices.Contains(n.rxPool, rec) {
+			if slices.Contains(pooled(&n.floodRxs), rec) {
 				t.Errorf("node %d: the record being walked is back in the pool", node)
 			}
 			if rec.from != 0 || rec.ttlLeft != 2 || len(rec.to) != leaves {
@@ -469,7 +497,12 @@ func TestBroadcastRecordHeldThroughWalk(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		wide, echoes = 0, 0
 		// Put rec on top of the pool so this round's hub broadcast draws it.
-		n.rxPool = append(slices.DeleteFunc(n.rxPool, func(r *floodRx) bool { return r == rec }), rec)
+		for _, r := range takeAll(&n.floodRxs) {
+			if r != rec {
+				n.floodRxs.Put(r)
+			}
+		}
+		n.floodRxs.Put(rec)
 		if err := n.Flood(0, 2, testMsg(protocol.KindInvalidation)); err != nil {
 			t.Fatal(err)
 		}
@@ -481,7 +514,7 @@ func TestBroadcastRecordHeldThroughWalk(t *testing.T) {
 			t.Fatalf("round %d: %d echo deliveries; the receivers' own sends did not run", round, echoes)
 		}
 		seenRx := make(map[*floodRx]bool)
-		for _, r := range n.rxPool {
+		for _, r := range pooled(&n.floodRxs) {
 			if seenRx[r] {
 				t.Fatalf("round %d: broadcast record pooled twice", round)
 			}
@@ -494,7 +527,7 @@ func TestBroadcastRecordHeldThroughWalk(t *testing.T) {
 			t.Fatalf("round %d: the hub's record never came back", round)
 		}
 		seenSt := make(map[*floodState]bool)
-		for _, st := range n.floodPool {
+		for _, st := range pooled(&n.floodStates) {
 			if seenSt[st] {
 				t.Fatalf("round %d: flood state pooled twice", round)
 			}
@@ -506,7 +539,7 @@ func TestBroadcastRecordHeldThroughWalk(t *testing.T) {
 	}
 	// Every round ran 1 wide + leaves echo floods, all drained: the pool
 	// holds exactly the states that were ever live at once.
-	if got := len(n.floodPool); got != leaves+1 {
+	if got := len(pooled(&n.floodStates)); got != leaves+1 {
 		t.Errorf("flood pool holds %d states after %d concurrent floods per round, want %d", got, leaves+1, leaves+1)
 	}
 }

@@ -143,9 +143,10 @@ type Chassis struct {
 
 	seq     uint64
 	fetches map[uint64]*fetch
-	// Query and fetch records are carved from slabs, never reused.
-	queries    sim.Slab[Query]
-	fetchSlots sim.Slab[fetch]
+	// Query and fetch records come from pools never Put back to, so none
+	// is reissued.
+	queries    sim.Pool[Query]
+	fetchSlots sim.Pool[fetch]
 
 	// answerObserver, when set, sees every answered query after audit and
 	// telemetry recording. The conformance oracle installs it to compare

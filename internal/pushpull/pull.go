@@ -57,12 +57,12 @@ type Pull struct {
 	cfg     PullConfig
 	ch      *node.Chassis
 	rounds  map[uint64]*node.Query
-	timers  sim.Slab[pullTimeout]
+	timers  sim.Pool[pullTimeout]
 	started bool
 	polls   *telemetry.Counter
 }
 
-// pullTimeout is one poll flood's timeout, carved from the Pull's slab.
+// pullTimeout is one poll flood's timeout, taken from the Pull's pool.
 type pullTimeout struct {
 	p *Pull
 	q *node.Query

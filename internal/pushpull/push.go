@@ -91,9 +91,10 @@ type Push struct {
 	cfg     PushConfig
 	ch      *node.Chassis
 	waiting []map[data.ItemID]parkedList // per node
-	// Query and refetch records are carved from slabs, never reused.
-	waits     sim.Slab[waiting]
-	refetches sim.Slab[refetch]
+	// Query and refetch records come from pools never Put back to, so
+	// none is reissued.
+	waits     sim.Pool[waiting]
+	refetches sim.Pool[refetch]
 	ticks     []irTimer // per node
 	started   bool
 	irs       *telemetry.Counter

@@ -41,7 +41,7 @@ type Timer interface {
 // Event is a scheduled callback. The zero value is inert; events are
 // created via Kernel.At / Kernel.After / Kernel.AfterTimer.
 //
-// Fired events are recycled through the kernel's freelist: a handle is
+// Fired events are recycled through the kernel's event pool: a handle is
 // valid for Cancel and state queries until its event fires (or, if
 // cancelled, until the cancellation is collected from the queue). A
 // handle retained past that point keeps reporting its final state only
@@ -158,13 +158,12 @@ type Kernel struct {
 	horizon  time.Duration
 	events   uint64 // total events fired
 
-	// free recycles fired (or collected-cancelled) events so steady-state
+	// pool recycles fired (or collected-cancelled) events so steady-state
 	// scheduling allocates nothing: the heap pops an event, its handler
-	// runs, and the next At/After reuses the same struct.
-	free []*Event
-	// fresh hands out never-used events, a block at a time, for the
-	// schedules the freelist cannot serve (set-up, a growing queue).
-	fresh Slab[Event]
+	// runs, and the next At/After reuses the same struct. Schedules it
+	// cannot serve from recycled events (set-up, a growing queue) take
+	// fresh ones a block at a time.
+	pool Pool[Event]
 }
 
 // Option configures a Kernel.
@@ -233,7 +232,7 @@ func (k *Kernel) At(t time.Duration, label string, fn Handler) (*Event, error) {
 
 // schedule queues fire at t, which the caller has checked is not in the
 // past: every At, After and AfterTimer ends here, so they share one queue,
-// one freelist and one (when, seq) order.
+// one event pool and one (when, seq) order.
 func (k *Kernel) schedule(t time.Duration, label string, fire Timer) *Event {
 	e := k.acquire()
 	e.when, e.fire, e.label = t, fire, label
@@ -246,22 +245,17 @@ func (k *Kernel) schedule(t time.Duration, label string, fire Timer) *Event {
 // at acquisition time — not at recycle time — so a stale handle keeps
 // reporting its final fired/cancelled state until the struct is reused.
 func (k *Kernel) acquire() *Event {
-	if n := len(k.free); n > 0 {
-		e := k.free[n-1]
-		k.free[n-1] = nil
-		k.free = k.free[:n-1]
-		*e = Event{}
-		return e
-	}
-	return k.fresh.New()
+	e := k.pool.New()
+	*e = Event{}
+	return e
 }
 
-// recycle returns a popped event to the freelist. The timer reference is
+// recycle returns a popped event to the pool. The timer reference is
 // dropped immediately so a parked event does not pin its closure or record
 // (and everything that references) until reuse.
 func (k *Kernel) recycle(e *Event) {
 	e.fire = nil
-	k.free = append(k.free, e)
+	k.pool.Put(e)
 }
 
 // After schedules fn to run d from now. Negative d is clamped to zero so

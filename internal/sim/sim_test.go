@@ -548,10 +548,10 @@ func TestFreelistRecyclesFiredEvents(t *testing.T) {
 	k := NewKernel()
 	e1 := k.After(time.Second, "first", func(*Kernel) {})
 	k.Run()
-	if len(k.free) != 1 {
-		t.Fatalf("freelist size = %d after fire, want 1", len(k.free))
+	if len(k.pool.free) != 1 {
+		t.Fatalf("freelist size = %d after fire, want 1", len(k.pool.free))
 	}
-	if k.free[0].fire != nil {
+	if k.pool.free[0].fire != nil {
 		t.Fatal("recycled event retains its handler closure")
 	}
 	e2 := k.After(time.Second, "second", func(*Kernel) {})
@@ -573,8 +573,8 @@ func TestFreelistCollectsCancelledEvents(t *testing.T) {
 	e := k.After(time.Second, "doomed", func(*Kernel) { t.Fatal("cancelled event fired") })
 	k.Cancel(e)
 	k.Run()
-	if len(k.free) != 1 {
-		t.Fatalf("freelist size = %d after cancelled collection, want 1", len(k.free))
+	if len(k.pool.free) != 1 {
+		t.Fatalf("freelist size = %d after cancelled collection, want 1", len(k.pool.free))
 	}
 	if !e.Cancelled() {
 		t.Fatal("handle lost cancelled state before reuse")
@@ -583,23 +583,27 @@ func TestFreelistCollectsCancelledEvents(t *testing.T) {
 
 func TestSteadyStateSchedulingDoesNotAllocate(t *testing.T) {
 	k := NewKernel()
-	// Warm up: one fired event seeds the freelist.
+	// Warm up: one fired event seeds the event pool.
 	k.After(0, "warm", func(*Kernel) {})
 	k.Run()
 	fn := func(*Kernel) {}
-	if avg := testing.AllocsPerRun(200, func() {
-		k.After(0, "hot", fn)
-		k.Run()
-	}); avg != 0 {
-		t.Errorf("steady-state schedule+fire allocates %.2f/op, want 0", avg)
+	if n := testing.AllocsPerRun(1, func() {
+		for range 200 {
+			k.After(0, "hot", fn)
+			k.Run()
+		}
+	}); n != 0 {
+		t.Errorf("200 steady-state schedule+fire cycles allocate %.0f times, want 0", n)
 	}
 	// The record form: a pointer to a record that is its own timeout.
 	rec := &countTimer{}
-	if avg := testing.AllocsPerRun(200, func() {
-		k.AfterTimer(0, "record", rec)
-		k.Run()
-	}); avg != 0 {
-		t.Errorf("steady-state record schedule+fire allocates %.2f/op, want 0", avg)
+	if n := testing.AllocsPerRun(1, func() {
+		for range 200 {
+			k.AfterTimer(0, "record", rec)
+			k.Run()
+		}
+	}); n != 0 {
+		t.Errorf("200 steady-state record schedule+fire cycles allocate %.0f times, want 0", n)
 	}
 	if rec.fired == 0 {
 		t.Fatal("record timer never fired")
