@@ -180,12 +180,28 @@ wire-chaos-smoke: build
 # exist, no torn/future answers — non-zero exit otherwise) and produce
 # byte-identical stdout and merged causal traces: how many workers ran
 # the regions is unobservable.
+#
+# Its 100k leg runs one field (-shards 1) of 100 000 peers for two
+# simulated seconds: the whole set-up (every host's batch warm) plus the
+# kinetic plane's full build over its dense cell grid and a first
+# incremental sample, at the size they target. Stdout must be identical
+# under GOMAXPROCS 1 and 4 and show the plane built. One field answers
+# nothing at 100k this early (EXPERIMENTS.md), so the one failure
+# these runs may report is rpcc scale's "no queries answered"; any other
+# error fails the leg.
 SCALE_TMP ?= /tmp/rpcc-scale-smoke
 SCALE_RUN = scale -peers 10000 -simtime 60s -seed 1 -trace-out $(SCALE_TMP)/LEG.jsonl
+SCALE_100K = $(SCALE_TMP)/rpcc scale -peers 100000 -shards 1 -simtime 2s -seed 1
 scale-smoke:
 	$(call rpcc,$(SCALE_TMP))
 	$(call twice,$(SCALE_TMP),$(SCALE_RUN),jsonl,GOMAXPROCS=1,GOMAXPROCS=4)
-	@cat $(SCALE_TMP)/a.txt
+	GOMAXPROCS=1 $(SCALE_100K) > $(SCALE_TMP)/100k-a.txt 2> $(SCALE_TMP)/100k-a.err || \
+		grep -qx 'rpcc scale: no queries answered' $(SCALE_TMP)/100k-a.err
+	GOMAXPROCS=4 $(SCALE_100K) > $(SCALE_TMP)/100k-b.txt 2> $(SCALE_TMP)/100k-b.err || \
+		grep -qx 'rpcc scale: no queries answered' $(SCALE_TMP)/100k-b.err
+	cmp $(SCALE_TMP)/100k-a.txt $(SCALE_TMP)/100k-b.txt
+	grep -q 'full_rebuilds=1 kinetic_samples=[1-9]' $(SCALE_TMP)/100k-a.txt
+	@cat $(SCALE_TMP)/a.txt $(SCALE_TMP)/100k-a.txt
 
 # Causal-trace gate: a seeded 30-peer run exports its span JSONL twice;
 # the trace files, and the rpcc view reports rendered from them, must be

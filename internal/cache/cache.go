@@ -231,6 +231,57 @@ func (s *Store) PutEvict(c data.Copy, now time.Duration) (evicted data.ItemID, h
 	return evicted, hasEvicted, nil
 }
 
+// Warm writes a host's warm placement into an empty store in one pass.
+// Each copy gets exactly the entry that putting the copies one at a time,
+// in the order given, would leave: its admission tick, use count (after
+// any LFU halvings the later admissions trigger), fetch time and hop
+// estimate. It is written once, at its rank in the batch: a placement
+// holds about ten copies, so counting the smaller ids beats sorting the
+// entries. Every copy must be proven canonical by reg
+// (Registry.Canonical). Warm reports false and changes nothing when the
+// store is not empty, the copies do not fit, an id repeats or is
+// negative, or a copy is not canonical; the caller then puts the copies
+// one at a time, which refuses whichever of them Put refuses.
+func (s *Store) Warm(cs []data.Copy, now time.Duration, reg *data.Registry) bool {
+	if len(s.entries) != 0 || len(cs) > cap(s.entries) {
+		return false
+	}
+	for d, c := range cs {
+		if c.ID < 0 || !reg.Canonical(c) {
+			return false
+		}
+		for _, o := range cs[:d] {
+			if o.ID == c.ID {
+				return false
+			}
+		}
+	}
+	first, last := s.tick+1, s.tick+uint64(len(cs))
+	s.entries = s.entries[:len(cs)]
+	for d, c := range cs {
+		rank := 0
+		for _, o := range cs {
+			if o.ID < c.ID {
+				rank++
+			}
+		}
+		at := first + uint64(d)
+		uses := uint64(1)
+		if p := s.policy.agePeriod; p > 0 {
+			uses >>= last/p - at/p // the halvings at ticks in (at, last]
+		}
+		// Field by field: a composite literal would be built aside and
+		// copied in whole, behind a bulk write barrier while the
+		// collector runs.
+		e := &s.entries[rank]
+		e.copy = c
+		e.storedAt, e.hops = now, s.hopsFor(c.ID)
+		e.lastUse, e.admitted, e.uses = at, at, uses
+	}
+	s.tick = last
+	return true
+}
+
 // Remove drops id from the cache (e.g. on invalidation without refresh),
 // reporting whether it was present.
 func (s *Store) Remove(id data.ItemID) bool {

@@ -252,10 +252,12 @@ func New(cfg Config, ch *node.Chassis, tel Telemetry) (*Engine, error) {
 	return e, nil
 }
 
-// newItemState returns a fresh cache-role state from the pool.
+// newItemState returns a fresh cache-role state from the pool. Nothing is
+// Put back to it, so New hands out zeroed records and only the non-zero
+// fields are set.
 func (e *Engine) newItemState() *itemState {
 	st := e.states.New()
-	*st = itemState{role: RoleCache, knownRelay: -1}
+	st.role, st.knownRelay = RoleCache, -1
 	return st
 }
 
@@ -731,11 +733,29 @@ func (e *Engine) sendCancel(k *sim.Kernel, nd int, item data.ItemID) {
 	_ = e.ch.Net.Unicast(nd, e.ch.Reg.Owner(item), msg)
 }
 
-// Warm pre-populates host's cache with a copy and creates the protocol
-// state for it, as the paper's assumed placement substrate would. Use
-// before the simulation starts.
-func (e *Engine) Warm(k *sim.Kernel, host int, c data.Copy) {
-	e.putCopy(k, host, c)
+// Warm pre-populates host's cache with copies and creates the protocol
+// state for each, as the paper's assumed placement substrate would. Use
+// before the simulation starts. A host's whole placement goes in as one
+// batch: when the store takes it in one pass (cache.Store.Warm), the item
+// table takes the store's ids and each copy's state, taken from the pool
+// in the order given, is written at its id's place; anything else is put
+// one copy at a time, exactly as that many putCopy calls.
+func (e *Engine) Warm(k *sim.Kernel, host int, cs ...data.Copy) {
+	t := &e.peers[host].items
+	st := e.ch.Stores[host]
+	if len(t.ids) != 0 || !st.Warm(cs, k.Now(), e.ch.Reg) {
+		for _, c := range cs {
+			e.putCopy(k, host, c)
+		}
+		return
+	}
+	t.ids = st.AppendItems(t.ids)
+	t.sts = slices.Grow(t.sts, len(t.ids))[:len(t.ids)]
+	for _, c := range cs {
+		i, _ := slices.BinarySearch(t.ids, c.ID)
+		t.sts[i] = e.newItemState()
+		e.sigs[host] |= sigBit(c.ID)
+	}
 }
 
 // SeedRelay installs host as an established relay for item: the copy is

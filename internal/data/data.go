@@ -198,6 +198,24 @@ func (r *Registry) Master(id ItemID) (*Master, error) {
 	return &r.masters[int(id)], nil
 }
 
+// Canonical reports whether c is a committed value of its item, as
+// Consistent does. A copy that is its master's current copy by identity —
+// same ID and Version, and a Value over the very arena bytes the master
+// rendered (same pointer and length) — is canonical by construction, since
+// the arena never rewrites a chunk, so it skips the render-and-compare.
+// Every other copy, including one that carries the current payload's bytes
+// under another version, is rendered and compared.
+func (r *Registry) Canonical(c Copy) bool {
+	if int(c.ID) >= 0 && int(c.ID) < len(r.masters) {
+		cur := &r.masters[c.ID].cur
+		if c.Version == cur.Version && len(c.Value) == len(cur.Value) &&
+			unsafe.StringData(c.Value) == unsafe.StringData(cur.Value) {
+			return true
+		}
+	}
+	return c.Consistent()
+}
+
 // Owner returns the host index that owns item id (identity mapping).
 func (r *Registry) Owner(id ItemID) int { return int(id) }
 

@@ -336,3 +336,46 @@ func TestItemIDString(t *testing.T) {
 		t.Errorf("String = %q", got)
 	}
 }
+
+// TestCanonicalProvesIdentityAndRendersTheRest: a master's current copy
+// passes by identity, and every other copy gets the full render-and-
+// compare — so an equal-bytes copy still passes, while a torn copy, or the
+// current payload's own bytes under another version, is refused.
+func TestCanonicalProvesIdentityAndRendersTheRest(t *testing.T) {
+	r, err := NewRegistry(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _ := r.Master(2)
+	v0 := m.Current()
+	if _, err := m.Update(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	cur := m.Current()
+	wrongVersion := cur
+	wrongVersion.Version = 0 // the v1 payload's own bytes, claiming v0
+	otherItem := cur
+	otherItem.ID = 3 // D2's bytes, claiming D3
+	cases := []struct {
+		name string
+		c    Copy
+		want bool
+	}{
+		{"current copy", cur, true},
+		{"superseded copy", v0, true},
+		{"rendered copy", Copy{ID: 2, Version: 1, Value: ValueFor(2, 1)}, true},
+		{"torn copy", Copy{ID: 2, Version: 1, Value: ValueFor(2, 0)}, false},
+		{"current bytes, wrong version", wrongVersion, false},
+		{"current bytes, wrong item", otherItem, false},
+		{"unknown item, rendered", Copy{ID: 9, Version: 0, Value: ValueFor(9, 0)}, true},
+		{"unknown item, torn", Copy{ID: -1, Version: 0, Value: "item-0-v0"}, false},
+	}
+	for _, tc := range cases {
+		if got := r.Canonical(tc.c); got != tc.want {
+			t.Errorf("%s: Canonical = %v, want %v", tc.name, got, tc.want)
+		}
+		if got := tc.c.Consistent(); got != tc.want {
+			t.Errorf("%s: Consistent = %v, Canonical's fallback disagrees", tc.name, got)
+		}
+	}
+}

@@ -143,7 +143,10 @@ func (w *World) startScenario() error {
 	levelFor := levelSelector(cfg, k)
 	var domains [][]data.ItemID
 	if cfg.WarmCaches {
-		domains = w.warmCaches()
+		var err error
+		if domains, err = w.warmCaches(); err != nil {
+			return err
+		}
 	}
 	if err := w.Start(); err != nil {
 		return err
@@ -306,8 +309,8 @@ func jainIndex(xs []float64) float64 {
 // single-item mode every peer caches item 0; otherwise each node caches
 // CacheNum items drawn uniformly from the others' — and returns each
 // host's placed item set, which doubles as its query domain under
-// PopularityCached.
-func (w *World) warmCaches() [][]data.ItemID {
+// PopularityCached. A host's draws are placed as one batch (Warm).
+func (w *World) warmCaches() ([][]data.ItemID, error) {
 	cfg := w.Config
 	rng := w.K.Stream("experiment.warm")
 	// Every host's domain is carved from one array of CacheNum slots each.
@@ -317,16 +320,14 @@ func (w *World) warmCaches() [][]data.ItemID {
 		lo := host * cfg.CacheNum
 		domains[host] = slots[lo : lo : lo+cfg.CacheNum]
 	}
-	warm := func(host int, item data.ItemID) {
-		if w.Warm(host, item) == nil {
-			domains[host] = append(domains[host], item)
-		}
-	}
 	if cfg.Popularity == workload.PopularitySingle {
 		for host := 1; host < cfg.NPeers; host++ {
-			warm(host, 0)
+			domains[host] = append(domains[host], 0)
+			if err := w.Warm(host, 0); err != nil {
+				return nil, err
+			}
 		}
-		return domains
+		return domains, nil
 	}
 	// drawnFor[item] == host+1 marks item as already drawn for host (the
 	// host's own item included), so one array serves every host.
@@ -341,10 +342,13 @@ func (w *World) warmCaches() [][]data.ItemID {
 			}
 			drawnFor[item] = mark
 			seen++
-			warm(host, data.ItemID(item))
+			domains[host] = append(domains[host], data.ItemID(item))
+		}
+		if err := w.Warm(host, domains[host]...); err != nil {
+			return nil, err
 		}
 	}
-	return domains
+	return domains, nil
 }
 
 // Finish folds traffic, the topology-maintenance counters and the sim

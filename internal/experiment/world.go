@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -95,6 +96,11 @@ func WithLayout(pts []geo.Point) Option { return func(o *options) { o.layout = p
 // from a Config.
 func WithCoreConfig(fn func(*core.Config)) Option { return func(o *options) { o.core = fn } }
 
+// setupTimersPerNode bounds the timers set-up arms per node: one churn
+// flip, two RPCC ticks (TTN and coefficient) and the workload's query and
+// update streams.
+const setupTimersPerNode = 5
+
 // layout is a static position source: node i stays at layout[i].
 type layout []geo.Point
 
@@ -119,6 +125,9 @@ func Build(cfg Config, opts ...Option) (*World, error) {
 		k = sim.NewKernel(sim.WithSeed(cfg.Seed), sim.WithHorizon(cfg.SimTime))
 	}
 	w := &World{Config: cfg, K: k, Hub: o.hub, Tracer: o.tracer}
+	// The queue is sized once for the timers set-up arms, plus a batch
+	// run's traffic timeline, rather than grown by doubling.
+	k.Reserve(setupTimersPerNode*cfg.NPeers + 1)
 
 	var positions netsim.PositionSource = o.layout
 	if o.layout == nil {
@@ -246,20 +255,38 @@ func (w *World) hopsHint(node int) func(data.ItemID) int {
 	}
 }
 
-// Warm places the current master copy of item in host's cache before (or
-// during) the run — the placement substrate the paper assumes: through
-// the RPCC engine, which also creates the copy's protocol state, or
-// straight into a baseline's store.
-func (w *World) Warm(host int, item data.ItemID) error {
-	m, err := w.Reg.Master(item)
-	if err != nil {
-		return err
+// Warm places the current master copies of items in host's cache before
+// (or during) the run — the placement substrate the paper assumes: through
+// the RPCC engine, which also creates each copy's protocol state, or
+// straight into a baseline's store. The items go in as one batch, in the
+// order given (see core.Engine.Warm and cache.Store.Warm).
+func (w *World) Warm(host int, items ...data.ItemID) error {
+	// A placement is about ten copies: they are gathered on the stack.
+	var buf [16]data.Copy
+	cs := buf[:0]
+	for _, item := range items {
+		m, err := w.Reg.Master(item)
+		if err != nil {
+			return err
+		}
+		cs = append(cs, m.Current())
 	}
+	now := w.K.Now()
 	if w.Engine != nil {
-		w.Engine.Warm(w.K, host, m.Current())
+		w.Engine.Warm(w.K, host, cs...)
 		return nil
 	}
-	return w.Stores[host].Put(m.Current(), w.K.Now())
+	st := w.Stores[host]
+	if st.Warm(cs, now, w.Reg) {
+		return nil
+	}
+	var errs []error
+	for _, c := range cs {
+		if err := st.Put(c, now); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // Start wires the strategy's receivers and schedules its periodic duties.

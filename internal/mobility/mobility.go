@@ -198,7 +198,8 @@ func (w *Waypoint) SegmentAt(t time.Duration) Segment {
 
 // PositionAt returns the node position at virtual time t. Calls must use
 // non-decreasing t (the simulation clock); earlier times return the
-// position at the latest time already observed.
+// position at the latest time already observed. It is also where subnet
+// crossings are counted, so when the calls come decides what Moves sees.
 func (w *Waypoint) PositionAt(t time.Duration) geo.Point {
 	w.advance(t)
 	p := w.positionOnLeg(t)
@@ -236,16 +237,22 @@ func legPos(l leg, t time.Duration) geo.Point {
 }
 
 // Moves returns the cumulative number of subnet crossings (the paper's
-// N_m input to the peer moving rate). Crossings are detected at query
-// times, so callers that sample positions periodically get a periodic
-// moving-rate signal, mirroring how a real node would observe itself.
+// N_m input to the peer moving rate). Crossings are detected at
+// PositionAt calls, so callers that sample positions periodically get a
+// periodic moving-rate signal, mirroring how a real node would observe
+// itself. In a simulation those calls are the network's topology samples
+// (netsim's Graph reads PositionsAt once per sample, at the sample time):
+// a node that crosses into a subnet and back between two samples is not
+// counted, and a change in how often samples are taken can move N_m, and
+// through PMR, CS and the relay election, RPCC's traffic.
 func (w *Waypoint) Moves() uint64 { return w.moves }
 
 // Field is the collection of all node trajectories; it answers the batch
 // position queries the radio model issues every topology tick. The
 // trajectories are one array, not one heap object per node.
 type Field struct {
-	nodes []Waypoint
+	nodes   []Waypoint
+	terrain geo.Terrain
 }
 
 // NewField builds n independent trajectories. The stream function must
@@ -268,8 +275,11 @@ func NewField(cfg Config, n int, stream func(i int) *rand.Rand) (*Field, error) 
 		}
 		nodes[i].start(cfg, rng)
 	}
-	return &Field{nodes: nodes}, nil
+	return &Field{nodes: nodes, terrain: cfg.Terrain}, nil
 }
+
+// Terrain returns the rectangle every trajectory stays inside.
+func (f *Field) Terrain() geo.Terrain { return f.terrain }
 
 // Len returns the number of nodes in the field.
 func (f *Field) Len() int { return len(f.nodes) }
@@ -290,7 +300,9 @@ func (f *Field) SegmentAt(i int, t time.Duration) Segment {
 }
 
 // PositionsAt fills dst with every node's position at time t, allocating
-// when dst is too small, and returns the slice.
+// when dst is too small, and returns the slice. It counts subnet
+// crossings (PositionAt); the network calls it once per topology sample,
+// so that is where N_m is sampled. PeekPosition reads without counting.
 func (f *Field) PositionsAt(t time.Duration, dst []geo.Point) []geo.Point {
 	if cap(dst) < len(f.nodes) {
 		dst = make([]geo.Point, len(f.nodes))

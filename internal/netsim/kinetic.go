@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"cmp"
 	"math"
 	"slices"
 	"time"
@@ -220,9 +219,15 @@ type kinetic struct {
 	skin float64
 	side float64
 
-	anchors  []geo.Point
-	cellOf   []int64
-	cells    map[int64][]int32
+	anchors []geo.Point
+	// The cell grid: cells[cy·gw + cx] lists the nodes anchored in grid
+	// cell (cx, cy), which is floor(x/cell) − ox, floor(y/cell) − oy
+	// clamped into the gw × gh grid (see grid).
+	cell     float64
+	ox, oy   float64
+	gw, gh   int32
+	cellOf   []int32
+	cells    [][]int32
 	rebinGen []uint32
 
 	pairs   []pairState
@@ -265,7 +270,7 @@ func newKinetic(src KineticSource, commRange float64, stats *TopologyStats) *kin
 		skin:      skin,
 		side:      commRange + skin,
 		anchors:   make([]geo.Point, n),
-		cellOf:    make([]int64, n),
+		cellOf:    make([]int32, n),
 		rebinGen:  make([]uint32, n),
 		tracked:   make([][]int32, n),
 		mark:      make([]pairMark, n),
@@ -275,12 +280,66 @@ func newKinetic(src KineticSource, commRange float64, stats *TopologyStats) *kin
 	}
 }
 
-// cellKey packs unclamped (possibly negative) cell coordinates; a map
-// keyed this way needs no terrain bounds at all.
-func cellKey(cx, cy int32) int64 { return int64(cx)<<32 | int64(uint32(cy)) }
+// terrainSource is a position source whose nodes stay inside a known
+// rectangle (*mobility.Field); the kinetic plane sizes its cell grid from
+// it.
+type terrainSource interface {
+	Terrain() geo.Terrain
+}
 
-func (kn *kinetic) cellCoords(p geo.Point) (int32, int32) {
-	return int32(math.Floor(p.X / kn.side)), int32(math.Floor(p.Y / kn.side))
+// maxCells bounds the cell grid for n nodes, so a sparse layout does not
+// pay a header per empty cell of a huge bounding box.
+func maxCells(n int) float64 { return float64(4*n + 1024) }
+
+// grid lays the cell grid over the area anchors can occupy: the source's
+// terrain when it reports one, else the bounding box of the positions at
+// the build (a never-moving layout's own extent). Cells have side R+skin
+// and origin 0, as floor(x/(R+skin)) numbers them, unless that would take
+// more than maxCells cells; then the side doubles until it does not. A
+// cell side of at least R+skin is all the 3×3 scan needs.
+func (kn *kinetic) grid(pos []geo.Point) {
+	var lo, hi geo.Point
+	if t, ok := kn.src.(terrainSource); ok {
+		hi = geo.Point{X: t.Terrain().Width, Y: t.Terrain().Height}
+	} else if len(pos) > 0 {
+		lo, hi = pos[0], pos[0]
+		for _, p := range pos[1:] {
+			lo = geo.Point{X: min(lo.X, p.X), Y: min(lo.Y, p.Y)}
+			hi = geo.Point{X: max(hi.X, p.X), Y: max(hi.Y, p.Y)}
+		}
+	}
+	kn.cell = kn.side
+	for {
+		kn.ox, kn.oy = math.Floor(lo.X/kn.cell), math.Floor(lo.Y/kn.cell)
+		w, h := math.Floor(hi.X/kn.cell)-kn.ox+1, math.Floor(hi.Y/kn.cell)-kn.oy+1
+		if w*h <= maxCells(kn.n) {
+			kn.gw, kn.gh = int32(w), int32(h)
+			return
+		}
+		kn.cell *= 2
+	}
+}
+
+// cellXY returns the grid cell p falls in. A position off the grid is
+// clamped onto its edge: clamping never widens the gap between two cell
+// coordinates, so nodes within R+skin stay in adjacent cells.
+func (kn *kinetic) cellXY(p geo.Point) (int32, int32) {
+	cx := min(max(math.Floor(p.X/kn.cell)-kn.ox, 0), float64(kn.gw-1))
+	cy := min(max(math.Floor(p.Y/kn.cell)-kn.oy, 0), float64(kn.gh-1))
+	return int32(cx), int32(cy)
+}
+
+// cellIndex returns the index in cells of the cell p falls in.
+func (kn *kinetic) cellIndex(p geo.Point) int32 {
+	cx, cy := kn.cellXY(p)
+	return cy*kn.gw + cx
+}
+
+// block returns the grid columns and rows of the 3×3 block around p,
+// clipped to the grid so each cell is visited once.
+func (kn *kinetic) block(p geo.Point) (x0, x1, y0, y1 int32) {
+	cx, cy := kn.cellXY(p)
+	return max(cx-1, 0), min(cx+1, kn.gw-1), max(cy-1, 0), min(cy+1, kn.gh-1)
 }
 
 func insertSorted(s []int32, x int32) []int32 {
@@ -309,6 +368,7 @@ func swapRemove(s []int32, x int32) []int32 {
 // sampled positions.
 func (kn *kinetic) init(t time.Duration, pos []geo.Point) {
 	copy(kn.anchors, pos)
+	kn.grid(pos)
 	kn.bin()
 	kn.carve()
 	kn.initing = true
@@ -345,36 +405,37 @@ func carveRows(rows [][]int32, counts []int32, backing []int32, mean int) []int3
 	return backing
 }
 
-// bin files every node into the cell of its anchor. The cell rows are
-// carved from one array with slack, in ascending node order within a
-// cell (the order appending one node at a time gives).
+// bin files every node into the cell of its anchor. The rows of the
+// occupied cells are carved from one array with slack and filled in
+// ascending node order (the order appending one node at a time gives); an
+// empty cell's row stays nil until a node moves in.
 func (kn *kinetic) bin() {
-	order := make([]int32, kn.n)
-	for i := range order {
-		cx, cy := kn.cellCoords(kn.anchors[i])
-		kn.cellOf[i] = cellKey(cx, cy)
-		order[i] = int32(i)
-	}
-	slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(kn.cellOf[a], kn.cellOf[b]) })
-	starts := make([]int, 0, kn.n+1) // where each cell's run of order begins
-	for i, u := range order {
-		if i == 0 || kn.cellOf[u] != kn.cellOf[order[i-1]] {
-			starts = append(starts, i)
+	kn.cells = make([][]int32, int(kn.gw)*int(kn.gh))
+	counts := make([]int32, len(kn.cells))
+	occupied := 0
+	for i, p := range kn.anchors {
+		c := kn.cellIndex(p)
+		kn.cellOf[i] = c
+		if counts[c]++; counts[c] == 1 {
+			occupied++
 		}
 	}
-	cells := len(starts)
-	starts = append(starts, kn.n)
-	mean, size := kn.n/max(cells, 1), 0
-	for c := range cells {
-		size += withSlack(starts[c+1]-starts[c], mean)
+	mean, size := kn.n/max(occupied, 1), 0
+	for _, c := range counts {
+		if c > 0 {
+			size += withSlack(int(c), mean)
+		}
 	}
-	kn.cells = make(map[int64][]int32, cells)
 	backing := make([]int32, size)
-	for c := range cells {
-		run := order[starts[c]:starts[c+1]]
-		end := withSlack(len(run), mean)
-		kn.cells[kn.cellOf[run[0]]] = append(backing[:0:end], run...)
-		backing = backing[end:]
+	for c, count := range counts {
+		if count > 0 {
+			end := withSlack(int(count), mean)
+			kn.cells[c] = backing[:0:end]
+			backing = backing[end:]
+		}
+	}
+	for i, c := range kn.cellOf {
+		kn.cells[c] = append(kn.cells[c], int32(i))
 	}
 }
 
@@ -390,10 +451,10 @@ func (kn *kinetic) carve() {
 	entries := 0
 	for u := range kn.n {
 		au := kn.anchors[u]
-		cx, cy := kn.cellCoords(au)
-		for dy := int32(-1); dy <= 1; dy++ {
-			for dx := int32(-1); dx <= 1; dx++ {
-				for _, j := range kn.cells[cellKey(cx+dx, cy+dy)] {
+		x0, x1, y0, y1 := kn.block(au)
+		for y := y0; y <= y1; y++ {
+			for _, row := range kn.cells[y*kn.gw+x0 : y*kn.gw+x1+1] {
+				for _, j := range row {
 					if int(j) != u && au.DistSq(kn.anchors[j]) <= maxD2 {
 						counts[u]++
 					}
@@ -435,11 +496,11 @@ func (kn *kinetic) markTracked(u int32) {
 func (kn *kinetic) discover(u int32, t time.Duration, pos []geo.Point) {
 	kn.markTracked(u)
 	au := kn.anchors[u]
-	cx, cy := kn.cellCoords(au)
 	maxD2 := kn.side * kn.side
-	for dy := int32(-1); dy <= 1; dy++ {
-		for dx := int32(-1); dx <= 1; dx++ {
-			for _, j := range kn.cells[cellKey(cx+dx, cy+dy)] {
+	x0, x1, y0, y1 := kn.block(au)
+	for y := y0; y <= y1; y++ {
+		for _, row := range kn.cells[y*kn.gw+x0 : y*kn.gw+x1+1] {
+			for _, j := range row {
 				if j != u && au.DistSq(kn.anchors[j]) <= maxD2 && kn.mark[j].gen != kn.markGen {
 					kn.trackPair(u, j, t, pos)
 				}
@@ -610,12 +671,10 @@ func (kn *kinetic) processRebin(u int32, t time.Duration, pos []geo.Point) {
 	if kn.anchors[u].Dist(p) >= kn.skin/4 {
 		kn.stats.Rebins++
 		kn.anchors[u] = p
-		cx, cy := kn.cellCoords(p)
-		key := cellKey(cx, cy)
-		if key != kn.cellOf[u] {
+		if c := kn.cellIndex(p); c != kn.cellOf[u] {
 			kn.cells[kn.cellOf[u]] = swapRemove(kn.cells[kn.cellOf[u]], u)
-			kn.cellOf[u] = key
-			kn.cells[key] = append(kn.cells[key], u)
+			kn.cellOf[u] = c
+			kn.cells[c] = append(kn.cells[c], u)
 		}
 		// Drop pairs whose anchors separated beyond the skin envelope.
 		maxD2 := kn.side * kn.side

@@ -641,3 +641,120 @@ func TestKineticHeapOrderAndAllocs(t *testing.T) {
 		t.Errorf("1000 push/pop pairs allocate %.0f objects, want 0", total)
 	}
 }
+
+// divergingField is convergingField run backwards: the nodes start in the
+// 150 m disk and spread out over the 2 km terrain. The source reports no
+// terrain, so the plane sizes its grid from the starting disk and every
+// node that leaves it is clamped onto the grid's edge cells.
+func divergingField(t *testing.T, k *sim.Kernel, n int) PositionSource {
+	c := convergingField(t, k, n).(*converging)
+	c.from, c.to = c.to, c.from
+	return c
+}
+
+// offGrid counts the nodes whose anchor lies outside the plane's grid,
+// i.e. whose cell was clamped.
+func offGrid(kn *kinetic) int {
+	off := 0
+	for _, a := range kn.anchors {
+		cx, cy := math.Floor(a.X/kn.cell)-kn.ox, math.Floor(a.Y/kn.cell)-kn.oy
+		if cx < 0 || cy < 0 || cx >= float64(kn.gw) || cy >= float64(kn.gh) {
+			off++
+		}
+	}
+	return off
+}
+
+// TestKineticGridSizing pins where the dense cell grid comes from and that
+// snapshots do not depend on it: a mobility field's grid is its terrain at
+// side R+skin (the cells the byte-compared runs bin by); a source without
+// a terrain gets its starting positions' extent and clamps whatever
+// leaves it; a sparse layout's grid is coarsened to maxCells. Each runs
+// the full-rebuild equivalence gate.
+func TestKineticGridSizing(t *testing.T) {
+	var samples []time.Duration
+	for at := 500 * time.Millisecond; at <= 3*time.Minute; at += 500 * time.Millisecond {
+		samples = append(samples, at)
+	}
+	h, _ := matchFullRebuild(t, 140, 11, samples[:60], waypoints(2000))
+	kn := h.net.kin
+	if kn.cell != kn.side || kn.ox != 0 || kn.oy != 0 || kn.gw != 6 || kn.gh != 6 {
+		t.Errorf("terrain grid: cell %g (side %g), origin (%g, %g), %d×%d cells; want the 2 km terrain at side, 6×6",
+			kn.cell, kn.side, kn.ox, kn.oy, kn.gw, kn.gh)
+	}
+
+	h, _ = matchFullRebuild(t, 140, 11, samples, divergingField)
+	kn = h.net.kin
+	if kn.gw*kn.gh > 4 {
+		t.Errorf("diverging: %d×%d grid over a 300 m start", kn.gw, kn.gh)
+	}
+	if off := offGrid(kn); off < 140/2 {
+		t.Errorf("diverging: only %d of 140 anchors off the grid; clamping is not exercised", off)
+	}
+	if kn.stats.Rebins == 0 || kn.stats.LinkBreaks == 0 {
+		t.Error("diverging: no rebins or breaks; the layout does not move")
+	}
+
+	h, _ = matchFullRebuild(t, 200, 11, samples[:20], scatterLayout(1e6))
+	kn = h.net.kin
+	if kn.cell <= kn.side || float64(kn.gw)*float64(kn.gh) > maxCells(200) {
+		t.Errorf("sparse scatter: cell %g for side %g, %d×%d cells; want a grid coarsened to at most %g cells",
+			kn.cell, kn.side, kn.gw, kn.gh, maxCells(200))
+	}
+}
+
+// countingSource records the time of every PositionsAt call on a mobility
+// field.
+type countingSource struct {
+	*mobility.Field
+	calls []time.Duration
+}
+
+func (c *countingSource) PositionsAt(t time.Duration, dst []geo.Point) []geo.Point {
+	c.calls = append(c.calls, t)
+	return c.Field.PositionsAt(t, dst)
+}
+
+// TestEachSampleReadsPositionsOnce pins the sampling RPCC's moving-rate
+// signal rests on: Waypoint.PositionAt counts subnet crossings (N_m,
+// Moves) when it is called, and the network calls it — through
+// PositionsAt — exactly once per topology sample, at the sample time, and
+// at no other time: a cached snapshot, Reachable and the traffic between
+// samples read no position.
+func TestEachSampleReadsPositionsOnce(t *testing.T) {
+	const n = 60
+	k := sim.NewKernel(sim.WithSeed(5), sim.WithHorizon(2*time.Minute))
+	src := &countingSource{Field: waypoints(1500)(t, k, n).(*mobility.Field)}
+	cp, err := churn.NewProcess(churn.Config{MeanUp: 20 * time.Second, MeanDown: 4 * time.Second}, n, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := New(DefaultConfig(), k, src, cp, nil, stats.NewTraffic())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var samples []time.Duration
+	rng := rand.New(rand.NewSource(5))
+	for at := time.Duration(0); at <= 2*time.Minute; at += time.Duration(rng.Intn(700)) * time.Millisecond {
+		k.RunUntil(at)
+		before := net.Rebuilds()
+		for range 1 + rng.Intn(3) { // repeated reads at one instant hit the cache
+			net.Graph()
+			net.Reachable(rng.Intn(n), rng.Intn(n))
+		}
+		switch net.Rebuilds() - before {
+		case 0:
+		case 1:
+			samples = append(samples, k.Now())
+		default:
+			t.Fatalf("t=%v: %d samples at one instant", k.Now(), net.Rebuilds()-before)
+		}
+	}
+	if len(samples) < 50 {
+		t.Fatalf("only %d samples", len(samples))
+	}
+	if !slices.Equal(src.calls, samples) {
+		t.Fatalf("PositionsAt called at %d instants, samples taken at %d: calls %v…, samples %v…",
+			len(src.calls), len(samples), src.calls[:min(5, len(src.calls))], samples[:5])
+	}
+}

@@ -368,6 +368,9 @@ func (n *Network) Graph() *radio.Graph {
 	if n.cacheValid && n.cachedAt == epoch {
 		return n.cached
 	}
+	// The one position read of a sample. A mobility field counts subnet
+	// crossings here, so RPCC's N_m (mobility.Waypoint.Moves) is sampled
+	// at topology samples.
 	n.posBuf = n.field.PositionsAt(now, n.posBuf)
 	if cap(n.downBuf) < n.field.Len() {
 		n.downBuf = make([]bool, n.field.Len())

@@ -243,12 +243,19 @@ func TestCappedEvictionDoesNotAllocate(t *testing.T) {
 		for range 2 * n {
 			lookup()
 		}
-		if total := testing.AllocsPerRun(1, func() {
-			for range 1000 {
-				lookup()
-			}
-		}); total != 0 {
-			t.Errorf("cap %d: 1000 evicting lookups allocate %.0f objects, want 0", tableCap, total)
+		// The count is process-wide, and the runtime's background
+		// scavenger now and then grows its timer heap on a P, once. So the
+		// loop is measured twice: an allocation in the lookups repeats in
+		// both rounds, the runtime's does not.
+		measure := func() float64 {
+			return testing.AllocsPerRun(1, func() {
+				for range 1000 {
+					lookup()
+				}
+			})
+		}
+		if first, second := measure(), measure(); first != 0 && second != 0 {
+			t.Errorf("cap %d: 1000 evicting lookups allocate %.0f and then %.0f objects, want 0", tableCap, first, second)
 		}
 		if g.RouteTables() != tableCap {
 			t.Errorf("cap %d: %d live tables", tableCap, g.RouteTables())

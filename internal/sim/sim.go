@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math/rand"
 	randv2 "math/rand/v2"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -199,6 +200,14 @@ func (k *Kernel) Now() time.Duration { return k.now }
 
 // EventsFired returns the number of events whose handlers have executed.
 func (k *Kernel) EventsFired() uint64 { return k.events }
+
+// Reserve sizes the queue and the event pool for n more pending events,
+// for a caller about to schedule that many: the heap grows once, to its
+// final size, instead of by doubling, and the events come from one block.
+func (k *Kernel) Reserve(n int) {
+	k.queue = slices.Grow(k.queue, n)
+	k.pool.Reserve(n)
+}
 
 // Pending returns the number of events waiting in the queue.
 func (k *Kernel) Pending() int { return len(k.queue) }

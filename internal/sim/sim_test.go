@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -724,5 +725,57 @@ func TestNextEventAt(t *testing.T) {
 	k.RunUntil(10 * time.Second)
 	if _, ok := k.NextEventAt(); ok {
 		t.Fatal("drained queue reported a next event")
+	}
+}
+
+// TestReserveSizesQueueOnce: after Reserve(n), scheduling n events takes
+// no allocation at all — the heap and the event block are already sized
+// — and events queued before the Reserve keep their place in the order.
+// The malloc count is process-wide, so the runtime's own rare allocation
+// is told apart the way radio's zero gate does it: two fresh kernels, and
+// only two non-zero counts fail.
+func TestReserveSizesQueueOnce(t *testing.T) {
+	const n = 1000
+	type due struct {
+		when time.Duration
+		id   int
+	}
+	run := func() (allocs uint64, scheduled []due, fired []int) {
+		k := NewKernel()
+		scheduled, fired = make([]due, 0, n+2), make([]int, 0, n+2)
+		schedule := func(rec *countTimer, when time.Duration) {
+			rec.log = &fired
+			k.AfterTimer(when, "reserve", rec)
+			scheduled = append(scheduled, due{when, rec.id})
+		}
+		schedule(&countTimer{id: -1}, 3*time.Millisecond)
+		schedule(&countTimer{id: -2}, 0)
+		recs := make([]countTimer, n)
+		for i := range recs {
+			recs[i].id = i
+		}
+		k.Reserve(n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range recs {
+			schedule(&recs[i], time.Duration(i%7)*time.Millisecond)
+		}
+		runtime.ReadMemStats(&after)
+		if k.Pending() != n+2 {
+			t.Fatalf("%d events pending, want %d", k.Pending(), n+2)
+		}
+		k.Run()
+		return after.Mallocs - before.Mallocs, scheduled, fired
+	}
+	first, _, _ := run()
+	second, scheduled, fired := run()
+	if first != 0 && second != 0 {
+		t.Errorf("scheduling %d events after Reserve(%d) allocates %d and then %d times, want 0", n, n, first, second)
+	}
+	slices.SortStableFunc(scheduled, func(a, b due) int { return cmp.Compare(a.when, b.when) })
+	for i, d := range scheduled {
+		if fired[i] != d.id {
+			t.Fatalf("firing %d: id %d, want %d (a stable sort by due time)", i, fired[i], d.id)
+		}
 	}
 }
