@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet check regen figures figures-smoke telemetry-smoke chaos-smoke conform-smoke policy-smoke wire-smoke wire-chaos-smoke scale-smoke trace-smoke bench-smoke loc
+.PHONY: all build test race vet cross check regen figures figures-smoke telemetry-smoke chaos-smoke conform-smoke policy-smoke wire-smoke wire-chaos-smoke scale-smoke trace-smoke bench-smoke loc
 
 all: check
 
@@ -20,6 +20,12 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Vet for darwin/arm64 and windows: the wire clock's deadline source is
+# split by platform, and only the non-Linux half builds there.
+cross:
+	GOOS=darwin GOARCH=arm64 $(GO) vet ./...
+	GOOS=windows $(GO) vet ./...
 
 # bench/ is a module of its own (own go.mod, `replace => ../`), so the
 # root `go vet ./...` and `go test ./...` never reach it — yet its probes
@@ -37,8 +43,9 @@ figures-smoke:
 	$(GO) run ./cmd/rpcc figures -simtime 1h | cmp - figures_1h.txt
 
 # The tier-1 gate, the race audit, both module smokes, the figure gate,
-# and a formatting gate: gofmt must have nothing to rewrite.
-check: build vet test race bench-smoke figures-smoke
+# the cross-platform vet, and a formatting gate: gofmt must have nothing
+# to rewrite.
+check: build vet cross test race bench-smoke figures-smoke
 	test -z "$$(gofmt -l .)"
 
 # Rewrite the artefacts pinned to the seeded random streams: the figure

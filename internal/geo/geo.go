@@ -80,21 +80,35 @@ func (t Terrain) Area() float64 { return t.Width * t.Height }
 // length, row-major. Mobility uses it to detect "subnet" crossings: the
 // paper counts a peer as having moved when it crosses from one region of
 // the field to another (the N_m statistic feeding the PMR coefficient).
-func (t Terrain) CellIndex(p Point, cell float64) int {
+func (t Terrain) CellIndex(p Point, cell float64) int { return t.Grid(cell).Index(p) }
+
+// Grid is the square cell grid CellIndex indexes, with its column and row
+// counts worked out once, for a caller that indexes many points.
+type Grid struct {
+	cell       float64
+	cols, rows int
+}
+
+// Grid returns the grid of square cells of the given side over t. A
+// non-positive side gives a grid whose one cell is the whole terrain.
+func (t Terrain) Grid(cell float64) Grid {
 	if cell <= 0 {
+		return Grid{}
+	}
+	return Grid{
+		cell: cell,
+		cols: max(int(math.Ceil(t.Width/cell)), 1),
+		rows: max(int(math.Ceil(t.Height/cell)), 1),
+	}
+}
+
+// Index maps p to its cell, row-major; a point off the terrain is clamped
+// into the nearest edge cell.
+func (g Grid) Index(p Point) int {
+	if g.cell <= 0 {
 		return 0
 	}
-	cols := int(math.Ceil(t.Width / cell))
-	if cols < 1 {
-		cols = 1
-	}
-	rows := int(math.Ceil(t.Height / cell))
-	if rows < 1 {
-		rows = 1
-	}
-	cx := int(p.X / cell)
-	cy := int(p.Y / cell)
-	cx = min(max(cx, 0), cols-1)
-	cy = min(max(cy, 0), rows-1)
-	return cy*cols + cx
+	cx := min(max(int(p.X/g.cell), 0), g.cols-1)
+	cy := min(max(int(p.Y/g.cell), 0), g.rows-1)
+	return cy*g.cols + cx
 }

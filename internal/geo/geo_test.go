@@ -133,22 +133,46 @@ func TestCenter(t *testing.T) {
 }
 
 func TestCellIndex(t *testing.T) {
-	tr, _ := NewTerrain(100, 100)
+	square, _ := NewTerrain(100, 100)
+	ragged, _ := NewTerrain(250, 120) // 3 columns and 2 rows of 100, the last ones partial
 	tests := []struct {
+		tr   Terrain
 		p    Point
 		cell float64
 		want int
 	}{
-		{Point{5, 5}, 50, 0},
-		{Point{55, 5}, 50, 1},
-		{Point{5, 55}, 50, 2},
-		{Point{55, 55}, 50, 3},
-		{Point{100, 100}, 50, 3}, // boundary clamps into last column
-		{Point{5, 5}, 0, 0},      // degenerate cell size
+		{square, Point{5, 5}, 50, 0},
+		{square, Point{55, 5}, 50, 1},
+		{square, Point{5, 55}, 50, 2},
+		{square, Point{55, 55}, 50, 3},
+		{square, Point{50, 50}, 50, 3},   // a cell's lower edge belongs to it
+		{square, Point{100, 100}, 50, 3}, // boundary clamps into last column
+		{square, Point{-1, 200}, 50, 2},  // off the terrain: nearest edge cell
+		{square, Point{5, 5}, 0, 0},      // degenerate cell size
+		{square, Point{55, 55}, -3, 0},
+		{square, Point{99, 99}, 500, 0}, // one cell larger than the terrain
+		{ragged, Point{0, 0}, 100, 0},
+		{ragged, Point{249, 119}, 100, 5},
+		{ragged, Point{250, 120}, 100, 5},
+		{ragged, Point{300, 0}, 100, 2},
+		{ragged, Point{0, 1e9}, 100, 3},
+		{ragged, Point{-50, -50}, 100, 0},
 	}
+	// Each grid is built once and reused across its rows, the way a
+	// waypoint indexes every position it reports.
+	grids := map[[3]float64]Grid{}
 	for _, tt := range tests {
-		if got := tr.CellIndex(tt.p, tt.cell); got != tt.want {
-			t.Errorf("CellIndex(%v, %g) = %d, want %d", tt.p, tt.cell, got, tt.want)
+		if got := tt.tr.CellIndex(tt.p, tt.cell); got != tt.want {
+			t.Errorf("%gx%g: CellIndex(%v, %g) = %d, want %d", tt.tr.Width, tt.tr.Height, tt.p, tt.cell, got, tt.want)
+		}
+		key := [3]float64{tt.tr.Width, tt.tr.Height, tt.cell}
+		g, ok := grids[key]
+		if !ok {
+			g = tt.tr.Grid(tt.cell)
+			grids[key] = g
+		}
+		if got := g.Index(tt.p); got != tt.want {
+			t.Errorf("%gx%g: Grid(%g).Index(%v) = %d, want %d", tt.tr.Width, tt.tr.Height, tt.cell, tt.p, got, tt.want)
 		}
 	}
 }

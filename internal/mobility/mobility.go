@@ -61,7 +61,8 @@ type Waypoint struct {
 	cfg      Config
 	rng      *rand.Rand
 	cur      leg
-	moves    uint64 // subnet crossings observed so far
+	subnets  geo.Grid // cfg.Terrain's grid of cfg.SubnetCell cells
+	moves    uint64   // subnet crossings observed so far
 	lastCell int
 	lastSeen time.Duration
 
@@ -92,9 +93,9 @@ func NewWaypoint(cfg Config, rng *rand.Rand) (*Waypoint, error) {
 // valid and rng non-nil.
 func (w *Waypoint) start(cfg Config, rng *rand.Rand) {
 	start := cfg.Terrain.RandomPoint(rng)
-	*w = Waypoint{cfg: cfg, rng: rng}
+	*w = Waypoint{cfg: cfg, rng: rng, subnets: cfg.Terrain.Grid(cfg.SubnetCell)}
 	w.cur = w.nextLeg(start, 0)
-	w.lastCell = cfg.Terrain.CellIndex(start, cfg.SubnetCell)
+	w.lastCell = w.subnets.Index(start)
 }
 
 // nextLeg draws a fresh destination (a uniform terrain point) and speed,
@@ -204,7 +205,7 @@ func (w *Waypoint) PositionAt(t time.Duration) geo.Point {
 	w.advance(t)
 	p := w.positionOnLeg(t)
 	if w.cfg.SubnetCell > 0 && t >= w.lastSeen {
-		cell := w.cfg.Terrain.CellIndex(p, w.cfg.SubnetCell)
+		cell := w.subnets.Index(p)
 		if cell != w.lastCell {
 			w.moves++
 			w.lastCell = cell

@@ -631,14 +631,21 @@ func TestKineticHeapOrderAndAllocs(t *testing.T) {
 		h.push(it)
 	}
 	due := time.Duration(0)
-	if total := testing.AllocsPerRun(1, func() {
-		for range 1000 {
-			due += 7
-			h.push(kinItem{due: due % 20, id: 1, gen: uint32(due)})
-			h.pop()
-		}
-	}); total != 0 {
-		t.Errorf("1000 push/pop pairs allocate %.0f objects, want 0", total)
+	// The count is process-wide, and the runtime's background scavenger
+	// now and then grows its timer heap on a P, once. So the pairs are
+	// measured twice: an allocation in the heap repeats in both rounds,
+	// the runtime's does not.
+	measure := func() float64 {
+		return testing.AllocsPerRun(1, func() {
+			for range 1000 {
+				due += 7
+				h.push(kinItem{due: due % 20, id: 1, gen: uint32(due)})
+				h.pop()
+			}
+		})
+	}
+	if first, second := measure(), measure(); first != 0 && second != 0 {
+		t.Errorf("1000 push/pop pairs allocate %.0f and then %.0f objects, want 0", first, second)
 	}
 }
 

@@ -25,9 +25,9 @@ import (
 // next due event (or an injection) instead of busy-polling.
 type Clock struct {
 	k *sim.Kernel
-	// idleTick bounds how long the loop sleeps with an empty queue, so a
-	// quiet daemon still notices stop requests promptly.
-	idleTick time.Duration
+	// dl wakes the loop when the earliest event falls due, by handing it
+	// a wakeup over inject. It exists from Start until the loop exits.
+	dl *deadline
 
 	start  time.Time
 	inject chan sim.Timer
@@ -35,28 +35,37 @@ type Clock struct {
 	done   chan struct{}
 
 	startOnce sync.Once
+	startErr  error
 	quitOnce  sync.Once
 }
 
 // NewClock wraps k. Call Start to begin advancing it.
 func NewClock(k *sim.Kernel) *Clock {
 	return &Clock{
-		k:        k,
-		idleTick: 50 * time.Millisecond,
-		inject:   make(chan sim.Timer, injectDepth),
-		quit:     make(chan struct{}),
-		done:     make(chan struct{}),
+		k:      k,
+		inject: make(chan sim.Timer, injectDepth),
+		quit:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 }
 
 // Start marks the epoch (virtual t=0) and launches the executive
 // goroutine. Everything scheduled on the kernel before Start runs at its
-// offset from the epoch. Start is idempotent.
-func (c *Clock) Start() {
+// offset from the epoch. Start is idempotent and returns the first call's
+// error: if the clock cannot get a deadline source, it never runs, and
+// Inject refuses from then on.
+func (c *Clock) Start() error {
 	c.startOnce.Do(func() {
+		if c.dl, c.startErr = newDeadline(c.wake); c.startErr != nil {
+			c.startErr = fmt.Errorf("wire: clock: %w", c.startErr)
+			c.quitOnce.Do(func() { close(c.quit) })
+			close(c.done)
+			return
+		}
 		c.start = time.Now()
 		go c.loop()
 	})
+	return c.startErr
 }
 
 // Epoch returns the wall instant of virtual t=0 (zero before Start).
@@ -117,6 +126,22 @@ func (l freeList[T]) put(r *T) {
 	}
 }
 
+// wakeup is the record the deadline hands the loop: firing it does
+// nothing, and receiving it makes the loop run what has fallen due.
+type wakeup struct{}
+
+func (wakeup) Fire(*sim.Kernel) {}
+
+// wake hands the loop a wakeup without blocking. A full inject queue
+// already guarantees the loop another pass, so a dropped wakeup loses
+// nothing.
+func (c *Clock) wake() {
+	select {
+	case c.inject <- wakeup{}:
+	default:
+	}
+}
+
 // Stop halts the executive and waits up to deadline for the loop to
 // finish its current handler and exit. A deadline of zero waits
 // indefinitely. Stop is idempotent; later calls just re-wait.
@@ -136,28 +161,22 @@ func (c *Clock) Stop(deadline time.Duration) error {
 
 func (c *Clock) loop() {
 	defer close(c.done)
-	timer := time.NewTimer(0)
-	defer timer.Stop()
+	defer c.dl.close()
+	armed := time.Duration(-1) // the due time dl is set for; -1 while disarmed
 	for {
-		// Fire everything due at the current wall offset, then sleep
-		// until the next event is due (or idleTick with an empty queue).
+		// Fire everything due at the current wall offset, then move the
+		// deadline to the next due event if that changed, and sleep until
+		// it fires (a wakeup) or something else is injected.
 		c.k.RunUntil(time.Since(c.start))
-		wait := c.idleTick
-		if next, ok := c.k.NextEventAt(); ok {
-			if d := next - time.Since(c.start); d < wait {
-				wait = d
-			}
+		next, ok := c.k.NextEventAt()
+		switch {
+		case !ok && armed >= 0:
+			c.dl.disarm()
+			armed = -1
+		case ok && next != armed:
+			c.dl.arm(next - time.Since(c.start))
+			armed = next
 		}
-		if wait < 0 {
-			wait = 0
-		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(wait)
 
 		select {
 		case t := <-c.inject:
@@ -175,7 +194,6 @@ func (c *Clock) loop() {
 					break drain
 				}
 			}
-		case <-timer.C:
 		case <-c.quit:
 			// Final drain: run everything already due so in-flight
 			// handlers complete, then exit. Nothing new is admitted.

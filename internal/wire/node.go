@@ -323,8 +323,7 @@ func (n *Node) Start() error {
 		n.wl.Start(n.k)
 	}
 	n.tr.Run()
-	n.clock.Start()
-	return nil
+	return n.clock.Start()
 }
 
 // Inject runs fn on the kernel goroutine (external query drivers).
