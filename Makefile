@@ -188,27 +188,41 @@ wire-chaos-smoke: build
 # byte-identical stdout and merged causal traces: how many workers ran
 # the regions is unobservable.
 #
-# Its 100k leg runs one field (-shards 1) of 100 000 peers for two
-# simulated seconds: the whole set-up (every host's batch warm) plus the
-# kinetic plane's full build over its dense cell grid and a first
-# incremental sample, at the size they target. Stdout must be identical
-# under GOMAXPROCS 1 and 4 and show the plane built. One field answers
-# nothing at 100k this early (EXPERIMENTS.md), so the one failure
-# these runs may report is rpcc scale's "no queries answered"; any other
-# error fails the leg.
+# Two 100k legs follow, each run under GOMAXPROCS 1 and 4 with equal
+# stdout required ($(call scale100k,NAME,ARGS)). One answers nothing
+# this early (EXPERIMENTS.md), so the one failure they may report is
+# rpcc scale's "no queries answered"; any other error fails the leg.
+#   - fields: one field (-shards 1) of 100 000 peers for two simulated
+#     seconds — the whole set-up (every host's batch warm) plus the
+#     kinetic plane's full build over its dense cell grid and a first
+#     incremental sample, at the size they target; stdout must show the
+#     plane built.
+#   - strips: 16 regions of 6 250 peers for 1 ms — set-up alone. A
+#     region's whole life is one worker call, so one worker holds one
+#     region: the GOMAXPROCS=1 leg's peak_rss_kb (VmHWM, read on Linux
+#     only) must stay under 120 000, where keeping every region to the
+#     merge read ≈ 331 000. At GOMAXPROCS=4 three workers hold three
+#     regions, so that leg is not bounded.
 SCALE_TMP ?= /tmp/rpcc-scale-smoke
 SCALE_RUN = scale -peers 10000 -simtime 60s -seed 1 -trace-out $(SCALE_TMP)/LEG.jsonl
-SCALE_100K = $(SCALE_TMP)/rpcc scale -peers 100000 -shards 1 -simtime 2s -seed 1
+define scale100k
+	GOMAXPROCS=1 $(SCALE_TMP)/rpcc scale -peers 100000 -seed 1 $(2) > $(SCALE_TMP)/$(1)-a.txt 2> $(SCALE_TMP)/$(1)-a.err || \
+		grep -qx 'rpcc scale: no queries answered' $(SCALE_TMP)/$(1)-a.err
+	GOMAXPROCS=4 $(SCALE_TMP)/rpcc scale -peers 100000 -seed 1 $(2) > $(SCALE_TMP)/$(1)-b.txt 2> $(SCALE_TMP)/$(1)-b.err || \
+		grep -qx 'rpcc scale: no queries answered' $(SCALE_TMP)/$(1)-b.err
+	cmp $(SCALE_TMP)/$(1)-a.txt $(SCALE_TMP)/$(1)-b.txt
+endef
 scale-smoke:
 	$(call rpcc,$(SCALE_TMP))
 	$(call twice,$(SCALE_TMP),$(SCALE_RUN),jsonl,GOMAXPROCS=1,GOMAXPROCS=4)
-	GOMAXPROCS=1 $(SCALE_100K) > $(SCALE_TMP)/100k-a.txt 2> $(SCALE_TMP)/100k-a.err || \
-		grep -qx 'rpcc scale: no queries answered' $(SCALE_TMP)/100k-a.err
-	GOMAXPROCS=4 $(SCALE_100K) > $(SCALE_TMP)/100k-b.txt 2> $(SCALE_TMP)/100k-b.err || \
-		grep -qx 'rpcc scale: no queries answered' $(SCALE_TMP)/100k-b.err
-	cmp $(SCALE_TMP)/100k-a.txt $(SCALE_TMP)/100k-b.txt
-	grep -q 'full_rebuilds=1 kinetic_samples=[1-9]' $(SCALE_TMP)/100k-a.txt
-	@cat $(SCALE_TMP)/a.txt $(SCALE_TMP)/100k-a.txt
+	$(call scale100k,fields,-shards 1 -simtime 2s)
+	grep -q 'full_rebuilds=1 kinetic_samples=[1-9]' $(SCALE_TMP)/fields-a.txt
+	$(call scale100k,strips,-simtime 1ms)
+	@kb=$$(sed -n 's/.*peak_rss_kb=\([0-9]*\).*/\1/p' $(SCALE_TMP)/strips-a.err); \
+	if [ "$$(uname)" = Linux ] && [ "$$kb" -ge 120000 ]; then \
+		echo "strips leg peaked at $$kb kB with one worker (bound 120000)"; exit 1; \
+	fi; echo "strips leg: peak_rss_kb=$$kb with one worker"
+	@cat $(SCALE_TMP)/a.txt $(SCALE_TMP)/fields-a.txt $(SCALE_TMP)/strips-a.txt
 
 # Causal-trace gate: a seeded 30-peer run exports its span JSONL twice;
 # the trace files, and the rpcc view reports rendered from them, must be

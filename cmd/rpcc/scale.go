@@ -11,13 +11,14 @@ import (
 	ctrace "github.com/manetlab/rpcc/internal/telemetry/trace"
 )
 
-const scaleSynopsis = `One large-population scenario run as independent kinetic regions on
-GOMAXPROCS-1 goroutines (defaults: 10 000 peers, 1 simulated minute,
-seed 1). The terrain grows with -peers to hold Table 1 density, and
-above 1000 peers the per-host workload intervals stretch with n, so
-the fleet-wide query/update rate stays the Table 1 scenario's. Stdout
-is a pure function of the flags (make scale-smoke compares GOMAXPROCS 1
-and 4); wall time, throughput and peak RSS go to stderr.
+const scaleSynopsis = `One large-population scenario run as independent kinetic regions, each
+built, run and dropped in one call on one of GOMAXPROCS-1 goroutines,
+so peak memory is about one region per worker (defaults: 10 000 peers,
+1 simulated minute, seed 1). The terrain grows with -peers to hold
+Table 1 density; above 1000 peers the per-host workload intervals
+stretch with n, keeping the Table 1 fleet-wide query/update rate.
+Stdout is a pure function of the flags (make scale-smoke compares
+GOMAXPROCS 1 and 4); wall time, throughput and peak RSS go to stderr.
 
   rpcc scale -peers 10000 -simtime 60s
   rpcc scale -peers 100000 -simtime 30s`

@@ -27,7 +27,7 @@ func chaosConfig() Config {
 // runChaos runs cfg with a metrics hub, failing the test on error.
 func runChaos(t *testing.T, cfg Config, opts ...Option) Result {
 	t.Helper()
-	res, err := run(cfg, opts...)
+	_, res, err := run(cfg, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,7 +87,8 @@ type Result struct {
 // records aggregate telemetry internally; use RunWithTelemetry to run
 // with a hub of the caller's, or none.
 func Run(cfg Config) (Result, error) {
-	return run(cfg)
+	_, res, err := run(cfg)
+	return res, err
 }
 
 // RunWithTelemetry executes one scenario with the caller's telemetry hub
@@ -96,7 +97,8 @@ func Run(cfg Config) (Result, error) {
 // finalized (traffic and sim-clock folded in) before the function
 // returns, so the caller may export it immediately.
 func RunWithTelemetry(cfg Config, hub *telemetry.Hub) (Result, error) {
-	return run(cfg, WithHub(hub))
+	_, res, err := run(cfg, WithHub(hub))
+	return res, err
 }
 
 // RunWithTrace executes one scenario with causal tracing enabled and
@@ -108,31 +110,35 @@ func RunWithTelemetry(cfg Config, hub *telemetry.Hub) (Result, error) {
 // injected faults are recorded as fault roots.
 func RunWithTrace(cfg Config, hub *telemetry.Hub) (Result, []ctrace.Span, error) {
 	tracer := ctrace.NewCollector(0)
-	res, err := run(cfg, WithHub(hub), WithTracer(tracer))
+	_, res, err := run(cfg, WithHub(hub), WithTracer(tracer))
 	if err != nil {
 		return Result{}, nil, err
 	}
 	return res, tracer.Export(), nil
 }
 
-// run builds one scenario's World (with a metrics hub unless opts set
-// one), starts its workload, installs a non-zero fault campaign, and runs
-// it to the horizon.
-func run(cfg Config, opts ...Option) (Result, error) {
+// run is one scenario's whole life: it builds the World (with a metrics
+// hub unless opts set one), starts its workload, installs a non-zero
+// fault campaign, runs it to the horizon, timing that into w.busy, and
+// finishes it. Beside the Result it returns the finished World, for the
+// callers that read more of it (RunScale's regions).
+func run(cfg Config, opts ...Option) (*World, Result, error) {
 	w, err := Build(cfg, append([]Option{WithHub(telemetry.NewHub(telemetry.LevelMetrics))}, opts...)...)
 	if err != nil {
-		return Result{}, err
+		return nil, Result{}, err
 	}
 	if err := w.startScenario(); err != nil {
-		return Result{}, err
+		return nil, Result{}, err
 	}
 	if !cfg.Faults.IsZero() {
 		if err := w.installFaults(); err != nil {
-			return Result{}, err
+			return nil, Result{}, err
 		}
 	}
+	t0 := time.Now()
 	w.RunUntil(cfg.SimTime)
-	return w.Finish(), nil
+	w.busy = time.Since(t0)
+	return w, w.Finish(), nil
 }
 
 // startScenario adds what a batch run puts on a built World: the warm

@@ -69,7 +69,7 @@ func TestRunScaleRegionIsAStandaloneRun(t *testing.T) {
 		sub := regionConfig(cfg.Config, cfg.Shards, i)
 		sub.Seed += int64(i) * goldenGamma
 		tracer := ctrace.NewCollector(i)
-		want, err := run(sub, WithTracer(tracer))
+		_, want, err := run(sub, WithTracer(tracer))
 		if err != nil {
 			t.Fatalf("region %d alone: %v", i, err)
 		}
@@ -169,6 +169,39 @@ func TestRunScaleSetupErrorNotLost(t *testing.T) {
 	for i, l := range lines {
 		if !strings.HasPrefix(l, fmt.Sprintf("experiment: shard %d assemble", i)) {
 			t.Fatalf("error %d = %q, want shard %d's assemble error", i, l, i)
+		}
+	}
+}
+
+// TestRunScaleReleasesEachRegion: a region's whole life is one call, so
+// with one worker a finished region is garbage before the next one
+// finishes and the live heap stays at about one region however many
+// there are. The seam measures the heap after a collection as each
+// region's call ends, that region still in hand; a run that kept its
+// regions to the merge — their Worlds, or only their kernels, whose
+// pending timers hold the whole stack — would grow by a region each.
+func TestRunScaleReleasesEachRegion(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cfg := ScaleConfig{Config: scaleBoundsConfig(2400, 3), Shards: 4}
+	cfg.SimTime = 5 * time.Second
+	var heap []int64
+	regionDone = func(_ int, w *World) {
+		heap = append(heap, liveHeap())
+		runtime.KeepAlive(w)
+	}
+	defer func() { regionDone = nil }()
+	base := liveHeap()
+	if _, err := RunScale(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if len(heap) != cfg.Shards {
+		t.Fatalf("seam saw %d regions, want %d", len(heap), cfg.Shards)
+	}
+	region := heap[0] - base
+	t.Logf("live heap over the run's base per region's end: %v (one region ≈ %d B)", heap, region)
+	for i, h := range heap[1:] {
+		if grown := h - heap[0]; grown > region/2 {
+			t.Errorf("region %d ends with %d B more live than region 0 (one region is %d B): finished regions are kept", i+1, grown, region)
 		}
 	}
 }

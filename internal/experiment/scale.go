@@ -24,7 +24,7 @@ type ScaleConfig struct {
 	// peers, then one region per ~2500 peers, at most 16). Each region is
 	// an independent protocol stack on its own kernel: peers query within
 	// their region and regions exchange nothing. How many goroutines run
-	// the regions (EachShard) does not change the result.
+	// the regions (EachRegion) does not change the result.
 	Shards int
 	// Trace enables causal tracing: each region gets its own collector
 	// (region id = shard index, so span ids never collide) and the merged
@@ -63,23 +63,24 @@ func autoShards(n int) int {
 	if n < scaleAutoShardFloor {
 		return 1
 	}
-	s := n / 2500
-	if s < 2 {
-		s = 2
-	}
-	if s > 16 {
-		s = 16
-	}
-	return s
+	return min(max(n/2500, 2), 16)
 }
 
+// regionDone, when set, is called on region i's worker with its finished
+// World before the region's call returns — the seam the release test
+// measures the live heap through.
+var regionDone func(i int, w *World)
+
 // RunScale executes one scenario at scale: the peers split into S
-// equal-density regions, each an independent stack on its own seeded
-// kernel (region i on root+i·goldenGamma), run to the horizon on
-// EachShard's workers and merged into one report. A region's Result is a
-// pure function of (its sub-config, the root seed, its index) — exactly
-// what Run returns for that sub-config on that seed — so S = 1 behaves
-// exactly like Run.
+// equal-density regions, each an independent run on its own seeded
+// kernel (region i on root+i·goldenGamma), merged into one report. A
+// region's whole life — build, run to the horizon, finish into what the
+// merge reads — is one call of run on one of EachRegion's workers, so
+// nothing of a region outlives its call and peak memory is about one
+// region per worker, whatever S is. A region's Result is a pure function
+// of (its sub-config, the root seed, its index) — exactly what Run
+// returns for that sub-config on that seed — so S = 1 behaves exactly
+// like Run.
 func RunScale(cfg ScaleConfig) (ScaleResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return ScaleResult{}, err
@@ -91,10 +92,7 @@ func RunScale(cfg ScaleConfig) (ScaleResult, error) {
 	if s == 0 {
 		s = autoShards(cfg.NPeers)
 	}
-	if s < 1 {
-		return ScaleResult{}, fmt.Errorf("experiment: bad shard count %d", s)
-	}
-	if cfg.NPeers/s < 2 {
+	if cfg.NPeers/s < 2 { // as does any negative count
 		return ScaleResult{}, fmt.Errorf("experiment: %d peers across %d shards leaves <2 per region", cfg.NPeers, s)
 	}
 	sk, err := sim.NewShardedKernel(s, 0, cfg.SimTime, cfg.Seed)
@@ -102,45 +100,32 @@ func RunScale(cfg ScaleConfig) (ScaleResult, error) {
 		return ScaleResult{}, err
 	}
 
-	// A region's stack touches only its own kernel, hub and collector, so
-	// the regions assemble on the kernel's workers.
-	worlds := make([]*World, s)
+	out := ScaleResult{Shards: s, PerShard: make([]Result, s)}
+	topology := make([]netsim.TopologyStats, s)
+	sets := make([][]ctrace.Span, s)
 	errs := make([]error, s)
-	sk.EachShard(func(i int) {
-		opts := []Option{WithKernel(sk.Shard(i)), WithHub(telemetry.NewHub(telemetry.LevelMetrics))}
+	sk.EachRegion(func(i int, k *sim.Kernel) time.Duration {
+		var tracer *ctrace.Collector
 		if cfg.Trace {
-			opts = append(opts, WithTracer(ctrace.NewCollector(i)))
+			tracer = ctrace.NewCollector(i)
 		}
-		w, err := Build(regionConfig(cfg.Config, s, i), opts...)
-		if err == nil {
-			err = w.startScenario()
-		}
+		w, res, err := run(regionConfig(cfg.Config, s, i), WithKernel(k), WithTracer(tracer))
 		if err != nil {
 			errs[i] = fmt.Errorf("experiment: shard %d assemble: %w", i, err)
-			return
+			return 0
 		}
-		worlds[i] = w
+		out.PerShard[i], topology[i], sets[i] = res, w.Net.TopologyStats(), w.Tracer.Export()
+		if regionDone != nil {
+			regionDone(i, w)
+		}
+		return w.busy
 	})
 	if err := errors.Join(errs...); err != nil {
 		return ScaleResult{}, err
 	}
-
-	sk.Run()
-
-	out := ScaleResult{
-		Shards:      s,
-		PerShard:    make([]Result, s),
-		KernelStats: sk.Stats(),
-	}
-	sets := make([][]ctrace.Span, s)
-	sk.EachShard(func(i int) {
-		out.PerShard[i] = worlds[i].Finish()
-		if cfg.Trace {
-			sets[i] = worlds[i].Tracer.Export()
-		}
-	})
-	for _, w := range worlds {
-		out.Topology.Add(w.Net.TopologyStats())
+	out.KernelStats = sk.Stats()
+	for _, t := range topology {
+		out.Topology.Add(t)
 	}
 	if cfg.Trace {
 		out.Spans = ctrace.Merge(sets...)

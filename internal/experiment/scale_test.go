@@ -36,6 +36,58 @@ func TestLargeScaleRun(t *testing.T) {
 	}
 }
 
+// scaleBoundsConfig is an n-peer RPCC-SC scenario as rpcc scale runs it:
+// Table 1 density and the scale resource bounds (route tables capped,
+// churn folded in lazily).
+func scaleBoundsConfig(n int, seed int64) Config {
+	cfg := DefaultConfig(StrategyRPCCSC, seed)
+	cfg.NPeers = n
+	cfg.RouteTableCap = 256
+	cfg.LazyChurnRefresh = true
+	side := 1500 * math.Sqrt(float64(n)/50)
+	cfg.AreaWidth, cfg.AreaHeight = side, side
+	return cfg
+}
+
+// liveHeap is the heap still in use after a full collection.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestBytesPerNodeBudget pins what one world holds per node once it is
+// running: a 10 000-peer scenario under the scale bounds, built, started
+// and run for 1 simulated second, measured as the live heap after a
+// collection. A scale run keeps one region per worker in memory, so this
+// is what its peak is made of. Measured (go1.24, linux/amd64): 4 262 B
+// per node. The budget is that + 10 % and only ever tightens.
+func TestBytesPerNodeBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("10 000-peer world skipped in -short mode")
+	}
+	const n = 10_000
+	const budget = 1.10 * 4262
+	cfg := scaleBoundsConfig(n, 1)
+	cfg.SimTime = time.Minute
+	base := liveHeap()
+	w, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.startScenario(); err != nil {
+		t.Fatal(err)
+	}
+	w.RunUntil(time.Second)
+	perNode := float64(liveHeap()-base) / n
+	runtime.KeepAlive(w)
+	t.Logf("live heap: %.0f B per node", perNode)
+	if perNode > budget {
+		t.Errorf("a running world holds %.0f B per node; budget %.0f", perNode, budget)
+	}
+}
+
 // TestSetupAllocationBudget pins what assembling a scale run costs per
 // node: a 2 000-node scenario at Table 1 density with the scale resource
 // bounds, run for 1 ms so set-up is nearly all of it. Measured (go1.24,
@@ -57,13 +109,8 @@ func TestLargeScaleRun(t *testing.T) {
 func TestSetupAllocationBudget(t *testing.T) {
 	const n = 2000
 	const mallocBudget, byteBudget = 1.2 * 0.73, 1.05 * 3410
-	cfg := DefaultConfig(StrategyRPCCSC, 1)
-	cfg.NPeers = n
+	cfg := scaleBoundsConfig(n, 1)
 	cfg.SimTime = time.Millisecond
-	cfg.RouteTableCap = 256
-	cfg.LazyChurnRefresh = true
-	side := 1500 * math.Sqrt(n/50.0)
-	cfg.AreaWidth, cfg.AreaHeight = side, side
 
 	var before, after runtime.MemStats
 	runtime.GC()

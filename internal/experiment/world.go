@@ -54,9 +54,11 @@ type World struct {
 	Tracer *ctrace.Collector
 
 	// timeline is a batch run's traffic samples; faults audits its
-	// campaign's invariants (nil without one).
+	// campaign's invariants (nil without one); busy is the wall time its
+	// RunUntil took.
 	timeline []uint64
 	faults   *faults.Auditor
+	busy     time.Duration
 }
 
 // Option supplies what a caller cannot set on a built World.

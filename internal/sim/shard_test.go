@@ -24,7 +24,8 @@ const (
 // installChain seeds one event chain on k: every tick logs its time and
 // a draw from the kernel's own stream, then schedules the next after a
 // period drawn from that stream — so the trace is a function of the
-// kernel's seed, and of nothing outside the kernel.
+// kernel's seed, and of nothing outside the kernel. It may run on a
+// region worker, so a failure is reported with Errorf.
 func installChain(t *testing.T, k *Kernel, out *[]shardTraceEntry) {
 	t.Helper()
 	rng := k.Stream("chain")
@@ -36,38 +37,42 @@ func installChain(t *testing.T, k *Kernel, out *[]shardTraceEntry) {
 		}
 	}
 	if _, err := k.At(time.Duration(1+rng.Intn(1000))*time.Microsecond, "tick", tick(0)); err != nil {
-		t.Fatalf("seed chain: %v", err)
+		t.Errorf("seed chain: %v", err)
 	}
 }
 
-// runShardedTrace runs one chain per shard on a ShardedKernel and
-// returns the per-shard traces. traces[i] is only ever appended from
-// shard i's handlers, so the workers need no locking.
-func runShardedTrace(t *testing.T) ([][]shardTraceEntry, *ShardedKernel) {
+// runShardedTrace runs one chain per shard through EachRegion and
+// returns the per-shard traces and the clock each kernel ended on.
+// traces[i] is only ever appended from shard i's handlers, so the
+// workers need no locking.
+func runShardedTrace(t *testing.T) ([][]shardTraceEntry, []time.Duration, *ShardedKernel) {
 	t.Helper()
 	sk, err := NewShardedKernel(shardWlShards, 0, shardWlHorizon, 42)
 	if err != nil {
 		t.Fatalf("NewShardedKernel: %v", err)
 	}
 	traces := make([][]shardTraceEntry, shardWlShards)
-	for i := range traces {
-		installChain(t, sk.Shard(i), &traces[i])
-	}
-	if got := sk.Run(); got != shardWlHorizon {
-		t.Fatalf("Run returned %v, want %v", got, shardWlHorizon)
-	}
-	return traces, sk
+	clocks := make([]time.Duration, shardWlShards)
+	sk.EachRegion(func(i int, k *Kernel) time.Duration {
+		installChain(t, k, &traces[i])
+		k.RunUntil(shardWlHorizon)
+		clocks[i] = k.Now()
+		return 0
+	})
+	return traces, clocks, sk
 }
 
 // TestShardedMatchesSerialKernel is the sharded-kernel correctness gate:
 // shard i's execution is exactly a serial kernel's on seed
-// root+i·goldenGamma, its clock lands on the horizon, and a Run counts
-// as one join (what bench/ reads through Barriers).
+// root+i·goldenGamma, its clock lands on the horizon, its stats count
+// its events, and an EachRegion counts as one join (what bench/ reads
+// through Barriers), as does the bench's empty Run.
 func TestShardedMatchesSerialKernel(t *testing.T) {
-	sharded, sk := runShardedTrace(t)
+	sharded, clocks, sk := runShardedTrace(t)
 	if sk.Barriers() != 1 {
-		t.Fatalf("Barriers() = %d after one Run, want 1", sk.Barriers())
+		t.Fatalf("Barriers() = %d after one EachRegion, want 1", sk.Barriers())
 	}
+	st := sk.Stats()
 	for i := range sharded {
 		ref := NewKernel(WithSeed(42+int64(i)*goldenGamma), WithHorizon(shardWlHorizon))
 		var want []shardTraceEntry
@@ -82,9 +87,15 @@ func TestShardedMatchesSerialKernel(t *testing.T) {
 		if i > 0 && reflect.DeepEqual(sharded[i], sharded[0]) {
 			t.Fatalf("shard %d repeats shard 0; seeds are not spaced", i)
 		}
-		if now := sk.Shard(i).Now(); now != shardWlHorizon {
-			t.Fatalf("shard %d clock %v, want the horizon", i, now)
+		if clocks[i] != shardWlHorizon {
+			t.Fatalf("shard %d clock %v, want the horizon", i, clocks[i])
 		}
+		if got := st.Shards[i].EventsFired; got != uint64(len(want)) {
+			t.Fatalf("shard %d stats count %d events, want %d", i, got, len(want))
+		}
+	}
+	if got := sk.Run(); got != shardWlHorizon || sk.Barriers() != 2 {
+		t.Fatalf("Run = %v with %d joins, want the horizon and 2", got, sk.Barriers())
 	}
 }
 
@@ -93,17 +104,17 @@ func TestShardedMatchesSerialKernel(t *testing.T) {
 // one after another, against 4, where three workers share them.
 func TestShardedRunTwiceIdentical(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	a, _ := runShardedTrace(t)
+	a, _, _ := runShardedTrace(t)
 	runtime.GOMAXPROCS(4)
-	b, _ := runShardedTrace(t)
+	b, _, _ := runShardedTrace(t)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("per-shard traces differ between GOMAXPROCS=1 and GOMAXPROCS=4")
 	}
 }
 
-// TestEachShard: every index is called exactly once whatever the worker
-// count, in index order when the caller is the only worker, and never on
-// more than GOMAXPROCS-1 goroutines at a time.
+// TestEachShard: EachRegion calls every shard index exactly once
+// whatever the worker count, in index order when the caller is the only
+// worker, and never on more than GOMAXPROCS-1 goroutines at a time.
 func TestEachShard(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	sk, err := NewShardedKernel(5, 0, time.Second, 1)
@@ -115,7 +126,7 @@ func TestEachShard(t *testing.T) {
 		var order []int
 		var mu sync.Mutex
 		var running, peak int
-		sk.EachShard(func(i int) {
+		sk.EachRegion(func(i int, _ *Kernel) time.Duration {
 			mu.Lock()
 			order = append(order, i)
 			running++
@@ -125,6 +136,7 @@ func TestEachShard(t *testing.T) {
 			mu.Lock()
 			running--
 			mu.Unlock()
+			return 0
 		})
 		if procs <= 2 && !reflect.DeepEqual(order, []int{0, 1, 2, 3, 4}) {
 			t.Errorf("GOMAXPROCS=%d: call order %v, want index order", procs, order)
@@ -157,16 +169,19 @@ func TestShardedSingleShardDegenerate(t *testing.T) {
 		t.Fatalf("NewShardedKernel: %v", err)
 	}
 	ref := NewKernel(WithSeed(77), WithHorizon(50*time.Millisecond))
-
-	if a, b := sk.Shard(0).Stream("x").Uint64(), ref.Stream("x").Uint64(); a != b {
-		t.Fatalf("shard 0 stream diverges from serial kernel: %d vs %d", a, b)
-	}
-
+	refX := ref.Stream("x").Uint64()
 	var got, want []shardTraceEntry
-	installChain(t, sk.Shard(0), &got)
 	installChain(t, ref, &want)
-	sk.Run()
 	ref.Run()
+
+	sk.EachRegion(func(_ int, k *Kernel) time.Duration {
+		if x := k.Stream("x").Uint64(); x != refX {
+			t.Errorf("shard 0 stream diverges from serial kernel: %d vs %d", x, refX)
+		}
+		installChain(t, k, &got)
+		k.RunUntil(50 * time.Millisecond)
+		return 0
+	})
 	if len(want) == 0 || !reflect.DeepEqual(got, want) {
 		t.Fatalf("single-shard trace diverges: %v vs %v", got, want)
 	}
