@@ -83,8 +83,8 @@ func scaleCmd(_ context.Context, args []string) error {
 	fmt.Printf("consistency: violations=%d torn=%d future=%d\n",
 		res.Violations, res.TornAnswers, res.FutureAnswers)
 	t := res.Topology
-	fmt.Printf("topology: full_rebuilds=%d kinetic_samples=%d makes=%d breaks=%d rebins=%d cert_checks=%d\n",
-		t.FullRebuilds, t.KineticSamples, t.LinkMakes, t.LinkBreaks, t.Rebins, t.CertChecks)
+	fmt.Printf("topology: full_rebuilds=%d kinetic_samples=%d makes=%d breaks=%d rebins=%d\n",
+		t.FullRebuilds, t.KineticSamples, t.LinkMakes, t.LinkBreaks, t.Rebins)
 	fmt.Printf("routes: repaired=%d dropped=%d\n", t.RoutesRepaired, t.RoutesDropped)
 	// Per-region introspection, deterministic half: event counts and the
 	// event-imbalance gauge derive from the seed alone.

@@ -87,7 +87,7 @@ func WithTracer(c *ctrace.Collector) Option { return func(o *options) { o.tracer
 
 // WithLayout pins node i at pts[i] for the whole run instead of moving it
 // by random waypoint. The layout runs on the kinetic topology plane like
-// a mobility field, with no certificate ever falling due. Without a
+// a mobility field, as a source whose nodes never drift. Without a
 // mobility field there is no movement signal for RPCC's coefficients and
 // no geometric hop hint for the utility policy.
 func WithLayout(pts []geo.Point) Option { return func(o *options) { o.layout = pts } }

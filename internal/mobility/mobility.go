@@ -66,11 +66,11 @@ type Waypoint struct {
 	lastCell int
 	lastSeen time.Duration
 
-	// future buffers legs generated ahead of cur by analytic peeks (the
-	// kinetic topology plane asks about times the simulation clock has not
-	// reached yet). advance consumes the buffer before drawing fresh legs,
-	// so the node's private RNG sees exactly the same draw sequence whether
-	// or not anything ever peeked.
+	// future buffers legs generated ahead of cur by peeks at times the
+	// simulation clock has not reached yet (PeekPosition). advance
+	// consumes the buffer before drawing fresh legs, so the node's private
+	// RNG sees exactly the same draw sequence whether or not anything ever
+	// peeked.
 	future []leg
 }
 
@@ -169,34 +169,6 @@ func (w *Waypoint) PeekPosition(t time.Duration) geo.Point {
 	return legPos(w.legAt(t), t)
 }
 
-// Segment describes the node's motion at time t as one linear piece: the
-// effective speed (metres/second; 0 while pausing), the velocity vector
-// realising it, and the virtual time the piece ends (arrival at the
-// waypoint, or the end of the pause). Between t and End the position
-// moves along a straight line at exactly Vel, which is what lets the
-// kinetic topology plane solve link-crossing times analytically instead
-// of polling.
-type Segment struct {
-	Speed float64
-	Vel   geo.Point
-	End   time.Duration
-}
-
-// SegmentAt returns the linear motion piece covering time t (future times
-// allowed; like PeekPosition it does not advance the trajectory).
-func (w *Waypoint) SegmentAt(t time.Duration) Segment {
-	l := w.legAt(t)
-	if t < l.arriveAt && l.arriveAt > l.departAt {
-		secs := (l.arriveAt - l.departAt).Seconds()
-		return Segment{
-			Speed: l.from.Dist(l.to) / secs,
-			Vel:   l.to.Sub(l.from).Scale(1 / secs),
-			End:   l.arriveAt,
-		}
-	}
-	return Segment{Speed: 0, End: l.pauseTill}
-}
-
 // PositionAt returns the node position at virtual time t. Calls must use
 // non-decreasing t (the simulation clock); earlier times return the
 // position at the latest time already observed. It is also where subnet
@@ -223,8 +195,7 @@ func (w *Waypoint) positionOnLeg(t time.Duration) geo.Point {
 
 // legPos interpolates a position on one leg. Both the advancing PositionAt
 // path and the non-mutating PeekPosition path go through this single
-// formula, so the two agree bit-for-bit at equal times — the property the
-// kinetic topology plane's exactness argument rests on.
+// formula, so the two agree bit-for-bit at equal times.
 func legPos(l leg, t time.Duration) geo.Point {
 	switch {
 	case t <= l.departAt:
@@ -292,12 +263,6 @@ func (f *Field) Node(i int) *Waypoint { return &f.nodes[i] }
 // without advancing any trajectory state. See Waypoint.PeekPosition.
 func (f *Field) PeekPosition(i int, t time.Duration) geo.Point {
 	return f.nodes[i].PeekPosition(t)
-}
-
-// SegmentAt returns node i's linear motion piece covering time t. See
-// Waypoint.SegmentAt.
-func (f *Field) SegmentAt(i int, t time.Duration) Segment {
-	return f.nodes[i].SegmentAt(t)
 }
 
 // PositionsAt fills dst with every node's position at time t, allocating

@@ -3,48 +3,38 @@ package netsim
 import (
 	"math"
 	"slices"
-	"time"
 
 	"github.com/manetlab/rpcc/internal/geo"
-	"github.com/manetlab/rpcc/internal/mobility"
 	"github.com/manetlab/rpcc/internal/radio"
 )
 
 // The kinetic topology plane produces every connectivity snapshot by
 // incremental neighbour maintenance that advances only when a snapshot is
-// read: nothing in this file is a kernel event. Node motion is piecewise
-// linear (random waypoint legs), so for a tracked pair at distance d whose
-// current legs move at speeds s_u and s_v, no crossing of the range R can
-// happen before t + |d−R|/(s_u+s_v), and neither leg's contribution
-// changes before its segment ends. The minimum of those bounds is the
-// pair's certificate. Certificates wait on the plane's own heap;
-// kineticSample drains those due at or before the sample time S and
-// re-verifies each with the positions sampled at S, so float error can
-// delay a detection but never corrupt one — link state is always
-// confirmed by an exact distance test.
+// read: nothing in this file is a kernel event, and the positions a sample
+// uses are the ones Graph() reads once at the sample time.
 //
-// Candidate pairs come from a Verlet-style skin: nodes are binned on a
-// grid of side R+skin by their anchor (last rebin) position, a node's
-// rebin falls due before it can drift skin/2 from its anchor, and every
-// re-anchoring rescans the node's 3×3 block and drops its pairs whose
-// anchors separated. So a pair is tracked exactly while its anchor
-// distance is ≤ R+skin, in whatever order rebins are processed.
+// Candidate pairs come from a Verlet skin: nodes are binned on a grid of
+// side R+skin by their anchor position, and a pair is tracked exactly
+// while its anchor distance is ≤ R+skin. A sample at time S runs two
+// passes over the positions of S:
 //
-// Exactness at a sample. The drain processes every heap entry due ≤ S at
-// the positions of S. Afterwards (a) a node whose rebin was overdue — by
-// however many skins; nothing runs between samples — sits within skin/4
-// of its anchor, and any other node within skin/2 by the bound that
-// scheduled its rebin, so an untracked pair is at true distance > R:
-// links exist on tracked pairs only; (b) a tracked pair whose certificate
-// was due has had its exact test at S, and one whose certificate is not
-// yet due cannot have crossed R since its last test. Inside the drain (a)
-// can fail for a moment: dropPair's premise — separated anchors imply out
-// of range — needs both anchors fresh, and the other endpoint may itself
-// be overdue, so a pair in range at S can be dropped (counted as a
-// break). It heals before the drain ends: that endpoint is more than a
-// skin from its anchor, so its own rebin is due, re-anchors it at S, and
-// the rescan re-discovers the pair with an exact distance test (a make;
-// the two CSR diffs are a superset the route repair tolerates).
+//  1. Re-anchor every node that has drifted more than skin/2 from its
+//     anchor, and move it to its new cell. Only then, for each of those
+//     nodes, drop the tracked pairs whose anchors are now more than R+skin
+//     apart and discover new ones in its 3×3 cell block, each with an
+//     exact distance test.
+//  2. Test d² ≤ R² on every other tracked pair.
+//
+// Exactness at a sample. After pass 1 every node sits within skin/2 of its
+// anchor, so an untracked pair, whose anchors are more than R+skin apart,
+// is farther apart than R: links exist on tracked pairs only, and each of
+// those has had its exact test at S. Every anchor is fresh before any
+// pair is dropped, so a dropped pair is truly out of range (its break is
+// real) and no pair is dropped and found again in one sample. The edge
+// diffs a sample emits are therefore exactly the edge changes since the
+// last sample, each edge at most once. This holds for any source, however
+// far its nodes move between samples; a static layout is a source whose
+// nodes never drift.
 //
 // Snapshots are byte-identical to a from-scratch radio.GraphBuilder build
 // of the sampled positions: link membership at the sample time is exact,
@@ -52,23 +42,7 @@ import (
 // row order the builder produces. The equivalence tests in
 // kinetic_test.go pin this, and route answers equal to a fresh BFS, on
 // seeded mobile+churn histories and static layouts, at dense and at
-// sparse sampling (where the in-drain heal runs).
-
-// KineticSource is the position source contract the kinetic plane needs:
-// batch sampling plus the linear motion segment a node is on at the
-// sample time. *mobility.Field implements it.
-type KineticSource interface {
-	PositionSource
-	SegmentAt(i int, t time.Duration) mobility.Segment
-}
-
-// still runs a PositionSource without SegmentAt on the kinetic plane: its
-// nodes never move, so no certificate or rebin ever falls due.
-type still struct{ PositionSource }
-
-func (still) SegmentAt(int, time.Duration) mobility.Segment {
-	return mobility.Segment{End: math.MaxInt64}
-}
+// sparse sampling.
 
 // TopologyStats counts the kinetic plane's work — the accounting behind
 // the rpcc_topology_* and rpcc_route_invalidation_* telemetry families.
@@ -80,15 +54,14 @@ type TopologyStats struct {
 	KineticSamples uint64
 	// LinkMakes / LinkBreaks count the link state flips kinetic samples
 	// observe: a link that forms and breaks between two samples is never
-	// seen, and a pair dropped and re-discovered inside one drain counts
-	// one of each.
+	// seen.
 	LinkMakes, LinkBreaks uint64
-	// CertChecks counts certificate re-verifications (exact distance
-	// tests at a sample, one per certificate that fell due since the
-	// last sample — not one per certificate that would have fired).
-	CertChecks uint64
-	// Rebins counts Verlet anchor re-bins (candidate rediscovery scans),
-	// likewise at most one per node per sample.
+	// PairTests counts pass 2's exact distance tests: every tracked pair
+	// a sample did not just discover, once per sample.
+	PairTests uint64
+	// Rebins counts Verlet re-anchorings (candidate rediscovery scans): a
+	// node re-anchors at a sample when it has drifted more than skin/2
+	// from its anchor, so at most once per sample.
 	Rebins uint64
 	// RoutesRepaired / RoutesDropped count the catch-ups of stale
 	// per-destination route tables when routing next reads them: repaired
@@ -105,7 +78,7 @@ func (s *TopologyStats) Add(o TopologyStats) {
 	s.KineticSamples += o.KineticSamples
 	s.LinkMakes += o.LinkMakes
 	s.LinkBreaks += o.LinkBreaks
-	s.CertChecks += o.CertChecks
+	s.PairTests += o.PairTests
 	s.Rebins += o.Rebins
 	s.RoutesRepaired += o.RoutesRepaired
 	s.RoutesDropped += o.RoutesDropped
@@ -114,13 +87,13 @@ func (s *TopologyStats) Add(o TopologyStats) {
 // kinSkinFactor scales the Verlet skin relative to the comm range.
 const kinSkinFactor = 0.5
 
+// pairState is one tracked pair in the slab. diffGen == the current sample
+// says the pair's edge change for this sample is already settled: it was
+// discovered, or it flipped, or the down-mask pass emitted it.
 type pairState struct {
 	u, v    int32
 	linked  bool
-	dead    bool
-	gen     uint32 // heap-entry generation, bumped on slab free
-	pendIdx int32
-	pendGen uint32
+	dead    bool // a free slab slot
 	diffGen uint32
 }
 
@@ -129,92 +102,9 @@ type pairMark struct {
 	idx int32
 }
 
-type pendEntry struct {
-	u, v int32
-	add  bool
-	dead bool
-}
-
-// kinItem is one scheduled check: id >= 0 is a pair slab index, id < 0 a
-// node rebin (node = ^id). gen lazily invalidates superseded entries.
-type kinItem struct {
-	due time.Duration
-	id  int32
-	gen uint32
-}
-
-// before orders checks by (due, id, gen). A node has one rebin entry per
-// gen and a pair slab one certificate per gen in the heap at a time, so
-// this is a total order: pop order is a function of what was pushed, not
-// of the heap's shape.
-func (a kinItem) before(b kinItem) bool {
-	return a.due < b.due || a.due == b.due && (a.id < b.id || a.id == b.id && a.gen < b.gen)
-}
-
-// kinHeap is a binary min-heap of checks, sifted on the concrete type.
-type kinHeap []kinItem
-
-func (h *kinHeap) push(it kinItem) {
-	q := append(*h, it)
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !it.before(q[parent]) {
-			break
-		}
-		q[i] = q[parent]
-		i = parent
-	}
-	q[i] = it
-	*h = q
-}
-
-// pop removes and returns the earliest check. The heap must be non-empty.
-func (h *kinHeap) pop() kinItem {
-	q := *h
-	top := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q = q[:n]
-	*h = q
-	if n > 0 {
-		q.down(0)
-	}
-	return top
-}
-
-// down sifts entry i towards the leaves until its children follow it.
-func (q kinHeap) down(i int) {
-	n := len(q)
-	it := q[i]
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if c+1 < n && q[c+1].before(q[c]) {
-			c++
-		}
-		if !q[c].before(it) {
-			break
-		}
-		q[i] = q[c]
-		i = c
-	}
-	q[i] = it
-}
-
-// heapify restores the heap order over arbitrary contents.
-func (q kinHeap) heapify() {
-	for i := len(q)/2 - 1; i >= 0; i-- {
-		q.down(i)
-	}
-}
-
 type kinetic struct {
-	src  KineticSource
+	src  PositionSource
 	n    int
-	r    float64
 	r2   float64
 	skin float64
 	side float64
@@ -223,21 +113,17 @@ type kinetic struct {
 	// The cell grid: cells[cy·gw + cx] lists the nodes anchored in grid
 	// cell (cx, cy), which is floor(x/cell) − ox, floor(y/cell) − oy
 	// clamped into the gw × gh grid (see grid).
-	cell     float64
-	ox, oy   float64
-	gw, gh   int32
-	cellOf   []int32
-	cells    [][]int32
-	rebinGen []uint32
+	cell   float64
+	ox, oy float64
+	gw, gh int32
+	cellOf []int32
+	cells  [][]int32
+	// moved lists the nodes pass 1 re-anchored at this sample.
+	moved []int32
 
 	pairs   []pairState
 	free    []int32
 	tracked [][]int32 // per node: pair slab indices
-
-	// dead counts heap entries whose pair was dropped after they were
-	// pushed: a certificate waits in the heap until it falls due, and a
-	// compaction removes them all once they reach the live ones.
-	dead int
 
 	// mark[j].gen == markGen says the node markTracked last ran for tracks
 	// a pair with j, in slab mark[j].idx.
@@ -246,32 +132,29 @@ type kinetic struct {
 
 	linkedAdj [][]int32 // sorted linked geometric neighbour rows
 
-	heap kinHeap
-
-	pending []pendEntry
-	sample  uint32
-
+	// sample numbers the samples for diffGen; down and diffs are the
+	// current sample's Up mask and the edge diffs it has emitted so far.
+	sample   uint32
+	down     []bool
+	diffs    []radio.EdgeDiff
 	downPrev []bool
 	inited   bool
-	initing  bool
 
 	stats *TopologyStats
 }
 
-func newKinetic(src KineticSource, commRange float64, stats *TopologyStats) *kinetic {
+func newKinetic(src PositionSource, commRange float64, stats *TopologyStats) *kinetic {
 	n := src.Len()
 	skin := commRange * kinSkinFactor
 	return &kinetic{
 		src:       src,
 		n:         n,
-		sample:    1, // 0 is the zero value of diffGen/pendGen: must never be current
-		r:         commRange,
+		sample:    1, // 0 is the zero value of diffGen: must never be current
 		r2:        commRange * commRange,
 		skin:      skin,
 		side:      commRange + skin,
 		anchors:   make([]geo.Point, n),
 		cellOf:    make([]int32, n),
-		rebinGen:  make([]uint32, n),
 		tracked:   make([][]int32, n),
 		mark:      make([]pairMark, n),
 		linkedAdj: make([][]int32, n),
@@ -363,22 +246,18 @@ func swapRemove(s []int32, x int32) []int32 {
 	return s
 }
 
-// init performs the one full build: anchors, cell bins, candidate pair
-// discovery and the initial certificate schedule, all at time t with the
-// sampled positions.
-func (kn *kinetic) init(t time.Duration, pos []geo.Point) {
+// init performs the one full build at the first sample: anchors, cell
+// bins and candidate pair discovery with the sampled positions.
+func (kn *kinetic) init(pos []geo.Point, down []bool) {
 	copy(kn.anchors, pos)
 	kn.grid(pos)
 	kn.bin()
 	kn.carve()
-	kn.initing = true
 	for i := 0; i < kn.n; i++ {
-		kn.discover(int32(i), t, pos)
+		kn.discover(int32(i), pos)
 	}
-	kn.initing = false
-	for i := 0; i < kn.n; i++ {
-		kn.scheduleRebin(int32(i), t, pos)
-	}
+	copy(kn.downPrev, down)
+	kn.sample++
 	kn.inited = true
 	kn.stats.FullRebuilds++
 }
@@ -441,10 +320,10 @@ func (kn *kinetic) bin() {
 
 // carve sizes the plane from the candidate pairs around the fresh anchors
 // — the counts discover is about to track — before any is tracked: every
-// node's tracked and linked rows, carved from one array with slack, the
-// pair slab and the certificate heap. A node's links are a subset of its
-// tracked pairs, so its linked row gets the tracked row's room: it
-// outgrows it only when the tracked row does.
+// node's tracked and linked rows, carved from one array with slack, and
+// the pair slab. A node's links are a subset of its tracked pairs, so its
+// linked row gets the tracked row's room: it outgrows it only when the
+// tracked row does.
 func (kn *kinetic) carve() {
 	counts := make([]int32, kn.n)
 	maxD2 := kn.side * kn.side
@@ -470,13 +349,8 @@ func (kn *kinetic) carve() {
 	backing := carveRows(kn.tracked, counts, make([]int32, size), mean)
 	carveRows(kn.linkedAdj, counts, backing, mean)
 	// The pair count drifts less than a row does; half as many again
-	// covers the crowding. A dropped pair's certificate stays until it
-	// falls due or a compaction, which runs once the dead entries reach
-	// the live ones, so the heap holds at most two entries per live check
-	// (a slab pair or a node's rebin).
-	slab := entries/2 + entries/4
-	kn.pairs = make([]pairState, 0, slab)
-	kn.heap = make(kinHeap, 0, 2*(slab+kn.n))
+	// covers the crowding.
+	kn.pairs = make([]pairState, 0, entries/2+entries/4)
 }
 
 // markTracked stamps the far endpoint of every pair node u tracks with a
@@ -493,7 +367,7 @@ func (kn *kinetic) markTracked(u int32) {
 // discover scans the 3×3 cell block around node u's anchor and starts
 // tracking every candidate pair (anchor distance ≤ R+skin) not already
 // tracked.
-func (kn *kinetic) discover(u int32, t time.Duration, pos []geo.Point) {
+func (kn *kinetic) discover(u int32, pos []geo.Point) {
 	kn.markTracked(u)
 	au := kn.anchors[u]
 	maxD2 := kn.side * kn.side
@@ -502,38 +376,38 @@ func (kn *kinetic) discover(u int32, t time.Duration, pos []geo.Point) {
 		for _, row := range kn.cells[y*kn.gw+x0 : y*kn.gw+x1+1] {
 			for _, j := range row {
 				if j != u && au.DistSq(kn.anchors[j]) <= maxD2 && kn.mark[j].gen != kn.markGen {
-					kn.trackPair(u, j, t, pos)
+					kn.trackPair(u, j, pos)
 				}
 			}
 		}
 	}
 }
 
-func (kn *kinetic) trackPair(u, v int32, t time.Duration, pos []geo.Point) {
+// trackPair starts tracking the pair (u, v) with an exact distance test,
+// which settles its edge change for this sample.
+func (kn *kinetic) trackPair(u, v int32, pos []geo.Point) {
+	st := pairState{u: u, v: v, diffGen: kn.sample}
 	var idx int32
 	if n := len(kn.free); n > 0 {
 		idx = kn.free[n-1]
 		kn.free = kn.free[:n-1]
-		gen := kn.pairs[idx].gen
-		kn.pairs[idx] = pairState{u: u, v: v, gen: gen}
+		kn.pairs[idx] = st
 	} else {
 		idx = int32(len(kn.pairs))
-		kn.pairs = append(kn.pairs, pairState{u: u, v: v})
+		kn.pairs = append(kn.pairs, st)
 	}
 	kn.tracked[u] = append(kn.tracked[u], idx)
 	kn.tracked[v] = append(kn.tracked[v], idx)
-	pu, pv := pos[u], pos[v]
-	if pu.DistSq(pv) <= kn.r2 {
-		// A pair is only untracked while strictly out of range, so a
-		// linked discovery is a genuine link-make event.
+	if pos[u].DistSq(pos[v]) <= kn.r2 {
+		// A pair is only untracked while out of range, so a linked
+		// discovery is a genuine link-make event.
 		kn.setLinked(idx, true)
 	}
-	kn.scheduleCert(idx, t, pu, pv)
 }
 
 // setLinked flips a pair's link state: the adjacency rows and, outside
 // the initial build (which is not a window of link events), the
-// make/break counter and the pending CSR diff.
+// make/break counter and the pair's CSR diff.
 func (kn *kinetic) setLinked(idx int32, linked bool) {
 	st := &kn.pairs[idx]
 	edit, count := removeSorted, &kn.stats.LinkBreaks
@@ -543,141 +417,55 @@ func (kn *kinetic) setLinked(idx int32, linked bool) {
 	kn.linkedAdj[st.u] = edit(kn.linkedAdj[st.u], st.v)
 	kn.linkedAdj[st.v] = edit(kn.linkedAdj[st.v], st.u)
 	st.linked = linked
-	if !kn.initing {
-		*count++
-		kn.pendFlip(idx, linked)
+	if !kn.inited {
+		return
+	}
+	*count++
+	st.diffGen = kn.sample
+	inOld := !linked && !kn.downPrev[st.u] && !kn.downPrev[st.v]
+	inNew := linked && !kn.down[st.u] && !kn.down[st.v]
+	if inOld != inNew {
+		kn.diffs = append(kn.diffs, radio.EdgeDiff{U: st.u, V: st.v, Add: inNew})
 	}
 }
 
 // dropPair stops tracking a pair whose anchors have separated beyond
-// R+skin. Between fresh anchors that implies true distance > R, so a
-// still-linked pair breaks here (its certificate may simply not have been
-// drained yet this batch). When the other endpoint's anchor is stale —
-// its own rebin overdue, later in this drain — the pair may in truth be
-// in range; that rebin re-discovers it (see the header).
-func (kn *kinetic) dropPair(idx int32, fromRebin int32) {
+// R+skin. Every anchor is fresh when it runs, so the pair is out of range
+// and a still-linked pair breaks here. u is the re-anchored endpoint,
+// which compacts its own tracked list.
+func (kn *kinetic) dropPair(idx int32, u int32) {
 	st := &kn.pairs[idx]
 	if st.linked {
 		kn.setLinked(idx, false)
 	}
-	// The rebinning endpoint compacts its own tracked list.
-	other := st.u ^ st.v ^ fromRebin
+	other := st.u ^ st.v ^ u
 	kn.tracked[other] = swapRemove(kn.tracked[other], idx)
 	st.dead = true
-	st.gen++
 	kn.free = append(kn.free, idx)
-	if kn.dead++; 2*kn.dead >= len(kn.heap) {
-		kn.compact()
-	}
 }
 
-// compact drops the dead certificates from the heap and restores its
-// order. Checks pop in (due, id, gen) order, a total order, so the drain
-// sequence does not depend on the heap's shape.
-func (kn *kinetic) compact() {
-	live := kn.heap[:0]
-	for _, it := range kn.heap {
-		if it.id < 0 || kn.pairs[it.id].gen == it.gen {
-			live = append(live, it)
+// reanchor is pass 1: it re-anchors and re-bins every node that drifted
+// more than skin/2, and only then drops and discovers those nodes' pairs.
+func (kn *kinetic) reanchor(pos []geo.Point) {
+	limit := kn.skin * kn.skin / 4
+	kn.moved = kn.moved[:0]
+	for i, p := range pos {
+		if kn.anchors[i].DistSq(p) <= limit {
+			continue
 		}
-	}
-	kn.heap = live
-	kn.heap.heapify()
-	kn.dead = 0
-}
-
-// pendFlip records a link flip for the next sample's CSR diff, with
-// parity cancellation: a pair that flips twice between samples nets out.
-func (kn *kinetic) pendFlip(idx int32, add bool) {
-	st := &kn.pairs[idx]
-	if st.pendGen == kn.sample && int(st.pendIdx) < len(kn.pending) {
-		e := &kn.pending[st.pendIdx]
-		if e.u == st.u && e.v == st.v {
-			e.dead = !e.dead
-			e.add = add
-			return
-		}
-	}
-	st.pendIdx = int32(len(kn.pending))
-	st.pendGen = kn.sample
-	kn.pending = append(kn.pending, pendEntry{u: st.u, v: st.v, add: add})
-}
-
-// scheduleCert schedules the pair's next crossing certificate by solving
-// the pair's link-crossing time analytically on the current motion legs:
-// both nodes move linearly until the earlier segment end, so
-// |q0 + wΔ|² = R² is a quadratic in Δ (q0 the current separation, w the
-// relative velocity). A linked pair re-checks at its exit root, an
-// unlinked approaching pair at its entry root, and a pair whose legs
-// never cross R re-checks only when a leg ends — most tracked pairs cost
-// zero work until then.
-func (kn *kinetic) scheduleCert(idx int32, t time.Duration, pu, pv geo.Point) {
-	st := &kn.pairs[idx]
-	segU := kn.src.SegmentAt(int(st.u), t)
-	segV := kn.src.SegmentAt(int(st.v), t)
-	due := min(segU.End, segV.End)
-	wx := segU.Vel.X - segV.Vel.X
-	wy := segU.Vel.Y - segV.Vel.Y
-	if a := wx*wx + wy*wy; a > 0 {
-		qx := pu.X - pv.X
-		qy := pu.Y - pv.Y
-		b := 2 * (qx*wx + qy*wy)
-		c := qx*qx + qy*qy - kn.r2
-		disc := b*b - 4*a*c
-		delta := -1.0 // seconds until the crossing; <0 = none on these legs
-		if c <= 0 {
-			// Inside R (disc ≥ b² here): the exit is the larger root,
-			// which is never negative.
-			delta = (-b + math.Sqrt(disc)) / (2 * a)
-		} else if disc > 0 && b < 0 {
-			// Outside R and approaching: the entry is the smaller root,
-			// in its cancellation-free form.
-			delta = 2 * c / (-b + math.Sqrt(disc))
-		}
-		if delta >= 0 {
-			// The certificate must fire at or before the true crossing —
-			// a cert landing after a snapshot that the crossing preceded
-			// would leave the sample stale. Shaving a relative 1e-9 plus
-			// an absolute 1µs absorbs every float rounding in the solve;
-			// firing early is self-correcting (the exact distance test
-			// re-arms the certificate).
-			d := time.Duration(delta*(1-1e-9)*float64(time.Second)) - time.Microsecond
-			due = min(due, t+d)
-		}
-	}
-	kn.heap.push(kinItem{due: max(due, t+1), id: idx, gen: st.gen})
-}
-
-// scheduleRebin schedules the time by which node u must re-anchor: before
-// it can drift skin/2 from its anchor, and no later than its current
-// motion segment's end (a paused node schedules nothing until the pause
-// ends).
-func (kn *kinetic) scheduleRebin(u int32, t time.Duration, pos []geo.Point) {
-	seg := kn.src.SegmentAt(int(u), t)
-	due := seg.End
-	if seg.Speed > 0 {
-		drift := kn.anchors[u].Dist(pos[u])
-		remaining := max(kn.skin/2-drift, 0)
-		due = min(due, t+time.Duration(remaining/seg.Speed*float64(time.Second)))
-	}
-	kn.rebinGen[u]++
-	kn.heap.push(kinItem{due: max(due, t+1), id: ^u, gen: kn.rebinGen[u]})
-}
-
-// processRebin re-anchors node u if it drifted meaningfully, rescans its
-// 3×3 block for new candidates and drops pairs whose anchors separated.
-func (kn *kinetic) processRebin(u int32, t time.Duration, pos []geo.Point) {
-	p := pos[u]
-	if kn.anchors[u].Dist(p) >= kn.skin/4 {
-		kn.stats.Rebins++
+		u := int32(i)
 		kn.anchors[u] = p
 		if c := kn.cellIndex(p); c != kn.cellOf[u] {
 			kn.cells[kn.cellOf[u]] = swapRemove(kn.cells[kn.cellOf[u]], u)
 			kn.cellOf[u] = c
 			kn.cells[c] = append(kn.cells[c], u)
 		}
-		// Drop pairs whose anchors separated beyond the skin envelope.
-		maxD2 := kn.side * kn.side
+		kn.moved = append(kn.moved, u)
+	}
+	kn.stats.Rebins += uint64(len(kn.moved))
+	maxD2 := kn.side * kn.side
+	for _, u := range kn.moved {
+		p := kn.anchors[u]
 		lst := kn.tracked[u]
 		kept := lst[:0]
 		for _, idx := range lst {
@@ -689,71 +477,30 @@ func (kn *kinetic) processRebin(u int32, t time.Duration, pos []geo.Point) {
 			}
 		}
 		kn.tracked[u] = kept
-		kn.discover(u, t, pos)
-	}
-	kn.scheduleRebin(u, t, pos)
-}
-
-// processPair re-verifies a due certificate with an exact distance test,
-// records any link flip, and schedules the next certificate.
-func (kn *kinetic) processPair(idx int32, t time.Duration, pos []geo.Point) {
-	st := &kn.pairs[idx]
-	kn.stats.CertChecks++
-	pu := pos[st.u]
-	pv := pos[st.v]
-	if linked := pu.DistSq(pv) <= kn.r2; linked != st.linked {
-		kn.setLinked(idx, linked)
-	}
-	kn.scheduleCert(idx, t, pu, pv)
-}
-
-// drainUntil processes every scheduled check due at or before the sample
-// time t, with the positions sampled at t.
-func (kn *kinetic) drainUntil(t time.Duration, pos []geo.Point) {
-	for len(kn.heap) > 0 && kn.heap[0].due <= t {
-		it := kn.heap.pop()
-		if it.id >= 0 {
-			st := &kn.pairs[it.id]
-			if st.dead || st.gen != it.gen {
-				kn.dead--
-				continue
-			}
-			kn.processPair(it.id, t, pos)
-		} else {
-			u := ^it.id
-			if kn.rebinGen[u] != it.gen {
-				continue
-			}
-			kn.processRebin(u, t, pos)
-		}
+		kn.discover(u, pos)
 	}
 }
 
-// csrDiffs converts the window's pending link flips plus the down-mask
-// delta into the CSR edge changes between the previous and the new
-// snapshot — exactly those, plus a removal and an addition of the same
-// edge for a pair healed inside the drain — and rolls the sample counter.
-func (kn *kinetic) csrDiffs(down []bool, buf []radio.EdgeDiff) []radio.EdgeDiff {
-	diffs := buf[:0]
-	for i := range kn.pending {
-		e := &kn.pending[i]
-		if e.dead {
+// advance brings the plane to a sample with the positions and Up mask read
+// at it, and returns the CSR edge changes since the last sample in buf:
+// pass 1 (reanchor), pass 2 (the exact test on every tracked pair pass 1
+// did not just discover), then the down-mask delta on the links neither
+// pass flipped.
+func (kn *kinetic) advance(pos []geo.Point, down []bool, buf []radio.EdgeDiff) []radio.EdgeDiff {
+	kn.down, kn.diffs = down, buf[:0]
+	kn.reanchor(pos)
+	tests := uint64(0)
+	for i := range kn.pairs {
+		st := &kn.pairs[i]
+		if st.dead || st.diffGen == kn.sample {
 			continue
 		}
-		// The flipped pair, if it is still tracked (under this slab or,
-		// dropped and re-discovered, another): mark it handled.
-		for _, idx := range kn.tracked[e.u] {
-			if st := &kn.pairs[idx]; st.u^st.v^e.u == e.v {
-				st.diffGen = kn.sample
-				break
-			}
-		}
-		inOld := !e.add && !kn.downPrev[e.u] && !kn.downPrev[e.v]
-		inNew := e.add && !down[e.u] && !down[e.v]
-		if inOld != inNew {
-			diffs = append(diffs, radio.EdgeDiff{U: e.u, V: e.v, Add: inNew})
+		tests++
+		if linked := pos[st.u].DistSq(pos[st.v]) <= kn.r2; linked != st.linked {
+			kn.setLinked(int32(i), linked)
 		}
 	}
+	kn.stats.PairTests += tests
 	for w := 0; w < kn.n; w++ {
 		if kn.downPrev[w] == down[w] {
 			continue
@@ -768,12 +515,11 @@ func (kn *kinetic) csrDiffs(down []bool, buf []radio.EdgeDiff) []radio.EdgeDiff 
 			inOld := !kn.downPrev[w] && !kn.downPrev[x]
 			inNew := !down[w] && !down[x]
 			if inOld != inNew {
-				diffs = append(diffs, radio.EdgeDiff{U: int32(w), V: x, Add: inNew})
+				kn.diffs = append(kn.diffs, radio.EdgeDiff{U: int32(w), V: x, Add: inNew})
 			}
 		}
 	}
-	kn.pending = kn.pending[:0]
 	copy(kn.downPrev, down)
 	kn.sample++
-	return diffs
+	return kn.diffs
 }

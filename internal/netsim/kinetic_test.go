@@ -59,8 +59,7 @@ func waypoints(side float64) fieldFn {
 	}
 }
 
-// chainLayout is the static chain: a layout without SegmentAt, which New
-// runs on the kinetic plane as nodes that never move.
+// chainLayout is the static chain: a layout whose nodes never move.
 func chainLayout(_ *testing.T, _ *sim.Kernel, n int) PositionSource { return chain(n) }
 
 // scatterLayout pins the nodes uniformly on a side×side square.
@@ -201,35 +200,25 @@ func hopsFrom(g *radio.Graph, src int) []int {
 // matchFullRebuild advances one seeded churning network to each of the
 // given sample times and checks every new snapshot against the
 // references (check). It returns the harness for the caller's own
-// assertions, and how many samples healed a pair inside one drain: an
-// edge present on both sides of the sample whose diffs nevertheless hold
-// a removal and an addition — dropped against a stale anchor, then
-// re-discovered by the other endpoint's overdue rebin.
-func matchFullRebuild(t *testing.T, n int, seed int64, samples []time.Duration, field fieldFn) (h *topoHarness, healed int) {
+// assertions, and the longest jump any node's anchor made at one sample:
+// the drift from its old anchor of the farthest-drifted node a sample
+// re-anchored.
+func matchFullRebuild(t *testing.T, n int, seed int64, samples []time.Duration, field fieldFn) (h *topoHarness, jump float64) {
 	t.Helper()
 	h = newTopoHarnessOn(t, n, seed, samples[len(samples)-1], field)
-	edgeKey := func(u, v int32) uint64 {
-		if u > v {
-			u, v = v, u
-		}
-		return uint64(uint32(u))<<32 | uint64(uint32(v))
-	}
+	old := make([]geo.Point, n)
 	for _, at := range samples {
 		h.k.RunUntil(at)
-		if _, fresh := h.check(t, 3, 7); !fresh {
-			continue // cached snapshot: no drain, diffBuf is the last sample's
+		inited := h.net.kin.inited
+		copy(old, h.net.kin.anchors)
+		if _, fresh := h.check(t, 3, 7); !fresh || !inited {
+			continue
 		}
-		removed := make(map[uint64]bool)
-		for _, d := range h.net.diffBuf {
-			if !d.Add {
-				removed[edgeKey(d.U, d.V)] = true
-			} else if removed[edgeKey(d.U, d.V)] {
-				healed++
-				break
-			}
+		for i, a := range h.net.kin.anchors {
+			jump = max(jump, a.Dist(old[i]))
 		}
 	}
-	return h, healed
+	return h, jump
 }
 
 // TestKineticMatchesFullRebuild is the adjacency-equivalence gate at a
@@ -266,34 +255,41 @@ func TestKineticMatchesFullRebuild(t *testing.T) {
 	}
 }
 
-// TestKineticMatchesFullRebuildSparseSampling reads snapshots at sparse,
-// irregular times with churn on. Nothing advances the plane between
-// reads, so at each one rebins are overdue by several skin widths (a
-// 20 m/s node covers five skins in 30 s), every certificate of the gap
-// is verified at once, and dropPair runs against stale anchors — the
-// in-drain drop and re-discovery the header of kinetic.go argues heals.
-// Snapshots must still equal the full rebuild's.
-func TestKineticMatchesFullRebuildSparseSampling(t *testing.T) {
-	const n = 140
+// sparseSamples is a run of sparse, irregular sample times: nothing
+// advances the plane between reads, so at most of them nodes have drifted
+// several skin widths from their anchors (a 20 m/s node covers five skins
+// in 30 s).
+func sparseSamples() []time.Duration {
 	gaps := []time.Duration{
 		30 * time.Second, 47 * time.Second, 250 * time.Millisecond, 61 * time.Second,
 		33 * time.Second, time.Second, 90 * time.Second, 38500 * time.Millisecond,
 		3 * time.Millisecond, 52 * time.Second, 31 * time.Second, 125 * time.Second,
 	}
+	var samples []time.Duration
+	var at time.Duration
+	for _, g := range gaps {
+		at += g
+		samples = append(samples, at)
+	}
+	return samples
+}
+
+// TestKineticMatchesFullRebuildSparseSampling reads snapshots at sparse,
+// irregular times with churn on, so a sample re-anchors nodes that
+// drifted more than a whole skin: the case in which a pair could be
+// dropped against a stale anchor unless every anchor is fresh first
+// (TestKineticDiffParity holds the diffs to that). Snapshots must still
+// equal the full rebuild's.
+func TestKineticMatchesFullRebuildSparseSampling(t *testing.T) {
+	const n = 140
 	for _, seed := range []int64{11, 12} {
-		var samples []time.Duration
-		var at time.Duration
-		for _, g := range gaps {
-			at += g
-			samples = append(samples, at)
-		}
-		kin, healed := matchFullRebuild(t, n, seed, samples, waypoints(2000))
+		kin, jump := matchFullRebuild(t, n, seed, sparseSamples(), waypoints(2000))
 		st := kin.net.TopologyStats()
 		if st.FullRebuilds != 1 {
 			t.Errorf("seed %d: %d full rebuilds, want 1", seed, st.FullRebuilds)
 		}
-		if healed == 0 {
-			t.Errorf("seed %d: no sample dropped and re-discovered a live link inside its drain — the gaps are too short to run that path", seed)
+		if skin := kin.net.kin.skin; jump <= skin {
+			t.Errorf("seed %d: no sample re-anchored a node that drifted more than a skin (%.0f m, longest jump %.0f m) — the gaps are too short to test the re-anchor order", seed, skin, jump)
 		}
 	}
 }
@@ -334,18 +330,6 @@ func (c *converging) PositionsAt(t time.Duration, dst []geo.Point) []geo.Point {
 	return dst
 }
 
-func (c *converging) SegmentAt(i int, t time.Duration) mobility.Segment {
-	if t >= c.arrive[i] {
-		return mobility.Segment{End: math.MaxInt64 / 2}
-	}
-	secs := c.arrive[i].Seconds()
-	return mobility.Segment{
-		Speed: c.from[i].Dist(c.to[i]) / secs,
-		Vel:   c.to[i].Sub(c.from[i]).Scale(1 / secs),
-		End:   c.arrive[i],
-	}
-}
-
 // TestKineticMatchesFullRebuildPastRowSlack runs the equivalence gate on
 // the converging layout: the rows init carved hold the sparse start's
 // counts with slack, the clique at the end needs every node in every row,
@@ -373,10 +357,9 @@ func TestKineticMatchesFullRebuildPastRowSlack(t *testing.T) {
 }
 
 // TestStaticLayoutsMatchFullRebuild runs the equivalence gate on layouts
-// without SegmentAt — a chain and 200 scattered nodes, both with churn —
-// which New runs on the kinetic plane through its never-moving adapter:
-// snapshots follow the down mask alone, and no certificate or rebin ever
-// falls due.
+// whose nodes never move — a chain and 200 scattered nodes, both with
+// churn: no node ever re-anchors, no pair's link flips, and the edge
+// changes, which route repair consumes, come from the down mask alone.
 func TestStaticLayoutsMatchFullRebuild(t *testing.T) {
 	var samples []time.Duration
 	for at := 250 * time.Millisecond; at <= time.Minute; at += 250 * time.Millisecond {
@@ -391,70 +374,27 @@ func TestStaticLayoutsMatchFullRebuild(t *testing.T) {
 		{"scatter", 200, scatterLayout(2000)},
 	} {
 		h, _ := matchFullRebuild(t, layout.n, 11, samples, layout.field)
-		if _, moves := h.src.(KineticSource); moves {
-			t.Fatalf("%s: the layout has SegmentAt; the adapter is not exercised", layout.name)
-		}
 		st := h.net.TopologyStats()
 		if st.FullRebuilds != 1 || st.KineticSamples == 0 {
 			t.Errorf("%s: %d full rebuilds and %d kinetic samples, want 1 and some",
 				layout.name, st.FullRebuilds, st.KineticSamples)
 		}
-		if st.CertChecks != 0 || st.Rebins != 0 {
-			t.Errorf("%s: %d certificate checks and %d rebins on nodes that never move",
-				layout.name, st.CertChecks, st.Rebins)
+		if st.Rebins != 0 || st.LinkMakes != 0 || st.LinkBreaks != 0 {
+			t.Errorf("%s: %d rebins, %d makes and %d breaks on nodes that never move",
+				layout.name, st.Rebins, st.LinkMakes, st.LinkBreaks)
+		}
+		if st.RoutesRepaired == 0 {
+			t.Errorf("%s: no route table was repaired; the down mask's diffs never reached one", layout.name)
 		}
 	}
-}
-
-// TestKineticHeapStaysCompact pins the dead-certificate bound: a dropped
-// pair's certificate waits in the heap until it falls due, and the heap
-// compacts once those reach the live checks, so over a long mobile run
-// the heap never holds more than twice the live checks (one certificate
-// per tracked pair, one rebin per node).
-func TestKineticHeapStaysCompact(t *testing.T) {
-	const n = 300
-	const horizon = 20 * time.Minute
-	h := newTopoHarnessOn(t, n, 3, horizon, waypoints(3000))
-	worst, dead := 0.0, 0
-	for at := time.Second; at <= horizon; at += time.Second {
-		h.k.RunUntil(at)
-		h.net.Graph()
-		kn := h.net.kin
-		entries := 0
-		for u := range n {
-			entries += len(kn.tracked[u])
-		}
-		live := entries/2 + n
-		stale := 0
-		for _, it := range kn.heap {
-			if it.id >= 0 && kn.pairs[it.id].gen != it.gen {
-				stale++
-			}
-		}
-		if stale != kn.dead || len(kn.heap)-stale != live {
-			t.Fatalf("t=%v: heap of %d holds %d stale entries (counted %d) and %d live for %d live checks",
-				at, len(kn.heap), stale, kn.dead, len(kn.heap)-stale, live)
-		}
-		if ratio := float64(len(kn.heap)) / float64(live); ratio > worst {
-			worst = ratio
-		}
-		dead = max(dead, kn.dead)
-		if len(kn.heap) > 2*live+1 {
-			t.Fatalf("t=%v: heap holds %d entries for %d live checks", at, len(kn.heap), live)
-		}
-	}
-	if dead == 0 {
-		t.Fatal("no dropped pair left a certificate behind; the run does not exercise compaction")
-	}
-	t.Logf("worst heap/live ratio %.2f, most dead entries at a sample %d", worst, dead)
 }
 
 // TestKineticSteadyStateAllocationBudget pins the kinetic plane's steady
 // state on a 2 000-node random-waypoint run at Table 1 density: after a
 // two-minute warm-up, a sample allocates almost nothing — the rows, the
-// pair slab, the heap and the cell bins were carved with slack at init,
-// and what still allocates is a row outgrowing it or a node entering a
-// cell init never saw. Measured (go1.24, linux/amd64): 0.27 mallocs per
+// pair slab and the cell bins were carved with slack at init, and what
+// still allocates is a row outgrowing it or a node entering a cell init
+// never saw. Measured (go1.24, linux/amd64): 0.27 mallocs per
 // sample, against 2.63 while every row grew one append at a time. The
 // budget is the measurement + 20 %.
 func TestKineticSteadyStateAllocationBudget(t *testing.T) {
@@ -494,32 +434,46 @@ func TestKineticSteadyStateAllocationBudget(t *testing.T) {
 
 // TestKineticDiffParity checks the kinetic plane's internal contract
 // directly: at every incremental sample, the emitted CSR edge diffs must
-// contain every true edge change between consecutive snapshots (repair
-// exactness tolerates superset diffs but not missing ones), and every
+// be exactly the edge changes between consecutive snapshots — every change
+// present with its direction, nothing else, no edge twice — and every
 // route table the cache answers from must agree with a fresh BFS over the
-// same CSR.
+// same CSR. It runs at a dense tick and at the sparse sample times, where
+// nodes re-anchor after drifting several skins.
 func TestKineticDiffParity(t *testing.T) {
-	const (
-		n       = 140
-		horizon = 30 * time.Second
-		tick    = 250 * time.Millisecond
-	)
-	h := newTopoHarness(t, n, 11, horizon)
+	const tick, horizon = 250 * time.Millisecond, 30 * time.Second
+	var dense []time.Duration
+	for at := tick; at <= horizon; at += tick {
+		dense = append(dense, at)
+	}
+	diffParity(t, 11, dense)
+	for _, seed := range []int64{11, 12} {
+		diffParity(t, seed, sparseSamples())
+	}
+}
 
+// diffParity runs TestKineticDiffParity's checks on one seeded 140-node
+// network read at the given sample times.
+func diffParity(t *testing.T, seed int64, samples []time.Duration) {
+	t.Helper()
+	const n = 140
+	h := newTopoHarnessOn(t, n, seed, samples[len(samples)-1], waypoints(2000))
+	key := func(u, v int32) uint64 {
+		if u > v {
+			u, v = v, u
+		}
+		return uint64(uint32(u))<<32 | uint64(uint32(v))
+	}
 	edgeSet := func(g *radio.Graph) map[uint64]bool {
 		set := make(map[uint64]bool)
 		for i := 0; i < n; i++ {
 			for _, j := range g.Neighbors(i) {
-				if i < j {
-					set[uint64(uint32(i))<<32|uint64(uint32(j))] = true
-				}
+				set[key(int32(i), int32(j))] = true
 			}
 		}
 		return set
 	}
-
 	var prev map[uint64]bool
-	for at := tick; at <= horizon; at += tick {
+	for _, at := range samples {
 		h.k.RunUntil(at)
 		before := h.net.Rebuilds()
 		g := h.net.Graph()
@@ -530,26 +484,24 @@ func TestKineticDiffParity(t *testing.T) {
 		if prev != nil {
 			emitted := make(map[uint64]bool)
 			for _, d := range h.net.diffBuf {
-				u, v := d.U, d.V
-				if u > v {
-					u, v = v, u
+				k := key(d.U, d.V)
+				if _, twice := emitted[k]; twice {
+					t.Fatalf("seed %d t=%v: edge (%d,%d) emitted twice", seed, at, d.U, d.V)
 				}
-				emitted[uint64(uint32(u))<<32|uint64(uint32(v))] = d.Add
-			}
-			check := func(k uint64, add bool) {
-				if got, ok := emitted[k]; !ok || got != add {
-					t.Fatalf("t=%v: true edge change (%d,%d,add=%v) missing from kinetic diffs (emitted=%v add=%v)",
-						at, int32(k>>32), int32(uint32(k)), add, ok, got)
+				emitted[k] = d.Add
+				if d.Add == prev[k] || d.Add != next[k] {
+					t.Fatalf("seed %d t=%v: emitted (%d,%d,add=%v), but the edge was %v before and is %v after",
+						seed, at, d.U, d.V, d.Add, prev[k], next[k])
 				}
 			}
 			for k := range next {
-				if !prev[k] {
-					check(k, true)
+				if _, ok := emitted[k]; !prev[k] && !ok {
+					t.Fatalf("seed %d t=%v: added edge (%d,%d) missing from the diffs", seed, at, int32(k>>32), int32(uint32(k)))
 				}
 			}
 			for k := range prev {
-				if !next[k] {
-					check(k, false)
+				if _, ok := emitted[k]; !next[k] && !ok {
+					t.Fatalf("seed %d t=%v: removed edge (%d,%d) missing from the diffs", seed, at, int32(k>>32), int32(uint32(k)))
 				}
 			}
 			for dst := 0; dst < n; dst++ {
@@ -559,7 +511,7 @@ func TestKineticDiffParity(t *testing.T) {
 						continue
 					}
 					if got := g.Hops(src, dst); got != ref[src] {
-						t.Fatalf("t=%v: dst=%d src=%d: cached hops %d, fresh BFS %d", at, dst, src, got, ref[src])
+						t.Fatalf("seed %d t=%v: dst=%d src=%d: cached hops %d, fresh BFS %d", seed, at, dst, src, got, ref[src])
 					}
 				}
 			}
@@ -590,62 +542,6 @@ func TestKineticRouteTableCapHolds(t *testing.T) {
 		if g.RouteTables() > 8 {
 			t.Fatalf("t=%v: %d live route tables, cap 8", at, g.RouteTables())
 		}
-	}
-}
-
-// TestKineticHeapOrderAndAllocs pins the certificate heap: pop order is
-// (due, id, gen) whatever order the entries went in, and a push/pop pair
-// on a warm heap allocates nothing.
-func TestKineticHeapOrderAndAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	items := make([]kinItem, 500)
-	for i := range items {
-		// Few distinct due times and ids, so ties on each key are common.
-		items[i] = kinItem{due: time.Duration(rng.Intn(20)), id: int32(rng.Intn(40)) - 20, gen: uint32(i)}
-	}
-	var want []kinItem
-	for round := 0; round < 3; round++ {
-		rng.Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
-		var h kinHeap
-		for _, it := range items {
-			h.push(it)
-		}
-		got := make([]kinItem, 0, len(items))
-		for len(h) > 0 {
-			got = append(got, h.pop())
-		}
-		for i := 1; i < len(got); i++ {
-			if !got[i-1].before(got[i]) {
-				t.Fatalf("round %d: pop %d %+v not before pop %d %+v", round, i-1, got[i-1], i, got[i])
-			}
-		}
-		if want == nil {
-			want = got
-		} else if !slices.Equal(got, want) {
-			t.Fatalf("round %d: pop order depends on push order", round)
-		}
-	}
-
-	var h kinHeap
-	for _, it := range items {
-		h.push(it)
-	}
-	due := time.Duration(0)
-	// The count is process-wide, and the runtime's background scavenger
-	// now and then grows its timer heap on a P, once. So the pairs are
-	// measured twice: an allocation in the heap repeats in both rounds,
-	// the runtime's does not.
-	measure := func() float64 {
-		return testing.AllocsPerRun(1, func() {
-			for range 1000 {
-				due += 7
-				h.push(kinItem{due: due % 20, id: 1, gen: uint32(due)})
-				h.pop()
-			}
-		})
-	}
-	if first, second := measure(), measure(); first != 0 && second != 0 {
-		t.Errorf("1000 push/pop pairs allocate %.0f and then %.0f objects, want 0", first, second)
 	}
 }
 

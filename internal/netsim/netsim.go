@@ -33,10 +33,10 @@ import (
 )
 
 // PositionSource supplies node positions at a virtual time. Production
-// code passes *mobility.Field, a KineticSource; static layouts and tests
-// pass fixed slices. A source without SegmentAt never moves: New runs it
-// on the kinetic plane as a layout whose certificates never fall due, so
-// PositionsAt must return the same positions at every time.
+// code passes *mobility.Field; static layouts and tests pass fixed
+// slices. The network reads PositionsAt once per topology sample, at the
+// sample time, and the kinetic plane needs nothing else of a source: a
+// static layout is one whose positions never change.
 type PositionSource interface {
 	Len() int
 	PositionsAt(t time.Duration, dst []geo.Point) []geo.Point
@@ -310,11 +310,7 @@ func New(cfg Config, k *sim.Kernel, field PositionSource, churnProc *churn.Proce
 	if n.cfg.Routing == RoutingDSR {
 		n.initDSR()
 	}
-	src, ok := field.(KineticSource)
-	if !ok {
-		src = still{field}
-	}
-	n.kin = newKinetic(src, cfg.CommRange, &n.topo)
+	n.kin = newKinetic(field, cfg.CommRange, &n.topo)
 	if churnProc != nil && !cfg.LazyChurnRefresh {
 		// Any connectivity flip invalidates the cached topology snapshot
 		// immediately, so messages in the same refresh window observe it.
@@ -379,7 +375,7 @@ func (n *Network) Graph() *radio.Graph {
 	for i := range down {
 		down[i] = !n.Up(i)
 	}
-	g, err := n.kineticSample(now, down, uint64(epoch))
+	g, err := n.kineticSample(down, uint64(epoch))
 	if err != nil {
 		// Config was validated at construction; only a programming error
 		// reaches here. Fail loudly rather than route on a stale graph.
@@ -408,8 +404,8 @@ func (n *Network) Reachable(from, to int) bool {
 func (n *Network) Rebuilds() uint64 { return n.rebuilds }
 
 // TopologyStats returns the topology-maintenance counters: the plane's
-// initial build vs its incremental samples, link make/break events,
-// certificate checks, Verlet rebins, and route tables repaired vs dropped.
+// initial build vs its incremental samples, link make/break events, exact
+// pair tests, Verlet re-anchorings, and route tables repaired vs dropped.
 // The repaired/dropped pair is read off the snapshot, which counts the
 // on-demand catch-ups as routing reads stale tables.
 func (n *Network) TopologyStats() TopologyStats {
@@ -420,23 +416,20 @@ func (n *Network) TopologyStats() TopologyStats {
 	return s
 }
 
-// kineticSample produces the snapshot for a sample time via the kinetic
-// plane — the only place the plane advances: drain every certificate and
-// rebin that fell due since the last sample with the sampled positions,
-// convert the window's link flips plus the down-mask delta into CSR edge
-// diffs, repack the CSR from the maintained adjacency rows, and log the
-// diffs on the snapshot so each route table is repaired when it is next
+// kineticSample produces the snapshot for a sample via the kinetic plane
+// — the only place the plane advances: bring the plane to the sampled
+// positions and Up mask, which yields the CSR edge changes since the last
+// sample, repack the CSR from the maintained adjacency rows, and log the
+// changes on the snapshot so each route table is repaired when it is next
 // read. The first call performs the one full build the plane ever does.
-func (n *Network) kineticSample(now time.Duration, down []bool, stamp uint64) (*radio.Graph, error) {
+func (n *Network) kineticSample(down []bool, stamp uint64) (*radio.Graph, error) {
 	kn := n.kin
 	row := func(i int) []int32 { return kn.linkedAdj[i] }
 	if !kn.inited {
-		kn.init(now, n.posBuf)
-		copy(kn.downPrev, down)
+		kn.init(n.posBuf, down)
 		return n.builder.RebuildFromRows(kn.n, row, down, n.cfg.CommRange, stamp)
 	}
-	kn.drainUntil(now, n.posBuf)
-	n.diffBuf = kn.csrDiffs(down, n.diffBuf)
+	n.diffBuf = kn.advance(n.posBuf, down, n.diffBuf)
 	g, err := n.builder.RebuildFromRows(kn.n, row, down, n.cfg.CommRange, stamp)
 	if err != nil {
 		return nil, err
