@@ -196,7 +196,9 @@ wire-chaos-smoke: build
 #     seconds — the whole set-up (every host's batch warm) plus the
 #     kinetic plane's full build over its dense cell grid and a first
 #     incremental sample, at the size they target; stdout must show the
-#     plane built.
+#     plane built, and the GOMAXPROCS=1 leg's peak_rss_kb must stay under
+#     353 000, 10 % over the ≈ 320 000 it reads with 40-byte item states,
+#     64-byte cache entries and four-byte CSR ids (≈ 407 600 before).
 #   - strips: 16 regions of 6 250 peers for 1 ms — set-up alone. A
 #     region's whole life is one worker call, so one worker holds one
 #     region: the GOMAXPROCS=1 leg's peak_rss_kb (VmHWM, read on Linux
@@ -212,16 +214,22 @@ define scale100k
 		grep -qx 'rpcc scale: no queries answered' $(SCALE_TMP)/$(1)-b.err
 	cmp $(SCALE_TMP)/$(1)-a.txt $(SCALE_TMP)/$(1)-b.txt
 endef
+# peakBelow fails leg $(1) when its GOMAXPROCS=1 run's stderr
+# peak_rss_kb is at or above $(2) on Linux (VmHWM is Linux-only).
+define peakBelow
+	@kb=$$(sed -n 's/.*peak_rss_kb=\([0-9]*\).*/\1/p' $(SCALE_TMP)/$(1)-a.err); \
+	if [ "$$(uname)" = Linux ] && [ "$$kb" -ge $(2) ]; then \
+		echo "$(1) leg peaked at $$kb kB with one worker (bound $(2))"; exit 1; \
+	fi; echo "$(1) leg: peak_rss_kb=$$kb with one worker"
+endef
 scale-smoke:
 	$(call rpcc,$(SCALE_TMP))
 	$(call twice,$(SCALE_TMP),$(SCALE_RUN),jsonl,GOMAXPROCS=1,GOMAXPROCS=4)
 	$(call scale100k,fields,-shards 1 -simtime 2s)
 	grep -q 'full_rebuilds=1 kinetic_samples=[1-9]' $(SCALE_TMP)/fields-a.txt
+	$(call peakBelow,fields,353000)
 	$(call scale100k,strips,-simtime 1ms)
-	@kb=$$(sed -n 's/.*peak_rss_kb=\([0-9]*\).*/\1/p' $(SCALE_TMP)/strips-a.err); \
-	if [ "$$(uname)" = Linux ] && [ "$$kb" -ge 120000 ]; then \
-		echo "strips leg peaked at $$kb kB with one worker (bound 120000)"; exit 1; \
-	fi; echo "strips leg: peak_rss_kb=$$kb with one worker"
+	$(call peakBelow,strips,120000)
 	@cat $(SCALE_TMP)/a.txt $(SCALE_TMP)/fields-a.txt $(SCALE_TMP)/strips-a.txt
 
 # Causal-trace gate: a seeded 30-peer run exports its span JSONL twice;

@@ -425,7 +425,7 @@ func TestReentrantDeliveryKeepsRecordsApart(t *testing.T) {
 	// firstHop lists who heard the round's wide flood straight from its
 	// origin, in delivery order; lastFirstHop is the delivery count at the
 	// latest of them.
-	firstHop := make([]int, 0, n)
+	firstHop := make([]int32, 0, n)
 	var deliveries, lastFirstHop int
 	check := func(node int, msg protocol.Message, meta netsim.Meta) *send {
 		s := &ledger[msg.Seq%sends]
@@ -435,7 +435,7 @@ func TestReentrantDeliveryKeepsRecordsApart(t *testing.T) {
 				fail = fmt.Sprintf("node %d: another delivery ran inside the origin's broadcast", node)
 			}
 			lastFirstHop = deliveries
-			firstHop = append(firstHop, node)
+			firstHop = append(firstHop, int32(node))
 		}
 		switch {
 		case msg.Kind != s.kind || msg.Origin != s.origin || msg.Item != 7:
@@ -546,7 +546,7 @@ func ttlBall(g *radio.Graph, src, ttl int) int {
 			if dist[v] < 0 {
 				dist[v] = dist[u] + 1
 				ball++
-				queue = append(queue, v)
+				queue = append(queue, int(v))
 			}
 		}
 	}

@@ -20,6 +20,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -46,16 +47,37 @@ type Store struct {
 	evicts   uint64
 }
 
-// entry is one cached copy plus what the replacement ranks read.
+// entry is one cached copy plus what the replacement ranks read, packed
+// into 64 bytes: a node holds ten. The copy is held field by field so its
+// id can share a word with the hop estimate. A policy reads at most two
+// ranks besides storedAt and hops (see Policy.below), so two words carry
+// them: seen is LRU's tick of the latest admission or touch, and LFU's
+// and utility's tick of admission — the store's policy is fixed, so the
+// word means one thing per store.
 type entry struct {
-	copy     data.Copy
-	storedAt time.Duration
-	hops     int
-	lastUse  uint64 // tick of the latest admission or touch
-	admitted uint64 // tick of admission
+	// id is the copy's id; the store refuses ids beyond int32.
+	id int32
+	// hops is the hop estimate at the copy's version; an estimate beyond
+	// int32, more hops than any graph of int32 node ids has, saturates.
+	hops      int32
+	version   data.Version
+	value     string
+	writtenAt time.Duration
+	storedAt  time.Duration
+	seen      uint64
 	// uses counts the admission and every touch since; under LFU it is
 	// halved every agePeriod ticks.
 	uses uint64
+}
+
+// copy returns the cached copy e holds.
+func (e *entry) copy() data.Copy {
+	return data.Copy{ID: data.ItemID(e.id), Version: e.version, Value: e.value, WrittenAt: e.writtenAt}
+}
+
+// setCopy writes c's fields into e.
+func (e *entry) setCopy(c data.Copy) {
+	e.id, e.version, e.value, e.writtenAt = int32(c.ID), c.Version, c.Value, c.WrittenAt
 }
 
 // NewStore creates a cache holding at most capacity items, replaced LRU.
@@ -99,11 +121,11 @@ func (s *Store) Len() int { return len(s.entries) }
 // deterministic for a given sim state.
 func (s *Store) SetHopsHint(f func(data.ItemID) int) { s.hops = f }
 
-func (s *Store) hopsFor(id data.ItemID) int {
+func (s *Store) hopsFor(id data.ItemID) int32 {
 	if s.hops == nil {
 		return 0
 	}
-	return s.hops(id)
+	return int32(max(math.MinInt32, min(s.hops(id), math.MaxInt32)))
 }
 
 // find returns the position of id in the entries, or where it would be
@@ -112,13 +134,13 @@ func (s *Store) find(id data.ItemID) (int, bool) {
 	lo, hi := 0, len(s.entries)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if s.entries[m].copy.ID < id {
+		if data.ItemID(s.entries[m].id) < id {
 			lo = m + 1
 		} else {
 			hi = m
 		}
 	}
-	return lo, lo < len(s.entries) && s.entries[lo].copy.ID == id
+	return lo, lo < len(s.entries) && data.ItemID(s.entries[lo].id) == id
 }
 
 // advance steps the logical clock. Under LFU every agePeriod ticks all
@@ -136,7 +158,9 @@ func (s *Store) advance() {
 func (s *Store) touch(e *entry) {
 	s.advance()
 	e.uses++
-	e.lastUse = s.tick
+	if s.policy.rankByLastUse() {
+		e.seen = s.tick
+	}
 }
 
 // victim returns the position of the entry the policy ranks lowest. The
@@ -163,7 +187,7 @@ func (s *Store) Get(id data.ItemID) (data.Copy, bool) {
 	s.hits++
 	e := &s.entries[i]
 	s.touch(e)
-	return e.copy, true
+	return e.copy(), true
 }
 
 // Peek returns the cached copy without counting an access or touching the
@@ -171,7 +195,7 @@ func (s *Store) Get(id data.ItemID) (data.Copy, bool) {
 // POLL examines its copy without that counting as local demand).
 func (s *Store) Peek(id data.ItemID) (data.Copy, bool) {
 	if i, ok := s.find(id); ok {
-		return s.entries[i].copy, true
+		return s.entries[i].copy(), true
 	}
 	return data.Copy{}, false
 }
@@ -192,30 +216,33 @@ func (s *Store) PutEvict(c data.Copy, now time.Duration) (evicted data.ItemID, h
 	if c.ID < 0 {
 		return 0, false, fmt.Errorf("cache: negative item id %v", c.ID)
 	}
+	if c.ID > math.MaxInt32 {
+		return 0, false, fmt.Errorf("cache: item id %v beyond int32", c.ID)
+	}
 	if !c.Consistent() {
 		return 0, false, fmt.Errorf("cache: refusing torn copy %v v%d", c.ID, c.Version)
 	}
 	i, ok := s.find(c.ID)
 	if ok {
 		e := &s.entries[i]
-		if c.Version < e.copy.Version {
+		if c.Version < e.version {
 			return 0, false, fmt.Errorf("cache: version regression for %v: have v%d, put v%d",
-				c.ID, e.copy.Version, c.Version)
+				c.ID, e.version, c.Version)
 		}
 		// Freshness advances only with content: a same-version re-Put
 		// must not make the copy look freshly fetched, or TTL-aware
 		// eviction and staleness-at-delivery spans measure garbage.
-		if c.Version > e.copy.Version {
+		if c.Version > e.version {
 			e.storedAt = now
 			e.hops = s.hopsFor(c.ID)
 		}
-		e.copy = c
+		e.setCopy(c)
 		s.touch(e)
 		return 0, false, nil
 	}
 	if len(s.entries) == cap(s.entries) {
 		v := s.victim()
-		evicted, hasEvicted = s.entries[v].copy.ID, true
+		evicted, hasEvicted = data.ItemID(s.entries[v].id), true
 		s.entries = slices.Delete(s.entries, v, v+1)
 		s.evicts++
 		if v < i {
@@ -225,8 +252,8 @@ func (s *Store) PutEvict(c data.Copy, now time.Duration) (evicted data.ItemID, h
 	hops := s.hopsFor(c.ID)
 	s.advance()
 	s.entries = slices.Insert(s.entries, i, entry{
-		copy: c, storedAt: now, hops: hops,
-		lastUse: s.tick, admitted: s.tick, uses: 1,
+		id: int32(c.ID), hops: hops, version: c.Version, value: c.Value, writtenAt: c.WrittenAt,
+		storedAt: now, seen: s.tick, uses: 1,
 	})
 	return evicted, hasEvicted, nil
 }
@@ -240,14 +267,15 @@ func (s *Store) PutEvict(c data.Copy, now time.Duration) (evicted data.ItemID, h
 // entries. Every copy must be proven canonical by reg
 // (Registry.Canonical). Warm reports false and changes nothing when the
 // store is not empty, the copies do not fit, an id repeats or is
-// negative, or a copy is not canonical; the caller then puts the copies
-// one at a time, which refuses whichever of them Put refuses.
+// negative or beyond int32, or a copy is not canonical; the caller then
+// puts the copies one at a time, which refuses whichever of them Put
+// refuses.
 func (s *Store) Warm(cs []data.Copy, now time.Duration, reg *data.Registry) bool {
 	if len(s.entries) != 0 || len(cs) > cap(s.entries) {
 		return false
 	}
 	for d, c := range cs {
-		if c.ID < 0 || !reg.Canonical(c) {
+		if c.ID < 0 || c.ID > math.MaxInt32 || !reg.Canonical(c) {
 			return false
 		}
 		for _, o := range cs[:d] {
@@ -274,9 +302,9 @@ func (s *Store) Warm(cs []data.Copy, now time.Duration, reg *data.Registry) bool
 		// copied in whole, behind a bulk write barrier while the
 		// collector runs.
 		e := &s.entries[rank]
-		e.copy = c
+		e.setCopy(c)
 		e.storedAt, e.hops = now, s.hopsFor(c.ID)
-		e.lastUse, e.admitted, e.uses = at, at, uses
+		e.seen, e.uses = at, uses
 	}
 	s.tick = last
 	return true
@@ -326,7 +354,7 @@ func (s *Store) Items() []data.ItemID {
 // periodic scan reusing one buffer allocates nothing.
 func (s *Store) AppendItems(dst []data.ItemID) []data.ItemID {
 	for i := range s.entries {
-		dst = append(dst, s.entries[i].copy.ID)
+		dst = append(dst, data.ItemID(s.entries[i].id))
 	}
 	return dst
 }

@@ -1,15 +1,41 @@
 package cache
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"github.com/manetlab/rpcc/internal/data"
 )
 
 func copyOf(id data.ItemID, v data.Version) data.Copy {
 	return data.Copy{ID: id, Version: v, Value: data.ValueFor(id, v)}
+}
+
+// TestEntryIsPacked pins the entry layout: a node holds ten, 64 bytes each
+// (80 while the copy was held whole beside three rank words).
+func TestEntryIsPacked(t *testing.T) {
+	if got := unsafe.Sizeof(entry{}); got > 64 {
+		t.Fatalf("entry is %d bytes, want <= 64", got)
+	}
+}
+
+// TestItemIDBeyondInt32Refused: an entry holds its id in four bytes, so
+// Put refuses a larger id rather than store another one.
+func TestItemIDBeyondInt32Refused(t *testing.T) {
+	s, err := NewStore(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := copyOf(math.MaxInt32+1, 0)
+	if err := s.Put(big, 0); err == nil || s.Len() != 0 {
+		t.Fatal("Put took an id beyond int32")
+	}
+	if s.Contains(big.ID) || s.Contains(big.ID-math.MaxInt32-1) {
+		t.Fatal("a refused id is held")
+	}
 }
 
 func TestNewStoreValidation(t *testing.T) {

@@ -108,13 +108,18 @@ func NewPolicy(kind PolicyKind, p PolicyParams) (Policy, error) {
 	}
 }
 
+// rankByLastUse reports whether an entry's seen word is its latest
+// admission or touch (LRU, below's default) rather than its admission
+// (LFU and utility; TTL reads neither).
+func (p Policy) rankByLastUse() bool { return p.kind != PolicyLFU && p.kind != PolicyUtility }
+
 // below reports whether a ranks strictly below b — is the better victim —
 // at logical time tick.
 func (p Policy) below(a, b *entry, tick uint64) bool {
 	switch p.kind {
 	case PolicyLFU:
 		// Fewest aged uses; among equals the older admission.
-		return a.uses < b.uses || (a.uses == b.uses && a.admitted < b.admitted)
+		return a.uses < b.uses || (a.uses == b.uses && a.seen < b.seen)
 	case PolicyTTL:
 		// Earliest expiry. storedAt advances only with the version (see
 		// Store.PutEvict), so a same-version re-Put does not rejuvenate.
@@ -123,7 +128,7 @@ func (p Policy) below(a, b *entry, tick uint64) bool {
 		return utility(a, tick) < utility(b, tick)
 	default:
 		// Least recently admitted or touched.
-		return a.lastUse < b.lastUse
+		return a.seen < b.seen
 	}
 }
 
@@ -137,8 +142,8 @@ func (p Policy) below(a, b *entry, tick uint64) bool {
 // Residency is counted in clock ticks since admission, so utility stays a
 // pure function of the operation sequence.
 func utility(e *entry, tick uint64) float64 {
-	residency := tick - e.admitted + 1
-	size := len(e.copy.Value)
+	residency := tick - e.seen + 1
+	size := len(e.value)
 	if size < defaultUtilityMinSize {
 		size = defaultUtilityMinSize
 	}

@@ -242,8 +242,9 @@ func (m Mutant) String() string {
 	}
 }
 
-// Role is a node's per-item protocol role (Fig 5's state diagram).
-type Role int
+// Role is a node's per-item protocol role (Fig 5's state diagram), one
+// byte of every item state.
+type Role uint8
 
 // Roles. Values start at 1 so the zero value is detectably unset.
 const (

@@ -26,87 +26,127 @@ type Telemetry struct {
 }
 
 // itemState is one node's protocol state for one cached item. A 10k-node
-// run holds about 100 000 of them, so the layout is packed: instants
-// first, then narrow counters, then the flags, 96 bytes in all. The
-// relay-only queue and repair span live behind relay, allocated by the
-// few states that need them.
+// run holds about 100 000 of them, nearly all in RoleCache, so a state
+// holds only what a plain holder reads or writes: its TTP base, the newest
+// INVALIDATION it heard, its learned relay, its role and its flags. That
+// is 40 bytes with no pointer, so the pool blocks the states are carved
+// from are never scanned by the collector. What only APPLY candidates and
+// relays use lives in a relayWork record from the engine's pool, named
+// by index.
 type itemState struct {
 	// lastValidated is the TTP base: the last instant this node confirmed
 	// its copy against an authority (poll ack, update, owner fetch).
 	lastValidated time.Duration
-	// lastRefreshed is the TTR base (relay role): the last instant the
-	// source (or its INVALIDATION) confirmed the relay's copy.
-	lastRefreshed time.Duration
 	// invVersion/invAt remember the newest INVALIDATION heard, so a
 	// candidate promoted by APPLY_ACK knows whether its copy was already
 	// confirmed current in this interval.
-	invVersion   data.Version
-	invAt        time.Duration
-	applySentAt  time.Duration
-	getNewSentAt time.Duration
-	// debtSince marks when this relay first heard a version newer than
-	// its copy without having repaired yet — the age of its outstanding
-	// repair debt (cleared on refresh, tracked for the chaos auditor).
-	debtSince time.Duration
-	relay     *relayWork
-	role      Role
-
-	// getNewAttempts counts consecutive unanswered GET_NEW sends; the
-	// resend gate doubles with each one (capped at RepairBackoffMax) and
-	// the node gives up at MaxRepairAttempts until strictly newer version
-	// evidence reopens the budget. applyAttempts mirrors this for APPLY.
-	getNewAttempts int32
-	applyAttempts  int32
-	failingRuns    int32
+	invVersion data.Version
+	invAt      time.Duration
 	// knownRelay is the last peer whose POLL_ACK validated this item
 	// (-1 when none): subsequent polls unicast straight to it, falling
 	// back to ring discovery when it stops answering. This is the
 	// "locating the nearest cache node" mechanism §3 assumes, learned
 	// from the protocol's own acks.
 	knownRelay int32
-
-	validatedOnce bool
-	refreshedOnce bool
-	invHeard      bool
-	applyPending  bool
-	applyGaveUp   bool
-	getNewPending bool
-	getNewGaveUp  bool
-	debtOpen      bool
+	// work is 1 + the index of this state's relayWork in Engine.works, 0
+	// until the state first needs one (Engine.workOf).
+	work int32
+	// failingRuns counts consecutive failing coefficient windows of a
+	// candidate or relay (Fig 5 hysteresis); 0 for a plain holder.
+	failingRuns int32
+	role        Role
+	flags       stateFlags
 }
 
-// relayWork is the relay-only part of an item state, allocated the first
-// time a relay queues a poll or opens a traced repair round.
+// stateFlags are an item state's booleans, one bit each.
+type stateFlags uint8
+
+const (
+	validatedOnce stateFlags = 1 << iota // lastValidated is set
+	refreshedOnce                        // lastRefreshed is set
+	invHeard                             // invVersion/invAt are set
+	applyPending                         // an APPLY awaits its APPLY_ACK
+	applyGaveUp                          // the APPLY budget is exhausted
+	getNewPending                        // a GET_NEW awaits its SEND_NEW
+	getNewGaveUp                         // the GET_NEW budget is exhausted
+	debtOpen                             // a missed version awaits repair
+)
+
+func (st *itemState) is(f stateFlags) bool { return st.flags&f != 0 }
+func (st *itemState) set(f stateFlags)     { st.flags |= f }
+func (st *itemState) unset(f stateFlags)   { st.flags &^= f }
+
+// relayWork is the part of an item state only APPLY candidates and relays
+// use, taken from the engine's pool the first time one of its fields is
+// written and kept until the state is dropped (Engine.releaseWork).
 type relayWork struct {
-	pending []pendingPoll
+	// lastRefreshed is the TTR base (relay role): the last instant the
+	// source (or its INVALIDATION) confirmed the relay's copy.
+	lastRefreshed time.Duration
+	applySentAt   time.Duration
+	getNewSentAt  time.Duration
+	// debtSince marks when this relay first heard a version newer than
+	// its copy without having repaired yet — the age of its outstanding
+	// repair debt (cleared on refresh, tracked for the chaos auditor).
+	debtSince time.Duration
+	// getNewAttempts counts consecutive unanswered GET_NEW sends; the
+	// resend gate doubles with each one (capped at RepairBackoffMax) and
+	// the node gives up at MaxRepairAttempts until strictly newer version
+	// evidence reopens the budget. applyAttempts mirrors this for APPLY.
+	getNewAttempts int32
+	applyAttempts  int32
+	pending        []pendingPoll
 	// repairTC is the span of the in-flight GET_NEW repair round (zero
 	// when none is open or tracing is off); closed when SEND_NEW lands,
 	// the budget is exhausted, or the role is torn down.
 	repairTC protocol.TraceContext
 }
 
-// work returns st's relay-only state, allocating it on first use.
-func (st *itemState) work() *relayWork {
-	if st.relay == nil {
-		st.relay = new(relayWork)
+// workOf returns st's relay record, taking one from the pool on first
+// use. The pointer is valid until the next workOf.
+func (e *Engine) workOf(st *itemState) *relayWork {
+	if st.work == 0 {
+		if n := len(e.freeWork); n > 0 {
+			st.work = e.freeWork[n-1]
+			e.freeWork = e.freeWork[:n-1]
+		} else {
+			e.works = append(e.works, relayWork{})
+			st.work = int32(len(e.works))
+		}
 	}
-	return st.relay
+	return &e.works[st.work-1]
+}
+
+// peekWork returns a copy of st's relay record, or the zero record when
+// st has none; it never takes one.
+func (e *Engine) peekWork(st *itemState) relayWork {
+	if st.work == 0 {
+		return relayWork{}
+	}
+	return e.works[st.work-1]
+}
+
+// releaseWork gives a dropped state's relay record back to the pool,
+// keeping its poll queue's array. The state no longer names it, so a late
+// write through a pointer a timer still holds cannot reach another
+// state's record.
+func (e *Engine) releaseWork(st *itemState) {
+	if st.work == 0 {
+		return
+	}
+	w := &e.works[st.work-1]
+	*w = relayWork{pending: w.pending[:0]}
+	e.freeWork = append(e.freeWork, st.work)
+	st.work = 0
 }
 
 // dropPending discards the polls st queued while its TTR was expired,
 // keeping the queue's array for the next ones.
-func (st *itemState) dropPending() {
-	if st.relay != nil {
-		st.relay.pending = st.relay.pending[:0]
+func (e *Engine) dropPending(st *itemState) {
+	if st.work != 0 {
+		w := &e.works[st.work-1]
+		w.pending = w.pending[:0]
 	}
-}
-
-// repairTC returns the span of st's open GET_NEW round (zero when none).
-func (st *itemState) repairTC() protocol.TraceContext {
-	if st.relay == nil {
-		return protocol.TraceContext{}
-	}
-	return st.relay.repairTC
 }
 
 // pendingPoll is a POLL a relay could not answer because its TTR had
@@ -185,6 +225,10 @@ type Engine struct {
 	// nothing is Put back, so a pointer a pending timer holds stays that
 	// state's.
 	states sim.Pool[itemState]
+	// works holds the relay records item states name by index (workOf);
+	// freeWork lists the indices dropped states gave back.
+	works    []relayWork
+	freeWork []int32
 	// deliveries counts protocol messages handled per node; together with
 	// cache accesses it forms N_a, the accessibility evidence of Eq 4.2.1.
 	deliveries []uint64
@@ -240,7 +284,7 @@ func New(cfg Config, ch *node.Chassis, tel Telemetry) (*Engine, error) {
 	for nd := 0; nd < n; nd++ {
 		total += ch.Stores[nd].Capacity()
 	}
-	ids, sts := make([]data.ItemID, total), make([]*itemState, total)
+	ids, sts := make([]int32, total), make([]*itemState, total)
 	e.states.Reserve(total)
 	off := 0
 	for nd := range e.peers {
@@ -406,7 +450,7 @@ func (r *pollRound) FetchDone(k *sim.Kernel, c data.Copy, from int, ok bool) {
 	fromOwner := from == e.ch.Reg.Owner(q.Item)
 	if fromOwner {
 		st.lastValidated = k.Now()
-		st.validatedOnce = true
+		st.set(validatedOnce)
 	}
 	switch {
 	case q.Level == consistency.LevelWeak, fromOwner:
@@ -446,6 +490,7 @@ func (e *Engine) dropItemState(k *sim.Kernel, host int, item data.ItemID) {
 		e.sendCancel(k, host, item)
 	}
 	e.resetGetNew(k, st)
+	e.releaseWork(st)
 }
 
 // itemState returns (creating if absent) host's state for item.
@@ -465,7 +510,7 @@ func (e *Engine) ttpValid(k *sim.Kernel, st *itemState) bool {
 		// Conformance mutant: honor twice the promised Δ window.
 		win *= 2
 	}
-	return st.validatedOnce && k.Now()-st.lastValidated < win
+	return st.is(validatedOnce) && k.Now()-st.lastValidated < win
 }
 
 // ttrValid reports whether a relay's copy is still authoritative.
@@ -473,9 +518,9 @@ func (e *Engine) ttrValid(k *sim.Kernel, st *itemState) bool {
 	if e.cfg.Mutant == MutantIgnoreTTR {
 		// Conformance mutant: a relay that was refreshed once stays an
 		// authority forever, never re-validating against the source.
-		return st.refreshedOnce
+		return st.is(refreshedOnce)
 	}
-	return st.refreshedOnce && k.Now()-st.lastRefreshed < e.cfg.TTR
+	return st.is(refreshedOnce) && k.Now()-e.peekWork(st).lastRefreshed < e.cfg.TTR
 }
 
 // startPoll begins a validation round. With a known relay the poll is a
@@ -659,8 +704,9 @@ func (e *Engine) coeffTick(k *sim.Kernel, nd int) {
 	// The table is already in the order this walk needs. Walk a snapshot of
 	// the ids, looking each state up when reached: the body sends CANCELs,
 	// and whatever that re-enters may add to or remove from the table.
-	var buf [16]data.ItemID
-	for _, item := range append(buf[:0], e.peers[nd].items.ids...) {
+	var buf [16]int32
+	for _, id := range append(buf[:0], e.peers[nd].items.ids...) {
+		item := data.ItemID(id)
 		st, ok := e.getItem(nd, item)
 		if !ok {
 			continue
@@ -672,7 +718,7 @@ func (e *Engine) coeffTick(k *sim.Kernel, nd int) {
 		if st.role == RoleRelay && k.Now() > 3*e.cfg.TTN && k.Now()-st.invAt > 3*e.cfg.TTN {
 			st.role = RoleCache
 			st.failingRuns = 0
-			st.dropPending()
+			e.dropPending(st)
 			e.resetGetNew(k, st)
 			e.sendCancel(k, nd, item)
 			e.roleChanged(k, nd, item, RoleRelay, RoleCache, "inv-drift")
@@ -703,7 +749,7 @@ func (e *Engine) coeffTick(k *sim.Kernel, nd int) {
 			e.roleChanged(k, nd, item, RoleCandidate, RoleCache, "demoted")
 		case RoleRelay:
 			st.role = RoleCache
-			st.dropPending()
+			e.dropPending(st)
 			e.resetGetNew(k, st)
 			e.sendCancel(k, nd, item)
 			e.roleChanged(k, nd, item, RoleRelay, RoleCache, "demoted")
@@ -749,10 +795,13 @@ func (e *Engine) Warm(k *sim.Kernel, host int, cs ...data.Copy) {
 		}
 		return
 	}
-	t.ids = st.AppendItems(t.ids)
+	for _, c := range cs {
+		t.ids = append(t.ids, int32(c.ID))
+	}
+	slices.Sort(t.ids) // the store's ids, which Warm keeps ascending
 	t.sts = slices.Grow(t.sts, len(t.ids))[:len(t.ids)]
 	for _, c := range cs {
-		i, _ := slices.BinarySearch(t.ids, c.ID)
+		i, _ := slices.BinarySearch(t.ids, int32(c.ID))
 		t.sts[i] = e.newItemState()
 		e.sigs[host] |= sigBit(c.ID)
 	}
@@ -773,8 +822,8 @@ func (e *Engine) SeedRelay(k *sim.Kernel, host int, item data.ItemID) error {
 	}
 	st := e.itemState(host, item)
 	st.role = RoleRelay
-	st.lastRefreshed = k.Now()
-	st.refreshedOnce = true
+	e.workOf(st).lastRefreshed = k.Now()
+	st.set(refreshedOnce)
 	st.invAt = k.Now()
 	owner := e.ch.Reg.Owner(item)
 	if owner >= 0 && owner < len(e.peers) {
@@ -850,8 +899,9 @@ func (e *Engine) StaleRejects() (pushes, acks uint64) {
 func (e *Engine) RepairScan() (maxGetNew, maxApply int) {
 	for nd := range e.peers {
 		for _, st := range e.peers[nd].items.sts {
-			maxGetNew = max(maxGetNew, int(st.getNewAttempts))
-			maxApply = max(maxApply, int(st.applyAttempts))
+			w := e.peekWork(st)
+			maxGetNew = max(maxGetNew, int(w.getNewAttempts))
+			maxApply = max(maxApply, int(w.applyAttempts))
 		}
 	}
 	return maxGetNew, maxApply
@@ -896,23 +946,24 @@ func (e *Engine) RepairDebts(item data.ItemID) []RepairDebt {
 	var out []RepairDebt
 	for nd := range e.peers {
 		st, ok := e.getItem(nd, item)
-		if !ok || st.role != RoleRelay || !st.invHeard || !st.debtOpen {
+		if !ok || st.role != RoleRelay || !st.is(invHeard) || !st.is(debtOpen) {
 			continue
 		}
 		cp, have := e.ch.Stores[nd].Peek(item)
 		if !have {
 			continue
 		}
+		w := e.peekWork(st)
 		d := RepairDebt{
 			Node:    nd,
 			Heard:   st.invVersion,
 			HeardAt: st.invAt,
-			Since:   st.debtSince,
+			Since:   w.debtSince,
 			Held:    cp.Version,
-			GaveUp:  st.getNewGaveUp,
+			GaveUp:  st.is(getNewGaveUp),
 		}
-		if st.getNewPending {
-			d.RetryAt = st.getNewSentAt + e.repairGate(int(st.getNewAttempts))
+		if st.is(getNewPending) {
+			d.RetryAt = w.getNewSentAt + e.repairGate(int(w.getNewAttempts))
 		}
 		out = append(out, d)
 	}
@@ -949,6 +1000,7 @@ func (e *Engine) Crash(k *sim.Kernel, nd int) error {
 	// A relay that crashes mid-repair takes its GET_NEW round down with it.
 	for _, st := range e.peers[nd].items.sts {
 		e.resetGetNew(k, st)
+		e.releaseWork(st)
 	}
 	e.ch.Stores[nd].Clear()
 	ps := &e.peers[nd]

@@ -100,7 +100,7 @@ func (e *env) seedCache(t *testing.T, host int, item data.ItemID) {
 	}
 	st := e.eng.itemState(host, item)
 	st.lastValidated = e.k.Now()
-	st.validatedOnce = true
+	st.set(validatedOnce)
 }
 
 // hasRelay reports whether r is registered in ps's relay table.
@@ -319,8 +319,8 @@ func TestRelayAnswersPollLocally(t *testing.T) {
 	e.seedCache(t, 1, 0)
 	st := e.eng.itemState(1, 0)
 	st.role = RoleRelay
-	st.lastRefreshed = e.k.Now()
-	st.refreshedOnce = true
+	e.eng.workOf(st).lastRefreshed = e.k.Now()
+	st.set(refreshedOnce)
 	e.seedCache(t, 2, 0)
 	e.eng.OnQuery(e.k, 2, 0, consistency.LevelStrong)
 	e.k.RunUntil(e.k.Now() + 5*time.Second)
@@ -339,14 +339,14 @@ func TestRelayWithExpiredTTRQueuesPoll(t *testing.T) {
 	e.eng.onPoll(e.k, 1, protocol.Message{
 		Kind: protocol.KindPoll, Item: 0, Origin: 2, Version: 0, Seq: 77,
 	})
-	if len(st.work().pending) != 1 {
-		t.Fatalf("pending polls = %d, want 1 (stale relay must wait)", len(st.work().pending))
+	if n := len(e.eng.peekWork(st).pending); n != 1 {
+		t.Fatalf("pending polls = %d, want 1 (stale relay must wait)", n)
 	}
 	// An INVALIDATION confirming the version flushes the queue.
 	e.eng.onInvalidation(e.k, 1, protocol.Message{
 		Kind: protocol.KindInvalidation, Item: 0, Origin: 0, Version: 0,
 	})
-	if len(st.work().pending) != 0 {
+	if len(e.eng.peekWork(st).pending) != 0 {
 		t.Fatal("pending polls not flushed on refresh")
 	}
 	e.k.RunUntil(e.k.Now() + time.Second)
@@ -366,7 +366,7 @@ func TestRelayRepairsWithGetNew(t *testing.T) {
 	e.eng.onInvalidation(e.k, 1, protocol.Message{
 		Kind: protocol.KindInvalidation, Item: 0, Origin: 0, Version: 2,
 	})
-	if !st.getNewPending {
+	if !st.is(getNewPending) {
 		t.Fatal("stale relay did not issue GET_NEW")
 	}
 	e.k.RunUntil(e.k.Now() + 5*time.Second)
@@ -374,7 +374,7 @@ func TestRelayRepairsWithGetNew(t *testing.T) {
 	if !ok || cp.Version != 2 {
 		t.Fatalf("relay copy after repair = v%d, want v2", cp.Version)
 	}
-	if st.getNewPending {
+	if st.is(getNewPending) {
 		t.Error("getNewPending not cleared after SEND_NEW")
 	}
 	if !e.eng.ttrValid(e.k, st) {
@@ -580,8 +580,8 @@ func TestPollEscalationUnderRelayBlackout(t *testing.T) {
 	e.seedCache(t, 4, 0)
 	relay := e.eng.itemState(4, 0)
 	relay.role = RoleRelay
-	relay.lastRefreshed = e.k.Now()
-	relay.refreshedOnce = true
+	e.eng.workOf(relay).lastRefreshed = e.k.Now()
+	relay.set(refreshedOnce)
 	e.seedCache(t, 3, 0)
 	e.eng.itemState(3, 0).knownRelay = 4
 

@@ -55,20 +55,20 @@ func (e *Engine) onInvalidation(k *sim.Kernel, nd int, msg protocol.Message) {
 	if msg.Version > st.invVersion {
 		// Strictly newer version evidence reopens an exhausted repair
 		// budget: the world has moved on, so the give-up no longer holds.
-		if st.getNewGaveUp {
-			st.getNewGaveUp = false
-			st.getNewAttempts = 0
+		if st.is(getNewGaveUp) {
+			st.unset(getNewGaveUp)
+			e.workOf(st).getNewAttempts = 0
 		}
-		if st.applyGaveUp {
-			st.applyGaveUp = false
-			st.applyAttempts = 0
+		if st.is(applyGaveUp) {
+			st.unset(applyGaveUp)
+			e.workOf(st).applyAttempts = 0
 		}
 		// The watermark only advances: a duplicated or reordered stale
 		// announcement must not roll back what this node knows exists.
 		st.invVersion = msg.Version
 	}
 	st.invAt = k.Now()
-	st.invHeard = true
+	st.set(invHeard)
 	if st.knownRelay < 0 {
 		// Hearing the INVALIDATION proves the source is within TTL hops:
 		// until a closer relay answers a poll, validate against the
@@ -88,9 +88,9 @@ func (e *Engine) onInvalidation(k *sim.Kernel, nd int, msg protocol.Message) {
 			// missed announcement and runs until a refresh lands. The
 			// comparison is against the watermark, not msg.Version, so a
 			// reordered stale announcement cannot mask a known gap.
-			if !st.debtOpen {
-				st.debtOpen = true
-				st.debtSince = k.Now()
+			if !st.is(debtOpen) {
+				st.set(debtOpen)
+				e.workOf(st).debtSince = k.Now()
 			}
 			e.sendGetNew(k, nd, msg.Item, st, msg.Trace)
 			return
@@ -103,35 +103,37 @@ func (e *Engine) onInvalidation(k *sim.Kernel, nd int, msg protocol.Message) {
 		}
 		// Copy confirmed current: renew TTR (and the copy is trivially
 		// valid for TTP purposes too), then serve any queued polls.
-		st.debtOpen = false
-		st.lastRefreshed = k.Now()
-		st.refreshedOnce = true
+		st.unset(debtOpen)
+		e.workOf(st).lastRefreshed = k.Now()
+		st.set(refreshedOnce)
 		st.lastValidated = k.Now()
-		st.validatedOnce = true
+		st.set(validatedOnce)
 		e.flushPendingPolls(k, nd, msg.Item, st)
 	case RoleCandidate:
 		// Re-apply when the last APPLY has gone unanswered longer than
 		// the current backoff gate — it (or its ACK) must have been lost.
 		// The gate doubles with every unanswered send and the candidate
 		// gives up at MaxRepairAttempts.
-		if st.applyPending {
+		if st.is(applyPending) {
 			if e.cfg.DisableRepair {
 				return
 			}
-			if int(st.applyAttempts) >= e.cfg.MaxRepairAttempts {
-				if !st.applyGaveUp {
-					st.applyGaveUp = true
+			w := e.peekWork(st)
+			if int(w.applyAttempts) >= e.cfg.MaxRepairAttempts {
+				if !st.is(applyGaveUp) {
+					st.set(applyGaveUp)
 					e.ch.Hub.RepairGiveUp(telemetry.RepairApply)
 				}
 				return
 			}
-			if k.Now()-st.applySentAt < e.repairGate(int(st.applyAttempts)) {
+			if k.Now()-w.applySentAt < e.repairGate(int(w.applyAttempts)) {
 				return
 			}
 		}
-		st.applyPending = true
-		st.applySentAt = k.Now()
-		st.applyAttempts++
+		st.set(applyPending)
+		w := e.workOf(st)
+		w.applySentAt = k.Now()
+		w.applyAttempts++
 		e.ch.Hub.RepairAttempt(telemetry.RepairApply)
 		ap := protocol.Message{
 			Kind:   protocol.KindApply,
@@ -167,30 +169,32 @@ func (e *Engine) sendGetNew(k *sim.Kernel, nd int, item data.ItemID, st *itemSta
 	if e.cfg.DisableRepair {
 		return
 	}
-	if st.getNewPending {
-		if int(st.getNewAttempts) >= e.cfg.MaxRepairAttempts {
-			if !st.getNewGaveUp {
-				st.getNewGaveUp = true
+	if st.is(getNewPending) {
+		w := e.peekWork(st)
+		if int(w.getNewAttempts) >= e.cfg.MaxRepairAttempts {
+			if !st.is(getNewGaveUp) {
+				st.set(getNewGaveUp)
 				e.ch.Hub.RepairGiveUp(telemetry.RepairGetNew)
-				if tc := st.repairTC(); tc.TraceID != 0 {
+				if tc := w.repairTC; tc.TraceID != 0 {
 					e.ch.Tracer.FinishAs(tc, k.Now().Nanoseconds(), "GET_NEW-gave-up")
-					st.relay.repairTC = protocol.TraceContext{}
+					e.workOf(st).repairTC = protocol.TraceContext{}
 				}
 			}
 			return
 		}
-		if k.Now()-st.getNewSentAt < e.repairGate(int(st.getNewAttempts)) {
+		if k.Now()-w.getNewSentAt < e.repairGate(int(w.getNewAttempts)) {
 			return
 		}
 	}
-	st.getNewPending = true
-	st.getNewSentAt = k.Now()
-	st.getNewAttempts++
+	st.set(getNewPending)
+	w := e.workOf(st)
+	w.getNewSentAt = k.Now()
+	w.getNewAttempts++
 	e.ch.Hub.RepairAttempt(telemetry.RepairGetNew)
-	tc := st.repairTC()
+	tc := w.repairTC
 	if tc.TraceID == 0 {
 		if tc = e.ch.Tracer.StartChild(k.Now().Nanoseconds(), parent, nd, ctrace.PhaseRepair, "GET_NEW"); tc.TraceID != 0 {
-			st.work().repairTC = tc
+			w.repairTC = tc
 		}
 	}
 	gn := protocol.Message{Kind: protocol.KindGetNew, Item: item, Origin: nd, Trace: tc}
@@ -228,8 +232,8 @@ func (e *Engine) onUpdate(k *sim.Kernel, nd int, msg protocol.Message) {
 	switch st.role {
 	case RoleRelay:
 		if fresh {
-			st.lastRefreshed = k.Now()
-			st.refreshedOnce = true
+			e.workOf(st).lastRefreshed = k.Now()
+			st.set(refreshedOnce)
 			e.resetGetNew(k, st)
 			e.flushPendingPolls(k, nd, msg.Item, st)
 		} else {
@@ -242,8 +246,8 @@ func (e *Engine) onUpdate(k *sim.Kernel, nd int, msg protocol.Message) {
 		e.resetApply(st)
 		e.roleChanged(k, nd, msg.Item, RoleCandidate, RoleRelay, "update-push")
 		if fresh {
-			st.lastRefreshed = k.Now()
-			st.refreshedOnce = true
+			e.workOf(st).lastRefreshed = k.Now()
+			st.set(refreshedOnce)
 			e.flushPendingPolls(k, nd, msg.Item, st)
 		} else {
 			e.sendGetNew(k, nd, msg.Item, st, msg.Trace)
@@ -258,21 +262,24 @@ func (e *Engine) onUpdate(k *sim.Kernel, nd int, msg protocol.Message) {
 // resetGetNew clears the GET_NEW retry state after a successful repair
 // (or a role teardown), closing the open repair span at the current time.
 func (e *Engine) resetGetNew(k *sim.Kernel, st *itemState) {
-	st.getNewPending = false
-	st.getNewAttempts = 0
-	st.getNewGaveUp = false
-	st.debtOpen = false
-	if tc := st.repairTC(); tc.TraceID != 0 {
-		e.ch.Tracer.Finish(tc, k.Now().Nanoseconds())
-		st.relay.repairTC = protocol.TraceContext{}
+	st.unset(getNewPending | getNewGaveUp | debtOpen)
+	if st.work == 0 {
+		return
+	}
+	w := &e.works[st.work-1]
+	w.getNewAttempts = 0
+	if w.repairTC.TraceID != 0 {
+		e.ch.Tracer.Finish(w.repairTC, k.Now().Nanoseconds())
+		w.repairTC = protocol.TraceContext{}
 	}
 }
 
 // resetApply clears the APPLY retry state after the handshake completes.
 func (e *Engine) resetApply(st *itemState) {
-	st.applyPending = false
-	st.applyAttempts = 0
-	st.applyGaveUp = false
+	st.unset(applyPending | applyGaveUp)
+	if st.work != 0 {
+		e.works[st.work-1].applyAttempts = 0
+	}
 }
 
 // storeRefresh puts an authoritative copy; validate marks it as a TTP
@@ -297,7 +304,7 @@ func (e *Engine) storeRefresh(k *sim.Kernel, nd int, c data.Copy, st *itemState,
 	}
 	if err == nil && validate {
 		st.lastValidated = k.Now()
-		st.validatedOnce = true
+		st.set(validatedOnce)
 	}
 }
 
@@ -355,8 +362,8 @@ func (e *Engine) onSendNew(k *sim.Kernel, nd int, msg protocol.Message) {
 	}
 	e.resetGetNew(k, st)
 	if st.role == RoleRelay {
-		st.lastRefreshed = k.Now()
-		st.refreshedOnce = true
+		e.workOf(st).lastRefreshed = k.Now()
+		st.set(refreshedOnce)
 		e.flushPendingPolls(k, nd, msg.Item, st)
 	}
 }
@@ -391,12 +398,12 @@ func (e *Engine) onApplyAck(k *sim.Kernel, nd int, msg protocol.Message) {
 	e.ch.Hub.RelayMembership(telemetry.MembershipApplyAck)
 	e.roleChanged(k, nd, msg.Item, RoleCandidate, RoleRelay, "apply-ack")
 	cp, have := e.ch.Stores[nd].Peek(msg.Item)
-	if have && st.invHeard && cp.Version == st.invVersion && k.Now()-st.invAt < e.cfg.TTR {
-		st.lastRefreshed = st.invAt
-		st.refreshedOnce = true
+	if have && st.is(invHeard) && cp.Version == st.invVersion && k.Now()-st.invAt < e.cfg.TTR {
+		e.workOf(st).lastRefreshed = st.invAt
+		st.set(refreshedOnce)
 		return
 	}
-	if have && st.invHeard && cp.Version < st.invVersion {
+	if have && st.is(invHeard) && cp.Version < st.invVersion {
 		e.sendGetNew(k, nd, msg.Item, st, msg.Trace)
 	}
 }
@@ -434,7 +441,7 @@ func (e *Engine) onPoll(k *sim.Kernel, nd int, msg protocol.Message) {
 		// relay repairs right away instead of waiting out the TTR gap.
 		// The queue is bounded: beyond it, older entries (whose pollers
 		// have long since escalated) are discarded first.
-		w := st.work()
+		w := e.workOf(st)
 		if len(w.pending) >= 64 {
 			// Shift in place: reslicing forward would walk the array and
 			// reallocate it on every append under steady load.
@@ -491,15 +498,17 @@ func (e *Engine) answerPoll(k *sim.Kernel, nd int, msg protocol.Message, authori
 // expired. Entries older than TTN are dropped: their pollers have long
 // since escalated.
 func (e *Engine) flushPendingPolls(k *sim.Kernel, nd int, item data.ItemID, st *itemState) {
-	if st.relay == nil || len(st.relay.pending) == 0 {
+	if st.work == 0 || len(e.works[st.work-1].pending) == 0 {
 		return
 	}
 	cp, have := e.ch.Stores[nd].Peek(item)
 	if !have {
-		st.dropPending()
+		e.dropPending(st)
 		return
 	}
-	for _, p := range st.relay.pending {
+	// range reads the queue's header once, so the walk is unaffected if
+	// an answer's delivery re-enters and grows the record pool.
+	for _, p := range e.works[st.work-1].pending {
 		if k.Now()-p.at > e.cfg.TTN {
 			continue
 		}
@@ -516,7 +525,7 @@ func (e *Engine) flushPendingPolls(k *sim.Kernel, nd int, item data.ItemID, st *
 		}
 		e.answerPoll(k, nd, pm, cp)
 	}
-	st.dropPending()
+	e.dropPending(st)
 }
 
 // learnRelay remembers the answering relay as the poll target for next
@@ -530,7 +539,7 @@ func (e *Engine) learnRelay(k *sim.Kernel, st *itemState, msg protocol.Message) 
 		st.knownRelay = int32(msg.Origin)
 		return
 	}
-	if st.invHeard && k.Now()-st.invAt < 2*e.cfg.TTN {
+	if st.is(invHeard) && k.Now()-st.invAt < 2*e.cfg.TTN {
 		st.knownRelay = int32(msg.Origin)
 	}
 }
@@ -557,7 +566,7 @@ func (e *Engine) onPollAckA(k *sim.Kernel, nd int, msg protocol.Message) {
 		// behind (its ack vouches for less than we now hold), it renews
 		// nothing and is not worth learning as a poll target.
 		st.lastValidated = k.Now()
-		st.validatedOnce = true
+		st.set(validatedOnce)
 		e.learnRelay(k, st, msg)
 	} else {
 		e.staleAckRejects++

@@ -10,18 +10,24 @@ import (
 // strictly ascending by item id, which is the order coeffTick must walk
 // (anything that sends messages per item has to visit them in an order
 // that is a pure function of the seed). A node caches about ten items, so
-// lookups scan; nothing depends on that size but the cost.
+// lookups scan; nothing depends on that size but the cost. Ids are held
+// in four bytes: a state exists only for an item its node's store holds,
+// and the store refuses ids beyond int32.
 type itemTable struct {
-	ids []data.ItemID
+	ids []int32
 	sts []*itemState
 }
 
 // find returns the position of id in t, or the position it would be
-// inserted at.
+// inserted at. An id beyond int32 (a malformed frame) is never found.
 func (t *itemTable) find(id data.ItemID) (int, bool) {
+	if int64(id) != int64(int32(id)) {
+		return len(t.ids), false
+	}
+	id32 := int32(id)
 	for i, have := range t.ids {
-		if have >= id {
-			return i, have == id
+		if have >= id32 {
+			return i, have == id32
 		}
 	}
 	return len(t.ids), false
@@ -55,7 +61,7 @@ func (e *Engine) putItem(nd int, id data.ItemID, st *itemState) {
 		t.sts[i] = st
 		return
 	}
-	t.ids = slices.Insert(t.ids, i, id)
+	t.ids = slices.Insert(t.ids, i, int32(id))
 	t.sts = slices.Insert(t.sts, i, st)
 	e.sigs[nd] |= sigBit(id)
 }
@@ -74,7 +80,7 @@ func (e *Engine) delItem(nd int, id data.ItemID) (*itemState, bool) {
 	t.sts = slices.Delete(t.sts, i, i+1) // zeroes the vacated tail slot
 	var sig uint64
 	for _, have := range t.ids {
-		sig |= sigBit(have)
+		sig |= sigBit(data.ItemID(have))
 	}
 	e.sigs[nd] = sig
 	return st, true

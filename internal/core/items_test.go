@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 	"unsafe"
@@ -62,7 +63,7 @@ func TestItemTableMatchesMapProperty(t *testing.T) {
 				if i > 0 && tab.ids[i-1] >= have {
 					t.Fatalf("step %d: node %d ids not strictly ascending: %v", step, nd, tab.ids)
 				}
-				if tab.sts[i] != model[nd][have] {
+				if tab.sts[i] != model[nd][data.ItemID(have)] {
 					t.Fatalf("step %d: node %d id %d holds the wrong state", step, nd, have)
 				}
 				sig |= 1 << (uint(have) % 64)
@@ -87,10 +88,44 @@ func TestItemTableMatchesMapProperty(t *testing.T) {
 }
 
 // TestItemStateIsPacked pins the packed layout: a 10k-node run holds about
-// 100 000 item states.
+// 100 000 item states, 40 bytes each (96 while they held the relay-only
+// fields, a pointer and eight bools).
 func TestItemStateIsPacked(t *testing.T) {
-	if got := unsafe.Sizeof(itemState{}); got > 96 {
-		t.Fatalf("itemState is %d bytes, want <= 96", got)
+	if got := unsafe.Sizeof(itemState{}); got > 40 {
+		t.Fatalf("itemState is %d bytes, want <= 40", got)
+	}
+}
+
+// TestItemStateHasNoPointer pins that item states hold no pointer, so the
+// pool blocks they are carved from are never scanned by the collector. It
+// walks the fields, so a pointer added later, at any depth, fails it.
+func TestItemStateHasNoPointer(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+			reflect.Chan, reflect.Func, reflect.Interface, reflect.String:
+			t.Errorf("%s is a %s: item states must hold no pointer", path, typ.Kind())
+		}
+	}
+	walk("itemState", reflect.TypeOf(itemState{}))
+}
+
+// TestItemIDBeyondInt32Misses: the table holds ids in four bytes, so an id
+// a malformed frame carries beyond int32 must miss rather than alias the
+// held id it wraps to.
+func TestItemIDBeyondInt32Misses(t *testing.T) {
+	e := &Engine{peers: []peerState{{}}, sigs: make([]uint64, 1)}
+	e.putItem(0, 5, &itemState{})
+	if _, ok := e.getItem(0, 5+1<<32); ok {
+		t.Fatal("id 5+2^32 found id 5's state")
 	}
 }
 
@@ -148,7 +183,7 @@ func TestCrashMakesFloodsMissUntilRewarmed(t *testing.T) {
 	seed()
 	e.eng.onInvalidation(e.k, 1, inv)
 	e.eng.onPoll(e.k, 1, poll)
-	if st, ok := e.eng.getItem(1, 0); !ok || !st.invHeard {
+	if st, ok := e.eng.getItem(1, 0); !ok || !st.is(invHeard) {
 		t.Fatal("re-warmed node did not take the INVALIDATION")
 	}
 	if acks() != 1 {
@@ -193,7 +228,7 @@ func TestRepairSpanClosedWhenRelayStateGoes(t *testing.T) {
 			})
 			e.k.RunUntil(e.k.Now() + 5*time.Second)
 			st, _ := e.eng.getItem(1, 0)
-			if st == nil || !st.getNewPending || st.repairTC().TraceID == 0 {
+			if st == nil || !st.is(getNewPending) || e.eng.peekWork(st).repairTC.TraceID == 0 {
 				t.Fatal("setup: relay is not mid-repair with an open span")
 			}
 
@@ -202,8 +237,8 @@ func TestRepairSpanClosedWhenRelayStateGoes(t *testing.T) {
 			if e.eng.Role(1, 0) != RoleNone {
 				t.Fatalf("item state survived the teardown (role %v)", e.eng.Role(1, 0))
 			}
-			if st.repairTC().TraceID != 0 {
-				t.Error("removed state still names an open repair span")
+			if st.work != 0 {
+				t.Error("removed state still names a relay record")
 			}
 			repairs := 0
 			for _, s := range col.Export() {

@@ -38,7 +38,7 @@ func TestReorderedStaleUpdateRejected(t *testing.T) {
 	// timers may legitimately renew the TTR meanwhile (a heard
 	// INVALIDATION does), so the base is read just before the replay.
 	e.k.RunUntil(e.k.Now() + 30*time.Second)
-	refreshedAt := st.lastRefreshed
+	refreshedAt := e.eng.peekWork(st).lastRefreshed
 	e.eng.onUpdate(e.k, 1, protocol.Message{
 		Kind: protocol.KindUpdate, Item: 0, Origin: 0, Version: v1.Version, Copy: v1,
 	})
@@ -46,7 +46,7 @@ func TestReorderedStaleUpdateRejected(t *testing.T) {
 	if cp.Version != v2.Version {
 		t.Fatalf("stale UPDATE replay regressed the copy to v%d", cp.Version)
 	}
-	if st.lastRefreshed != refreshedAt {
+	if e.eng.peekWork(st).lastRefreshed != refreshedAt {
 		t.Error("stale UPDATE replay renewed the TTR")
 	}
 	pushes, _ := e.eng.StaleRejects()

@@ -81,9 +81,8 @@ func (e *faultEnv) makeRelay(t *testing.T, host int) {
 	e.seedCache(t, host, 0)
 	st := e.eng.itemState(host, 0)
 	st.role = RoleRelay
-	st.lastRefreshed = e.k.Now()
-	st.refreshedOnce = true
-	st.invHeard = true
+	e.eng.workOf(st).lastRefreshed = e.k.Now()
+	st.set(refreshedOnce | invHeard)
 	st.invAt = e.k.Now()
 	e.eng.peers[0].addRelay(host)
 }

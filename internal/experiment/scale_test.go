@@ -59,20 +59,31 @@ func liveHeap() int64 {
 
 // TestBytesPerNodeBudget pins what one world holds per node once it is
 // running: a 10 000-peer scenario under the scale bounds, built, started
-// and run for 1 simulated second, measured as the live heap after a
-// collection. A scale run keeps one region per worker in memory, so this
-// is what its peak is made of. Measured (go1.24, linux/amd64): 3 907 B
-// per node, against 4 262 while the kinetic plane kept a certificate heap
-// and a 28-byte pair record. The budget is that + 10 % and only ever
-// tightens.
+// and run, measured as the live heap after a collection at two
+// checkpoints. At 1 simulated second the world is nearly what set-up left;
+// by 3 minutes the route cache has filled to its 256-table cap, which set-up
+// never shows. A scale run keeps one region per worker in memory, so this
+// is what its peak is made of. Measured (go1.24, linux/amd64), newest
+// first:
+//   - 3 096 B per node at 1 s and 3 692 at 3 min with two-byte route
+//     tables, 40-byte pointer-free item states and 64-byte cache entries;
+//   - 3 907 at 1 s and 5 016 at 3 min with four-byte tables, 96-byte item
+//     states and 80-byte entries;
+//   - 4 262 at 1 s while the kinetic plane kept a certificate heap and a
+//     28-byte pair record.
+//
+// Each budget is the latest measurement + 10 % and only ever tightens.
 func TestBytesPerNodeBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10 000-peer world skipped in -short mode")
 	}
 	const n = 10_000
-	const budget = 1.10 * 3907
+	const tableCap = 256
 	cfg := scaleBoundsConfig(n, 1)
-	cfg.SimTime = time.Minute
+	if cfg.RouteTableCap != tableCap {
+		t.Fatalf("scale bounds cap route tables at %d, this test assumes %d", cfg.RouteTableCap, tableCap)
+	}
+	cfg.SimTime = 4 * time.Minute
 	base := liveHeap()
 	w, err := Build(cfg)
 	if err != nil {
@@ -81,19 +92,33 @@ func TestBytesPerNodeBudget(t *testing.T) {
 	if err := w.startScenario(); err != nil {
 		t.Fatal(err)
 	}
-	w.RunUntil(time.Second)
-	perNode := float64(liveHeap()-base) / n
-	runtime.KeepAlive(w)
-	t.Logf("live heap: %.0f B per node", perNode)
-	if perNode > budget {
-		t.Errorf("a running world holds %.0f B per node; budget %.0f", perNode, budget)
+	for _, c := range []struct {
+		at     time.Duration
+		budget float64
+	}{
+		{time.Second, 1.10 * 3096},
+		{3 * time.Minute, 1.10 * 3692},
+	} {
+		w.RunUntil(c.at)
+		perNode := float64(liveHeap()-base) / n
+		tables := w.Net.Graph().RouteTables()
+		t.Logf("at %v: live heap %.0f B per node, %d route tables", c.at, perNode, tables)
+		if perNode > c.budget {
+			t.Errorf("at %v a running world holds %.0f B per node; budget %.0f", c.at, perNode, c.budget)
+		}
+		if c.at >= 3*time.Minute && tables != tableCap {
+			t.Errorf("at %v the route cache holds %d tables, want its cap %d", c.at, tables, tableCap)
+		}
 	}
+	runtime.KeepAlive(w)
 }
 
 // TestSetupAllocationBudget pins what assembling a scale run costs per
 // node: a 2 000-node scenario at Table 1 density with the scale resource
 // bounds, run for 1 ms so set-up is nearly all of it. Measured (go1.24,
 // linux/amd64), newest first:
+//   - 0.72 mallocs and 2 665 B per node with 40-byte item states and
+//     64-byte cache entries;
 //   - 0.73 mallocs and 3 410 B per node with the event queue sized once
 //     for set-up's timers (it grew by doubling) and each host's warm
 //     placement written in one pass;
@@ -110,7 +135,7 @@ func TestBytesPerNodeBudget(t *testing.T) {
 // the latest + 5 %; both only ever tighten.
 func TestSetupAllocationBudget(t *testing.T) {
 	const n = 2000
-	const mallocBudget, byteBudget = 1.2 * 0.73, 1.05 * 3410
+	const mallocBudget, byteBudget = 1.2 * 0.73, 1.05 * 2665
 	cfg := scaleBoundsConfig(n, 1)
 	cfg.SimTime = time.Millisecond
 

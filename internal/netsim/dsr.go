@@ -139,13 +139,13 @@ func (n *Network) rreqTransmit(node, target int, path []int, st *floodState, ttl
 	n.traffic.RecordTx(protocol.KindRREQ, req.Size())
 	n.spendTx(node)
 	delay := n.txDelay(node, req.Size())
-	for _, v := range g.Neighbors(node) {
+	for _, v32 := range g.Neighbors(node) {
+		v := int(v32)
 		if st.visited[v] {
 			continue
 		}
 		st.visited[v] = true
 		st.pending++
-		v := v
 		// Each receiver gets its own copy of the grown path.
 		grown := make([]int, len(path)+1)
 		copy(grown, path)

@@ -163,7 +163,7 @@ func checkRoutes(t *testing.T, at time.Duration, g *radio.Graph, srcStep, dstSte
 			if src != dst && g.Up(src) && g.Up(dst) {
 				for _, v := range g.Neighbors(src) {
 					if dist[v] != radio.Unreachable && (want == radio.Unreachable || dist[v] < dist[want]) {
-						want = v
+						want = int(v)
 					}
 				}
 			}
@@ -190,7 +190,7 @@ func hopsFrom(g *radio.Graph, src int) []int {
 		for _, v := range g.Neighbors(u) {
 			if dist[v] == radio.Unreachable {
 				dist[v] = dist[u] + 1
-				queue = append(queue, v)
+				queue = append(queue, int(v))
 			}
 		}
 	}
@@ -467,7 +467,7 @@ func diffParity(t *testing.T, seed int64, samples []time.Duration) {
 		set := make(map[uint64]bool)
 		for i := 0; i < n; i++ {
 			for _, j := range g.Neighbors(i) {
-				set[key(int32(i), int32(j))] = true
+				set[key(int32(i), j)] = true
 			}
 		}
 		return set

@@ -797,7 +797,7 @@ type floodRx struct {
 	n                   *Network
 	st                  *floodState
 	from, hops, ttlLeft int
-	to                  []int
+	to                  []int32
 }
 
 // Fire completes the broadcast: each hearer in turn, in row order, goes
@@ -809,7 +809,8 @@ type floodRx struct {
 // its pending count drains, which this landing's own count guarantees.
 func (r *floodRx) Fire(*sim.Kernel) {
 	n, st := r.n, r.st
-	for _, to := range r.to {
+	for _, t := range r.to {
+		to := int(t)
 		switch {
 		case !n.Up(to):
 			// Hearer flipped down while the frame was in the air.

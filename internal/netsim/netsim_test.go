@@ -423,7 +423,7 @@ func TestBroadcastIsOneKernelEvent(t *testing.T) {
 		t.Fatalf("%d deliveries, want %d", len(h.got), leaves)
 	}
 	for i, d := range h.got {
-		if want := h.net.Graph().Neighbors(0)[i]; d.node != want {
+		if want := int(h.net.Graph().Neighbors(0)[i]); d.node != want {
 			t.Errorf("delivery %d went to node %d, want neighbour-row order (node %d)", i, d.node, want)
 		}
 		if d.meta.Hops != 1 || d.meta.At != h.got[0].meta.At {

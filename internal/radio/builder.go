@@ -140,9 +140,8 @@ func (b *GraphBuilder) Build(pos []geo.Point, down []bool, commRange float64, st
 				}
 				cell := y*cols + x
 				for _, j32 := range b.cellNodes[b.cellOff[cell]:b.cellOff[cell+1]] {
-					j := int(j32)
-					if j != i && pos[i].DistSq(pos[j]) <= r2 {
-						tgt = append(tgt, j)
+					if j := int(j32); j != i && pos[i].DistSq(pos[j]) <= r2 {
+						tgt = append(tgt, j32)
 					}
 				}
 			}
@@ -161,12 +160,10 @@ func (b *GraphBuilder) Build(pos []geo.Point, down []bool, commRange float64, st
 func (b *GraphBuilder) prepare(pos []geo.Point, down []bool, stamp uint64) *Graph {
 	g := &b.g
 	n := len(pos)
-	if g.n != n {
-		g.dropRoutes()
-	} else {
+	if g.n == n {
 		g.resetRoutes()
 	}
-	g.n = n
+	g.resize(n)
 	g.stamp = stamp
 	g.off = resizeI32(g.off, n+1)
 	if cap(g.down) < n {
@@ -214,7 +211,7 @@ func (b *GraphBuilder) fillPairwise(pos []geo.Point, commRange float64) {
 	}
 	total := int(g.off[n])
 	if cap(g.tgt) < total {
-		g.tgt = make([]int, total)
+		g.tgt = make([]int32, total)
 	}
 	g.tgt = g.tgt[:total]
 	b.fill = resizeI32(b.fill, n)
@@ -229,9 +226,9 @@ func (b *GraphBuilder) fillPairwise(pos []geo.Point, commRange float64) {
 				continue
 			}
 			if pos[i].DistSq(pos[j]) <= r2 {
-				g.tgt[fill[i]] = j
+				g.tgt[fill[i]] = int32(j)
 				fill[i]++
-				g.tgt[fill[j]] = i
+				g.tgt[fill[j]] = int32(i)
 				fill[j]++
 			}
 		}

@@ -179,7 +179,7 @@ func TestConnectedMatchesNeighborMembership(t *testing.T) {
 	for i := 0; i < g.Len(); i++ {
 		want := map[int]bool{}
 		for _, v := range g.Neighbors(i) {
-			want[v] = true
+			want[int(v)] = true
 		}
 		for j := 0; j < g.Len(); j++ {
 			if got := g.Connected(i, j); got != want[j] {

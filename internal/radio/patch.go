@@ -62,10 +62,7 @@ func (b *GraphBuilder) RebuildFromRows(n int, row func(i int) []int32, down []bo
 		return nil, fmt.Errorf("radio: down length %d != nodes %d", len(down), n)
 	}
 	g := &b.g
-	if g.n != n {
-		g.dropRoutes()
-		g.n = n
-	}
+	g.resize(n)
 	g.stamp = stamp
 	g.off = resizeI32(g.off, n+1)
 	if cap(g.down) < n {
@@ -88,7 +85,7 @@ func (b *GraphBuilder) RebuildFromRows(n int, row func(i int) []int32, down []bo
 		}
 		for _, j := range row(i) {
 			if !g.down[j] {
-				tgt = append(tgt, int(j))
+				tgt = append(tgt, j)
 			}
 		}
 	}
@@ -97,14 +94,15 @@ func (b *GraphBuilder) RebuildFromRows(n int, row func(i int) []int32, down []bo
 	return g, nil
 }
 
-// dropRoutes discards the route cache outright — tables, pool and repair
-// log — because distance tables are length-bound to the node count.
-func (g *Graph) dropRoutes() {
-	g.dist = nil
-	g.synced = nil
-	g.built = g.built[:0]
-	g.distPool = nil
-	g.diffLog = g.diffLog[:0]
+// resize sets the node count. Distance tables are length-bound to it, so
+// a new count discards the route cache outright — tables, spares and
+// repair log — and starts one at the width the new count needs.
+func (g *Graph) resize(n int) {
+	if g.n != n {
+		g.n = n
+		g.routes = newRoutes(n)
+		g.diffLog = g.diffLog[:0]
+	}
 }
 
 // repairLimit is the size past which repairing a table costs more than a
@@ -129,21 +127,21 @@ func (g *Graph) PatchRoutes(diffs []EdgeDiff) {
 	}
 }
 
-// catchUp brings dst's table d up to date with the current adjacency: one
+// catchUp brings dst's table t up to date with the current adjacency: one
 // repairTable pass over the diffs logged since the table was last current
 // or, when that window is longer than repairLimit() or invalidates too
-// much of the table, a BFS over d in place. A window within the limit is
+// much of the table, a BFS over it in place. A window within the limit is
 // always still in the log: trimming keeps the newest repairLimit() diffs,
 // and whatever clears the log drops every table with it.
-func (g *Graph) catchUp(dst int, d []int32) {
-	pending := g.logEnd - g.synced[dst]
-	if pending <= g.repairLimit() && g.repairTable(d, g.diffLog[len(g.diffLog)-pending:]) {
+func catchUp[D dist](g *Graph, t *table[D], dst int) {
+	pending := g.logEnd - t.synced
+	if pending <= g.repairLimit() && repairTable(g, t.d, g.diffLog[len(g.diffLog)-pending:]) {
 		g.repaired++
 	} else {
-		g.bfsTable(d, dst)
+		bfsTable(g, t.d, dst)
 		g.dropped++
 	}
-	g.synced[dst] = g.logEnd
+	t.synced = g.logEnd
 }
 
 // RouteRepairs returns how many stale tables were repaired in place when
@@ -157,7 +155,7 @@ func (g *Graph) RouteRepairs() (repaired, dropped uint64) { return g.repaired, g
 // repair limit (the table's contents are then unspecified). Steady state
 // allocates nothing: the work stack, the invalidated list and the level
 // buckets are all retained on the graph.
-func (g *Graph) repairTable(d []int32, diffs []EdgeDiff) bool {
+func repairTable[D dist](g *Graph, d []D, diffs []EdgeDiff) bool {
 	limit := g.repairLimit()
 	invalidated := 0
 
@@ -195,8 +193,8 @@ func (g *Graph) repairTable(d []int32, diffs []EdgeDiff) bool {
 			return false
 		}
 		for _, y := range g.tgt[g.off[x]:g.off[x+1]] {
-			if d[int32(y)] == dx+1 {
-				stack = append(stack, int32(y))
+			if d[y] == dx+1 {
+				stack = append(stack, y)
 			}
 		}
 	}
@@ -205,7 +203,7 @@ func (g *Graph) repairTable(d []int32, diffs []EdgeDiff) bool {
 	// Phase 2: level-ordered relaxation from added-edge endpoints and
 	// from the surviving frontier around the invalidated region.
 	buckets := g.repairBuckets[:0]
-	push := func(x int32, level int32) {
+	push := func(x int32, level D) {
 		for int(level) >= len(buckets) {
 			if len(buckets) < cap(buckets) {
 				// Re-slice rather than append: the slot still holds the
@@ -230,20 +228,23 @@ func (g *Graph) repairTable(d []int32, diffs []EdgeDiff) bool {
 	for _, x := range invalid {
 		for _, w := range g.tgt[g.off[x]:g.off[x+1]] {
 			if dv := d[w]; dv >= 0 {
-				push(int32(w), dv)
+				push(w, dv)
 			}
 		}
 	}
 	for level := 0; level < len(buckets); level++ {
 		for qi := 0; qi < len(buckets[level]); qi++ {
 			x := buckets[level][qi]
-			if d[x] != int32(level) {
+			if d[x] != D(level) {
 				continue // stale entry: x was relaxed to a lower level
 			}
+			// level+1 is the length of a simple path, so below n: it
+			// fits the table's width (see routeCache).
+			next := D(level) + 1
 			for _, y := range g.tgt[g.off[x]:g.off[x+1]] {
-				if dy := d[y]; dy < 0 || dy > int32(level)+1 {
-					d[y] = int32(level) + 1
-					push(int32(y), int32(level)+1)
+				if dy := d[y]; dy < 0 || dy > next {
+					d[y] = next
+					push(y, next)
 				}
 			}
 		}
@@ -262,4 +263,9 @@ func (g *Graph) SetRouteTableCap(cap int) { g.tableCap = cap }
 
 // RouteTables returns how many memoized distance tables are currently
 // built — the population kept repairable on demand.
-func (g *Graph) RouteTables() int { return len(g.built) }
+func (g *Graph) RouteTables() int {
+	if g.routes == nil {
+		return 0
+	}
+	return g.routes.tables()
+}

@@ -170,8 +170,8 @@ func testPatchRoutes(t *testing.T, tableCap int) {
 			if round%8 != 0 && rng.Intn(3) != 0 {
 				continue
 			}
-			if g.dist[dst] != nil {
-				switch pending := g.logEnd - g.synced[dst]; {
+			if synced, ok := tableSynced(g, dst); ok {
+				switch pending := g.logEnd - synced; {
 				case pending > len(g.diffLog):
 					pastLog++
 				case pending > 0:

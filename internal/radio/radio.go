@@ -18,6 +18,7 @@ package radio
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"github.com/manetlab/rpcc/internal/geo"
@@ -28,28 +29,25 @@ import (
 type Graph struct {
 	n     int
 	off   []int32 // CSR row offsets, len n+1
-	tgt   []int   // CSR neighbour ids, ascending per row
+	tgt   []int32 // CSR neighbour ids, ascending per row
 	down  []bool
 	stamp uint64 // snapshot generation, for cache invalidation upstream
 
-	// Route cache: dist[dst] holds, once built, the BFS hop distance from
-	// every node to dst (Unreachable = -1). Slices are recycled through
-	// distPool across snapshot rebuilds by the owning GraphBuilder.
-	dist     [][]int32
-	built    []int32   // destinations with a table built this snapshot
-	distPool [][]int32 // spare distance tables
-	queue    []int32   // shared BFS scratch queue
-	tableCap int       // max live tables (0 = unlimited), FIFO eviction
+	// Route cache: the memoized hop-distance tables, at the element
+	// width resize chose from n (see routeCache). The tables are
+	// recycled across snapshot rebuilds by the owning GraphBuilder.
+	routes   routeCache
+	queue    []int32 // shared BFS scratch queue
+	tableCap int     // max live tables (0 = unlimited), FIFO eviction
 
 	// On-demand route repair (see patch.go). diffLog holds the CSR edge
 	// changes of the most recent kinetic samples and logEnd counts every
 	// diff ever logged, so diffLog covers positions [logEnd-len(diffLog),
-	// logEnd). synced[dst] is the position dst's table is current to; a
-	// table is caught up when it is next read. repaired and dropped count
-	// those catch-ups by outcome.
+	// logEnd). Each table records the position it is current to and is
+	// caught up when next read. repaired and dropped count those
+	// catch-ups by outcome.
 	diffLog  []EdgeDiff
 	logEnd   int
-	synced   []int
 	repaired uint64
 	dropped  uint64
 
@@ -70,7 +68,7 @@ func (g *Graph) Up(i int) bool { return i >= 0 && i < g.n && !g.down[i] }
 
 // Neighbors returns the nodes within range of i, ascending. The returned
 // slice aliases the snapshot's CSR arrays; callers must not mutate it.
-func (g *Graph) Neighbors(i int) []int {
+func (g *Graph) Neighbors(i int) []int32 {
 	if i < 0 || i >= g.n {
 		return nil
 	}
@@ -80,57 +78,103 @@ func (g *Graph) Neighbors(i int) []int {
 // Connected reports whether i and j share an edge. Neighbour rows are
 // sorted, so this is a binary search rather than a linear scan.
 func (g *Graph) Connected(i, j int) bool {
-	if i < 0 || i >= g.n {
+	if i < 0 || i >= g.n || j < 0 || j >= g.n {
 		return false
 	}
-	_, found := slices.BinarySearch(g.tgt[g.off[i]:g.off[i+1]], j)
+	_, found := slices.BinarySearch(g.tgt[g.off[i]:g.off[i+1]], int32(j))
 	return found
 }
 
 // Unreachable is the hop distance reported for unreachable pairs.
 const Unreachable = -1
 
+// routeCache is the memoized hop-distance tables at one element width:
+// routes[int16] while every distance fits in two bytes, routes[int32]
+// otherwise. A BFS distance is at most n-1, so the two-byte tables are
+// exact for every graph of at most math.MaxInt16 nodes; above that only
+// the four-byte width is. resize fixes the width once from n, and both
+// widths run the one generic routeTo/bfsTable/catchUp/repairTable.
+type routeCache interface {
+	hops(g *Graph, src, dst int) int
+	nextHop(g *Graph, src, dst int) int
+	// reset returns every live table to the spares (same n, new topology).
+	reset()
+	// tables is the number of live tables.
+	tables() int
+}
+
+// dist is a route table's element: hops to the table's destination, or
+// Unreachable.
+type dist interface{ int16 | int32 }
+
+// routes is the route cache at distance width D. slot[v] is 1 + the index
+// in tabs of v's table (0 = none): four bytes per node, whatever the
+// width, and the tables themselves exist only for destinations in use.
+type routes[D dist] struct {
+	slot  []int32
+	tabs  []table[D] // every table ever made: live or spare
+	spare []int32    // indices into tabs of the spare tables
+	built []int32    // destinations with a live table, oldest first
+}
+
+// table is one destination's distances and the log position (logEnd) it
+// is current to.
+type table[D dist] struct {
+	d      []D
+	synced int
+}
+
+// newRoutes returns an empty route cache for n nodes at the narrowest
+// exact width.
+func newRoutes(n int) routeCache {
+	if n <= math.MaxInt16 {
+		return &routes[int16]{}
+	}
+	return &routes[int32]{}
+}
+
 // routeTo returns the memoized hop-distance table toward dst, building it
 // with one BFS on first use and bringing it up to date with the edge
 // changes logged since it was last read (catchUp, patch.go).
-func (g *Graph) routeTo(dst int) []int32 {
-	if g.dist == nil {
-		g.dist = make([][]int32, g.n)
-		g.synced = make([]int, g.n)
+func (r *routes[D]) routeTo(g *Graph, dst int) []D {
+	if r.slot == nil {
+		r.slot = make([]int32, g.n)
 	}
-	if d := g.dist[dst]; d != nil {
-		if g.synced[dst] != g.logEnd {
-			g.catchUp(dst, d)
+	if s := r.slot[dst]; s != 0 {
+		t := &r.tabs[s-1]
+		if t.synced != g.logEnd {
+			catchUp(g, t, dst)
 		}
-		return d
+		return t.d
 	}
-	if g.tableCap > 0 && len(g.built) >= g.tableCap {
+	if g.tableCap > 0 && len(r.built) >= g.tableCap {
 		// FIFO eviction keeps the live-table population bounded and the
 		// eviction order deterministic. Copying the queue down, rather
 		// than reslicing its front away, keeps one backing array.
-		old := g.built[0]
-		g.built = g.built[:copy(g.built, g.built[1:])]
-		g.distPool = append(g.distPool, g.dist[old])
-		g.dist[old] = nil
+		old := r.built[0]
+		r.built = r.built[:copy(r.built, r.built[1:])]
+		r.spare = append(r.spare, r.slot[old]-1)
+		r.slot[old] = 0
 	}
-	var d []int32
-	if n := len(g.distPool); n > 0 {
-		d = g.distPool[n-1]
-		g.distPool = g.distPool[:n-1]
-		d = d[:g.n]
+	var i int32
+	if n := len(r.spare); n > 0 {
+		i = r.spare[n-1]
+		r.spare = r.spare[:n-1]
 	} else {
-		d = make([]int32, g.n)
+		i = int32(len(r.tabs))
+		r.tabs = append(r.tabs, table[D]{d: make([]D, g.n)})
 	}
-	g.bfsTable(d, dst)
-	g.dist[dst] = d
-	g.synced[dst] = g.logEnd
-	g.built = append(g.built, int32(dst))
-	return d
+	t := &r.tabs[i]
+	bfsTable(g, t.d, dst)
+	t.synced = g.logEnd
+	r.slot[dst] = i + 1
+	r.built = append(r.built, int32(dst))
+	return t.d
 }
 
 // bfsTable overwrites d with the hop distance from every node to dst on
 // the current adjacency, reusing the shared scratch queue.
-func (g *Graph) bfsTable(d []int32, dst int) {
+func bfsTable[D dist](g *Graph, d []D, dst int) {
 	for i := range d {
 		d[i] = Unreachable
 	}
@@ -143,22 +187,43 @@ func (g *Graph) bfsTable(d []int32, dst int) {
 		for _, v := range g.tgt[g.off[u]:g.off[u+1]] {
 			if d[v] == Unreachable {
 				d[v] = du + 1
-				q = append(q, int32(v))
+				q = append(q, v)
 			}
 		}
 	}
 	g.queue = q
 }
 
-// resetRoutes returns every distance table built for this snapshot to the
-// pool and forgets the repair log; the builder calls it before reusing the
-// graph for a new topology.
-func (g *Graph) resetRoutes() {
-	for _, dst := range g.built {
-		g.distPool = append(g.distPool, g.dist[dst])
-		g.dist[dst] = nil
+func (r *routes[D]) reset() {
+	for _, dst := range r.built {
+		r.spare = append(r.spare, r.slot[dst]-1)
+		r.slot[dst] = 0
 	}
-	g.built = g.built[:0]
+	r.built = r.built[:0]
+}
+
+func (r *routes[D]) tables() int { return len(r.built) }
+
+func (r *routes[D]) hops(g *Graph, src, dst int) int { return int(r.routeTo(g, dst)[src]) }
+
+func (r *routes[D]) nextHop(g *Graph, src, dst int) int {
+	dist := r.routeTo(g, dst)
+	best, bestDist := Unreachable, D(Unreachable)
+	for _, v := range g.tgt[g.off[src]:g.off[src+1]] {
+		if d := dist[v]; d != Unreachable && (bestDist == Unreachable || d < bestDist) {
+			best, bestDist = int(v), d
+		}
+	}
+	return best
+}
+
+// resetRoutes returns every distance table built for this snapshot to the
+// spares and forgets the repair log; the builder calls it before reusing
+// the graph for a new topology.
+func (g *Graph) resetRoutes() {
+	if g.routes != nil {
+		g.routes.reset()
+	}
 	g.diffLog = g.diffLog[:0]
 }
 
@@ -174,7 +239,7 @@ func (g *Graph) Hops(src, dst int) int {
 	if !g.Up(src) || !g.Up(dst) {
 		return Unreachable
 	}
-	return int(g.routeTo(dst)[src])
+	return g.routes.hops(g, src, dst)
 }
 
 // NextHop returns the neighbour of src that lies on a shortest path to
@@ -191,14 +256,7 @@ func (g *Graph) NextHop(src, dst int) int {
 	if src == dst || !g.Up(src) || !g.Up(dst) {
 		return Unreachable
 	}
-	dist := g.routeTo(dst)
-	best, bestDist := Unreachable, int32(^uint32(0)>>1)
-	for _, v := range g.Neighbors(src) {
-		if d := dist[v]; d != Unreachable && d < bestDist {
-			best, bestDist = v, d
-		}
-	}
-	return best
+	return g.routes.nextHop(g, src, dst)
 }
 
 // validate checks the inputs shared by every build path.

@@ -41,7 +41,7 @@ func hopsFrom(g *Graph, src int) []int {
 		for _, v := range g.Neighbors(u) {
 			if dist[v] == Unreachable {
 				dist[v] = dist[u] + 1
-				queue = append(queue, v)
+				queue = append(queue, int(v))
 			}
 		}
 	}
@@ -58,8 +58,27 @@ func nextHopRef(g *Graph, src, dst int) int {
 	best := Unreachable
 	for _, v := range g.Neighbors(src) {
 		if dist[v] != Unreachable && (best == Unreachable || dist[v] < dist[best]) {
-			best = v
+			best = int(v)
 		}
 	}
 	return best
+}
+
+// tableSynced reports the log position dst's table is current to, and
+// whether dst has a live table, at whichever width g's cache has.
+func tableSynced(g *Graph, dst int) (int, bool) {
+	switch r := g.routes.(type) {
+	case *routes[int16]:
+		return r.synced(dst)
+	case *routes[int32]:
+		return r.synced(dst)
+	}
+	return 0, false
+}
+
+func (r *routes[D]) synced(dst int) (int, bool) {
+	if r.slot == nil || r.slot[dst] == 0 {
+		return 0, false
+	}
+	return r.tabs[r.slot[dst]-1].synced, true
 }
