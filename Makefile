@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet cross check regen figures figures-smoke telemetry-smoke chaos-smoke conform-smoke policy-smoke wire-smoke wire-chaos-smoke scale-smoke trace-smoke bench-smoke loc
+.PHONY: all build test race vet cross check regen figures figures-smoke telemetry-smoke chaos-smoke conform-smoke policy-smoke wire-smoke wire-chaos-smoke scale-smoke trace-smoke bench-smoke parity loc
 
 all: check
 
@@ -246,6 +246,37 @@ trace-smoke:
 	$(call twice,$(TRACE_TMP),view -in $(TRACE_TMP)/LEG.jsonl,)
 	$(TRACE_TMP)/rpcc lint -trace $(TRACE_TMP)/a.jsonl
 	@head -12 $(TRACE_TMP)/a.txt
+
+# Parity gate for a change that must not move behaviour: `make parity
+# BASE=<rev>` builds rpcc at BASE and from the working tree, runs both on
+# the seeded artefacts below and cmps each pair: the figure suite at one
+# simulated hour, the chaos-smoke campaign's stdout, metrics and causal
+# trace, the conformance gate's report, and rpcc scale's stdout (kernel
+# events-fired counts included) for 10k peers over 60 s as strips and as
+# one field. BASE is exported with git archive rather than checked out in
+# a worktree, so nothing is registered in .git and an interrupted run
+# leaves only PARITY_TMP behind.
+PARITY_TMP ?= /tmp/rpcc-parity
+PARITY_FILES = figures.txt chaos.txt chaos.prom chaos.jsonl conform.txt scale-strips.txt scale-field.txt
+define parityOutputs
+	$(1)/rpcc figures -simtime 1h > $(1)/figures.txt
+	$(1)/rpcc run -seed 11 -simtime 25m -detail=false -faults demo \
+		-trace-out $(1)/chaos.jsonl -metrics-out $(1)/chaos.prom > $(1)/chaos.txt
+	$(1)/rpcc conform -seeds 5 -fuzz 25 > $(1)/conform.txt
+	$(1)/rpcc scale -peers 10000 -simtime 60s -seed 1 > $(1)/scale-strips.txt
+	$(1)/rpcc scale -peers 10000 -simtime 60s -seed 1 -shards 1 > $(1)/scale-field.txt
+endef
+parity:
+	@test -n "$(BASE)" || { echo "usage: make parity BASE=<rev>"; exit 2; }
+	rm -rf $(PARITY_TMP)
+	mkdir -p $(PARITY_TMP)/src $(PARITY_TMP)/base $(PARITY_TMP)/head
+	git archive $(BASE) | tar -x -C $(PARITY_TMP)/src
+	$(GO) build -C $(PARITY_TMP)/src -o $(PARITY_TMP)/base/rpcc ./cmd/rpcc
+	$(GO) build -o $(PARITY_TMP)/head/rpcc ./cmd/rpcc
+	$(call parityOutputs,$(PARITY_TMP)/base)
+	$(call parityOutputs,$(PARITY_TMP)/head)
+	for f in $(PARITY_FILES); do cmp $(PARITY_TMP)/base/$$f $(PARITY_TMP)/head/$$f || exit 1; done
+	@echo "parity with $(BASE): $(PARITY_FILES) byte-equal"
 
 # Full paper reproduction (5 simulated hours per run).
 figures:

@@ -34,17 +34,27 @@ type Store struct {
 	// entries holds the cached copies ascending by id; its capacity is
 	// the store's, fixed at construction, so it never reallocates.
 	entries []entry
-	policy  Policy
-	// hops, when set, estimates the distance in hops to an item's source
-	// host; the store snapshots it into the entry whenever the version
-	// advances so utility ranking can weight re-fetch cost.
-	hops func(data.ItemID) int
+	// run is what every store of one NewStores call shares, held once.
+	run *storeRun
+	// node is the store's index in its NewStores call, the node the hop
+	// hint estimates from.
+	node int32
 	// tick is the logical clock the ranks read: one step per admission or
 	// touch.
 	tick     uint64
 	accesses uint64 // cumulative: hits + misses observed by this node
 	hits     uint64
 	evicts   uint64
+}
+
+// storeRun is the run-wide part of a store: the replacement policy and
+// the hop hint every store of one NewStores call shares.
+type storeRun struct {
+	policy Policy
+	// hops, when set, estimates the distance in hops from a node to an
+	// item's source host; a store snapshots it into the entry whenever
+	// the version advances so utility ranking can weight re-fetch cost.
+	hops func(node int, id data.ItemID) int
 }
 
 // entry is one cached copy plus what the replacement ranks read, packed
@@ -90,20 +100,22 @@ func NewStore(capacity int) (*Store, error) {
 }
 
 // NewStores creates n caches of the given capacity under policy p, all
-// carved from one entry array: three allocations however large n is.
+// carved from one entry array and sharing one record of p: four
+// allocations however large n is.
 func NewStores(n, capacity int, p Policy) ([]*Store, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("cache: capacity %d must be > 0", capacity)
 	}
-	if n < 0 {
-		return nil, fmt.Errorf("cache: negative store count %d", n)
+	if n < 0 || n > math.MaxInt32 {
+		return nil, fmt.Errorf("cache: store count %d outside [0, MaxInt32]", n)
 	}
+	run := &storeRun{policy: p}
 	backing := make([]entry, n*capacity)
 	stores := make([]Store, n)
 	out := make([]*Store, n)
 	for i := range stores {
 		lo := i * capacity
-		stores[i] = Store{entries: backing[lo : lo : lo+capacity], policy: p}
+		stores[i] = Store{entries: backing[lo : lo : lo+capacity], run: run, node: int32(i)}
 		out[i] = &stores[i]
 	}
 	return out, nil
@@ -115,17 +127,23 @@ func (s *Store) Capacity() int { return cap(s.entries) }
 // Len returns the current item count.
 func (s *Store) Len() int { return len(s.entries) }
 
-// SetHopsHint installs an estimator of the hop distance from this node to
-// an item's source host. Optional: without it entries carry zero hops and
-// the utility policy degrades to access-rate/size. The estimator must be
+// SetHopsHint installs, for the stores one NewStores call made, an
+// estimator of the hop distance from node — a store's index in that
+// call's result — to an item's source host. The stores share it, so it
+// is held once. Optional: without it entries carry zero hops and the
+// utility policy degrades to access-rate/size. The estimator must be
 // deterministic for a given sim state.
-func (s *Store) SetHopsHint(f func(data.ItemID) int) { s.hops = f }
+func SetHopsHint(stores []*Store, f func(node int, id data.ItemID) int) {
+	for _, s := range stores {
+		s.run.hops = f
+	}
+}
 
 func (s *Store) hopsFor(id data.ItemID) int32 {
-	if s.hops == nil {
+	if s.run.hops == nil {
 		return 0
 	}
-	return int32(max(math.MinInt32, min(s.hops(id), math.MaxInt32)))
+	return int32(max(math.MinInt32, min(s.run.hops(int(s.node), id), math.MaxInt32)))
 }
 
 // find returns the position of id in the entries, or where it would be
@@ -147,7 +165,7 @@ func (s *Store) find(id data.ItemID) (int, bool) {
 // counts halve, so popularity decays with a half-life of one period.
 func (s *Store) advance() {
 	s.tick++
-	if p := s.policy.agePeriod; p > 0 && s.tick%p == 0 {
+	if p := s.run.policy.agePeriod; p > 0 && s.tick%p == 0 {
 		for i := range s.entries {
 			s.entries[i].uses /= 2
 		}
@@ -158,7 +176,7 @@ func (s *Store) advance() {
 func (s *Store) touch(e *entry) {
 	s.advance()
 	e.uses++
-	if s.policy.rankByLastUse() {
+	if s.run.policy.rankByLastUse() {
 		e.seen = s.tick
 	}
 }
@@ -169,7 +187,7 @@ func (s *Store) touch(e *entry) {
 func (s *Store) victim() int {
 	v := 0
 	for i := 1; i < len(s.entries); i++ {
-		if s.policy.below(&s.entries[i], &s.entries[v], s.tick) {
+		if s.run.policy.below(&s.entries[i], &s.entries[v], s.tick) {
 			v = i
 		}
 	}
@@ -295,7 +313,7 @@ func (s *Store) Warm(cs []data.Copy, now time.Duration, reg *data.Registry) bool
 		}
 		at := first + uint64(d)
 		uses := uint64(1)
-		if p := s.policy.agePeriod; p > 0 {
+		if p := s.run.policy.agePeriod; p > 0 {
 			uses >>= last/p - at/p // the halvings at ticks in (at, last]
 		}
 		// Field by field: a composite literal would be built aside and

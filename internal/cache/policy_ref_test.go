@@ -406,7 +406,7 @@ func TestDenseStoreMatchesReferenceModel(t *testing.T) {
 					t.Fatal(err)
 				}
 				got, want := stores[0], newRefStore(capacity, newRefPolicy(kind, params))
-				got.SetHopsHint(hops)
+				SetHopsHint(stores, func(_ int, id data.ItemID) int { return hops(id) })
 				want.hops = hops
 
 				rng := rand.New(rand.NewSource(int64(capacity) + 1))

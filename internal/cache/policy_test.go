@@ -150,7 +150,7 @@ func TestTTLPolicyHonorsStoredAtFix(t *testing.T) {
 func TestUtilityPolicyWeighsHops(t *testing.T) {
 	s := storeWith(t, 2, PolicyUtility)
 	hops := map[data.ItemID]int{1: 1, 2: 6, 3: 1}
-	s.SetHopsHint(func(id data.ItemID) int { return hops[id] })
+	SetHopsHint([]*Store{s}, func(_ int, id data.ItemID) int { return hops[id] })
 	s.Put(copyOf(1, 0), 0)
 	s.Put(copyOf(2, 0), 0)
 	// Same access pattern for both; item 2's source is far away, so its

@@ -54,8 +54,7 @@ func TestWarmMatchesPuts(t *testing.T) {
 		for trial := 0; trial < 200; trial++ {
 			stores, _ := NewStores(2, capacity, p)
 			batch, ref := stores[0], stores[1]
-			batch.SetHopsHint(hops)
-			ref.SetHopsHint(hops)
+			SetHopsHint(stores, func(_ int, id data.ItemID) int { return hops(id) })
 			// A few reads first, so the clock and counters do not start
 			// at zero.
 			for range rng.Intn(3) {

@@ -193,7 +193,12 @@ func (ps *peerState) dropRelay(r int) bool {
 
 // pollRound is one query's record past the local checks: the fetch of a
 // missing copy (it is the fetch's FetchDone) and then the validation round
-// (it is the poll timeout's Timer). Rounds come from the engine's pool.
+// (it is the poll timeout's Timer). Rounds come from the engine's pool and
+// own their query. While fetching, the fetch holds the round; FetchDone
+// releases it when it resolves the query. While polling, the polls map
+// holds it by seq and one stage timeout is pending; the Fire that finds
+// the query resolved or gives the round up releases it, and a stage that
+// fails to send releases it where it fails (releaseRound).
 type pollRound struct {
 	e     *Engine
 	q     *node.Query
@@ -233,8 +238,9 @@ type Engine struct {
 	// cache accesses it forms N_a, the accessibility evidence of Eq 4.2.1.
 	deliveries []uint64
 	polls      map[uint64]*pollRound
-	rounds     sim.Pool[pollRound]
-	started    bool
+	// rounds go back to the pool at their last holder (pollRound).
+	rounds  sim.Pool[pollRound]
+	started bool
 
 	// Stage usage counters (diagnostics and the A4 ablation).
 	pollDirect   uint64
@@ -387,11 +393,13 @@ func (e *Engine) OnQuery(k *sim.Kernel, host int, item data.ItemID, level consis
 		m, err := e.ch.Reg.Master(item)
 		if err != nil {
 			e.ch.Fail(q, "unknown-item")
+			e.ch.Release(q)
 			return
 		}
 		q.Route = "owner"
 		q.Source = host
 		e.ch.Answer(k, q, m.Current())
+		e.ch.Release(q)
 		return
 	}
 	cp, ok := e.ch.Stores[host].Get(item)
@@ -419,14 +427,29 @@ func (e *Engine) OnQuery(k *sim.Kernel, host int, item data.ItemID, level consis
 		e.ch.Answer(k, q, cp)
 	default:
 		e.startPoll(k, e.newRound(q), cp.Version)
+		return
 	}
+	e.ch.Release(q)
 }
 
-// newRound returns a fresh round for q from the pool.
+// newRound returns a fresh round for q from the pool; the round owns q.
 func (e *Engine) newRound(q *node.Query) *pollRound {
 	r := e.rounds.New()
 	*r = pollRound{e: e, q: q, host: q.Host, item: q.Item}
 	return r
+}
+
+// releaseRound gives r and its query back to their pools. Its last holder
+// calls it: nothing may read r afterwards.
+func (e *Engine) releaseRound(r *pollRound) {
+	e.ch.Release(r.q)
+	e.rounds.Put(r)
+}
+
+// PoolAudits checks the lifecycle of the engine's per-query pool
+// (sim.Pool.Audit).
+func (e *Engine) PoolAudits() []sim.PoolAudit {
+	return []sim.PoolAudit{e.rounds.Audit("core.pollRound")}
 }
 
 // fetchMiss resolves a query for an item the host does not cache: locate a
@@ -438,11 +461,13 @@ func (e *Engine) fetchMiss(k *sim.Kernel, q *node.Query) {
 
 // FetchDone completes a miss's fetch: a copy obtained from the owner is
 // authoritative, one from a peer must still be validated for SC and
-// expired-Δ queries, by this round.
+// expired-Δ queries, by this round. The fetch is the round's only holder,
+// so a query resolved here releases it.
 func (r *pollRound) FetchDone(k *sim.Kernel, c data.Copy, from int, ok bool) {
 	e, q := r.e, r.q
 	if !ok {
 		e.ch.Fail(q, "fetch-timeout")
+		e.releaseRound(r)
 		return
 	}
 	e.putCopy(k, q.Host, c)
@@ -461,7 +486,9 @@ func (r *pollRound) FetchDone(k *sim.Kernel, c data.Copy, from int, ok bool) {
 		e.ch.Answer(k, q, c)
 	default:
 		e.startPoll(k, r, c.Version)
+		return
 	}
+	e.releaseRound(r)
 }
 
 // putCopy stores a copy at host, tearing down relay state for whatever the
@@ -538,10 +565,12 @@ func (e *Engine) startPoll(k *sim.Kernel, r *pollRound, have data.Version) {
 }
 
 // Poll stages: 0 unicast to the learned relay, 1 ring flood, 2 fallback
-// flood, 3 give up.
+// flood, 3 give up. No timeout of r is pending when it runs, so a stage
+// that arms none releases r.
 func (e *Engine) pollStage(k *sim.Kernel, r *pollRound) {
 	if r.q.Resolved() {
 		delete(e.polls, r.q.Seq)
+		e.releaseRound(r)
 		return
 	}
 	// The previous stage (if any) escalated past: its span ends here.
@@ -549,6 +578,7 @@ func (e *Engine) pollStage(k *sim.Kernel, r *pollRound) {
 	if r.stage >= 3 {
 		delete(e.polls, r.q.Seq)
 		e.ch.Fail(r.q, "poll-timeout")
+		e.releaseRound(r)
 		return
 	}
 	msg := protocol.Message{
@@ -587,6 +617,7 @@ func (e *Engine) pollStage(k *sim.Kernel, r *pollRound) {
 		delete(e.polls, r.q.Seq)
 		e.ch.Tracer.Finish(r.tc, k.Now().Nanoseconds())
 		e.ch.Fail(r.q, "poll-send")
+		e.releaseRound(r)
 		return
 	}
 	r.st = st
@@ -595,7 +626,8 @@ func (e *Engine) pollStage(k *sim.Kernel, r *pollRound) {
 }
 
 // Fire is the timeout of the stage that ran last (r.stage-1): it
-// escalates to the next one.
+// escalates to the next one, or releases r (pollStage). An ack that
+// resolved the query, or a crash, left r to this firing.
 func (r *pollRound) Fire(k *sim.Kernel) {
 	e := r.e
 	if r.stage == 1 && !r.q.Resolved() {

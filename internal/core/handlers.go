@@ -546,7 +546,8 @@ func (e *Engine) learnRelay(k *sim.Kernel, st *itemState, msg protocol.Message) 
 
 // onPollAckA validates the poller's copy (Fig 6d lines 12–15). Late or
 // duplicate acks for a settled poll fall through the e.polls lookup: the
-// first answer wins and everything after it is a dead letter.
+// first answer wins and everything after it is a dead letter. The round's
+// pending stage timeout releases it (pollRound.Fire).
 func (e *Engine) onPollAckA(k *sim.Kernel, nd int, msg protocol.Message) {
 	r, ok := e.polls[msg.Seq]
 	if !ok || r.host != nd || r.item != msg.Item {

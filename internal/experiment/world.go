@@ -192,9 +192,7 @@ func Build(cfg Config, opts ...Option) (*World, error) {
 		return nil, err
 	}
 	if cfg.CachePolicy == cache.PolicyUtility && w.Field != nil {
-		for i := range w.Stores {
-			w.Stores[i].SetHopsHint(w.hopsHint(i))
-		}
+		cache.SetHopsHint(w.Stores, w.hopsHint)
 	}
 
 	// Slack: in-flight forgiveness covering flood propagation plus the
@@ -245,16 +243,14 @@ func Build(cfg Config, opts ...Option) (*World, error) {
 // host geometrically (current positions, one hop per CommRange) for the
 // utility policy. A pure function of sim state, so runs stay
 // deterministic.
-func (w *World) hopsHint(node int) func(data.ItemID) int {
-	return func(item data.ItemID) int {
-		owner := w.Reg.Owner(item)
-		if owner < 0 || owner >= w.Config.NPeers || owner == node {
-			return 0
-		}
-		now := w.K.Now()
-		d := w.Field.PeekPosition(node, now).Dist(w.Field.PeekPosition(owner, now))
-		return int(math.Ceil(d / w.Config.CommRange))
+func (w *World) hopsHint(node int, item data.ItemID) int {
+	owner := w.Reg.Owner(item)
+	if owner < 0 || owner >= w.Config.NPeers || owner == node {
+		return 0
 	}
+	now := w.K.Now()
+	d := w.Field.PeekPosition(node, now).Dist(w.Field.PeekPosition(owner, now))
+	return int(math.Ceil(d / w.Config.CommRange))
 }
 
 // Warm places the current master copies of items in host's cache before

@@ -21,7 +21,10 @@ import (
 	ctrace "github.com/manetlab/rpcc/internal/telemetry/trace"
 )
 
-// Query is one in-flight query request.
+// Query is one in-flight query request, from the chassis pool (Begin).
+// The strategy record that carries it past OnQuery owns it and gives it
+// back with Release when that record is itself released; OnQuery releases
+// a query it resolves on the spot.
 type Query struct {
 	Seq      uint64
 	Host     int
@@ -57,7 +60,11 @@ type FetchDone interface {
 }
 
 // fetch tracks one in-flight copy search. It is its own timeout: Fire
-// escalates a ring search to ring next, or gives up a direct fetch.
+// escalates a ring search to ring next, or gives up a direct fetch. Its
+// holders are the fetches map, by seq, until it finishes, and its pending
+// timeout. The Fire that finds it finished, or finishes it without
+// re-arming, releases it; a fetch that ends before any timeout is armed
+// is released where it ends.
 type fetch struct {
 	c    *Chassis
 	host int
@@ -71,17 +78,20 @@ type fetch struct {
 	done bool
 }
 
-// Fire is the fetch's timeout.
+// Fire is the fetch's timeout, the last firing pending for it unless a
+// ring search re-arms.
 func (f *fetch) Fire(k *sim.Kernel) {
-	if f.next >= 0 {
-		f.c.ring(k, f, f.next)
-		return
+	c := f.c
+	switch {
+	case f.done:
+	case f.next >= 0:
+		if c.ring(k, f, f.next) {
+			return
+		}
+	default:
+		c.giveUp(k, f, "direct-timeout")
 	}
-	if f.done {
-		return
-	}
-	f.c.finishFetch(k, f, "direct-timeout")
-	f.cb.FetchDone(k, data.Copy{}, -1, false)
+	c.fetchSlots.Put(f)
 }
 
 // Config tunes the shared fetch machinery.
@@ -143,8 +153,9 @@ type Chassis struct {
 
 	seq     uint64
 	fetches map[uint64]*fetch
-	// Query and fetch records come from pools never Put back to, so none
-	// is reissued.
+	// Query and fetch records go back to their pools at their last
+	// holder: a query with the strategy record that owns it (Release), a
+	// fetch at the timeout that finds it finished (fetch.Fire).
 	queries    sim.Pool[Query]
 	fetchSlots sim.Pool[fetch]
 
@@ -210,8 +221,19 @@ func (c *Chassis) Begin(k *sim.Kernel, host int, item data.ItemID, level consist
 	return q
 }
 
+// Release gives q back to the pool once its owner is done with it; the
+// owner must not read q afterwards. A resolved query's record is reissued
+// by a later Begin, so an observer must copy what it keeps.
+func (c *Chassis) Release(q *Query) { c.queries.Put(q) }
+
+// PoolAudits checks the query and fetch pools' lifecycles (sim.Pool.Audit).
+func (c *Chassis) PoolAudits() []sim.PoolAudit {
+	return []sim.PoolAudit{c.queries.Audit("node.Query"), c.fetchSlots.Audit("node.fetch")}
+}
+
 // SetAnswerObserver installs a hook invoked for every answered query,
-// after auditing and telemetry. Pass nil to remove it.
+// after auditing and telemetry; it must not keep q (see Release). Pass
+// nil to remove it.
 func (c *Chassis) SetAnswerObserver(fn func(k *sim.Kernel, q *Query, served data.Copy)) {
 	c.answerObserver = fn
 }
@@ -308,7 +330,9 @@ type ReasonCount struct {
 // records.
 func (c *Chassis) FetchRing(k *sim.Kernel, host int, item data.ItemID, parent protocol.TraceContext, cb FetchDone) {
 	f := c.newFetch(k, host, item, parent, cb, "ring")
-	c.ring(k, f, 0)
+	if !c.ring(k, f, 0) {
+		c.fetchSlots.Put(f)
+	}
 }
 
 // newFetch registers a fetch record under a fresh sequence number.
@@ -327,14 +351,19 @@ func (c *Chassis) finishFetch(k *sim.Kernel, f *fetch, name string) {
 	c.Tracer.FinishAs(f.tc, k.Now().Nanoseconds(), name)
 }
 
-func (c *Chassis) ring(k *sim.Kernel, f *fetch, idx int) {
-	if f.done {
-		return
-	}
+// giveUp finishes f unanswered under name and tells its callback.
+func (c *Chassis) giveUp(k *sim.Kernel, f *fetch, name string) {
+	c.finishFetch(k, f, name)
+	f.cb.FetchDone(k, data.Copy{}, -1, false)
+}
+
+// ring floods ring idx of f's search and arms its timeout, reporting
+// whether it did; past the last ring, or when the flood fails, it gives
+// the fetch up instead.
+func (c *Chassis) ring(k *sim.Kernel, f *fetch, idx int) bool {
 	if idx >= len(c.cfg.RingTTLs) {
-		c.finishFetch(k, f, "ring-timeout")
-		f.cb.FetchDone(k, data.Copy{}, -1, false)
-		return
+		c.giveUp(k, f, "ring-timeout")
+		return false
 	}
 	msg := protocol.Message{
 		Kind:   protocol.KindDataRequest,
@@ -344,12 +373,12 @@ func (c *Chassis) ring(k *sim.Kernel, f *fetch, idx int) {
 		Trace:  f.tc,
 	}
 	if err := c.Net.Flood(f.host, c.cfg.RingTTLs[idx], msg); err != nil {
-		c.finishFetch(k, f, "ring-error")
-		f.cb.FetchDone(k, data.Copy{}, -1, false)
-		return
+		c.giveUp(k, f, "ring-error")
+		return false
 	}
 	f.next = idx + 1
 	k.AfterTimer(c.cfg.RingTimeout, "node.fetch.ring", f)
+	return true
 }
 
 // FetchDirect asks the owner of item for its master copy with a unicast
@@ -368,8 +397,8 @@ func (c *Chassis) FetchDirect(k *sim.Kernel, host int, item data.ItemID, parent 
 	}
 	owner := c.Reg.Owner(item)
 	if err := c.Net.Unicast(host, owner, msg); err != nil {
-		c.finishFetch(k, f, "direct-error")
-		cb.FetchDone(k, data.Copy{}, -1, false)
+		c.giveUp(k, f, "direct-error")
+		c.fetchSlots.Put(f)
 		return
 	}
 	k.AfterTimer(c.cfg.DirectTimeout, "node.fetch.direct", f)
@@ -409,7 +438,9 @@ func (c *Chassis) HandleDataRequest(k *sim.Kernel, node int, msg protocol.Messag
 
 // HandleDataReply resolves the pending fetch matching the reply's Seq.
 // Later duplicate replies (multiple holders answered the flood) are
-// dropped. Strategies route KindDataReply deliveries here.
+// dropped: finishing took the fetch out of the map, so they miss. The
+// fetch's pending timeout releases it. Strategies route KindDataReply
+// deliveries here.
 func (c *Chassis) HandleDataReply(k *sim.Kernel, node int, msg protocol.Message) {
 	f, ok := c.fetches[msg.Seq]
 	if !ok || f.done || f.host != node || f.item != msg.Item {

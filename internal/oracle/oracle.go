@@ -125,7 +125,8 @@ func (m *Model) diverge(d Divergence) { m.divs = append(m.divs, d) }
 
 // ObserveAnswer checks one answered query against the registry's master
 // (an item the registry does not know has no commits beyond version 0).
-// Wire it with Chassis.SetAnswerObserver.
+// Wire it with Chassis.SetAnswerObserver. It keeps nothing of q, whose
+// record the chassis reissues once its owner releases it.
 func (m *Model) ObserveAnswer(k *sim.Kernel, q *node.Query, served data.Copy) {
 	h := noCommits
 	if master, err := m.reg.Master(q.Item); err == nil {

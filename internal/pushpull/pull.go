@@ -62,18 +62,30 @@ type Pull struct {
 	polls   *telemetry.Counter
 }
 
-// pullTimeout is one poll flood's timeout, taken from the Pull's pool.
+// pullTimeout is one poll flood's timeout, taken from the Pull's pool. It
+// owns its query until it fires: the rounds map holds the query by seq
+// only while no ack or reply has closed the round, and the timeout is
+// always armed, so its one firing is the last holder of both.
 type pullTimeout struct {
 	p *Pull
 	q *node.Query
 }
 
-// Fire fails the query unless an ack or reply closed its round.
+// Fire fails the query unless an ack or reply closed its round, then
+// releases the query and the timeout.
 func (t *pullTimeout) Fire(*sim.Kernel) {
-	if _, open := t.p.rounds[t.q.Seq]; open {
-		delete(t.p.rounds, t.q.Seq)
-		t.p.ch.Fail(t.q, "poll-timeout")
+	p, q := t.p, t.q
+	if _, open := p.rounds[q.Seq]; open {
+		delete(p.rounds, q.Seq)
+		p.ch.Fail(q, "poll-timeout")
 	}
+	p.ch.Release(q)
+	p.timers.Put(t)
+}
+
+// PoolAudits checks the lifecycle of the timeout pool (sim.Pool.Audit).
+func (p *Pull) PoolAudits() []sim.PoolAudit {
+	return []sim.PoolAudit{p.timers.Audit("pushpull.pullTimeout")}
 }
 
 // NewPull builds the baseline on the shared chassis.
@@ -130,11 +142,13 @@ func (p *Pull) OnQuery(k *sim.Kernel, host int, item data.ItemID, level consiste
 		m, err := p.ch.Reg.Master(item)
 		if err != nil {
 			p.ch.Fail(q, "unknown-item")
+			p.ch.Release(q)
 			return
 		}
 		q.Route = "owner"
 		q.Source = host
 		p.ch.Answer(k, q, m.Current())
+		p.ch.Release(q)
 		return
 	}
 	var have data.Version
@@ -157,6 +171,7 @@ func (p *Pull) OnQuery(k *sim.Kernel, host int, item data.ItemID, level consiste
 	if err := p.ch.Net.Flood(host, p.cfg.BroadcastTTL, poll); err != nil {
 		delete(p.rounds, q.Seq)
 		p.ch.Fail(q, "poll-send")
+		p.ch.Release(q)
 		return
 	}
 	t := p.timers.New()

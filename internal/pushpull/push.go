@@ -57,20 +57,35 @@ func (c PushConfig) Validate() error {
 }
 
 // waiting is one query parked until the item's next IR arrives, linked
-// behind the query parked before it. It is the query's record: the
-// FetchDone of a miss's ring fetch and the Timer of its patience.
+// behind the query parked before it. It is the query's record and owns
+// the query: the FetchDone of a miss's ring fetch and the Timer of its
+// patience. While the fetch holds it, FetchDone releases it when it fails
+// the query. Once parked it has two holders — the parked list (or the
+// refetch chain an IR detaches it into) and the pending patience timeout
+// — and held says which still do: whichever drops it last releases it
+// (Push.drop).
 type waiting struct {
 	p    *Push
 	q    *node.Query
 	next *waiting
+	held holders
 }
+
+// holders is a parked query's holder mask.
+type holders uint8
+
+const (
+	heldParked   holders = 1 << iota // a parked list or a refetch chain
+	heldPatience                     // the pending patience timeout
+)
 
 // parkedList is the arrival-ordered queue of one (node, item)'s waiting
 // queries.
 type parkedList struct{ head, tail *waiting }
 
 // refetch is the FetchDone of the direct fetch an IR starts for the
-// queries parked at nd when their copy is stale or gone.
+// queries parked at nd when their copy is stale or gone. The fetch is its
+// only holder, so FetchDone releases it.
 type refetch struct {
 	p      *Push
 	nd     int
@@ -91,8 +106,8 @@ type Push struct {
 	cfg     PushConfig
 	ch      *node.Chassis
 	waiting []map[data.ItemID]parkedList // per node
-	// Query and refetch records come from pools never Put back to, so
-	// none is reissued.
+	// Query and refetch records go back to their pools at their last
+	// holder (waiting, refetch).
 	waits     sim.Pool[waiting]
 	refetches sim.Pool[refetch]
 	ticks     []irTimer // per node
@@ -167,11 +182,13 @@ func (p *Push) OnQuery(k *sim.Kernel, host int, item data.ItemID, level consiste
 		m, err := p.ch.Reg.Master(item)
 		if err != nil {
 			p.ch.Fail(q, "unknown-item")
+			p.ch.Release(q)
 			return
 		}
 		q.Route = "owner"
 		q.Source = host
 		p.ch.Answer(k, q, m.Current())
+		p.ch.Release(q)
 		return
 	}
 	w := p.waits.New()
@@ -192,6 +209,7 @@ func (w *waiting) FetchDone(k *sim.Kernel, c data.Copy, _ int, ok bool) {
 	p, q := w.p, w.q
 	if !ok {
 		p.ch.Fail(q, "fetch-timeout")
+		p.release(w)
 		return
 	}
 	// A rejected put means a newer copy raced in; park against that one.
@@ -199,7 +217,27 @@ func (w *waiting) FetchDone(k *sim.Kernel, c data.Copy, _ int, ok bool) {
 		p.parkQuery(k, w)
 	} else {
 		p.ch.Fail(q, "store-reject")
+		p.release(w)
 	}
+}
+
+// release gives w and its query back to their pools.
+func (p *Push) release(w *waiting) {
+	p.ch.Release(w.q)
+	p.waits.Put(w)
+}
+
+// drop takes holder h's hold on w, releasing w when h held it last.
+func (p *Push) drop(w *waiting, h holders) {
+	if w.held &^= h; w.held == 0 {
+		p.release(w)
+	}
+}
+
+// PoolAudits checks the lifecycles of the query and refetch pools
+// (sim.Pool.Audit).
+func (p *Push) PoolAudits() []sim.PoolAudit {
+	return []sim.PoolAudit{p.waits.Audit("pushpull.waiting"), p.refetches.Audit("pushpull.refetch")}
 }
 
 // parkQuery holds w's query until its item's next IR reaches its host.
@@ -215,12 +253,15 @@ func (p *Push) parkQuery(k *sim.Kernel, w *waiting) {
 	}
 	l.tail = w
 	p.waiting[host][item] = l
+	w.held = heldParked | heldPatience
 	k.AfterTimer(p.cfg.QueryPatience, "push.patience", w)
 }
 
-// Fire is the query's patience running out.
+// Fire is the query's patience running out. A timed-out query stays in
+// its parked list, which the next IR walks, so the list may still hold w.
 func (w *waiting) Fire(*sim.Kernel) {
 	w.p.ch.Fail(w.q, "no-ir") // no-op if already answered
+	w.p.drop(w, heldPatience)
 }
 
 // Fire runs the IR duty and re-arms the timer.
@@ -279,9 +320,12 @@ func (p *Push) onIR(k *sim.Kernel, nd int, msg protocol.Message) {
 	}
 	// Copy is current as of this IR: the IR's origin is the authority
 	// vouching for the local copy.
-	for w := p.takeParked(nd, msg.Item); w != nil; w = w.next {
+	for w := p.takeParked(nd, msg.Item); w != nil; {
+		next := w.next
 		w.q.Source = msg.Origin
 		p.ch.Answer(k, w.q, cp)
+		p.drop(w, heldParked)
+		w = next
 	}
 }
 
@@ -297,19 +341,21 @@ func (p *Push) refetch(k *sim.Kernel, nd int, msg protocol.Message, store bool) 
 // them.
 func (r *refetch) FetchDone(k *sim.Kernel, c data.Copy, from int, ok bool) {
 	p := r.p
-	if !ok {
-		for w := r.parked; w != nil; w = w.next {
-			p.ch.Fail(w.q, "refetch-timeout")
-		}
-		return
-	}
-	if r.store {
+	if ok && r.store {
 		_ = p.ch.Stores[r.nd].Put(c, k.Now())
 	}
-	for w := r.parked; w != nil; w = w.next {
-		w.q.Source = from
-		p.ch.Answer(k, w.q, c)
+	for w := r.parked; w != nil; {
+		next := w.next
+		if ok {
+			w.q.Source = from
+			p.ch.Answer(k, w.q, c)
+		} else {
+			p.ch.Fail(w.q, "refetch-timeout")
+		}
+		p.drop(w, heldParked)
+		w = next
 	}
+	p.refetches.Put(r)
 }
 
 // takeParked detaches the queue of queries parked at nd for item and

@@ -68,3 +68,33 @@ func TestPoolCarvesBlocks(t *testing.T) {
 		t.Errorf("Reserve(%d) then %d fresh records cost %.0f mallocs, want 1", n, n, total)
 	}
 }
+
+// TestPoolAuditCountsLiveAndDoubledRecords: Audit reports the records
+// handed out and not given back, and a record Put twice.
+func TestPoolAuditCountsLiveAndDoubledRecords(t *testing.T) {
+	var p Pool[poolRec]
+	r1, r2, r3 := p.New(), p.New(), p.New()
+	p.Put(r1)
+	if a := p.Audit("recs"); a != (PoolAudit{Name: "recs", Live: 2}) {
+		t.Fatalf("after 3 New and 1 Put: %+v, want 2 live and none doubled", a)
+	}
+	p.Put(r2)
+	p.Put(r3)
+	if a := p.Audit("recs"); a.Live != 0 || a.Doubled {
+		t.Fatalf("after every record came back: %+v, want 0 live and none doubled", a)
+	}
+	p.Put(r2)
+	if a := p.Audit("recs"); !a.Doubled {
+		t.Fatalf("after r2 was Put twice: %+v, want doubled", a)
+	}
+}
+
+// TestPoolLiveCountDoesNotAllocate: the live count New and Put keep costs
+// no allocation once the freelist has room.
+func TestPoolLiveCountDoesNotAllocate(t *testing.T) {
+	var p Pool[poolRec]
+	p.Put(p.New())
+	if n := testing.AllocsPerRun(100, func() { p.Put(p.New()) }); n != 0 {
+		t.Errorf("a New and Put cycle allocates %.0f times, want 0", n)
+	}
+}

@@ -213,6 +213,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		queries: make(freeList[queryReq], injectDepth),
 	}
 	if cfg.OnAnswer != nil {
+		// OnAnswer gets q's fields, never q: the record is reissued.
 		chassis.SetAnswerObserver(func(_ *sim.Kernel, q *node.Query, served data.Copy) {
 			cfg.OnAnswer(self, q.Item, q.Level, served, time.Now())
 		})
