@@ -249,12 +249,13 @@ trace-smoke:
 
 # Parity gate for a change that must not move behaviour: `make parity
 # BASE=<rev>` builds rpcc at BASE and from the working tree, runs both on
-# the seeded artefacts below and cmps each pair: the figure suite at one
-# simulated hour, the chaos-smoke campaign's stdout, metrics and causal
-# trace, the conformance gate's report, and rpcc scale's stdout (kernel
-# events-fired counts included) for 10k peers over 60 s as strips and as
-# one field. BASE is exported with git archive rather than checked out in
-# a worktree, so nothing is registered in .git and an interrupted run
+# the seeded artefacts below and cmps every pair, naming each file that
+# differs before it fails: the figure suite at one simulated hour, the
+# chaos-smoke campaign's stdout, metrics and causal trace, the
+# conformance gate's report, and rpcc scale's stdout (kernel events-fired
+# counts included) for 10k peers over 60 s as strips and as one field.
+# BASE is exported with git archive rather than checked out in a
+# worktree, so nothing is registered in .git and an interrupted run
 # leaves only PARITY_TMP behind.
 PARITY_TMP ?= /tmp/rpcc-parity
 PARITY_FILES = figures.txt chaos.txt chaos.prom chaos.jsonl conform.txt scale-strips.txt scale-field.txt
@@ -275,7 +276,10 @@ parity:
 	$(GO) build -o $(PARITY_TMP)/head/rpcc ./cmd/rpcc
 	$(call parityOutputs,$(PARITY_TMP)/base)
 	$(call parityOutputs,$(PARITY_TMP)/head)
-	for f in $(PARITY_FILES); do cmp $(PARITY_TMP)/base/$$f $(PARITY_TMP)/head/$$f || exit 1; done
+	@differ=; for f in $(PARITY_FILES); do \
+		cmp $(PARITY_TMP)/base/$$f $(PARITY_TMP)/head/$$f || differ="$$differ $$f"; \
+	done; \
+	if [ -n "$$differ" ]; then echo "parity with $(BASE): differ:$$differ"; exit 1; fi
 	@echo "parity with $(BASE): $(PARITY_FILES) byte-equal"
 
 # Full paper reproduction (5 simulated hours per run).

@@ -194,11 +194,9 @@ func (ps *peerState) dropRelay(r int) bool {
 // pollRound is one query's record past the local checks: the fetch of a
 // missing copy (it is the fetch's FetchDone) and then the validation round
 // (it is the poll timeout's Timer). Rounds come from the engine's pool and
-// own their query. While fetching, the fetch holds the round; FetchDone
-// releases it when it resolves the query. While polling, the polls map
-// holds it by seq and one stage timeout is pending; the Fire that finds
-// the query resolved or gives the round up releases it, and a stage that
-// fails to send releases it where it fails (releaseRound).
+// own their query. While fetching, the fetch holds the round; while
+// polling, the polls map holds it by seq and timer is its pending stage
+// timeout. Whatever resolves the query releases it (endRound).
 type pollRound struct {
 	e     *Engine
 	q     *node.Query
@@ -212,7 +210,8 @@ type pollRound struct {
 	st *itemState
 	// tc is the span of the currently running escalation stage; the next
 	// stage (or the resolving ack) closes it.
-	tc protocol.TraceContext
+	tc    protocol.TraceContext
+	timer *sim.Event
 }
 
 // Engine runs RPCC over a chassis. Construct with New, wire with Start,
@@ -238,7 +237,7 @@ type Engine struct {
 	// cache accesses it forms N_a, the accessibility evidence of Eq 4.2.1.
 	deliveries []uint64
 	polls      map[uint64]*pollRound
-	// rounds go back to the pool at their last holder (pollRound).
+	// rounds go back to the pool when their query resolves (endRound).
 	rounds  sim.Pool[pollRound]
 	started bool
 
@@ -439,9 +438,13 @@ func (e *Engine) newRound(q *node.Query) *pollRound {
 	return r
 }
 
-// releaseRound gives r and its query back to their pools. Its last holder
-// calls it: nothing may read r afterwards.
-func (e *Engine) releaseRound(r *pollRound) {
+// endRound is r's one release point, called where its query resolves:
+// it drops r from the polls map, cancels its pending stage timeout and
+// gives r and its query back to their pools. Nothing may read r
+// afterwards.
+func (e *Engine) endRound(k *sim.Kernel, r *pollRound) {
+	delete(e.polls, r.q.Seq)
+	k.Cancel(r.timer)
 	e.ch.Release(r.q)
 	e.rounds.Put(r)
 }
@@ -461,13 +464,12 @@ func (e *Engine) fetchMiss(k *sim.Kernel, q *node.Query) {
 
 // FetchDone completes a miss's fetch: a copy obtained from the owner is
 // authoritative, one from a peer must still be validated for SC and
-// expired-Δ queries, by this round. The fetch is the round's only holder,
-// so a query resolved here releases it.
+// expired-Δ queries, by this round.
 func (r *pollRound) FetchDone(k *sim.Kernel, c data.Copy, from int, ok bool) {
 	e, q := r.e, r.q
 	if !ok {
 		e.ch.Fail(q, "fetch-timeout")
-		e.releaseRound(r)
+		e.endRound(k, r)
 		return
 	}
 	e.putCopy(k, q.Host, c)
@@ -488,7 +490,7 @@ func (r *pollRound) FetchDone(k *sim.Kernel, c data.Copy, from int, ok bool) {
 		e.startPoll(k, r, c.Version)
 		return
 	}
-	e.releaseRound(r)
+	e.endRound(k, r)
 }
 
 // putCopy stores a copy at host, tearing down relay state for whatever the
@@ -565,20 +567,13 @@ func (e *Engine) startPoll(k *sim.Kernel, r *pollRound, have data.Version) {
 }
 
 // Poll stages: 0 unicast to the learned relay, 1 ring flood, 2 fallback
-// flood, 3 give up. No timeout of r is pending when it runs, so a stage
-// that arms none releases r.
+// flood, 3 give up. No timeout of r is pending when it runs.
 func (e *Engine) pollStage(k *sim.Kernel, r *pollRound) {
-	if r.q.Resolved() {
-		delete(e.polls, r.q.Seq)
-		e.releaseRound(r)
-		return
-	}
 	// The previous stage (if any) escalated past: its span ends here.
 	e.ch.Tracer.Finish(r.tc, k.Now().Nanoseconds())
 	if r.stage >= 3 {
-		delete(e.polls, r.q.Seq)
 		e.ch.Fail(r.q, "poll-timeout")
-		e.releaseRound(r)
+		e.endRound(k, r)
 		return
 	}
 	msg := protocol.Message{
@@ -614,23 +609,22 @@ func (e *Engine) pollStage(k *sim.Kernel, r *pollRound) {
 		err = e.ch.Net.Flood(r.host, e.cfg.PollFallbackTTL, msg)
 	}
 	if err != nil {
-		delete(e.polls, r.q.Seq)
 		e.ch.Tracer.Finish(r.tc, k.Now().Nanoseconds())
 		e.ch.Fail(r.q, "poll-send")
-		e.releaseRound(r)
+		e.endRound(k, r)
 		return
 	}
 	r.st = st
 	r.stage++
-	k.AfterTimer(e.cfg.PollTimeout, "rpcc.poll.timeout", r)
+	r.timer = k.AfterTimer(e.cfg.PollTimeout, "rpcc.poll.timeout", r)
 }
 
 // Fire is the timeout of the stage that ran last (r.stage-1): it
-// escalates to the next one, or releases r (pollStage). An ack that
-// resolved the query, or a crash, left r to this firing.
+// escalates to the next one, or gives the round up (pollStage).
 func (r *pollRound) Fire(k *sim.Kernel) {
+	r.timer = nil
 	e := r.e
-	if r.stage == 1 && !r.q.Resolved() {
+	if r.stage == 1 {
 		// The learned relay went quiet (moved, demoted, partitioned):
 		// forget it before falling back to discovery.
 		r.st.knownRelay = -1
@@ -1023,11 +1017,9 @@ func (e *Engine) Crash(k *sim.Kernel, nd int) error {
 	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 	for _, seq := range seqs {
 		r := e.polls[seq]
-		delete(e.polls, seq)
 		e.ch.Tracer.Finish(r.tc, k.Now().Nanoseconds())
-		if !r.q.Resolved() {
-			e.ch.Fail(r.q, "crash")
-		}
+		e.ch.Fail(r.q, "crash")
+		e.endRound(k, r)
 	}
 	// A relay that crashes mid-repair takes its GET_NEW round down with it.
 	for _, st := range e.peers[nd].items.sts {

@@ -546,14 +546,14 @@ func (e *Engine) learnRelay(k *sim.Kernel, st *itemState, msg protocol.Message) 
 
 // onPollAckA validates the poller's copy (Fig 6d lines 12–15). Late or
 // duplicate acks for a settled poll fall through the e.polls lookup: the
-// first answer wins and everything after it is a dead letter. The round's
-// pending stage timeout releases it (pollRound.Fire).
+// first answer wins, ends the round, and everything after it is a dead
+// letter.
 func (e *Engine) onPollAckA(k *sim.Kernel, nd int, msg protocol.Message) {
 	r, ok := e.polls[msg.Seq]
 	if !ok || r.host != nd || r.item != msg.Item {
 		return
 	}
-	delete(e.polls, msg.Seq)
+	defer e.endRound(k, r)
 	e.ch.Tracer.Finish(r.tc, k.Now().Nanoseconds())
 	st := e.itemState(nd, msg.Item)
 	cp, have := e.ch.Stores[nd].Peek(msg.Item)
@@ -583,7 +583,7 @@ func (e *Engine) onPollAckB(k *sim.Kernel, nd int, msg protocol.Message) {
 	if !ok || r.host != nd || r.item != msg.Item {
 		return
 	}
-	delete(e.polls, msg.Seq)
+	defer e.endRound(k, r)
 	e.ch.Tracer.Finish(r.tc, k.Now().Nanoseconds())
 	st := e.itemState(nd, msg.Item)
 	if held, have := e.ch.Stores[nd].Peek(msg.Item); have && msg.Copy.Version < held.Version &&

@@ -6,7 +6,9 @@ import (
 
 	"github.com/manetlab/rpcc/internal/consistency"
 	"github.com/manetlab/rpcc/internal/data"
+	"github.com/manetlab/rpcc/internal/node"
 	"github.com/manetlab/rpcc/internal/protocol"
+	"github.com/manetlab/rpcc/internal/sim"
 )
 
 // TestReorderedStaleUpdateRejected replays a duplicated-and-reordered
@@ -88,13 +90,21 @@ func TestReorderedStaleSendNewRejected(t *testing.T) {
 }
 
 // openPoll registers an in-flight poll round for host/item, as startPoll
-// would, so ack handlers can be driven directly.
-func (e *env) openPoll(t *testing.T, host int, item data.ItemID) *pollRound {
+// would, so ack handlers can be driven directly. It returns the round's
+// seq: the ack that resolves the query releases the round.
+func (e *env) openPoll(t *testing.T, host int, item data.ItemID) uint64 {
 	t.Helper()
-	q := e.ch.Begin(e.k, host, item, consistency.LevelStrong)
-	r := &pollRound{q: q, host: host, item: item, stage: 1}
-	e.eng.polls[q.Seq] = r
-	return r
+	r := e.eng.newRound(e.ch.Begin(e.k, host, item, consistency.LevelStrong))
+	r.stage = 1
+	e.eng.polls[r.q.Seq] = r
+	return r.q.Seq
+}
+
+// resolved reports whether the poll round seq was closed by an answer:
+// its round left the polls map and the chassis counted the answer.
+func (e *env) resolved(seq uint64, answered uint64) bool {
+	_, open := e.eng.polls[seq]
+	return !open && e.ch.Answered() == answered
 }
 
 // TestPollAckRaceFreshThenStale: two relays both answer one poll. The
@@ -110,19 +120,21 @@ func TestPollAckRaceFreshThenStale(t *testing.T) {
 	m.Update(e.k.Now())
 	v2 := m.Current()
 
-	r := e.openPoll(t, 0, 2)
+	seq := e.openPoll(t, 0, 2)
+	source := -1
+	e.ch.SetAnswerObserver(func(_ *sim.Kernel, q *node.Query, _ data.Copy) { source = q.Source })
 	e.eng.onPollAckB(e.k, 0, protocol.Message{
-		Kind: protocol.KindPollAckB, Item: 2, Origin: 1, Version: v2.Version, Copy: v2, Seq: r.q.Seq,
+		Kind: protocol.KindPollAckB, Item: 2, Origin: 1, Version: v2.Version, Copy: v2, Seq: seq,
 	})
-	if !r.q.Resolved() {
+	if !e.resolved(seq, 1) {
 		t.Fatal("fresh ACK_B did not resolve the poll")
 	}
-	if r.q.Source != 1 {
-		t.Errorf("answer source = %d, want relay 1", r.q.Source)
+	if source != 1 {
+		t.Errorf("answer source = %d, want relay 1", source)
 	}
 	// The slower relay's stale answer arrives after the round settled.
 	e.eng.onPollAckB(e.k, 0, protocol.Message{
-		Kind: protocol.KindPollAckB, Item: 2, Origin: 3, Version: v1.Version, Copy: v1, Seq: r.q.Seq,
+		Kind: protocol.KindPollAckB, Item: 2, Origin: 3, Version: v1.Version, Copy: v1, Seq: seq,
 	})
 	cp, _ := e.stores[0].Peek(2)
 	if cp.Version != v2.Version {
@@ -146,16 +158,16 @@ func TestPollAckRaceStaleHitsOpenPoll(t *testing.T) {
 	m.Update(e.k.Now())
 	v2 := m.Current()
 
-	r := e.openPoll(t, 0, 2)
+	seq := e.openPoll(t, 0, 2)
 	// A pushed UPDATE upgrades the store to v2 while the poll is open.
 	e.eng.onUpdate(e.k, 0, protocol.Message{
 		Kind: protocol.KindUpdate, Item: 2, Origin: 2, Version: v2.Version, Copy: v2,
 	})
 	// The stale relay's ACK_B now reaches the still-open poll.
 	e.eng.onPollAckB(e.k, 0, protocol.Message{
-		Kind: protocol.KindPollAckB, Item: 2, Origin: 3, Version: v1.Version, Copy: v1, Seq: r.q.Seq,
+		Kind: protocol.KindPollAckB, Item: 2, Origin: 3, Version: v1.Version, Copy: v1, Seq: seq,
 	})
-	if !r.q.Resolved() {
+	if !e.resolved(seq, 1) {
 		t.Fatal("stale ACK_B left the poll open")
 	}
 	cp, _ := e.stores[0].Peek(2)
@@ -185,16 +197,16 @@ func TestPollAckAStaleVouchDoesNotValidate(t *testing.T) {
 	m.Update(e.k.Now())
 	v2 := m.Current()
 
-	r := e.openPoll(t, 0, 2)
+	seq := e.openPoll(t, 0, 2)
 	e.eng.onUpdate(e.k, 0, protocol.Message{
 		Kind: protocol.KindUpdate, Item: 2, Origin: 2, Version: v2.Version, Copy: v2,
 	})
 	e.k.RunUntil(e.k.Now() + time.Second)
 	// An ACK_A vouching only for v1 arrives for the open poll.
 	e.eng.onPollAckA(e.k, 0, protocol.Message{
-		Kind: protocol.KindPollAckA, Item: 2, Origin: 3, Version: 1, Seq: r.q.Seq,
+		Kind: protocol.KindPollAckA, Item: 2, Origin: 3, Version: 1, Seq: seq,
 	})
-	if !r.q.Resolved() {
+	if !e.resolved(seq, 1) {
 		t.Fatal("ACK_A left the poll open")
 	}
 	if st.lastValidated != validatedAt && st.lastValidated == e.k.Now() {

@@ -31,22 +31,23 @@ func (q quietAfter) OnUpdate(k *sim.Kernel, host int) {
 }
 
 // TestPerQueryRecordsReturnToTheirPools runs every strategy at 50 nodes
-// for an hour of queries and updates, then drains 30 minutes with none:
-// past the longest timeout (push's 5 minute patience) and the IR each
-// parked query waits for. A query whose patience ran out stays in its
-// parked list until its host next hears the item's IR; under churn the
-// last of them heard it 19 minutes after the cut (seed 1). Every
-// per-query record — the query, the fetch, RPCC's poll round, push's
-// waiting and refetch records, pull's timeout — must then be back in its
-// pool, and none may have been given back twice. The RPCC strategies run
-// again under the demonstration campaign, whose 1 % duplication and 5 ms
-// jitter make late and duplicate replies (a campaign is admitted for RPCC
-// only).
+// for an hour of queries and updates, then steps the kernel one instant
+// at a time with none. Whatever resolves a query releases its records and
+// cancels their pending timeouts, so at the first instant where every
+// issued query is answered or failed, every per-query record — the
+// query, the fetch, RPCC's poll round, push's waiting and refetch
+// records, pull's round — must be back in its pool, and none may have
+// been given back twice; no record waits for a timeout to fire. The RPCC
+// strategies run again under the demonstration campaign, whose 1 %
+// duplication and 5 ms jitter make late and duplicate replies (a campaign
+// is admitted for RPCC only).
 func TestPerQueryRecordsReturnToTheirPools(t *testing.T) {
 	if testing.Short() {
 		t.Skip("hour-long runs skipped in -short mode")
 	}
-	const horizon, drain = time.Hour, 30 * time.Minute
+	// Past the cut, every query resolves within the longest timeout
+	// (push's 5 minute patience); the margin bounds the stepping.
+	const horizon, margin = time.Hour, 10 * time.Minute
 	type run struct {
 		name string
 		cfg  Config
@@ -62,7 +63,7 @@ func TestPerQueryRecordsReturnToTheirPools(t *testing.T) {
 	}
 	for _, r := range runs {
 		cfg := r.cfg
-		cfg.SimTime = horizon + drain
+		cfg.SimTime = horizon + margin
 		w, err := Build(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -76,11 +77,18 @@ func TestPerQueryRecordsReturnToTheirPools(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		w.RunUntil(cfg.SimTime)
+		w.RunUntil(horizon)
 		ch := w.Chassis
+		for ch.Issued() != ch.Answered()+ch.Failed() {
+			next, ok := w.K.NextEventAt()
+			if !ok || next > cfg.SimTime {
+				break
+			}
+			w.RunUntil(next)
+		}
 		if ch.Issued() == 0 || ch.Issued() != ch.Answered()+ch.Failed() {
-			t.Errorf("%s: issued %d, answered %d, failed %d: want every query resolved",
-				r.name, ch.Issued(), ch.Answered(), ch.Failed())
+			t.Fatalf("%s: issued %d, answered %d, failed %d at %v: want every query resolved",
+				r.name, ch.Issued(), ch.Answered(), ch.Failed(), w.K.Now())
 		}
 		audits := ch.PoolAudits()
 		if s, ok := w.Strategy.(quietAfter).Strategy.(interface{ PoolAudits() []sim.PoolAudit }); ok {
@@ -90,8 +98,8 @@ func TestPerQueryRecordsReturnToTheirPools(t *testing.T) {
 		}
 		for _, a := range audits {
 			if a.Live != 0 || a.Doubled {
-				t.Errorf("%s: %s pool has %d live records (doubled %v) after the drain; want 0 and none Put twice",
-					r.name, a.Name, a.Live, a.Doubled)
+				t.Errorf("%s: %s pool has %d live records (doubled %v) at %v, the instant the last query resolved; want 0 and none Put twice",
+					r.name, a.Name, a.Live, a.Doubled, w.K.Now())
 			}
 		}
 	}

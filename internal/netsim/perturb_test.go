@@ -204,15 +204,21 @@ func TestPerturbedDeliveryIsAPooledRecord(t *testing.T) {
 		}
 	}
 
-	got = make([]delivery, 0, 1024)
+	// The count is process-wide, and the runtime now and then allocates
+	// once on its own; so the windows are measured twice: an allocation in
+	// the deliveries repeats in both rounds, the runtime's does not.
 	next := h.k.Now()
-	if total := testing.AllocsPerRun(1, func() {
-		for range 50 {
-			next += 10 * time.Second
-			h.k.RunUntil(next)
-		}
-	}); total != 0 {
-		t.Errorf("50 windows of delayed deliveries allocate %.0f objects, want 0", total)
+	measure := func() float64 {
+		got = make([]delivery, 0, 1024)
+		return testing.AllocsPerRun(1, func() {
+			for range 50 {
+				next += 10 * time.Second
+				h.k.RunUntil(next)
+			}
+		})
+	}
+	if first, second := measure(), measure(); first != 0 && second != 0 {
+		t.Errorf("50 windows of delayed deliveries allocate %.0f and then %.0f objects, want 0", first, second)
 	}
 
 	if err := h.churn.ForceState(h.k, 1-got[len(got)-1].node, churn.StateDisconnected); err != nil {

@@ -60,11 +60,9 @@ type FetchDone interface {
 }
 
 // fetch tracks one in-flight copy search. It is its own timeout: Fire
-// escalates a ring search to ring next, or gives up a direct fetch. Its
-// holders are the fetches map, by seq, until it finishes, and its pending
-// timeout. The Fire that finds it finished, or finishes it without
-// re-arming, releases it; a fetch that ends before any timeout is armed
-// is released where it ends.
+// escalates a ring search to ring next, or gives up a direct fetch. The
+// fetches map holds it by seq and timer is its pending timeout until it
+// finishes; finishFetch, its one release point, drops both.
 type fetch struct {
 	c    *Chassis
 	host int
@@ -74,24 +72,19 @@ type fetch struct {
 	tc   protocol.TraceContext
 	// next is the ring the pending timeout escalates to; -1 marks a
 	// direct fetch.
-	next int
-	done bool
+	next  int
+	timer *sim.Event
 }
 
-// Fire is the fetch's timeout, the last firing pending for it unless a
-// ring search re-arms.
+// Fire is the fetch's timeout: it escalates a ring search or gives a
+// direct fetch up.
 func (f *fetch) Fire(k *sim.Kernel) {
-	c := f.c
-	switch {
-	case f.done:
-	case f.next >= 0:
-		if c.ring(k, f, f.next) {
-			return
-		}
-	default:
-		c.giveUp(k, f, "direct-timeout")
+	f.timer = nil
+	if f.next >= 0 {
+		f.c.ring(k, f, f.next)
+	} else {
+		f.c.giveUp(k, f, "direct-timeout")
 	}
-	c.fetchSlots.Put(f)
 }
 
 // Config tunes the shared fetch machinery.
@@ -153,9 +146,9 @@ type Chassis struct {
 
 	seq     uint64
 	fetches map[uint64]*fetch
-	// Query and fetch records go back to their pools at their last
-	// holder: a query with the strategy record that owns it (Release), a
-	// fetch at the timeout that finds it finished (fetch.Fire).
+	// Query and fetch records go back to their pools where their work is
+	// resolved: a query with the strategy record that owns it (Release), a
+	// fetch when it finishes (finishFetch).
 	queries    sim.Pool[Query]
 	fetchSlots sim.Pool[fetch]
 
@@ -329,10 +322,7 @@ type ReasonCount struct {
 // becomes one fetch span whose transit/serve children the network layer
 // records.
 func (c *Chassis) FetchRing(k *sim.Kernel, host int, item data.ItemID, parent protocol.TraceContext, cb FetchDone) {
-	f := c.newFetch(k, host, item, parent, cb, "ring")
-	if !c.ring(k, f, 0) {
-		c.fetchSlots.Put(f)
-	}
+	c.ring(k, c.newFetch(k, host, item, parent, cb, "ring"), 0)
 }
 
 // newFetch registers a fetch record under a fresh sequence number.
@@ -345,25 +335,29 @@ func (c *Chassis) newFetch(k *sim.Kernel, host int, item data.ItemID, parent pro
 	return f
 }
 
-func (c *Chassis) finishFetch(k *sim.Kernel, f *fetch, name string) {
-	f.done = true
+// finishFetch is f's one release point: it drops f from the fetches map,
+// ends its span under name, cancels its pending timeout and gives f back
+// to the pool, returning the callback the caller then tells.
+func (c *Chassis) finishFetch(k *sim.Kernel, f *fetch, name string) FetchDone {
 	delete(c.fetches, f.seq)
 	c.Tracer.FinishAs(f.tc, k.Now().Nanoseconds(), name)
+	k.Cancel(f.timer)
+	cb := f.cb
+	c.fetchSlots.Put(f)
+	return cb
 }
 
 // giveUp finishes f unanswered under name and tells its callback.
 func (c *Chassis) giveUp(k *sim.Kernel, f *fetch, name string) {
-	c.finishFetch(k, f, name)
-	f.cb.FetchDone(k, data.Copy{}, -1, false)
+	c.finishFetch(k, f, name).FetchDone(k, data.Copy{}, -1, false)
 }
 
-// ring floods ring idx of f's search and arms its timeout, reporting
-// whether it did; past the last ring, or when the flood fails, it gives
-// the fetch up instead.
-func (c *Chassis) ring(k *sim.Kernel, f *fetch, idx int) bool {
+// ring floods ring idx of f's search and arms its timeout; past the last
+// ring, or when the flood fails, it gives the fetch up instead.
+func (c *Chassis) ring(k *sim.Kernel, f *fetch, idx int) {
 	if idx >= len(c.cfg.RingTTLs) {
 		c.giveUp(k, f, "ring-timeout")
-		return false
+		return
 	}
 	msg := protocol.Message{
 		Kind:   protocol.KindDataRequest,
@@ -374,11 +368,10 @@ func (c *Chassis) ring(k *sim.Kernel, f *fetch, idx int) bool {
 	}
 	if err := c.Net.Flood(f.host, c.cfg.RingTTLs[idx], msg); err != nil {
 		c.giveUp(k, f, "ring-error")
-		return false
+		return
 	}
 	f.next = idx + 1
-	k.AfterTimer(c.cfg.RingTimeout, "node.fetch.ring", f)
-	return true
+	f.timer = k.AfterTimer(c.cfg.RingTimeout, "node.fetch.ring", f)
 }
 
 // FetchDirect asks the owner of item for its master copy with a unicast
@@ -398,10 +391,9 @@ func (c *Chassis) FetchDirect(k *sim.Kernel, host int, item data.ItemID, parent 
 	owner := c.Reg.Owner(item)
 	if err := c.Net.Unicast(host, owner, msg); err != nil {
 		c.giveUp(k, f, "direct-error")
-		c.fetchSlots.Put(f)
 		return
 	}
-	k.AfterTimer(c.cfg.DirectTimeout, "node.fetch.direct", f)
+	f.timer = k.AfterTimer(c.cfg.DirectTimeout, "node.fetch.direct", f)
 }
 
 // HandleDataRequest serves a DATA_REQUEST arriving at node: owners answer
@@ -438,16 +430,14 @@ func (c *Chassis) HandleDataRequest(k *sim.Kernel, node int, msg protocol.Messag
 
 // HandleDataReply resolves the pending fetch matching the reply's Seq.
 // Later duplicate replies (multiple holders answered the flood) are
-// dropped: finishing took the fetch out of the map, so they miss. The
-// fetch's pending timeout releases it. Strategies route KindDataReply
-// deliveries here.
+// dropped: finishing took the fetch out of the map, so they miss.
+// Strategies route KindDataReply deliveries here.
 func (c *Chassis) HandleDataReply(k *sim.Kernel, node int, msg protocol.Message) {
 	f, ok := c.fetches[msg.Seq]
-	if !ok || f.done || f.host != node || f.item != msg.Item {
+	if !ok || f.host != node || f.item != msg.Item {
 		return
 	}
-	c.finishFetch(k, f, "")
-	f.cb.FetchDone(k, msg.Copy, msg.Origin, true)
+	c.finishFetch(k, f, "").FetchDone(k, msg.Copy, msg.Origin, true)
 }
 
 // PendingFetches returns the number of unresolved fetches (diagnostic).

@@ -56,36 +56,41 @@ func (c PullConfig) Validate() error {
 type Pull struct {
 	cfg     PullConfig
 	ch      *node.Chassis
-	rounds  map[uint64]*node.Query
-	timers  sim.Pool[pullTimeout]
+	rounds  map[uint64]*pullRound
+	pool    sim.Pool[pullRound]
 	started bool
 	polls   *telemetry.Counter
 }
 
-// pullTimeout is one poll flood's timeout, taken from the Pull's pool. It
-// owns its query until it fires: the rounds map holds the query by seq
-// only while no ack or reply has closed the round, and the timeout is
-// always armed, so its one firing is the last holder of both.
-type pullTimeout struct {
-	p *Pull
-	q *node.Query
+// pullRound is one poll flood, taken from the Pull's pool: it owns its
+// query and is its timeout. The rounds map holds it by seq and timer is
+// its pending timeout until an ack, a reply or the timeout resolves the
+// query, which ends the round (end).
+type pullRound struct {
+	p     *Pull
+	q     *node.Query
+	timer *sim.Event
 }
 
-// Fire fails the query unless an ack or reply closed its round, then
-// releases the query and the timeout.
-func (t *pullTimeout) Fire(*sim.Kernel) {
-	p, q := t.p, t.q
-	if _, open := p.rounds[q.Seq]; open {
-		delete(p.rounds, q.Seq)
-		p.ch.Fail(q, "poll-timeout")
-	}
-	p.ch.Release(q)
-	p.timers.Put(t)
+// Fire fails the query: no ack or reply came in time.
+func (r *pullRound) Fire(k *sim.Kernel) {
+	r.timer = nil
+	r.p.ch.Fail(r.q, "poll-timeout")
+	r.p.end(k, r)
 }
 
-// PoolAudits checks the lifecycle of the timeout pool (sim.Pool.Audit).
+// end is r's one release point: it drops r from the rounds map, cancels
+// its pending timeout and gives r and its query back to their pools.
+func (p *Pull) end(k *sim.Kernel, r *pullRound) {
+	delete(p.rounds, r.q.Seq)
+	k.Cancel(r.timer)
+	p.ch.Release(r.q)
+	p.pool.Put(r)
+}
+
+// PoolAudits checks the lifecycle of the round pool (sim.Pool.Audit).
 func (p *Pull) PoolAudits() []sim.PoolAudit {
-	return []sim.PoolAudit{p.timers.Audit("pushpull.pullTimeout")}
+	return []sim.PoolAudit{p.pool.Audit("pushpull.pullRound")}
 }
 
 // NewPull builds the baseline on the shared chassis.
@@ -96,7 +101,7 @@ func NewPull(cfg PullConfig, ch *node.Chassis) (*Pull, error) {
 	if ch == nil {
 		return nil, fmt.Errorf("pushpull: nil chassis")
 	}
-	return &Pull{cfg: cfg, ch: ch, rounds: make(map[uint64]*node.Query)}, nil
+	return &Pull{cfg: cfg, ch: ch, rounds: make(map[uint64]*pullRound)}, nil
 }
 
 // Name identifies the strategy.
@@ -159,7 +164,9 @@ func (p *Pull) OnQuery(k *sim.Kernel, host int, item data.ItemID, level consiste
 	}
 	q.Route = "poll-flood"
 	p.polls.Inc()
-	p.rounds[q.Seq] = q
+	r := p.pool.New()
+	*r = pullRound{p: p, q: q}
+	p.rounds[q.Seq] = r
 	poll := protocol.Message{
 		Kind:    protocol.KindPullPoll,
 		Item:    item,
@@ -169,14 +176,11 @@ func (p *Pull) OnQuery(k *sim.Kernel, host int, item data.ItemID, level consiste
 		Miss:    miss,
 	}
 	if err := p.ch.Net.Flood(host, p.cfg.BroadcastTTL, poll); err != nil {
-		delete(p.rounds, q.Seq)
 		p.ch.Fail(q, "poll-send")
-		p.ch.Release(q)
+		p.end(k, r)
 		return
 	}
-	t := p.timers.New()
-	*t = pullTimeout{p: p, q: q}
-	k.AfterTimer(p.cfg.PollTimeout, "pull.timeout", t)
+	r.timer = k.AfterTimer(p.cfg.PollTimeout, "pull.timeout", r)
 }
 
 func (p *Pull) dispatch(k *sim.Kernel, nd int, msg protocol.Message) {
@@ -227,27 +231,26 @@ func (p *Pull) onPoll(k *sim.Kernel, nd int, msg protocol.Message) {
 }
 
 func (p *Pull) onAck(k *sim.Kernel, nd int, msg protocol.Message) {
-	q, open := p.rounds[msg.Seq]
-	if !open || q.Host != nd {
+	r, open := p.rounds[msg.Seq]
+	if !open || r.q.Host != nd {
 		return
 	}
-	delete(p.rounds, msg.Seq)
-	cp, have := p.ch.Stores[nd].Peek(msg.Item)
-	if !have {
-		p.ch.Fail(q, "copy-lost")
-		return
+	if cp, have := p.ch.Stores[nd].Peek(msg.Item); have {
+		r.q.Source = msg.Origin
+		p.ch.Answer(k, r.q, cp)
+	} else {
+		p.ch.Fail(r.q, "copy-lost")
 	}
-	q.Source = msg.Origin
-	p.ch.Answer(k, q, cp)
+	p.end(k, r)
 }
 
 func (p *Pull) onReply(k *sim.Kernel, nd int, msg protocol.Message) {
-	q, open := p.rounds[msg.Seq]
-	if !open || q.Host != nd {
+	r, open := p.rounds[msg.Seq]
+	if !open || r.q.Host != nd {
 		return
 	}
-	delete(p.rounds, msg.Seq)
 	_ = p.ch.Stores[nd].Put(msg.Copy, k.Now())
-	q.Source = msg.Origin
-	p.ch.Answer(k, q, msg.Copy)
+	r.q.Source = msg.Origin
+	p.ch.Answer(k, r.q, msg.Copy)
+	p.end(k, r)
 }

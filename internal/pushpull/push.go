@@ -59,29 +59,33 @@ func (c PushConfig) Validate() error {
 // waiting is one query parked until the item's next IR arrives, linked
 // behind the query parked before it. It is the query's record and owns
 // the query: the FetchDone of a miss's ring fetch and the Timer of its
-// patience. While the fetch holds it, FetchDone releases it when it fails
-// the query. Once parked it has two holders — the parked list (or the
-// refetch chain an IR detaches it into) and the pending patience timeout
-// — and held says which still do: whichever drops it last releases it
-// (Push.drop).
+// patience. Once parked it sits in its (node, item) chain, or in the
+// refetch an IR detaches that chain into (in), with timer pending. An
+// answer or failure releases it where it resolves the query (release);
+// the patience firing first unlinks it from its chain.
 type waiting struct {
-	p    *Push
-	q    *node.Query
-	next *waiting
-	held holders
+	p     *Push
+	q     *node.Query
+	next  *waiting
+	in    *refetch
+	timer *sim.Event
 }
 
-// holders is a parked query's holder mask.
-type holders uint8
+// link appends w to the arrival-ordered chain that starts at *head.
+func link(head **waiting, w *waiting) {
+	for *head != nil {
+		head = &(*head).next
+	}
+	*head = w
+}
 
-const (
-	heldParked   holders = 1 << iota // a parked list or a refetch chain
-	heldPatience                     // the pending patience timeout
-)
-
-// parkedList is the arrival-ordered queue of one (node, item)'s waiting
-// queries.
-type parkedList struct{ head, tail *waiting }
+// unlink removes w from the chain that starts at *head, which holds it.
+func unlink(head **waiting, w *waiting) {
+	for *head != w {
+		head = &(*head).next
+	}
+	*head = w.next
+}
 
 // refetch is the FetchDone of the direct fetch an IR starts for the
 // queries parked at nd when their copy is stale or gone. The fetch is its
@@ -105,9 +109,9 @@ type irTimer struct {
 type Push struct {
 	cfg     PushConfig
 	ch      *node.Chassis
-	waiting []map[data.ItemID]parkedList // per node
-	// Query and refetch records go back to their pools at their last
-	// holder (waiting, refetch).
+	waiting []map[data.ItemID]*waiting // per node: each item's chain
+	// Query and refetch records go back to their pools where their work
+	// is resolved (waiting, refetch).
 	waits     sim.Pool[waiting]
 	refetches sim.Pool[refetch]
 	ticks     []irTimer // per node
@@ -124,9 +128,9 @@ func NewPush(cfg PushConfig, ch *node.Chassis) (*Push, error) {
 	if ch == nil {
 		return nil, fmt.Errorf("pushpull: nil chassis")
 	}
-	p := &Push{cfg: cfg, ch: ch, waiting: make([]map[data.ItemID]parkedList, ch.Net.Len())}
+	p := &Push{cfg: cfg, ch: ch, waiting: make([]map[data.ItemID]*waiting, ch.Net.Len())}
 	for i := range p.waiting {
-		p.waiting[i] = make(map[data.ItemID]parkedList)
+		p.waiting[i] = make(map[data.ItemID]*waiting)
 	}
 	return p, nil
 }
@@ -209,7 +213,7 @@ func (w *waiting) FetchDone(k *sim.Kernel, c data.Copy, _ int, ok bool) {
 	p, q := w.p, w.q
 	if !ok {
 		p.ch.Fail(q, "fetch-timeout")
-		p.release(w)
+		p.release(k, w)
 		return
 	}
 	// A rejected put means a newer copy raced in; park against that one.
@@ -217,21 +221,17 @@ func (w *waiting) FetchDone(k *sim.Kernel, c data.Copy, _ int, ok bool) {
 		p.parkQuery(k, w)
 	} else {
 		p.ch.Fail(q, "store-reject")
-		p.release(w)
+		p.release(k, w)
 	}
 }
 
-// release gives w and its query back to their pools.
-func (p *Push) release(w *waiting) {
+// release is w's one release point, once its query is resolved and w is
+// off every chain: it cancels the pending patience timeout and gives w
+// and its query back to their pools.
+func (p *Push) release(k *sim.Kernel, w *waiting) {
+	k.Cancel(w.timer)
 	p.ch.Release(w.q)
 	p.waits.Put(w)
-}
-
-// drop takes holder h's hold on w, releasing w when h held it last.
-func (p *Push) drop(w *waiting, h holders) {
-	if w.held &^= h; w.held == 0 {
-		p.release(w)
-	}
 }
 
 // PoolAudits checks the lifecycles of the query and refetch pools
@@ -245,23 +245,26 @@ func (p *Push) parkQuery(k *sim.Kernel, w *waiting) {
 	host, item := w.q.Host, w.q.Item
 	w.q.Route = "ir-wait"
 	p.parks.Inc()
-	l := p.waiting[host][item]
-	if l.tail == nil {
-		l.head = w
-	} else {
-		l.tail.next = w
-	}
-	l.tail = w
-	p.waiting[host][item] = l
-	w.held = heldParked | heldPatience
-	k.AfterTimer(p.cfg.QueryPatience, "push.patience", w)
+	head := p.waiting[host][item]
+	link(&head, w)
+	p.waiting[host][item] = head
+	w.timer = k.AfterTimer(p.cfg.QueryPatience, "push.patience", w)
 }
 
-// Fire is the query's patience running out. A timed-out query stays in
-// its parked list, which the next IR walks, so the list may still hold w.
-func (w *waiting) Fire(*sim.Kernel) {
-	w.p.ch.Fail(w.q, "no-ir") // no-op if already answered
-	w.p.drop(w, heldPatience)
+// Fire is the query's patience running out: it unlinks w from the chain
+// that holds it and fails the query.
+func (w *waiting) Fire(k *sim.Kernel) {
+	w.timer = nil
+	p, host, item := w.p, w.q.Host, w.q.Item
+	if w.in != nil {
+		unlink(&w.in.parked, w)
+	} else {
+		head := p.waiting[host][item]
+		unlink(&head, w)
+		p.waiting[host][item] = head
+	}
+	p.ch.Fail(w.q, "no-ir")
+	p.release(k, w)
 }
 
 // Fire runs the IR duty and re-arms the timer.
@@ -313,7 +316,7 @@ func (p *Push) onIR(k *sim.Kernel, nd int, msg protocol.Message) {
 	}
 	if !have {
 		// Copy evicted while queries were parked: refetch for them.
-		if p.waiting[nd][msg.Item].head != nil {
+		if p.waiting[nd][msg.Item] != nil {
 			p.refetch(k, nd, msg, false)
 		}
 		return
@@ -324,7 +327,7 @@ func (p *Push) onIR(k *sim.Kernel, nd int, msg protocol.Message) {
 		next := w.next
 		w.q.Source = msg.Origin
 		p.ch.Answer(k, w.q, cp)
-		p.drop(w, heldParked)
+		p.release(k, w)
 		w = next
 	}
 }
@@ -334,6 +337,9 @@ func (p *Push) onIR(k *sim.Kernel, nd int, msg protocol.Message) {
 func (p *Push) refetch(k *sim.Kernel, nd int, msg protocol.Message, store bool) {
 	r := p.refetches.New()
 	*r = refetch{p: p, nd: nd, parked: p.takeParked(nd, msg.Item), store: store}
+	for w := r.parked; w != nil; w = w.next {
+		w.in = r
+	}
 	p.ch.FetchDirect(k, nd, msg.Item, msg.Trace, r)
 }
 
@@ -352,19 +358,19 @@ func (r *refetch) FetchDone(k *sim.Kernel, c data.Copy, from int, ok bool) {
 		} else {
 			p.ch.Fail(w.q, "refetch-timeout")
 		}
-		p.drop(w, heldParked)
+		p.release(k, w)
 		w = next
 	}
 	p.refetches.Put(r)
 }
 
-// takeParked detaches the queue of queries parked at nd for item and
+// takeParked detaches the chain of queries parked at nd for item and
 // returns its head. The map keeps the emptied entry, so parking there
 // again costs no map insert.
 func (p *Push) takeParked(nd int, item data.ItemID) *waiting {
-	head := p.waiting[nd][item].head
+	head := p.waiting[nd][item]
 	if head != nil {
-		p.waiting[nd][item] = parkedList{}
+		p.waiting[nd][item] = nil
 	}
 	return head
 }

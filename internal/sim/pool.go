@@ -8,11 +8,12 @@ const poolBlock = 64
 // rather than one per record, and a record given back with Put is the
 // next one New returns. The kernel's events, netsim's delivery records,
 // the protocol layer's per-query and per-round records and item states
-// all come from one. A record is Put exactly once, by its last holder
-// (DESIGN.md "Record lifecycle"); one that is never Put is never handed
-// out again, so a pointer a pending timer still holds stays that
-// record's, and a block is collected once nothing points into it. The
-// zero Pool is ready to use.
+// all come from one. A record is Put exactly once, where its work is
+// resolved (DESIGN.md "Record lifecycle"): the resolver cancels the
+// record's pending timeout, and a cancelled timer never fires, so no
+// firing reaches a record that was Put. One that is never Put is never
+// handed out again, and a block is collected once nothing points into
+// it. The zero Pool is ready to use.
 type Pool[T any] struct {
 	free  []*T
 	block []T

@@ -212,15 +212,20 @@ func (k *Kernel) Reserve(n int) {
 // Pending returns the number of events waiting in the queue.
 func (k *Kernel) Pending() int { return len(k.queue) }
 
-// NextEventAt returns the due time of the earliest queued event, or false
-// when the queue is empty. A real-time executive (internal/wire) uses it
-// to sleep exactly until the next event instead of busy-polling; a
-// cancelled head event may cause one early wake-up, which is harmless.
+// NextEventAt returns the due time of the earliest live event, or false
+// when none is queued. Cancelled events at the head of the queue are
+// popped and recycled on the way, so a cancelled timer never fires and
+// its deadline is never reported: a real-time executive (internal/wire)
+// uses this to sleep exactly until the next event instead of
+// busy-polling.
 func (k *Kernel) NextEventAt() (time.Duration, bool) {
-	if len(k.queue) == 0 {
-		return 0, false
+	for len(k.queue) > 0 {
+		if !k.queue[0].ev.cancel {
+			return k.queue[0].when, true
+		}
+		k.recycle(k.queue.pop())
 	}
-	return k.queue[0].when, true
+	return 0, false
 }
 
 // ErrPastEvent is returned when an event is scheduled before Now.
@@ -329,30 +334,18 @@ func (k *Kernel) Cancel(e *Event) bool {
 func (k *Kernel) Stop() { k.stopped = true }
 
 // Run executes events in order until the queue is empty, Stop is called, or
-// the horizon is exceeded. It returns the final virtual time.
+// the next event lies past the horizon, which stays queued un-fired. It
+// returns the final virtual time: the horizon, if one is set, unless Stop
+// halted the run with events still queued.
 func (k *Kernel) Run() time.Duration {
 	k.stopped = false
-	for len(k.queue) > 0 && !k.stopped {
-		e := k.queue.pop()
-		if e.cancel {
-			k.recycle(e)
-			continue
-		}
-		if k.horizon > 0 && e.when > k.horizon {
-			// Past the horizon: the run is over. Advance the clock to the
-			// horizon so metrics normalised by elapsed time are exact. The
-			// popped event is dropped un-fired and deliberately not
-			// recycled: its handle must keep reporting Fired() == false.
-			k.now = k.horizon
-			return k.now
-		}
-		k.now = e.when
-		e.fired = true
-		k.events++
-		e.fire.Fire(k)
-		k.recycle(e)
+	end := k.horizon
+	if end <= 0 {
+		end = 1<<63 - 1
 	}
-	if k.horizon > 0 && k.now < k.horizon && len(k.queue) == 0 {
+	for !k.stopped && k.step(end) {
+	}
+	if k.horizon > 0 && k.now < k.horizon && (!k.stopped || len(k.queue) == 0) {
 		k.now = k.horizon
 	}
 	return k.now
@@ -362,24 +355,27 @@ func (k *Kernel) Run() time.Duration {
 // stepping primitive used by tests that interleave assertions with
 // simulated time.
 func (k *Kernel) RunUntil(t time.Duration) {
-	for len(k.queue) > 0 && !k.stopped {
-		if k.queue[0].when > t {
-			break
-		}
-		e := k.queue.pop()
-		if e.cancel {
-			k.recycle(e)
-			continue
-		}
-		k.now = e.when
-		e.fired = true
-		k.events++
-		e.fire.Fire(k)
-		k.recycle(e)
+	for !k.stopped && k.step(t) {
 	}
 	if k.now < t {
 		k.now = t
 	}
+}
+
+// step fires the earliest live event if it is due by t, reporting whether
+// it did: the one pop-and-fire step of Run and RunUntil.
+func (k *Kernel) step(t time.Duration) bool {
+	when, ok := k.NextEventAt()
+	if !ok || when > t {
+		return false
+	}
+	e := k.queue.pop()
+	k.now = when
+	e.fired = true
+	k.events++
+	e.fire.Fire(k)
+	k.recycle(e)
+	return true
 }
 
 // Stream returns the named deterministic random stream, creating it on

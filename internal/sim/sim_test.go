@@ -728,6 +728,35 @@ func TestNextEventAt(t *testing.T) {
 	}
 }
 
+// TestNextEventAtSkipsCancelledHeads: a cancelled timer never fires, so
+// its deadline is never reported either — NextEventAt pops and recycles
+// cancelled heads and answers with the earliest live event, or with none
+// once only cancelled ones are left.
+func TestNextEventAtSkipsCancelledHeads(t *testing.T) {
+	k := NewKernel()
+	a := k.After(time.Second, "a", func(*Kernel) { t.Fatal("cancelled event fired") })
+	b := k.After(2*time.Second, "b", func(*Kernel) { t.Fatal("cancelled event fired") })
+	k.After(3*time.Second, "c", func(*Kernel) {})
+	k.Cancel(a)
+	k.Cancel(b)
+	if when, ok := k.NextEventAt(); !ok || when != 3*time.Second {
+		t.Fatalf("next = (%v, %v), want (3s, true): a cancelled head was reported", when, ok)
+	}
+	if k.Pending() != 1 || len(k.pool.free) != 2 {
+		t.Fatalf("%d pending and %d recycled, want the two cancelled heads popped into the pool",
+			k.Pending(), len(k.pool.free))
+	}
+	k.RunUntil(3 * time.Second)
+	d := k.After(time.Second, "d", func(*Kernel) { t.Fatal("cancelled event fired") })
+	k.Cancel(d)
+	if when, ok := k.NextEventAt(); ok {
+		t.Fatalf("next = (%v, true), want none: only a cancelled event is queued", when)
+	}
+	if k.EventsFired() != 1 {
+		t.Fatalf("EventsFired() = %d, want 1", k.EventsFired())
+	}
+}
+
 // TestReserveSizesQueueOnce: after Reserve(n), scheduling n events takes
 // no allocation at all — the heap and the event block are already sized
 // — and events queued before the Reserve keep their place in the order.
