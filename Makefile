@@ -75,17 +75,21 @@ define twice
 	for x in txt $(3); do cmp $(1)/a.$$x $(1)/b.$$x || exit 1; done
 endef
 
-# End-to-end metrics check: a 1-simulated-minute seeded run exports
+# End-to-end metrics check: a 2-simulated-minute seeded run exports
 # Prometheus text, and rpcc lint proves it parses and satisfies the
-# histogram invariants plus family presence. (The per-event record is
+# histogram invariants plus family presence — families from each layer
+# that publishes or registers its own counts (chassis, engine, netsim
+# hook, traffic and topology ledgers). The second minute is there for
+# the engine's role and relay-membership counts: no coefficient window
+# has promoted a candidate by the end of the first. (The per-event record is
 # the causal trace: trace-smoke and chaos-smoke lint it.)
 TELEMETRY_TMP ?= /tmp/rpcc-telemetry-smoke
 telemetry-smoke:
 	$(call rpcc,$(TELEMETRY_TMP))
-	$(TELEMETRY_TMP)/rpcc run -strategy rpcc-sc -simtime 1m -seed 1 \
+	$(TELEMETRY_TMP)/rpcc run -strategy rpcc-sc -simtime 2m -seed 1 \
 		-metrics-out $(TELEMETRY_TMP)/metrics.prom > /dev/null
 	$(TELEMETRY_TMP)/rpcc lint -prom $(TELEMETRY_TMP)/metrics.prom \
-		-require rpcc_delivery_latency_seconds,rpcc_delivery_hops,rpcc_queries_issued_total,rpcc_staleness_seconds,rpcc_tx_total,rpcc_topology_snapshots_total
+		-require rpcc_delivery_latency_seconds,rpcc_delivery_hops,rpcc_queries_issued_total,rpcc_staleness_seconds,rpcc_tx_total,rpcc_topology_snapshots_total,rpcc_polls_total,rpcc_query_failures_total,rpcc_role_transitions_total,rpcc_relay_membership_total
 
 # Chaos soak gate: the seeded demonstration campaign (partition + bursty
 # loss + crash + relay assassination over 25 simulated minutes, sub-second
@@ -251,18 +255,23 @@ trace-smoke:
 # BASE=<rev>` builds rpcc at BASE and from the working tree, runs both on
 # the seeded artefacts below and cmps every pair, naming each file that
 # differs before it fails: the figure suite at one simulated hour, the
-# chaos-smoke campaign's stdout, metrics and causal trace, the
-# conformance gate's report, and rpcc scale's stdout (kernel events-fired
-# counts included) for 10k peers over 60 s as strips and as one field.
+# chaos-smoke campaign's stdout, metrics and causal trace, the metrics of
+# 10-minute push, pull and rpcc-hy runs (the baselines' instruments and
+# every consistency level), the conformance gate's report, and rpcc
+# scale's stdout (kernel events-fired counts included) for 10k peers
+# over 60 s as strips and as one field.
 # BASE is exported with git archive rather than checked out in a
 # worktree, so nothing is registered in .git and an interrupted run
 # leaves only PARITY_TMP behind.
 PARITY_TMP ?= /tmp/rpcc-parity
-PARITY_FILES = figures.txt chaos.txt chaos.prom chaos.jsonl conform.txt scale-strips.txt scale-field.txt
+PARITY_FILES = figures.txt chaos.txt chaos.prom chaos.jsonl push.prom pull.prom rpcc-hy.prom conform.txt scale-strips.txt scale-field.txt
 define parityOutputs
 	$(1)/rpcc figures -simtime 1h > $(1)/figures.txt
 	$(1)/rpcc run -seed 11 -simtime 25m -detail=false -faults demo \
 		-trace-out $(1)/chaos.jsonl -metrics-out $(1)/chaos.prom > $(1)/chaos.txt
+	for s in push pull rpcc-hy; do \
+		$(1)/rpcc run -strategy $$s -simtime 10m -metrics-out $(1)/$$s.prom > /dev/null || exit 1; \
+	done
 	$(1)/rpcc conform -seeds 5 -fuzz 25 > $(1)/conform.txt
 	$(1)/rpcc scale -peers 10000 -simtime 60s -seed 1 > $(1)/scale-strips.txt
 	$(1)/rpcc scale -peers 10000 -simtime 60s -seed 1 -shards 1 > $(1)/scale-field.txt

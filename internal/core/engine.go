@@ -241,7 +241,11 @@ type Engine struct {
 	rounds  sim.Pool[pollRound]
 	started bool
 
-	// Stage usage counters (diagnostics and the A4 ablation).
+	// meters are the engine's telemetry handles (Start).
+	meters meters
+
+	// Stage usage counters (diagnostics and the A4 ablation), published
+	// at Finish.
 	pollDirect   uint64
 	pollRing     uint64
 	pollFallback uint64
@@ -252,6 +256,89 @@ type Engine struct {
 	// reordered in flight), and poll acks ignored for the same reason.
 	stalePushRejects uint64
 	staleAckRejects  uint64
+}
+
+// Relay-table events at a source host: the rpcc_relay_membership_total
+// labels (memberEvents).
+const (
+	memberApply      = iota // APPLY registered a candidate
+	memberApplyAck          // APPLY_ACK granted promotion
+	memberCancel            // CANCEL deregistered a relay
+	memberPrune             // MAC-layer discovery dropped an unreachable relay
+	memberReRegister        // GET_NEW re-registered a pruned relay
+	numMemberEvents
+)
+
+var memberEvents = [numMemberEvents]string{"apply", "apply-ack", "cancel", "prune", "re-register"}
+
+// Repair kinds, the §4.5 retry machinery: the rpcc_repair_*_total labels.
+const (
+	repairGetNew = iota
+	repairApply
+	numRepairKinds
+)
+
+var repairKinds = [numRepairKinds]string{"get-new", "apply"}
+
+// move is one Fig 5 role transition: from, to and why.
+type move uint8
+
+const (
+	moveEligible     move = iota // cache → candidate: the coefficients pass
+	moveApplyAck                 // candidate → relay: the source granted it
+	moveUpdatePush               // candidate → relay: the source pushes to it
+	moveCandDemoted              // candidate → cache: failing windows
+	moveRelayDemoted             // relay → cache: failing windows
+	moveInvDrift                 // relay → cache: out of the invalidation scope
+	numMoves
+)
+
+var moves = [numMoves]struct {
+	from, to Role
+	reason   string
+}{
+	moveEligible:     {RoleCache, RoleCandidate, "eligible"},
+	moveApplyAck:     {RoleCandidate, RoleRelay, "apply-ack"},
+	moveUpdatePush:   {RoleCandidate, RoleRelay, "update-push"},
+	moveCandDemoted:  {RoleCandidate, RoleCache, "demoted"},
+	moveRelayDemoted: {RoleRelay, RoleCache, "demoted"},
+	moveInvDrift:     {RoleRelay, RoleCache, "inv-drift"},
+}
+
+// meters are the counts and samples only telemetry keeps, as handles on
+// the chassis's hub (nil handles, recording nothing, without one).
+type meters struct {
+	roles    [numMoves]*telemetry.Counter
+	members  [numMemberEvents]*telemetry.Counter
+	attempts [numRepairKinds]*telemetry.Counter
+	giveUps  [numRepairKinds]*telemetry.Counter
+	coeff    [3]*telemetry.Histogram // CAR, CS, CE
+}
+
+// newMeters registers the engine's instruments on hub.
+func newMeters(hub *telemetry.Hub) meters {
+	var m meters
+	for i, mv := range moves {
+		m.roles[i] = hub.Counter("rpcc_role_transitions_total", "Fig 5 role transitions.",
+			telemetry.Label{Key: "from", Value: mv.from.String()}, telemetry.Label{Key: "to", Value: mv.to.String()},
+			telemetry.Label{Key: "reason", Value: mv.reason})
+	}
+	for i, ev := range memberEvents {
+		m.members[i] = hub.Counter("rpcc_relay_membership_total",
+			"Relay-table membership events at source hosts.", telemetry.Label{Key: "event", Value: ev})
+	}
+	for i, kind := range repairKinds {
+		m.attempts[i] = hub.Counter("rpcc_repair_attempts_total",
+			"GET_NEW/APPLY repair sends, including backoff retries.", telemetry.Label{Key: "kind", Value: kind})
+		m.giveUps[i] = hub.Counter("rpcc_repair_giveups_total",
+			"Repairs abandoned after MaxRepairAttempts unanswered sends.", telemetry.Label{Key: "kind", Value: kind})
+	}
+	for i, c := range []string{"car", "cs", "ce"} {
+		m.coeff[i] = hub.Histogram("rpcc_coeff_value",
+			"Election coefficient values observed at coefficient ticks.", telemetry.RatioBuckets,
+			telemetry.Label{Key: "coeff", Value: c})
+	}
+	return m
 }
 
 // New builds an RPCC engine on the shared chassis.
@@ -310,19 +397,15 @@ func (e *Engine) newItemState() *itemState {
 	return st
 }
 
-// Name identifies the strategy in reports.
-func (e *Engine) Name() string { return "rpcc" }
-
-// Chassis exposes the shared plumbing (metrics, auditor) to harnesses.
-func (e *Engine) Chassis() *node.Chassis { return e.ch }
-
-// Start installs receivers and schedules the periodic TTN and coefficient
-// ticks for every node, staggered so sources do not flood in lockstep.
+// Start registers the engine's instruments on the chassis's hub,
+// installs receivers and schedules the periodic TTN and coefficient ticks
+// for every node, staggered so sources do not flood in lockstep.
 func (e *Engine) Start(k *sim.Kernel) error {
 	if e.started {
 		return fmt.Errorf("core: engine already started")
 	}
 	e.started = true
+	e.meters = newMeters(e.ch.Hub)
 	stagger := k.Stream("core.stagger")
 	// One receiver value for every node: a closure per node is 10 000 cold
 	// objects for the delivery path's indirect call to miss on.
@@ -372,33 +455,12 @@ func (t *coeffTimer) Fire(k *sim.Kernel) {
 
 // OnUpdate commits a new version of host's own item. Per Fig 6(b) the
 // push to relay peers happens at the next TTN tick, not eagerly.
-func (e *Engine) OnUpdate(k *sim.Kernel, host int) {
-	m, err := e.ch.Reg.Master(e.ch.Reg.OwnedBy(host))
-	if err != nil {
-		return
-	}
-	// Time regression is impossible on the simulation clock; an error
-	// here is a harness bug and must not be silent.
-	if _, err := m.Update(k.Now()); err != nil {
-		panic(fmt.Sprintf("core: master update failed: %v", err))
-	}
-}
+func (e *Engine) OnUpdate(k *sim.Kernel, host int) { e.ch.Commit(k, host) }
 
 // OnQuery serves one query at the given consistency level (§4.4).
 func (e *Engine) OnQuery(k *sim.Kernel, host int, item data.ItemID, level consistency.Level) {
 	q := e.ch.Begin(k, host, item, level)
-	// The owner reads its master copy locally at every level.
-	if e.ch.Reg.Owner(item) == host {
-		m, err := e.ch.Reg.Master(item)
-		if err != nil {
-			e.ch.Fail(q, "unknown-item")
-			e.ch.Release(q)
-			return
-		}
-		q.Route = "owner"
-		q.Source = host
-		e.ch.Answer(k, q, m.Current())
-		e.ch.Release(q)
+	if e.ch.AnswerOwner(k, q) {
 		return
 	}
 	cp, ok := e.ch.Stores[host].Get(item)
@@ -588,21 +650,18 @@ func (e *Engine) pollStage(k *sim.Kernel, r *pollRound) {
 	switch r.stage {
 	case 0:
 		e.pollDirect++
-		e.ch.Hub.PollStage(telemetry.PollDirect)
 		r.q.Route = "poll-direct"
 		r.tc = e.ch.Tracer.StartChild(k.Now().Nanoseconds(), r.q.TC, r.host, ctrace.PhasePoll, "poll-direct")
 		msg.Trace = r.tc
 		err = e.ch.Net.Unicast(r.host, int(st.knownRelay), msg)
 	case 1:
 		e.pollRing++
-		e.ch.Hub.PollStage(telemetry.PollRing)
 		r.q.Route = "poll-ring"
 		r.tc = e.ch.Tracer.StartChild(k.Now().Nanoseconds(), r.q.TC, r.host, ctrace.PhasePoll, "poll-ring")
 		msg.Trace = r.tc
 		err = e.ch.Net.Flood(r.host, e.cfg.PollTTL, msg)
 	default:
 		e.pollFallback++
-		e.ch.Hub.PollStage(telemetry.PollFallback)
 		r.q.Route = "poll-fallback"
 		r.tc = e.ch.Tracer.StartChild(k.Now().Nanoseconds(), r.q.TC, r.host, ctrace.PhasePoll, "poll-fallback")
 		msg.Trace = r.tc
@@ -629,7 +688,6 @@ func (r *pollRound) Fire(k *sim.Kernel) {
 		// forget it before falling back to discovery.
 		r.st.knownRelay = -1
 		e.relayForgets++
-		e.ch.Hub.RelayForget()
 	}
 	e.pollStage(k, r)
 }
@@ -665,7 +723,7 @@ func (e *Engine) ttnTick(k *sim.Kernel, nd int) {
 			relay := int(r)
 			if !e.ch.Net.Reachable(nd, relay) {
 				ps.dropRelay(relay)
-				e.ch.Hub.RelayMembership(telemetry.MembershipPrune)
+				e.meters.members[memberPrune].Inc()
 				continue
 			}
 			upd := protocol.Message{
@@ -724,7 +782,9 @@ func (e *Engine) coeffTick(k *sim.Kernel, nd int) {
 	}
 	tr := &e.trackers[nd]
 	tr.Observe(sample)
-	e.ch.Hub.Coeff(tr.CAR(), tr.CS(), tr.CE())
+	e.meters.coeff[0].Observe(tr.CAR())
+	e.meters.coeff[1].Observe(tr.CS())
+	e.meters.coeff[2].Observe(tr.CE())
 	eligible := tr.Eligible(e.cfg.MuCAR, e.cfg.MuCS, e.cfg.MuCE)
 
 	// The table is already in the order this walk needs. Walk a snapshot of
@@ -747,14 +807,14 @@ func (e *Engine) coeffTick(k *sim.Kernel, nd int) {
 			e.dropPending(st)
 			e.resetGetNew(k, st)
 			e.sendCancel(k, nd, item)
-			e.roleChanged(k, nd, item, RoleRelay, RoleCache, "inv-drift")
+			e.roleChanged(k, nd, item, moveInvDrift)
 			continue
 		}
 		if eligible {
 			st.failingRuns = 0
 			if st.role == RoleCache {
 				st.role = RoleCandidate
-				e.roleChanged(k, nd, item, RoleCache, RoleCandidate, "eligible")
+				e.roleChanged(k, nd, item, moveEligible)
 			}
 			continue
 		}
@@ -772,13 +832,13 @@ func (e *Engine) coeffTick(k *sim.Kernel, nd int) {
 		case RoleCandidate:
 			st.role = RoleCache
 			e.resetApply(st)
-			e.roleChanged(k, nd, item, RoleCandidate, RoleCache, "demoted")
+			e.roleChanged(k, nd, item, moveCandDemoted)
 		case RoleRelay:
 			st.role = RoleCache
 			e.dropPending(st)
 			e.resetGetNew(k, st)
 			e.sendCancel(k, nd, item)
-			e.roleChanged(k, nd, item, RoleRelay, RoleCache, "demoted")
+			e.roleChanged(k, nd, item, moveRelayDemoted)
 		}
 	}
 }
@@ -786,12 +846,12 @@ func (e *Engine) coeffTick(k *sim.Kernel, nd int) {
 // roleChanged counts a Fig 5 role transition and, on a traced run,
 // records it with the node's current election-coefficient inputs
 // (Eq 4.2).
-func (e *Engine) roleChanged(k *sim.Kernel, nd int, item data.ItemID, from, to Role, reason string) {
-	e.ch.Hub.RoleTransition(from.String(), to.String(), reason)
+func (e *Engine) roleChanged(k *sim.Kernel, nd int, item data.ItemID, m move) {
+	e.meters.roles[m].Inc()
 	if e.ch.Tracer != nil {
-		tr := &e.trackers[nd]
+		tr, mv := &e.trackers[nd], moves[m]
 		e.ch.Tracer.Event(k.Now().Nanoseconds(), nd, ctrace.PhaseRole,
-			from.String()+">"+to.String()+":"+reason,
+			mv.from.String()+">"+mv.to.String()+":"+mv.reason,
 			ctrace.Annot{Item: int(item), CAR: tr.CAR(), CS: tr.CS(), CE: tr.CE()})
 	}
 }
@@ -911,6 +971,23 @@ func (e *Engine) RelayCountFor(item data.ItemID) int {
 // how many times a learned relay was forgotten after going quiet.
 func (e *Engine) PollStats() (direct, ring, fallback, forgets uint64) {
 	return e.pollDirect, e.pollRing, e.pollFallback, e.relayForgets
+}
+
+// Publish folds the poll ladder's counts into the chassis's hub: polls
+// sent per stage and learned relays forgotten. Call once, after the run;
+// a nil hub is a no-op.
+func (e *Engine) Publish() {
+	// A zero count is not registered: the export skips it anyway.
+	add := func(n uint64, name, help string, labels ...telemetry.Label) {
+		if n > 0 {
+			e.ch.Hub.Counter(name, help, labels...).Add(n)
+		}
+	}
+	const polls = "Validation polls sent per stage."
+	add(e.pollDirect, "rpcc_polls_total", polls, telemetry.Label{Key: "stage", Value: "direct"})
+	add(e.pollRing, "rpcc_polls_total", polls, telemetry.Label{Key: "stage", Value: "ring"})
+	add(e.pollFallback, "rpcc_polls_total", polls, telemetry.Label{Key: "stage", Value: "fallback"})
+	add(e.relayForgets, "rpcc_relay_forgets_total", "Learned relays forgotten after going quiet.")
 }
 
 // StaleRejects reports how many stale UPDATE/SEND_NEW pushes and poll

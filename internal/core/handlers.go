@@ -7,7 +7,6 @@ import (
 	"github.com/manetlab/rpcc/internal/netsim"
 	"github.com/manetlab/rpcc/internal/protocol"
 	"github.com/manetlab/rpcc/internal/sim"
-	"github.com/manetlab/rpcc/internal/telemetry"
 	ctrace "github.com/manetlab/rpcc/internal/telemetry/trace"
 )
 
@@ -122,7 +121,7 @@ func (e *Engine) onInvalidation(k *sim.Kernel, nd int, msg protocol.Message) {
 			if int(w.applyAttempts) >= e.cfg.MaxRepairAttempts {
 				if !st.is(applyGaveUp) {
 					st.set(applyGaveUp)
-					e.ch.Hub.RepairGiveUp(telemetry.RepairApply)
+					e.meters.giveUps[repairApply].Inc()
 				}
 				return
 			}
@@ -134,7 +133,7 @@ func (e *Engine) onInvalidation(k *sim.Kernel, nd int, msg protocol.Message) {
 		w := e.workOf(st)
 		w.applySentAt = k.Now()
 		w.applyAttempts++
-		e.ch.Hub.RepairAttempt(telemetry.RepairApply)
+		e.meters.attempts[repairApply].Inc()
 		ap := protocol.Message{
 			Kind:   protocol.KindApply,
 			Item:   msg.Item,
@@ -174,7 +173,7 @@ func (e *Engine) sendGetNew(k *sim.Kernel, nd int, item data.ItemID, st *itemSta
 		if int(w.getNewAttempts) >= e.cfg.MaxRepairAttempts {
 			if !st.is(getNewGaveUp) {
 				st.set(getNewGaveUp)
-				e.ch.Hub.RepairGiveUp(telemetry.RepairGetNew)
+				e.meters.giveUps[repairGetNew].Inc()
 				if tc := w.repairTC; tc.TraceID != 0 {
 					e.ch.Tracer.FinishAs(tc, k.Now().Nanoseconds(), "GET_NEW-gave-up")
 					e.workOf(st).repairTC = protocol.TraceContext{}
@@ -190,7 +189,7 @@ func (e *Engine) sendGetNew(k *sim.Kernel, nd int, item data.ItemID, st *itemSta
 	w := e.workOf(st)
 	w.getNewSentAt = k.Now()
 	w.getNewAttempts++
-	e.ch.Hub.RepairAttempt(telemetry.RepairGetNew)
+	e.meters.attempts[repairGetNew].Inc()
 	tc := w.repairTC
 	if tc.TraceID == 0 {
 		if tc = e.ch.Tracer.StartChild(k.Now().Nanoseconds(), parent, nd, ctrace.PhaseRepair, "GET_NEW"); tc.TraceID != 0 {
@@ -244,7 +243,7 @@ func (e *Engine) onUpdate(k *sim.Kernel, nd int, msg protocol.Message) {
 		// relay in its table (Fig 6d line 28–31).
 		st.role = RoleRelay
 		e.resetApply(st)
-		e.roleChanged(k, nd, msg.Item, RoleCandidate, RoleRelay, "update-push")
+		e.roleChanged(k, nd, msg.Item, moveUpdatePush)
 		if fresh {
 			e.workOf(st).lastRefreshed = k.Now()
 			st.set(refreshedOnce)
@@ -318,7 +317,7 @@ func (e *Engine) onGetNew(k *sim.Kernel, nd int, msg protocol.Message) {
 	// transient partition got it pruned from the table (§4.5 MAC-layer
 	// discovery), re-register it so it receives future UPDATE pushes.
 	if e.peers[nd].addRelay(msg.Origin) {
-		e.ch.Hub.RelayMembership(telemetry.MembershipReRegister)
+		e.meters.members[memberReRegister].Inc()
 	}
 	m, err := e.ch.Reg.Master(msg.Item)
 	if err != nil {
@@ -375,7 +374,7 @@ func (e *Engine) onApply(k *sim.Kernel, nd int, msg protocol.Message) {
 		return
 	}
 	if e.peers[nd].addRelay(msg.Origin) {
-		e.ch.Hub.RelayMembership(telemetry.MembershipApply)
+		e.meters.members[memberApply].Inc()
 	}
 	ack := protocol.Message{
 		Kind:   protocol.KindApplyAck,
@@ -395,8 +394,8 @@ func (e *Engine) onApplyAck(k *sim.Kernel, nd int, msg protocol.Message) {
 	}
 	st.role = RoleRelay
 	e.resetApply(st)
-	e.ch.Hub.RelayMembership(telemetry.MembershipApplyAck)
-	e.roleChanged(k, nd, msg.Item, RoleCandidate, RoleRelay, "apply-ack")
+	e.meters.members[memberApplyAck].Inc()
+	e.roleChanged(k, nd, msg.Item, moveApplyAck)
 	cp, have := e.ch.Stores[nd].Peek(msg.Item)
 	if have && st.is(invHeard) && cp.Version == st.invVersion && k.Now()-st.invAt < e.cfg.TTR {
 		e.workOf(st).lastRefreshed = st.invAt
@@ -414,7 +413,7 @@ func (e *Engine) onCancel(nd int, msg protocol.Message) {
 		return
 	}
 	if e.peers[nd].dropRelay(msg.Origin) {
-		e.ch.Hub.RelayMembership(telemetry.MembershipCancel)
+		e.meters.members[memberCancel].Inc()
 	}
 }
 

@@ -260,23 +260,34 @@ func TestRepairSpanClosedWhenRelayStateGoes(t *testing.T) {
 }
 
 // TestRoleChangeUntracedAllocFreeTracedRecorded: with a hub but no
-// collector a role transition is a memoised counter bump and nothing
-// else; with a collector it is one instantaneous role root at the node,
-// named from>to:reason, carrying the item and the election coefficients.
+// collector a role transition is a bump of the counter the engine
+// registered for it and nothing else; with a collector it is one
+// instantaneous role root at the node, named from>to:reason, carrying the
+// item and the election coefficients.
 func TestRoleChangeUntracedAllocFreeTracedRecorded(t *testing.T) {
 	e := newEnv(t, 3, DefaultConfig())
-	e.ch.Hub = telemetry.NewHub(telemetry.LevelMetrics)
-	e.eng.roleChanged(e.k, 1, 2, RoleCache, RoleCandidate, "eligible")
+	e.eng.roleChanged(e.k, 1, 2, moveEligible) // without a hub, nothing is counted
+	e.eng.Publish()
+	e.ch.AttachTelemetry(telemetry.NewHub(telemetry.LevelMetrics))
+	e.eng.meters = newMeters(e.ch.Hub)
+	e.eng.roleChanged(e.k, 1, 2, moveEligible)
+	// AllocsPerRun runs the loop twice (a warm-up, then the measured run),
+	// so the series ends at 1 + 2·100.
 	if total := testing.AllocsPerRun(1, func() {
 		for range 100 {
-			e.eng.roleChanged(e.k, 1, 2, RoleCache, RoleCandidate, "eligible")
+			e.eng.roleChanged(e.k, 1, 2, moveEligible)
 		}
 	}); total != 0 {
 		t.Errorf("100 untraced role transitions allocate %.0f objects, want 0", total)
 	}
+	if got := e.ch.Hub.Snapshot().CounterValue("rpcc_role_transitions_total",
+		telemetry.Label{Key: "from", Value: "cache"}, telemetry.Label{Key: "to", Value: "candidate"},
+		telemetry.Label{Key: "reason", Value: "eligible"}); got != 201 {
+		t.Errorf("eligible transitions counted %g times, want 201", got)
+	}
 
 	e.ch.Tracer = ctrace.NewCollector(0)
-	e.eng.roleChanged(e.k, 1, 2, RoleCandidate, RoleRelay, "apply-ack")
+	e.eng.roleChanged(e.k, 1, 2, moveApplyAck)
 	spans := e.ch.Tracer.Export()
 	if len(spans) != 1 {
 		t.Fatalf("%d spans, want the one role root", len(spans))
@@ -293,5 +304,8 @@ func TestRoleChangeUntracedAllocFreeTracedRecorded(t *testing.T) {
 		telemetry.Label{Key: "from", Value: "candidate"}, telemetry.Label{Key: "to", Value: "relay"},
 		telemetry.Label{Key: "reason", Value: "apply-ack"}); got != 1 {
 		t.Errorf("traced transition counted %g times, want 1", got)
+	}
+	if got := e.ch.Hub.Snapshot().CounterValue("rpcc_role_transitions_total"); got != 202 {
+		t.Errorf("%g transitions counted in all, want 202", got)
 	}
 }

@@ -360,13 +360,18 @@ func (w *World) warmCaches() ([][]data.ItemID, error) {
 	return domains, nil
 }
 
-// Finish folds traffic, the topology-maintenance counters and the sim
-// clock into the hub, then collects the run's Result. Call exactly once,
-// after the run.
+// Finish has every ledger publish into the hub — traffic, the
+// topology-maintenance counters, the chassis's queries and audit
+// verdicts, the engine's poll ladder — stamps the sim clock, then
+// collects the run's Result. Call exactly once, after the run.
 func (w *World) Finish() Result {
 	traffic, lat, aud := w.Net.Traffic(), w.Chassis.Latency, w.Chassis.Auditor
 	w.Hub.AttachTraffic(traffic)
 	publishTopologyStats(w.Hub, w.Net.TopologyStats())
+	w.Chassis.Publish()
+	if w.Engine != nil {
+		w.Engine.Publish()
+	}
 	w.Hub.Finish(w.K.Now())
 
 	r := Result{

@@ -204,7 +204,7 @@ func Build(cfg Config, opts ...Option) (*World, error) {
 	if w.Chassis, err = node.NewChassis(node.DefaultConfig(), w.Net, w.Reg, w.Stores, stats.NewLatency(), aud); err != nil {
 		return nil, err
 	}
-	w.Chassis.Hub = w.Hub
+	w.Chassis.AttachTelemetry(w.Hub)
 	if tr := w.Hub.Tracer(); tr != nil {
 		w.Net.SetTracer(tr)
 	}

@@ -16,6 +16,16 @@ import (
 	ctrace "github.com/manetlab/rpcc/internal/telemetry/trace"
 )
 
+// Fault-event kinds: the rpcc_fault_events_total labels and the names of
+// the causal trace's fault roots.
+const (
+	faultPartitionSplit = "partition-split"
+	faultPartitionHeal  = "partition-heal"
+	faultCrash          = "crash"
+	faultRestart        = "restart"
+	faultAssassination  = "assassination"
+)
+
 // Env is the running simulation the plane injects into. Engine may be
 // nil for non-RPCC strategies; crash then wipes only the cache store,
 // and assassinations (which need the relay table) are rejected. Hub
@@ -42,6 +52,8 @@ type Plane struct {
 	active  bool
 	crashed []bool
 	onHeal  func(k *sim.Kernel, p Partition)
+	// events counts the injected faults by kind on Env.Hub (Install).
+	events map[string]*telemetry.Counter
 }
 
 // NewPlane validates the campaign against the environment.
@@ -70,6 +82,11 @@ func (p *Plane) OnHeal(f func(k *sim.Kernel, part Partition)) { p.onHeal = f }
 // into the network and schedules every partition, crash and assassination
 // on the kernel. A zero-value campaign installs nothing at all.
 func (p *Plane) Install(k *sim.Kernel) error {
+	p.events = make(map[string]*telemetry.Counter, 5)
+	for _, kind := range []string{faultPartitionSplit, faultPartitionHeal, faultCrash, faultRestart, faultAssassination} {
+		p.events[kind] = p.env.Hub.Counter("rpcc_fault_events_total", "Injected fault-plane events.",
+			telemetry.Label{Key: "kind", Value: kind})
+	}
 	if p.cfg.Loss != (GilbertParams{}) {
 		ge, err := NewGilbertElliott(p.cfg.Loss, k.Stream("faults.gilbert"))
 		if err != nil {
@@ -152,7 +169,7 @@ func (p *Plane) linkCut(from, to int) bool {
 // is exactly one, otherwise on node -1 with one child per node in the
 // order given. item is -1 unless the fault targets one item's relay tier.
 func (p *Plane) report(k *sim.Kernel, kind string, nodes []int, item int) {
-	p.env.Hub.FaultEvent(kind)
+	p.events[kind].Inc()
 	if p.env.Tracer == nil {
 		return
 	}
@@ -180,12 +197,12 @@ func partitioned(part Partition) []int {
 func (p *Plane) split(k *sim.Kernel, part Partition) {
 	p.island = part.IslandIDs(p.env.Net.Len())
 	p.active = true
-	p.report(k, telemetry.FaultPartitionSplit, partitioned(part), -1)
+	p.report(k, faultPartitionSplit, partitioned(part), -1)
 }
 
 func (p *Plane) heal(k *sim.Kernel, part Partition) {
 	p.active = false
-	p.report(k, telemetry.FaultPartitionHeal, partitioned(part), -1)
+	p.report(k, faultPartitionHeal, partitioned(part), -1)
 	if p.onHeal != nil {
 		p.onHeal(k, part)
 	}
@@ -209,7 +226,7 @@ func (p *Plane) crash(k *sim.Kernel, node int, restartAfter time.Duration) {
 	} else if len(p.env.Stores) > 0 {
 		p.env.Stores[node].Clear()
 	}
-	p.report(k, telemetry.FaultCrash, []int{node}, -1)
+	p.report(k, faultCrash, []int{node}, -1)
 	if restartAfter > 0 {
 		k.After(restartAfter, "faults.restart", func(kk *sim.Kernel) {
 			p.restart(kk, node)
@@ -224,7 +241,7 @@ func (p *Plane) restart(k *sim.Kernel, node int) {
 	p.crashed[node] = false
 	_ = p.env.Churn.SetFrozen(node, false)
 	_ = p.env.Churn.ForceState(k, node, churn.StateConnected)
-	p.report(k, telemetry.FaultRestart, []int{node}, -1)
+	p.report(k, faultRestart, []int{node}, -1)
 }
 
 // assassinate kills the item's currently registered relay peers — the
@@ -234,7 +251,7 @@ func (p *Plane) assassinate(k *sim.Kernel, a Assassination) {
 	if a.Count > 0 && len(targets) > a.Count {
 		targets = targets[:a.Count]
 	}
-	p.report(k, telemetry.FaultAssassination, targets, int(a.Item))
+	p.report(k, faultAssassination, targets, int(a.Item))
 	for _, nd := range targets {
 		p.crash(k, nd, a.RestartAfter.D())
 	}

@@ -11,7 +11,6 @@ import (
 	"github.com/manetlab/rpcc/internal/protocol"
 	"github.com/manetlab/rpcc/internal/sim"
 	"github.com/manetlab/rpcc/internal/stats"
-	"github.com/manetlab/rpcc/internal/telemetry"
 	ctrace "github.com/manetlab/rpcc/internal/telemetry/trace"
 )
 
@@ -179,7 +178,7 @@ func TestFaultReportUntracedAllocFreeTracedShape(t *testing.T) {
 	k, _, p := planeNet(t, Config{})
 	if total := testing.AllocsPerRun(1, func() {
 		for range 100 {
-			p.report(k, telemetry.FaultCrash, []int{2}, -1)
+			p.report(k, faultCrash, []int{2}, -1)
 		}
 	}); total != 0 {
 		t.Errorf("100 untraced fault reports allocate %.0f objects, want 0", total)
@@ -204,9 +203,9 @@ func TestFaultReportUntracedAllocFreeTracedShape(t *testing.T) {
 		got = append(got, row{s.Parent, s.Node, s.Name})
 	}
 	want := []row{
-		{0, 2, telemetry.FaultCrash},
-		{0, -1, telemetry.FaultPartitionSplit},
-		{2, 0, telemetry.FaultPartitionSplit}, {2, 1, telemetry.FaultPartitionSplit}, {2, 3, telemetry.FaultPartitionSplit},
+		{0, 2, faultCrash},
+		{0, -1, faultPartitionSplit},
+		{2, 0, faultPartitionSplit}, {2, 1, faultPartitionSplit}, {2, 3, faultPartitionSplit},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("fault spans = %+v\nwant %+v", got, want)

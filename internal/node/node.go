@@ -136,8 +136,9 @@ type Chassis struct {
 	Stores  []*cache.Store
 	Latency *stats.Latency
 	Auditor *consistency.Auditor
-	// Hub is the run's telemetry (optional; a nil hub records nothing).
-	// Set it before the simulation starts.
+	// Hub is the run's telemetry (optional; a nil hub records nothing),
+	// installed by AttachTelemetry. Strategies register their own
+	// instruments on it.
 	Hub *telemetry.Hub
 	// Tracer is the run's causal-trace collector (optional; nil records
 	// nothing and keeps every hot path allocation-free). Set it before
@@ -157,11 +158,37 @@ type Chassis struct {
 	// served copies against its reference model.
 	answerObserver func(k *sim.Kernel, q *Query, served data.Copy)
 
-	issued      uint64
-	answered    uint64
-	failed      uint64
-	failReasons map[string]uint64
-	violations  uint64
+	// The query ledger, per level slot (levelSlot): Issued, Answered and
+	// Failed are the sums, Publish exports the valid levels.
+	issued   [numLevelSlots]uint64
+	answered [numLevelSlots]uint64
+	failed   [numLevelSlots]uint64
+	// failReasons counts failures by reason and by whether the query's
+	// level was valid, since Publish exports only those that were.
+	failReasons map[failReason]uint64
+
+	// latency and staleness are the per-level histograms only telemetry
+	// keeps (AttachTelemetry); slot 0 stays nil.
+	latency   [numLevelSlots]*telemetry.Histogram
+	staleness [numLevelSlots]*telemetry.Histogram
+}
+
+// numLevelSlots sizes the per-level ledger: slot 0 counts queries at an
+// invalid level, slots 1..3 the consistency levels.
+const numLevelSlots = int(consistency.LevelWeak) + 1
+
+// levelSlot is l's slot in the per-level ledger.
+func levelSlot(l consistency.Level) int {
+	if !l.Valid() {
+		return 0
+	}
+	return int(l)
+}
+
+// failReason keys one failure-reason tally.
+type failReason struct {
+	reason string
+	valid  bool // the query's level was Valid
 }
 
 // NewChassis wires the shared plumbing. All dependencies are required.
@@ -186,8 +213,53 @@ func NewChassis(cfg Config, net Transport, reg *data.Registry, stores []*cache.S
 		Latency:     lat,
 		Auditor:     aud,
 		fetches:     make(map[uint64]*fetch),
-		failReasons: make(map[string]uint64),
+		failReasons: make(map[failReason]uint64),
 	}, nil
+}
+
+// AttachTelemetry installs the run's hub (nil records nothing) and
+// registers the per-level query latency and staleness histograms on it.
+// Call before the strategy is built, which registers its own instruments
+// on c.Hub.
+func (c *Chassis) AttachTelemetry(hub *telemetry.Hub) {
+	c.Hub = hub
+	for l := consistency.LevelStrong; l <= consistency.LevelWeak; l++ {
+		lv := telemetry.Label{Key: "level", Value: l.String()}
+		c.latency[l] = hub.Histogram("rpcc_query_latency_seconds",
+			"Issue-to-answer latency per consistency level.", telemetry.TimeBuckets, lv)
+		c.staleness[l] = hub.Histogram("rpcc_staleness_seconds",
+			"Staleness of the served copy at delivery, per consistency level.", telemetry.TimeBuckets, lv)
+	}
+}
+
+// Publish folds the query ledger and the auditor's verdicts into the hub:
+// issued, answered and failed queries per level, failures by reason and
+// violations by class. A query at an invalid level counts only in the
+// chassis's own totals. Call once, after the run; a nil hub is a no-op.
+func (c *Chassis) Publish() {
+	// A zero count is not registered: the export skips it anyway.
+	add := func(n uint64, name, help string, labels ...telemetry.Label) {
+		if n > 0 {
+			c.Hub.Counter(name, help, labels...).Add(n)
+		}
+	}
+	const resolved = "Queries resolved by outcome."
+	for l := consistency.LevelStrong; l <= consistency.LevelWeak; l++ {
+		lv := telemetry.Label{Key: "level", Value: l.String()}
+		add(c.issued[l], "rpcc_queries_issued_total", "Queries issued.", lv)
+		add(c.answered[l], "rpcc_queries_resolved_total", resolved, lv, telemetry.Label{Key: "outcome", Value: "answered"})
+		add(c.failed[l], "rpcc_queries_resolved_total", resolved, lv, telemetry.Label{Key: "outcome", Value: "failed"})
+	}
+	for key, n := range c.failReasons {
+		if key.valid {
+			add(n, "rpcc_query_failures_total", "Failed queries by reason.",
+				telemetry.Label{Key: "reason", Value: key.reason})
+		}
+	}
+	for v := consistency.ViolationNone + 1; v <= consistency.ViolationDelta; v++ {
+		add(c.Auditor.Violations(v), "rpcc_audit_violations_total", "Answers violating their consistency level.",
+			telemetry.Label{Key: "class", Value: v.String()})
+	}
 }
 
 // NextSeq hands out process-wide unique sequence numbers for protocol
@@ -199,8 +271,7 @@ func (c *Chassis) NextSeq() uint64 {
 
 // Begin registers a new query issued by host for item at the current time.
 func (c *Chassis) Begin(k *sim.Kernel, host int, item data.ItemID, level consistency.Level) *Query {
-	c.issued++
-	c.Hub.QueryIssued(level)
+	c.issued[levelSlot(level)]++
 	q := c.queries.New()
 	*q = Query{
 		Seq:      c.NextSeq(),
@@ -231,6 +302,37 @@ func (c *Chassis) SetAnswerObserver(fn func(k *sim.Kernel, q *Query, served data
 	c.answerObserver = fn
 }
 
+// Commit is every strategy's OnUpdate: host's master commits a new
+// version now. Time regression is impossible on the simulation clock, so
+// an error here is a harness bug and must not be silent.
+func (c *Chassis) Commit(k *sim.Kernel, host int) {
+	m, err := c.Reg.Master(c.Reg.OwnedBy(host))
+	if err != nil {
+		return
+	}
+	if _, err := m.Update(k.Now()); err != nil {
+		panic(fmt.Sprintf("node: master update failed: %v", err))
+	}
+}
+
+// AnswerOwner is the first step of every strategy's OnQuery: when q's
+// host owns the item it reads the master copy locally, at every level,
+// resolves and releases q, and reports true; otherwise it leaves q alone.
+func (c *Chassis) AnswerOwner(k *sim.Kernel, q *Query) bool {
+	if c.Reg.Owner(q.Item) != q.Host {
+		return false
+	}
+	if m, err := c.Reg.Master(q.Item); err != nil {
+		c.Fail(q, "unknown-item")
+	} else {
+		q.Route = "owner"
+		q.Source = q.Host
+		c.Answer(k, q, m.Current())
+	}
+	c.Release(q)
+	return true
+}
+
 // Answer resolves q with the served copy: it audits the answer against
 // ground truth, records latency, and stores nothing (callers decide about
 // caching). Double resolution is ignored so racing reply paths are safe.
@@ -252,8 +354,13 @@ func (c *Chassis) Answer(k *sim.Kernel, q *Query, served data.Copy) {
 		return
 	}
 	q.resolved = true
-	c.answered++
+	slot := levelSlot(q.Level)
+	c.answered[slot]++
 	c.Latency.Record(k.Now() - q.IssuedAt)
+	c.latency[slot].ObserveDuration(k.Now() - q.IssuedAt)
+	if stale != consistency.Unknown {
+		c.staleness[slot].ObserveDuration(stale)
+	}
 	c.Tracer.FinishNoted(q.TC, k.Now().Nanoseconds(), q.Route, ctrace.Annot{
 		Item:    int(q.Item),
 		Level:   q.Level.String(),
@@ -261,10 +368,6 @@ func (c *Chassis) Answer(k *sim.Kernel, q *Query, served data.Copy) {
 		StaleNs: stale.Nanoseconds(),
 		Verdict: v.String(),
 	})
-	if v != consistency.ViolationNone {
-		c.violations++
-	}
-	c.Hub.QueryAnswered(q.Level, k.Now()-q.IssuedAt, stale, v.String())
 	if c.answerObserver != nil {
 		c.answerObserver(k, q, served)
 	}
@@ -278,31 +381,42 @@ func (c *Chassis) Fail(q *Query, reason string) {
 		return
 	}
 	q.resolved = true
-	c.failed++
-	c.failReasons[reason]++
+	c.failed[levelSlot(q.Level)]++
+	c.failReasons[failReason{reason, q.Level.Valid()}]++
 	if c.Tracer != nil && q.TC.TraceID != 0 {
 		c.Tracer.FinishNoted(q.TC, c.Net.Kernel().Now().Nanoseconds(), "failed:"+reason,
 			ctrace.Annot{Item: int(q.Item), Level: q.Level.String()})
 	}
-	c.Hub.QueryFailed(q.Level, reason)
 }
 
 // Issued returns the number of queries begun.
-func (c *Chassis) Issued() uint64 { return c.issued }
+func (c *Chassis) Issued() uint64 { return sum(c.issued) }
 
 // Answered returns the number of queries answered.
-func (c *Chassis) Answered() uint64 { return c.answered }
+func (c *Chassis) Answered() uint64 { return sum(c.answered) }
 
 // Failed returns the number of queries that failed.
-func (c *Chassis) Failed() uint64 { return c.failed }
+func (c *Chassis) Failed() uint64 { return sum(c.failed) }
+
+func sum(slots [numLevelSlots]uint64) uint64 {
+	var n uint64
+	for _, v := range slots {
+		n += v
+	}
+	return n
+}
 
 // AuditViolations returns how many answers violated their level.
-func (c *Chassis) AuditViolations() uint64 { return c.violations }
+func (c *Chassis) AuditViolations() uint64 { return c.Auditor.TotalViolations() }
 
-// FailReasons returns failure reasons sorted by name.
+// FailReasons returns failure reasons sorted by name, at every level.
 func (c *Chassis) FailReasons() []ReasonCount {
-	out := make([]ReasonCount, 0, len(c.failReasons))
-	for r, n := range c.failReasons {
+	byReason := make(map[string]uint64, len(c.failReasons))
+	for key, n := range c.failReasons {
+		byReason[key.reason] += n
+	}
+	out := make([]ReasonCount, 0, len(byReason))
+	for r, n := range byReason {
 		out = append(out, ReasonCount{Reason: r, Count: n})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Reason < out[j].Reason })

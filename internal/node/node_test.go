@@ -13,6 +13,7 @@ import (
 	"github.com/manetlab/rpcc/internal/protocol"
 	"github.com/manetlab/rpcc/internal/sim"
 	"github.com/manetlab/rpcc/internal/stats"
+	"github.com/manetlab/rpcc/internal/telemetry"
 	ctrace "github.com/manetlab/rpcc/internal/telemetry/trace"
 )
 
@@ -204,6 +205,85 @@ func TestAnswerAuditsViolation(t *testing.T) {
 	e.ch.Answer(e.k, q, old) // stale by 10 minutes: SC violation
 	if e.ch.AuditViolations() != 1 {
 		t.Errorf("violations = %d, want 1", e.ch.AuditViolations())
+	}
+}
+
+// TestLedgerCountsAllocFreeAndPublished: with a hub attached, answering
+// and failing queries in steady state allocates nothing — the ledger is
+// plain arrays and a memoised reason map, latency and staleness are
+// handles registered at AttachTelemetry — and Publish exports each count
+// once: per level, by failure reason and by violation class. A query at
+// an invalid level counts in the totals only. Without a hub both no-op.
+func TestLedgerCountsAllocFreeAndPublished(t *testing.T) {
+	e := newEnv(t, 3)
+	e.ch.AttachTelemetry(nil)
+	e.ch.Publish() // a nil hub is inert
+	hub := telemetry.NewHub(telemetry.LevelMetrics)
+	e.ch.AttachTelemetry(hub)
+	m, _ := e.reg.Master(2)
+	old := m.Current()
+	e.k.RunUntil(10 * time.Minute)
+	if _, err := m.Update(e.k.Now()); err != nil {
+		t.Fatal(err)
+	}
+	e.k.RunUntil(20 * time.Minute)
+	round := func() {
+		q := e.ch.Begin(e.k, 1, 2, consistency.LevelStrong)
+		e.ch.Answer(e.k, q, old) // stale by 10 minutes: SC violation
+		e.ch.Release(q)
+		q = e.ch.Begin(e.k, 1, 2, consistency.LevelDelta)
+		e.ch.Fail(q, "poll-timeout")
+		e.ch.Release(q)
+	}
+	round()
+	// AllocsPerRun runs the loop twice (a warm-up, then the measured run),
+	// so each count ends at 1 + 2·100.
+	if total := testing.AllocsPerRun(1, func() {
+		for range 100 {
+			round()
+		}
+	}); total != 0 {
+		t.Errorf("100 steady-state answer+fail rounds allocate %.0f objects, want 0", total)
+	}
+	q := e.ch.Begin(e.k, 1, 2, consistency.Level(99))
+	e.ch.Fail(q, "poll-timeout")
+	e.ch.Release(q)
+
+	if e.ch.Issued() != 403 || e.ch.Answered() != 201 || e.ch.Failed() != 202 || e.ch.AuditViolations() != 201 {
+		t.Errorf("totals issued/answered/failed/violations = %d/%d/%d/%d, want 403/201/202/201",
+			e.ch.Issued(), e.ch.Answered(), e.ch.Failed(), e.ch.AuditViolations())
+	}
+	if rs := e.ch.FailReasons(); len(rs) != 1 || rs[0] != (ReasonCount{"poll-timeout", 202}) {
+		t.Errorf("FailReasons = %+v, want poll-timeout 202", rs)
+	}
+	if got := hub.Snapshot().CounterValue("rpcc_queries_issued_total"); got != 0 {
+		t.Errorf("the hub counted %g issued queries before Publish, want 0", got)
+	}
+	e.ch.Publish()
+	snap := hub.Snapshot()
+	level := func(l consistency.Level) telemetry.Label { return telemetry.Label{Key: "level", Value: l.String()} }
+	for _, c := range []struct {
+		family string
+		labels []telemetry.Label
+		want   float64
+	}{
+		{"rpcc_queries_issued_total", nil, 402},
+		{"rpcc_queries_issued_total", []telemetry.Label{level(consistency.LevelStrong)}, 201},
+		{"rpcc_queries_resolved_total", []telemetry.Label{level(consistency.LevelStrong), {Key: "outcome", Value: "answered"}}, 201},
+		{"rpcc_queries_resolved_total", []telemetry.Label{level(consistency.LevelDelta), {Key: "outcome", Value: "failed"}}, 201},
+		{"rpcc_query_failures_total", []telemetry.Label{{Key: "reason", Value: "poll-timeout"}}, 201},
+		{"rpcc_audit_violations_total", []telemetry.Label{{Key: "class", Value: "strong-stale"}}, 201},
+		{"rpcc_audit_violations_total", nil, 201},
+	} {
+		if got := snap.CounterValue(c.family, c.labels...); got != c.want {
+			t.Errorf("%s%v = %g, want %g", c.family, c.labels, got, c.want)
+		}
+	}
+	for _, name := range []string{"rpcc_query_latency_seconds", "rpcc_staleness_seconds"} {
+		f, ok := snap.Family(name)
+		if !ok || len(f.Metrics) != 1 || f.Metrics[0].Count != 201 {
+			t.Errorf("%s = %+v, want 201 SC samples", name, f.Metrics)
+		}
 	}
 }
 

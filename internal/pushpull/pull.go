@@ -104,12 +104,6 @@ func NewPull(cfg PullConfig, ch *node.Chassis) (*Pull, error) {
 	return &Pull{cfg: cfg, ch: ch, rounds: make(map[uint64]*pullRound)}, nil
 }
 
-// Name identifies the strategy.
-func (p *Pull) Name() string { return "pull" }
-
-// Chassis exposes shared metrics.
-func (p *Pull) Chassis() *node.Chassis { return p.ch }
-
 // Start installs receivers. Pull has no periodic duties.
 func (p *Pull) Start(k *sim.Kernel) error {
 	if p.started {
@@ -129,31 +123,13 @@ func (p *Pull) Start(k *sim.Kernel) error {
 
 // OnUpdate commits a new version at host's master. Pull sources never
 // push anything; cache nodes discover updates by polling.
-func (p *Pull) OnUpdate(k *sim.Kernel, host int) {
-	m, err := p.ch.Reg.Master(p.ch.Reg.OwnedBy(host))
-	if err != nil {
-		return
-	}
-	if _, err := m.Update(k.Now()); err != nil {
-		panic(fmt.Sprintf("pushpull: master update failed: %v", err))
-	}
-}
+func (p *Pull) OnUpdate(k *sim.Kernel, host int) { p.ch.Commit(k, host) }
 
 // OnQuery serves one query by polling the source host, whatever the
 // requested level — simple pull validates every request.
 func (p *Pull) OnQuery(k *sim.Kernel, host int, item data.ItemID, level consistency.Level) {
 	q := p.ch.Begin(k, host, item, level)
-	if p.ch.Reg.Owner(item) == host {
-		m, err := p.ch.Reg.Master(item)
-		if err != nil {
-			p.ch.Fail(q, "unknown-item")
-			p.ch.Release(q)
-			return
-		}
-		q.Route = "owner"
-		q.Source = host
-		p.ch.Answer(k, q, m.Current())
-		p.ch.Release(q)
+	if p.ch.AnswerOwner(k, q) {
 		return
 	}
 	var have data.Version

@@ -135,12 +135,6 @@ func NewPush(cfg PushConfig, ch *node.Chassis) (*Push, error) {
 	return p, nil
 }
 
-// Name identifies the strategy.
-func (p *Push) Name() string { return "push" }
-
-// Chassis exposes shared metrics.
-func (p *Push) Chassis() *node.Chassis { return p.ch }
-
 // Start installs receivers and schedules the staggered IR broadcasts.
 func (p *Push) Start(k *sim.Kernel) error {
 	if p.started {
@@ -166,15 +160,7 @@ func (p *Push) Start(k *sim.Kernel) error {
 
 // OnUpdate commits a new version at host's master; cache nodes learn of it
 // from the next IR.
-func (p *Push) OnUpdate(k *sim.Kernel, host int) {
-	m, err := p.ch.Reg.Master(p.ch.Reg.OwnedBy(host))
-	if err != nil {
-		return
-	}
-	if _, err := m.Update(k.Now()); err != nil {
-		panic(fmt.Sprintf("pushpull: master update failed: %v", err))
-	}
-}
+func (p *Push) OnUpdate(k *sim.Kernel, host int) { p.ch.Commit(k, host) }
 
 // OnQuery serves one query. The consistency level is recorded for the
 // audit but does not change the baseline's behaviour: simple push always
@@ -182,17 +168,7 @@ func (p *Push) OnUpdate(k *sim.Kernel, host int) {
 // makes its latency exceed half the broadcast interval).
 func (p *Push) OnQuery(k *sim.Kernel, host int, item data.ItemID, level consistency.Level) {
 	q := p.ch.Begin(k, host, item, level)
-	if p.ch.Reg.Owner(item) == host {
-		m, err := p.ch.Reg.Master(item)
-		if err != nil {
-			p.ch.Fail(q, "unknown-item")
-			p.ch.Release(q)
-			return
-		}
-		q.Route = "owner"
-		q.Source = host
-		p.ch.Answer(k, q, m.Current())
-		p.ch.Release(q)
+	if p.ch.AnswerOwner(k, q) {
 		return
 	}
 	w := p.waits.New()

@@ -145,13 +145,14 @@ func (h *Histogram) Sum() float64 {
 	return h.sum
 }
 
-// Standard bucket schemes. Time buckets follow stats.Latency's
-// logarithmic convention (powers of two from 1 ms), because both query
-// latency and staleness span milliseconds to minutes.
+// Standard bucket schemes; a family keeps the slice it was registered
+// with, so callers pass these and never modify them. Time buckets follow
+// stats.Latency's logarithmic convention (powers of two from 1 ms),
+// because both query latency and staleness span milliseconds to minutes.
 var (
-	timeBuckets  = powerOfTwoSeconds(18) // 1ms .. ~131s, then +Inf
-	hopBuckets   = linear(1, 1, 16)      // 1 .. 16 hops, then +Inf
-	ratioBuckets = linear(0.05, 0.05, 20)
+	TimeBuckets  = powerOfTwoSeconds(18)  // 1ms .. ~131s, then +Inf
+	RatioBuckets = linear(0.05, 0.05, 20) // 0.05 .. 1, then +Inf
+	hopBuckets   = linear(1, 1, 16)       // 1 .. 16 hops, then +Inf
 )
 
 // powerOfTwoSeconds returns n bounds: 0.001·2^i seconds for i in [0, n).

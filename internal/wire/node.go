@@ -192,7 +192,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		tr.Close()
 		return nil, err
 	}
-	chassis.Hub = cfg.Hub
+	chassis.AttachTelemetry(cfg.Hub)
 	if cfg.Trace != nil {
 		chassis.Tracer = cfg.Trace
 		tr.SetTraceCollector(cfg.Trace)
@@ -370,9 +370,12 @@ func (n *Node) Stop(drain time.Duration) error {
 	stopErr := n.clock.Stop(drain)
 	closeErr := n.tr.Close()
 	// The kernel goroutine has exited (or been abandoned past deadline);
-	// finalise telemetry with the last virtual instant.
+	// on a clean stop the ledgers publish and telemetry is finalised with
+	// the last virtual instant.
 	if stopErr == nil {
 		n.cfg.Hub.AttachTraffic(n.traffic)
+		n.chassis.Publish()
+		n.eng.Publish()
 		n.cfg.Hub.Finish(n.k.Now())
 	}
 	if stopErr != nil {

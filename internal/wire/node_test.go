@@ -10,13 +10,15 @@ import (
 	"github.com/manetlab/rpcc/internal/consistency"
 	"github.com/manetlab/rpcc/internal/core"
 	"github.com/manetlab/rpcc/internal/data"
+	"github.com/manetlab/rpcc/internal/telemetry"
 )
 
 // TestNodeQueryFromManyGoroutines drives Node.Query from several
 // goroutines at once (run it under -race): the pooled query records cross
 // to the kernel goroutine and back to their free list, and every query
 // arrives exactly once with its own item and level. Weak reads of the
-// warmed copy are answered locally, so the peer can be a black hole.
+// warmed copy are answered locally, so the peer can be a black hole. The
+// clean Stop publishes the chassis's query ledger into the daemon's hub.
 func TestNodeQueryFromManyGoroutines(t *testing.T) {
 	const callers, each = 4, 50
 	hole, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
@@ -29,10 +31,11 @@ func TestNodeQueryFromManyGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	var answered, wrong atomic.Int32
+	hub := telemetry.NewHub(telemetry.LevelMetrics)
 	nd, err := NewNode(NodeConfig{
 		Self: 0, Nodes: 2, Peers: map[int]string{0: conn.LocalAddr().String(), 1: hole.LocalAddr().String()},
 		Conn: conn, Seed: 1, Strategy: StrategyRPCCWC, Core: core.DefaultConfig(),
-		Placement: []data.ItemID{1},
+		Placement: []data.ItemID{1}, Hub: hub,
 		OnAnswer: func(_ int, item data.ItemID, level consistency.Level, _ data.Copy, _ time.Time) {
 			answered.Add(1)
 			if item != 1 || level != consistency.LevelWeak {
@@ -69,6 +72,11 @@ func TestNodeQueryFromManyGoroutines(t *testing.T) {
 	}
 	if got := answered.Load(); got != callers*each {
 		t.Errorf("answered %d queries, want %d", got, callers*each)
+	}
+	wc := telemetry.Label{Key: "level", Value: "WC"}
+	if got := hub.Snapshot().CounterValue("rpcc_queries_resolved_total", wc,
+		telemetry.Label{Key: "outcome", Value: "answered"}); got != callers*each {
+		t.Errorf("the hub read %g answered WC queries after Stop, want %d", got, callers*each)
 	}
 	if w := wrong.Load(); w != 0 {
 		t.Errorf("%d answers for another item or level", w)

@@ -183,6 +183,27 @@ func TestSimulationValidation(t *testing.T) {
 	}
 }
 
+// TestSimulationQueryRejectsInvalidLevel: a level outside SC/DC/WC is
+// refused at the door, like a bad host, and issues no query — it never
+// reaches the engine to fail there as an audit error.
+func TestSimulationQueryRejectsInvalidLevel(t *testing.T) {
+	s, err := NewSimulation(DefaultSimOptions(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, level := range []Level{0, LevelWeak + 1} {
+		if err := s.Query(1, 2, level); err == nil {
+			t.Errorf("level %v accepted", level)
+		}
+	}
+	if err := s.Query(1, 2, LevelWeak); err != nil {
+		t.Fatalf("valid level refused: %v", err)
+	}
+	if got := s.Metrics().Issued; got != 1 {
+		t.Errorf("%d queries issued, want only the valid one", got)
+	}
+}
+
 func TestSimulationAtSchedulesActions(t *testing.T) {
 	s, err := NewSimulation(DefaultSimOptions(11))
 	if err != nil {

@@ -135,6 +135,9 @@ func (s *Simulation) Query(host, item int, level Level) error {
 	if err := s.checkHostItem(host, item); err != nil {
 		return err
 	}
+	if !level.Valid() {
+		return fmt.Errorf("rpcc: invalid level %v", level)
+	}
 	if err := s.ensureStarted(); err != nil {
 		return err
 	}
