@@ -257,20 +257,28 @@ trace-smoke:
 # differs before it fails: the figure suite at one simulated hour, the
 # chaos-smoke campaign's stdout, metrics and causal trace, the metrics of
 # 10-minute push, pull and rpcc-hy runs (the baselines' instruments and
-# every consistency level), the conformance gate's report, and rpcc
-# scale's stdout (kernel events-fired counts included) for 10k peers
-# over 60 s as strips and as one field.
+# every consistency level), the stdout and metrics of one-hour rpcc-sc
+# and pull runs at I_Update 10 s and I_Query 2 min (≈ 360 commits per
+# item, so every history spans several segments), the conformance gate's
+# report, and rpcc scale's stdout (kernel events-fired counts included)
+# for 10k peers over 60 s as strips and as one field.
 # BASE is exported with git archive rather than checked out in a
 # worktree, so nothing is registered in .git and an interrupted run
 # leaves only PARITY_TMP behind.
 PARITY_TMP ?= /tmp/rpcc-parity
-PARITY_FILES = figures.txt chaos.txt chaos.prom chaos.jsonl push.prom pull.prom rpcc-hy.prom conform.txt scale-strips.txt scale-field.txt
+PARITY_FILES = figures.txt chaos.txt chaos.prom chaos.jsonl push.prom pull.prom rpcc-hy.prom \
+	write-rpcc-sc.txt write-rpcc-sc.prom write-pull.txt write-pull.prom \
+	conform.txt scale-strips.txt scale-field.txt
 define parityOutputs
 	$(1)/rpcc figures -simtime 1h > $(1)/figures.txt
 	$(1)/rpcc run -seed 11 -simtime 25m -detail=false -faults demo \
 		-trace-out $(1)/chaos.jsonl -metrics-out $(1)/chaos.prom > $(1)/chaos.txt
 	for s in push pull rpcc-hy; do \
 		$(1)/rpcc run -strategy $$s -simtime 10m -metrics-out $(1)/$$s.prom > /dev/null || exit 1; \
+	done
+	for s in rpcc-sc pull; do \
+		$(1)/rpcc run -strategy $$s -update 10s -query 2m -simtime 1h \
+			-metrics-out $(1)/write-$$s.prom > $(1)/write-$$s.txt || exit 1; \
 	done
 	$(1)/rpcc conform -seeds 5 -fuzz 25 > $(1)/conform.txt
 	$(1)/rpcc scale -peers 10000 -simtime 60s -seed 1 > $(1)/scale-strips.txt

@@ -75,8 +75,7 @@ func TestFreshAnswerPasses(t *testing.T) {
 
 func TestStrongViolationOnStaleAnswer(t *testing.T) {
 	a, reg := newAuditorT(t)
-	m, _ := reg.Master(2)
-	if _, err := m.Update(time.Minute); err != nil { // v1 @ 1m
+	if _, err := reg.Commit(2, time.Minute); err != nil { // v1 @ 1m
 		t.Fatal(err)
 	}
 	ans := Answer{
@@ -98,8 +97,7 @@ func TestStrongViolationOnStaleAnswer(t *testing.T) {
 
 func TestStrongSlackForgivesInFlight(t *testing.T) {
 	a, reg := newAuditorT(t)
-	m, _ := reg.Master(2)
-	m.Update(10 * time.Minute) // v1 commits just before the answer lands
+	reg.Commit(2, 10*time.Minute) // v1 commits just before the answer lands
 	ans := Answer{
 		Item: 2, Level: LevelStrong,
 		AnsweredAt: 10*time.Minute + 500*time.Millisecond,
@@ -116,8 +114,7 @@ func TestStrongSlackForgivesInFlight(t *testing.T) {
 
 func TestDeltaBound(t *testing.T) {
 	a, reg := newAuditorT(t)
-	m, _ := reg.Master(1)
-	m.Update(time.Minute) // v1 @ 1m
+	reg.Commit(1, time.Minute) // v1 @ 1m
 
 	within := Answer{
 		Item: 1, Level: LevelDelta,
@@ -140,9 +137,8 @@ func TestDeltaBound(t *testing.T) {
 
 func TestWeakAcceptsAnyCommittedVersion(t *testing.T) {
 	a, reg := newAuditorT(t)
-	m, _ := reg.Master(1)
-	m.Update(time.Minute)
-	m.Update(2 * time.Minute)
+	reg.Commit(1, time.Minute)
+	reg.Commit(1, 2*time.Minute)
 	ans := Answer{
 		Item: 1, Level: LevelWeak,
 		AnsweredAt: time.Hour,
@@ -203,9 +199,8 @@ func TestUnknownItemRejected(t *testing.T) {
 
 func TestStalenessComputation(t *testing.T) {
 	a, reg := newAuditorT(t)
-	m, _ := reg.Master(3)
-	m.Update(2 * time.Minute) // v1 @ 2m
-	m.Update(5 * time.Minute) // v2 @ 5m
+	reg.Commit(3, 2*time.Minute) // v1 @ 2m
+	reg.Commit(3, 5*time.Minute) // v2 @ 5m
 
 	tests := []struct {
 		name string
@@ -231,8 +226,7 @@ func TestStalenessComputation(t *testing.T) {
 
 func TestMeanAndMaxStaleness(t *testing.T) {
 	a, reg := newAuditorT(t)
-	m, _ := reg.Master(1)
-	m.Update(time.Minute)
+	reg.Commit(1, time.Minute)
 	check(a, Answer{Item: 1, Level: LevelWeak, AnsweredAt: time.Minute, Served: committed(t, reg, 1, 1)})     // 0 stale
 	check(a, Answer{Item: 1, Level: LevelWeak, AnsweredAt: 3 * time.Minute, Served: committed(t, reg, 1, 0)}) // 2m stale
 	if got := a.MaxStaleness(); got != 2*time.Minute {

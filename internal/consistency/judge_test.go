@@ -127,9 +127,8 @@ func registry(t *testing.T) *data.Registry {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _ := reg.Master(1)
 	for _, at := range []time.Duration{10 * sec, 20 * sec} {
-		if _, err := m.Update(at); err != nil {
+		if _, err := reg.Commit(1, at); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -305,7 +304,7 @@ func TestModelAndJudgeLiveAreOneFunction(t *testing.T) {
 		item := data.ItemID(rng.Intn(items))
 		m, _ := reg.Master(item)
 		if rng.Intn(4) == 0 {
-			cp, err := m.Update(now)
+			cp, err := reg.Commit(item, now)
 			if err != nil {
 				t.Fatal(err)
 			}

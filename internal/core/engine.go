@@ -95,7 +95,9 @@ type relayWork struct {
 	// evidence reopens the budget. applyAttempts mirrors this for APPLY.
 	getNewAttempts int32
 	applyAttempts  int32
-	pending        []pendingPoll
+	// held counts the polls queued from head to tail (holdPoll).
+	held       int32
+	head, tail *pendingPoll
 	// repairTC is the span of the in-flight GET_NEW repair round (zero
 	// when none is open or tracing is off); closed when SEND_NEW lands,
 	// the budget is exhausted, or the role is torn down.
@@ -127,31 +129,68 @@ func (e *Engine) peekWork(st *itemState) relayWork {
 }
 
 // releaseWork gives a dropped state's relay record back to the pool,
-// keeping its poll queue's array. The state no longer names it, so a late
-// write through a pointer a timer still holds cannot reach another
-// state's record.
+// and its queued polls to theirs. The state no longer names the record,
+// so a late write through a pointer a timer still holds cannot reach
+// another state's record.
 func (e *Engine) releaseWork(st *itemState) {
 	if st.work == 0 {
 		return
 	}
-	w := &e.works[st.work-1]
-	*w = relayWork{pending: w.pending[:0]}
+	e.dropPending(st)
+	e.works[st.work-1] = relayWork{}
 	e.freeWork = append(e.freeWork, st.work)
 	st.work = 0
 }
 
-// dropPending discards the polls st queued while its TTR was expired,
-// keeping the queue's array for the next ones.
+// maxHeldPolls bounds a relay's poll queue: beyond it the oldest entry,
+// whose poller has long since escalated, is dropped.
+const maxHeldPolls = 64
+
+// holdPoll appends p to the tail of st's poll queue, dropping the head
+// when the queue is full.
+func (e *Engine) holdPoll(st *itemState, p pendingPoll) {
+	w := e.workOf(st)
+	if w.held >= maxHeldPolls {
+		old := w.head
+		w.head, w.held = old.next, w.held-1
+		e.heldPolls.Put(old)
+	}
+	r := e.heldPolls.New()
+	*r = p
+	if w.tail == nil {
+		w.head = r
+	} else {
+		w.tail.next = r
+	}
+	w.tail, w.held = r, w.held+1
+}
+
+// takePending detaches st's poll queue and returns its head; the caller
+// gives every entry back to the pool.
+func (e *Engine) takePending(st *itemState) *pendingPoll {
+	if st.work == 0 {
+		return nil
+	}
+	w := &e.works[st.work-1]
+	head := w.head
+	w.head, w.tail, w.held = nil, nil, 0
+	return head
+}
+
+// dropPending discards the polls st queued while its TTR was expired.
 func (e *Engine) dropPending(st *itemState) {
-	if st.work != 0 {
-		w := &e.works[st.work-1]
-		w.pending = w.pending[:0]
+	for p := e.takePending(st); p != nil; {
+		next := p.next
+		e.heldPolls.Put(p)
+		p = next
 	}
 }
 
 // pendingPoll is a POLL a relay could not answer because its TTR had
 // expired; it is answered when the next refresh arrives (§4.3: "the relay
-// peer has to wait for the next INVALIDATION").
+// peer has to wait for the next INVALIDATION"). Entries come from the
+// engine's heldPolls pool and go back to it when they are answered or
+// dropped, or when their relay record is released.
 type pendingPoll struct {
 	from    int
 	seq     uint64
@@ -160,6 +199,8 @@ type pendingPoll struct {
 	// tc is the poll message's trace context; the wait in this queue
 	// becomes a relay-queue span when the poll is finally answered.
 	tc protocol.TraceContext
+	// next is the entry queued after this one.
+	next *pendingPoll
 }
 
 // peerState is one node's full protocol state.
@@ -233,6 +274,8 @@ type Engine struct {
 	// freeWork lists the indices dropped states gave back.
 	works    []relayWork
 	freeWork []int32
+	// heldPolls are the relays' queued polls (holdPoll).
+	heldPolls sim.Pool[pendingPoll]
 	// deliveries counts protocol messages handled per node; together with
 	// cache accesses it forms N_a, the accessibility evidence of Eq 4.2.1.
 	deliveries []uint64

@@ -329,6 +329,57 @@ func TestRelayAnswersPollLocally(t *testing.T) {
 	}
 }
 
+// TestRelayPollQueueIsBoundedFIFO: a stale relay holds at most 64 polls,
+// dropping the oldest first, and answers the rest in arrival order on the
+// next refresh; every held entry goes back to the engine's pool when it
+// is answered or dropped, or when its state is.
+func TestRelayPollQueueIsBoundedFIFO(t *testing.T) {
+	e := newEnv(t, 3, DefaultConfig())
+	e.seedCache(t, 1, 0)
+	st := e.eng.itemState(1, 0)
+	st.role = RoleRelay
+	hold := func(first, last uint64) {
+		for seq := first; seq <= last; seq++ {
+			e.eng.onPoll(e.k, 1, protocol.Message{Kind: protocol.KindPoll, Item: 0, Origin: 2, Seq: seq})
+		}
+	}
+	live := func() int {
+		a := e.eng.heldPolls.Audit("core.heldPoll")
+		if a.Doubled {
+			t.Fatal("a held poll was given back twice")
+		}
+		return a.Live
+	}
+	hold(1, 70)
+	var seqs, want []uint64
+	for p := e.eng.peekWork(st).head; p != nil; p = p.next {
+		seqs = append(seqs, p.seq)
+	}
+	for seq := uint64(7); seq <= 70; seq++ {
+		want = append(want, seq)
+	}
+	if !slices.Equal(seqs, want) || e.eng.peekWork(st).held != 64 || live() != 64 {
+		t.Fatalf("queue holds %v (count %d, %d live), want polls 7..70 in order", seqs, e.eng.peekWork(st).held, live())
+	}
+	before := e.net.Traffic().Originated(protocol.KindPollAckA)
+	e.eng.onInvalidation(e.k, 1, protocol.Message{Kind: protocol.KindInvalidation, Item: 0, Origin: 0, Version: 0})
+	if got := e.net.Traffic().Originated(protocol.KindPollAckA) - before; got != 64 {
+		t.Errorf("refresh answered %d held polls, want 64", got)
+	}
+	if n := live(); n != 0 {
+		t.Errorf("%d held polls still out of the pool after the flush", n)
+	}
+	st.unset(refreshedOnce) // stale again
+	hold(100, 109)
+	if n := live(); n != 10 {
+		t.Fatalf("%d polls held by the stale relay, want 10", n)
+	}
+	e.eng.dropItemState(e.k, 1, 0)
+	if n := live(); n != 0 {
+		t.Errorf("%d held polls still out of the pool after their state was dropped", n)
+	}
+}
+
 func TestRelayWithExpiredTTRQueuesPoll(t *testing.T) {
 	cfg := DefaultConfig()
 	e := newEnv(t, 3, cfg)
@@ -339,14 +390,14 @@ func TestRelayWithExpiredTTRQueuesPoll(t *testing.T) {
 	e.eng.onPoll(e.k, 1, protocol.Message{
 		Kind: protocol.KindPoll, Item: 0, Origin: 2, Version: 0, Seq: 77,
 	})
-	if n := len(e.eng.peekWork(st).pending); n != 1 {
+	if n := e.eng.peekWork(st).held; n != 1 {
 		t.Fatalf("pending polls = %d, want 1 (stale relay must wait)", n)
 	}
 	// An INVALIDATION confirming the version flushes the queue.
 	e.eng.onInvalidation(e.k, 1, protocol.Message{
 		Kind: protocol.KindInvalidation, Item: 0, Origin: 0, Version: 0,
 	})
-	if len(e.eng.peekWork(st).pending) != 0 {
+	if e.eng.peekWork(st).held != 0 {
 		t.Fatal("pending polls not flushed on refresh")
 	}
 	e.k.RunUntil(e.k.Now() + time.Second)
@@ -405,7 +456,7 @@ func TestCacheNodeReceivingUpdateResendsCancel(t *testing.T) {
 	// Node 1 is a plain cache node, but the owner believes it is a relay
 	// (missed CANCEL) and pushes an UPDATE.
 	m, _ := e.reg.Master(0)
-	m.Update(e.k.Now())
+	e.reg.Commit(0, e.k.Now())
 	cur := m.Current()
 	e.eng.onUpdate(e.k, 1, protocol.Message{
 		Kind: protocol.KindUpdate, Item: 0, Origin: 0, Version: cur.Version, Copy: cur,
@@ -426,7 +477,7 @@ func TestCandidatePromotedByUpdate(t *testing.T) {
 	st := e.eng.itemState(1, 0)
 	st.role = RoleCandidate
 	m, _ := e.reg.Master(0)
-	m.Update(e.k.Now())
+	e.reg.Commit(0, e.k.Now())
 	cur := m.Current()
 	e.eng.onUpdate(e.k, 1, protocol.Message{
 		Kind: protocol.KindUpdate, Item: 0, Origin: 0, Version: cur.Version, Copy: cur,

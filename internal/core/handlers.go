@@ -440,13 +440,7 @@ func (e *Engine) onPoll(k *sim.Kernel, nd int, msg protocol.Message) {
 		// relay repairs right away instead of waiting out the TTR gap.
 		// The queue is bounded: beyond it, older entries (whose pollers
 		// have long since escalated) are discarded first.
-		w := e.workOf(st)
-		if len(w.pending) >= 64 {
-			// Shift in place: reslicing forward would walk the array and
-			// reallocate it on every append under steady load.
-			w.pending = w.pending[:copy(w.pending, w.pending[1:])]
-		}
-		w.pending = append(w.pending, pendingPoll{
+		e.holdPoll(st, pendingPoll{
 			from: msg.Origin, seq: msg.Seq, version: msg.Version, at: k.Now(),
 			tc: msg.Trace,
 		})
@@ -497,7 +491,7 @@ func (e *Engine) answerPoll(k *sim.Kernel, nd int, msg protocol.Message, authori
 // expired. Entries older than TTN are dropped: their pollers have long
 // since escalated.
 func (e *Engine) flushPendingPolls(k *sim.Kernel, nd int, item data.ItemID, st *itemState) {
-	if st.work == 0 || len(e.works[st.work-1].pending) == 0 {
+	if st.work == 0 || e.works[st.work-1].held == 0 {
 		return
 	}
 	cp, have := e.ch.Stores[nd].Peek(item)
@@ -505,9 +499,14 @@ func (e *Engine) flushPendingPolls(k *sim.Kernel, nd int, item data.ItemID, st *
 		e.dropPending(st)
 		return
 	}
-	// range reads the queue's header once, so the walk is unaffected if
-	// an answer's delivery re-enters and grows the record pool.
-	for _, p := range e.works[st.work-1].pending {
+	// The queue is detached before the walk, and each entry copied out
+	// and given back before its answer is sent, so a delivery that
+	// re-enters and queues or drops polls cannot reach an entry the walk
+	// has yet to read.
+	for next := e.takePending(st); next != nil; {
+		p := *next
+		e.heldPolls.Put(next)
+		next = p.next
 		if k.Now()-p.at > e.cfg.TTN {
 			continue
 		}
@@ -524,6 +523,7 @@ func (e *Engine) flushPendingPolls(k *sim.Kernel, nd int, item data.ItemID, st *
 		}
 		e.answerPoll(k, nd, pm, cp)
 	}
+	// Polls queued while the walk's answers were delivered go unanswered.
 	e.dropPending(st)
 }
 

@@ -23,9 +23,9 @@ func TestReorderedStaleUpdateRejected(t *testing.T) {
 	st.role = RoleRelay
 
 	m, _ := e.reg.Master(0)
-	m.Update(e.k.Now())
+	e.reg.Commit(0, e.k.Now())
 	v1 := m.Current()
-	m.Update(e.k.Now())
+	e.reg.Commit(0, e.k.Now())
 	v2 := m.Current()
 
 	e.eng.onUpdate(e.k, 1, protocol.Message{
@@ -67,9 +67,9 @@ func TestReorderedStaleSendNewRejected(t *testing.T) {
 	st.role = RoleRelay
 
 	m, _ := e.reg.Master(0)
-	m.Update(e.k.Now())
+	e.reg.Commit(0, e.k.Now())
 	v1 := m.Current()
-	m.Update(e.k.Now())
+	e.reg.Commit(0, e.k.Now())
 	v2 := m.Current()
 
 	e.eng.onSendNew(e.k, 1, protocol.Message{
@@ -115,9 +115,9 @@ func TestPollAckRaceFreshThenStale(t *testing.T) {
 	e := newEnv(t, 4, DefaultConfig())
 	e.seedCache(t, 0, 2)
 	m, _ := e.reg.Master(2)
-	m.Update(e.k.Now())
+	e.reg.Commit(2, e.k.Now())
 	v1 := m.Current()
-	m.Update(e.k.Now())
+	e.reg.Commit(2, e.k.Now())
 	v2 := m.Current()
 
 	seq := e.openPoll(t, 0, 2)
@@ -153,9 +153,9 @@ func TestPollAckRaceStaleHitsOpenPoll(t *testing.T) {
 	e := newEnv(t, 4, DefaultConfig())
 	e.seedCache(t, 0, 2)
 	m, _ := e.reg.Master(2)
-	m.Update(e.k.Now())
+	e.reg.Commit(2, e.k.Now())
 	v1 := m.Current()
-	m.Update(e.k.Now())
+	e.reg.Commit(2, e.k.Now())
 	v2 := m.Current()
 
 	seq := e.openPoll(t, 0, 2)
@@ -193,8 +193,8 @@ func TestPollAckAStaleVouchDoesNotValidate(t *testing.T) {
 	st := e.eng.itemState(0, 2)
 	validatedAt := st.lastValidated
 	m, _ := e.reg.Master(2)
-	m.Update(e.k.Now())
-	m.Update(e.k.Now())
+	e.reg.Commit(2, e.k.Now())
+	e.reg.Commit(2, e.k.Now())
 	v2 := m.Current()
 
 	seq := e.openPoll(t, 0, 2)

@@ -9,7 +9,10 @@
 package data
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
 	"strconv"
 	"time"
 	"unsafe"
@@ -93,44 +96,79 @@ func (a *arena) value(id ItemID, v Version) string {
 	return unsafe.String(&a.buf[start], len(a.buf)-start)
 }
 
-// Master is a source host's authoritative copy plus its update history
-// timeline, which the auditor uses to translate versions to commit times.
+// Master is a source host's authoritative copy plus its commit history,
+// which the auditor uses to translate versions to commit times. Version 0
+// is committed at time 0 and takes no slot; versions 1.. are written into
+// segments carved from the registry's history slab (Registry.Commit), so
+// an item never updated holds no history at all.
 type Master struct {
-	cur     Copy
-	commits []time.Duration // commits[v] = virtual time version v was written
-	arena   *arena          // where Update renders the payloads
+	cur Copy
+	// segs points at the first entry of the segment index, which holds
+	// the address of each segment's first slot: segments(cur.Version)
+	// entries, nil before the first commit.
+	segs **time.Duration
 }
 
 // init makes m version 0 of item id at virtual time 0, its payload drawn
-// from a and its history starting in commits (length 1).
-func (m *Master) init(id ItemID, a *arena, commits []time.Duration) {
-	*m = Master{
-		cur:     Copy{ID: id, Version: 0, Value: a.value(id, 0), WrittenAt: 0},
-		commits: commits,
-		arena:   a,
-	}
+// from a.
+func (m *Master) init(id ItemID, a *arena) {
+	*m = Master{cur: Copy{ID: id, Version: 0, Value: a.value(id, 0), WrittenAt: 0}}
 }
 
-// NewMaster creates version 0 of the item at virtual time 0, with an arena
-// of its own.
-func NewMaster(id ItemID) *Master {
-	m := new(Master)
-	m.init(id, new(arena), make([]time.Duration, 1))
-	return m
+// locate returns the segment and offset of version v ≥ 1. Version v is
+// commit j = v−1: segment 0 holds j = 0 and 1, segment k ≥ 1 holds
+// j ∈ [2^k, 2^(k+1)), so each segment doubles the history's capacity
+// (2, 4, 8, …) and n commits occupy fewer than 2n slots.
+func locate(v Version) (seg int, off uint64) {
+	j := uint64(v) - 1
+	if j < 2 {
+		return 0, j
+	}
+	seg = bits.Len64(j) - 1
+	return seg, j - 1<<seg
 }
 
-// Update commits the next version at virtual time now and returns the new
-// copy. Updates at non-decreasing times are enforced. The payload is
-// rendered into the registry's arena, so a commit allocates nothing but an
-// occasional arena chunk and history growth.
-func (m *Master) Update(now time.Duration) (Copy, error) {
-	if now < m.cur.WrittenAt {
-		return Copy{}, fmt.Errorf("data: update at %v before last write %v of %v", now, m.cur.WrittenAt, m.cur.ID)
+// segCap is the number of versions segment k holds.
+func segCap(k int) int { return max(2, 1<<k) }
+
+// firstOf is the first version segment k holds.
+func firstOf(k int) Version {
+	if k == 0 {
+		return 1
 	}
-	next := m.cur.Version + 1
-	m.cur = Copy{ID: m.cur.ID, Version: next, Value: m.arena.value(m.cur.ID, next), WrittenAt: now}
-	m.commits = append(m.commits, now)
-	return m.cur, nil
+	return 1<<k + 1
+}
+
+// segments is the number of segments a history up to version v spans.
+func segments(v Version) int {
+	if v == 0 {
+		return 0
+	}
+	k, _ := locate(v)
+	return k + 1
+}
+
+// index returns m's segment index.
+func (m *Master) index() []*time.Duration {
+	return unsafe.Slice(m.segs, segments(m.cur.Version))
+}
+
+// segment returns segment k of m's history, which must exist.
+func (m *Master) segment(k int) []time.Duration {
+	return unsafe.Slice(unsafe.Slice(m.segs, k+1)[k], segCap(k))
+}
+
+// addSegment carves segment k, the next one, for m's history. The index
+// is carved with room for a power of two of entries, so it moves — its k
+// addresses copied, never a commit time — only when k is 0 or a power of
+// two.
+func (m *Master) addSegment(s *historySlab, k int) {
+	if k&(k-1) == 0 {
+		grown := s.index(max(1, 2*k))
+		copy(grown, m.index())
+		m.segs = &grown[0]
+	}
+	unsafe.Slice(m.segs, k+1)[k] = &s.times(segCap(k))[0]
 }
 
 // Current returns the authoritative copy.
@@ -140,34 +178,90 @@ func (m *Master) Current() Copy { return m.cur }
 // i.e. the largest v whose commit time is <= t. It backs the auditor's
 // staleness computation (Eq 3.2.2: find τ with C^t = S^{t-τ}).
 func (m *Master) VersionAt(t time.Duration) Version {
-	// commits is sorted ascending; binary search for the last <= t.
-	lo, hi := 0, len(m.commits)-1
-	if t >= m.commits[hi] {
-		return Version(hi)
+	if t >= m.cur.WrittenAt {
+		return m.cur.Version
 	}
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if m.commits[mid] <= t {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
+	// Commit times never decrease, so the answer is in the last segment
+	// whose first commit is at or before t; t < WrittenAt, so t+1 cannot
+	// overflow.
+	idx := m.index()
+	k, _ := slices.BinarySearchFunc(idx, t+1, func(first *time.Duration, u time.Duration) int {
+		return cmp.Compare(*first, u)
+	})
+	if k == 0 {
+		return 0
 	}
-	return Version(lo)
+	k--
+	seg := m.segment(k)
+	if k == len(idx)-1 {
+		_, off := locate(m.cur.Version)
+		seg = seg[:off+1]
+	}
+	off, _ := slices.BinarySearch(seg, t+1)
+	return firstOf(k) + Version(off) - 1
 }
 
 // CommitTime returns the virtual time version v was committed, or false if
 // v has not been committed.
 func (m *Master) CommitTime(v Version) (time.Duration, bool) {
-	if int(v) >= len(m.commits) {
+	switch {
+	case v > m.cur.Version:
 		return 0, false
+	case v == 0:
+		return 0, true
 	}
-	return m.commits[int(v)], true
+	k, off := locate(v)
+	return m.segment(k)[off], true
+}
+
+// Chunk sizes of the history slab.
+const (
+	timesChunk = 512 // commit times per chunk: 4 KB, as an arena chunk
+	indexChunk = 512 // segment addresses per index chunk
+)
+
+// historySlab carves the masters' histories. Commit times come from
+// pointer-free chunks the collector never scans, segment indexes from
+// chunks of addresses. Like the payload arena it only ever hands out
+// fresh room: a full chunk is left to the histories that point into it.
+type historySlab struct {
+	timesBuf []time.Duration
+	indexBuf []*time.Duration
+}
+
+// times carves room for n commit times; a segment as large as a chunk
+// is an allocation of its own.
+func (s *historySlab) times(n int) []time.Duration {
+	if n >= timesChunk {
+		return make([]time.Duration, n)
+	}
+	return carve(&s.timesBuf, n, timesChunk)
+}
+
+// index carves room for n ≤ 64 segment addresses.
+func (s *historySlab) index(n int) []*time.Duration {
+	return carve(&s.indexBuf, n, indexChunk)
+}
+
+// carve returns the next n elements of *chunk, first starting a fresh
+// chunk of capacity size when fewer than n are left.
+func carve[T any](chunk *[]T, n, size int) []T {
+	if cap(*chunk)-len(*chunk) < n {
+		*chunk = make([]T, 0, size)
+	}
+	start := len(*chunk)
+	*chunk = (*chunk)[:start+n]
+	return (*chunk)[start : start+n : start+n]
 }
 
 // Registry is the ground-truth table of every master copy in the system.
+// It owns the storage every commit writes into: the payload arena and the
+// history slab. One registry serves one simulation, so registries on
+// parallel goroutines never share a chunk.
 type Registry struct {
 	masters []Master
+	arena   arena
+	hist    historySlab
 }
 
 // NewRegistry creates n items, item i owned by host i (the paper's m = n
@@ -176,15 +270,36 @@ func NewRegistry(n int) (*Registry, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("data: need at least one item, got %d", n)
 	}
-	// One slab of masters, one of first history entries and one payload
-	// arena: set-up costs three allocations plus a chunk per few hundred
-	// items, not three per item.
+	// One slab of masters and the payload arena: set-up costs two
+	// allocations plus a chunk per few hundred items, and no history.
 	r := &Registry{masters: make([]Master, n)}
-	a, commits := new(arena), make([]time.Duration, n)
 	for i := range r.masters {
-		r.masters[i].init(ItemID(i), a, commits[i:i+1:i+1])
+		r.masters[i].init(ItemID(i), &r.arena)
 	}
 	return r, nil
+}
+
+// Commit commits item id's next version at virtual time now and returns
+// the new copy. Commit times may repeat but must not decrease. The
+// payload is rendered into the arena and the time written into the
+// item's history, so a commit allocates nothing but an occasional chunk,
+// and no commit copies or moves an earlier one.
+func (r *Registry) Commit(id ItemID, now time.Duration) (Copy, error) {
+	m, err := r.Master(id)
+	if err != nil {
+		return Copy{}, err
+	}
+	if now < m.cur.WrittenAt {
+		return Copy{}, fmt.Errorf("data: update at %v before last write %v of %v", now, m.cur.WrittenAt, id)
+	}
+	next := m.cur.Version + 1
+	k, off := locate(next)
+	if off == 0 {
+		m.addSegment(&r.hist, k)
+	}
+	m.segment(k)[off] = now
+	m.cur = Copy{ID: id, Version: next, Value: r.arena.value(id, next), WrittenAt: now}
+	return m.cur, nil
 }
 
 // Len returns the number of items.

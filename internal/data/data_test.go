@@ -4,13 +4,30 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
+// oneItem returns a one-item registry, the smallest owner of a master.
+func oneItem(t testing.TB) *Registry {
+	t.Helper()
+	r, err := NewRegistry(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestNewMasterStartsAtVersionZero(t *testing.T) {
-	m := NewMaster(7)
+	r, err := NewRegistry(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _ := r.Master(7)
 	c := m.Current()
 	if c.Version != 0 {
 		t.Errorf("Version = %d, want 0", c.Version)
@@ -24,9 +41,9 @@ func TestNewMasterStartsAtVersionZero(t *testing.T) {
 }
 
 func TestUpdateIncrementsVersion(t *testing.T) {
-	m := NewMaster(1)
+	r := oneItem(t)
 	for i := 1; i <= 5; i++ {
-		c, err := m.Update(time.Duration(i) * time.Minute)
+		c, err := r.Commit(0, time.Duration(i)*time.Minute)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,12 +57,18 @@ func TestUpdateIncrementsVersion(t *testing.T) {
 }
 
 func TestUpdateRejectsTimeRegression(t *testing.T) {
-	m := NewMaster(1)
-	if _, err := m.Update(time.Minute); err != nil {
+	r := oneItem(t)
+	if _, err := r.Commit(0, time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Update(time.Second); err == nil {
+	if _, err := r.Commit(0, time.Second); err == nil {
 		t.Fatal("backward-time update accepted")
+	}
+	if _, err := r.Commit(1, time.Hour); err == nil {
+		t.Fatal("commit to an unknown item accepted")
+	}
+	if m, _ := r.Master(0); m.Current().Version != 1 {
+		t.Fatalf("refused commits moved the version to %d", m.Current().Version)
 	}
 }
 
@@ -139,10 +162,11 @@ func TestConsistentDoesNotAllocate(t *testing.T) {
 }
 
 func TestVersionAt(t *testing.T) {
-	m := NewMaster(0)
-	m.Update(time.Minute)     // v1 @ 1m
-	m.Update(3 * time.Minute) // v2 @ 3m
-	m.Update(3 * time.Minute) // v3 @ 3m (same instant)
+	r := oneItem(t)
+	r.Commit(0, time.Minute)   // v1 @ 1m
+	r.Commit(0, 3*time.Minute) // v2 @ 3m
+	r.Commit(0, 3*time.Minute) // v3 @ 3m (same instant)
+	m, _ := r.Master(0)
 	tests := []struct {
 		t    time.Duration
 		want Version
@@ -162,8 +186,9 @@ func TestVersionAt(t *testing.T) {
 }
 
 func TestCommitTime(t *testing.T) {
-	m := NewMaster(0)
-	m.Update(90 * time.Second)
+	r := oneItem(t)
+	r.Commit(0, 90*time.Second)
+	m, _ := r.Master(0)
 	if ct, ok := m.CommitTime(1); !ok || ct != 90*time.Second {
 		t.Errorf("CommitTime(1) = %v,%v", ct, ok)
 	}
@@ -174,14 +199,15 @@ func TestCommitTime(t *testing.T) {
 
 func TestVersionAtInverseOfCommitTimeProperty(t *testing.T) {
 	f := func(gaps []uint16) bool {
-		m := NewMaster(0)
+		r := oneItem(t)
 		now := time.Duration(0)
 		for _, g := range gaps {
 			now += time.Duration(g+1) * time.Second
-			if _, err := m.Update(now); err != nil {
+			if _, err := r.Commit(0, now); err != nil {
 				return false
 			}
 		}
+		m, _ := r.Master(0)
 		for v := Version(0); v <= m.Current().Version; v++ {
 			ct, ok := m.CommitTime(v)
 			if !ok {
@@ -247,8 +273,7 @@ func TestArenaPayloadsMatchValueFor(t *testing.T) {
 	// ~15-byte payloads: 4 000 commits cross a 4 KB chunk ~15 times.
 	for i := 1; i <= 4000; i++ {
 		id := ids[i%len(ids)]
-		m, _ := r.Master(id)
-		c, err := m.Update(time.Duration(i) * time.Second)
+		c, err := r.Commit(id, time.Duration(i)*time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,16 +291,15 @@ func TestArenaCopyOutlivesLaterUpdates(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, _ := r.Master(2)
-	v1, err := m.Update(time.Second)
+	v1, err := r.Commit(2, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	other, _ := r.Master(0)
 	for i := 2; i <= 10_001; i++ {
-		if _, err := m.Update(time.Duration(i) * time.Second); err != nil {
+		if _, err := r.Commit(2, time.Duration(i)*time.Second); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := other.Update(time.Duration(i) * time.Second); err != nil {
+		if _, err := r.Commit(0, time.Duration(i)*time.Second); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -303,8 +327,7 @@ func TestRegistriesUpdateConcurrently(t *testing.T) {
 	for _, r := range regs {
 		go func(r *Registry) {
 			for i := 1; i <= 2000; i++ {
-				m, _ := r.Master(ItemID(i % 4))
-				c, err := m.Update(time.Duration(i) * time.Millisecond)
+				c, err := r.Commit(ItemID(i%4), time.Duration(i)*time.Millisecond)
 				if err == nil && !c.Consistent() {
 					err = fmt.Errorf("torn payload %q for v%d", c.Value, c.Version)
 				}
@@ -348,7 +371,7 @@ func TestCanonicalProvesIdentityAndRendersTheRest(t *testing.T) {
 	}
 	m, _ := r.Master(2)
 	v0 := m.Current()
-	if _, err := m.Update(time.Second); err != nil {
+	if _, err := r.Commit(2, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	cur := m.Current()
@@ -376,6 +399,169 @@ func TestCanonicalProvesIdentityAndRendersTheRest(t *testing.T) {
 		}
 		if got := tc.c.Consistent(); got != tc.want {
 			t.Errorf("%s: Consistent = %v, Canonical's fallback disagrees", tc.name, got)
+		}
+	}
+}
+
+// TestHistoryMatchesReferenceProperty drives interleaved items' histories
+// against plain slices of commit times, past the tenth segment boundary,
+// with runs of commits at one instant. After every commit, every version's
+// CommitTime must be the reference's, the next version must be
+// uncommitted, and VersionAt must agree before, at and between every
+// commit time.
+func TestHistoryMatchesReferenceProperty(t *testing.T) {
+	const items, commits = 3, 1200 // segment 10 opens at version 1 025
+	rng := rand.New(rand.NewSource(51))
+	r, err := NewRegistry(items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := make([][]time.Duration, items) // ref[id][v] = commit time of v; v0 at 0
+	now := make([]time.Duration, items)
+	for id := range ref {
+		ref[id] = []time.Duration{0}
+	}
+	// refVersionAt is the largest v with ref[id][v] <= at, or 0.
+	refVersionAt := func(id int, at time.Duration) Version {
+		v := sort.Search(len(ref[id]), func(i int) bool { return ref[id][i] > at }) - 1
+		return Version(max(v, 0))
+	}
+	check := func(id int) {
+		m, _ := r.Master(ItemID(id))
+		cur := Version(len(ref[id]) - 1)
+		if m.Current().Version != cur {
+			t.Fatalf("D%d at version %d, reference at %d", id, m.Current().Version, cur)
+		}
+		if _, ok := m.CommitTime(cur + 1); ok {
+			t.Fatalf("D%d: CommitTime(%d) reported an uncommitted version", id, cur+1)
+		}
+		for v, want := range ref[id] {
+			if got, ok := m.CommitTime(Version(v)); !ok || got != want {
+				t.Fatalf("D%d: CommitTime(%d) = %v,%v, want %v", id, v, got, ok, want)
+			}
+			for _, at := range []time.Duration{want - 1, want, want + 1} {
+				if got, want := m.VersionAt(at), refVersionAt(id, at); got != want {
+					t.Fatalf("D%d at v%d: VersionAt(%v) = %d, want %d", id, cur, at, got, want)
+				}
+			}
+		}
+	}
+	for i := 0; i < items*commits; i++ {
+		id := rng.Intn(items)
+		if len(ref[id]) > commits {
+			id = (id + 1) % items
+		}
+		switch rng.Intn(4) {
+		case 0: // same instant as the last commit
+		case 1:
+			now[id]++
+		default:
+			now[id] += time.Duration(1 + rng.Intn(3))
+		}
+		c, err := r.Commit(ItemID(id), now[id])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref[id] = append(ref[id], now[id])
+		if c.Version != Version(len(ref[id])-1) || c.WrittenAt != now[id] || !c.Consistent() {
+			t.Fatalf("commit %d of D%d returned %+v", len(ref[id])-1, id, c)
+		}
+		// Checking is quadratic: every commit early on, then around the
+		// segment boundaries and at random.
+		if v := len(ref[id]) - 1; v < 70 || v&(v-1) == 0 || (v-1)&(v-2) == 0 || rng.Intn(20) == 0 {
+			check(id)
+		}
+	}
+	for id := range ref {
+		check(id)
+		if m, _ := r.Master(ItemID(id)); segments(m.Current().Version) < 10 {
+			t.Fatalf("D%d spans %d segments, want at least 10", id, segments(m.Current().Version))
+		}
+	}
+}
+
+// TestFirstCommitsAllocateOnlyChunks: one commit on each of 10 000 items
+// draws from shared chunks — payload arena, commit times, segment
+// indexes — so it costs at most one malloc per 64 items, not one per item.
+func TestFirstCommitsAllocateOnlyChunks(t *testing.T) {
+	const n = 10_000
+	r, err := NewRegistry(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for id := ItemID(0); id < n; id++ {
+		if _, err := r.Commit(id, time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if mallocs := after.Mallocs - before.Mallocs; mallocs > n/64 {
+		t.Errorf("first commits on %d items cost %d mallocs, budget %d", n, mallocs, n/64)
+	}
+}
+
+// TestDeepHistoryIsNotCopied: 4 096 commits on one item allocate at most
+// two 8-byte slots of history per commit beyond their payloads, so no
+// commit regrows or copies the history written before it.
+func TestDeepHistoryIsNotCopied(t *testing.T) {
+	const commits = 4096
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	r := oneItem(t)
+	total := allocated(func() {
+		for i := 1; i <= commits; i++ {
+			if _, err := r.Commit(0, time.Duration(i)*time.Second); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	var a arena
+	payloads := allocated(func() {
+		for v := Version(1); v <= commits; v++ {
+			a.value(0, v)
+		}
+	})
+	perCommit := float64(total-min(payloads, total)) / commits
+	t.Logf("%d commits: %d B, %d B of them payloads: %.1f B of history per commit", commits, total, payloads, perCommit)
+	if perCommit > 2*8 {
+		t.Errorf("history costs %.1f B per commit, budget 16", perCommit)
+	}
+}
+
+// TestMasterIsSmall: a master is its current copy plus one history
+// pointer.
+func TestMasterIsSmall(t *testing.T) {
+	if size := unsafe.Sizeof(Master{}); size > 48 {
+		t.Errorf("Master is %d B, budget 48", size)
+	}
+}
+
+// TestSetupAllocatesNoHistory: a fresh registry's masters hold no
+// history, and version 0's commit time is 0.
+func TestSetupAllocatesNoHistory(t *testing.T) {
+	r, err := NewRegistry(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := ItemID(0); id < 100; id++ {
+		m, _ := r.Master(id)
+		if m.segs != nil {
+			t.Fatalf("D%d holds a history before its first commit", id)
+		}
+		if ct, ok := m.CommitTime(0); !ok || ct != 0 {
+			t.Fatalf("D%d: CommitTime(0) = %v,%v", id, ct, ok)
+		}
+		if got := m.VersionAt(-1); got != 0 {
+			t.Fatalf("D%d: VersionAt(-1) = %d", id, got)
 		}
 	}
 }

@@ -306,11 +306,7 @@ func (c *Chassis) SetAnswerObserver(fn func(k *sim.Kernel, q *Query, served data
 // version now. Time regression is impossible on the simulation clock, so
 // an error here is a harness bug and must not be silent.
 func (c *Chassis) Commit(k *sim.Kernel, host int) {
-	m, err := c.Reg.Master(c.Reg.OwnedBy(host))
-	if err != nil {
-		return
-	}
-	if _, err := m.Update(k.Now()); err != nil {
+	if _, err := c.Reg.Commit(c.Reg.OwnedBy(host), k.Now()); err != nil {
 		panic(fmt.Sprintf("node: master update failed: %v", err))
 	}
 }

@@ -197,7 +197,7 @@ func TestAnswerAuditsViolation(t *testing.T) {
 	m, _ := e.reg.Master(2)
 	old := m.Current()
 	e.k.RunUntil(10 * time.Minute)
-	if _, err := m.Update(e.k.Now()); err != nil {
+	if _, err := e.reg.Commit(2, e.k.Now()); err != nil {
 		t.Fatal(err)
 	}
 	e.k.RunUntil(20 * time.Minute)
@@ -223,7 +223,7 @@ func TestLedgerCountsAllocFreeAndPublished(t *testing.T) {
 	m, _ := e.reg.Master(2)
 	old := m.Current()
 	e.k.RunUntil(10 * time.Minute)
-	if _, err := m.Update(e.k.Now()); err != nil {
+	if _, err := e.reg.Commit(2, e.k.Now()); err != nil {
 		t.Fatal(err)
 	}
 	e.k.RunUntil(20 * time.Minute)
@@ -297,7 +297,7 @@ func TestTracedQueryRootCarriesTheRecord(t *testing.T) {
 	m, _ := e.reg.Master(2)
 	old := m.Current()
 	e.k.RunUntil(10 * time.Minute)
-	if _, err := m.Update(e.k.Now()); err != nil {
+	if _, err := e.reg.Commit(2, e.k.Now()); err != nil {
 		t.Fatal(err)
 	}
 	e.k.RunUntil(20 * time.Minute)

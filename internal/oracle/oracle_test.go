@@ -21,11 +21,7 @@ func modelEnv(t *testing.T, spec Spec, commitAt time.Duration) (*sim.Kernel, *da
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := reg.Master(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Update(commitAt); err != nil {
+	if _, err := reg.Commit(0, commitAt); err != nil {
 		t.Fatal(err)
 	}
 	model, err := NewModel(reg, spec)

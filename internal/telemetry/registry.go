@@ -2,7 +2,7 @@ package telemetry
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 )
@@ -214,11 +214,13 @@ func signature(labels []Label) string {
 	return b.String()
 }
 
-// sortLabels returns a sorted copy of the label set.
+// sortLabels returns a copy of the label set sorted by key. The sort is
+// stable, so labels that repeat a key keep their given order, and it
+// allocates nothing beyond the copy.
 func sortLabels(labels []Label) []Label {
 	out := make([]Label, len(labels))
 	copy(out, labels)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	slices.SortStableFunc(out, func(a, b Label) int { return strings.Compare(a.Key, b.Key) })
 	return out
 }
 

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -24,6 +25,23 @@ func TestRegistryDedupAndLabelOrder(t *testing.T) {
 	}
 	if r.Counter("c_total", "h", Label{"x", "other"}) == a {
 		t.Fatal("different label set deduplicated onto the same counter")
+	}
+}
+
+// TestSortLabelsIsStableAndAllocatesOnlyTheCopy: labels sort by key,
+// labels that repeat a key keep their given order, and the sort itself
+// allocates nothing (the copy is the one object).
+func TestSortLabelsIsStableAndAllocatesOnlyTheCopy(t *testing.T) {
+	in := []Label{{"z", "1"}, {"b", "2"}, {"a", "3"}, {"b", "4"}, {"a", "5"}, {"b", "6"}}
+	want := []Label{{"a", "3"}, {"a", "5"}, {"b", "2"}, {"b", "4"}, {"b", "6"}, {"z", "1"}}
+	if got := sortLabels(in); !slices.Equal(got, want) {
+		t.Fatalf("sortLabels = %v, want %v", got, want)
+	}
+	if in[0] != (Label{"z", "1"}) {
+		t.Fatal("sortLabels reordered its argument")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { sortLabels(in) }); allocs != 1 {
+		t.Errorf("sortLabels allocates %.0f objects, want 1", allocs)
 	}
 }
 

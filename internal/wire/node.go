@@ -300,12 +300,13 @@ func (n *Node) Start() error {
 		// Self's item at version 0, and re-publishing version numbers the
 		// previous incarnation already committed would corrupt the
 		// cluster's commit ledger.
-		m, err := n.reg.Master(n.reg.OwnedBy(n.cfg.Self))
+		item := n.reg.OwnedBy(n.cfg.Self)
+		m, err := n.reg.Master(item)
 		if err != nil {
 			return err
 		}
 		for m.Current().Version < n.cfg.ResumeOwnVersion {
-			if _, err := m.Update(n.k.Now()); err != nil {
+			if _, err := n.reg.Commit(item, n.k.Now()); err != nil {
 				return err
 			}
 		}
