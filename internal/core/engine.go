@@ -214,11 +214,14 @@ type peerState struct {
 	items itemTable
 }
 
-// addRelay registers r, reporting whether it was new.
-func (ps *peerState) addRelay(r int) bool {
+// addRelay registers r at source host owner, reporting whether it was
+// new. A relay set that outgrows its room moves to room carved from the
+// engine's relayRows.
+func (e *Engine) addRelay(owner, r int) bool {
+	ps := &e.peers[owner]
 	i, ok := slices.BinarySearch(ps.relays, int32(r))
 	if !ok {
-		ps.relays = slices.Insert(ps.relays, i, int32(r))
+		ps.relays = slices.Insert(e.relayRows.Grow(ps.relays, 1), i, int32(r))
 	}
 	return !ok
 }
@@ -274,6 +277,8 @@ type Engine struct {
 	// freeWork lists the indices dropped states gave back.
 	works    []relayWork
 	freeWork []int32
+	// relayRows holds the source hosts' relay sets (addRelay).
+	relayRows sim.RowSlab
 	// heldPolls are the relays' queued polls (holdPoll).
 	heldPolls sim.Pool[pendingPoll]
 	// deliveries counts protocol messages handled per node; together with
@@ -956,7 +961,7 @@ func (e *Engine) SeedRelay(k *sim.Kernel, host int, item data.ItemID) error {
 	st.invAt = k.Now()
 	owner := e.ch.Reg.Owner(item)
 	if owner >= 0 && owner < len(e.peers) {
-		e.peers[owner].addRelay(host)
+		e.addRelay(owner, host)
 	}
 	return nil
 }

@@ -437,7 +437,7 @@ func TestUpdatePushAtTTNTick(t *testing.T) {
 	e := newEnv(t, 3, DefaultConfig())
 	e.seedCache(t, 1, 0)
 	e.eng.itemState(1, 0).role = RoleRelay
-	e.eng.peers[0].addRelay(1)
+	e.eng.addRelay(0, 1)
 	e.eng.OnUpdate(e.k, 0) // v1 committed
 	e.eng.ttnTick(e.k, 0)  // push interval
 	e.k.RunUntil(e.k.Now() + 5*time.Second)
@@ -492,7 +492,7 @@ func TestDemotionSendsCancel(t *testing.T) {
 	e.seedCache(t, 1, 0)
 	st := e.eng.itemState(1, 0)
 	st.role = RoleRelay
-	e.eng.peers[0].addRelay(1)
+	e.eng.addRelay(0, 1)
 	// A single failing window is tolerated (hysteresis), then demotion
 	// after DemoteAfter consecutive failures.
 	e.eng.coeffTick(e.k, 1)
@@ -521,7 +521,7 @@ func TestEvictionCancelsRelayRole(t *testing.T) {
 	e.ch.Stores[1] = small
 	e.seedCache(t, 1, 0)
 	e.eng.itemState(1, 0).role = RoleRelay
-	e.eng.peers[0].addRelay(1)
+	e.eng.addRelay(0, 1)
 	// Caching another item evicts item 0 (capacity 1).
 	m2, _ := e.reg.Master(2)
 	e.eng.putCopy(e.k, 1, m2.Current())
@@ -548,9 +548,9 @@ func TestCoeffTickPromotesBusyNode(t *testing.T) {
 
 func TestRelayCountAggregates(t *testing.T) {
 	e := newEnv(t, 4, DefaultConfig())
-	e.eng.peers[0].addRelay(1)
-	e.eng.peers[0].addRelay(2)
-	e.eng.peers[3].addRelay(2)
+	e.eng.addRelay(0, 1)
+	e.eng.addRelay(0, 2)
+	e.eng.addRelay(3, 2)
 	if got := e.eng.RelayCount(); got != 3 {
 		t.Errorf("RelayCount = %d, want 3", got)
 	}

@@ -316,7 +316,7 @@ func (e *Engine) onGetNew(k *sim.Kernel, nd int, msg protocol.Message) {
 	// A GET_NEW proves the sender still acts as a relay peer; if a
 	// transient partition got it pruned from the table (§4.5 MAC-layer
 	// discovery), re-register it so it receives future UPDATE pushes.
-	if e.peers[nd].addRelay(msg.Origin) {
+	if e.addRelay(nd, msg.Origin) {
 		e.meters.members[memberReRegister].Inc()
 	}
 	m, err := e.ch.Reg.Master(msg.Item)
@@ -373,7 +373,7 @@ func (e *Engine) onApply(k *sim.Kernel, nd int, msg protocol.Message) {
 	if e.ch.Reg.Owner(msg.Item) != nd {
 		return
 	}
-	if e.peers[nd].addRelay(msg.Origin) {
+	if e.addRelay(nd, msg.Origin) {
 		e.meters.members[memberApply].Inc()
 	}
 	ack := protocol.Message{

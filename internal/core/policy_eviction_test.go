@@ -34,7 +34,7 @@ func TestEvictionCancelsRelayRolePerPolicy(t *testing.T) {
 			swapStore(t, e, 1, kind)
 			e.seedCache(t, 1, 0)
 			e.eng.itemState(1, 0).role = RoleRelay
-			e.eng.peers[0].addRelay(1)
+			e.eng.addRelay(0, 1)
 			// Caching another item evicts item 0 (capacity 1) under
 			// every policy: it is the only resident entry.
 			m2, _ := e.reg.Master(2)
@@ -62,7 +62,7 @@ func TestStoreRefreshEvictionCancelsRelay(t *testing.T) {
 			swapStore(t, e, 1, kind)
 			e.seedCache(t, 1, 0)
 			e.eng.itemState(1, 0).role = RoleRelay
-			e.eng.peers[0].addRelay(1)
+			e.eng.addRelay(0, 1)
 			// Refresh item 2, absent from the full store: inserting it
 			// evicts item 0, whose relay role must still tear down.
 			m2, _ := e.reg.Master(2)

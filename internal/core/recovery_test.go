@@ -84,7 +84,7 @@ func (e *faultEnv) makeRelay(t *testing.T, host int) {
 	e.eng.workOf(st).lastRefreshed = e.k.Now()
 	st.set(refreshedOnce | invHeard)
 	st.invAt = e.k.Now()
-	e.eng.peers[0].addRelay(host)
+	e.eng.addRelay(0, host)
 }
 
 func TestRelayReconnectionRepair(t *testing.T) {

@@ -16,6 +16,8 @@ import (
 	"strconv"
 	"time"
 	"unsafe"
+
+	"github.com/manetlab/rpcc/internal/sim"
 )
 
 // ItemID identifies a data item. Under the paper's simplifying assumption
@@ -235,23 +237,12 @@ func (s *historySlab) times(n int) []time.Duration {
 	if n >= timesChunk {
 		return make([]time.Duration, n)
 	}
-	return carve(&s.timesBuf, n, timesChunk)
+	return sim.Carve(&s.timesBuf, n, timesChunk)
 }
 
 // index carves room for n ≤ 64 segment addresses.
 func (s *historySlab) index(n int) []*time.Duration {
-	return carve(&s.indexBuf, n, indexChunk)
-}
-
-// carve returns the next n elements of *chunk, first starting a fresh
-// chunk of capacity size when fewer than n are left.
-func carve[T any](chunk *[]T, n, size int) []T {
-	if cap(*chunk)-len(*chunk) < n {
-		*chunk = make([]T, 0, size)
-	}
-	start := len(*chunk)
-	*chunk = (*chunk)[:start+n]
-	return (*chunk)[start : start+n : start+n]
+	return sim.Carve(&s.indexBuf, n, indexChunk)
 }
 
 // Registry is the ground-truth table of every master copy in the system.

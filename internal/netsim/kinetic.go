@@ -6,6 +6,7 @@ import (
 
 	"github.com/manetlab/rpcc/internal/geo"
 	"github.com/manetlab/rpcc/internal/radio"
+	"github.com/manetlab/rpcc/internal/sim"
 )
 
 // The kinetic topology plane produces every connectivity snapshot by
@@ -131,6 +132,9 @@ type kinetic struct {
 	markGen uint32
 
 	linkedAdj [][]int32 // sorted linked geometric neighbour rows
+	// rows is where a cell, tracked or linked row that outgrows its
+	// carved room moves to.
+	rows sim.RowSlab
 
 	// sample numbers the samples for diffGen; down and diffs are the
 	// current sample's Up mask and the edge diffs it has emitted so far.
@@ -267,7 +271,7 @@ func (kn *kinetic) init(pos []geo.Point, down []bool) {
 // Random-waypoint nodes crowd toward the terrain's centre over time, and
 // a node carries its rows from a sparse corner into the crowd, so the
 // slack follows the mean as well as the row's own count. A row that
-// still outgrows it falls back to append, into an array of its own.
+// still outgrows it moves to room carved from the plane's RowSlab.
 func withSlack(count, mean int) int {
 	return 3*max(count, mean) + 1
 }
@@ -287,7 +291,8 @@ func carveRows(rows [][]int32, counts []int32, backing []int32, mean int) []int3
 // bin files every node into the cell of its anchor. The rows of the
 // occupied cells are carved from one array with slack and filled in
 // ascending node order (the order appending one node at a time gives); an
-// empty cell's row stays nil until a node moves in.
+// empty cell's row stays nil until a node moves in, and then gets room
+// from the plane's row slab.
 func (kn *kinetic) bin() {
 	kn.cells = make([][]int32, int(kn.gw)*int(kn.gh))
 	counts := make([]int32, len(kn.cells))
@@ -396,8 +401,8 @@ func (kn *kinetic) trackPair(u, v int32, pos []geo.Point) {
 		idx = int32(len(kn.pairs))
 		kn.pairs = append(kn.pairs, st)
 	}
-	kn.tracked[u] = append(kn.tracked[u], idx)
-	kn.tracked[v] = append(kn.tracked[v], idx)
+	kn.tracked[u] = append(kn.rows.Grow(kn.tracked[u], 1), idx)
+	kn.tracked[v] = append(kn.rows.Grow(kn.tracked[v], 1), idx)
 	if pos[u].DistSq(pos[v]) <= kn.r2 {
 		// A pair is only untracked while out of range, so a linked
 		// discovery is a genuine link-make event.
@@ -410,12 +415,15 @@ func (kn *kinetic) trackPair(u, v int32, pos []geo.Point) {
 // make/break counter and the pair's CSR diff.
 func (kn *kinetic) setLinked(idx int32, linked bool) {
 	st := &kn.pairs[idx]
-	edit, count := removeSorted, &kn.stats.LinkBreaks
+	count := &kn.stats.LinkBreaks
 	if linked {
-		edit, count = insertSorted, &kn.stats.LinkMakes
+		count = &kn.stats.LinkMakes
+		kn.linkedAdj[st.u] = insertSorted(kn.rows.Grow(kn.linkedAdj[st.u], 1), st.v)
+		kn.linkedAdj[st.v] = insertSorted(kn.rows.Grow(kn.linkedAdj[st.v], 1), st.u)
+	} else {
+		kn.linkedAdj[st.u] = removeSorted(kn.linkedAdj[st.u], st.v)
+		kn.linkedAdj[st.v] = removeSorted(kn.linkedAdj[st.v], st.u)
 	}
-	kn.linkedAdj[st.u] = edit(kn.linkedAdj[st.u], st.v)
-	kn.linkedAdj[st.v] = edit(kn.linkedAdj[st.v], st.u)
 	st.linked = linked
 	if !kn.inited {
 		return
@@ -458,7 +466,7 @@ func (kn *kinetic) reanchor(pos []geo.Point) {
 		if c := kn.cellIndex(p); c != kn.cellOf[u] {
 			kn.cells[kn.cellOf[u]] = swapRemove(kn.cells[kn.cellOf[u]], u)
 			kn.cellOf[u] = c
-			kn.cells[c] = append(kn.cells[c], u)
+			kn.cells[c] = append(kn.rows.Grow(kn.cells[c], 1), u)
 		}
 		kn.moved = append(kn.moved, u)
 	}

@@ -392,17 +392,21 @@ func TestStaticLayoutsMatchFullRebuild(t *testing.T) {
 // TestKineticSteadyStateAllocationBudget pins the kinetic plane's steady
 // state on a 2 000-node random-waypoint run at Table 1 density: after a
 // two-minute warm-up, a sample allocates almost nothing — the rows, the
-// pair slab and the cell bins were carved with slack at init, and what
-// still allocates is a row outgrowing it or a node entering a cell init
-// never saw. Measured (go1.24, linux/amd64): 0.27 mallocs per
-// sample, against 2.63 while every row grew one append at a time. The
-// budget is the measurement + 20 %.
+// pair slab and the cell bins were carved with slack at init, and a row
+// outgrowing its slack or a node entering a cell init never saw takes
+// room from the plane's row slab, which allocates a chunk now and then.
+// Measured (go1.24, linux/amd64): 0.015 mallocs per sample (row slab
+// chunks and scratch lists reaching a new high water), up to 0.025 in
+// one run of ten where the runtime allocates in the window too, against
+// 0.27 while such a row appended into an array of its own, and 2.63
+// while every row grew one append at a time. The budget is the
+// measurement + 20 % and only ever tightens.
 func TestKineticSteadyStateAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("2 000-node kinetic run skipped in -short mode")
 	}
 	const n = 2000
-	const budget = 1.2 * 0.27
+	const budget = 1.2 * 0.025
 	const warm, window = 2 * time.Minute, 2 * time.Minute
 	h := newTopoHarnessOn(t, n, 1, warm+window, waypoints(1500*math.Sqrt(n/50.0)))
 	at := time.Duration(0)
@@ -426,7 +430,7 @@ func TestKineticSteadyStateAllocationBudget(t *testing.T) {
 		t.Fatal("no kinetic sample in the window")
 	}
 	per := float64(after.Mallocs-before.Mallocs) / float64(samples)
-	t.Logf("%.2f mallocs per kinetic sample (%d samples)", per, samples)
+	t.Logf("%.3f mallocs per kinetic sample (%d samples)", per, samples)
 	if per > budget {
 		t.Errorf("%.2f mallocs per kinetic sample in the steady state; budget %.2f", per, budget)
 	}

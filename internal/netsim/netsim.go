@@ -260,6 +260,9 @@ type Network struct {
 	floodRxs    sim.Pool[floodRx]
 	hopTxs      sim.Pool[hopTx]
 	perturbTxs  sim.Pool[perturbTx]
+	// hearers is where a floodRx's hearer list gets room for its
+	// sender's whole neighbour row (transmitFlood).
+	hearers sim.RowSlab
 
 	// rebuilds counts topology snapshot rebuilds (cache misses).
 	rebuilds uint64
@@ -770,13 +773,15 @@ func (n *Network) transmitFlood(node, ttlLeft int, st *floodState, hops int) {
 	n.spendTx(node)
 	delay := n.txDelay(node, size)
 	var r *floodRx
-	for _, v := range g.Neighbors(node) {
+	row := g.Neighbors(node)
+	for _, v := range row {
 		if st.visited[v] {
 			continue
 		}
 		st.visited[v] = true
 		if r == nil {
 			r = n.floodRxs.New()
+			r.to = n.hearers.Grow(r.to, len(row))
 		}
 		r.to = append(r.to, v)
 	}

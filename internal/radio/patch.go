@@ -1,6 +1,10 @@
 package radio
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // This file is the incremental half of the radio layer: the kinetic
 // topology plane (internal/netsim) maintains geometric adjacency rows
@@ -153,8 +157,8 @@ func (g *Graph) RouteRepairs() (repaired, dropped uint64) { return g.repaired, g
 // may be any superset of the changes since the table was current (see the
 // file comment). Returns false when the affected region exceeded the
 // repair limit (the table's contents are then unspecified). Steady state
-// allocates nothing: the work stack, the invalidated list and the level
-// buckets are all retained on the graph.
+// allocates nothing: the work stack, the invalidated list and the
+// relaxation queue are all retained on the graph.
 func repairTable[D dist](g *Graph, d []D, diffs []EdgeDiff) bool {
 	limit := g.repairLimit()
 	invalidated := 0
@@ -201,58 +205,58 @@ func repairTable[D dist](g *Graph, d []D, diffs []EdgeDiff) bool {
 	g.queue, g.repairInvalid = stack[:0], invalid[:0]
 
 	// Phase 2: level-ordered relaxation from added-edge endpoints and
-	// from the surviving frontier around the invalidated region.
-	buckets := g.repairBuckets[:0]
-	push := func(x int32, level D) {
-		for int(level) >= len(buckets) {
-			if len(buckets) < cap(buckets) {
-				// Re-slice rather than append: the slot still holds the
-				// (emptied) bucket a previous repair grew.
-				buckets = buckets[:len(buckets)+1]
-			} else {
-				buckets = append(buckets, nil)
-			}
+	// from the surviving frontier around the invalidated region. The
+	// seeds go to the front of one queue, sorted by level; a relaxed
+	// vertex is appended behind them one level above the vertex that
+	// relaxed it, so the entries behind the seeds are in level order too,
+	// and taking the lower head of the two runs visits every entry in
+	// level order.
+	q := g.repairQueue[:0]
+	seed := func(x int32) {
+		if dx := d[x]; dx >= 0 {
+			q = append(q, levelEntry{x, int32(dx)})
 		}
-		buckets[level] = append(buckets[level], x)
 	}
 	for _, diff := range diffs {
 		if diff.Add {
-			if dv := d[diff.U]; dv >= 0 {
-				push(diff.U, dv)
-			}
-			if dv := d[diff.V]; dv >= 0 {
-				push(diff.V, dv)
-			}
+			seed(diff.U)
+			seed(diff.V)
 		}
 	}
 	for _, x := range invalid {
 		for _, w := range g.tgt[g.off[x]:g.off[x+1]] {
-			if dv := d[w]; dv >= 0 {
-				push(w, dv)
+			seed(w)
+		}
+	}
+	slices.SortFunc(q, func(a, b levelEntry) int { return cmp.Compare(a.level, b.level) })
+	seeds := len(q)
+	for s, r := 0, seeds; s < seeds || r < len(q); {
+		var e levelEntry
+		if r == len(q) || (s < seeds && q[s].level <= q[r].level) {
+			e, s = q[s], s+1
+		} else {
+			e, r = q[r], r+1
+		}
+		if d[e.x] != D(e.level) {
+			continue // stale entry: x was relaxed to a lower level
+		}
+		// level+1 is the length of a simple path, so below n: it fits
+		// the table's width (see routeCache).
+		next := D(e.level) + 1
+		for _, y := range g.tgt[g.off[e.x]:g.off[e.x+1]] {
+			if dy := d[y]; dy < 0 || dy > next {
+				d[y] = next
+				q = append(q, levelEntry{y, int32(next)})
 			}
 		}
 	}
-	for level := 0; level < len(buckets); level++ {
-		for qi := 0; qi < len(buckets[level]); qi++ {
-			x := buckets[level][qi]
-			if d[x] != D(level) {
-				continue // stale entry: x was relaxed to a lower level
-			}
-			// level+1 is the length of a simple path, so below n: it
-			// fits the table's width (see routeCache).
-			next := D(level) + 1
-			for _, y := range g.tgt[g.off[x]:g.off[x+1]] {
-				if dy := d[y]; dy < 0 || dy > next {
-					d[y] = next
-					push(y, next)
-				}
-			}
-		}
-		buckets[level] = buckets[level][:0]
-	}
-	g.repairBuckets = buckets[:0]
+	g.repairQueue = q[:0]
 	return true
 }
+
+// levelEntry is a vertex queued for relaxation at the level it was
+// queued at.
+type levelEntry struct{ x, level int32 }
 
 // SetRouteTableCap bounds how many destination tables the route cache
 // keeps alive at once (0, the default, is unlimited — the behaviour every

@@ -203,7 +203,7 @@ func testPatchRoutes(t *testing.T, tableCap int) {
 }
 
 // TestRepairSteadyStateDoesNotAllocate pins repairTable's scratch reuse:
-// once the work stack, the invalidated list, the level buckets and the
+// once the work stack, the invalidated list, the relaxation queue and the
 // diff log have grown to the workload, logging a sample and catching
 // every table up allocates nothing.
 func TestRepairSteadyStateDoesNotAllocate(t *testing.T) {
@@ -281,5 +281,104 @@ func TestSmallBuildCutoffIdentical(t *testing.T) {
 				t.Fatalf("n=%d node %d: grid/pairwise rows differ", n, i)
 			}
 		}
+	}
+}
+
+// TestMobileRepairAndCappedFillDoNotAllocate pins the route cache's
+// storage on a mobile history. Filling a capped cache carves its tables
+// from doubling chunks, so 256 tables cost a few allocations per doubling,
+// not one each. Once warm, a cycle of samples of a random walk, each
+// catching every table up, and lookups past the cap, each evicting a table
+// and rebuilding it in place, allocate nothing: the repair's one
+// relaxation queue has reached the deepest repair of the cycle.
+func TestMobileRepairAndCappedFillDoNotAllocate(t *testing.T) {
+	const (
+		n         = 300
+		samples   = 6
+		commRange = 180.0
+		world     = 1800.0
+		tableCap  = 256
+	)
+	rng := rand.New(rand.NewSource(11))
+	pos := make([]geo.Point, n)
+	for i := range pos {
+		pos[i] = geo.Point{X: rng.Float64() * world, Y: rng.Float64() * world}
+	}
+	down := make([]bool, n)
+	var rows [samples][][]int32
+	var edges [samples]map[uint64]bool
+	for s := range samples {
+		for i := range pos {
+			pos[i].X = min(max(pos[i].X+rng.Float64()*16-8, 0), world)
+			pos[i].Y = min(max(pos[i].Y+rng.Float64()*16-8, 0), world)
+		}
+		rows[s] = geoRows(pos, commRange)
+		edges[s] = csrEdges(rows[s], down)
+	}
+	// diffs[s] leads from sample s-1 to sample s, the last back to the
+	// first, so the history can cycle.
+	var diffs [samples][]EdgeDiff
+	for s := range samples {
+		diffs[s] = edgeDiffs(edges[(s+samples-1)%samples], edges[s])
+	}
+
+	b := NewGraphBuilder()
+	cur := 0
+	row := func(i int) []int32 { return rows[cur][i] }
+	g, err := b.RebuildFromRows(n, row, down, commRange, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.SetRouteTableCap(tableCap)
+	fill := testing.AllocsPerRun(1, func() {
+		g.resize(0) // a fresh cache each run
+		g.resize(n)
+		for dst := range tableCap {
+			g.Hops((dst+1)%n, dst)
+		}
+	})
+	if fill > 40 {
+		t.Errorf("filling %d route tables allocates %.0f objects, want a few per doubling", tableCap, fill)
+	}
+
+	dst := 0
+	step := func() {
+		cur = (cur + 1) % samples
+		if _, err := b.RebuildFromRows(n, row, down, commRange, 0); err != nil {
+			t.Fatal(err)
+		}
+		g.PatchRoutes(diffs[cur])
+		for _, d := range g.routes.(*routes[int16]).built {
+			g.Hops((int(d)+1)%n, int(d)) // catch every live table up
+		}
+		for range 8 { // and look past the cap
+			dst = (dst + 1) % n
+			g.Hops((dst+1)%n, dst)
+		}
+	}
+	for range 3 * samples {
+		step() // warm up: every scratch slice reaches its high water
+	}
+	before, _ := g.RouteRepairs()
+	// The count is process-wide, and the runtime now and then allocates
+	// once on its own; so the cycle is measured twice: an allocation in the
+	// route cache repeats in both rounds, the runtime's does not.
+	measure := func() float64 {
+		return testing.AllocsPerRun(1, func() {
+			for range 5 * samples {
+				step()
+			}
+		})
+	}
+	if first, second := measure(), measure(); first != 0 && second != 0 {
+		t.Errorf("a warm mobile cycle of repairs and evictions allocates %.0f and then %.0f objects, want 0", first, second)
+	}
+	after, dropped := g.RouteRepairs()
+	t.Logf("fill: %.0f allocations; %d tables repaired in place, %d rebuilt", fill, after, dropped)
+	if after == before {
+		t.Fatal("no table was repaired in place; the pin measured nothing")
+	}
+	if g.RouteTables() != tableCap {
+		t.Fatalf("%d live tables, want the cap %d", g.RouteTables(), tableCap)
 	}
 }

@@ -51,9 +51,9 @@ type Graph struct {
 	repaired uint64
 	dropped  uint64
 
-	// repairBuckets (the level-ordered relaxation queue) and repairInvalid
+	// repairQueue (the level-ordered relaxation queue) and repairInvalid
 	// (the vertices phase 1 invalidated) are repairTable's scratch.
-	repairBuckets [][]int32
+	repairQueue   []levelEntry
 	repairInvalid []int32
 }
 
@@ -110,11 +110,16 @@ type dist interface{ int16 | int32 }
 // routes is the route cache at distance width D. slot[v] is 1 + the index
 // in tabs of v's table (0 = none): four bytes per node, whatever the
 // width, and the tables themselves exist only for destinations in use.
+// Their distances are carved from chunks the cache owns: each chunk holds
+// as many tables as all before it, clipped so the chunks never hold room
+// for more tables than the cache may keep, so a full cache holds exactly
+// its tables' bytes, in about log2(cap) allocations.
 type routes[D dist] struct {
 	slot  []int32
 	tabs  []table[D] // every table ever made: live or spare
 	spare []int32    // indices into tabs of the spare tables
 	built []int32    // destinations with a live table, oldest first
+	chunk []D        // the newest chunk's room for tables not yet made
 }
 
 // table is one destination's distances and the log position (logEnd) it
@@ -162,7 +167,7 @@ func (r *routes[D]) routeTo(g *Graph, dst int) []D {
 		r.spare = r.spare[:n-1]
 	} else {
 		i = int32(len(r.tabs))
-		r.tabs = append(r.tabs, table[D]{d: make([]D, g.n)})
+		r.tabs = append(r.tabs, table[D]{d: r.carve(g)})
 	}
 	t := &r.tabs[i]
 	bfsTable(g, t.d, dst)
@@ -170,6 +175,22 @@ func (r *routes[D]) routeTo(g *Graph, dst int) []D {
 	r.slot[dst] = i + 1
 	r.built = append(r.built, int32(dst))
 	return t.d
+}
+
+// carve returns room for one more table. A cache keeps at most tableCap
+// tables, or one per node without a cap.
+func (r *routes[D]) carve(g *Graph) []D {
+	if len(r.chunk) == 0 {
+		limit := g.n
+		if g.tableCap > 0 {
+			limit = min(limit, g.tableCap)
+		}
+		made := len(r.tabs)
+		r.chunk = make([]D, max(min(made, limit-made), 1)*g.n)
+	}
+	d := r.chunk[:g.n:g.n]
+	r.chunk = r.chunk[g.n:]
+	return d
 }
 
 // bfsTable overwrites d with the hop distance from every node to dst on

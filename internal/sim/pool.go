@@ -77,3 +77,40 @@ func (p *Pool[T]) Audit(name string) PoolAudit {
 	}
 	return a
 }
+
+// Carve returns the next n elements of *chunk, zeroed, first starting a
+// fresh chunk of capacity max(n, size) when fewer than n are left: many
+// small slices from one allocation. A full chunk is left to the slices
+// that point into it; nothing carved is handed out twice.
+func Carve[T any](chunk *[]T, n, size int) []T {
+	if cap(*chunk)-len(*chunk) < n {
+		*chunk = make([]T, 0, max(n, size))
+	}
+	start := len(*chunk)
+	*chunk = (*chunk)[:start+n]
+	return (*chunk)[start : start+n : start+n]
+}
+
+// rowChunk is the least number of entries one RowSlab chunk holds.
+const rowChunk = 1024
+
+// RowSlab carves growing int32 rows (cell lists, adjacency rows, relay
+// sets, a broadcast's hearers) from shared chunks: a row that outgrows
+// its room moves into at least twice the room at the end of the newest
+// chunk, so rows that grow cost an allocation per chunk, not one per
+// doubling. A row's old room is not handed out again; since a row's room
+// at least doubles, what it left behind is less than the room it holds.
+// The zero RowSlab is ready to use.
+type RowSlab struct {
+	chunk []int32
+}
+
+// Grow returns row, or a copy of it in fresh room, with room for at
+// least n more entries.
+func (s *RowSlab) Grow(row []int32, n int) []int32 {
+	if cap(row)-len(row) >= n {
+		return row
+	}
+	room := max(2*cap(row), len(row)+n, 4)
+	return append(Carve(&s.chunk, room, rowChunk)[:0], row...)
+}

@@ -98,3 +98,50 @@ func TestPoolLiveCountDoesNotAllocate(t *testing.T) {
 		t.Errorf("a New and Put cycle allocates %.0f times, want 0", n)
 	}
 }
+
+// TestRowSlabGrowKeepsRowsApart: a row grown from the slab keeps its
+// entries, at least doubles its room and never overlaps another row, and
+// rows growing one entry at a time allocate once per chunk, not once per
+// doubling.
+func TestRowSlabGrowKeepsRowsApart(t *testing.T) {
+	var s RowSlab
+	rows := make([][]int32, 16)
+	for i := range 64 {
+		for r := range rows {
+			before := cap(rows[r])
+			rows[r] = append(s.Grow(rows[r], 1), int32(r*1000+i))
+			if c := cap(rows[r]); c != before && c < 2*before {
+				t.Fatalf("row %d grew from room %d to %d, want at least double", r, before, c)
+			}
+		}
+	}
+	for r, row := range rows {
+		for i, v := range row {
+			if v != int32(r*1000+i) {
+				t.Fatalf("row %d entry %d = %d, want %d: rows overlap or lost entries", r, i, v, r*1000+i)
+			}
+		}
+	}
+	if got := s.Grow(rows[0][:2], 1); &got[0] != &rows[0][0] {
+		t.Error("a row with room was moved")
+	}
+	if got := s.Grow(nil, 40); cap(got) < 40 {
+		t.Errorf("Grow(nil, 40) has room %d, want at least 40", cap(got))
+	}
+
+	var fresh RowSlab
+	total := testing.AllocsPerRun(1, func() {
+		fresh = RowSlab{}
+		rs := make([][]int32, 64)
+		for i := range 64 {
+			for r := range rs {
+				rs[r] = append(fresh.Grow(rs[r], 1), int32(i))
+			}
+		}
+	})
+	// 64 rows of 64 entries hold 4 096 entries in less than 8 192 room:
+	// at most eight chunks, plus the row headers' slice.
+	if total > 9 {
+		t.Errorf("64 rows growing to 64 entries allocate %.0f objects, want one per chunk", total)
+	}
+}

@@ -3,8 +3,9 @@ package telemetry
 import (
 	"fmt"
 	"slices"
-	"strings"
 	"time"
+
+	"github.com/manetlab/rpcc/internal/sim"
 )
 
 // Label is one metric dimension. Labels are sorted by key at registration
@@ -13,6 +14,28 @@ import (
 type Label struct {
 	Key   string
 	Value string
+}
+
+// maxLabels is the most labels one series carries: the role transitions'
+// from, to and reason.
+const maxLabels = 3
+
+// seriesKey sorts labels by key into a fixed array, which with the
+// family is the series' identity: a comparable value built on the
+// caller's stack, so a lookup builds no string and allocates nothing. The
+// insertion sort is stable: labels that repeat a key keep their order.
+func seriesKey(name string, labels []Label) (k [maxLabels]Label) {
+	if len(labels) > maxLabels {
+		panic(fmt.Sprintf("telemetry: %s registered with %d labels, more than %d", name, len(labels), maxLabels))
+	}
+	for i, l := range labels {
+		j := i
+		for ; j > 0 && k[j-1].Key > l.Key; j-- {
+			k[j] = k[j-1]
+		}
+		k[j] = l
+	}
+	return k
 }
 
 // metricType enumerates the three instrument families.
@@ -24,31 +47,27 @@ const (
 	typeHistogram
 )
 
-func (t metricType) String() string {
-	switch t {
-	case typeCounter:
-		return "counter"
-	case typeGauge:
-		return "gauge"
-	default:
-		return "histogram"
-	}
+func (t metricType) String() string { return [...]string{"counter", "gauge", "histogram"}[t] }
+
+// series is one registered metric of any of the three types: its family,
+// its sorted labels, its place in the family's list and the state its
+// type keeps.
+type series struct {
+	fam    *family
+	labels []Label  // carved from the registry's label chunk
+	next   *series  // the family's series registered before this one
+	n      uint64   // counter value; histogram sample count
+	v      float64  // gauge value; histogram sample sum
+	counts []uint64 // histogram: len(uppers)+1, non-cumulative per bucket
 }
 
 // Counter is a monotonically increasing count. The zero/nil counter is
 // inert: every method is safe on a nil receiver, so call sites do not
 // branch on whether telemetry is enabled.
-type Counter struct {
-	labels []Label
-	n      uint64
-}
+type Counter series
 
 // Inc adds one.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.n++
-	}
-}
+func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds n.
 func (c *Counter) Add(n uint64) {
@@ -67,10 +86,7 @@ func (c *Counter) Value() uint64 {
 
 // Gauge is a value that can go up and down (final role counts, pending
 // work). Like Counter it is nil-safe.
-type Gauge struct {
-	labels []Label
-	v      float64
-}
+type Gauge series
 
 // Set replaces the gauge value.
 func (g *Gauge) Set(v float64) {
@@ -95,16 +111,11 @@ func (g *Gauge) Value() float64 {
 }
 
 // Histogram is a fixed-bucket distribution: cumulative-on-export counts
-// over static upper bounds plus an exact sum and count. Buckets are fixed
-// at registration, so Observe is allocation-free — the hot-path
-// discipline the delivery plane requires. Nil-safe like Counter.
-type Histogram struct {
-	labels []Label
-	uppers []float64 // ascending upper bounds; an implicit +Inf bucket follows
-	counts []uint64  // len(uppers)+1, non-cumulative per bucket
-	count  uint64
-	sum    float64
-}
+// over its family's static upper bounds (an implicit +Inf bucket follows)
+// plus an exact sum and count. Buckets are fixed at registration, so
+// Observe is allocation-free — the hot-path discipline the delivery plane
+// requires. Nil-safe like Counter.
+type Histogram series
 
 // Observe adds one sample.
 func (h *Histogram) Observe(v float64) {
@@ -112,18 +123,19 @@ func (h *Histogram) Observe(v float64) {
 		return
 	}
 	// Binary search over the static bounds: first bucket with upper >= v.
-	lo, hi := 0, len(h.uppers)
+	uppers := h.fam.uppers
+	lo, hi := 0, len(uppers)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if h.uppers[mid] < v {
+		if uppers[mid] < v {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
 	h.counts[lo]++
-	h.count++
-	h.sum += v
+	h.n++
+	h.v += v
 }
 
 // ObserveDuration adds one sample in seconds.
@@ -134,7 +146,7 @@ func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
 	}
-	return h.count
+	return h.n
 }
 
 // Sum returns the sample sum (zero on nil).
@@ -142,7 +154,7 @@ func (h *Histogram) Sum() float64 {
 	if h == nil {
 		return 0
 	}
-	return h.sum
+	return h.v
 }
 
 // Standard bucket schemes; a family keeps the slice it was registered
@@ -173,23 +185,35 @@ func linear(start, step float64, n int) []float64 {
 	return out
 }
 
-// family is all metrics sharing one name (and therefore one type/help).
+// family is all metrics sharing one name (and therefore one type/help)
+// and the list of its series.
 type family struct {
-	name    string
-	help    string
-	typ     metricType
-	uppers  []float64 // histogram families only
-	order   []string  // label signatures in registration order
-	byLabel map[string]any
+	name   string
+	help   string
+	typ    metricType
+	uppers []float64 // histogram families only
+	first  *series   // the newest series; the rest follow by next
 }
 
+// Chunk sizes of the registry's label and bucket-count chunks.
+const (
+	labelChunk  = 128
+	bucketChunk = 256
+)
+
 // Registry holds a run's instruments. Registration (Counter / Gauge /
-// Histogram) deduplicates by name + label set and may allocate; the
-// returned handles are what hot paths use. A Registry is confined to one
-// simulation run (like everything below experiment.Run) and is not safe
-// for concurrent use.
+// Histogram) deduplicates by name + sorted label set without allocating
+// for a series that exists; new families, series, labels and bucket
+// counts come from registry-owned blocks and chunks. The returned handles
+// are what hot paths use. A Registry is confined to one simulation run
+// and is not safe for concurrent use.
 type Registry struct {
 	families map[string]*family
+	famPool  sim.Pool[family]
+	pool     sim.Pool[series]
+	series   int
+	labels   []Label
+	buckets  []uint64
 }
 
 // NewRegistry returns an empty registry.
@@ -197,86 +221,47 @@ func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
-// signature renders a sorted label set into a stable identity string.
-func signature(labels []Label) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	for i, l := range labels {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(l.Key)
-		b.WriteByte('=')
-		b.WriteString(l.Value)
-	}
-	return b.String()
-}
-
-// sortLabels returns a copy of the label set sorted by key. The sort is
-// stable, so labels that repeat a key keep their given order, and it
-// allocates nothing beyond the copy.
-func sortLabels(labels []Label) []Label {
-	out := make([]Label, len(labels))
-	copy(out, labels)
-	slices.SortStableFunc(out, func(a, b Label) int { return strings.Compare(a.Key, b.Key) })
-	return out
-}
-
-func (r *Registry) familyFor(name, help string, typ metricType, uppers []float64) *family {
+// get returns (registering on first use) the series name{labels}.
+func (r *Registry) get(name, help string, typ metricType, uppers []float64, labels []Label) *series {
 	f, ok := r.families[name]
 	if !ok {
-		f = &family{name: name, help: help, typ: typ, uppers: uppers, byLabel: make(map[string]any)}
+		f = r.famPool.New()
+		*f = family{name: name, help: help, typ: typ, uppers: uppers}
 		r.families[name] = f
-		return f
-	}
-	if f.typ != typ {
+	} else if f.typ != typ {
 		panic(fmt.Sprintf("telemetry: %s registered as both %v and %v", name, f.typ, typ))
 	}
-	return f
+	key := seriesKey(name, labels)
+	sorted := key[:len(labels)]
+	for s := f.first; s != nil; s = s.next {
+		if slices.Equal(s.labels, sorted) {
+			return s
+		}
+	}
+	s := r.pool.New()
+	s.fam, s.labels = f, sim.Carve(&r.labels, len(sorted), labelChunk)
+	copy(s.labels, sorted)
+	if typ == typeHistogram {
+		s.counts = sim.Carve(&r.buckets, len(f.uppers)+1, bucketChunk)
+	}
+	s.next, f.first = f.first, s
+	r.series++
+	return s
 }
 
 // Counter returns (registering on first use) the counter name{labels}.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	f := r.familyFor(name, help, typeCounter, nil)
-	ls := sortLabels(labels)
-	sig := signature(ls)
-	if m, ok := f.byLabel[sig]; ok {
-		return m.(*Counter)
-	}
-	c := &Counter{labels: ls}
-	f.byLabel[sig] = c
-	f.order = append(f.order, sig)
-	return c
+	return (*Counter)(r.get(name, help, typeCounter, nil, labels))
 }
 
 // Gauge returns (registering on first use) the gauge name{labels}.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	f := r.familyFor(name, help, typeGauge, nil)
-	ls := sortLabels(labels)
-	sig := signature(ls)
-	if m, ok := f.byLabel[sig]; ok {
-		return m.(*Gauge)
-	}
-	g := &Gauge{labels: ls}
-	f.byLabel[sig] = g
-	f.order = append(f.order, sig)
-	return g
+	return (*Gauge)(r.get(name, help, typeGauge, nil, labels))
 }
 
 // Histogram returns (registering on first use) the histogram name{labels}
 // with the given ascending upper bounds (+Inf is implicit). Every
 // histogram of one family must share the family's bounds.
 func (r *Registry) Histogram(name, help string, uppers []float64, labels ...Label) *Histogram {
-	f := r.familyFor(name, help, typeHistogram, uppers)
-	ls := sortLabels(labels)
-	sig := signature(ls)
-	if m, ok := f.byLabel[sig]; ok {
-		return m.(*Histogram)
-	}
-	h := &Histogram{labels: ls, uppers: f.uppers, counts: make([]uint64, len(f.uppers)+1)}
-	f.byLabel[sig] = h
-	f.order = append(f.order, sig)
-	return h
+	return (*Histogram)(r.get(name, help, typeHistogram, uppers, labels))
 }

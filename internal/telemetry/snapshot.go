@@ -1,8 +1,12 @@
 package telemetry
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
+
+	"github.com/manetlab/rpcc/internal/sim"
 )
 
 // Snapshot is the end-of-run state of a registry: every family sorted
@@ -48,93 +52,111 @@ func (h *Hub) Snapshot() *Snapshot {
 
 // Snapshot renders the registry into its exportable form. Families with
 // no non-zero metric are dropped, so snapshots carry only what the run
-// actually observed.
+// actually observed. The metrics share one array, and the histograms'
+// bucket counts are copied into shared chunks.
 func (r *Registry) Snapshot(simSeconds float64) *Snapshot {
-	names := make([]string, 0, len(r.families))
-	for name := range r.families {
-		names = append(names, name)
+	fams := make([]*family, 0, len(r.families))
+	for _, f := range r.families {
+		fams = append(fams, f)
 	}
-	sort.Strings(names)
-
+	slices.SortFunc(fams, func(a, b *family) int { return strings.Compare(a.name, b.name) })
 	snap := &Snapshot{SimSeconds: simSeconds}
-	for _, name := range names {
-		f := r.families[name]
-		fs := FamilySnap{Name: f.name, Help: f.help, Type: f.typ.String()}
-		if f.typ == typeHistogram {
-			fs.Uppers = f.uppers
-		}
-		sigs := make([]string, len(f.order))
-		copy(sigs, f.order)
-		sort.Strings(sigs)
-		for _, sig := range sigs {
-			switch m := f.byLabel[sig].(type) {
-			case *Counter:
-				if m.n == 0 {
-					continue
-				}
-				fs.Metrics = append(fs.Metrics, MetricSnap{Labels: m.labels, Value: float64(m.n)})
-			case *Gauge:
-				if m.v == 0 {
-					continue
-				}
-				fs.Metrics = append(fs.Metrics, MetricSnap{Labels: m.labels, Value: m.v})
-			case *Histogram:
-				if m.count == 0 {
-					continue
-				}
-				buckets := make([]uint64, len(m.counts))
-				copy(buckets, m.counts)
-				fs.Metrics = append(fs.Metrics, MetricSnap{
-					Labels: m.labels, Buckets: buckets, Count: m.count, Sum: m.sum,
-				})
+	metrics := make([]MetricSnap, 0, r.series)
+	var counts []uint64
+	for _, f := range fams {
+		start := len(metrics)
+		for s := f.first; s != nil; s = s.next {
+			if s.n == 0 && s.v == 0 {
+				continue
 			}
+			m := MetricSnap{Labels: s.labels}
+			switch f.typ {
+			case typeCounter:
+				m.Value = float64(s.n)
+			case typeGauge:
+				m.Value = s.v
+			default:
+				m.Buckets, m.Count, m.Sum = sim.Carve(&counts, len(s.counts), bucketChunk), s.n, s.v
+				copy(m.Buckets, s.counts)
+			}
+			metrics = append(metrics, m)
 		}
-		if len(fs.Metrics) > 0 {
-			snap.Families = append(snap.Families, fs)
+		if ms := metrics[start:len(metrics):len(metrics)]; len(ms) > 0 {
+			slices.SortFunc(ms, func(a, b MetricSnap) int { return compareLabels(a.Labels, b.Labels) })
+			snap.Families = append(snap.Families, FamilySnap{Name: f.name, Help: f.help, Type: f.typ.String(), Uppers: f.uppers, Metrics: ms})
 		}
 	}
 	return snap
+}
+
+// compareLabels orders two sorted label sets as their rendered identities
+// "k1=v1,k2=v2" compare byte by byte, without rendering them: a value may
+// hold bytes below ',' and '=' (a space, a ':'), so a label-by-label order
+// would differ. Sets that render alike are ordered label by label, so the
+// order is total.
+func compareLabels(a, b []Label) int {
+	var bufA, bufB [4 * maxLabels]string
+	x, y := pieces(a, bufA[:0]), pieces(b, bufB[:0])
+	for len(x) > 0 && len(y) > 0 {
+		n := min(len(x[0]), len(y[0]))
+		if c := strings.Compare(x[0][:n], y[0][:n]); c != 0 {
+			return c
+		}
+		if x[0] = x[0][n:]; x[0] == "" {
+			x = x[1:]
+		}
+		if y[0] = y[0][n:]; y[0] == "" {
+			y = y[1:]
+		}
+	}
+	return cmp.Or(cmp.Compare(len(x), len(y)), slices.CompareFunc(a, b, func(l, m Label) int {
+		return cmp.Or(strings.Compare(l.Key, m.Key), strings.Compare(l.Value, m.Value))
+	}))
+}
+
+// pieces appends the non-empty strings whose concatenation is ls's
+// rendered identity to buf.
+func pieces(ls []Label, buf []string) []string {
+	for i, l := range ls {
+		if i > 0 {
+			buf = append(buf, ",")
+		}
+		buf = append(buf, l.Key, "=", l.Value)
+	}
+	return slices.DeleteFunc(buf, func(s string) bool { return s == "" })
 }
 
 // Merge folds other into s: counters, gauges, histogram buckets and
 // SimSeconds add; metrics absent on one side are copied. Families whose
 // type or bucket scheme disagree are rejected — merging snapshots from
 // different schema versions would silently corrupt the aggregate.
-// Merging nil is a no-op.
+// Merging nil is a no-op. Both snapshots are in the order Snapshot gives
+// (as is every Merge result and the empty snapshot), and s stays so: a
+// family or metric s lacks is inserted at its place.
 func (s *Snapshot) Merge(other *Snapshot) error {
 	if other == nil {
 		return nil
 	}
 	s.SimSeconds += other.SimSeconds
-	byName := make(map[string]int, len(s.Families))
-	for i, f := range s.Families {
-		byName[f.Name] = i
-	}
 	for _, of := range other.Families {
-		i, ok := byName[of.Name]
+		i, ok := slices.BinarySearchFunc(s.Families, of.Name, func(f FamilySnap, name string) int {
+			return strings.Compare(f.Name, name)
+		})
 		if !ok {
-			copied := of
-			copied.Metrics = append([]MetricSnap(nil), of.Metrics...)
-			for j := range copied.Metrics {
-				copied.Metrics[j].Buckets = append([]uint64(nil), of.Metrics[j].Buckets...)
-			}
-			s.Families = append(s.Families, copied)
-			continue
+			s.Families = slices.Insert(s.Families, i, FamilySnap{Name: of.Name, Help: of.Help, Type: of.Type,
+				Uppers: of.Uppers, Metrics: make([]MetricSnap, 0, len(of.Metrics))})
 		}
 		f := &s.Families[i]
-		if f.Type != of.Type || !sameUppers(f.Uppers, of.Uppers) {
+		if f.Type != of.Type || !slices.Equal(f.Uppers, of.Uppers) {
 			return fmt.Errorf("telemetry: merge schema mismatch for %s", f.Name)
 		}
-		bySig := make(map[string]int, len(f.Metrics))
-		for j, m := range f.Metrics {
-			bySig[signature(m.Labels)] = j
-		}
 		for _, om := range of.Metrics {
-			j, ok := bySig[signature(om.Labels)]
+			j, ok := slices.BinarySearchFunc(f.Metrics, om.Labels, func(m MetricSnap, ls []Label) int {
+				return compareLabels(m.Labels, ls)
+			})
 			if !ok {
-				copied := om
-				copied.Buckets = append([]uint64(nil), om.Buckets...)
-				f.Metrics = append(f.Metrics, copied)
+				om.Buckets = slices.Clone(om.Buckets)
+				f.Metrics = slices.Insert(f.Metrics, j, om)
 				continue
 			}
 			m := &f.Metrics[j]
@@ -149,25 +171,7 @@ func (s *Snapshot) Merge(other *Snapshot) error {
 			}
 		}
 	}
-	// Restore deterministic order after appends.
-	sort.Slice(s.Families, func(i, j int) bool { return s.Families[i].Name < s.Families[j].Name })
-	for i := range s.Families {
-		ms := s.Families[i].Metrics
-		sort.Slice(ms, func(a, b int) bool { return signature(ms[a].Labels) < signature(ms[b].Labels) })
-	}
 	return nil
-}
-
-func sameUppers(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Family returns the named family snapshot, if present.

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bytes"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -28,20 +27,55 @@ func TestRegistryDedupAndLabelOrder(t *testing.T) {
 	}
 }
 
-// TestSortLabelsIsStableAndAllocatesOnlyTheCopy: labels sort by key,
-// labels that repeat a key keep their given order, and the sort itself
-// allocates nothing (the copy is the one object).
-func TestSortLabelsIsStableAndAllocatesOnlyTheCopy(t *testing.T) {
-	in := []Label{{"z", "1"}, {"b", "2"}, {"a", "3"}, {"b", "4"}, {"a", "5"}, {"b", "6"}}
-	want := []Label{{"a", "3"}, {"a", "5"}, {"b", "2"}, {"b", "4"}, {"b", "6"}, {"z", "1"}}
-	if got := sortLabels(in); !slices.Equal(got, want) {
-		t.Fatalf("sortLabels = %v, want %v", got, want)
+// TestSeriesKeyIsStableAndAllocatesNothing: labels sort by key into a
+// series key, labels that repeat a key keep their given order, the
+// caller's slice is left alone, and the key is a value, so building it
+// allocates nothing.
+func TestSeriesKeyIsStableAndAllocatesNothing(t *testing.T) {
+	in := []Label{{"z", "1"}, {"b", "2"}, {"b", "4"}}
+	want := [maxLabels]Label{{"b", "2"}, {"b", "4"}, {"z", "1"}}
+	if got := seriesKey("f_total", in); got != want {
+		t.Fatalf("seriesKey = %v, want %v", got, want)
 	}
 	if in[0] != (Label{"z", "1"}) {
-		t.Fatal("sortLabels reordered its argument")
+		t.Fatal("seriesKey reordered its argument")
 	}
-	if allocs := testing.AllocsPerRun(100, func() { sortLabels(in) }); allocs != 1 {
-		t.Errorf("sortLabels allocates %.0f objects, want 1", allocs)
+	var k [maxLabels]Label
+	if allocs := testing.AllocsPerRun(100, func() { k = seriesKey("f_total", in) }); allocs != 0 || k != want {
+		t.Errorf("seriesKey allocates %.0f objects, want 0", allocs)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a label set longer than maxLabels was accepted")
+		}
+	}()
+	seriesKey("f_total", make([]Label, maxLabels+1))
+}
+
+// TestRepeatLookupAllocatesNothing: finding a registered series again
+// builds no key string, label copy or signature, with one label and with
+// two, for counters and histograms.
+func TestRepeatLookupAllocatesNothing(t *testing.T) {
+	r := NewRegistry()
+	kind, cause := "POLL", "loss"
+	lookups := []struct {
+		name string
+		get  func()
+	}{
+		{"counter, one label", func() { r.Counter("tx_total", "h", Label{"kind", kind}).Inc() }},
+		{"counter, two labels", func() {
+			r.Counter("dropped_total", "h", Label{"kind", kind}, Label{"cause", cause}).Inc()
+		}},
+		{"histogram, one label", func() { r.Histogram("lat_seconds", "h", TimeBuckets, Label{"kind", kind}).Observe(1) }},
+		{"histogram, two labels", func() {
+			r.Histogram("hops", "h", hopBuckets, Label{"kind", kind}, Label{"cause", cause}).Observe(2)
+		}},
+	}
+	for _, l := range lookups {
+		l.get()
+		if allocs := testing.AllocsPerRun(100, l.get); allocs != 0 {
+			t.Errorf("%s: a repeat lookup allocates %.0f objects, want 0", l.name, allocs)
+		}
 	}
 }
 
