@@ -259,7 +259,9 @@ trace-smoke:
 # 10-minute push, pull and rpcc-hy runs (the baselines' instruments and
 # every consistency level), the stdout and metrics of one-hour rpcc-sc
 # and pull runs at I_Update 10 s and I_Query 2 min (≈ 360 commits per
-# item, so every history spans several segments), the conformance gate's
+# item, so every history spans several segments), the stdout and metrics
+# of 30-minute runs over DSR routing and at 20 % link loss (the two
+# ablation paths left on the hop-delay code), the conformance gate's
 # report, and rpcc scale's stdout (kernel events-fired counts included)
 # for 10k peers over 60 s as strips and as one field.
 # BASE is exported with git archive rather than checked out in a
@@ -268,7 +270,7 @@ trace-smoke:
 PARITY_TMP ?= /tmp/rpcc-parity
 PARITY_FILES = figures.txt chaos.txt chaos.prom chaos.jsonl push.prom pull.prom rpcc-hy.prom \
 	write-rpcc-sc.txt write-rpcc-sc.prom write-pull.txt write-pull.prom \
-	conform.txt scale-strips.txt scale-field.txt
+	dsr.txt dsr.prom loss.txt loss.prom conform.txt scale-strips.txt scale-field.txt
 define parityOutputs
 	$(1)/rpcc figures -simtime 1h > $(1)/figures.txt
 	$(1)/rpcc run -seed 11 -simtime 25m -detail=false -faults demo \
@@ -280,6 +282,8 @@ define parityOutputs
 		$(1)/rpcc run -strategy $$s -update 10s -query 2m -simtime 1h \
 			-metrics-out $(1)/write-$$s.prom > $(1)/write-$$s.txt || exit 1; \
 	done
+	$(1)/rpcc run -dsr -simtime 30m -metrics-out $(1)/dsr.prom > $(1)/dsr.txt
+	$(1)/rpcc run -loss 0.2 -simtime 30m -metrics-out $(1)/loss.prom > $(1)/loss.txt
 	$(1)/rpcc conform -seeds 5 -fuzz 25 > $(1)/conform.txt
 	$(1)/rpcc scale -peers 10000 -simtime 60s -seed 1 > $(1)/scale-strips.txt
 	$(1)/rpcc scale -peers 10000 -simtime 60s -seed 1 -shards 1 > $(1)/scale-field.txt

@@ -142,34 +142,6 @@ func BenchmarkAblationOmega(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationEagerRefresh quantifies the eager relay-refresh
-// extension (DESIGN.md A4): RPCC(SC) with and without it.
-func BenchmarkAblationEagerRefresh(b *testing.B) {
-	var eager, faithful experiment.Result
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, disable := range []bool{false, true} {
-			cfg := experiment.DefaultConfig(experiment.StrategyRPCCSC, 1)
-			cfg.SimTime = benchSimTime
-			cfg.DisableEagerRefresh = disable
-			r, err := experiment.Run(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if disable {
-				faithful = r
-			} else {
-				eager = r
-			}
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(eager.TotalTx), "eager_msgs")
-	b.ReportMetric(float64(faithful.TotalTx), "fig6c_msgs")
-	b.ReportMetric(float64(eager.MeanLatency.Milliseconds()), "eager_ms")
-	b.ReportMetric(float64(faithful.MeanLatency.Milliseconds()), "fig6c_ms")
-}
-
 // benchPoints draws the Table 1 geometry: 50 nodes uniform on 1.5×1.5 km.
 func benchPoints(b testing.TB, n int) []geo.Point {
 	b.Helper()
@@ -276,41 +248,6 @@ func BenchmarkAblationLossRate(b *testing.B) {
 	b.StopTimer()
 	for j, rate := range rates {
 		b.ReportMetric(100*results[j].AnswerRate(), fmt.Sprintf("loss%.0f%%_answered_pct", 100*rate))
-	}
-}
-
-// BenchmarkAblationSerializedRadio swaps the idealised parallel radio for
-// a single serialized transmitter per node (DESIGN.md A10): flood-heavy
-// pull should feel MAC queueing hardest.
-func BenchmarkAblationSerializedRadio(b *testing.B) {
-	type pair struct{ ideal, serial experiment.Result }
-	results := map[experiment.StrategyKind]*pair{}
-	strategies := []experiment.StrategyKind{experiment.StrategyPull, experiment.StrategyRPCCSC}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, s := range strategies {
-			p := &pair{}
-			for _, serialize := range []bool{false, true} {
-				cfg := experiment.DefaultConfig(s, 1)
-				cfg.SimTime = benchSimTime
-				cfg.SerializeTx = serialize
-				r, err := experiment.Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if serialize {
-					p.serial = r
-				} else {
-					p.ideal = r
-				}
-			}
-			results[s] = p
-		}
-	}
-	b.StopTimer()
-	for _, s := range strategies {
-		b.ReportMetric(float64(results[s].ideal.MeanLatency.Milliseconds()), fmt.Sprintf("%s_ideal_ms", s))
-		b.ReportMetric(float64(results[s].serial.MeanLatency.Milliseconds()), fmt.Sprintf("%s_mac_ms", s))
 	}
 }
 

@@ -22,7 +22,31 @@ import (
 	"time"
 )
 
-// Config carries every RPCC knob. Defaults follow the paper's Table 1.
+// The protocol constants no experiment varies.
+const (
+	// PollTTL is the scope of the first POLL ring a cache node floods
+	// when it must validate a copy.
+	PollTTL = 2
+	// RepairTimeout bounds how long a node waits on an outstanding APPLY
+	// or GET_NEW before the next INVALIDATION may retrigger it. Without
+	// it a single lost APPLY_ACK or SEND_NEW would wedge the relay
+	// lifecycle forever (§4.5's lost-message cases). It is also the first
+	// rung of the retry backoff ladder: the wait doubles after every
+	// unanswered re-send, capped at RepairBackoffMax.
+	RepairTimeout = 10 * time.Second
+	// RepairBackoffMax caps the exponential retry gate grown from
+	// RepairTimeout.
+	RepairBackoffMax = 8 * RepairTimeout
+	// MaxRepairAttempts bounds consecutive unanswered APPLY or GET_NEW
+	// sends for one item before the node gives up; strictly newer version
+	// evidence (a higher INVALIDATION version) reopens the attempt
+	// budget. Without a bound, a relay on the wrong side of a permanent
+	// partition retries its source forever.
+	MaxRepairAttempts = 6
+)
+
+// Config carries every RPCC knob an experiment varies. Defaults follow the
+// paper's Table 1.
 type Config struct {
 	// InvalidationTTL is the hop scope of the periodic INVALIDATION flood
 	// (Table 1: 3 hops). It determines which cache nodes can hear the
@@ -39,9 +63,6 @@ type Config struct {
 	// TTP is how long a cache node's copy satisfies Δ-consistency after
 	// its last validation (Table 1: 4 minutes). TTP is the Δ of §4.4.
 	TTP time.Duration
-	// PollTTL is the scope of the first POLL ring a cache node floods
-	// when it must validate a copy.
-	PollTTL int
 	// PollFallbackTTL is the network-wide scope used when no relay
 	// answered the first ring (TTL_BR in Table 1: 8 hops).
 	PollFallbackTTL int
@@ -66,69 +87,36 @@ type Config struct {
 	// Fig 5 demotes on any failing window; a little hysteresis keeps the
 	// relay population from flapping on coefficient noise.
 	DemoteAfter int
-	// RepairTimeout bounds how long a node waits on an outstanding APPLY
-	// or GET_NEW before the next INVALIDATION may retrigger it. Without
-	// it a single lost APPLY_ACK or SEND_NEW would wedge the relay
-	// lifecycle forever (§4.5's lost-message cases). It is also the first
-	// rung of the retry backoff ladder: the wait doubles after every
-	// unanswered re-send, capped at RepairBackoffMax.
-	RepairTimeout time.Duration
-	// RepairBackoffMax caps the exponential retry gate grown from
-	// RepairTimeout. Zero means 8×RepairTimeout (set by New).
-	RepairBackoffMax time.Duration
-	// MaxRepairAttempts bounds consecutive unanswered APPLY or GET_NEW
-	// sends for one item before the node gives up; strictly newer version
-	// evidence (a higher INVALIDATION version) reopens the attempt
-	// budget. Zero means 6 (set by New). Without a bound, a relay on the
-	// wrong side of a permanent partition retries its source forever.
-	MaxRepairAttempts int
-	// DisableRepair drops every GET_NEW/re-APPLY repair trigger — a
-	// deliberately broken protocol that cannot recover missed updates.
-	// Exists solely so the chaos auditor's regression tests can prove
-	// they catch the resulting consistency violations.
-	DisableRepair bool
 	// ActiveSource, when non-nil, restricts the periodic source-host
 	// duties (UPDATE push + INVALIDATION flood) to hosts for which it
 	// returns true. The Fig 9 scenario has a single active source; all
 	// other hosts own items nobody caches and stay silent.
 	ActiveSource func(host int) bool
 	// Mutant selects a deliberately broken protocol variant for the
-	// conformance mutation gate (internal/oracle, rpcc conform): each
-	// value reverts or corrupts exactly one correctness-critical guard so
-	// the gate can prove the differential oracle detects the breakage.
-	// Like DisableRepair, it exists solely for the verification tooling:
+	// conformance mutation gate (internal/oracle, rpcc conform) and the
+	// chaos auditor's tests: each value reverts or corrupts exactly one
+	// correctness-critical guard so a gate can prove it detects the
+	// breakage. It exists solely for the verification tooling:
 	// experiment configs cannot reach it, and the zero value is the
 	// correct protocol.
 	Mutant Mutant
-	// EagerRelayRefresh extends Fig 6(c): a relay whose TTR has expired
-	// and that receives a POLL immediately repairs with GET_NEW instead
-	// of idling until the next INVALIDATION. The paper's protocol waits
-	// ("the relay peer has to wait for the next INVALIDATION"); eager
-	// refresh converts many fallback floods into two unicasts. On by
-	// default; the A4 ablation benchmark quantifies the difference.
-	EagerRelayRefresh bool
 }
 
 // DefaultConfig returns the Table 1 parameterisation.
 func DefaultConfig() Config {
 	return Config{
-		InvalidationTTL:   3,
-		TTN:               2 * time.Minute,
-		TTR:               90 * time.Second,
-		TTP:               4 * time.Minute,
-		PollTTL:           2,
-		PollFallbackTTL:   8,
-		PollTimeout:       150 * time.Millisecond,
-		CoeffPeriod:       time.Minute,
-		Omega:             0.2,
-		MuCAR:             0.15,
-		MuCS:              0.6,
-		MuCE:              0.6,
-		DemoteAfter:       3,
-		RepairTimeout:     10 * time.Second,
-		RepairBackoffMax:  80 * time.Second,
-		MaxRepairAttempts: 6,
-		EagerRelayRefresh: true,
+		InvalidationTTL: 3,
+		TTN:             2 * time.Minute,
+		TTR:             90 * time.Second,
+		TTP:             4 * time.Minute,
+		PollFallbackTTL: 8,
+		PollTimeout:     150 * time.Millisecond,
+		CoeffPeriod:     time.Minute,
+		Omega:           0.2,
+		MuCAR:           0.15,
+		MuCS:            0.6,
+		MuCE:            0.6,
+		DemoteAfter:     3,
 	}
 }
 
@@ -143,8 +131,8 @@ func (c Config) Validate() error {
 	if c.TTR > c.TTN {
 		return fmt.Errorf("core: TTR %v must not exceed TTN %v (a relay cannot stay authoritative past the refresh it never got)", c.TTR, c.TTN)
 	}
-	if c.PollTTL <= 0 || c.PollFallbackTTL < c.PollTTL {
-		return fmt.Errorf("core: bad poll TTLs (%d, fallback %d)", c.PollTTL, c.PollFallbackTTL)
+	if c.PollFallbackTTL < PollTTL {
+		return fmt.Errorf("core: fallback poll TTL %d below the ring's %d", c.PollFallbackTTL, PollTTL)
 	}
 	if c.PollTimeout <= 0 {
 		return fmt.Errorf("core: non-positive poll timeout %v", c.PollTimeout)
@@ -154,18 +142,6 @@ func (c Config) Validate() error {
 	}
 	if c.DemoteAfter <= 0 {
 		return fmt.Errorf("core: non-positive demotion hysteresis %d", c.DemoteAfter)
-	}
-	if c.RepairTimeout <= 0 {
-		return fmt.Errorf("core: non-positive repair timeout %v", c.RepairTimeout)
-	}
-	if c.RepairBackoffMax < 0 {
-		return fmt.Errorf("core: negative repair backoff cap %v", c.RepairBackoffMax)
-	}
-	if c.RepairBackoffMax > 0 && c.RepairBackoffMax < c.RepairTimeout {
-		return fmt.Errorf("core: repair backoff cap %v below repair timeout %v", c.RepairBackoffMax, c.RepairTimeout)
-	}
-	if c.MaxRepairAttempts < 0 {
-		return fmt.Errorf("core: negative repair attempt bound %d", c.MaxRepairAttempts)
 	}
 	if c.Omega < 0 || c.Omega > 1 {
 		return fmt.Errorf("core: omega %g outside [0,1]", c.Omega)
@@ -182,9 +158,9 @@ func (c Config) Validate() error {
 }
 
 // Mutant enumerates the deliberately broken protocol variants injected by
-// the conformance mutation gate. Each mutant corrupts one guard the
-// differential oracle must catch; MutantNone (the zero value) is the
-// correct protocol.
+// the conformance mutation gate and the chaos auditor's tests. Each
+// mutant corrupts one guard its gate must catch; MutantNone (the zero
+// value) is the correct protocol.
 type Mutant int
 
 const (
@@ -214,8 +190,13 @@ const (
 	// older than the cached version, bypassing the cache's monotone guard
 	// and regressing the node's answers.
 	MutantStoreRegression
+	// MutantNoRepair drops every GET_NEW/re-APPLY repair trigger, so a
+	// relay cannot recover missed updates. The chaos auditor's
+	// regression tests select it to prove they catch the resulting
+	// consistency violations.
+	MutantNoRepair
 
-	mutantMax = MutantStoreRegression
+	mutantMax = MutantNoRepair
 )
 
 // String names the mutant for gate reports.
@@ -237,6 +218,8 @@ func (m Mutant) String() string {
 		return "ttp-double"
 	case MutantStoreRegression:
 		return "store-regression"
+	case MutantNoRepair:
+		return "no-repair"
 	default:
 		return fmt.Sprintf("mutant(%d)", int(m))
 	}

@@ -397,12 +397,6 @@ func New(cfg Config, ch *node.Chassis, tel Telemetry) (*Engine, error) {
 	if ch == nil {
 		return nil, fmt.Errorf("core: nil chassis")
 	}
-	if cfg.RepairBackoffMax == 0 {
-		cfg.RepairBackoffMax = 8 * cfg.RepairTimeout
-	}
-	if cfg.MaxRepairAttempts == 0 {
-		cfg.MaxRepairAttempts = 6
-	}
 	tr, err := NewCoeffTracker(cfg.Omega, cfg.CoeffPeriod)
 	if err != nil {
 		return nil, err
@@ -707,7 +701,7 @@ func (e *Engine) pollStage(k *sim.Kernel, r *pollRound) {
 		r.q.Route = "poll-ring"
 		r.tc = e.ch.Tracer.StartChild(k.Now().Nanoseconds(), r.q.TC, r.host, ctrace.PhasePoll, "poll-ring")
 		msg.Trace = r.tc
-		err = e.ch.Net.Flood(r.host, e.cfg.PollTTL, msg)
+		err = e.ch.Net.Flood(r.host, PollTTL, msg)
 	default:
 		e.pollFallback++
 		r.q.Route = "poll-fallback"

@@ -73,7 +73,7 @@ func newEnvAt(t *testing.T, pts []geo.Point, cfg Config) *env {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := node.NewChassis(node.DefaultConfig(), net, reg, stores, stats.NewLatency(), aud)
+	ch, err := node.NewChassis(net, reg, stores, stats.NewLatency(), aud)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,11 +114,11 @@ func (e *Engine) onInvalidation(k *sim.Kernel, nd int, msg protocol.Message) {
 		// The gate doubles with every unanswered send and the candidate
 		// gives up at MaxRepairAttempts.
 		if st.is(applyPending) {
-			if e.cfg.DisableRepair {
+			if e.cfg.Mutant == MutantNoRepair {
 				return
 			}
 			w := e.peekWork(st)
-			if int(w.applyAttempts) >= e.cfg.MaxRepairAttempts {
+			if int(w.applyAttempts) >= MaxRepairAttempts {
 				if !st.is(applyGaveUp) {
 					st.set(applyGaveUp)
 					e.meters.giveUps[repairApply].Inc()
@@ -146,11 +146,11 @@ func (e *Engine) onInvalidation(k *sim.Kernel, nd int, msg protocol.Message) {
 // repairGate returns the resend gate after the given number of unanswered
 // sends: RepairTimeout doubling per attempt, capped at RepairBackoffMax.
 func (e *Engine) repairGate(attempts int) time.Duration {
-	gate := e.cfg.RepairTimeout
+	gate := RepairTimeout
 	for i := 1; i < attempts; i++ {
 		gate *= 2
-		if gate >= e.cfg.RepairBackoffMax {
-			return e.cfg.RepairBackoffMax
+		if gate >= RepairBackoffMax {
+			return RepairBackoffMax
 		}
 	}
 	return gate
@@ -165,12 +165,12 @@ func (e *Engine) repairGate(attempts int) time.Duration {
 // INVALIDATION or stale UPDATE delivery); the repair round — including
 // every backoff resend until SEND_NEW lands — is one repair span under it.
 func (e *Engine) sendGetNew(k *sim.Kernel, nd int, item data.ItemID, st *itemState, parent protocol.TraceContext) {
-	if e.cfg.DisableRepair {
+	if e.cfg.Mutant == MutantNoRepair {
 		return
 	}
 	if st.is(getNewPending) {
 		w := e.peekWork(st)
-		if int(w.getNewAttempts) >= e.cfg.MaxRepairAttempts {
+		if int(w.getNewAttempts) >= MaxRepairAttempts {
 			if !st.is(getNewGaveUp) {
 				st.set(getNewGaveUp)
 				e.meters.giveUps[repairGetNew].Inc()
@@ -436,17 +436,16 @@ func (e *Engine) onPoll(k *sim.Kernel, nd int, msg protocol.Message) {
 	if !e.ttrValid(k, st) {
 		// Stale relay: hold the poll until the next refresh (Fig 6c line
 		// 16). The poller's own timeout escalates in parallel, so this
-		// never stalls the query indefinitely. With eager refresh the
-		// relay repairs right away instead of waiting out the TTR gap.
+		// never stalls the query indefinitely. Extending Fig 6(c), the
+		// relay repairs with GET_NEW right away instead of waiting out
+		// the TTR gap, which turns many fallback floods into two unicasts.
 		// The queue is bounded: beyond it, older entries (whose pollers
 		// have long since escalated) are discarded first.
 		e.holdPoll(st, pendingPoll{
 			from: msg.Origin, seq: msg.Seq, version: msg.Version, at: k.Now(),
 			tc: msg.Trace,
 		})
-		if e.cfg.EagerRelayRefresh {
-			e.sendGetNew(k, nd, msg.Item, st, msg.Trace)
-		}
+		e.sendGetNew(k, nd, msg.Item, st, msg.Trace)
 		return
 	}
 	cp, have := e.ch.Stores[nd].Peek(msg.Item)

@@ -58,7 +58,7 @@ func newFaultEnv(t *testing.T, n int, cfg Config) *faultEnv {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := node.NewChassis(node.DefaultConfig(), net, reg, stores, stats.NewLatency(), aud)
+	ch, err := node.NewChassis(net, reg, stores, stats.NewLatency(), aud)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestChurnStormSystemSurvives(t *testing.T) {
 		stores[i], _ = cache.NewStore(6)
 	}
 	aud, _ := consistency.NewAuditor(reg, 4*time.Minute, 5*time.Second)
-	ch, err := node.NewChassis(node.DefaultConfig(), net, reg, stores, stats.NewLatency(), aud)
+	ch, err := node.NewChassis(net, reg, stores, stats.NewLatency(), aud)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -164,7 +164,7 @@ func TestTracedChaosRecordsEveryFaultAndRoleInvisibly(t *testing.T) {
 // hearing newer version evidence — must be caught by the heal-convergence
 // invariant.
 func TestChaosBrokenRepairCaught(t *testing.T) {
-	rep := runChaos(t, chaosConfig(), WithCoreConfig(func(c *core.Config) { c.DisableRepair = true })).Faults
+	rep := runChaos(t, chaosConfig(), WithCoreConfig(func(c *core.Config) { c.Mutant = core.MutantNoRepair })).Faults
 	if rep.HealViolations == 0 {
 		t.Fatalf("auditor missed the disabled repair path: %s", rep)
 	}

@@ -90,10 +90,6 @@ type Config struct {
 	// WarmCaches pre-populates every node's cache (the paper's assumed
 	// placement substrate) instead of starting cold.
 	WarmCaches bool
-	// DisableEagerRefresh turns off the eager relay-refresh extension so
-	// a stale relay waits for the next INVALIDATION exactly as Fig 6(c)
-	// prescribes (the A4 ablation).
-	DisableEagerRefresh bool
 	// UseDSRRouting replaces the idealised oracle routing layer with
 	// DSR-style on-demand source routing, charging RREQ/RREP/RERR
 	// control traffic to the ledger (the A5 ablation; the paper's
@@ -102,9 +98,6 @@ type Config struct {
 	// LossRate is the per-reception link loss probability (0 = clean
 	// channel, the default; the A7 robustness sweep uses 0–0.3).
 	LossRate float64
-	// SerializeTx gives each node a single radio with MAC-style queueing
-	// instead of the idealised parallel radio (the A10 ablation).
-	SerializeTx bool
 	// RouteTableCap bounds the live per-destination route tables kept by
 	// each topology snapshot (0 = unlimited). Scale runs set a cap so
 	// persistent route state stays linear in the cap rather than

@@ -241,12 +241,10 @@ func (w *World) installFaults() error {
 	if err != nil {
 		return err
 	}
-	coreCfg := coreConfigFrom(w.Config)
 	aud, err := faults.NewAuditor(faults.AuditorConfig{
 		SweepEvery:        chaosSweepEvery,
 		RepairWindow:      fc.RepairWindow.D(),
-		TTN:               coreCfg.TTN,
-		MaxRepairAttempts: coreCfg.MaxRepairAttempts,
+		TTN:               coreConfigFrom(w.Config).TTN,
 		StrongStaleBudget: fc.StrongStaleBudget,
 	}, w.Reg, w.Stores, w.Churn, w.Engine, w.Chassis.Auditor)
 	if err != nil {

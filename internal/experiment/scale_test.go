@@ -65,6 +65,10 @@ func liveHeap() int64 {
 // never shows. A scale run keeps one region per worker in memory, so this
 // is what its peak is made of. Measured (go1.24, linux/amd64), newest
 // first:
+//   - 8–9 B per node less at both checkpoints (3 037 and 3 639 against
+//     3 046 and 3 647 on one box) with no per-node radio-reservation
+//     horizon; the budgets take the figures below less that drop,
+//     3 029 and 3 648;
 //   - 3 038 B per node at 1 s and 3 656 at 3 min with 48-byte masters and
 //     commit histories carved from the registry's slab only once an item
 //     is updated (a 72-byte master, an 8-byte history slot per item and
@@ -102,8 +106,8 @@ func TestBytesPerNodeBudget(t *testing.T) {
 		at     time.Duration
 		budget float64
 	}{
-		{time.Second, 1.10 * 3038},
-		{3 * time.Minute, 1.10 * 3656},
+		{time.Second, 1.10 * 3029},
+		{3 * time.Minute, 1.10 * 3648},
 	} {
 		w.RunUntil(c.at)
 		perNode := float64(liveHeap()-base) / n
@@ -119,10 +123,16 @@ func TestBytesPerNodeBudget(t *testing.T) {
 	runtime.KeepAlive(w)
 }
 
+// setupByteBudget is TestSetupAllocationBudget's byte budget per node for
+// a plain build; race_test.go sets the race detector's own.
+var setupByteBudget = 1.05 * 2595
+
 // TestSetupAllocationBudget pins what assembling a scale run costs per
 // node: a 2 000-node scenario at Table 1 density with the scale resource
 // bounds, run for 1 ms so set-up is nearly all of it. Measured (go1.24,
 // linux/amd64), newest first:
+//   - 0.13 mallocs and 2 596 B per node (2 604 on the same box before)
+//     with no per-node radio-reservation horizon;
 //   - 0.14 mallocs and 2 639 B per node with telemetry series drawn from
 //     registry blocks and found without a key string (every registration
 //     was a label copy, a signature and a record of its own), and every
@@ -146,10 +156,11 @@ func TestBytesPerNodeBudget(t *testing.T) {
 //
 // The malloc budget is the latest measurement + 20 %, the byte budget
 // the latest + 5 %; both only ever tighten, so the byte budget stays
-// where 2 603 B put it.
+// where 2 603 B less the 8 B horizon put it. The race detector's runtime
+// allocates more per node; race_test.go gives that build its own figure.
 func TestSetupAllocationBudget(t *testing.T) {
 	const n = 2000
-	const mallocBudget, byteBudget = 1.2 * 0.14, 1.05 * 2603
+	const mallocBudget = 1.2 * 0.14
 	cfg := scaleBoundsConfig(n, 1)
 	cfg.SimTime = time.Millisecond
 
@@ -163,9 +174,9 @@ func TestSetupAllocationBudget(t *testing.T) {
 	mallocs := float64(after.Mallocs-before.Mallocs) / n
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / n
 	t.Logf("set-up: %.2f mallocs and %.0f B per node", mallocs, bytes)
-	if mallocs > mallocBudget || bytes > byteBudget {
+	if mallocs > mallocBudget || bytes > setupByteBudget {
 		t.Errorf("set-up allocates %.1f mallocs and %.0f B per node; budget %.1f and %.0f",
-			mallocs, bytes, mallocBudget, byteBudget)
+			mallocs, bytes, mallocBudget, setupByteBudget)
 	}
 }
 

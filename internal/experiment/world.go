@@ -93,9 +93,8 @@ func WithTracer(c *ctrace.Collector) Option { return func(o *options) { o.tracer
 func WithLayout(pts []geo.Point) Option { return func(o *options) { o.layout = pts } }
 
 // WithCoreConfig lets fn rewrite the RPCC engine's config after Build
-// derives it from Config. The deliberately broken knobs
-// (core.Config.Mutant, DisableRepair) are reachable only this way, never
-// from a Config.
+// derives it from Config. The deliberately broken protocol variants
+// (core.Config.Mutant) are reachable only this way, never from a Config.
 func WithCoreConfig(fn func(*core.Config)) Option { return func(o *options) { o.core = fn } }
 
 // setupTimersPerNode bounds the timers set-up arms per node: one churn
@@ -173,7 +172,6 @@ func Build(cfg Config, opts ...Option) (*World, error) {
 		netCfg.Routing = netsim.RoutingDSR
 	}
 	netCfg.LossRate = cfg.LossRate
-	netCfg.SerializeTx = cfg.SerializeTx
 	netCfg.RouteTableCap = cfg.RouteTableCap
 	netCfg.LazyChurnRefresh = cfg.LazyChurnRefresh
 	if w.Net, err = netsim.New(netCfg, k, positions, w.Churn, w.Batteries, stats.NewTraffic()); err != nil {
@@ -201,7 +199,7 @@ func Build(cfg Config, opts ...Option) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	if w.Chassis, err = node.NewChassis(node.DefaultConfig(), w.Net, w.Reg, w.Stores, stats.NewLatency(), aud); err != nil {
+	if w.Chassis, err = node.NewChassis(w.Net, w.Reg, w.Stores, stats.NewLatency(), aud); err != nil {
 		return nil, err
 	}
 	w.Chassis.AttachTelemetry(w.Hub)
@@ -308,7 +306,6 @@ func coreConfigFrom(cfg Config) core.Config {
 	c.MuCAR = cfg.MuCAR
 	c.MuCS = cfg.MuCS
 	c.MuCE = cfg.MuCE
-	c.EagerRelayRefresh = !cfg.DisableEagerRefresh
 	return c
 }
 

@@ -29,8 +29,6 @@ type AuditorConfig struct {
 	// shorter than TTN cannot guarantee any INVALIDATION fell inside it,
 	// so such heal checks are recorded as skipped, not violated.
 	TTN time.Duration
-	// MaxRepairAttempts is the engine's retry bound (invariant 4).
-	MaxRepairAttempts int
 	// StrongStaleBudget is the tolerated stale-SC answer fraction for
 	// invariant 1 (see Config.StrongStaleBudget). Zero means strict.
 	StrongStaleBudget float64
@@ -46,9 +44,6 @@ func (c AuditorConfig) Validate() error {
 	}
 	if c.RepairWindow > 0 && c.TTN <= 0 {
 		return fmt.Errorf("faults: heal checks need the protocol TTN")
-	}
-	if c.MaxRepairAttempts < 0 {
-		return fmt.Errorf("faults: negative repair attempt bound %d", c.MaxRepairAttempts)
 	}
 	if c.StrongStaleBudget < 0 || c.StrongStaleBudget > 1 {
 		return fmt.Errorf("faults: strong-stale budget %g outside [0,1]", c.StrongStaleBudget)
@@ -81,7 +76,7 @@ func (c AuditorConfig) Validate() error {
 //     no trigger to retry on and is not flagged; neither are relays the
 //     flood never reached at all (§4.5 is conditional on hearing one).
 //  4. Repair retries are bounded: no item state ever exceeds the
-//     engine's MaxRepairAttempts consecutive unanswered sends.
+//     engine's core.MaxRepairAttempts consecutive unanswered sends.
 type Auditor struct {
 	cfg    AuditorConfig
 	reg    *data.Registry
@@ -149,12 +144,12 @@ func (a *Auditor) sweep(k *sim.Kernel) {
 			}
 		}
 	}
-	if a.engine != nil && a.cfg.MaxRepairAttempts > 0 {
+	if a.engine != nil {
 		maxGetNew, maxApply := a.engine.RepairScan()
-		if maxGetNew > a.cfg.MaxRepairAttempts || maxApply > a.cfg.MaxRepairAttempts {
+		if maxGetNew > core.MaxRepairAttempts || maxApply > core.MaxRepairAttempts {
 			a.rep.RetryViolations++
 			a.detail("retry-bound: outstanding attempts get-new=%d apply=%d exceed %d at %v",
-				maxGetNew, maxApply, a.cfg.MaxRepairAttempts, k.Now())
+				maxGetNew, maxApply, core.MaxRepairAttempts, k.Now())
 		}
 	}
 }

@@ -30,7 +30,7 @@ func (pair) PositionsAt(_ time.Duration, dst []geo.Point) []geo.Point {
 // INVALIDATION announcing a version it missed, whose GET_NEW was dropped,
 // and which no later flood reached. Node 0 owns item 0; node 1 relays it.
 // It returns the audit report and the relay's debt at check time.
-func lostRepair(t *testing.T, disableRepair bool) (Report, core.RepairDebt) {
+func lostRepair(t *testing.T, mutant core.Mutant) (Report, core.RepairDebt) {
 	t.Helper()
 	k := sim.NewKernel(sim.WithSeed(1))
 	chn, err := churn.NewProcess(churn.Config{Disabled: true}, 2, k)
@@ -68,13 +68,13 @@ func lostRepair(t *testing.T, disableRepair bool) (Report, core.RepairDebt) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := node.NewChassis(node.DefaultConfig(), net, reg, stores, stats.NewLatency(), cons)
+	ch, err := node.NewChassis(net, reg, stores, stats.NewLatency(), cons)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := core.DefaultConfig()
 	cfg.DemoteAfter = 1000 // an idle relay must not step down on coefficients
-	cfg.DisableRepair = disableRepair
+	cfg.Mutant = mutant
 	eng, err := core.New(cfg, ch, core.Telemetry{})
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func lostRepair(t *testing.T, disableRepair bool) (Report, core.RepairDebt) {
 // afterwards never had a retry trigger: its debt is not unserviced, however
 // old it is.
 func TestHealCheckSparesRelayWithoutRetryTrigger(t *testing.T) {
-	rep, d := lostRepair(t, false)
+	rep, d := lostRepair(t, core.MutantNone)
 	if d.RetryAt <= d.HeardAt {
 		t.Fatalf("GET_NEW not outstanding past the evidence: %+v", d)
 	}
@@ -127,7 +127,7 @@ func TestHealCheckSparesRelayWithoutRetryTrigger(t *testing.T) {
 // The same relay with repair disabled heard its trigger and sent nothing:
 // that debt is unserviced and must be flagged.
 func TestHealCheckFlagsUnusedTrigger(t *testing.T) {
-	rep, d := lostRepair(t, true)
+	rep, d := lostRepair(t, core.MutantNoRepair)
 	if d.RetryAt != 0 {
 		t.Fatalf("repair disabled but a GET_NEW is outstanding: %+v", d)
 	}

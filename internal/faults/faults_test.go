@@ -106,7 +106,7 @@ func TestDemoFileIsDemo(t *testing.T) {
 }
 
 func TestAuditorConfigValidate(t *testing.T) {
-	good := AuditorConfig{SweepEvery: 5 * time.Second, RepairWindow: 3 * time.Minute, TTN: 2 * time.Minute, MaxRepairAttempts: 6}
+	good := AuditorConfig{SweepEvery: 5 * time.Second, RepairWindow: 3 * time.Minute, TTN: 2 * time.Minute}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid auditor config rejected: %v", err)
 	}
@@ -114,7 +114,6 @@ func TestAuditorConfigValidate(t *testing.T) {
 		{SweepEvery: 0},
 		{SweepEvery: time.Second, RepairWindow: -1},
 		{SweepEvery: time.Second, RepairWindow: time.Minute, TTN: 0},
-		{SweepEvery: time.Second, MaxRepairAttempts: -1},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

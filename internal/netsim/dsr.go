@@ -138,7 +138,7 @@ func (n *Network) rreqTransmit(node, target int, path []int, st *floodState, ttl
 	req := protocol.Message{Kind: protocol.KindRREQ, Origin: path[0], Path: path}
 	n.traffic.RecordTx(protocol.KindRREQ, req.Size())
 	n.spendTx(node)
-	delay := n.txDelay(node, req.Size())
+	delay := n.hopDelay(req.Size())
 	for _, v32 := range g.Neighbors(node) {
 		v := int(v32)
 		if st.visited[v] {
@@ -233,7 +233,7 @@ func (n *Network) dsrForward(msg protocol.Message, idx int, sentAt time.Duration
 	}
 	n.traffic.RecordTx(msg.Kind, msg.Size())
 	n.spendTx(cur)
-	n.k.After(n.txDelay(cur, msg.Size()), "dsr.hop", func(*sim.Kernel) {
+	n.k.After(n.hopDelay(msg.Size()), "dsr.hop", func(*sim.Kernel) {
 		switch {
 		case !n.Up(next):
 			n.traffic.RecordDropped(msg.Kind, stats.DropDisconnected)

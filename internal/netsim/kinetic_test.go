@@ -395,12 +395,18 @@ func TestStaticLayoutsMatchFullRebuild(t *testing.T) {
 // pair slab and the cell bins were carved with slack at init, and a row
 // outgrowing its slack or a node entering a cell init never saw takes
 // room from the plane's row slab, which allocates a chunk now and then.
-// Measured (go1.24, linux/amd64): 0.015 mallocs per sample (row slab
-// chunks and scratch lists reaching a new high water), up to 0.025 in
-// one run of ten where the runtime allocates in the window too, against
-// 0.27 while such a row appended into an array of its own, and 2.63
-// while every row grew one append at a time. The budget is the
-// measurement + 20 % and only ever tightens.
+// Measured (go1.24, linux/amd64): 0.015 mallocs per sample in the first
+// window and 0.023 in the second (row slab chunks and scratch lists
+// reaching a new high water), up to 0.025 in one run of ten where the
+// runtime allocates in the window too, against 0.27 while such a row
+// appended into an array of its own, and 2.63 while every row grew one
+// append at a time. The budget is the measurement + 20 % and only ever
+// tightens.
+//
+// The count is process-wide, and in about one run of ten to thirty the
+// runtime makes a dozen mallocs of its own inside a window. So two
+// consecutive two-minute windows are measured: an allocation in the
+// plane repeats in both, the runtime's does not.
 func TestKineticSteadyStateAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("2 000-node kinetic run skipped in -short mode")
@@ -408,31 +414,36 @@ func TestKineticSteadyStateAllocationBudget(t *testing.T) {
 	const n = 2000
 	const budget = 1.2 * 0.025
 	const warm, window = 2 * time.Minute, 2 * time.Minute
-	h := newTopoHarnessOn(t, n, 1, warm+window, waypoints(1500*math.Sqrt(n/50.0)))
+	h := newTopoHarnessOn(t, n, 1, warm+2*window, waypoints(1500*math.Sqrt(n/50.0)))
 	at := time.Duration(0)
 	for at < warm {
 		at += 250 * time.Millisecond
 		h.k.RunUntil(at)
 		h.net.Graph()
 	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	samples0 := h.net.TopologyStats().KineticSamples
-	for at < warm+window {
-		at += 250 * time.Millisecond
-		h.k.RunUntil(at)
-		h.net.Graph()
+	// measure runs the plane through the next window and returns its
+	// mallocs per kinetic sample.
+	measure := func() float64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		samples0 := h.net.TopologyStats().KineticSamples
+		for end := at + window; at < end; {
+			at += 250 * time.Millisecond
+			h.k.RunUntil(at)
+			h.net.Graph()
+		}
+		runtime.ReadMemStats(&after)
+		samples := h.net.TopologyStats().KineticSamples - samples0
+		if samples == 0 {
+			t.Fatal("no kinetic sample in the window")
+		}
+		per := float64(after.Mallocs-before.Mallocs) / float64(samples)
+		t.Logf("%.3f mallocs per kinetic sample (%d samples)", per, samples)
+		return per
 	}
-	runtime.ReadMemStats(&after)
-	samples := h.net.TopologyStats().KineticSamples - samples0
-	if samples == 0 {
-		t.Fatal("no kinetic sample in the window")
-	}
-	per := float64(after.Mallocs-before.Mallocs) / float64(samples)
-	t.Logf("%.3f mallocs per kinetic sample (%d samples)", per, samples)
-	if per > budget {
-		t.Errorf("%.2f mallocs per kinetic sample in the steady state; budget %.2f", per, budget)
+	if first, second := measure(), measure(); first > budget && second > budget {
+		t.Errorf("%.3f and then %.3f mallocs per kinetic sample in the steady state; budget %.3f", first, second, budget)
 	}
 }
 

@@ -140,12 +140,6 @@ type Config struct {
 	// statement). Zero (the default) models a clean channel; protocols
 	// must survive non-zero values through their own timers.
 	LossRate float64
-	// SerializeTx, when set, gives each node a single radio: frames
-	// queue behind one another for their transmission time
-	// (size/bandwidth), so bursts experience MAC-style queueing delay.
-	// Off by default: the paper-reproduction figures use the idealised
-	// parallel radio, and the A10 ablation quantifies the difference.
-	SerializeTx bool
 	// RouteTableCap bounds how many per-destination route tables the
 	// snapshot keeps alive (0 = unlimited, the historical behaviour).
 	// Large kinetic runs set a cap so persistent tables stay O(cap·n)
@@ -239,9 +233,6 @@ type Network struct {
 	// node's participation in the network.
 	activity []uint64
 
-	// txBusy is each node's radio-reservation horizon under SerializeTx.
-	txBusy []time.Duration
-
 	// downBuf and posBuf are retained between topology rebuilds and
 	// position queries so the per-event hot path does not allocate.
 	downBuf []bool
@@ -304,7 +295,6 @@ func New(cfg Config, k *sim.Kernel, field PositionSource, churnProc *churn.Proce
 		jitter:    k.Stream("netsim.jitter"),
 		loss:      k.Stream("netsim.loss"),
 		activity:  make([]uint64, field.Len()),
-		txBusy:    make([]time.Duration, field.Len()),
 		builder:   radio.NewGraphBuilder(),
 	}
 	if cfg.Routing == routingUnset {
@@ -440,23 +430,6 @@ func (n *Network) kineticSample(down []bool, stamp uint64) (*radio.Graph, error)
 	g.PatchRoutes(n.diffBuf)
 	n.topo.KineticSamples++
 	return g, nil
-}
-
-// txDelay reserves node's radio for one frame and returns the delay until
-// the frame lands one hop away: the plain hop delay under the idealised
-// parallel radio, plus queueing behind earlier frames under SerializeTx.
-func (n *Network) txDelay(node, bytes int) time.Duration {
-	d := n.hopDelay(bytes)
-	if !n.cfg.SerializeTx {
-		return d
-	}
-	service := time.Duration(float64(bytes*8) / n.cfg.BandwidthBps * float64(time.Second))
-	start := n.k.Now()
-	if n.txBusy[node] > start {
-		start = n.txBusy[node]
-	}
-	n.txBusy[node] = start + service
-	return (start - n.k.Now()) + d
 }
 
 // SetLossModel installs (or with nil removes) a loss model that replaces
@@ -654,7 +627,7 @@ func (n *Network) forward(cur, dst int, msg protocol.Message, hops int, sentAt t
 	n.spendTx(cur)
 	h := n.hopTxs.New()
 	h.n, h.cur, h.next, h.dst, h.hops, h.sentAt, h.msg = n, cur, next, dst, hops, sentAt, msg
-	n.k.AfterTimer(n.txDelay(cur, msg.Size()), "netsim.hop", h)
+	n.k.AfterTimer(n.hopDelay(msg.Size()), "netsim.hop", h)
 }
 
 // hopTx is one unicast frame in the air: a pooled record carrying what the
@@ -771,7 +744,7 @@ func (n *Network) transmitFlood(node, ttlLeft int, st *floodState, hops int) {
 	size := st.msg.Size()
 	n.traffic.RecordTx(st.msg.Kind, size)
 	n.spendTx(node)
-	delay := n.txDelay(node, size)
+	delay := n.hopDelay(size)
 	var r *floodRx
 	row := g.Neighbors(node)
 	for _, v := range row {

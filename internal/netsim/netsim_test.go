@@ -717,72 +717,6 @@ func TestHopDelayGrowsWithSize(t *testing.T) {
 	}
 }
 
-func TestSerializeTxQueuesBursts(t *testing.T) {
-	// Ten 1KB frames sent back-to-back from one node: with a single
-	// serialized radio the last arrival trails the first by at least
-	// nine service times; with the idealised parallel radio they land
-	// nearly together.
-	arrivals := func(serialize bool) []time.Duration {
-		cfg := DefaultConfig()
-		cfg.SerializeTx = serialize
-		cfg.JitterMax = 0 // determinism for exact spacing assertions
-		k := sim.NewKernel(sim.WithSeed(1))
-		net, err := New(cfg, k, chain(2), nil, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var at []time.Duration
-		net.SetReceiver(1, func(_ *sim.Kernel, _ int, _ protocol.Message, m Meta) {
-			at = append(at, m.At)
-		})
-		big := protocol.Message{
-			Kind: protocol.KindUpdate, Item: 1, Version: 1, Origin: 0,
-			Copy: data.Copy{ID: 1, Version: 1, Value: data.ValueFor(1, 1)},
-		}
-		for i := 0; i < 10; i++ {
-			if err := net.Unicast(0, 1, big); err != nil {
-				t.Fatal(err)
-			}
-		}
-		k.Run()
-		return at
-	}
-	parallel := arrivals(false)
-	serial := arrivals(true)
-	if len(parallel) != 10 || len(serial) != 10 {
-		t.Fatalf("deliveries: parallel=%d serial=%d", len(parallel), len(serial))
-	}
-	parSpread := parallel[len(parallel)-1] - parallel[0]
-	serSpread := serial[len(serial)-1] - serial[0]
-	if parSpread != 0 {
-		t.Errorf("parallel radio spread a burst by %v", parSpread)
-	}
-	// Service time of a ~1KB frame at 2 Mbps is ~4.2ms; nine queued
-	// frames must spread at least ~35ms.
-	if serSpread < 30*time.Millisecond {
-		t.Errorf("serialized radio spread only %v", serSpread)
-	}
-}
-
-func TestSerializeTxPreservesDelivery(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.SerializeTx = true
-	k := sim.NewKernel(sim.WithSeed(2))
-	net, err := New(cfg, k, chain(5), nil, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := 0
-	net.SetReceiver(4, func(*sim.Kernel, int, protocol.Message, Meta) { got++ })
-	for i := 0; i < 20; i++ {
-		net.Unicast(0, 4, testMsg(protocol.KindPoll))
-	}
-	k.Run()
-	if got != 20 {
-		t.Fatalf("serialized radio delivered %d of 20", got)
-	}
-}
-
 // TestTracerSeesUnicastAndFloodDeliveries pins the delivery observer
 // hook (the telemetry hub and the conformance oracle hang off it): it
 // sees a routed unicast with its hop count and every flood reception.

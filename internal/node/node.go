@@ -87,50 +87,20 @@ func (f *fetch) Fire(k *sim.Kernel) {
 	}
 }
 
-// Config tunes the shared fetch machinery.
-type Config struct {
-	// RingTTLs is the expanding-ring search schedule for cooperative
-	// fetches; each ring floods DATA_REQUEST with the given TTL and waits
-	// RingTimeout before escalating.
-	RingTTLs    []int
-	RingTimeout time.Duration
-	// DirectTimeout bounds a unicast fetch from the owner.
-	DirectTimeout time.Duration
-}
+// The fetch schedule used in the experiments: a local 4-hop ring, then
+// the network-wide 8-hop flood (TTL_BR in Table 1). Each ring floods
+// DATA_REQUEST with its TTL and waits ringTimeout before escalating;
+// directTimeout bounds a unicast fetch from the owner.
+var ringTTLs = [...]int{4, 8}
 
-// DefaultConfig returns the fetch schedule used in the experiments: a
-// local 4-hop ring, then the network-wide 8-hop flood (TTL_BR in Table 1).
-func DefaultConfig() Config {
-	return Config{
-		RingTTLs:      []int{4, 8},
-		RingTimeout:   500 * time.Millisecond,
-		DirectTimeout: time.Second,
-	}
-}
-
-// Validate reports configuration errors.
-func (c Config) Validate() error {
-	if len(c.RingTTLs) == 0 {
-		return fmt.Errorf("node: empty ring schedule")
-	}
-	for _, ttl := range c.RingTTLs {
-		if ttl <= 0 {
-			return fmt.Errorf("node: non-positive ring TTL %d", ttl)
-		}
-	}
-	if c.RingTimeout <= 0 {
-		return fmt.Errorf("node: non-positive ring timeout %v", c.RingTimeout)
-	}
-	if c.DirectTimeout <= 0 {
-		return fmt.Errorf("node: non-positive direct timeout %v", c.DirectTimeout)
-	}
-	return nil
-}
+const (
+	ringTimeout   = 500 * time.Millisecond
+	directTimeout = time.Second
+)
 
 // Chassis bundles the shared state. One chassis serves one strategy
 // instance (one simulation run).
 type Chassis struct {
-	cfg     Config
 	Net     Transport
 	Reg     *data.Registry
 	Stores  []*cache.Store
@@ -192,10 +162,7 @@ type failReason struct {
 }
 
 // NewChassis wires the shared plumbing. All dependencies are required.
-func NewChassis(cfg Config, net Transport, reg *data.Registry, stores []*cache.Store, lat *stats.Latency, aud *consistency.Auditor) (*Chassis, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+func NewChassis(net Transport, reg *data.Registry, stores []*cache.Store, lat *stats.Latency, aud *consistency.Auditor) (*Chassis, error) {
 	if net == nil || reg == nil || lat == nil || aud == nil {
 		return nil, fmt.Errorf("node: nil dependency")
 	}
@@ -206,7 +173,6 @@ func NewChassis(cfg Config, net Transport, reg *data.Registry, stores []*cache.S
 		return nil, fmt.Errorf("node: %d items for %d nodes (paper model is m=n)", reg.Len(), net.Len())
 	}
 	return &Chassis{
-		cfg:         cfg,
 		Net:         net,
 		Reg:         reg,
 		Stores:      stores,
@@ -465,7 +431,7 @@ func (c *Chassis) giveUp(k *sim.Kernel, f *fetch, name string) {
 // ring floods ring idx of f's search and arms its timeout; past the last
 // ring, or when the flood fails, it gives the fetch up instead.
 func (c *Chassis) ring(k *sim.Kernel, f *fetch, idx int) {
-	if idx >= len(c.cfg.RingTTLs) {
+	if idx >= len(ringTTLs) {
 		c.giveUp(k, f, "ring-timeout")
 		return
 	}
@@ -476,12 +442,12 @@ func (c *Chassis) ring(k *sim.Kernel, f *fetch, idx int) {
 		Seq:    f.seq,
 		Trace:  f.tc,
 	}
-	if err := c.Net.Flood(f.host, c.cfg.RingTTLs[idx], msg); err != nil {
+	if err := c.Net.Flood(f.host, ringTTLs[idx], msg); err != nil {
 		c.giveUp(k, f, "ring-error")
 		return
 	}
 	f.next = idx + 1
-	f.timer = k.AfterTimer(c.cfg.RingTimeout, "node.fetch.ring", f)
+	f.timer = k.AfterTimer(ringTimeout, "node.fetch.ring", f)
 }
 
 // FetchDirect asks the owner of item for its master copy with a unicast
@@ -503,7 +469,7 @@ func (c *Chassis) FetchDirect(k *sim.Kernel, host int, item data.ItemID, parent 
 		c.giveUp(k, f, "direct-error")
 		return
 	}
-	f.timer = k.AfterTimer(c.cfg.DirectTimeout, "node.fetch.direct", f)
+	f.timer = k.AfterTimer(directTimeout, "node.fetch.direct", f)
 }
 
 // HandleDataRequest serves a DATA_REQUEST arriving at node: owners answer

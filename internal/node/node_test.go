@@ -70,7 +70,7 @@ func newEnv(t *testing.T, n int) *env {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := NewChassis(DefaultConfig(), net, reg, stores, stats.NewLatency(), aud)
+	ch, err := NewChassis(net, reg, stores, stats.NewLatency(), aud)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,35 +90,12 @@ func newEnv(t *testing.T, n int) *env {
 	return &env{k: k, net: net, reg: reg, stores: stores, ch: ch}
 }
 
-func TestConfigValidate(t *testing.T) {
-	tests := []struct {
-		name   string
-		mutate func(*Config)
-		ok     bool
-	}{
-		{"default", func(*Config) {}, true},
-		{"empty rings", func(c *Config) { c.RingTTLs = nil }, false},
-		{"zero ring ttl", func(c *Config) { c.RingTTLs = []int{0} }, false},
-		{"zero ring timeout", func(c *Config) { c.RingTimeout = 0 }, false},
-		{"zero direct timeout", func(c *Config) { c.DirectTimeout = 0 }, false},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			cfg := DefaultConfig()
-			tt.mutate(&cfg)
-			if err := cfg.Validate(); (err == nil) != tt.ok {
-				t.Errorf("Validate() = %v, want ok=%v", err, tt.ok)
-			}
-		})
-	}
-}
-
 func TestNewChassisValidation(t *testing.T) {
 	e := newEnv(t, 3)
-	if _, err := NewChassis(DefaultConfig(), nil, e.reg, e.stores, stats.NewLatency(), e.ch.Auditor); err == nil {
+	if _, err := NewChassis(nil, e.reg, e.stores, stats.NewLatency(), e.ch.Auditor); err == nil {
 		t.Error("nil net accepted")
 	}
-	if _, err := NewChassis(DefaultConfig(), e.net, e.reg, e.stores[:1], stats.NewLatency(), e.ch.Auditor); err == nil {
+	if _, err := NewChassis(e.net, e.reg, e.stores[:1], stats.NewLatency(), e.ch.Auditor); err == nil {
 		t.Error("short stores accepted")
 	}
 }
@@ -395,7 +372,7 @@ func TestFetchRingFailsWhenNoHolderReachable(t *testing.T) {
 		stores[i], _ = cache.NewStore(5)
 	}
 	aud, _ := consistency.NewAuditor(reg, time.Minute, 0)
-	ch, err := NewChassis(DefaultConfig(), net, reg, stores, stats.NewLatency(), aud)
+	ch, err := NewChassis(net, reg, stores, stats.NewLatency(), aud)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +404,7 @@ func TestFetchDirectTimeout(t *testing.T) {
 		stores = append(stores, s)
 	}
 	aud, _ := consistency.NewAuditor(reg, time.Minute, 0)
-	ch, err := NewChassis(DefaultConfig(), net, reg, stores, stats.NewLatency(), aud)
+	ch, err := NewChassis(net, reg, stores, stats.NewLatency(), aud)
 	if err != nil {
 		t.Fatal(err)
 	}

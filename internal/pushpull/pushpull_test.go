@@ -61,7 +61,7 @@ func newEnv(t *testing.T, n int) *env {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := node.NewChassis(node.DefaultConfig(), net, reg, stores, stats.NewLatency(), aud)
+	ch, err := node.NewChassis(net, reg, stores, stats.NewLatency(), aud)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -187,7 +187,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		return nil, err
 	}
 	lat := stats.NewLatency()
-	chassis, err := node.NewChassis(node.DefaultConfig(), tr, reg, stores, lat, aud)
+	chassis, err := node.NewChassis(tr, reg, stores, lat, aud)
 	if err != nil {
 		tr.Close()
 		return nil, err
