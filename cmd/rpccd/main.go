@@ -28,7 +28,6 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/manetlab/rpcc/internal/core"
 	"github.com/manetlab/rpcc/internal/data"
 	"github.com/manetlab/rpcc/internal/faults"
 	"github.com/manetlab/rpcc/internal/telemetry"
@@ -122,20 +121,6 @@ func run() error {
 		return err
 	}
 
-	cc := core.DefaultConfig()
-	if *ttn > 0 {
-		cc.TTN = *ttn
-	}
-	if *ttr > 0 {
-		cc.TTR = *ttr
-	}
-	if *ttp > 0 {
-		cc.TTP = *ttp
-	}
-	if *coeff > 0 {
-		cc.CoeffPeriod = *coeff
-	}
-
 	var hub *telemetry.Hub
 	if *metricsOut != "" {
 		hub = telemetry.NewHub(telemetry.LevelMetrics)
@@ -163,7 +148,7 @@ func run() error {
 	}
 	nd, err := wire.NewNode(wire.NodeConfig{
 		Self: *id, Nodes: *n, Peers: table, Conn: conn,
-		Seed: *seed, Strategy: *strategy, Core: cc,
+		Seed: *seed, Strategy: *strategy, Core: wire.CoreConfig(*ttn, *ttr, *ttp, *coeff),
 		Placement: placement, QueryInterval: *query, UpdateInterval: *update,
 		Hub: hub, Trace: tracer,
 		Chaos: script, ChaosOffset: *faultsOff,

@@ -96,10 +96,10 @@ func TestRouteCacheIsBehaviourallyInvisible(t *testing.T) {
 	var seen uint64
 	runCheckedScenario(t, func(h *topoHarness) bool {
 		g := h.net.Graph()
-		if h.net.Rebuilds() == seen {
+		if snapshots(h.net) == seen {
 			return false
 		}
-		seen = h.net.Rebuilds()
+		seen = snapshots(h.net)
 		checkRoutes(t, h.k.Now(), g, 1, 1)
 		return true
 	})

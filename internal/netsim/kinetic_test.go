@@ -121,10 +121,10 @@ func (h *topoHarness) checkRows(t *testing.T) (*radio.Graph, bool) {
 	if h.k.Pending() != pending {
 		t.Fatalf("t=%v: Graph() changed the kernel queue from %d to %d events", at, pending, h.k.Pending())
 	}
-	if h.net.Rebuilds() == h.seen {
+	if snapshots(h.net) == h.seen {
 		return g, false
 	}
-	h.seen = h.net.Rebuilds()
+	h.seen = snapshots(h.net)
 	n := h.net.Len()
 	h.pos = h.src.PositionsAt(at, h.pos)
 	for i := range h.down {
@@ -490,9 +490,9 @@ func diffParity(t *testing.T, seed int64, samples []time.Duration) {
 	var prev map[uint64]bool
 	for _, at := range samples {
 		h.k.RunUntil(at)
-		before := h.net.Rebuilds()
+		before := snapshots(h.net)
 		g := h.net.Graph()
-		if h.net.Rebuilds() == before {
+		if snapshots(h.net) == before {
 			continue // cached snapshot: no sample, no diffs
 		}
 		next := edgeSet(g)
@@ -655,17 +655,17 @@ func TestEachSampleReadsPositionsOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for at := time.Duration(0); at <= 2*time.Minute; at += time.Duration(rng.Intn(700)) * time.Millisecond {
 		k.RunUntil(at)
-		before := net.Rebuilds()
+		before := snapshots(net)
 		for range 1 + rng.Intn(3) { // repeated reads at one instant hit the cache
 			net.Graph()
 			net.Reachable(rng.Intn(n), rng.Intn(n))
 		}
-		switch net.Rebuilds() - before {
+		switch snapshots(net) - before {
 		case 0:
 		case 1:
 			samples = append(samples, k.Now())
 		default:
-			t.Fatalf("t=%v: %d samples at one instant", k.Now(), net.Rebuilds()-before)
+			t.Fatalf("t=%v: %d samples at one instant", k.Now(), snapshots(net)-before)
 		}
 	}
 	if len(samples) < 50 {

@@ -255,9 +255,6 @@ type Network struct {
 	// sender's whole neighbour row (transmitFlood).
 	hearers sim.RowSlab
 
-	// rebuilds counts topology snapshot rebuilds (cache misses).
-	rebuilds uint64
-
 	// dsr holds per-node routing state when cfg.Routing is RoutingDSR.
 	dsr []*dsrNode
 
@@ -375,7 +372,6 @@ func (n *Network) Graph() *radio.Graph {
 		panic(fmt.Sprintf("netsim: graph rebuild failed: %v", err))
 	}
 	g.SetRouteTableCap(n.cfg.RouteTableCap)
-	n.rebuilds++
 	n.cached = g
 	n.cachedAt = epoch
 	n.cacheValid = true
@@ -389,12 +385,6 @@ func (n *Network) Graph() *radio.Graph {
 func (n *Network) Reachable(from, to int) bool {
 	return n.Graph().Hops(from, to) != radio.Unreachable
 }
-
-// Rebuilds returns how many times the topology snapshot has been rebuilt —
-// the cache-miss count behind Graph(). Tests use it to assert refresh and
-// invalidation behaviour without relying on snapshot identity (the builder
-// reuses one graph in place).
-func (n *Network) Rebuilds() uint64 { return n.rebuilds }
 
 // TopologyStats returns the topology-maintenance counters: the plane's
 // initial build vs its incremental samples, link make/break events, exact

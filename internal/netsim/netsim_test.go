@@ -597,15 +597,22 @@ func TestDepletedNodeIsDown(t *testing.T) {
 	}
 }
 
+// snapshots counts the topology snapshots n has taken, one per Graph()
+// cache miss: the plane's one full build plus its kinetic samples.
+func snapshots(n *Network) uint64 {
+	st := n.TopologyStats()
+	return st.FullRebuilds + st.KineticSamples
+}
+
 func TestGraphCachingAndChurnInvalidation(t *testing.T) {
 	h := newHarness(t, 3, true)
 	g1 := h.net.Graph()
-	r1 := h.net.Rebuilds()
+	r1 := snapshots(h.net)
 	if r1 == 0 {
 		t.Fatal("first Graph() did not rebuild")
 	}
 	g2 := h.net.Graph()
-	if h.net.Rebuilds() != r1 {
+	if snapshots(h.net) != r1 {
 		t.Fatal("same-instant Graph() rebuilt (cache miss)")
 	}
 	if g1 != g2 {
@@ -618,9 +625,9 @@ func TestGraphCachingAndChurnInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	g3 := h.net.Graph()
-	if h.net.Rebuilds() != r1+1 {
+	if snapshots(h.net) != r1+1 {
 		t.Fatalf("churn flip did not invalidate cached graph (rebuilds %d, want %d)",
-			h.net.Rebuilds(), r1+1)
+			snapshots(h.net), r1+1)
 	}
 	if g3.Up(1) {
 		t.Fatal("rebuilt graph shows down node up")

@@ -310,9 +310,11 @@ func (c *Chassis) Answer(k *sim.Kernel, q *Query, served data.Copy) {
 	})
 	if err != nil {
 		// Audit errors indicate simulation bugs (unknown item, bad
-		// level). The query fails under the error, loudly, so it is not
-		// also counted answered and Issued = Answered + Failed + open.
-		c.Fail(q, "audit-error:"+err.Error())
+		// level). The query fails, loudly, so it is not also counted
+		// answered and Issued = Answered + Failed + open. The reason is
+		// the fixed "audit-error", not the error text: each reason is a
+		// failure-counter series and a root-span name.
+		c.Fail(q, "audit-error")
 		return
 	}
 	q.resolved = true

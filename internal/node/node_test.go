@@ -164,8 +164,8 @@ func TestAnswerRejectedByAuditFails(t *testing.T) {
 	if e.ch.Latency.Count() != 0 {
 		t.Error("rejected answer recorded latency")
 	}
-	if rs := e.ch.FailReasons(); len(rs) != 1 || rs[0].Count != 1 {
-		t.Errorf("FailReasons = %+v, want one audit-error entry", rs)
+	if rs := e.ch.FailReasons(); len(rs) != 1 || rs[0] != (ReasonCount{Reason: "audit-error", Count: 1}) {
+		t.Errorf("FailReasons = %+v, want [{audit-error 1}]", rs)
 	}
 }
 

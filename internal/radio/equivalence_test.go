@@ -39,45 +39,15 @@ func sameGraph(t *testing.T, a, b *Graph) {
 	}
 }
 
-// TestGridMatchesPairwiseProperty: the spatial-grid build must produce the
-// byte-identical adjacency (same sets, same ascending order) as the O(n²)
-// reference sweep, including down-node handling.
-func TestGridMatchesPairwiseProperty(t *testing.T) {
-	terrain, _ := geo.NewTerrain(1500, 1500)
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		pts, down := randomScenario(r, terrain)
-		grid, err := NewGraphBuilder().Build(pts, down, 250, 1)
-		if err != nil {
-			return false
-		}
-		ref, err := NewGraphBuilder().buildPairwise(pts, down, 250, 1)
-		if err != nil {
-			return false
-		}
-		sameGraph(t, ref, grid)
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestGridFallbackOnSparseSpread: positions flung kilometres apart trip
-// the grid-size guard; the fallback must still produce the reference
-// adjacency.
+// TestGridFallbackOnSparseSpread: two pairs flung kilometres apart
+// connect within each pair and not across.
 func TestGridFallbackOnSparseSpread(t *testing.T) {
 	pts := []geo.Point{{X: 0, Y: 0}, {X: 100, Y: 0}, {X: 1e6, Y: 1e6}, {X: 1e6 + 150, Y: 1e6}}
-	grid, err := newGraph(pts, nil, 250, 0)
+	g, err := newGraph(pts, nil, 250, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := NewGraphBuilder().buildPairwise(pts, nil, 250, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameGraph(t, ref, grid)
-	if !grid.Connected(0, 1) || !grid.Connected(2, 3) || grid.Connected(1, 2) {
+	if !g.Connected(0, 1) || !g.Connected(2, 3) || g.Connected(1, 2) {
 		t.Fatal("sparse-spread adjacency wrong")
 	}
 }

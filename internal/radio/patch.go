@@ -51,13 +51,13 @@ type EdgeDiff struct {
 	Add  bool
 }
 
-// RebuildFromRows repacks the snapshot's CSR from per-node geometric
+// RebuildFromRows packs the snapshot's CSR from per-node geometric
 // neighbour rows (sorted ascending, including rows for down nodes),
-// filtering out edges with a down endpoint exactly as the full builds
-// do — and, unlike Build, it keeps the memoized route tables alive so
-// the caller can log the edge changes with PatchRoutes and have them
-// repaired on demand. The first call (or a call with a different node
-// count) behaves like a full build with an empty cache.
+// filtering out edges with a down endpoint. It keeps the memoized route
+// tables alive, so the caller can log the edge changes with PatchRoutes
+// and have them repaired on demand; Build empties them first. The first
+// call (or a call with a different node count) starts with an empty
+// cache.
 func (b *GraphBuilder) RebuildFromRows(n int, row func(i int) []int32, down []bool, commRange float64, stamp uint64) (*Graph, error) {
 	if commRange <= 0 {
 		return nil, fmt.Errorf("radio: non-positive range %g", commRange)
@@ -81,7 +81,13 @@ func (b *GraphBuilder) RebuildFromRows(n int, row func(i int) []int32, down []bo
 	if cap(g.queue) < n {
 		g.queue = make([]int32, 0, n)
 	}
-	tgt := g.tgt[:0]
+	// The rows' total length bounds the surviving edges, so tgt grows
+	// at most once per pack.
+	total := 0
+	for i := 0; i < n; i++ {
+		total += len(row(i))
+	}
+	tgt := slices.Grow(g.tgt[:0], total)
 	for i := 0; i < n; i++ {
 		g.off[i] = int32(len(tgt))
 		if g.down[i] {

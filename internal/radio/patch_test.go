@@ -154,7 +154,7 @@ func testPatchRoutes(t *testing.T, tableCap int) {
 			}
 		}
 
-		refG, err := ref.buildPairwise(pos, down, commRange, stamp)
+		refG, err := ref.Build(pos, down, commRange, stamp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,32 +255,6 @@ func TestRepairSteadyStateDoesNotAllocate(t *testing.T) {
 	}
 	if after, _ := b.g.RouteRepairs(); after == before {
 		t.Fatal("no table was repaired in place; the pin measured nothing")
-	}
-}
-
-// TestSmallBuildUsesIdenticalSnapshot pins that the small-n pairwise
-// fast path and the grid path emit byte-identical CSR rows right around
-// the cutoff.
-func TestSmallBuildCutoffIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{smallBuildCutoff - 1, smallBuildCutoff, smallBuildCutoff + 1, smallBuildCutoff + 40} {
-		pos := make([]geo.Point, n)
-		for i := range pos {
-			pos[i] = geo.Point{X: rng.Float64() * 1500, Y: rng.Float64() * 1500}
-		}
-		a, err := NewGraphBuilder().Build(pos, nil, 250, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := NewGraphBuilder().buildPairwise(pos, nil, 250, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			if !slices.Equal(a.Neighbors(i), b.Neighbors(i)) {
-				t.Fatalf("n=%d node %d: grid/pairwise rows differ", n, i)
-			}
-		}
 	}
 }
 

@@ -17,11 +17,8 @@
 package radio
 
 import (
-	"fmt"
 	"math"
 	"slices"
-
-	"github.com/manetlab/rpcc/internal/geo"
 )
 
 // Graph is an undirected connectivity snapshot over n nodes. Nodes marked
@@ -278,15 +275,4 @@ func (g *Graph) NextHop(src, dst int) int {
 		return Unreachable
 	}
 	return g.routes.nextHop(g, src, dst)
-}
-
-// validate checks the inputs shared by every build path.
-func validate(pos []geo.Point, down []bool, commRange float64) error {
-	if commRange <= 0 {
-		return fmt.Errorf("radio: non-positive range %g", commRange)
-	}
-	if down != nil && len(down) != len(pos) {
-		return fmt.Errorf("radio: down length %d != positions %d", len(down), len(pos))
-	}
-	return nil
 }

@@ -2,24 +2,13 @@ package radio
 
 import "github.com/manetlab/rpcc/internal/geo"
 
-// The reference implementations the equivalence tests compare against:
-// the O(n²) all-pairs build and a per-call BFS, both free of the grid,
-// the route cache and its repair.
+// The references the equivalence tests compare against: Build, the
+// O(n²) all-pairs build, and a per-call BFS free of the route cache and
+// its repair.
 
 // newGraph builds a standalone snapshot with a throwaway builder.
 func newGraph(pos []geo.Point, down []bool, commRange float64, stamp uint64) (*Graph, error) {
 	return NewGraphBuilder().Build(pos, down, commRange, stamp)
-}
-
-// buildPairwise constructs Build's snapshot with the all-pairs sweep at
-// every n.
-func (b *GraphBuilder) buildPairwise(pos []geo.Point, down []bool, commRange float64, stamp uint64) (*Graph, error) {
-	if err := validate(pos, down, commRange); err != nil {
-		return nil, err
-	}
-	g := b.prepare(pos, down, stamp)
-	b.fillPairwise(pos, commRange)
-	return g, nil
 }
 
 // hopsFrom runs a fresh BFS from src over g's rows and returns the hop

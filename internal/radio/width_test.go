@@ -4,29 +4,38 @@ import (
 	"math"
 	"runtime"
 	"testing"
-
-	"github.com/manetlab/rpcc/internal/geo"
 )
 
 // TestRouteWidthExact pins the route cache's width rule on path graphs,
-// nodes 200 m apart at 250 m range, whose far end is n-1 hops away. At
+// node i linked to i-1 and i+1 only, whose far end is n-1 hops away. At
 // 30 000 nodes every distance fits the two-byte tables and a table costs
 // two bytes per node; at 40 000 the far distances pass math.MaxInt16,
 // which only the four-byte tables hold. Hops and NextHop must equal a
 // fresh BFS after the build, after a PatchRoutes window that cuts an edge
-// and adds it back, and after FIFO eviction.
+// and adds it back, and after FIFO eviction. The paths are packed from
+// their rows directly: the test is about route widths, and the all-pairs
+// Build would spend seconds finding the same edges.
 func TestRouteWidthExact(t *testing.T) {
 	for _, n := range []int{30_000, 40_000} {
-		pos := make([]geo.Point, n)
-		for i := range pos {
-			pos[i] = geo.Point{X: 200 * float64(i)}
+		cut := n - 10 // the edge (cut, cut+1) goes and comes back
+		rows := func(skip bool) func(i int) []int32 {
+			buf := make([]int32, 0, 2)
+			return func(i int) []int32 {
+				buf = buf[:0]
+				if i > 0 && !(skip && i == cut+1) {
+					buf = append(buf, int32(i-1))
+				}
+				if i < n-1 && !(skip && i == cut) {
+					buf = append(buf, int32(i+1))
+				}
+				return buf
+			}
 		}
 		b := NewGraphBuilder()
-		g, err := b.Build(pos, nil, 250, 0)
+		g, err := b.RebuildFromRows(n, rows(false), nil, 250, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cut := n - 10 // the edge (cut, cut+1) goes and comes back
 		dsts := []int{0, n - 1, n / 2, cut, cut + 1}
 
 		// check compares every source's Hops toward dst with a fresh BFS,
@@ -65,19 +74,6 @@ func TestRouteWidthExact(t *testing.T) {
 
 		// The cut: dst 0's table catches up to it; the others lag across
 		// the whole window and are read only after the edge is back.
-		rows := func(skip bool) func(i int) []int32 {
-			buf := make([]int32, 0, 2)
-			return func(i int) []int32 {
-				buf = buf[:0]
-				if i > 0 && !(skip && i == cut+1) {
-					buf = append(buf, int32(i-1))
-				}
-				if i < n-1 && !(skip && i == cut) {
-					buf = append(buf, int32(i+1))
-				}
-				return buf
-			}
-		}
 		edge := EdgeDiff{U: int32(cut), V: int32(cut + 1)}
 		if _, err := b.RebuildFromRows(n, rows(true), nil, 250, 1); err != nil {
 			t.Fatal(err)
@@ -99,10 +95,12 @@ func TestRouteWidthExact(t *testing.T) {
 			t.Fatalf("n=%d: no table was repaired in place", n)
 		}
 
-		// FIFO eviction: after a fresh build, a cap of two keeps the
+		// FIFO eviction: after a fresh build (the route cache emptied, as
+		// Build does, and the path repacked), a cap of two keeps the
 		// newest two destinations read, each new one built in the table
 		// the oldest gave up.
-		if _, err := b.Build(pos, nil, 250, 3); err != nil {
+		g.resetRoutes()
+		if _, err := b.RebuildFromRows(n, rows(false), nil, 250, 3); err != nil {
 			t.Fatal(err)
 		}
 		g.SetRouteTableCap(2)

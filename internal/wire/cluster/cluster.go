@@ -45,8 +45,9 @@ type Config struct {
 	// QueryInterval / UpdateInterval are each node's workload means.
 	QueryInterval  time.Duration
 	UpdateInterval time.Duration
-	// TTN / TTR / TTP / CoeffPeriod override the protocol timers
-	// (zero keeps the scaled-down defaults below).
+	// TTN / TTR / TTP / CoeffPeriod override the protocol timers. Zero
+	// keeps core.DefaultConfig's Table 1 value (TTN 2 min), not the
+	// scaled-down DefaultConfig below (TTN 2 s).
 	TTN, TTR, TTP, CoeffPeriod time.Duration
 	// Slack forgives in-flight answers at judging time.
 	Slack time.Duration
@@ -124,24 +125,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: break-inflation needs a chaos script to be blind to")
 	}
 	return nil
-}
-
-// coreConfig derives the engine configuration.
-func (c Config) coreConfig() core.Config {
-	cc := core.DefaultConfig()
-	if c.TTN > 0 {
-		cc.TTN = c.TTN
-	}
-	if c.TTR > 0 {
-		cc.TTR = c.TTR
-	}
-	if c.TTP > 0 {
-		cc.TTP = c.TTP
-	}
-	if c.CoeffPeriod > 0 {
-		cc.CoeffPeriod = c.CoeffPeriod
-	}
-	return cc
 }
 
 // spec derives the oracle envelopes from the effective timers, the same
@@ -232,7 +215,7 @@ func Run(cfg Config) (Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return Report{}, err
 	}
-	cc := cfg.coreConfig()
+	cc := wire.CoreConfig(cfg.TTN, cfg.TTR, cfg.TTP, cfg.CoeffPeriod)
 
 	// Bind every socket first (port 0 → kernel-assigned), so the full
 	// peer table exists before any daemon is constructed.

@@ -40,6 +40,26 @@ func ParseStrategy(s string) (string, error) {
 	}
 }
 
+// CoreConfig is the protocol configuration of a daemon given its timer
+// overrides: core.DefaultConfig, Table 1's timers, with each positive
+// one of ttn, ttr, ttp and coeff in place of its default; zero keeps it.
+func CoreConfig(ttn, ttr, ttp, coeff time.Duration) core.Config {
+	cc := core.DefaultConfig()
+	if ttn > 0 {
+		cc.TTN = ttn
+	}
+	if ttr > 0 {
+		cc.TTR = ttr
+	}
+	if ttp > 0 {
+		cc.TTP = ttp
+	}
+	if coeff > 0 {
+		cc.CoeffPeriod = coeff
+	}
+	return cc
+}
+
 // NodeConfig assembles one live daemon.
 type NodeConfig struct {
 	// Self is this daemon's node id; Nodes the cluster width.
